@@ -133,9 +133,8 @@ fn main() {
     // Two deployments of the same database: a pinned-sequential system and
     // a sharded one. The window (like the parallelism) is a host-side knob
     // swept at runtime over one deployment.
-    let mut seq = ReisSystem::new(
-        ReisConfig::ssd1().with_scan_parallelism(ScanParallelism::pinned_sequential()),
-    );
+    let mut seq =
+        ReisSystem::new(ReisConfig::ssd1().with_scan_parallelism(ScanParallelism::sequential()));
     let seq_id = seq.deploy(&database).expect("deployment");
     // The sharded leg drops the per-shard page minimum to 1 so sharding
     // genuinely engages at every window size (a window is the unit of

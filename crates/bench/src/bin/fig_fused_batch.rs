@@ -1,32 +1,35 @@
-//! Fused batch execution: measured throughput and physical page senses of
-//! the page-major shared-device batch path versus the per-worker-replica
-//! baseline.
+//! Batched execution: measured throughput and physical page senses of a
+//! page-major batch versus the same queries issued one by one.
 //!
-//! PR 4 rebuilds `ReisSystem::search_batch` on a fused multi-query scan:
+//! `ReisSystem::search_batch` runs a batch as one request of the scan core:
 //! the batch's probed pages are sensed once each and scored against every
-//! in-flight query in a single pass over the page words, instead of every
-//! query re-sensing every page on its own device replica. This benchmark
-//! sweeps the batch size and reports, for both execution modes:
+//! in-flight query in a single pass over the page words. This benchmark
+//! sweeps the batch size and reports:
 //!
-//! 1. **Wall-clock batch QPS** (best of a few rounds).
-//! 2. **Pages sensed per query** — the device-level `page_reads` delta of
-//!    one batch divided by the batch size. This is the amortization
-//!    headline: fused senses the union once, replicas sense per query.
-//! 3. **Results identity** — every fused outcome is asserted bit-identical
+//! 1. **Wall-clock QPS** of the batch and of the one-by-one loop (best of a
+//!    few rounds).
+//! 2. **Pages sensed per query** — the device-level `page_reads` delta
+//!    divided by the number of queries. This is the amortization headline:
+//!    a batch senses the union once, single queries sense per query.
+//! 3. **Results identity** — every batched outcome is asserted bit-identical
 //!    (results, documents, activity, modelled latency) to running the same
 //!    query alone through `ReisSystem::search`.
 //! 4. The **modelled** single-sense/multi-score scan latency
 //!    (`PerfModel::fused_scan`) against `B` independent modelled scans.
 //!
-//! Results are written to `BENCH_pr4.json` by default (this is PR 4's own
-//! committed artifact); pass `--output PATH` (or set `REIS_BENCH_OUT`) to
-//! write elsewhere. Pass `--smoke` (or set `REIS_BENCH_SMOKE=1`) for the
-//! fast CI configuration; the emitted JSON records which mode produced it.
+//! (The committed `BENCH_pr4.json` compared the batch against per-worker
+//! device replicas instead; that executor lost at every batch size there
+//! and was deleted.)
+//!
+//! Results are written to `BENCH_fused.json` by default; pass `--output
+//! PATH` (or set `REIS_BENCH_OUT`) to write elsewhere. Pass `--smoke` (or
+//! set `REIS_BENCH_SMOKE=1`) for the fast CI configuration; the emitted
+//! JSON records which mode produced it.
 
 use std::time::Instant;
 
 use reis_bench::report;
-use reis_core::{BatchFusion, PerfModel, ReisConfig, ReisSystem, SearchOutcome, VectorDatabase};
+use reis_core::{PerfModel, ReisConfig, ReisSystem, SearchOutcome, VectorDatabase};
 use reis_workloads::{DatasetProfile, SyntheticDataset};
 
 const K: usize = 10;
@@ -71,9 +74,9 @@ impl Scale {
 struct BatchPoint {
     batch: usize,
     fused_qps: f64,
-    replica_qps: f64,
+    single_qps: f64,
     fused_senses_per_query: f64,
-    replica_senses_per_query: f64,
+    single_senses_per_query: f64,
 }
 
 impl BatchPoint {
@@ -81,41 +84,60 @@ impl BatchPoint {
         if self.fused_senses_per_query <= 0.0 {
             0.0
         } else {
-            self.replica_senses_per_query / self.fused_senses_per_query
+            self.single_senses_per_query / self.fused_senses_per_query
         }
     }
 }
 
-fn run_batch(
+/// How the queries are put to the system.
+#[derive(Clone, Copy)]
+enum Issue {
+    /// One `search_batch` call.
+    Batch,
+    /// One `search` call per query.
+    OneByOne,
+}
+
+fn run(
     system: &mut ReisSystem,
     db_id: u32,
     queries: &[Vec<f32>],
     nprobe: Option<usize>,
+    issue: Issue,
 ) -> Vec<SearchOutcome> {
-    match nprobe {
-        Some(np) => system
+    match (issue, nprobe) {
+        (Issue::Batch, Some(np)) => system
             .ivf_search_batch_with_nprobe(db_id, queries, K, np, queries.len())
             .expect("batch search"),
-        None => system
+        (Issue::Batch, None) => system
             .search_batch(db_id, queries, K, queries.len())
             .expect("batch search"),
+        (Issue::OneByOne, _) => queries
+            .iter()
+            .map(|q| match nprobe {
+                Some(np) => system.ivf_search_with_nprobe(db_id, q, K, np),
+                None => system.search(db_id, q, K),
+            })
+            .collect::<Result<_, _>>()
+            .expect("search"),
     }
 }
 
-/// Wall-clock QPS of the batch: repeat until at least `min_secs` have been
-/// measured and report the best single-round rate.
+/// Wall-clock QPS of the queries: repeat until at least `min_secs` have
+/// been measured and report the best single-round rate.
 fn measure_qps(
     system: &mut ReisSystem,
     db_id: u32,
     queries: &[Vec<f32>],
     nprobe: Option<usize>,
+    issue: Issue,
     min_secs: f64,
 ) -> f64 {
     let mut best = 0.0f64;
     let mut elapsed_total = 0.0;
     while elapsed_total < min_secs {
         let start = Instant::now();
-        let outcomes = run_batch(system, db_id, queries, nprobe);
+        let outcomes = run(system, db_id, queries, nprobe, issue);
         let secs = start.elapsed().as_secs_f64();
         assert_eq!(outcomes.len(), queries.len());
         elapsed_total += secs;
@@ -124,15 +146,16 @@ fn measure_qps(
     best
 }
 
-/// Device-level page senses of exactly one batch, per query.
+/// Device-level page senses of exactly one round of the queries, per query.
 fn measure_senses(
     system: &mut ReisSystem,
     db_id: u32,
     queries: &[Vec<f32>],
     nprobe: Option<usize>,
+    issue: Issue,
 ) -> f64 {
     let before = system.controller().device().stats().page_reads;
-    run_batch(system, db_id, queries, nprobe);
+    run(system, db_id, queries, nprobe, issue);
     let delta = system.controller().device().stats().page_reads - before;
     delta as f64 / queries.len() as f64
 }
@@ -145,29 +168,18 @@ fn signature(outcome: &SearchOutcome) -> (Vec<(usize, f32)>, Vec<Vec<u8>>) {
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn sweep(
-    fused: &mut ReisSystem,
-    fused_id: u32,
-    replicas: &mut ReisSystem,
-    replica_id: u32,
+    system: &mut ReisSystem,
+    db_id: u32,
     queries: &[Vec<f32>],
     nprobe: Option<usize>,
     min_secs: f64,
     label: &str,
 ) -> Vec<BatchPoint> {
-    // Sequential per-query references for the identity assertion.
-    let reference: Vec<_> = queries
+    // One-by-one references for the identity assertion.
+    let reference: Vec<_> = run(system, db_id, queries, nprobe, Issue::OneByOne)
         .iter()
-        .map(|q| {
-            let outcome = match nprobe {
-                Some(np) => fused
-                    .ivf_search_with_nprobe(fused_id, q, K, np)
-                    .expect("sequential reference"),
-                None => fused.search(fused_id, q, K).expect("sequential reference"),
-            };
-            (signature(&outcome), outcome.latency, outcome.activity)
-        })
+        .map(|outcome| (signature(outcome), outcome.latency, outcome.activity))
         .collect();
 
     println!("\n{label}:");
@@ -175,28 +187,28 @@ fn sweep(
         .iter()
         .map(|&batch| {
             let chunk = &queries[..batch.min(queries.len())];
-            // Identity: every fused outcome equals its sequential reference.
-            let outcomes = run_batch(fused, fused_id, chunk, nprobe);
+            // Identity: every batched outcome equals its one-by-one reference.
+            let outcomes = run(system, db_id, chunk, nprobe, Issue::Batch);
             for (i, outcome) in outcomes.iter().enumerate() {
                 let (expected_sig, expected_latency, expected_activity) = &reference[i];
                 assert_eq!(&signature(outcome), expected_sig, "results, query {i}");
                 assert_eq!(&outcome.latency, expected_latency, "latency, query {i}");
                 assert_eq!(&outcome.activity, expected_activity, "activity, query {i}");
             }
-            let fused_senses = measure_senses(fused, fused_id, chunk, nprobe);
-            let replica_senses = measure_senses(replicas, replica_id, chunk, nprobe);
-            let fused_qps = measure_qps(fused, fused_id, chunk, nprobe, min_secs);
-            let replica_qps = measure_qps(replicas, replica_id, chunk, nprobe, min_secs);
+            let fused_senses = measure_senses(system, db_id, chunk, nprobe, Issue::Batch);
+            let single_senses = measure_senses(system, db_id, chunk, nprobe, Issue::OneByOne);
+            let fused_qps = measure_qps(system, db_id, chunk, nprobe, Issue::Batch, min_secs);
+            let single_qps = measure_qps(system, db_id, chunk, nprobe, Issue::OneByOne, min_secs);
             let point = BatchPoint {
                 batch,
                 fused_qps,
-                replica_qps,
+                single_qps,
                 fused_senses_per_query: fused_senses,
-                replica_senses_per_query: replica_senses,
+                single_senses_per_query: single_senses,
             };
             println!(
-                "    batch {batch:>2}  fused {fused_qps:>9.1} QPS / {fused_senses:>8.1} senses-per-query   \
-                 replicas {replica_qps:>9.1} QPS / {replica_senses:>8.1} senses-per-query   \
+                "    batch {batch:>2}  batched {fused_qps:>9.1} QPS / {fused_senses:>8.1} senses-per-query   \
+                 one-by-one {single_qps:>9.1} QPS / {single_senses:>8.1} senses-per-query   \
                  sense reduction {:.2}x",
                 point.sense_reduction()
             );
@@ -210,14 +222,14 @@ fn points_json(points: &[BatchPoint]) -> String {
         .iter()
         .map(|p| {
             format!(
-                "      {{ \"batch\": {}, \"fused_qps\": {:.1}, \"replica_qps\": {:.1}, \
-                 \"fused_senses_per_query\": {:.1}, \"replica_senses_per_query\": {:.1}, \
+                "      {{ \"batch\": {}, \"fused_qps\": {:.1}, \"one_by_one_qps\": {:.1}, \
+                 \"fused_senses_per_query\": {:.1}, \"one_by_one_senses_per_query\": {:.1}, \
                  \"sense_reduction\": {:.2} }}",
                 p.batch,
                 p.fused_qps,
-                p.replica_qps,
+                p.single_qps,
                 p.fused_senses_per_query,
-                p.replica_senses_per_query,
+                p.single_senses_per_query,
                 p.sense_reduction()
             )
         })
@@ -229,7 +241,7 @@ fn main() {
     let scale = Scale::pick();
     report::header(
         "Fused batch",
-        "Page-major fused batch execution vs per-worker replicas",
+        "Page-major batch execution vs the same queries one by one",
     );
     println!(
         "mode {} · brute force {} entries · IVF {} entries, nlist {}",
@@ -249,15 +261,10 @@ fn main() {
         .expect("flat database");
     let mut bf_fused = ReisSystem::new(ReisConfig::ssd1());
     let bf_fused_id = bf_fused.deploy(&bf_database).expect("deploy");
-    let mut bf_replicas =
-        ReisSystem::new(ReisConfig::ssd1().with_batch_fusion(BatchFusion::Replicas));
-    let bf_replica_id = bf_replicas.deploy(&bf_database).expect("deploy");
     let bf_queries: Vec<Vec<f32>> = bf_dataset.queries().to_vec();
     let bf_points = sweep(
         &mut bf_fused,
         bf_fused_id,
-        &mut bf_replicas,
-        bf_replica_id,
         &bf_queries,
         None,
         scale.min_measure_secs,
@@ -284,15 +291,10 @@ fn main() {
     .expect("ivf database");
     let mut ivf_fused = ReisSystem::new(ReisConfig::ssd1());
     let ivf_fused_id = ivf_fused.deploy(&ivf_database).expect("deploy");
-    let mut ivf_replicas =
-        ReisSystem::new(ReisConfig::ssd1().with_batch_fusion(BatchFusion::Replicas));
-    let ivf_replica_id = ivf_replicas.deploy(&ivf_database).expect("deploy");
     let ivf_queries: Vec<Vec<f32>> = ivf_dataset.queries().to_vec();
     let ivf_points = sweep(
         &mut ivf_fused,
         ivf_fused_id,
-        &mut ivf_replicas,
-        ivf_replica_id,
         &ivf_queries,
         Some(NPROBE),
         scale.min_measure_secs,
@@ -326,10 +328,10 @@ fn main() {
 
     let bf_at_8 = bf_points.last().expect("batch-8 point");
     println!(
-        "\nBrute-force batch 8: {:.2}x fewer senses per query, QPS {:.1} (fused) vs {:.1} (replicas)",
+        "\nBrute-force batch 8: {:.2}x fewer senses per query, QPS {:.1} (batched) vs {:.1} (one by one)",
         bf_at_8.sense_reduction(),
         bf_at_8.fused_qps,
-        bf_at_8.replica_qps
+        bf_at_8.single_qps
     );
     if scale.mode == "full" {
         assert!(
@@ -357,7 +359,7 @@ fn main() {
         bf = points_json(&bf_points),
         ivf = points_json(&ivf_points),
     );
-    let path = report::output_path("BENCH_pr4.json");
+    let path = report::output_path("BENCH_fused.json");
     std::fs::write(&path, json).expect("write benchmark json");
     println!("\nwrote {path}");
 }

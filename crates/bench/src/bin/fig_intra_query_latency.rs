@@ -1,9 +1,9 @@
 //! Intra-query scan sharding: measured (wall-clock) single-query latency of
 //! the functional simulator versus the shard count.
 //!
-//! PR 1's `fig07b_batch_throughput` shows throughput scaling *across*
-//! queries; this benchmark shows the complementary REIS claim — that
-//! flash-internal parallelism shortens the latency of *one* query — by
+//! Batching raises throughput *across* queries; this benchmark shows the
+//! complementary REIS claim — that flash-internal parallelism shortens the
+//! latency of *one* query — by
 //! sweeping `ScanParallelism` over one deployment and timing individual
 //! `search` / `ivf_search` calls. It also re-verifies, on every shard
 //! count, that the sharded results are identical to the sequential scan.
@@ -104,7 +104,7 @@ fn sweep(
     // Sequential reference signatures for the invariance check. Pinned:
     // the plain `sequential()` default would be auto-upgraded to
     // `available_parallelism` shards by single-query search.
-    system.set_scan_parallelism(ScanParallelism::pinned_sequential());
+    system.set_scan_parallelism(ScanParallelism::sequential());
     let reference: Vec<_> = queries
         .iter()
         .map(|q| signature(system, db_id, q, nprobe))
@@ -115,7 +115,7 @@ fn sweep(
         .iter()
         .map(|&shards| {
             system.set_scan_parallelism(if shards == 1 {
-                ScanParallelism::pinned_sequential()
+                ScanParallelism::sequential()
             } else {
                 ScanParallelism::sharded(shards)
             });

@@ -1,51 +1,31 @@
-//! The persistent worker pool and the async request pipeline, measured.
+//! The async request pipeline under load, measured.
 //!
-//! PR-5's adaptive-window sweep recorded the cost this PR removes: under
-//! small threshold windows the sharded scan paid one scoped-thread spawn
-//! set *per window*, which on its committed run made 4–32-page windows
-//! slower sharded than sequential. PR-10 replaced every per-window spawn
-//! with the persistent work-stealing pool (`reis-sched`), and put an
-//! asynchronous batching pipeline in front of the executors. This
-//! benchmark measures both halves:
+//! A seeded Poisson arrival trace drives the `Pipeline` at several offered
+//! loads, with batch formation off (`max_batch 1`) and on (`max_batch 8`).
+//! The pipeline runs on *virtual time* — completions are priced by the
+//! modelled device latency — so its QPS-vs-p99 columns are deterministic,
+//! machine-independent, and meaningful even on a one-core host.
+//! `batch_formation_wins` records that at the top offered load the batching
+//! pipeline sustains higher throughput at no worse p99.
 //!
-//! * **Part A — pooled vs spawn-per-window.** The same sharded adaptive
-//!   sweep, run under `ScanExecutor::Pooled` and
-//!   `ScanExecutor::SpawnScoped` on the same deployment. Results and
-//!   transferred-entry accounting are asserted bit-identical on every
-//!   point (`results_identical_to_spawn`); only the wall clock may move.
-//!   On the windows that PR-5 flagged (4–32 pages), pooled must not lose
-//!   to spawn — the committed full-mode artifact gates on it.
-//! * **Part B — batch formation under load.** A seeded Poisson arrival
-//!   trace drives the `Pipeline` at several offered loads, with batch
-//!   formation off (`max_batch 1`) and on (`max_batch 8`). The pipeline
-//!   runs on *virtual time* — completions are priced by the modelled
-//!   device latency — so its QPS-vs-p99 columns are deterministic,
-//!   machine-independent, and meaningful even on this one-core host.
-//!   `batch_formation_wins` records that at the top offered load the
-//!   batching pipeline sustains higher throughput at no worse p99.
+//! (The committed `BENCH_pr10.json` also holds a pooled-vs-spawn-per-window
+//! wall-clock sweep; the spawn executor it compared against was deleted
+//! once that sweep had shown the persistent pool faster at every window.)
 //!
-//! Results go to `BENCH_pr10.json` (this PR's committed artifact); pass
-//! `--output PATH` / `REIS_BENCH_OUT` to write elsewhere, `--smoke` /
-//! `REIS_BENCH_SMOKE=1` for the fast CI variant.
-
-use std::time::Instant;
+//! Results go to `BENCH_pr10.json`'s family (`BENCH_scheduler.json` by
+//! default); pass `--output PATH` / `REIS_BENCH_OUT` to write elsewhere,
+//! `--smoke` / `REIS_BENCH_SMOKE=1` for the fast CI variant.
 
 use reis_bench::report;
-use reis_core::{
-    PipelineConfig, PipelineRequest, ReisConfig, ReisSystem, ScanExecutor, ScanParallelism,
-    VectorDatabase,
-};
+use reis_core::{PipelineConfig, PipelineRequest, ReisConfig, ReisSystem, VectorDatabase};
 use reis_workloads::{ArrivalTrace, DatasetProfile, SyntheticDataset};
 
 const K: usize = 10;
-const SHARDS: usize = 8;
 
 struct RunShape {
     mode: &'static str,
     entries: usize,
     queries: usize,
-    repeats: usize,
-    windows: &'static [usize],
     pipeline_requests: usize,
 }
 
@@ -57,8 +37,6 @@ fn shape() -> RunShape {
             mode: "smoke",
             entries: 4_096,
             queries: 2,
-            repeats: 2,
-            windows: &[4, 16],
             pipeline_requests: 48,
         }
     } else {
@@ -66,20 +44,9 @@ fn shape() -> RunShape {
             mode: "full",
             entries: 32_768,
             queries: 4,
-            repeats: 5,
-            windows: &[4, 8, 16, 32],
             pipeline_requests: 256,
         }
     }
-}
-
-struct WindowPoint {
-    window: usize,
-    fine_entries: usize,
-    fine_windows: usize,
-    modelled_us: f64,
-    pooled_us: f64,
-    spawn_us: f64,
 }
 
 struct PipelinePoint {
@@ -91,40 +58,6 @@ struct PipelinePoint {
     p50_us: f64,
     p99_us: f64,
     throughput_qps: f64,
-}
-
-/// Best-of-`repeats` wall latency of each query, averaged, in microseconds.
-fn measure(system: &mut ReisSystem, db_id: u32, queries: &[Vec<f32>], repeats: usize) -> f64 {
-    let mut total_us = 0.0;
-    for query in queries {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let start = Instant::now();
-            system.search(db_id, query, K).expect("search");
-            best = best.min(start.elapsed().as_secs_f64() * 1e6);
-        }
-        total_us += best;
-    }
-    total_us / queries.len() as f64
-}
-
-/// Result signatures plus summed transferred-entry accounting and mean
-/// modelled latency of one sweep point.
-type SweepSignature = (Vec<Vec<(usize, f32)>>, usize, usize, f64);
-
-fn signatures(system: &mut ReisSystem, db_id: u32, queries: &[Vec<f32>]) -> SweepSignature {
-    let mut sigs = Vec::new();
-    let mut entries = 0usize;
-    let mut windows = 0usize;
-    let mut modelled_us = 0.0;
-    for query in queries {
-        let outcome = system.search(db_id, query, K).expect("search");
-        sigs.push(outcome.results.iter().map(|n| (n.id, n.distance)).collect());
-        entries += outcome.activity.fine_entries;
-        windows += outcome.activity.fine_windows;
-        modelled_us += outcome.total_latency().as_secs_f64() * 1e6;
-    }
-    (sigs, entries, windows, modelled_us / queries.len() as f64)
 }
 
 /// Virtual-time percentile of a sorted sojourn list, in microseconds.
@@ -216,8 +149,8 @@ fn pipeline_point(
 fn main() {
     let shape = shape();
     report::header(
-        "Scheduler: worker pool + request pipeline",
-        "Pooled vs spawn-per-window wall clock, and batch formation under load",
+        "Scheduler: request pipeline",
+        "Batch formation under load, on virtual time",
     );
 
     println!(
@@ -234,82 +167,19 @@ fn main() {
         .expect("database construction");
     let queries: Vec<Vec<f32>> = dataset.queries().to_vec();
 
-    // Two deployments of the same database, differing only in who executes
-    // the shard tasks. Both shard with a 1-page minimum so every window is
-    // genuinely partitioned — exactly the regime where PR-5 measured the
-    // per-window spawn cost.
-    let sharding = ScanParallelism::sharded(SHARDS).with_min_pages_per_shard(1);
-    let mut pooled = ReisSystem::new(
-        ReisConfig::ssd1()
-            .with_scan_parallelism(sharding)
-            .with_scan_executor(ScanExecutor::Pooled),
-    );
-    let pooled_id = pooled.deploy(&database).expect("deployment");
-    let mut spawn = ReisSystem::new(
-        ReisConfig::ssd1()
-            .with_scan_parallelism(sharding)
-            .with_scan_executor(ScanExecutor::SpawnScoped),
-    );
-    let spawn_id = spawn.deploy(&database).expect("deployment");
+    let mut system = ReisSystem::new(ReisConfig::ssd1());
+    let db_id = system.deploy(&database).expect("deployment");
 
-    println!("\nPart A — pooled vs spawn-per-window (sharded adaptive scan, k {K}):");
-    println!(
-        "  {:>7}  {:>10}  {:>9}  {:>12}  {:>11}  {:>11}",
-        "window", "entries", "barriers", "modelled_us", "pooled_us", "spawn_us"
-    );
-    let mut points: Vec<WindowPoint> = Vec::new();
-    for &window in shape.windows {
-        pooled.set_adaptive_window(window);
-        spawn.set_adaptive_window(window);
-        let (pooled_sigs, pooled_entries, pooled_windows, modelled_us) =
-            signatures(&mut pooled, pooled_id, &queries);
-        let (spawn_sigs, spawn_entries, spawn_windows, spawn_modelled) =
-            signatures(&mut spawn, spawn_id, &queries);
-
-        // Scheduler identity, asserted on every sweep point: the executor
-        // must never change what a query returns or what it transfers.
-        assert_eq!(
-            pooled_sigs, spawn_sigs,
-            "pooled results diverged from spawn at window {window}"
-        );
-        assert_eq!(
-            (pooled_entries, pooled_windows),
-            (spawn_entries, spawn_windows),
-            "pooled accounting diverged from spawn at window {window}"
-        );
-        assert!(
-            (modelled_us - spawn_modelled).abs() < 1e-9,
-            "modelled latency diverged at window {window}"
-        );
-
-        let pooled_us = measure(&mut pooled, pooled_id, &queries, shape.repeats);
-        let spawn_us = measure(&mut spawn, spawn_id, &queries, shape.repeats);
-        println!(
-            "  {window:>7}  {pooled_entries:>10}  {pooled_windows:>9}  {modelled_us:>12.1}  \
-             {pooled_us:>11.1}  {spawn_us:>11.1}"
-        );
-        points.push(WindowPoint {
-            window,
-            fine_entries: pooled_entries,
-            fine_windows: pooled_windows,
-            modelled_us,
-            pooled_us,
-            spawn_us,
-        });
-    }
-
-    // Part B — the request pipeline under a seeded open-loop arrival
-    // process. Offered loads are set relative to the modelled single-query
-    // service rate, so the sweep spans under-load to saturation at any
-    // dataset size.
+    // The request pipeline under a seeded open-loop arrival process.
+    // Offered loads are set relative to the modelled single-query service
+    // rate, so the sweep spans under-load to saturation at any dataset size.
     let service_ns = {
-        let outcome = pooled.search(pooled_id, &queries[0], K).expect("probe");
+        let outcome = system.search(db_id, &queries[0], K).expect("probe");
         outcome.total_latency().as_nanos().max(1)
     };
     let service_qps = 1e9 / service_ns as f64;
     println!(
-        "\nPart B — pipeline batch formation (modelled service rate {service_qps:.0} QPS, \
-         virtual time):"
+        "\nPipeline batch formation (modelled service rate {service_qps:.0} QPS, virtual time):"
     );
     println!(
         "  {:>12}  {:>9}  {:>9}  {:>6}  {:>10}  {:>10}  {:>14}",
@@ -319,8 +189,8 @@ fn main() {
     for load_factor in [0.5, 2.0, 6.0] {
         for max_batch in [1usize, 8] {
             let point = pipeline_point(
-                &mut pooled,
-                pooled_id,
+                &mut system,
+                db_id,
                 &queries,
                 service_qps * load_factor,
                 max_batch,
@@ -361,24 +231,6 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    if cores == 1 {
-        println!(
-            "note: only one CPU is available, so Part A's wall columns measure spawn/join \
-             overhead rather than parallel speedup; Part B is virtual-time and unaffected"
-        );
-    }
-
-    let window_json = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{ \"window\": {}, \"fine_entries\": {}, \"barriers\": {}, \
-                 \"modelled_us\": {:.1}, \"pooled_us\": {:.1}, \"spawn_us\": {:.1} }}",
-                p.window, p.fine_entries, p.fine_windows, p.modelled_us, p.pooled_us, p.spawn_us
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
     let pipeline_json = pipeline_points
         .iter()
         .map(|p| {
@@ -401,19 +253,16 @@ fn main() {
     let json = format!(
         "{{\n  \"available_cores\": {cores},\n  \"mode\": \"{}\",\n  \
          \"dataset\": {{ \"entries\": {}, \"dim\": {} }},\n  \
-         \"queries\": {},\n  \"repeats_per_point\": {},\n  \"k\": {K},\n  \
+         \"queries\": {},\n  \"k\": {K},\n  \
          \"modelled_service_qps\": {service_qps:.1},\n  \
-         \"results_identical_to_spawn\": true,\n  \
          \"batch_formation_wins\": {batch_formation_wins},\n  \
-         \"pool_window_sweep\": [\n{window_json}\n  ],\n  \
          \"pipeline_sweep\": [\n{pipeline_json}\n  ]\n}}\n",
         shape.mode,
         shape.entries,
         dataset.profile().dim,
         shape.queries,
-        shape.repeats,
     );
-    let path = report::output_path("BENCH_pr10.json");
+    let path = report::output_path("BENCH_scheduler.json");
     std::fs::write(&path, json).expect("write benchmark artifact");
     println!("\nWrote {path}");
 }

@@ -643,7 +643,30 @@ impl ClusterSystem {
         k: usize,
         nprobe: Option<usize>,
     ) -> Result<Vec<ClusterSearchOutcome>> {
+        // A malformed query fails the batch before any of it runs.
+        for query in queries {
+            self.validate_search(query, k, nprobe)?;
+        }
         queries.iter().map(|q| self.run(q, k, nprobe)).collect()
+    }
+
+    /// Check a search request without running it: the validation every
+    /// leaf applies before any device work (all leaves share the corpus'
+    /// dimensionality and cluster structure, so the first one speaks for
+    /// the cluster). The request pipeline calls this at submission.
+    ///
+    /// # Errors
+    ///
+    /// The error the search itself would raise (see
+    /// [`ReisSystem::validate_search`]), or
+    /// [`ReisError::MalformedDatabase`] before a corpus is deployed.
+    pub fn validate_search(&self, query: &[f32], k: usize, nprobe: Option<usize>) -> Result<()> {
+        match self.leaf_dbs.first() {
+            Some(&db) => self.leaves[0].validate_search(db, query, k, nprobe),
+            None => Err(ReisError::MalformedDatabase(
+                "cluster has no deployed corpus".into(),
+            )),
+        }
     }
 
     fn run(
@@ -652,11 +675,9 @@ impl ClusterSystem {
         k: usize,
         nprobe: Option<usize>,
     ) -> Result<ClusterSearchOutcome> {
-        if self.leaf_dbs.is_empty() {
-            return Err(ReisError::MalformedDatabase(
-                "cluster has no deployed corpus".into(),
-            ));
-        }
+        // Refuse a malformed request before it costs a fault-plan draw or
+        // advances the skew sequence.
+        self.validate_search(query, k, nprobe)?;
         let seq = self.seq;
         self.seq += 1;
         let enabled = self.telemetry.is_enabled();

@@ -105,12 +105,18 @@ impl ClusterPipeline<'_> {
     ///
     /// # Errors
     ///
-    /// [`ReisError::Overloaded`] when the request's lane is at
-    /// [`PipelineConfig::queue_depth`]; the request is shed and the
-    /// pipeline stays fully usable.
+    /// * The search's own validation error
+    ///   ([`ClusterSystem::validate_search`]) for a malformed search,
+    ///   returned to this submitter only; nothing is queued or shed.
+    /// * [`ReisError::Overloaded`] when the request's lane is at
+    ///   [`PipelineConfig::queue_depth`]; the request is shed and the
+    ///   pipeline stays fully usable.
     pub fn submit(&mut self, at_ns: u64, request: PipelineRequest) -> Result<u64> {
         self.run_until(at_ns);
         self.clock_ns = self.clock_ns.max(at_ns);
+        if let Some((query, k, nprobe)) = request.as_search() {
+            self.system.validate_search(query, k, nprobe)?;
+        }
 
         let telemetry = self.system.telemetry().clone();
         let lane = if request.is_mutation() {
@@ -255,10 +261,12 @@ impl ClusterPipeline<'_> {
             .expect("search lane holds only searches");
         let queries: Vec<Vec<f32>> = batch
             .iter()
-            .map(|p| match &p.request {
-                PipelineRequest::Search { query, .. }
-                | PipelineRequest::IvfSearch { query, .. } => query.clone(),
-                _ => unreachable!("search lane holds only searches"),
+            .map(|p| {
+                let (query, ..) = p
+                    .request
+                    .as_search()
+                    .expect("search lane holds only searches");
+                query.to_vec()
             })
             .collect();
         match self.system.search_batch(&queries, k, nprobe) {

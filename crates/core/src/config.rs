@@ -63,74 +63,52 @@ impl Default for Optimizations {
     }
 }
 
-/// How far one query's fine scan is parallelized *inside* the device.
+/// How far a scan is parallelized *inside* the device.
 ///
 /// REIS partitions a single scan over the SSD's channel×die units so that
 /// the flash-internal parallelism shortens the *latency* of one query, not
 /// just the throughput of many (Sec. 4.3.4). The simulator mirrors that
-/// with worker threads, one per scan shard, each owning its own latch
-/// scratch and Temporal Top List; see `reis_nand::sharding` for the
-/// geometry-aware plan and [`crate::engine`] for the execution and merge.
+/// with pool tasks, one per scan shard, each owning its own Temporal Top
+/// Lists; see `reis_nand::sharding` for the geometry-aware plan and
+/// [`crate::scan`] for the execution and merge.
 ///
-/// The default is sequential (one shard), which keeps single-threaded
-/// behaviour — and determinism expectations of downstream tooling —
-/// unchanged; benchmarks and latency-sensitive deployments opt in via
-/// [`ReisConfig::with_scan_parallelism`]. Sharding composes with batched
-/// search: each batch worker drives its own intra-query shards.
+/// The default ([`ScanParallelism::auto`]) leaves the shard budget to the
+/// caller's context: the host's available parallelism for a single query,
+/// the `workers` cap for a batch. Results never depend on the setting —
+/// only wall-clock time does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScanParallelism {
-    /// Maximum number of scan shards per query (1 = sequential scan). The
-    /// effective count is additionally capped by the device's channel×die
-    /// unit count and by the size of the scan.
-    pub max_shards: usize,
+    /// Maximum number of scan shards per pass; `None` means "the host
+    /// budget" (capped by a batch's `workers`), `Some(1)` a sequential
+    /// scan. The effective count is additionally capped by the device's
+    /// channel×die unit count and by the size of the scan.
+    pub max_shards: Option<usize>,
     /// Minimum pages a shard must receive for sharding to be worthwhile;
-    /// scans smaller than `2 × min_pages_per_shard` run sequentially so
-    /// thread spawn overhead never dominates tiny scans.
+    /// passes smaller than `2 × min_pages_per_shard` run on one shard so
+    /// task dispatch never dominates tiny scans.
     pub min_pages_per_shard: usize,
 }
 
 impl ScanParallelism {
-    /// Sequential scanning (the constructor default): one shard, no worker
-    /// threads.
-    ///
-    /// For *single-query* searches this exact value doubles as the "no
-    /// preference" sentinel: `ReisSystem::search` upgrades it to
-    /// `sharded(available_parallelism)` (results are bit-identical; only
-    /// wall-clock changes — adaptive scans included, since their windowed
-    /// threshold schedule is partition-invariant). Use
-    /// [`ScanParallelism::pinned_sequential`] to force single-threaded
-    /// scans even there.
-    pub fn sequential() -> Self {
+    /// Shard up to the host budget (the default).
+    pub fn auto() -> Self {
         ScanParallelism {
-            max_shards: 1,
+            max_shards: None,
             min_pages_per_shard: 16,
         }
     }
 
-    /// A setting that always scans sequentially, bypassing the
-    /// auto-sharding that `ReisSystem::search` applies when it sees the
-    /// plain [`ScanParallelism::sequential`] constructor default (the two
-    /// differ only in the unreachable per-shard page minimum).
-    pub fn pinned_sequential() -> Self {
-        ScanParallelism {
-            max_shards: 1,
-            min_pages_per_shard: usize::MAX,
-        }
+    /// Sequential scanning: one shard, no pool tasks — for single queries
+    /// and batches alike.
+    pub fn sequential() -> Self {
+        ScanParallelism::sharded(1)
     }
 
     /// Shard every large-enough scan across up to `max_shards` workers.
-    ///
-    /// `sharded(1)` is an *explicit* one-shard request and returns
-    /// [`ScanParallelism::pinned_sequential`], so it is never mistaken for
-    /// the [`ScanParallelism::sequential`] "no preference" default that
-    /// single-query searches auto-upgrade.
     pub fn sharded(max_shards: usize) -> Self {
-        if max_shards <= 1 {
-            return ScanParallelism::pinned_sequential();
-        }
         ScanParallelism {
-            max_shards,
-            ..ScanParallelism::sequential()
+            max_shards: Some(max_shards.max(1)),
+            ..ScanParallelism::auto()
         }
     }
 
@@ -140,21 +118,12 @@ impl ScanParallelism {
         self
     }
 
-    /// Whether this value is the "no preference" constructor default that
-    /// single-query searches and fused batch scans upgrade to the host's
-    /// available parallelism. The check is structural, so a hand-built
-    /// value identical to [`ScanParallelism::sequential`] counts as the
-    /// default too — use [`ScanParallelism::pinned_sequential`] (and leave
-    /// its page minimum alone) to express an unforgeable "stay
-    /// sequential".
-    pub fn is_auto_default(&self) -> bool {
-        *self == ScanParallelism::sequential()
-    }
-
-    /// The shard count to actually use for a scan of `pages` pages on a
-    /// device with `scan_units` channel×die units (always at least 1).
-    pub fn effective_shards(&self, scan_units: usize, pages: usize) -> usize {
+    /// The shard count to actually use for a pass of `pages` pages on a
+    /// device with `scan_units` channel×die units (always at least 1);
+    /// `budget` is what [`ScanParallelism::auto`] resolves to.
+    pub fn effective_shards(&self, budget: usize, scan_units: usize, pages: usize) -> usize {
         self.max_shards
+            .unwrap_or(budget)
             .min(scan_units)
             .min(pages / self.min_pages_per_shard.max(1))
             .max(1)
@@ -163,7 +132,7 @@ impl ScanParallelism {
 
 impl Default for ScanParallelism {
     fn default() -> Self {
-        ScanParallelism::sequential()
+        ScanParallelism::auto()
     }
 }
 
@@ -180,9 +149,7 @@ impl Default for ScanParallelism {
 /// that list — never of which worker scanned it when — so adaptive scans
 /// are **partition-invariant**: results, documents and transferred-entry
 /// counts are bit-identical across every [`ScanParallelism`] setting and
-/// inside the fused batch executor, on every machine. (Earlier revisions pinned
-/// adapting scans sequential because the schedule tightened per page; the
-/// windowed schedule removed that restriction.)
+/// batch size, on every machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AdaptiveFiltering {
     /// Never adapt; the static paper threshold holds for the whole scan.
@@ -193,38 +160,6 @@ pub enum AdaptiveFiltering {
     BruteForce,
     /// Adapt every fine scan, IVF included.
     All,
-}
-
-/// How a batched search executes on the simulated device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BatchFusion {
-    /// Page-major fused execution on the *shared* device (the default):
-    /// the batch's probed pages are sensed once each and scored against
-    /// every in-flight query by the fused multi-query kernel. Per-query
-    /// results, activity and modelled latency are bit-identical to running
-    /// the queries sequentially; only the physical sense count (and the
-    /// wall clock) shrinks.
-    Fused,
-    /// Per-worker device replicas (the pre-fusion path): every worker clones
-    /// the controller copy-on-write and executes its chunk of queries
-    /// independently, so every query re-senses every page it scans.
-    Replicas,
-}
-
-/// How shard/replica workers are executed on the host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ScanExecutor {
-    /// The persistent work-stealing worker pool (`reis-sched`), created
-    /// once at system construction (the default). No query or mutation
-    /// path creates threads afterwards; scan windows, fused page chunks
-    /// and replica batches are queued onto the long-lived workers, which
-    /// keep per-worker scratch warm between requests.
-    Pooled,
-    /// A scoped `std::thread` spawn per window/chunk/batch — the pre-pool
-    /// executor. Kept selectable so the identity property suite can prove
-    /// pooled execution bit-identical to it, and so `fig_scheduler` can
-    /// measure the per-window spawn overhead the pool removes.
-    SpawnScoped,
 }
 
 /// Complete configuration of a REIS system instance.
@@ -247,7 +182,7 @@ pub struct ReisConfig {
     /// Bytes of one Temporal-Top-List entry on the flash channel, excluding
     /// the embedding itself (DIST + EADR + RADR + DADR + TAG).
     pub ttl_metadata_bytes: usize,
-    /// Intra-query scan sharding across the device's channel/die units.
+    /// Scan sharding across the device's channel/die units.
     pub scan_parallelism: ScanParallelism,
     /// Which scans tighten the distance-filter threshold adaptively (see
     /// [`ReisConfig::with_adaptive_filtering`]). Defaults to
@@ -275,13 +210,6 @@ pub struct ReisConfig {
     /// entry counts* are identical either way — that is the windowed
     /// schedule's partition invariance.
     pub adaptive_window_pages: usize,
-    /// How batched searches execute (see [`BatchFusion`]); defaults to the
-    /// page-major fused path on the shared device.
-    pub batch_fusion: BatchFusion,
-    /// How shard/replica workers run on the host (see [`ScanExecutor`]);
-    /// defaults to the persistent worker pool. Scheduling never changes
-    /// results or logical accounting — only wall-clock cost.
-    pub scan_executor: ScanExecutor,
     /// When the update path compacts automatically (append segments folded
     /// back into dense regions). [`CompactionPolicy::manual`] disables
     /// auto-compaction entirely.
@@ -298,11 +226,9 @@ impl ReisConfig {
             filter_threshold_fraction: 0.47,
             host_link_bandwidth_bps: 7.0e9,
             ttl_metadata_bytes: 13,
-            scan_parallelism: ScanParallelism::sequential(),
+            scan_parallelism: ScanParallelism::auto(),
             adaptive_filtering: AdaptiveFiltering::BruteForce,
             adaptive_window_pages: 4,
-            batch_fusion: BatchFusion::Fused,
-            scan_executor: ScanExecutor::Pooled,
             compaction: CompactionPolicy::auto(),
         }
     }
@@ -335,7 +261,7 @@ impl ReisConfig {
         self
     }
 
-    /// Builder-style override of the intra-query scan sharding policy.
+    /// Builder-style override of the scan sharding policy.
     pub fn with_scan_parallelism(mut self, scan_parallelism: ScanParallelism) -> Self {
         self.scan_parallelism = scan_parallelism;
         self
@@ -381,23 +307,16 @@ impl ReisConfig {
         self
     }
 
-    /// Builder-style override of the batched-search execution mode.
-    pub fn with_batch_fusion(mut self, fusion: BatchFusion) -> Self {
-        self.batch_fusion = fusion;
-        self
-    }
-
-    /// Builder-style override of the host-side executor (see
-    /// [`ScanExecutor`]).
-    pub fn with_scan_executor(mut self, executor: ScanExecutor) -> Self {
-        self.scan_executor = executor;
-        self
-    }
-
     /// Builder-style override of the automatic compaction policy.
     pub fn with_compaction(mut self, compaction: CompactionPolicy) -> Self {
         self.compaction = compaction;
         self
+    }
+
+    /// Number of candidates handed to the reranker for a top-`k` search
+    /// (`rerank_factor × k`, the paper's 10·k).
+    pub fn rerank_candidates(&self, k: usize) -> usize {
+        self.rerank_factor.max(1) * k.max(1)
     }
 
     /// Whether a fine scan adapts its distance-filter threshold, given
@@ -454,20 +373,27 @@ mod tests {
 
     #[test]
     fn effective_shards_respects_units_pages_and_floor() {
+        // Sequential means sequential whatever the host budget is.
         let seq = ScanParallelism::sequential();
-        assert_eq!(seq.effective_shards(128, 10_000), 1);
+        assert_eq!(seq.effective_shards(64, 128, 10_000), 1);
+        assert_eq!(ScanParallelism::sharded(0), seq);
+        // The default takes the budget it is handed.
+        let auto = ScanParallelism::auto();
+        assert_eq!(auto, ScanParallelism::default());
+        assert_eq!(auto.effective_shards(4, 128, 10_000), 4);
+        assert_eq!(auto.effective_shards(1, 128, 10_000), 1);
         let sharded = ScanParallelism::sharded(8);
-        // Capped by the requested maximum.
-        assert_eq!(sharded.effective_shards(128, 10_000), 8);
+        // Capped by the requested maximum, not by the budget.
+        assert_eq!(sharded.effective_shards(2, 128, 10_000), 8);
         // Capped by the device's scan units.
-        assert_eq!(sharded.effective_shards(4, 10_000), 4);
+        assert_eq!(sharded.effective_shards(2, 4, 10_000), 4);
         // Capped by the scan size: 40 pages / 16 per shard = 2 shards.
-        assert_eq!(sharded.effective_shards(128, 40), 2);
+        assert_eq!(sharded.effective_shards(2, 128, 40), 2);
         // Tiny scans stay sequential.
-        assert_eq!(sharded.effective_shards(128, 8), 1);
+        assert_eq!(sharded.effective_shards(2, 128, 8), 1);
         let fine = sharded.with_min_pages_per_shard(1);
-        assert_eq!(fine.effective_shards(128, 8), 8);
-        assert_eq!(fine.effective_shards(128, 0), 1);
+        assert_eq!(fine.effective_shards(2, 128, 8), 8);
+        assert_eq!(fine.effective_shards(2, 128, 0), 1);
     }
 
     #[test]
@@ -484,7 +410,6 @@ mod tests {
     fn adaptive_scope_and_fusion_defaults() {
         let config = ReisConfig::ssd1();
         assert_eq!(config.adaptive_filtering, AdaptiveFiltering::BruteForce);
-        assert_eq!(config.batch_fusion, BatchFusion::Fused);
         assert!(config.adapts(true));
         assert!(!config.adapts(false));
         assert!(config.with_adaptive_filtering(true).adapts(false));
@@ -493,10 +418,6 @@ mod tests {
         assert!(!config
             .with_optimizations(Optimizations::none())
             .adapts(true));
-        assert_eq!(
-            config.with_batch_fusion(BatchFusion::Replicas).batch_fusion,
-            BatchFusion::Replicas
-        );
         assert_eq!(
             config
                 .with_adaptive_scope(AdaptiveFiltering::Off)

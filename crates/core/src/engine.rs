@@ -1,75 +1,38 @@
-//! The in-storage ANNS engine (Sec. 4.3).
+//! The in-storage ANNS engine (Sec. 4.3): everything around the scan that
+//! is not the scan driver.
 //!
-//! The engine executes searches *functionally* on the simulated flash
-//! device: it broadcasts the query into every plane's cache latch, senses
-//! embedding pages, XORs them against the query in the page buffers, counts
-//! differing bits with the fail-bit counter, filters by distance with the
-//! pass/fail checker, streams the surviving Temporal-Top-List entries (with
-//! the OOB linkage they carry) to the controller, runs quickselect, fetches
-//! the INT8 copies for reranking, quicksorts the survivors and finally reads
-//! the documents of the top-k results. Every step counts its activity in a
-//! [`crate::perf::QueryActivity`] so the latency model can price it.
+//! A search executes *functionally* on the simulated flash device: embedding
+//! pages are sensed, XORed against the broadcast query, bit-counted and
+//! distance-filtered in the plane; the surviving Temporal-Top-List entries
+//! (with the OOB linkage they carry) stream to the controller, which runs
+//! quickselect, fetches the INT8 copies for reranking, quicksorts the
+//! survivors and finally reads the documents of the top-k results. The page
+//! walk itself lives in [`crate::scan`] — the one scan core every search
+//! entry point reaches. This module holds what the core is built from and
+//! what runs after it: the activity counters ([`ScanCounts`]), the pooled
+//! buffers of the downstream phases ([`ScanScratch`]), the fine-scan
+//! selection (`plan_fine_selection`), the three candidate-admission rules
+//! (`coarse_scan_entry`, `base_scan_entry`, `segment_scan_entry`), the
+//! adaptive threshold rule (`tighten_threshold`), and the rerank and
+//! document phases ([`InStorageEngine`]).
 //!
-//! # Hot-path invariants
+//! # Downstream-phase invariants
 //!
-//! The scan loop is the throughput-critical path of the whole simulator, so
-//! it obeys three rules that any change here must preserve:
-//!
-//! 1. **Word kernels only.** All XOR-ing and bit counting goes through the
-//!    `u64`-word kernels of `reis_nand::peripheral` and the distance filter
-//!    uses the fused [`pass_fail_filter`](reis_nand::FlashDevice::pass_fail_filter)
-//!    path — no byte-at-a-time loops and no `Vec<bool>` materialization.
-//! 2. **No per-page allocation.** Every buffer a page scan needs (distance
-//!    counts, passing slots, TTL entries, page ranges) lives in a
-//!    [`ScanScratch`] that is reused across pages, across the coarse and
-//!    fine phases, and across queries. OOB bytes are borrowed from the
-//!    plane's page buffer, never copied.
-//! 3. **Page-ordered downstream phases.** Reranking and document retrieval
-//!    sort their candidates by flash page and stream each page once,
-//!    scoring INT8 slots directly from the borrowed page slice — no page
-//!    cache map and no per-candidate vector copies.
-//!
-//! # Two levels of parallelism
-//!
-//! The scan path parallelizes at two granularities, mirroring how REIS
-//! exploits the device:
-//!
-//! * **Across queries** — workers of a batched search each own one engine
-//!   (and therefore one scratch) on a device replica, so queries
-//!   parallelize without sharing any mutable state
-//!   (`ReisSystem::search_batch`).
-//! * **Within one query** — when
-//!   [`ScanParallelism`](crate::config::ScanParallelism) enables it, the
-//!   fine scan's merged page ranges are split into per-channel/per-die
-//!   shards ([`reis_nand::sharding`]) that scan concurrently. Shard workers
-//!   share the controller immutably (borrowed page reads, worker-owned
-//!   latch scratch) and their candidate lists merge into one Temporal Top
-//!   List whose total-order quickselect makes the sharded result
-//!   bit-identical to the sequential scan. Both levels compose: each batch
-//!   worker drives its own intra-query shards.
-//!
-//! Adaptive distance filtering composes with both levels through the
-//! *windowed* threshold schedule: an adapting scan consumes its
-//! deterministic page list in fixed page-count windows, each window scans
-//! under a constant threshold (and may itself shard), and the threshold
-//! tightens only at window barriers — so the admitted entry set, and every
-//! counter derived from it, is invariant under how the pages were
-//! partitioned across workers or machines.
+//! Reranking and document retrieval sort their candidates by flash page and
+//! stream each page once, scoring INT8 slots directly from the pooled staging
+//! buffer — no page cache map, no per-candidate vector copies and no per-page
+//! allocation.
 
 use reis_ann::topk::Neighbor;
-use reis_ann::vector::{BinaryVector, Int8Vector};
-use reis_nand::latch::Latch;
-use reis_nand::peripheral::{FailBitCounter, PassFailChecker, XorLogic};
-use reis_nand::{FlashStats, OobEntry, OobLayout, ScanShardPlan};
-use reis_sched::WorkerPool;
+use reis_ann::vector::Int8Vector;
+use reis_nand::OobEntry;
 use reis_ssd::{RegionKind, SsdController, StripedRegion};
 use reis_update::OOB_INVALID_RADR;
 
-use crate::config::{ReisConfig, ScanExecutor};
 use crate::deploy::DeployedDatabase;
 use crate::error::{ReisError, Result};
+use crate::layout::LayoutPlan;
 use crate::leaf::LeafCandidate;
-use crate::perf::QueryActivity;
 use crate::records::{TemporalTopList, TtlEntry};
 
 /// Activity counters of one scan pass.
@@ -88,9 +51,9 @@ pub struct ScanCounts {
 }
 
 impl ScanCounts {
-    /// Fold the page/slot/entry counters of another pass into this one
-    /// (window barriers are owned by the windowed driver, not by the
-    /// per-window passes, so they do not accumulate here).
+    /// Fold the page/slot/entry counters of one shard into this one (window
+    /// barriers are counted by the pass driver, not by its shards, so they
+    /// do not accumulate here).
     pub(crate) fn absorb(&mut self, other: ScanCounts) {
         self.pages += other.pages;
         self.slots_scanned += other.slots_scanned;
@@ -98,26 +61,16 @@ impl ScanCounts {
     }
 }
 
-/// Reusable buffers of the query hot path.
+/// Reusable buffers of the phases downstream of the scan.
 ///
 /// One scratch serves one engine at a time; creating it is cheap but the
-/// point is to create it *once* (per system, or per batch worker) so the
-/// steady-state scan performs no heap allocation. See the module docs for
-/// the invariants it upholds.
+/// point is to create it *once* per system so steady-state reranking and
+/// document fetching perform no per-page heap allocation.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
-    /// Per-chunk fail-bit counts of the current page.
-    distances: Vec<u32>,
-    /// `(slot, distance)` pairs that passed the distance filter on the
-    /// current page.
-    passing: Vec<(u32, u32)>,
-    /// The Temporal Top List accumulating candidates, reused across the
-    /// coarse and fine phases.
+    /// The Temporal Top List holding the current query's candidates, in rank
+    /// order once the scan core selected them.
     pub(crate) ttl: TemporalTopList,
-    /// Merged `(start, end)` page ranges selected for the fine scan.
-    page_ranges: Vec<(usize, usize)>,
-    /// Sorted `(first, last)` storage-index ranges of the probed clusters.
-    valid_ranges: Vec<(u32, u32)>,
     /// Candidate visit order for the page-sorted rerank / document phases.
     order: Vec<usize>,
     /// Rerank scoring buffer: exact INT8 distances keyed for the
@@ -128,46 +81,8 @@ pub struct ScanScratch {
     page_buf: Vec<u8>,
     /// Pooled OOB staging buffer accompanying `page_buf`.
     page_oob: Vec<u8>,
-    /// Clusters whose append segments the current fine scan must cover.
-    cluster_buf: Vec<usize>,
-    /// Cursor over the probed clusters' segment runs in deterministic scan
-    /// order (the segment tail of the windowed adaptive page list).
-    run_cursor: reis_update::RunCursor,
-    /// Per-window segment-run slices handed out by the cursor.
-    run_slices: Vec<reis_update::RunSlice>,
-    /// Base page ranges of the current adaptive window.
-    win_ranges: Vec<(usize, usize)>,
     /// Number of fine-search candidates requested (bounds `ttl.top`).
     pub(crate) candidate_count: usize,
-    /// Worker-local data-latch image of a read-only scan shard: the XOR of a
-    /// stored page against the broadcast query, computed here instead of in
-    /// the plane's (shared) page buffer.
-    xor_latch: Vec<u8>,
-    /// Per-window passed-entry counts of the most recent fine scan, filled
-    /// only when `record_windows` is set (telemetry enabled). A static scan
-    /// logs one window; a windowed adaptive scan logs one count per barrier
-    /// plus the trailing partial window, so the log always sums to the
-    /// scan's `entries_passed`. Recording happens at the existing barrier /
-    /// scan-end points on the driving thread, never inside a scan loop, so
-    /// it cannot perturb execution.
-    pub(crate) window_log: Vec<u64>,
-    /// Whether the next fine scan should fill `window_log`.
-    pub(crate) record_windows: bool,
-    /// Per-page explain capture of the next fine scan (telemetry explain
-    /// mode): `Some` arms the capture. Only pages walked by the sequential
-    /// scan driver are captured, so explain traces are exact under
-    /// [`ScanParallelism::pinned_sequential`](crate::config::ScanParallelism)
-    /// and cover the sequentially scanned subset otherwise.
-    pub(crate) explain_log: Option<Vec<reis_telemetry::ExplainEvent>>,
-    /// The adaptive-window index the windowed driver is currently in
-    /// (annotates explain events; maintained only while capturing).
-    pub(crate) explain_window: u32,
-    /// Per-shard scratches of an intra-query sharded scan, grown on first
-    /// use and reused across queries. Each scan shard's worker thread owns
-    /// one — its own latch image, distance buffer and Temporal Top List —
-    /// so shards run without shared mutable state, exactly like batch
-    /// workers one level up.
-    shard_pool: Vec<ScanScratch>,
 }
 
 impl ScanScratch {
@@ -204,7 +119,7 @@ struct RerankCandidate {
 /// TTL state accumulated across all completed windows. Because the TTL
 /// quickselect keys on a total order, the merged state at a barrier (and
 /// therefore the tightened threshold) is independent of how the window's
-/// pages were partitioned across shard or fused-batch workers.
+/// pages were partitioned across shard workers.
 pub(crate) fn tighten_threshold(
     ttl: &mut crate::records::TemporalTopList,
     candidate_count: usize,
@@ -218,14 +133,13 @@ pub(crate) fn tighten_threshold(
     }
 }
 
-/// The functional in-storage search engine, borrowing the SSD controller
-/// (and a [`ScanScratch`]) for the duration of one or more queries.
+/// The rerank and document phases of the in-storage engine, borrowing the
+/// SSD controller (and a [`ScanScratch`]) for the duration of one or more
+/// queries.
 #[derive(Debug)]
 pub struct InStorageEngine<'a> {
     ssd: &'a mut SsdController,
-    config: ReisConfig,
     scratch: &'a mut ScanScratch,
-    pool: &'a WorkerPool,
 }
 
 /// Merge a list of `(start, end)` half-open ranges in place: empty ranges
@@ -257,30 +171,33 @@ pub(crate) fn in_valid_ranges(ranges: &[(u32, u32)], index: u32) -> bool {
 }
 
 /// Whether relative page `offset` falls inside one of the sorted, disjoint
-/// half-open `(start, end)` merged page ranges (the fused scan's per-query
+/// half-open `(start, end)` merged page ranges (the scan core's per-query
 /// membership test).
 pub(crate) fn in_page_ranges(ranges: &[(usize, usize)], offset: usize) -> bool {
     let after = ranges.partition_point(|&(start, _)| start <= offset);
     after > 0 && ranges[after - 1].1 > offset
 }
 
-/// Compute the fine-scan selection of one query: the merged page ranges
-/// (relative to the database-embedding sub-region), the sorted storage-index
-/// ranges of interest, and the clusters whose append segments the scan must
-/// also cover. This is the shared prologue of the sequential
-/// [`InStorageEngine::fine_search`] and the fused batch executor, so both
-/// paths select exactly the same pages and entries.
+/// The fine-scan selection of one query.
+#[derive(Debug, Default)]
+pub(crate) struct FineSelection {
+    /// Merged page ranges, relative to the database-embedding sub-region.
+    pub(crate) page_ranges: Vec<(usize, usize)>,
+    /// Sorted storage-index ranges of the probed clusters.
+    pub(crate) valid_ranges: Vec<(u32, u32)>,
+    /// The clusters whose append segments the scan must also cover, in
+    /// probe order (the order their segment runs join the page list).
+    pub(crate) clusters: Vec<usize>,
+}
+
+/// Compute the fine-scan selection of one query from its probed clusters
+/// (`None` selects the whole database, a brute-force scan).
 pub(crate) fn plan_fine_selection(
     db: &DeployedDatabase,
     clusters: Option<&[usize]>,
-    page_ranges: &mut Vec<(usize, usize)>,
-    valid_ranges: &mut Vec<(u32, u32)>,
-    cluster_buf: &mut Vec<usize>,
-) -> Result<()> {
+) -> Result<FineSelection> {
     let layout = db.layout;
-    page_ranges.clear();
-    valid_ranges.clear();
-    cluster_buf.clear();
+    let mut selection = FineSelection::default();
     match clusters {
         Some(selected) => {
             for &cluster in selected {
@@ -290,40 +207,38 @@ pub(crate) fn plan_fine_selection(
                     .ok_or(ReisError::UnsupportedSearch(format!(
                         "cluster {cluster} unknown"
                     )))?;
-                cluster_buf.push(cluster);
+                selection.clusters.push(cluster);
                 if entry.member_count() == 0 {
                     continue;
                 }
-                valid_ranges.push((entry.first_embedding, entry.last_embedding));
-                let range = layout.embedding_page_range(
+                selection
+                    .valid_ranges
+                    .push((entry.first_embedding, entry.last_embedding));
+                selection.page_ranges.push(layout.embedding_page_range(
                     entry.first_embedding as usize,
                     entry.last_embedding as usize,
-                );
-                page_ranges.push(range);
+                ));
             }
         }
         None => {
-            cluster_buf.extend(0..db.update_clusters());
+            selection.clusters.extend(0..db.update_clusters());
             if layout.entries > 0 {
-                valid_ranges.push((0, (layout.entries - 1) as u32));
-                page_ranges.push((0, layout.embedding_pages));
+                selection
+                    .valid_ranges
+                    .push((0, (layout.entries - 1) as u32));
+                selection.page_ranges.push((0, layout.embedding_pages));
             }
         }
     }
-    merge_page_ranges(page_ranges);
-    valid_ranges.sort_unstable();
-    Ok(())
+    merge_page_ranges(&mut selection.page_ranges);
+    selection.valid_ranges.sort_unstable();
+    Ok(selection)
 }
 
 /// Convert one passing base-region slot into a TTL entry, or `None` for
 /// slots that are out of range, tombstoned or outside the probed clusters.
-/// Shared by the sequential/sharded scan closures and the fused executor so
-/// every path admits exactly the same candidates.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn base_scan_entry(
-    centroid_pages: usize,
-    epp: usize,
-    entries_total: usize,
+    layout: &LayoutPlan,
     tombstones: &reis_update::TombstoneSet,
     valid_ranges: &[(u32, u32)],
     page: usize,
@@ -331,8 +246,8 @@ pub(crate) fn base_scan_entry(
     distance: u32,
     oob: OobEntry,
 ) -> Option<TtlEntry> {
-    let storage_index = (page - centroid_pages) * epp + slot;
-    if storage_index >= entries_total {
+    let storage_index = (page - layout.centroid_pages) * layout.embeddings_per_page + slot;
+    if storage_index >= layout.entries {
         return None;
     }
     // Tombstoned base entries are dead; their flash pages still hold
@@ -354,8 +269,7 @@ pub(crate) fn base_scan_entry(
 }
 
 /// Convert one passing append-segment slot into a TTL entry, filtering the
-/// OOB validity sentinel of unfilled slots and DRAM-side deletions. Shared
-/// by the sequential scan closure and the fused executor.
+/// OOB validity sentinel of unfilled slots and DRAM-side deletions.
 pub(crate) fn segment_scan_entry(
     store: &reis_update::SegmentStore,
     base_capacity: u32,
@@ -379,8 +293,7 @@ pub(crate) fn segment_scan_entry(
 }
 
 /// Convert one passing centroid slot into a TTL-C entry, or `None` for pad
-/// slots past the last centroid. Shared by the sequential coarse search and
-/// the fused executor.
+/// slots past the last centroid.
 pub(crate) fn coarse_scan_entry(
     epp: usize,
     centroids: usize,
@@ -402,819 +315,15 @@ pub(crate) fn coarse_scan_entry(
     })
 }
 
-/// Body of one scan-shard worker: scan `ranges` (offsets relative to
-/// `page_base` within the region) against the broadcast query, entirely in
-/// the worker's own [`ScanScratch`], and return the scan counts plus the
-/// flash activity to fold back into the primary device.
-///
-/// The worker mirrors the mutable scan loop step for step — borrow the
-/// stored page (the sense), XOR it against the plane's cache latch into the
-/// worker's latch image, count fail bits per slot, filter by threshold,
-/// unpack OOB linkage for the survivors — but never touches shared state:
-/// the controller is only read, and every operation that the sequential
-/// path counts on the device (`page_reads`, `xor_ops`, `bit_count_ops`,
-/// `pass_fail_ops`, TTL channel bytes) is tallied locally instead.
-///
-/// Counts and flash activity are returned even when the scan fails, so the
-/// work a shard performed before the error is still folded into the
-/// primary's counters — matching the sequential path, which counts each
-/// operation on the device as it happens.
-#[allow(clippy::too_many_arguments)]
-fn scan_shard_pages<F>(
-    ssd: &SsdController,
-    region: &StripedRegion,
-    ranges: &[(usize, usize)],
-    page_base: usize,
-    slot_bytes: usize,
-    threshold: u32,
-    oob_entries_per_page: usize,
-    oob_layout: &OobLayout,
-    entry_bytes: usize,
-    scratch: &mut ScanScratch,
-    make_entry: &F,
-) -> (ScanCounts, FlashStats, Option<ReisError>)
-where
-    F: Fn(usize, usize, u32, OobEntry) -> Option<TtlEntry>,
-{
-    let mut counts = ScanCounts::default();
-    let mut flash = FlashStats::new();
-    scratch.ttl.clear();
-    let ScanScratch {
-        ttl,
-        distances,
-        passing,
-        xor_latch,
-        ..
-    } = scratch;
-    let mut scan = || -> Result<()> {
-        for &(start, end) in ranges {
-            for offset in start..end {
-                let page_offset = page_base + offset;
-                let (addr, data, oob) = ssd.scan_region_page(region, page_offset)?;
-                // The borrowed read stands in for the sense; count it like
-                // the sequential path's sense_page does.
-                flash.page_reads += 1;
-                // The broadcast query tiled into this plane's cache latch.
-                let query = ssd
-                    .device()
-                    .page_buffer(addr.plane_addr())?
-                    .read_latch(Latch::Cache)?;
-                XorLogic::xor_into(data, query, xor_latch);
-                flash.xor_ops += 1;
-                FailBitCounter::count_per_chunk_into(xor_latch, slot_bytes, distances);
-                flash.bit_count_ops += 1;
-                let limit = distances.len().min(oob_entries_per_page);
-                counts.pages += 1;
-                counts.slots_scanned += limit;
-                passing.clear();
-                PassFailChecker::filter_passing(
-                    &distances[..limit],
-                    threshold,
-                    |slot, distance| passing.push((slot as u32, distance)),
-                );
-                flash.pass_fail_ops += 1;
-                for &(slot, distance) in passing.iter() {
-                    let oob_entry = oob_layout.unpack_entry(oob, slot as usize)?;
-                    if let Some(entry) = make_entry(page_offset, slot as usize, distance, oob_entry)
-                    {
-                        counts.entries_passed += 1;
-                        ttl.push(entry);
-                    }
-                }
-            }
-        }
-        Ok(())
-    };
-    let error = scan().err();
-    if error.is_none() {
-        // The aggregate channel traffic of this shard's transferred entries
-        // (the sequential path, too, only accounts it after a whole scan).
-        flash.bytes_to_controller += (entry_bytes * counts.entries_passed) as u64;
-    }
-    (counts, flash, error)
-}
-
 impl<'a> InStorageEngine<'a> {
-    /// Create an engine bound to a controller, a configuration and the
-    /// scratch buffers it may reuse across queries.
-    pub fn new(
-        ssd: &'a mut SsdController,
-        config: ReisConfig,
-        scratch: &'a mut ScanScratch,
-        pool: &'a WorkerPool,
-    ) -> Self {
-        InStorageEngine {
-            ssd,
-            config,
-            scratch,
-            pool,
-        }
+    /// Create an engine bound to a controller and the scratch buffers it may
+    /// reuse across queries.
+    pub fn new(ssd: &'a mut SsdController, scratch: &'a mut ScanScratch) -> Self {
+        InStorageEngine { ssd, scratch }
     }
 
-    /// Broadcast the query embedding into the cache latches of every die
-    /// (Input Broadcasting, optionally multi-plane).
-    pub fn broadcast_query(&mut self, db: &DeployedDatabase, query: &BinaryVector) -> Result<()> {
-        let slot = db.layout.embedding_slot_bytes;
-        let mut payload = vec![0u8; slot];
-        payload[..query.as_bytes().len()].copy_from_slice(query.as_bytes());
-        let geometry = self.ssd.config().geometry;
-        let multi_plane = self.config.optimizations.multi_plane_ibc;
-        for channel in 0..geometry.channels {
-            for die in 0..geometry.dies_per_channel {
-                self.ssd
-                    .device_mut()
-                    .input_broadcast(channel, die, &payload, multi_plane)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Scan the pages of `ranges` (offsets relative to `page_base` within
-    /// the embedding region), computing in-plane distances with the fused
-    /// count-and-filter path and appending the TTL entries that pass the
-    /// distance filter to the scratch's Temporal Top List.
-    ///
-    /// `make_entry` converts a passing `(page_offset, slot, distance,
-    /// oob_entry)` into a TTL entry, or returns `None` to skip slots outside
-    /// the caller's range of interest. The whole loop reuses the scratch
-    /// buffers — no allocation per page.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_pages<F>(
-        &mut self,
-        region: &StripedRegion,
-        ranges: &[(usize, usize)],
-        page_base: usize,
-        slot_bytes: usize,
-        threshold: u32,
-        oob_entries_per_page: usize,
-        mut make_entry: F,
-    ) -> Result<ScanCounts>
-    where
-        F: FnMut(usize, usize, u32, reis_nand::OobEntry) -> Option<TtlEntry>,
-    {
-        let geometry = self.ssd.config().geometry;
-        let oob_layout = reis_nand::OobLayout::new(geometry.oob_size_bytes, oob_entries_per_page)?;
-        let mut counts = ScanCounts::default();
-        for &(start, end) in ranges {
-            for offset in start..end {
-                let page_offset = page_base + offset;
-                let addr = region.page_at(&geometry, page_offset)?;
-                let device = self.ssd.device_mut();
-                device.sense_page(addr)?;
-                device.xor_latches(addr.plane_addr())?;
-                device.count_fail_bits_into(
-                    addr.plane_addr(),
-                    slot_bytes,
-                    &mut self.scratch.distances,
-                )?;
-                let limit = self.scratch.distances.len().min(oob_entries_per_page);
-                counts.pages += 1;
-                counts.slots_scanned += limit;
-                let passing = &mut self.scratch.passing;
-                passing.clear();
-                device.pass_fail_filter(
-                    &self.scratch.distances[..limit],
-                    threshold,
-                    |slot, distance| passing.push((slot as u32, distance)),
-                );
-                // The OOB bytes are borrowed straight from the plane buffer;
-                // they were sensed together with the page.
-                let oob = self
-                    .ssd
-                    .device()
-                    .page_buffer(addr.plane_addr())?
-                    .oob()
-                    .unwrap_or(&[]);
-                let entries_before = counts.entries_passed;
-                for &(slot, distance) in &self.scratch.passing {
-                    let oob_entry = oob_layout.unpack_entry(oob, slot as usize)?;
-                    if let Some(entry) = make_entry(page_offset, slot as usize, distance, oob_entry)
-                    {
-                        counts.entries_passed += 1;
-                        self.scratch.ttl.push(entry);
-                    }
-                }
-                if let Some(events) = self.scratch.explain_log.as_mut() {
-                    events.push(reis_telemetry::ExplainEvent {
-                        page: page_offset as u32,
-                        window: self.scratch.explain_window,
-                        slots: limit as u32,
-                        passed: (counts.entries_passed - entries_before) as u32,
-                    });
-                }
-            }
-        }
-        // Account the aggregate channel traffic of all transferred entries.
-        let entry_bytes = slot_bytes + self.config.ttl_metadata_bytes;
-        self.ssd
-            .device_mut()
-            .transfer_to_controller(entry_bytes * counts.entries_passed);
-        Ok(counts)
-    }
-
-    /// Scan the planned shards of one query concurrently — one task per
-    /// non-empty shard on the persistent worker pool (or one scoped
-    /// `std::thread` under [`ScanExecutor::SpawnScoped`]) — and merge the
-    /// shard-local results.
-    ///
-    /// Each worker shares the controller *immutably*: it borrows stored
-    /// pages through [`SsdController::scan_region_page`], reads the
-    /// broadcast query from the scanned plane's cache latch, and computes
-    /// the XOR + fail-bit counts in its own [`ScanScratch`] instead of the
-    /// plane's page buffer. Flash activity is tallied in shard-local
-    /// [`FlashStats`] and absorbed into the primary device after the shards
-    /// join, and the shard-local Temporal Top Lists are concatenated into
-    /// the engine's TTL — [`TemporalTopList::quickselect`]'s total-order
-    /// tie-break then makes the final candidate set bit-identical to a
-    /// sequential scan of the same pages.
-    ///
-    /// Only valid for regions whose reads are error-free (the ESP-SLC
-    /// embedding regions); the caller gates on
-    /// [`reis_nand::FlashDevice::read_is_error_free`].
-    #[allow(clippy::too_many_arguments)]
-    fn scan_pages_sharded<F>(
-        &mut self,
-        region: &StripedRegion,
-        plan: &ScanShardPlan,
-        page_base: usize,
-        slot_bytes: usize,
-        threshold: u32,
-        oob_entries_per_page: usize,
-        make_entry: F,
-    ) -> Result<ScanCounts>
-    where
-        F: Fn(usize, usize, u32, OobEntry) -> Option<TtlEntry> + Sync,
-    {
-        let geometry = self.ssd.config().geometry;
-        let oob_layout = OobLayout::new(geometry.oob_size_bytes, oob_entries_per_page)?;
-        let entry_bytes = slot_bytes + self.config.ttl_metadata_bytes;
-        let ScanScratch {
-            ttl, shard_pool, ..
-        } = &mut *self.scratch;
-        while shard_pool.len() < plan.shard_count() {
-            shard_pool.push(ScanScratch::new());
-        }
-
-        let ssd: &SsdController = self.ssd;
-        let oob_layout = &oob_layout;
-        let make_entry = &make_entry;
-        let shard_outputs: Vec<(ScanCounts, FlashStats, Option<ReisError>)> =
-            match self.config.scan_executor {
-                // The persistent pool: one queued task per non-empty shard, no
-                // thread creation. The task bodies are byte-for-byte the spawn
-                // path's; only the execution vehicle differs, and the merge
-                // below walks slots in shard order either way, so results and
-                // accounting cannot depend on the executor.
-                ScanExecutor::Pooled => {
-                    let jobs: Vec<_> = plan
-                        .shards()
-                        .iter()
-                        .zip(shard_pool.iter_mut())
-                        .filter(|(shard, _)| !shard.is_empty())
-                        .collect();
-                    let mut outputs: Vec<Option<(ScanCounts, FlashStats, Option<ReisError>)>> =
-                        (0..jobs.len()).map(|_| None).collect();
-                    let scope_result = self.pool.scope(|scope| {
-                        for ((shard, shard_scratch), output) in
-                            jobs.into_iter().zip(outputs.iter_mut())
-                        {
-                            scope.spawn(move |_ctx| {
-                                *output = Some(scan_shard_pages(
-                                    ssd,
-                                    region,
-                                    shard.ranges(),
-                                    page_base,
-                                    slot_bytes,
-                                    threshold,
-                                    oob_entries_per_page,
-                                    oob_layout,
-                                    entry_bytes,
-                                    shard_scratch,
-                                    make_entry,
-                                ));
-                            });
-                        }
-                    });
-                    if let Err(panic) = scope_result {
-                        // A panicking shard leaves partial candidates in the
-                        // shard scratches; drop them so the next scan over this
-                        // scratch pool cannot absorb stale entries.
-                        for shard_scratch in shard_pool.iter_mut() {
-                            shard_scratch.ttl.clear();
-                        }
-                        return Err(ReisError::WorkerPanic(panic.message));
-                    }
-                    outputs
-                        .into_iter()
-                        .map(|output| output.expect("scope waits for every shard task"))
-                        .collect()
-                }
-                // The pre-pool executor, kept for the identity baseline and the
-                // `fig_scheduler` overhead comparison: scoped threads spawned
-                // and joined for every call.
-                ScanExecutor::SpawnScoped => std::thread::scope(|scope| {
-                    let handles: Vec<_> = plan
-                        .shards()
-                        .iter()
-                        .zip(shard_pool.iter_mut())
-                        .filter(|(shard, _)| !shard.is_empty())
-                        .map(|(shard, shard_scratch)| {
-                            scope.spawn(move || {
-                                scan_shard_pages(
-                                    ssd,
-                                    region,
-                                    shard.ranges(),
-                                    page_base,
-                                    slot_bytes,
-                                    threshold,
-                                    oob_entries_per_page,
-                                    oob_layout,
-                                    entry_bytes,
-                                    shard_scratch,
-                                    make_entry,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|handle| handle.join().expect("scan shard worker panicked"))
-                        .collect()
-                }),
-            };
-
-        // Merge shard results in shard order: counts and flash activity are
-        // additive, candidates are concatenated (selection is order-free).
-        // Every shard — including a failing one — performed real flash
-        // work, so the stats merge happens before any error is surfaced,
-        // mirroring both the batch path's merge-then-fail policy and the
-        // sequential path's count-as-you-go device statistics.
-        let mut counts = ScanCounts::default();
-        let mut flash = FlashStats::new();
-        let mut first_error = None;
-        for (shard_counts, shard_flash, shard_error) in shard_outputs {
-            counts.absorb(shard_counts);
-            flash.accumulate(&shard_flash);
-            if first_error.is_none() {
-                first_error = shard_error;
-            }
-        }
-        for shard_scratch in shard_pool.iter_mut() {
-            ttl.absorb(&mut shard_scratch.ttl);
-        }
-        self.ssd.device_mut().absorb_stats(&flash);
-        match first_error {
-            Some(error) => Err(error),
-            None => Ok(counts),
-        }
-    }
-
-    /// Coarse-grained search: scan the centroid pages and return the
-    /// `nprobe` nearest cluster indices.
-    pub fn coarse_search(
-        &mut self,
-        db: &DeployedDatabase,
-        nprobe: usize,
-    ) -> Result<(Vec<usize>, ScanCounts)> {
-        if !db.is_ivf() {
-            return Err(ReisError::UnsupportedSearch(
-                "coarse search requires an IVF deployment".into(),
-            ));
-        }
-        let layout = db.layout;
-        let centroids = layout.centroids;
-        let epp = layout.embeddings_per_page;
-        self.scratch.ttl.clear();
-        let counts = self.scan_pages(
-            &db.record.embedding_region,
-            &[(0, layout.centroid_pages)],
-            0,
-            layout.embedding_slot_bytes,
-            // Centroid scan is never filtered: every cluster distance is needed.
-            u32::MAX,
-            epp,
-            |page, slot, distance, oob| {
-                coarse_scan_entry(epp, centroids, page, slot, distance, oob)
-            },
-        )?;
-        let keep = nprobe.max(1);
-        self.scratch.ttl.quickselect(keep);
-        self.scratch.ttl.sort_ascending();
-        let clusters: Vec<usize> = self
-            .scratch
-            .ttl
-            .top(keep)
-            .iter()
-            .map(|e| e.storage_index as usize)
-            .collect();
-        Ok((clusters, counts))
-    }
-
-    /// Fine-grained search over the embedding pages of the given clusters
-    /// (or of the whole database for a brute-force search). The surviving
-    /// candidates are left, in rank order, in the scratch's Temporal Top
-    /// List (see [`InStorageEngine::candidates`]).
-    ///
-    /// When the configuration's
-    /// [`ScanParallelism`](crate::config::ScanParallelism) allows more than
-    /// one shard for a scan of this size, the merged page ranges are split
-    /// across per-channel/per-die shard workers and scanned concurrently;
-    /// the result — candidates, counts and flash statistics — is
-    /// bit-identical to the sequential scan. Both the brute-force and the
-    /// IVF search path run through this method, so both inherit the
-    /// sharding. The (much smaller) centroid scan of
-    /// [`InStorageEngine::coarse_search`] always runs sequentially.
-    ///
-    /// Scans that adapt their distance-filter threshold run the *windowed*
-    /// driver (`fine_scan_windowed`): the page list is
-    /// consumed in fixed page-count windows, each window scans under a
-    /// constant threshold (sharded when large enough), and the threshold
-    /// tightens only at the barrier between windows — which is what makes
-    /// adaptive results and transferred-entry counts identical under every
-    /// parallelism setting.
-    pub fn fine_search(
-        &mut self,
-        db: &DeployedDatabase,
-        query: &BinaryVector,
-        clusters: Option<&[usize]>,
-        candidate_count: usize,
-    ) -> Result<ScanCounts> {
-        let layout = db.layout;
-        let threshold = self.config.filter_threshold(query.dim());
-
-        // Which embedding pages (relative to the database-embedding
-        // sub-region) need scanning, and which storage-index ranges are of
-        // interest. Page ranges are merged instead of materializing a page
-        // set; storage ranges are sorted for binary search in the scan loop.
-        // The probed clusters are remembered so the append-segment pass
-        // below covers the same selection. The planning is shared with the
-        // fused batch executor (`plan_fine_selection`), so both paths select
-        // identically.
-        {
-            let ScanScratch {
-                page_ranges,
-                valid_ranges,
-                cluster_buf,
-                ..
-            } = &mut *self.scratch;
-            plan_fine_selection(db, clusters, page_ranges, valid_ranges, cluster_buf)?;
-        }
-
-        let entries_total = layout.entries;
-        let epp = layout.embeddings_per_page;
-        // Adaptive distance filtering tightens the in-plane threshold at
-        // fixed page-window barriers of the scan's deterministic page list
-        // (base ranges, then the probed clusters' segment runs). The
-        // schedule is a pure function of page order, so it composes with
-        // every parallelism mode (see `AdaptiveFiltering`).
-        let adapt = if self.config.adapts(clusters.is_none()) {
-            Some(candidate_count.max(1))
-        } else {
-            None
-        };
-
-        // Intra-query sharding decision: how many channel/die shards this
-        // scan is worth, and whether the read-only shard path is exact for
-        // the embedding region (error-free ESP reads). Adaptive scans make
-        // the same decision per window (a window is the unit of parallel
-        // work between two barriers), via the same `effective_shards` rule.
-        let geometry = self.ssd.config().geometry;
-        let scan_pages_total: usize = self
-            .scratch
-            .page_ranges
-            .iter()
-            .map(|&(start, end)| end - start)
-            .sum();
-        let shard_count = self
-            .config
-            .scan_parallelism
-            .effective_shards(ScanShardPlan::scan_units(&geometry), scan_pages_total);
-        let embedding_scheme = self
-            .ssd
-            .hybrid_policy()
-            .scheme_for(RegionKind::BinaryEmbeddings);
-        let shards_exact = self.ssd.device().read_is_error_free(embedding_scheme);
-        let use_shards = shard_count > 1 && shards_exact;
-
-        // Temporarily move the range buffers out of the scratch so the scan
-        // (which borrows the engine mutably) can read them.
-        let pages = std::mem::take(&mut self.scratch.page_ranges);
-        let valid = std::mem::take(&mut self.scratch.valid_ranges);
-        self.scratch.ttl.clear();
-        let valid_ref = &valid;
-        let tombstones = &db.updates.tombstones;
-        let make_entry = move |page: usize, slot: usize, distance: u32, oob: OobEntry| {
-            base_scan_entry(
-                layout.centroid_pages,
-                epp,
-                entries_total,
-                tombstones,
-                valid_ref,
-                page,
-                slot,
-                distance,
-                oob,
-            )
-        };
-
-        let scanned = match adapt {
-            None => {
-                self.fine_scan_static(db, &pages, threshold, use_shards, shard_count, &make_entry)
-            }
-            Some(candidates) => self.fine_scan_windowed(
-                db,
-                &pages,
-                threshold,
-                candidates,
-                shards_exact,
-                &make_entry,
-            ),
-        };
-        self.scratch.page_ranges = pages;
-        self.scratch.valid_ranges = valid;
-        let counts = scanned?;
-
-        self.scratch.ttl.quickselect(candidate_count.max(1));
-        self.scratch.ttl.sort_ascending();
-        self.scratch.candidate_count = candidate_count;
-        Ok(counts)
-    }
-
-    /// Static-threshold fine scan: the merged base ranges in one pass
-    /// (sharded across channel/die workers when `use_shards`), then the
-    /// probed clusters' segment runs sequentially. Candidates join the
-    /// scratch's Temporal Top List; the total-order quickselect keeps the
-    /// combined result deterministic. OOB validity (the RADR sentinel of
-    /// unfilled slots) and the DRAM-side deletion flags filter dead segment
-    /// slots.
-    fn fine_scan_static<F>(
-        &mut self,
-        db: &DeployedDatabase,
-        pages: &[(usize, usize)],
-        threshold: u32,
-        use_shards: bool,
-        shard_count: usize,
-        make_entry: &F,
-    ) -> Result<ScanCounts>
-    where
-        F: Fn(usize, usize, u32, OobEntry) -> Option<TtlEntry> + Sync,
-    {
-        let layout = db.layout;
-        let epp = layout.embeddings_per_page;
-        let slot_bytes = layout.embedding_slot_bytes;
-        let geometry = self.ssd.config().geometry;
-        let region = &db.record.embedding_region;
-        let mut counts = if use_shards {
-            // Plan per-channel/per-die shards over the merged ranges, then
-            // scan them concurrently and merge the shard-local TTLs.
-            let plan = ScanShardPlan::build(&geometry, shard_count, pages, |offset| {
-                region
-                    .page_at(&geometry, layout.centroid_pages + offset)
-                    .map(|addr| addr.plane_addr())
-            });
-            match plan {
-                Ok(plan) => self.scan_pages_sharded(
-                    region,
-                    &plan,
-                    layout.centroid_pages,
-                    slot_bytes,
-                    threshold,
-                    epp,
-                    make_entry,
-                )?,
-                Err(error) => return Err(error.into()),
-            }
-        } else {
-            self.scan_pages(
-                region,
-                pages,
-                layout.centroid_pages,
-                slot_bytes,
-                threshold,
-                epp,
-                make_entry,
-            )?
-        };
-
-        // Append-segment pass: entries inserted since deployment live in
-        // per-cluster segment runs that the base region does not cover.
-        // Segment runs are small (compaction folds them back), so they scan
-        // sequentially after the (possibly sharded) base scan.
-        if !db.updates.store.is_empty() {
-            let seg_clusters = std::mem::take(&mut self.scratch.cluster_buf);
-            let base_capacity = db.updates.base_capacity;
-            let store = &db.updates.store;
-            for &cluster in &seg_clusters {
-                for run in store.runs(cluster) {
-                    let seg_counts = self.scan_pages(
-                        run,
-                        &[(0, run.len)],
-                        0,
-                        slot_bytes,
-                        threshold,
-                        epp,
-                        |_page, _slot, distance, oob| {
-                            segment_scan_entry(store, base_capacity, distance, oob)
-                        },
-                    )?;
-                    counts.absorb(seg_counts);
-                }
-            }
-            self.scratch.cluster_buf = seg_clusters;
-        }
-        // A static scan is one telemetry "window": the whole page list under
-        // one threshold.
-        if self.scratch.record_windows && counts.entries_passed > 0 {
-            self.scratch.window_log.push(counts.entries_passed as u64);
-        }
-        Ok(counts)
-    }
-
-    /// Windowed adaptive fine scan — the partition-invariant adaptive
-    /// driver.
-    ///
-    /// The scan's deterministic page list — the merged base ranges followed
-    /// by the probed clusters' segment runs (clusters in probe order, runs
-    /// in append order) — is consumed in fixed windows of
-    /// [`ReisConfig::adaptive_window_pages`](crate::config::ReisConfig)
-    /// pages. Within a window the threshold is constant, so the window's
-    /// base portion may shard across channel/die workers exactly like a
-    /// static scan (the per-window page count feeds the same
-    /// `effective_shards` rule, so tiny windows stay sequential); its
-    /// segment slices scan sequentially. At each window *barrier* the
-    /// threshold tightens from the Temporal-Top-List state accumulated over
-    /// all completed windows ([`tighten_threshold`]). A trailing partial
-    /// window ends the scan without a barrier.
-    ///
-    /// Because the threshold any page sees is a pure function of the page's
-    /// position in the list — never of which worker scanned it when — the
-    /// results, documents *and transferred-entry counts* are bit-identical
-    /// across `ScanParallelism` settings, machines, and the fused batch
-    /// executor (which implements the same schedule per query).
-    fn fine_scan_windowed<F>(
-        &mut self,
-        db: &DeployedDatabase,
-        pages: &[(usize, usize)],
-        mut threshold: u32,
-        candidate_count: usize,
-        shards_exact: bool,
-        make_entry: &F,
-    ) -> Result<ScanCounts>
-    where
-        F: Fn(usize, usize, u32, OobEntry) -> Option<TtlEntry> + Sync,
-    {
-        let layout = db.layout;
-        let epp = layout.embeddings_per_page;
-        let slot_bytes = layout.embedding_slot_bytes;
-        let geometry = self.ssd.config().geometry;
-        let scan_units = ScanShardPlan::scan_units(&geometry);
-        let window = self.config.adaptive_window_pages.max(1);
-        let base_capacity = db.updates.base_capacity;
-        let store = &db.updates.store;
-        let region = &db.record.embedding_region;
-
-        // The segment tail of the page list, pinned in probe order.
-        let seg_clusters = std::mem::take(&mut self.scratch.cluster_buf);
-        let mut run_cursor = std::mem::take(&mut self.scratch.run_cursor);
-        run_cursor.reset(store, &seg_clusters);
-        let mut run_slices = std::mem::take(&mut self.scratch.run_slices);
-        let mut win_ranges = std::mem::take(&mut self.scratch.win_ranges);
-
-        let seg_entry = |_page: usize, _slot: usize, distance: u32, oob: OobEntry| {
-            segment_scan_entry(store, base_capacity, distance, oob)
-        };
-
-        let mut base_idx = 0usize;
-        let mut base_off = 0usize;
-        // Entries already logged into the telemetry window log (recording
-        // happens at the barriers below, on this thread only).
-        let mut logged_entries = 0usize;
-        let mut scan = |engine: &mut Self,
-                        run_cursor: &mut reis_update::RunCursor,
-                        run_slices: &mut Vec<reis_update::RunSlice>,
-                        win_ranges: &mut Vec<(usize, usize)>|
-         -> Result<ScanCounts> {
-            let mut counts = ScanCounts::default();
-            loop {
-                let mut budget = window;
-
-                // ---- Base portion of this window.
-                win_ranges.clear();
-                while budget > 0 && base_idx < pages.len() {
-                    let (start, end) = pages[base_idx];
-                    let from = start + base_off;
-                    let take = (end - from).min(budget);
-                    win_ranges.push((from, from + take));
-                    budget -= take;
-                    base_off += take;
-                    if from + take == end {
-                        base_idx += 1;
-                        base_off = 0;
-                    }
-                }
-                if !win_ranges.is_empty() {
-                    let win_pages: usize = win_ranges.iter().map(|&(s, e)| e - s).sum();
-                    let wshards = engine
-                        .config
-                        .scan_parallelism
-                        .effective_shards(scan_units, win_pages);
-                    let scanned = if wshards > 1 && shards_exact {
-                        let plan = ScanShardPlan::build(&geometry, wshards, win_ranges, |offset| {
-                            region
-                                .page_at(&geometry, layout.centroid_pages + offset)
-                                .map(|addr| addr.plane_addr())
-                        });
-                        match plan {
-                            Ok(plan) => engine.scan_pages_sharded(
-                                region,
-                                &plan,
-                                layout.centroid_pages,
-                                slot_bytes,
-                                threshold,
-                                epp,
-                                make_entry,
-                            )?,
-                            Err(error) => return Err(error.into()),
-                        }
-                    } else {
-                        engine.scan_pages(
-                            region,
-                            win_ranges,
-                            layout.centroid_pages,
-                            slot_bytes,
-                            threshold,
-                            epp,
-                            make_entry,
-                        )?
-                    };
-                    counts.absorb(scanned);
-                }
-
-                // ---- Segment portion of this window (a window may straddle
-                // the base/segment boundary and any number of runs).
-                if budget > 0 {
-                    run_slices.clear();
-                    budget -= run_cursor.take_into(budget, run_slices);
-                    for slice in run_slices.iter() {
-                        let seg_counts = engine.scan_pages(
-                            &slice.region,
-                            &[(slice.start, slice.end)],
-                            0,
-                            slot_bytes,
-                            threshold,
-                            epp,
-                            &seg_entry,
-                        )?;
-                        counts.absorb(seg_counts);
-                    }
-                }
-
-                if budget == window {
-                    // The page list was exhausted before this window began.
-                    break;
-                }
-                if budget > 0 {
-                    // Trailing partial window: the scan ends, no barrier.
-                    break;
-                }
-                // ---- Window barrier: tighten against every completed
-                // window's accumulated TTL state.
-                tighten_threshold(&mut engine.scratch.ttl, candidate_count, &mut threshold);
-                counts.windows += 1;
-                if engine.scratch.record_windows {
-                    engine
-                        .scratch
-                        .window_log
-                        .push((counts.entries_passed - logged_entries) as u64);
-                    logged_entries = counts.entries_passed;
-                }
-                if engine.scratch.explain_log.is_some() {
-                    engine.scratch.explain_window += 1;
-                }
-            }
-            Ok(counts)
-        };
-        let result = scan(self, &mut run_cursor, &mut run_slices, &mut win_ranges);
-        // Trailing partial window: entries admitted since the last barrier.
-        if self.scratch.record_windows {
-            if let Ok(counts) = &result {
-                if counts.entries_passed > logged_entries {
-                    self.scratch
-                        .window_log
-                        .push((counts.entries_passed - logged_entries) as u64);
-                }
-            }
-        }
-
-        self.scratch.cluster_buf = seg_clusters;
-        self.scratch.run_cursor = run_cursor;
-        self.scratch.run_slices = run_slices;
-        self.scratch.win_ranges = win_ranges;
-        result
-    }
-
-    /// The fine-search candidates in rank order (valid after
-    /// [`InStorageEngine::fine_search`]).
+    /// The fine-search candidates in rank order (valid once the scan core
+    /// left its selection in the scratch's Temporal Top List).
     pub fn candidates(&self) -> &[TtlEntry] {
         self.scratch.ttl.top(self.scratch.candidate_count)
     }
@@ -1485,40 +594,6 @@ impl<'a> InStorageEngine<'a> {
         }
         Ok(documents)
     }
-
-    /// Number of candidates handed to the reranker for a top-`k` search
-    /// (`rerank_factor × k`, the paper's 10·k).
-    pub fn rerank_candidates(&self, k: usize) -> usize {
-        self.config.rerank_factor.max(1) * k.max(1)
-    }
-
-    /// Build the activity record of a query from its scan counts and
-    /// downstream statistics.
-    #[allow(clippy::too_many_arguments)]
-    pub fn activity(
-        &self,
-        db: &DeployedDatabase,
-        coarse: ScanCounts,
-        fine: ScanCounts,
-        rerank_candidates: usize,
-        int8_pages: usize,
-        documents: usize,
-        dim: usize,
-    ) -> QueryActivity {
-        QueryActivity {
-            coarse_pages: coarse.pages,
-            coarse_entries: coarse.entries_passed,
-            fine_pages: fine.pages,
-            fine_entries: fine.entries_passed,
-            fine_windows: fine.windows,
-            rerank_candidates,
-            int8_pages,
-            documents,
-            embedding_slot_bytes: db.layout.embedding_slot_bytes,
-            dim,
-            doc_slot_bytes: db.layout.doc_slot_bytes,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1560,9 +635,7 @@ mod tests {
             .unwrap();
 
         let mut scratch = ScanScratch::new();
-        let config = crate::config::ReisConfig::tiny();
-        let pool = WorkerPool::new(2);
-        let mut engine = InStorageEngine::new(&mut ssd, config, &mut scratch, &pool);
+        let mut engine = InStorageEngine::new(&mut ssd, &mut scratch);
         let top = [Neighbor::new(0, 0.0)];
         let err = engine.fetch_documents(&deployed, &top).unwrap_err();
         assert!(

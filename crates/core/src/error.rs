@@ -36,6 +36,10 @@ pub enum ReisError {
         /// Dimensionality of the query.
         actual: usize,
     },
+    /// A search request can never be answered as asked: `k = 0`,
+    /// `nprobe = 0`, or a query holding a NaN or infinite component. Raised
+    /// before any device work, identically by every search entry point.
+    InvalidQuery(String),
     /// A configuration parameter is outside its valid range.
     InvalidConfig(String),
     /// A mutation referenced a logical entry id that does not exist (never
@@ -80,10 +84,10 @@ pub enum ReisError {
         /// The lane's configured depth bound that was hit.
         depth: usize,
     },
-    /// A pooled worker task panicked while executing a shard, chunk or
-    /// replica batch. The panic is isolated by the scheduler — the pool
-    /// and unrelated queries keep working — and surfaced to the submitting
-    /// request as this error, carrying the rendered panic payload.
+    /// A pooled worker task panicked while executing a scan shard. The
+    /// panic is isolated by the scheduler — the pool and unrelated queries
+    /// keep working — and surfaced to the submitting request as this error,
+    /// carrying the rendered panic payload.
     WorkerPanic(String),
 }
 
@@ -102,6 +106,7 @@ impl fmt::Display for ReisError {
                     "query has {actual} dimensions but the database stores {expected}"
                 )
             }
+            ReisError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             ReisError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             ReisError::EntryNotFound(id) => {
                 write!(f, "entry {id} does not exist (or was deleted)")
@@ -260,6 +265,7 @@ mod tests {
                 expected: 1024,
                 actual: 768,
             },
+            ReisError::InvalidQuery("k must be at least 1".into()),
             ReisError::InvalidConfig("rerank factor 0".into()),
             ReisError::EntryNotFound(42),
             ReisError::CorruptDocument { page: 3, slot: 1 },

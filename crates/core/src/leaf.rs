@@ -43,9 +43,7 @@
 use reis_ann::topk::Neighbor;
 use reis_nand::{FlashStats, Nanos};
 use reis_persist::WalRecord;
-use reis_telemetry::{CounterId, HistogramId};
 
-use crate::config::ScanParallelism;
 use crate::database::VectorDatabase;
 use crate::deploy;
 use crate::energy::EnergyBreakdown;
@@ -53,6 +51,7 @@ use crate::engine::InStorageEngine;
 use crate::error::{ReisError, Result};
 use crate::mutate::{self, MutationOutcome};
 use crate::perf::{LatencyBreakdown, QueryActivity};
+use crate::scan::{Finish, Request};
 use crate::system::ReisSystem;
 
 /// One fully scored fine-search candidate, as a leaf reports it to the
@@ -233,9 +232,9 @@ impl ReisSystem {
     /// via [`ReisSystem::leaf_fetch_documents`].
     ///
     /// The scan pins adaptive filtering off (static thresholds are
-    /// partition-invariant; the windowed schedule is not) but honors the
-    /// configured [`ScanParallelism`] exactly like
-    /// [`ReisSystem::search`], including the auto-shard upgrade.
+    /// partition-invariant; the windowed schedule is not) but is otherwise
+    /// the request [`ReisSystem::search`] runs — same validation, same
+    /// [`ScanParallelism`](crate::config::ScanParallelism), same scan core.
     ///
     /// # Errors
     ///
@@ -249,99 +248,23 @@ impl ReisSystem {
         k: usize,
         nprobe: Option<usize>,
     ) -> Result<LeafQueryOutcome> {
-        let db = self
-            .databases
-            .get(&db_id)
-            .ok_or(ReisError::DatabaseNotDeployed(db_id))?;
-        if nprobe.is_some() && db.rivf.is_empty() {
-            return Err(ReisError::UnsupportedSearch(
-                "IVF_Search requires an IVF deployment".into(),
-            ));
-        }
-        let mut config = self.config.with_adaptive_filtering(false);
-        if config.scan_parallelism.is_auto_default() {
-            config.scan_parallelism = ScanParallelism::sharded(self.auto_shards);
-        }
-        let dim = db.binary_quantizer.dim();
-        if query.len() != dim {
-            return Err(ReisError::QueryDimensionMismatch {
-                expected: dim,
-                actual: query.len(),
-            });
-        }
-        let query_binary = db.binary_quantizer.quantize(query)?;
-        let query_int8 = db.int8_quantizer.quantize(query)?;
-
-        // Leaf scans are static-threshold (adaptive off), so per-window
-        // telemetry is a single-device concern; make sure a previous
-        // single-device query's recording flags don't linger.
-        self.scratch.record_windows = false;
-        self.scratch.explain_log = None;
-
-        let stats_before = *self.controller.device().stats();
-        let dram_before =
-            self.controller.dram().bytes_read() + self.controller.dram().bytes_written();
-
-        let mut engine =
-            InStorageEngine::new(&mut self.controller, config, &mut self.scratch, &self.sched);
-        engine.broadcast_query(db, &query_binary)?;
-        let (clusters, coarse_counts) = match nprobe {
-            Some(nprobe) => {
-                let (clusters, counts) = engine.coarse_search(db, nprobe)?;
-                (Some(clusters), counts)
-            }
-            None => (None, Default::default()),
+        let config = self.config.with_adaptive_filtering(false);
+        let request = Request {
+            queries: &[query],
+            k,
+            nprobe,
+            finish: Finish::Candidates,
+            kind: "leaf",
         };
-        let candidate_budget = engine.rerank_candidates(k);
-        let fine_counts =
-            engine.fine_search(db, &query_binary, clusters.as_deref(), candidate_budget)?;
-        let num_candidates = engine.num_candidates();
-        let (candidates, int8_pages) = engine.rerank_all(db, &query_int8)?;
-
-        let activity = engine.activity(
-            db,
-            coarse_counts,
-            fine_counts,
-            num_candidates,
-            int8_pages,
-            0,
-            dim,
-        );
-        let latency = self.perf.query_latency(&activity, k);
-        let core_busy = self.perf.core_busy(&activity, k);
-        let flash_stats = self.controller.device().stats().delta_since(&stats_before);
-        let dram_bytes = self.controller.dram().bytes_read()
-            + self.controller.dram().bytes_written()
-            - dram_before;
-        let energy = self
-            .energy
-            .query_energy(&flash_stats, dram_bytes, core_busy, latency.total());
-
-        if self.telemetry.is_enabled() {
-            self.telemetry.count(CounterId::Queries, 1);
-            self.telemetry
-                .count(CounterId::CoarsePages, activity.coarse_pages as u64);
-            self.telemetry
-                .count(CounterId::FinePages, activity.fine_pages as u64);
-            self.telemetry
-                .count(CounterId::FineEntries, activity.fine_entries as u64);
-            self.telemetry.count(
-                CounterId::RerankCandidates,
-                activity.rerank_candidates as u64,
-            );
-            self.telemetry
-                .count(CounterId::FlashSenses, flash_stats.page_reads);
-            self.telemetry
-                .observe(HistogramId::QueryModelledNs, latency.total().as_nanos());
-        }
-
+        let mut executed = self.execute(db_id, config, self.auto_shards, &request)?;
+        let answered = executed.pop().expect("one outcome per query");
         Ok(LeafQueryOutcome {
-            candidates,
-            candidate_budget,
-            activity,
-            latency,
-            energy,
-            flash_stats,
+            candidates: answered.candidates,
+            candidate_budget: config.rerank_candidates(k),
+            activity: answered.outcome.activity,
+            latency: answered.outcome.latency,
+            energy: answered.outcome.energy,
+            flash_stats: answered.outcome.flash_stats,
         })
     }
 
@@ -362,10 +285,8 @@ impl ReisSystem {
             .databases
             .get(&db_id)
             .ok_or(ReisError::DatabaseNotDeployed(db_id))?;
-        let config = self.config;
         let stats_before = *self.controller.device().stats();
-        let mut engine =
-            InStorageEngine::new(&mut self.controller, config, &mut self.scratch, &self.sched);
+        let mut engine = InStorageEngine::new(&mut self.controller, &mut self.scratch);
         let documents = engine.fetch_documents(db, results)?;
         let doc_slot_bytes = db.layout.doc_slot_bytes;
         let latency = self.perf.document_fetch(documents.len(), doc_slot_bytes)

@@ -11,19 +11,18 @@
 //!   embedding-to-document linkage, the R-DB record and the R-IVF array.
 //! * [`records`] — the controller-DRAM structures (R-IVF, Temporal Top
 //!   Lists).
-//! * [`engine`] — the functional in-storage ANNS engine (Input Broadcasting,
-//!   in-plane XOR + fail-bit counting, distance filtering, quickselect,
-//!   INT8 reranking, document retrieval), including the intra-query scan
-//!   sharding that runs one query's fine scan concurrently across the
-//!   device's channel/die units (see [`config::ScanParallelism`]).
+//! * [`scan`] — the scan core: the one executor behind every search entry
+//!   point (Input Broadcasting, in-plane XOR + fail-bit counting, distance
+//!   filtering, adaptive thresholds, channel/die sharding — see
+//!   [`config::ScanParallelism`] — and the query lifecycle around them). A
+//!   batch senses each probed page once for all its queries; a single
+//!   search is a batch of one.
+//! * [`engine`] — what the core is built from and what runs after it:
+//!   candidate admission, quickselect, INT8 reranking, document retrieval.
 //! * [`perf`] — the latency model (plane/die/channel parallelism,
 //!   pipelining, MPIBC).
 //! * [`energy`] — the per-operation energy model.
-//! * [`system`] — [`system::ReisSystem`], the host-facing API of Table 1,
-//!   whose batched searches default to page-major *fused* execution on the
-//!   shared device: each probed page is sensed once and scored against
-//!   every in-flight query (see [`config::BatchFusion`]), bit-identical
-//!   per query to sequential search.
+//! * [`system`] — [`system::ReisSystem`], the host-facing API of Table 1.
 //! * [`config`] — REIS-SSD1 / REIS-SSD2 configurations and the optimization
 //!   toggles of the Fig. 9 sensitivity study.
 //!
@@ -58,18 +57,16 @@ pub mod durable;
 pub mod energy;
 pub mod engine;
 pub mod error;
-mod fused;
 pub mod layout;
 pub mod leaf;
 pub mod mutate;
 pub mod perf;
 pub mod pipeline;
 pub mod records;
+pub mod scan;
 pub mod system;
 
-pub use config::{
-    AdaptiveFiltering, BatchFusion, Optimizations, ReisConfig, ScanExecutor, ScanParallelism,
-};
+pub use config::{AdaptiveFiltering, Optimizations, ReisConfig, ScanParallelism};
 pub use database::{ClusterInfo, VectorDatabase};
 pub use deploy::DeployedDatabase;
 pub use durable::{RecoveryReport, WalQuarantine};
@@ -83,7 +80,7 @@ pub use pipeline::{
     LanePriority, Pipeline, PipelineCompletion, PipelineConfig, PipelineReply, PipelineRequest,
 };
 pub use records::{RIvf, RIvfEntry, TemporalTopList, TtlEntry};
-pub use reis_sched::{WorkerContext, WorkerLocal, WorkerPool};
+pub use reis_sched::{WorkerContext, WorkerPool};
 
 pub use reis_persist::{
     DirVfs, DurableStore, FaultHandle, FaultVfs, MemVfs, PersistError, ScrubReport, Vfs, WalRecord,

@@ -12,7 +12,7 @@
 //! * **Batch formation.** Compatible searches (same `k`/`nprobe`) collect
 //!   until the batch reaches [`PipelineConfig::max_batch`] or its oldest
 //!   member has waited [`PipelineConfig::max_wait_ns`], then the whole batch
-//!   executes through the fused batch executor (one sense per distinct page
+//!   executes as one request of the scan core (one sense per distinct page
 //!   for the entire batch). Under light load batches stay small and latency
 //!   low; under heavy load they fill and throughput rises.
 //! * **Priority lanes.** Mutations and searches queue separately;
@@ -56,7 +56,7 @@ pub enum LanePriority {
 /// Tuning knobs of a [`Pipeline`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
-    /// Largest batch handed to the fused executor; a full lane dispatches
+    /// Largest batch handed to the scan core; a full lane dispatches
     /// immediately. Clamped to ≥ 1.
     pub max_batch: usize,
     /// Longest time the oldest queued request waits before its lane
@@ -67,7 +67,7 @@ pub struct PipelineConfig {
     pub queue_depth: usize,
     /// Lane dispatch order (see [`LanePriority`]).
     pub priority: LanePriority,
-    /// Worker budget handed to the batch executors. Deliberately explicit
+    /// Shard budget handed to the batched searches. Deliberately explicit
     /// (not derived from the pool size) so the formed work — and with it
     /// every diffable summary — is identical across pool sizes.
     pub workers: usize,
@@ -172,13 +172,18 @@ impl PipelineRequest {
         )
     }
 
-    /// Two searches fuse into one batch only when the fused executor would
-    /// treat them identically: same `k` and same probe selection. `None`
-    /// for mutations.
+    /// Two searches fuse into one batch only when they form one scan-core
+    /// request: same `k` and same probe selection. `None` for mutations.
     pub fn batch_key(&self) -> Option<(usize, Option<usize>)> {
+        self.as_search().map(|(_, k, nprobe)| (k, nprobe))
+    }
+
+    /// The query, `k` and probe selection (`None` = brute force) of a
+    /// search request; `None` for mutations.
+    pub fn as_search(&self) -> Option<(&[f32], usize, Option<usize>)> {
         match self {
-            PipelineRequest::Search { k, .. } => Some((*k, None)),
-            PipelineRequest::IvfSearch { k, nprobe, .. } => Some((*k, Some(*nprobe))),
+            PipelineRequest::Search { query, k } => Some((query, *k, None)),
+            PipelineRequest::IvfSearch { query, k, nprobe } => Some((query, *k, Some(*nprobe))),
             _ => None,
         }
     }
@@ -209,8 +214,9 @@ pub struct PipelineCompletion {
     pub completed_ns: u64,
     /// Size of the batch the request dispatched in (1 for mutations).
     pub batch_size: usize,
-    /// The answer, or the error the whole batch surfaced. Request-level
-    /// errors never poison the pipeline itself.
+    /// The answer, or the error the executing batch surfaced (malformed
+    /// searches never get this far: [`Pipeline::submit`] refuses them).
+    /// Request-level errors never poison the pipeline itself.
     pub reply: Result<PipelineReply>,
 }
 
@@ -275,14 +281,21 @@ impl Pipeline<'_> {
     ///
     /// # Errors
     ///
-    /// [`ReisError::Overloaded`] when the request's lane is at
-    /// [`PipelineConfig::queue_depth`] — the request is shed, nothing is
-    /// queued, and the pipeline stays fully usable (drain by advancing
-    /// time, then resubmit).
+    /// * The search's own validation error
+    ///   ([`ReisSystem::validate_search`]) for a malformed search — returned
+    ///   to this submitter only; nothing is queued, nothing counts as shed,
+    ///   and the requests it would have been batched with are unaffected.
+    /// * [`ReisError::Overloaded`] when the request's lane is at
+    ///   [`PipelineConfig::queue_depth`] — the request is shed, nothing is
+    ///   queued, and the pipeline stays fully usable (drain by advancing
+    ///   time, then resubmit).
     pub fn submit(&mut self, at_ns: u64, request: PipelineRequest) -> Result<u64> {
         // Fire every formation deadline that elapsed before this arrival.
         self.run_until(at_ns);
         self.clock_ns = self.clock_ns.max(at_ns);
+        if let Some((query, k, nprobe)) = request.as_search() {
+            self.system.validate_search(self.db_id, query, k, nprobe)?;
+        }
 
         let telemetry = self.system.telemetry.clone();
         let lane = if request.is_mutation() {
@@ -435,10 +448,12 @@ impl Pipeline<'_> {
             .expect("search lane holds only searches");
         let queries: Vec<Vec<f32>> = batch
             .iter()
-            .map(|p| match &p.request {
-                PipelineRequest::Search { query, .. }
-                | PipelineRequest::IvfSearch { query, .. } => query.clone(),
-                _ => unreachable!("search lane holds only searches"),
+            .map(|p| {
+                let (query, ..) = p
+                    .request
+                    .as_search()
+                    .expect("search lane holds only searches");
+                query.to_vec()
             })
             .collect();
         let executed = match nprobe {
@@ -456,7 +471,7 @@ impl Pipeline<'_> {
 
         match executed {
             Ok(outcomes) => {
-                // Queries in a fused batch share the device; the batch
+                // Queries of one batch share the device; the batch
                 // occupies it for its slowest member while each request
                 // completes at its own modelled latency.
                 let mut busy_until = start_ns;
@@ -475,8 +490,9 @@ impl Pipeline<'_> {
                 self.device_free_ns = busy_until;
             }
             Err(error) => {
-                // The whole batch surfaces the executor's error; no
-                // modelled time elapses for work the device rejected.
+                // A device-side failure (requests were validated at
+                // submission) fails the batch as a unit; no modelled time
+                // elapses for work the device rejected.
                 for pending in batch {
                     self.completions.push(PipelineCompletion {
                         request_id: pending.request_id,

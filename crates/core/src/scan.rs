@@ -1,0 +1,1112 @@
+//! The scan core: the one executor behind every search entry point.
+//!
+//! `search`, `ivf_search*`, the three `*_batch*` methods and `leaf_query`
+//! all build a `Request` and call `execute`; a single query is a batch
+//! of one. The core has four parts.
+//!
+//! * **The plan.** A query set of size B ≥ 1, each query with its own fine
+//!   selection (`engine::plan_fine_selection`), and an ordered page list
+//!   walked in three *passes*: the centroid pages (IVF only), the merged base
+//!   ranges, then the probed clusters' append-segment runs. A pass is a list
+//!   of `Span`s — runs of consecutive pages of one region that the same
+//!   queries score — so each distinct page is sensed **once** however many
+//!   queries cover it, the way REIS amortizes flash sensing across in-flight
+//!   queries.
+//! * **The page body** (`PageBody::score_page`): the threshold-aware fused
+//!   kernel ([`PassFailChecker::filter_fused`]) scores one sensed page
+//!   against every covering query in a single pass over the page words, the
+//!   OOB linkage of a passing slot unpacks once for all queries that passed
+//!   it, and the pass's admission rule (`engine::coarse_scan_entry`,
+//!   `engine::base_scan_entry`, `engine::segment_scan_entry`) turns hits
+//!   into Temporal-Top-List entries.
+//! * **The pass driver** (`Scan::run_pass`): cuts the pass at the next
+//!   adaptive-window barrier of any in-flight query (a non-adapting pass is
+//!   one chunk), picks the chunk's shard count with
+//!   [`ScanParallelism::effective_shards`](crate::config::ScanParallelism),
+//!   runs the shards as pool tasks — inline when the count is one —, merges
+//!   them in shard order and tightens the thresholds of the queries that
+//!   completed a window (`engine::tighten_threshold`). The same driver
+//!   runs the coarse, base and segment passes.
+//! * **The lifecycle** (`execute`): validate → quantise → scan → select →
+//!   rerank → fetch → [`QueryActivity`] → price → telemetry, per query.
+//!
+//! # Why the special cases are special cases
+//!
+//! * *One query is a batch of one.* Every per-query quantity — candidates,
+//!   counters, thresholds, window positions — lives in that query's own
+//!   slot; queries only share the sensed page bytes. A query is charged
+//!   every page its own selection covers, even though the device sensed the
+//!   page once for the whole batch, so per-query outcomes do not depend on
+//!   what else was in flight.
+//! * *One shard is a sharded scan with one shard.* Within a chunk every
+//!   threshold is constant, admission is per slot, and candidate selection
+//!   keys on the `(distance, storage_index)` total order, so the merged
+//!   state is independent of how the chunk's pages were partitioned.
+//! * *A static scan is an adaptive scan with one window.* A query's
+//!   threshold tightens only at barriers every
+//!   [`adaptive_window_pages`](crate::config::ReisConfig::adaptive_window_pages)
+//!   pages of its own page list, from the TTL state of its completed
+//!   windows; a scan that does not adapt never cuts its passes.
+//!
+//! Adapting queries of one batch may probe different clusters in different
+//! orders. Their base pages are a subsequence of the ascending union walk,
+//! so one walk serves them all; their segment runs are walked once per
+//! group of queries sharing a probe order (equal order ⇒ equal page list ⇒
+//! aligned windows). Statically filtered batches fuse segments per cluster,
+//! since admission is then order-independent.
+//!
+//! # The two page readers
+//!
+//! Embedding regions normally read error-free (ESP-SLC), so the core borrows
+//! stored pages straight from the controller
+//! ([`SsdController::scan_region_page`]), shares the controller immutably
+//! across shards and folds the physical activity back afterwards. On a
+//! device whose embedding scheme injects read errors the page must be
+//! sensed through the plane's latch so the errors land in the scored bytes;
+//! that reader mutates the device and therefore runs on one shard.
+//! [`reis_nand::FlashDevice::read_is_error_free`] decides — it is something
+//! the core observes, not an option.
+//!
+//! # Accounting
+//!
+//! After the scan the *physical* flash activity — each page sensed once, the
+//! in-plane XOR/count/check per `(page, query)` pair, the aggregate TTL
+//! traffic, every query's input broadcast — is folded into the controller,
+//! also when a pass failed midway. Each outcome's `flash_stats` is the
+//! query's *logical* share: its own pages, its broadcast, and the device
+//! delta of its rerank and document reads.
+
+use std::time::Instant;
+
+use reis_nand::latch::Latch;
+use reis_nand::peripheral::PassFailChecker;
+use reis_nand::{FlashStats, FusedHit, Nanos, OobEntry, OobLayout, ScanShardPlan};
+use reis_sched::WorkerPool;
+use reis_ssd::{ControllerActivity, RegionKind, SsdController, StripedRegion};
+use reis_telemetry::{
+    CounterId, ExplainEvent, ExplainTrace, HistogramId, QueryTrace, Span as TraceSpan, Telemetry,
+};
+
+use crate::config::ReisConfig;
+use crate::deploy::DeployedDatabase;
+use crate::energy::EnergyModel;
+use crate::engine::{self, FineSelection, InStorageEngine, ScanCounts, ScanScratch};
+use crate::error::{ReisError, Result};
+use crate::leaf::LeafCandidate;
+use crate::perf::{PerfModel, QueryActivity};
+use crate::records::{TemporalTopList, TtlEntry};
+use crate::system::SearchOutcome;
+
+/// Everything one request borrows from its [`ReisSystem`](crate::ReisSystem).
+pub(crate) struct ScanCtx<'a> {
+    /// The configuration the request runs under (a leaf query pins adaptive
+    /// filtering off in its copy).
+    pub(crate) config: ReisConfig,
+    pub(crate) controller: &'a mut SsdController,
+    pub(crate) perf: &'a PerfModel,
+    pub(crate) energy: &'a EnergyModel,
+    pub(crate) scratch: &'a mut ScanScratch,
+    pub(crate) pool: &'a WorkerPool,
+    pub(crate) db: &'a DeployedDatabase,
+    pub(crate) telemetry: &'a Telemetry,
+    /// What [`ScanParallelism::auto`](crate::config::ScanParallelism)
+    /// resolves to: the host's parallelism, capped by a batch's `workers`.
+    pub(crate) shard_budget: usize,
+}
+
+/// What the lifecycle does with a query's selected candidates.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Finish {
+    /// Rerank, cut to the top `k` and fetch their documents.
+    Documents,
+    /// Rerank and report *every* candidate, fetching nothing (the leaf half
+    /// of the scale-out protocol, see [`crate::leaf`]).
+    Candidates,
+}
+
+/// One request: B ≥ 0 queries answered under the same `k` and probe count.
+#[derive(Clone, Copy)]
+pub(crate) struct Request<'q> {
+    pub(crate) queries: &'q [&'q [f32]],
+    pub(crate) k: usize,
+    /// `Some` for an IVF search, `None` for a brute-force scan.
+    pub(crate) nprobe: Option<usize>,
+    pub(crate) finish: Finish,
+    /// The trace kind the queries are recorded under.
+    pub(crate) kind: &'static str,
+}
+
+/// One answered query. `candidates` is filled by [`Finish::Candidates`],
+/// `outcome.results` / `outcome.documents` by [`Finish::Documents`].
+pub(crate) struct Executed {
+    pub(crate) outcome: SearchOutcome,
+    pub(crate) candidates: Vec<LeafCandidate>,
+}
+
+/// Check a request against the database it targets, before any device work.
+/// Every search entry point — single, batch, leaf, pipeline submission —
+/// raises the same typed errors from here.
+pub(crate) fn validate(
+    db: &DeployedDatabase,
+    queries: &[&[f32]],
+    k: usize,
+    nprobe: Option<usize>,
+) -> Result<()> {
+    if let Some(nprobe) = nprobe {
+        if !db.is_ivf() {
+            return Err(ReisError::UnsupportedSearch(
+                "IVF_Search requires an IVF deployment".into(),
+            ));
+        }
+        if nprobe == 0 {
+            return Err(ReisError::InvalidQuery("nprobe must be at least 1".into()));
+        }
+    }
+    if k == 0 {
+        return Err(ReisError::InvalidQuery("k must be at least 1".into()));
+    }
+    let dim = db.binary_quantizer.dim();
+    for query in queries {
+        if query.len() != dim {
+            return Err(ReisError::QueryDimensionMismatch {
+                expected: dim,
+                actual: query.len(),
+            });
+        }
+        if let Some(position) = query.iter().position(|x| !x.is_finite()) {
+            return Err(ReisError::InvalidQuery(format!(
+                "query component {position} is not finite"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The candidates and counters one query accumulates during a phase: in the
+/// scan's own slot for that query, or in a shard's private copy that the
+/// pass driver merges back in shard order.
+#[derive(Default)]
+struct Tally {
+    ttl: TemporalTopList,
+    counts: ScanCounts,
+    /// Per-page capture of an armed explain trace (single queries only).
+    explain: Option<Vec<ExplainEvent>>,
+}
+
+/// A run of consecutive pages of one region that the same queries score.
+#[derive(Clone, Copy)]
+struct Span {
+    region: StripedRegion,
+    /// Region-relative page offsets, half-open.
+    start: usize,
+    end: usize,
+    /// The scoring queries: `members[first..last]` of the owning pass.
+    members: (usize, usize),
+}
+
+/// The ordered page list of one pass.
+#[derive(Default)]
+struct PassList {
+    spans: Vec<Span>,
+    members: Vec<usize>,
+}
+
+impl PassList {
+    /// Append pages `start..end` of `region`, scored by `members`; empty
+    /// page runs and empty query sets add nothing.
+    fn push(
+        &mut self,
+        region: StripedRegion,
+        (start, end): (usize, usize),
+        members: impl IntoIterator<Item = usize>,
+    ) {
+        let first = self.members.len();
+        self.members.extend(members);
+        if start < end && self.members.len() > first {
+            self.spans.push(Span {
+                region,
+                start,
+                end,
+                members: (first, self.members.len()),
+            });
+        } else {
+            self.members.truncate(first);
+        }
+    }
+
+    fn members_of(&self, span: &Span) -> &[usize] {
+        &self.members[span.members.0..span.members.1]
+    }
+}
+
+/// Which part of the page list a pass walks: it fixes the admission rule of
+/// a passing slot.
+#[derive(Clone, Copy, PartialEq)]
+enum Pass {
+    /// The centroid pages: never filtered, never adapting.
+    Coarse,
+    /// The merged base ranges of the embedding region.
+    Base,
+    /// The probed clusters' append-segment runs.
+    Segments,
+}
+
+/// How the core obtains the bytes of a page (see the module docs).
+enum PageReader<'a> {
+    /// Error-free regions: borrow the stored page. Nothing on the device
+    /// moves, so shards share the controller; the senses are counted here
+    /// and folded into the device after the scan.
+    Stored {
+        controller: &'a SsdController,
+        senses: u64,
+    },
+    /// Error-injecting regions: sense the page into its plane's latch — the
+    /// device injects the read errors and counts the sense itself — and
+    /// score the latched bytes.
+    Latch(&'a mut SsdController),
+}
+
+impl PageReader<'_> {
+    /// The user data and OOB bytes of page `offset` of `region`.
+    fn page(&mut self, region: &StripedRegion, offset: usize) -> Result<(&[u8], &[u8])> {
+        match self {
+            PageReader::Stored { controller, senses } => {
+                let (_, data, oob) = controller.scan_region_page(region, offset)?;
+                *senses += 1;
+                Ok((data, oob))
+            }
+            PageReader::Latch(controller) => {
+                let addr = controller.region_page(region, offset)?;
+                controller.device_mut().sense_page(addr)?;
+                let buffer = controller.device().page_buffer(addr.plane_addr())?;
+                Ok((
+                    buffer.read_latch(Latch::Sensing)?,
+                    buffer.oob().unwrap_or(&[]),
+                ))
+            }
+        }
+    }
+}
+
+/// Reusable buffers of one page-scoring loop: the covering queries' padded
+/// images and current thresholds, the kernel's per-query accumulator and the
+/// emitted hits. One set serves one thread.
+#[derive(Default)]
+struct ScoreBufs<'a> {
+    queries: Vec<&'a [u8]>,
+    thresholds: Vec<u32>,
+    acc: Vec<u32>,
+    hits: Vec<FusedHit>,
+}
+
+/// What every shard of one chunk shares, immutably: the queries, their
+/// current thresholds (constant between two barriers) and the admission
+/// rule of the pass.
+struct PageBody<'a, 'q> {
+    db: &'a DeployedDatabase,
+    padded: &'q [Vec<u8>],
+    selections: &'a [FineSelection],
+    thresholds: &'a [u32],
+    oob_layout: &'a OobLayout,
+    pass: Pass,
+    list: &'a PassList,
+    /// The adaptive window a captured explain event belongs to.
+    explain_window: u32,
+}
+
+impl<'q> PageBody<'_, 'q> {
+    /// Turn one passing slot of query `q` into a candidate, or `None` for a
+    /// slot outside the query's selection (pad, tombstoned, unprobed, dead).
+    fn admit(
+        &self,
+        q: usize,
+        page: usize,
+        slot: usize,
+        distance: u32,
+        oob: OobEntry,
+    ) -> Option<TtlEntry> {
+        let layout = &self.db.layout;
+        let updates = &self.db.updates;
+        match self.pass {
+            Pass::Coarse => engine::coarse_scan_entry(
+                layout.embeddings_per_page,
+                layout.centroids,
+                page,
+                slot,
+                distance,
+                oob,
+            ),
+            Pass::Base => engine::base_scan_entry(
+                layout,
+                &updates.tombstones,
+                &self.selections[q].valid_ranges,
+                page,
+                slot,
+                distance,
+                oob,
+            ),
+            Pass::Segments => {
+                engine::segment_scan_entry(&updates.store, updates.base_capacity, distance, oob)
+            }
+        }
+    }
+
+    /// Score one page against the queries of `members`, each under its
+    /// current threshold, and push the admitted entries into their tallies.
+    fn score_page(
+        &self,
+        (data, oob): (&[u8], &[u8]),
+        page: usize,
+        members: &[usize],
+        tallies: &mut [Tally],
+        bufs: &mut ScoreBufs<'q>,
+    ) -> Result<()> {
+        let slot_bytes = self.db.layout.embedding_slot_bytes;
+        bufs.queries.clear();
+        bufs.queries
+            .extend(members.iter().map(|&q| self.padded[q].as_slice()));
+        bufs.thresholds.clear();
+        bufs.thresholds
+            .extend(members.iter().map(|&q| self.thresholds[q]));
+        let limit = data
+            .len()
+            .div_ceil(slot_bytes)
+            .min(self.db.layout.embeddings_per_page);
+        PassFailChecker::filter_fused(
+            data,
+            slot_bytes,
+            limit,
+            &bufs.queries,
+            &bufs.thresholds,
+            &mut bufs.acc,
+            &mut bufs.hits,
+        );
+        for &q in members {
+            let tally = &mut tallies[q];
+            tally.counts.pages += 1;
+            tally.counts.slots_scanned += limit;
+            if let Some(events) = tally.explain.as_mut() {
+                events.push(ExplainEvent {
+                    page: page as u32,
+                    window: self.explain_window,
+                    slots: limit as u32,
+                    passed: 0,
+                });
+            }
+        }
+        // Hits arrive chunk-major (ascending slot), so a slot's OOB entry is
+        // unpacked once and reused across the queries that passed it.
+        let mut cached: Option<(u32, OobEntry)> = None;
+        for hit in bufs.hits.iter() {
+            let oob_entry = match cached {
+                Some((slot, entry)) if slot == hit.slot => entry,
+                _ => {
+                    let entry = self.oob_layout.unpack_entry(oob, hit.slot as usize)?;
+                    cached = Some((hit.slot, entry));
+                    entry
+                }
+            };
+            let q = members[hit.query as usize];
+            if let Some(entry) = self.admit(q, page, hit.slot as usize, hit.distance, oob_entry) {
+                let tally = &mut tallies[q];
+                tally.counts.entries_passed += 1;
+                tally.ttl.push(entry);
+                if let Some(event) = tally.explain.as_mut().and_then(|events| events.last_mut()) {
+                    event.passed += 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Walk `spans` in order: read each page once and score it. The one
+    /// page loop of the scan path — a whole chunk when it runs inline, one
+    /// shard's pieces of it on a pool task.
+    fn walk(
+        &self,
+        reader: &mut PageReader<'_>,
+        spans: &[Span],
+        tallies: &mut [Tally],
+        bufs: &mut ScoreBufs<'q>,
+    ) -> Result<()> {
+        for span in spans {
+            let members = self.list.members_of(span);
+            for offset in span.start..span.end {
+                let page = reader.page(&span.region, offset)?;
+                self.score_page(page, offset, members, tallies, bufs)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The state of one request's scan: the plan, the per-query accumulators
+/// and the reader.
+struct Scan<'a> {
+    config: ReisConfig,
+    db: &'a DeployedDatabase,
+    pool: &'a WorkerPool,
+    shard_budget: usize,
+    reader: PageReader<'a>,
+    oob_layout: OobLayout,
+    /// Binary queries padded to the embedding slot size (the broadcast
+    /// images the fused kernel scores against).
+    padded: &'a [Vec<u8>],
+    selections: Vec<FineSelection>,
+    /// Current distance-filter threshold per query.
+    thresholds: Vec<u32>,
+    /// Candidates and counters of the phase in progress, per query.
+    tallies: Vec<Tally>,
+    /// Coarse-phase counters, set aside when the fine phase starts.
+    coarse: Vec<ScanCounts>,
+    /// `Some(window)` when the fine scan adapts its thresholds.
+    window: Option<usize>,
+    candidate_count: usize,
+    /// Per query: passed-entry counts per adaptive window, and the entries
+    /// already logged (telemetry only; recorded at barriers on the driving
+    /// thread, so the log sums to the query's `entries_passed`).
+    window_logs: Vec<(Vec<u64>, usize)>,
+    record: bool,
+    bufs: ScoreBufs<'a>,
+}
+
+/// What one shard task hands back: its private tallies, the pages it sensed
+/// and the error that stopped it, if any.
+type ShardOutput = (Vec<Tally>, u64, Option<ReisError>);
+
+impl<'a> Scan<'a> {
+    /// Walk one pass: chunk by chunk, each chunk sharded when worth it,
+    /// thresholds tightened at the window barriers between chunks.
+    fn run_pass(&mut self, pass: Pass, list: &PassList) -> Result<()> {
+        let window = if pass == Pass::Coarse {
+            None
+        } else {
+            self.window
+        };
+        let geometry = self.config.ssd.geometry;
+        let scan_units = ScanShardPlan::scan_units(&geometry);
+        let mut next = 0usize;
+        let mut offset = list.spans.first().map_or(0, |span| span.start);
+        let mut chunk: Vec<Span> = Vec::new();
+        let mut position: Vec<usize> = vec![0; self.tallies.len()];
+        let mut crossed: Vec<usize> = Vec::new();
+        loop {
+            // ---- Cut the next chunk: up to the first page at which some
+            // covering query completes a window of its own page list. Page
+            // positions advance deterministically with the walk, so the cut
+            // is computed up front, independent of how the chunk is scanned.
+            chunk.clear();
+            for (at, tally) in position.iter_mut().zip(&self.tallies) {
+                *at = tally.counts.pages;
+            }
+            let mut barrier = false;
+            while !barrier && next < list.spans.len() {
+                let span = list.spans[next];
+                let members = list.members_of(&span);
+                let room = window
+                    .and_then(|w| members.iter().map(|&q| w - position[q] % w).min())
+                    .unwrap_or(usize::MAX);
+                let take = (span.end - offset).min(room);
+                chunk.push(Span {
+                    start: offset,
+                    end: offset + take,
+                    ..span
+                });
+                for &q in members {
+                    position[q] += take;
+                }
+                barrier = take == room;
+                offset += take;
+                if offset == span.end {
+                    next += 1;
+                    offset = list.spans.get(next).map_or(0, |span| span.start);
+                }
+            }
+            if chunk.is_empty() {
+                return Ok(());
+            }
+            crossed.clear();
+            if let Some(w) = window {
+                crossed.extend((0..position.len()).filter(|&q| {
+                    position[q] > self.tallies[q].counts.pages && position[q].is_multiple_of(w)
+                }));
+            }
+
+            // ---- Scan the chunk. Every threshold is constant for its
+            // duration, so it shards like a static scan.
+            let pages: usize = chunk.iter().map(|span| span.end - span.start).sum();
+            let body = PageBody {
+                db: self.db,
+                padded: self.padded,
+                selections: &self.selections,
+                thresholds: &self.thresholds,
+                oob_layout: &self.oob_layout,
+                pass,
+                list,
+                explain_window: self.tallies[0].counts.windows as u32,
+            };
+            let shards = match &self.reader {
+                PageReader::Latch(_) => 1,
+                PageReader::Stored { .. } => self.config.scan_parallelism.effective_shards(
+                    self.shard_budget,
+                    scan_units,
+                    pages,
+                ),
+            };
+            if shards == 1 {
+                body.walk(&mut self.reader, &chunk, &mut self.tallies, &mut self.bufs)?;
+            } else {
+                let PageReader::Stored { controller, senses } = &mut self.reader else {
+                    unreachable!("latch reads run on one shard");
+                };
+                let controller: &SsdController = controller;
+                // A shard owns whole channel/die units: page → unit → shard.
+                let mut work: Vec<Vec<Span>> = vec![Vec::new(); shards];
+                for span in &chunk {
+                    let plan = ScanShardPlan::build(
+                        &geometry,
+                        shards,
+                        &[(span.start, span.end)],
+                        |page| {
+                            span.region
+                                .page_at(&geometry, page)
+                                .map(|addr| addr.plane_addr())
+                        },
+                    )?;
+                    for (pieces, shard) in work.iter_mut().zip(plan.shards()) {
+                        pieces.extend(shard.ranges().iter().map(|&(start, end)| Span {
+                            start,
+                            end,
+                            ..*span
+                        }));
+                    }
+                }
+                work.retain(|pieces| !pieces.is_empty());
+                let explain = self.tallies[0].explain.is_some();
+                let queries = self.tallies.len();
+                let body = &body;
+                let mut outputs: Vec<Option<ShardOutput>> = work.iter().map(|_| None).collect();
+                self.pool
+                    .scope(|scope| {
+                        for (pieces, output) in work.iter().zip(outputs.iter_mut()) {
+                            scope.spawn(move |_ctx| {
+                                let mut reader = PageReader::Stored {
+                                    controller,
+                                    senses: 0,
+                                };
+                                let mut local: Vec<Tally> =
+                                    (0..queries).map(|_| Tally::default()).collect();
+                                local[0].explain = explain.then(Vec::new);
+                                let error = body
+                                    .walk(
+                                        &mut reader,
+                                        pieces,
+                                        &mut local,
+                                        &mut ScoreBufs::default(),
+                                    )
+                                    .err();
+                                let PageReader::Stored { senses, .. } = reader else {
+                                    unreachable!("shards read stored pages");
+                                };
+                                *output = Some((local, senses, error));
+                            });
+                        }
+                    })
+                    .map_err(|panic| ReisError::WorkerPanic(panic.message))?;
+                // Merge in shard order; the work a failing shard performed
+                // is merged before its error surfaces.
+                let mut first_error = None;
+                for output in outputs {
+                    let (local, shard_senses, error) =
+                        output.expect("the scope waits for every shard task");
+                    *senses += shard_senses;
+                    for (tally, mut shard) in self.tallies.iter_mut().zip(local) {
+                        tally.counts.absorb(shard.counts);
+                        tally.ttl.absorb(&mut shard.ttl);
+                        if let (Some(events), Some(captured)) =
+                            (tally.explain.as_mut(), shard.explain)
+                        {
+                            events.extend(captured);
+                        }
+                    }
+                    first_error = first_error.or(error);
+                }
+                if let Some(error) = first_error {
+                    return Err(error);
+                }
+            }
+
+            // ---- Window barriers (by construction only at the chunk's
+            // end): every query that just completed a window tightens
+            // against the TTL state of all its completed windows.
+            for &q in &crossed {
+                let tally = &mut self.tallies[q];
+                tally.counts.windows += 1;
+                engine::tighten_threshold(
+                    &mut tally.ttl,
+                    self.candidate_count,
+                    &mut self.thresholds[q],
+                );
+                if self.record {
+                    self.log_window(q);
+                }
+            }
+        }
+    }
+
+    /// Log the entries query `q` admitted since its last barrier as one
+    /// telemetry window.
+    fn log_window(&mut self, q: usize) {
+        let (log, logged) = &mut self.window_logs[q];
+        let passed = self.tallies[q].counts.entries_passed;
+        log.push((passed - *logged) as u64);
+        *logged = passed;
+    }
+
+    /// Coarse phase: every centroid page, scored against the whole batch
+    /// and never filtered; returns each query's `nprobe` nearest clusters.
+    fn coarse(&mut self, nprobe: usize) -> Result<Vec<Vec<usize>>> {
+        let mut list = PassList::default();
+        list.push(
+            self.db.record.embedding_region,
+            (0, self.db.layout.centroid_pages),
+            0..self.tallies.len(),
+        );
+        self.thresholds.fill(u32::MAX);
+        self.run_pass(Pass::Coarse, &list)?;
+        self.thresholds
+            .fill(self.config.filter_threshold(self.db.binary_quantizer.dim()));
+        Ok(self
+            .tallies
+            .iter_mut()
+            .zip(self.coarse.iter_mut())
+            .map(|(tally, coarse)| {
+                *coarse = std::mem::take(&mut tally.counts);
+                tally.ttl.quickselect(nprobe);
+                tally.ttl.sort_ascending();
+                let clusters = tally
+                    .ttl
+                    .top(nprobe)
+                    .iter()
+                    .map(|entry| entry.storage_index as usize)
+                    .collect();
+                tally.ttl.clear();
+                clusters
+            })
+            .collect())
+    }
+
+    /// Fine phase: plan every query's selection, walk the union of the base
+    /// ranges, then the append segments.
+    fn fine(&mut self, clusters: Option<&[Vec<usize>]>) -> Result<()> {
+        self.selections = (0..self.tallies.len())
+            .map(|q| engine::plan_fine_selection(self.db, clusters.map(|c| c[q].as_slice())))
+            .collect::<Result<_>>()?;
+
+        // ---- Base pass: cut the union at every range boundary of any
+        // query, so each span has one fixed set of covering queries.
+        let mut cuts: Vec<usize> = self
+            .selections
+            .iter()
+            .flat_map(|s| s.page_ranges.iter().flat_map(|&(start, end)| [start, end]))
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let base = self.db.layout.centroid_pages;
+        let mut list = PassList::default();
+        for pair in cuts.windows(2) {
+            list.push(
+                self.db.record.embedding_region,
+                (base + pair[0], base + pair[1]),
+                (0..self.selections.len())
+                    .filter(|&q| engine::in_page_ranges(&self.selections[q].page_ranges, pair[0])),
+            );
+        }
+        self.run_pass(Pass::Base, &list)?;
+
+        // ---- Segment pass: the runs entries inserted since deployment
+        // live in, which the base region does not cover.
+        let store = &self.db.updates.store;
+        if !store.is_empty() {
+            let mut list = PassList::default();
+            if self.window.is_none() {
+                // Static thresholds: admission is order-independent, so each
+                // run page is sensed once for every query probing its cluster.
+                for cluster in 0..store.clusters() {
+                    for run in store.runs(cluster) {
+                        list.push(
+                            *run,
+                            (0, run.len),
+                            (0..self.selections.len())
+                                .filter(|&q| self.selections[q].clusters.contains(&cluster)),
+                        );
+                    }
+                }
+            } else {
+                // Adapting: a query's windows continue from its base pages
+                // into its runs in *its* probe order, so runs fuse only
+                // across queries that share the order.
+                let mut groups: Vec<(&[usize], Vec<usize>)> = Vec::new();
+                for (q, selection) in self.selections.iter().enumerate() {
+                    match groups
+                        .iter_mut()
+                        .find(|(order, _)| *order == selection.clusters.as_slice())
+                    {
+                        Some((_, members)) => members.push(q),
+                        None => groups.push((&selection.clusters, vec![q])),
+                    }
+                }
+                for (order, members) in &groups {
+                    for run in store.ordered_runs(order) {
+                        list.push(*run, (0, run.len), members.iter().copied());
+                    }
+                }
+            }
+            self.run_pass(Pass::Segments, &list)?;
+        }
+
+        // Trailing telemetry window per query: entries admitted since the
+        // last barrier (the whole scan for a statically filtered query).
+        if self.record {
+            for q in 0..self.tallies.len() {
+                if self.tallies[q].counts.entries_passed > self.window_logs[q].1 {
+                    self.log_window(q);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The logical flash activity of one query's scan phases, as the device
+/// tallies it: one sense, one XOR, one fail-bit count and one pass/fail
+/// check per scanned page, plus the aggregate TTL channel traffic.
+fn logical_scan_stats(coarse: &ScanCounts, fine: &ScanCounts, entry_bytes: usize) -> FlashStats {
+    let pages = (coarse.pages + fine.pages) as u64;
+    FlashStats::fused_scan(
+        pages,
+        pages,
+        (entry_bytes * (coarse.entries_passed + fine.entries_passed)) as u64,
+    )
+}
+
+/// The logical flash activity of broadcasting one query into every die's
+/// cache latches (Input Broadcasting, optionally multi-plane), matching
+/// `FlashDevice::input_broadcast` counter for counter.
+fn broadcast_stats(config: &ReisConfig, payload_bytes: usize) -> FlashStats {
+    let geometry = &config.ssd.geometry;
+    let dies = (geometry.channels * geometry.dies_per_channel) as u64;
+    let per_die = if config.optimizations.multi_plane_ibc {
+        payload_bytes as u64
+    } else {
+        (payload_bytes * geometry.planes_per_die) as u64
+    };
+    FlashStats {
+        broadcast_ops: dies,
+        bytes_from_controller: dies * per_die,
+        ..FlashStats::new()
+    }
+}
+
+/// Execute a request: the one query lifecycle (see the module docs).
+/// Outcomes come back in query order; the first failing step's error is
+/// returned.
+pub(crate) fn execute(ctx: ScanCtx<'_>, request: &Request<'_>) -> Result<Vec<Executed>> {
+    let ScanCtx {
+        config,
+        controller,
+        perf,
+        energy,
+        scratch,
+        pool,
+        db,
+        telemetry,
+        shard_budget,
+    } = ctx;
+    let Request {
+        queries,
+        k,
+        nprobe,
+        finish,
+        kind,
+    } = *request;
+    validate(db, queries, k, nprobe)?;
+    if queries.is_empty() {
+        return Ok(Vec::new());
+    }
+
+    // Telemetry only *reads* values the scan computes anyway, at barrier and
+    // post-query points on this thread, so execution is identical with it on
+    // and off.
+    let record = telemetry.is_enabled();
+    let mut mark = record.then(Instant::now);
+    let mut scan_walls = StageWalls::default();
+
+    let layout = db.layout;
+    let slot_bytes = layout.embedding_slot_bytes;
+    let dim = db.binary_quantizer.dim();
+    let entry_bytes = slot_bytes + config.ttl_metadata_bytes;
+    let candidate_count = config.rerank_candidates(k);
+
+    // ---- Quantise every query and build the padded images the fused
+    // kernel scores against (the broadcast payloads).
+    let mut padded = Vec::with_capacity(queries.len());
+    let mut int8s = Vec::with_capacity(queries.len());
+    for query in queries {
+        let binary = db.binary_quantizer.quantize(query)?;
+        let mut image = vec![0u8; slot_bytes];
+        image[..binary.as_bytes().len()].copy_from_slice(binary.as_bytes());
+        padded.push(image);
+        int8s.push(db.int8_quantizer.quantize(query)?);
+    }
+    stamp(&mut mark, &mut scan_walls.broadcast);
+
+    // ---- Scan. The reader is chosen by what the device says about reads
+    // of the embedding scheme.
+    let embedding_scheme = controller
+        .hybrid_policy()
+        .scheme_for(RegionKind::BinaryEmbeddings);
+    let reader = if controller.device().read_is_error_free(embedding_scheme) {
+        PageReader::Stored {
+            controller: &*controller,
+            senses: 0,
+        }
+    } else {
+        PageReader::Latch(&mut *controller)
+    };
+    let explain = record && queries.len() == 1 && telemetry.explain_armed();
+    let mut scan = Scan {
+        config,
+        db,
+        pool,
+        shard_budget,
+        reader,
+        oob_layout: db.oob_layout(config.ssd.geometry.oob_size_bytes)?,
+        padded: &padded,
+        selections: Vec::new(),
+        thresholds: vec![config.filter_threshold(dim); queries.len()],
+        tallies: queries.iter().map(|_| Tally::default()).collect(),
+        coarse: vec![ScanCounts::default(); queries.len()],
+        window: config
+            .adapts(nprobe.is_none())
+            .then_some(config.adaptive_window_pages.max(1)),
+        candidate_count,
+        window_logs: vec![(Vec::new(), 0); queries.len()],
+        record,
+        bufs: ScoreBufs::default(),
+    };
+    let scanned = (|| -> Result<()> {
+        let clusters = match nprobe {
+            Some(nprobe) => Some(scan.coarse(nprobe)?),
+            None => None,
+        };
+        stamp(&mut mark, &mut scan_walls.coarse);
+        // The explain trace covers the fine scan's pages.
+        scan.tallies[0].explain = explain.then(Vec::new);
+        scan.fine(clusters.as_deref())?;
+        stamp(&mut mark, &mut scan_walls.fine);
+        Ok(())
+    })();
+    let Scan {
+        reader,
+        mut tallies,
+        coarse,
+        window_logs,
+        ..
+    } = scan;
+    let senses = match reader {
+        PageReader::Stored { senses, .. } => senses,
+        // The device counted every latch sense as it happened.
+        PageReader::Latch(_) => 0,
+    };
+
+    // ---- Fold the physical scan activity into the device *before*
+    // surfacing a scan error or running a phase that could fail: even a
+    // failing scan walked real pages.
+    let broadcast = broadcast_stats(&config, slot_bytes);
+    let mut page_scores = 0u64;
+    let mut ttl_bytes = 0u64;
+    for (coarse, tally) in coarse.iter().zip(&tallies) {
+        let logical = logical_scan_stats(coarse, &tally.counts, entry_bytes);
+        page_scores += logical.xor_ops;
+        ttl_bytes += logical.bytes_to_controller;
+    }
+    let mut physical = FlashStats::fused_scan(senses, page_scores, ttl_bytes);
+    for _ in queries {
+        physical.accumulate(&broadcast);
+    }
+    controller.absorb_activity(&ControllerActivity::flash_only(physical));
+    scanned?;
+
+    // ---- Downstream phases, per query on the shared controller, measured
+    // with per-query device deltas. The scan served the whole request at
+    // once, so its wall time is shared evenly between the queries.
+    let share = queries.len() as u64;
+    let mut executed = Vec::with_capacity(queries.len());
+    for (q, (tally, coarse)) in tallies.iter_mut().zip(&coarse).enumerate() {
+        let mut walls = StageWalls {
+            broadcast: scan_walls.broadcast / share,
+            coarse: scan_walls.coarse / share,
+            fine: scan_walls.fine / share,
+            ..StageWalls::default()
+        };
+        tally.ttl.quickselect(candidate_count);
+        tally.ttl.sort_ascending();
+        std::mem::swap(&mut scratch.ttl, &mut tally.ttl);
+        scratch.candidate_count = candidate_count;
+
+        let stats_before = *controller.device().stats();
+        let dram_before = controller.dram().bytes_read() + controller.dram().bytes_written();
+        let mut engine = InStorageEngine::new(controller, scratch);
+        let rerank_candidates = engine.num_candidates();
+        let (results, documents, candidates, int8_pages) = match finish {
+            Finish::Documents => {
+                let (results, int8_pages) = engine.rerank(db, &int8s[q], k)?;
+                stamp(&mut mark, &mut walls.rerank);
+                let documents = engine.fetch_documents(db, &results)?;
+                stamp(&mut mark, &mut walls.doc_fetch);
+                (results, documents, Vec::new(), int8_pages)
+            }
+            Finish::Candidates => {
+                let (candidates, int8_pages) = engine.rerank_all(db, &int8s[q])?;
+                stamp(&mut mark, &mut walls.rerank);
+                (Vec::new(), Vec::new(), candidates, int8_pages)
+            }
+        };
+        let downstream = controller.device().stats().delta_since(&stats_before);
+        let dram_bytes =
+            controller.dram().bytes_read() + controller.dram().bytes_written() - dram_before;
+
+        let activity = QueryActivity {
+            coarse_pages: coarse.pages,
+            coarse_entries: coarse.entries_passed,
+            fine_pages: tally.counts.pages,
+            fine_entries: tally.counts.entries_passed,
+            fine_windows: tally.counts.windows,
+            rerank_candidates,
+            int8_pages,
+            documents: results.len(),
+            embedding_slot_bytes: slot_bytes,
+            dim,
+            doc_slot_bytes: layout.doc_slot_bytes,
+        };
+        let mut flash_stats = logical_scan_stats(coarse, &tally.counts, entry_bytes);
+        flash_stats.accumulate(&broadcast);
+        flash_stats.accumulate(&downstream);
+        let latency = perf.query_latency(&activity, k);
+        let core_busy = perf.core_busy(&activity, k);
+        let outcome = SearchOutcome {
+            results,
+            documents,
+            latency,
+            activity,
+            energy: energy.query_energy(&flash_stats, dram_bytes, core_busy, latency.total()),
+            flash_stats,
+        };
+        if record {
+            record_query_telemetry(
+                telemetry,
+                kind,
+                &walls,
+                &window_logs[q].0,
+                tally.explain.take(),
+                &outcome,
+            );
+        }
+        executed.push(Executed {
+            outcome,
+            candidates,
+        });
+    }
+    Ok(executed)
+}
+
+/// Wall-clock nanoseconds of each query stage (all zero when telemetry is
+/// disabled or a stage did not run).
+#[derive(Debug, Default, Clone, Copy)]
+struct StageWalls {
+    broadcast: u64,
+    coarse: u64,
+    fine: u64,
+    rerank: u64,
+    doc_fetch: u64,
+}
+
+/// Advance a stage-timing mark: store the elapsed nanoseconds since the
+/// previous mark and restart the clock. No-op when timing is off.
+fn stamp(mark: &mut Option<Instant>, out: &mut u64) {
+    if let Some(t0) = mark {
+        *out = t0.elapsed().as_nanos() as u64;
+        *mark = Some(Instant::now());
+    }
+}
+
+/// Record one completed query into the telemetry handle: lifecycle
+/// counters, wall/modelled histograms, the trace-ring span record and the
+/// explain trace if one was captured.
+fn record_query_telemetry(
+    telemetry: &Telemetry,
+    kind: &'static str,
+    walls: &StageWalls,
+    window_log: &[u64],
+    explain_log: Option<Vec<ExplainEvent>>,
+    outcome: &SearchOutcome,
+) {
+    let activity = &outcome.activity;
+    let latency = &outcome.latency;
+    telemetry.count(CounterId::Queries, 1);
+    telemetry.count(CounterId::CoarsePages, activity.coarse_pages as u64);
+    telemetry.count(CounterId::FinePages, activity.fine_pages as u64);
+    telemetry.count(CounterId::FineEntries, activity.fine_entries as u64);
+    telemetry.count(CounterId::FineWindows, activity.fine_windows as u64);
+    telemetry.count(
+        CounterId::RerankCandidates,
+        activity.rerank_candidates as u64,
+    );
+    telemetry.count(CounterId::DocumentsFetched, activity.documents as u64);
+    telemetry.count(CounterId::FlashSenses, outcome.flash_stats.page_reads);
+    for &entries in window_log {
+        telemetry.count(CounterId::WindowEntries, entries);
+        telemetry.observe(HistogramId::WindowEntriesPerWindow, entries);
+    }
+    let wall_total = walls.broadcast + walls.coarse + walls.fine + walls.rerank + walls.doc_fetch;
+    telemetry.observe(HistogramId::QueryWallNs, wall_total);
+    telemetry.observe(HistogramId::QueryModelledNs, latency.total().as_nanos());
+    telemetry.observe(
+        HistogramId::CoarseModelledNs,
+        latency.coarse_scan.as_nanos(),
+    );
+    telemetry.observe(HistogramId::FineModelledNs, latency.fine_scan.as_nanos());
+    telemetry.observe(HistogramId::RerankModelledNs, latency.rerank.as_nanos());
+    telemetry.observe(
+        HistogramId::DocFetchModelledNs,
+        latency.document_fetch.as_nanos(),
+    );
+    let sequence = telemetry.next_sequence();
+    telemetry.record_trace(QueryTrace {
+        sequence,
+        kind,
+        spans: vec![
+            span("broadcast", walls.broadcast, latency.input_broadcast),
+            span("coarse_scan", walls.coarse, latency.coarse_scan),
+            span("fine_scan", walls.fine, latency.fine_scan),
+            span("select", 0, latency.select),
+            span("rerank", walls.rerank, latency.rerank),
+            span("doc_fetch", walls.doc_fetch, latency.document_fetch),
+            span("host_transfer", 0, latency.host_transfer),
+        ],
+    });
+    if let Some(events) = explain_log {
+        telemetry.record_explain(ExplainTrace { sequence, events });
+    }
+}
+
+/// A lifecycle span with both clocks (see [`reis_telemetry::Span`]).
+fn span(stage: &'static str, wall_ns: u64, modelled: Nanos) -> TraceSpan {
+    TraceSpan {
+        stage,
+        index: 0,
+        wall_ns,
+        modelled_ns: modelled.as_nanos(),
+    }
+}

@@ -4,10 +4,9 @@
 //! [`ReisSystem`] owns the simulated SSD, deploys vector databases into it
 //! (`DB_Deploy` / `IVF_Deploy`) and serves `Search` / `IVF_Search` requests,
 //! returning both the retrieved documents and the modelled latency and
-//! energy of each query. Batched variants ([`ReisSystem::search_batch`],
-//! [`ReisSystem::ivf_search_batch`]) execute independent queries in parallel
-//! on per-worker replicas of the simulated device, each worker reusing its
-//! own engine scratch.
+//! energy of each query. Single and batched searches alike run through the
+//! one scan core ([`crate::scan`]): a batch senses each distinct page once
+//! for all its queries, and a single search is a batch of one.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -17,23 +16,20 @@ use serde::{Deserialize, Serialize};
 use reis_ann::topk::Neighbor;
 use reis_nand::{FlashStats, Nanos};
 use reis_persist::WalRecord;
-use reis_ssd::{ControllerActivity, RegionKind, SsdController, SsdMode};
-use reis_telemetry::{
-    CounterId, ExplainEvent, ExplainTrace, GaugeId, HistogramId, QueryTrace, Span, Telemetry,
-};
+use reis_sched::WorkerPool;
+use reis_ssd::{SsdController, SsdMode};
+use reis_telemetry::{CounterId, GaugeId, HistogramId, Telemetry};
 
-use reis_sched::{WorkerLocal, WorkerPool};
-
-use crate::config::{BatchFusion, ReisConfig, ScanExecutor, ScanParallelism};
+use crate::config::{ReisConfig, ScanParallelism};
 use crate::database::VectorDatabase;
 use crate::deploy::{self, DeployedDatabase};
 use crate::durable::Durability;
 use crate::energy::{EnergyBreakdown, EnergyModel};
-use crate::engine::{InStorageEngine, ScanScratch};
+use crate::engine::ScanScratch;
 use crate::error::{ReisError, Result};
-use crate::fused;
 use crate::mutate::{self, CompactionOutcome, MutationOutcome};
 use crate::perf::{LatencyBreakdown, PerfModel, QueryActivity};
+use crate::scan::{self, Executed, Finish, Request, ScanCtx};
 
 /// Result of one REIS search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,10 +90,10 @@ pub struct ReisSystem {
     pub(crate) energy: EnergyModel,
     pub(crate) databases: HashMap<u32, DeployedDatabase>,
     pub(crate) next_db_id: u32,
-    /// Scan scratch reused by every sequential query this system serves.
+    /// Downstream-phase scratch reused by every query this system serves.
     pub(crate) scratch: ScanScratch,
-    /// The host's available parallelism, captured once: the shard budget of
-    /// auto-sharded single-query scans and of fused batch scans.
+    /// The host's available parallelism, captured once: the shard budget
+    /// [`ScanParallelism::auto`] resolves to (a batch's `workers` caps it).
     pub(crate) auto_shards: usize,
     /// The durable store this system checkpoints snapshots to and logs
     /// mutations into — `None` for a purely in-memory system (the
@@ -113,18 +109,10 @@ pub struct ReisSystem {
     /// results and all logical accounting are bit-identical with telemetry
     /// on and off (the CI determinism gate enforces this).
     pub(crate) telemetry: Telemetry,
-    /// The persistent worker pool every shard scan, fused chunk and
-    /// replica batch executes on (under the default
-    /// [`ScanExecutor::Pooled`](crate::config::ScanExecutor)). Created
+    /// The persistent worker pool every scan shard executes on. Created
     /// once here; no query or mutation path spawns threads afterwards.
     /// Sized by `REIS_SCHED_WORKERS`, else by `auto_shards`.
     pub(crate) sched: WorkerPool,
-    /// Per-worker scan scratch for replica batch workers: the pool keeps
-    /// each worker's buffers warm across batches instead of allocating a
-    /// fresh scratch per worker per batch. Scratch reuse never affects
-    /// results (buffers are cleared or overwritten per scan), so affinity
-    /// is purely an allocation-count optimization.
-    pub(crate) worker_scratch: WorkerLocal<ScanScratch>,
 }
 
 impl ReisSystem {
@@ -149,7 +137,6 @@ impl ReisSystem {
                     .unwrap_or(1)
             });
         let sched = WorkerPool::from_env(auto_shards);
-        let worker_scratch = WorkerLocal::new(&sched, |_| ScanScratch::new());
         ReisSystem {
             config,
             controller,
@@ -162,12 +149,11 @@ impl ReisSystem {
             durability: None,
             telemetry: Telemetry::from_env(),
             sched,
-            worker_scratch,
         }
     }
 
-    /// The persistent worker pool this system executes shard scans, fused
-    /// chunks and replica batches on. Exposed so tests and benches can
+    /// The persistent worker pool this system executes scan shards on.
+    /// Exposed so tests and benches can
     /// observe its size (set via `REIS_SCHED_WORKERS`, defaulting to the
     /// captured host parallelism) or drive it directly.
     pub fn scheduler(&self) -> &WorkerPool {
@@ -198,18 +184,12 @@ impl ReisSystem {
         &self.config
     }
 
-    /// Change the intra-query scan sharding policy of subsequent queries.
+    /// Change the scan sharding policy of subsequent queries.
     ///
     /// Sharding is a host-side execution knob, not a property of the
     /// deployed data, so it can be reconfigured at any time — benchmarks
     /// sweep it over one deployment. Results are bit-identical across
     /// settings; only wall-clock latency changes.
-    ///
-    /// Note that the plain [`ScanParallelism::sequential`] value is the
-    /// "no preference" default that single-query searches auto-upgrade to
-    /// `available_parallelism` shards; pass
-    /// [`ScanParallelism::pinned_sequential`] to actually force
-    /// single-threaded scans.
     pub fn set_scan_parallelism(&mut self, scan_parallelism: ScanParallelism) {
         self.config.scan_parallelism = scan_parallelism;
     }
@@ -289,6 +269,8 @@ impl ReisSystem {
     /// * [`ReisError::DatabaseNotDeployed`] for an unknown id.
     /// * [`ReisError::QueryDimensionMismatch`] for a query of the wrong
     ///   dimensionality.
+    /// * [`ReisError::InvalidQuery`] for `k = 0` or a query holding a NaN or
+    ///   infinite component.
     ///
     /// # Examples
     ///
@@ -314,7 +296,7 @@ impl ReisSystem {
     /// # }
     /// ```
     pub fn search(&mut self, db_id: u32, query: &[f32], k: usize) -> Result<SearchOutcome> {
-        self.run_query(db_id, query, k, None)
+        self.run_single(db_id, query, k, None)
     }
 
     /// `IVF_Search(Q, Qid, Did, k, R)`: IVF top-k search with a target
@@ -333,13 +315,8 @@ impl ReisSystem {
         target_recall: f64,
     ) -> Result<SearchOutcome> {
         let nlist = self.database(db_id)?.rivf.len();
-        if nlist == 0 {
-            return Err(ReisError::UnsupportedSearch(
-                "IVF_Search requires an IVF deployment".into(),
-            ));
-        }
         let nprobe = Self::nprobe_for_recall(nlist, target_recall);
-        self.run_query(db_id, query, k, Some(nprobe))
+        self.run_single(db_id, query, k, Some(nprobe))
     }
 
     /// IVF top-k search with an explicit `nprobe` (used by benchmarks that
@@ -347,7 +324,8 @@ impl ReisSystem {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ReisSystem::ivf_search`].
+    /// Same conditions as [`ReisSystem::ivf_search`], plus
+    /// [`ReisError::InvalidQuery`] for `nprobe = 0`.
     pub fn ivf_search_with_nprobe(
         &mut self,
         db_id: u32,
@@ -355,12 +333,29 @@ impl ReisSystem {
         k: usize,
         nprobe: usize,
     ) -> Result<SearchOutcome> {
-        if self.database(db_id)?.rivf.is_empty() {
-            return Err(ReisError::UnsupportedSearch(
-                "IVF_Search requires an IVF deployment".into(),
-            ));
-        }
-        self.run_query(db_id, query, k, Some(nprobe))
+        self.run_single(db_id, query, k, Some(nprobe))
+    }
+
+    /// Check a search request against a deployed database without running
+    /// it: exactly the validation every search entry point applies before
+    /// any device work (pass `nprobe: None` for a brute-force search). The
+    /// request pipelines call this at submission, so a malformed request is
+    /// refused to its own submitter instead of failing the batch it would
+    /// have ridden in.
+    ///
+    /// # Errors
+    ///
+    /// The error the search itself would raise:
+    /// [`ReisError::DatabaseNotDeployed`], [`ReisError::UnsupportedSearch`],
+    /// [`ReisError::QueryDimensionMismatch`] or [`ReisError::InvalidQuery`].
+    pub fn validate_search(
+        &self,
+        db_id: u32,
+        query: &[f32],
+        k: usize,
+        nprobe: Option<usize>,
+    ) -> Result<()> {
+        scan::validate(self.database(db_id)?, &[query], k, nprobe)
     }
 
     /// Insert one entry into a deployed database and return its assigned
@@ -716,79 +711,75 @@ impl ReisSystem {
             .gauge_set(GaugeId::DatabasesDeployed, self.databases.len() as u64);
     }
 
-    /// Single-query execution. When the configured [`ScanParallelism`] is
-    /// the constructor default (sequential) and no batch is in flight —
-    /// which is always true here, since batches run through
-    /// [`ReisSystem::search_batch`] — the fine scan is auto-sharded across
-    /// up to `available_parallelism` channel/die workers: a latency-only
-    /// optimization whose results, activity and modelled latency are
-    /// bit-identical to the sequential scan. Adapting scans shard too —
-    /// their windowed threshold schedule is a pure function of page order,
-    /// so even the transferred-entry counts are machine-invariant (see
-    /// [`AdaptiveFiltering`](crate::config::AdaptiveFiltering)). An
-    /// explicitly configured parallelism — including
-    /// [`ScanParallelism::pinned_sequential`] — is used as-is.
-    fn run_query(
+    /// Hand a request to the scan core on this system's device.
+    /// `shard_budget` is what [`ScanParallelism::auto`] resolves to for it.
+    pub(crate) fn execute(
+        &mut self,
+        db_id: u32,
+        config: ReisConfig,
+        shard_budget: usize,
+        request: &Request<'_>,
+    ) -> Result<Vec<Executed>> {
+        let db = self
+            .databases
+            .get(&db_id)
+            .ok_or(ReisError::DatabaseNotDeployed(db_id))?;
+        scan::execute(
+            ScanCtx {
+                config,
+                controller: &mut self.controller,
+                perf: &self.perf,
+                energy: &self.energy,
+                scratch: &mut self.scratch,
+                pool: &self.sched,
+                db,
+                telemetry: &self.telemetry,
+                shard_budget,
+            },
+            request,
+        )
+    }
+
+    /// A single query is a batch of one, sharded up to the host budget.
+    fn run_single(
         &mut self,
         db_id: u32,
         query: &[f32],
         k: usize,
         nprobe: Option<usize>,
     ) -> Result<SearchOutcome> {
-        let db = self
-            .databases
-            .get(&db_id)
-            .ok_or(ReisError::DatabaseNotDeployed(db_id))?;
-        let mut config = self.config;
-        if config.scan_parallelism.is_auto_default() {
-            config.scan_parallelism = ScanParallelism::sharded(self.auto_shards);
-        }
-        execute_query(
-            &config,
-            &mut self.controller,
-            &self.perf,
-            &self.energy,
-            &mut self.scratch,
-            &self.sched,
-            db,
-            query,
+        let request = Request {
+            queries: &[query],
             k,
             nprobe,
-            &self.telemetry,
-            "search",
-        )
+            finish: Finish::Documents,
+            kind: "search",
+        };
+        let mut executed = self.execute(db_id, self.config, self.auto_shards, &request)?;
+        Ok(executed.pop().expect("one outcome per query").outcome)
     }
 
     /// `Search` over a whole batch of independent queries.
     ///
-    /// By default ([`BatchFusion::Fused`]) the batch executes page-major on
-    /// the *shared* device: the union of the batch's probed pages is
-    /// computed up front, each distinct page is sensed once, and the fused
-    /// multi-query kernel scores it against every query whose selection
-    /// covers it — the same sense-amortization REIS applies to in-flight
-    /// query batches. The fused pass additionally shards across up to
-    /// `workers` (capped at the host's parallelism) channel/die workers —
-    /// adaptive scans included, chunked at their window barriers — and
-    /// per-query results, documents, activity and
+    /// The batch executes page-major on the shared device: the union of the
+    /// batch's probed pages is computed up front, each distinct page is
+    /// sensed once, and the fused multi-query kernel scores it against every
+    /// query whose selection covers it — the same sense-amortization REIS
+    /// applies to in-flight query batches. The scan additionally shards
+    /// across up to `workers` (capped at the host's parallelism)
+    /// channel/die workers — adaptive scans included, chunked at their
+    /// window barriers — unless the configured [`ScanParallelism`] names a
+    /// shard count of its own. Per-query results, documents, activity and
     /// modelled latency/energy are bit-identical to running
-    /// [`ReisSystem::search`] sequentially; only the device-level sense
-    /// count (and the wall clock) shrinks. The physical scan activity is
-    /// folded into the primary controller with each page counted as sensed
-    /// once.
-    ///
-    /// With [`BatchFusion::Replicas`] (or when the embedding regions are
-    /// not error-free to read) the pre-fusion path runs instead: up to
-    /// `workers` threads each own a copy-on-write replica of the device and
-    /// execute their chunk of queries independently, re-sensing every page
-    /// per query; the workers' flash, DRAM and ECC activity is merged back
-    /// into the primary controller afterwards. Either way, only the raw
-    /// error-injection statistics may differ from the sequential run, since
-    /// TLC rerank reads draw from different points of the error stream.
+    /// [`ReisSystem::search`] per query; only the device-level sense count
+    /// (and the wall clock) shrinks. Only the raw error-injection statistics
+    /// may differ from the one-by-one run, since TLC rerank reads draw from
+    /// different points of the error stream.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ReisSystem::search`]; the first failing query's
-    /// error (in query order) is returned.
+    /// Same conditions as [`ReisSystem::search`]; a malformed query fails the
+    /// whole batch before any device work.
     pub fn search_batch(
         &mut self,
         db_id: u32,
@@ -800,8 +791,7 @@ impl ReisSystem {
     }
 
     /// `IVF_Search` over a batch of independent queries with a target
-    /// recall, executed in parallel across up to `workers` threads (see
-    /// [`ReisSystem::search_batch`]).
+    /// recall (see [`ReisSystem::search_batch`]).
     ///
     /// # Errors
     ///
@@ -815,11 +805,6 @@ impl ReisSystem {
         workers: usize,
     ) -> Result<Vec<SearchOutcome>> {
         let nlist = self.database(db_id)?.rivf.len();
-        if nlist == 0 {
-            return Err(ReisError::UnsupportedSearch(
-                "IVF_Search requires an IVF deployment".into(),
-            ));
-        }
         let nprobe = Self::nprobe_for_recall(nlist, target_recall);
         self.run_batch(db_id, queries, k, Some(nprobe), workers)
     }
@@ -838,11 +823,6 @@ impl ReisSystem {
         nprobe: usize,
         workers: usize,
     ) -> Result<Vec<SearchOutcome>> {
-        if self.database(db_id)?.rivf.is_empty() {
-            return Err(ReisError::UnsupportedSearch(
-                "IVF_Search requires an IVF deployment".into(),
-            ));
-        }
         self.run_batch(db_id, queries, k, Some(nprobe), workers)
     }
 
@@ -854,402 +834,21 @@ impl ReisSystem {
         nprobe: Option<usize>,
         workers: usize,
     ) -> Result<Vec<SearchOutcome>> {
-        let db = self
-            .databases
-            .get(&db_id)
-            .ok_or(ReisError::DatabaseNotDeployed(db_id))?;
-        // Validate up front so a malformed query fails before threads spawn.
-        let dim = db.binary_quantizer.dim();
-        if let Some(bad) = queries.iter().find(|q| q.len() != dim) {
-            return Err(ReisError::QueryDimensionMismatch {
-                expected: dim,
-                actual: bad.len(),
-            });
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.telemetry.count(CounterId::Batches, 1);
-
-        // Page-major fused execution on the shared device (the default):
-        // every distinct probed page is sensed once and scored against all
-        // covering queries; per-query outcomes are bit-identical to
-        // sequential search. Exactness of the borrowed page reads requires
-        // error-free embedding reads (ESP-SLC), the same gate the
-        // intra-query shard path applies; otherwise — or when configured —
-        // fall back to the per-worker replica path below.
-        let embedding_scheme = self
-            .controller
-            .hybrid_policy()
-            .scheme_for(RegionKind::BinaryEmbeddings);
-        if self.config.batch_fusion == BatchFusion::Fused
-            && self
-                .controller
-                .device()
-                .read_is_error_free(embedding_scheme)
-        {
-            let shard_budget = workers.clamp(1, self.auto_shards.max(1));
+        let queries: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+        let request = Request {
+            queries: &queries,
+            k,
+            nprobe,
+            finish: Finish::Documents,
+            kind: "fused_batch",
+        };
+        let shard_budget = workers.clamp(1, self.auto_shards.max(1));
+        let executed = self.execute(db_id, self.config, shard_budget, &request)?;
+        if !executed.is_empty() {
+            self.telemetry.count(CounterId::Batches, 1);
             self.telemetry.count(CounterId::FusedBatches, 1);
-            return fused::execute_batch_fused(
-                &self.config,
-                &mut self.controller,
-                &self.perf,
-                &self.energy,
-                &mut self.scratch,
-                &self.sched,
-                db,
-                queries,
-                k,
-                nprobe,
-                shard_budget,
-                &self.telemetry,
-            );
         }
-
-        let workers = workers.clamp(1, queries.len().max(1));
-        if workers == 1 {
-            return queries
-                .iter()
-                .map(|query| {
-                    execute_query(
-                        &self.config,
-                        &mut self.controller,
-                        &self.perf,
-                        &self.energy,
-                        &mut self.scratch,
-                        &self.sched,
-                        db,
-                        query,
-                        k,
-                        nprobe,
-                        &self.telemetry,
-                        "batch",
-                    )
-                })
-                .collect();
-        }
-
-        // Latch contents are per-query scratch; dropping them first makes the
-        // per-worker clones (copy-on-write over the flash blocks) nearly
-        // free, so batch throughput scales with the worker count instead of
-        // being dominated by device copies.
-        self.controller.device_mut().clear_all_latches();
-        let config = &self.config;
-        let perf = &self.perf;
-        let energy = &self.energy;
-        let telemetry = &self.telemetry;
-        let controller = &self.controller;
-        let sched = &self.sched;
-        let worker_scratch = &self.worker_scratch;
-        let activity_before = controller.activity_snapshot();
-        let chunk_len = queries.len().div_ceil(workers);
-
-        // One replica worker's chunk: its own copy-on-write device replica,
-        // a re-seeded error RNG (decorrelating the workers' injected error
-        // streams, which would otherwise all replay the primary's) and the
-        // scratch the caller hands it. No state is shared between queries
-        // in flight; the chunking and the seed depend only on the worker
-        // *number*, so both executors compute identical outcomes.
-        let run_chunk = |worker: usize, chunk: &[Vec<f32>], scratch: &mut ScanScratch| {
-            let mut replica = controller.clone();
-            replica.device_mut().reseed_error_rng(
-                0x9E37_79B9_7F4A_7C15 ^ activity_before.flash.page_reads ^ ((worker as u64) << 32),
-            );
-            let outcomes: Vec<Result<SearchOutcome>> = chunk
-                .iter()
-                .map(|query| {
-                    execute_query(
-                        config,
-                        &mut replica,
-                        perf,
-                        energy,
-                        scratch,
-                        sched,
-                        db,
-                        query,
-                        k,
-                        nprobe,
-                        telemetry,
-                        "batch",
-                    )
-                })
-                .collect();
-            WorkerOutput {
-                outcomes,
-                activity: replica.activity_since(&activity_before),
-            }
-        };
-        let run_chunk = &run_chunk;
-
-        let mut worker_outputs: Vec<WorkerOutput> = match self.config.scan_executor {
-            // Queue one task per chunk on the persistent pool. Each task
-            // reuses its worker's long-lived scratch (warm buffers across
-            // batches); when every slot is momentarily held — possible
-            // while a waiting worker helps run a sibling chunk — it falls
-            // back to a temporary scratch, which cannot affect results.
-            ScanExecutor::Pooled => {
-                let chunks: Vec<_> = queries.chunks(chunk_len).enumerate().collect();
-                let mut outputs: Vec<Option<WorkerOutput>> =
-                    (0..chunks.len()).map(|_| None).collect();
-                sched
-                    .scope(|scope| {
-                        for ((worker, chunk), output) in chunks.into_iter().zip(outputs.iter_mut())
-                        {
-                            scope.spawn(move |ctx| {
-                                let mut guard = worker_scratch.acquire(ctx);
-                                let mut temp;
-                                let scratch: &mut ScanScratch = match guard.as_deref_mut() {
-                                    Some(slot) => slot,
-                                    None => {
-                                        temp = ScanScratch::new();
-                                        &mut temp
-                                    }
-                                };
-                                *output = Some(run_chunk(worker, chunk, scratch));
-                            });
-                        }
-                    })
-                    .map_err(|panic| ReisError::WorkerPanic(panic.message))?;
-                outputs
-                    .into_iter()
-                    .map(|output| output.expect("scope waits for every chunk task"))
-                    .collect()
-            }
-            ScanExecutor::SpawnScoped => std::thread::scope(|scope| {
-                let handles: Vec<_> = queries
-                    .chunks(chunk_len)
-                    .enumerate()
-                    .map(|(worker, chunk)| {
-                        scope.spawn(move || {
-                            let mut scratch = ScanScratch::new();
-                            run_chunk(worker, chunk, &mut scratch)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batch worker panicked"))
-                    .collect()
-            }),
-        };
-
-        // Merge every worker's flash, DRAM and ECC activity into the primary
-        // controller before surfacing any per-query error: even a failing
-        // batch performed real work on the replicas, and the primary's
-        // counters stay authoritative for monitoring.
-        for output in &worker_outputs {
-            self.controller.absorb_activity(&output.activity);
-        }
-
-        let mut outcomes = Vec::with_capacity(queries.len());
-        for output in worker_outputs.drain(..) {
-            for outcome in output.outcomes {
-                outcomes.push(outcome?);
-            }
-        }
-        Ok(outcomes)
-    }
-}
-
-/// Per-worker products of one batch-search chunk: the query outcomes plus
-/// the controller-activity delta to merge back into the primary.
-struct WorkerOutput {
-    outcomes: Vec<Result<SearchOutcome>>,
-    activity: ControllerActivity,
-}
-
-/// Execute one query against a deployed database on the given controller.
-///
-/// This is the shared body of the sequential and batched search paths: the
-/// caller supplies the controller (the system's own, or a per-worker
-/// replica) and the [`ScanScratch`] to reuse.
-#[allow(clippy::too_many_arguments)]
-fn execute_query(
-    config: &ReisConfig,
-    controller: &mut SsdController,
-    perf: &PerfModel,
-    energy: &EnergyModel,
-    scratch: &mut ScanScratch,
-    pool: &WorkerPool,
-    db: &DeployedDatabase,
-    query: &[f32],
-    k: usize,
-    nprobe: Option<usize>,
-    telemetry: &Telemetry,
-    kind: &'static str,
-) -> Result<SearchOutcome> {
-    let dim = db.binary_quantizer.dim();
-    if query.len() != dim {
-        return Err(ReisError::QueryDimensionMismatch {
-            expected: dim,
-            actual: query.len(),
-        });
-    }
-    let query_binary = db.binary_quantizer.quantize(query)?;
-    let query_int8 = db.int8_quantizer.quantize(query)?;
-
-    // Arm the scratch-side telemetry capture. Recording into the log
-    // happens at barrier/scan-end points on the driving thread and only
-    // *reads* counts the engine computed anyway, so execution is identical
-    // with telemetry on and off.
-    let enabled = telemetry.is_enabled();
-    scratch.record_windows = enabled;
-    scratch.window_log.clear();
-    scratch.explain_log = (enabled && telemetry.explain_armed()).then(Vec::new);
-    scratch.explain_window = 0;
-    let mut walls = StageWalls::default();
-    let mut mark = enabled.then(Instant::now);
-
-    let stats_before = *controller.device().stats();
-    let dram_before = controller.dram().bytes_read() + controller.dram().bytes_written();
-
-    let mut engine = InStorageEngine::new(controller, *config, scratch, pool);
-    engine.broadcast_query(db, &query_binary)?;
-    stamp(&mut mark, &mut walls.broadcast);
-
-    let (clusters, coarse_counts) = match nprobe {
-        Some(nprobe) => {
-            let (clusters, counts) = engine.coarse_search(db, nprobe)?;
-            (Some(clusters), counts)
-        }
-        None => (None, Default::default()),
-    };
-    stamp(&mut mark, &mut walls.coarse);
-
-    let candidate_count = engine.rerank_candidates(k);
-    let fine_counts =
-        engine.fine_search(db, &query_binary, clusters.as_deref(), candidate_count)?;
-    stamp(&mut mark, &mut walls.fine);
-    let num_candidates = engine.num_candidates();
-    let (results, int8_pages) = engine.rerank(db, &query_int8, k)?;
-    stamp(&mut mark, &mut walls.rerank);
-    let documents = engine.fetch_documents(db, &results)?;
-    stamp(&mut mark, &mut walls.doc_fetch);
-
-    let activity = engine.activity(
-        db,
-        coarse_counts,
-        fine_counts,
-        num_candidates,
-        int8_pages,
-        results.len(),
-        dim,
-    );
-    let latency = perf.query_latency(&activity, k);
-    let core_busy = perf.core_busy(&activity, k);
-    let flash_stats = controller.device().stats().delta_since(&stats_before);
-    let dram_bytes =
-        controller.dram().bytes_read() + controller.dram().bytes_written() - dram_before;
-    let energy = energy.query_energy(&flash_stats, dram_bytes, core_busy, latency.total());
-
-    let outcome = SearchOutcome {
-        results,
-        documents,
-        latency,
-        activity,
-        energy,
-        flash_stats,
-    };
-    if enabled {
-        let window_log = std::mem::take(&mut scratch.window_log);
-        let explain_log = scratch.explain_log.take();
-        record_query_telemetry(telemetry, kind, &walls, &window_log, explain_log, &outcome);
-        scratch.window_log = window_log;
-    }
-    Ok(outcome)
-}
-
-/// Wall-clock nanoseconds of each query stage (all zero when telemetry is
-/// disabled or a stage did not run on this path).
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct StageWalls {
-    pub(crate) broadcast: u64,
-    pub(crate) coarse: u64,
-    pub(crate) fine: u64,
-    pub(crate) rerank: u64,
-    pub(crate) doc_fetch: u64,
-}
-
-/// Advance a stage-timing mark: store the elapsed nanoseconds since the
-/// previous mark and restart the clock. No-op when timing is off.
-pub(crate) fn stamp(mark: &mut Option<Instant>, out: &mut u64) {
-    if let Some(t0) = mark {
-        *out = t0.elapsed().as_nanos() as u64;
-        *mark = Some(Instant::now());
-    }
-}
-
-/// Record one completed query into the telemetry handle: lifecycle
-/// counters, wall/modelled histograms, the trace-ring span record and the
-/// explain trace if one was armed. Shared by the sequential/replica path
-/// ([`execute_query`]) and the fused batch executor. No-op when disabled.
-pub(crate) fn record_query_telemetry(
-    telemetry: &Telemetry,
-    kind: &'static str,
-    walls: &StageWalls,
-    window_log: &[u64],
-    explain_log: Option<Vec<ExplainEvent>>,
-    outcome: &SearchOutcome,
-) {
-    if !telemetry.is_enabled() {
-        return;
-    }
-    let activity = &outcome.activity;
-    let latency = &outcome.latency;
-    telemetry.count(CounterId::Queries, 1);
-    telemetry.count(CounterId::CoarsePages, activity.coarse_pages as u64);
-    telemetry.count(CounterId::FinePages, activity.fine_pages as u64);
-    telemetry.count(CounterId::FineEntries, activity.fine_entries as u64);
-    telemetry.count(CounterId::FineWindows, activity.fine_windows as u64);
-    telemetry.count(
-        CounterId::RerankCandidates,
-        activity.rerank_candidates as u64,
-    );
-    telemetry.count(CounterId::DocumentsFetched, activity.documents as u64);
-    telemetry.count(CounterId::FlashSenses, outcome.flash_stats.page_reads);
-    for &entries in window_log {
-        telemetry.count(CounterId::WindowEntries, entries);
-        telemetry.observe(HistogramId::WindowEntriesPerWindow, entries);
-    }
-    let wall_total = walls.broadcast + walls.coarse + walls.fine + walls.rerank + walls.doc_fetch;
-    telemetry.observe(HistogramId::QueryWallNs, wall_total);
-    telemetry.observe(HistogramId::QueryModelledNs, latency.total().as_nanos());
-    telemetry.observe(
-        HistogramId::CoarseModelledNs,
-        latency.coarse_scan.as_nanos(),
-    );
-    telemetry.observe(HistogramId::FineModelledNs, latency.fine_scan.as_nanos());
-    telemetry.observe(HistogramId::RerankModelledNs, latency.rerank.as_nanos());
-    telemetry.observe(
-        HistogramId::DocFetchModelledNs,
-        latency.document_fetch.as_nanos(),
-    );
-    let sequence = telemetry.next_sequence();
-    telemetry.record_trace(QueryTrace {
-        sequence,
-        kind,
-        spans: vec![
-            span("broadcast", walls.broadcast, latency.input_broadcast),
-            span("coarse_scan", walls.coarse, latency.coarse_scan),
-            span("fine_scan", walls.fine, latency.fine_scan),
-            span("select", 0, latency.select),
-            span("rerank", walls.rerank, latency.rerank),
-            span("doc_fetch", walls.doc_fetch, latency.document_fetch),
-            span("host_transfer", 0, latency.host_transfer),
-        ],
-    });
-    if let Some(events) = explain_log {
-        telemetry.record_explain(ExplainTrace { sequence, events });
-    }
-}
-
-/// A lifecycle span with both clocks (see [`reis_telemetry::Span`]).
-fn span(stage: &'static str, wall_ns: u64, modelled: Nanos) -> Span {
-    Span {
-        stage,
-        index: 0,
-        wall_ns,
-        modelled_ns: modelled.as_nanos(),
+        Ok(executed.into_iter().map(|e| e.outcome).collect())
     }
 }
 
@@ -1416,37 +1015,10 @@ mod tests {
     }
 
     #[test]
-    fn ivf_search_batch_matches_sequential_and_merges_stats() {
-        // Replica mode: every query re-senses its own pages, so the merged
-        // device delta equals the per-query sum exactly.
-        let config = ReisConfig::tiny().with_batch_fusion(crate::config::BatchFusion::Replicas);
-        let mut system = ReisSystem::new(config);
-        let (id, vectors) = deploy_ivf(&mut system, 160, 64, 8);
-        let queries: Vec<Vec<f32>> = (0..6).map(|q| vectors[q * 19].clone()).collect();
-        let sequential: Vec<_> = queries
-            .iter()
-            .map(|q| system.ivf_search_with_nprobe(id, q, 10, 4).unwrap())
-            .collect();
-        let before = *system.controller().device().stats();
-        let batch = system
-            .ivf_search_batch_with_nprobe(id, &queries, 10, 4, 3)
-            .unwrap();
-        for (b, s) in batch.iter().zip(&sequential) {
-            assert_eq!(b.result_ids(), s.result_ids());
-            assert_eq!(b.documents, s.documents);
-        }
-        // The workers' flash activity is folded back into the primary device.
-        let delta = system.controller().device().stats().delta_since(&before);
-        let per_query: u64 = batch.iter().map(|o| o.flash_stats.page_reads).sum();
-        assert_eq!(delta.page_reads, per_query);
-        assert!(delta.page_reads > 0);
-    }
-
-    #[test]
     fn fused_batch_amortizes_senses_but_reports_per_query_activity() {
-        // Fused mode (the default): per-query outcomes are unchanged, but
-        // the device senses the shared pages once for the whole batch, so
-        // the merged delta is strictly below the per-query sum.
+        // Per-query outcomes are those of one-by-one searches, but the device
+        // senses the shared pages once for the whole batch, so the merged
+        // delta is strictly below the per-query sum.
         let mut system = ReisSystem::new(ReisConfig::tiny());
         let (id, vectors) = deploy_ivf(&mut system, 160, 64, 8);
         let queries: Vec<Vec<f32>> = (0..6).map(|q| vectors[q * 19].clone()).collect();
@@ -1500,8 +1072,7 @@ mod tests {
     /// Equality of everything a query computes. The raw
     /// `injected_bit_errors` counter is exempt: it reflects the device RNG's
     /// position, which depends on the *history* of TLC reads on that device,
-    /// not on how the scan of the compared query was parallelized (the batch
-    /// path documents the same exemption for its worker replicas).
+    /// not on how the scan of the compared query was parallelized.
     fn assert_outcome_eq(a: &SearchOutcome, b: &SearchOutcome, ctx: &str) {
         assert_eq!(a.results, b.results, "results: {ctx}");
         assert_eq!(a.documents, b.documents, "documents: {ctx}");
@@ -1558,18 +1129,17 @@ mod tests {
         );
         let sharded = system.search(id, &vectors[11], 5).unwrap();
         assert_outcome_eq(&baseline, &sharded, "sharded after reconfigure");
-        system.set_scan_parallelism(crate::config::ScanParallelism::pinned_sequential());
+        system.set_scan_parallelism(crate::config::ScanParallelism::sequential());
         let again = system.search(id, &vectors[11], 5).unwrap();
         assert_outcome_eq(&again, &baseline, "sequential after reconfigure");
     }
 
     #[test]
     fn batch_workers_compose_with_intra_query_shards() {
-        // Pin the replica batch path: this test is about replica workers
-        // each driving their own intra-query shards (fused composition is
-        // covered by the fused test suite).
+        // An explicit shard count in the configuration wins over the batch's
+        // `workers` cap; either way the batch answers like its queries do
+        // one by one.
         let config = ReisConfig::tiny()
-            .with_batch_fusion(crate::config::BatchFusion::Replicas)
             .with_adaptive_filtering(false)
             .with_scan_parallelism(
                 crate::config::ScanParallelism::sharded(2).with_min_pages_per_shard(1),
@@ -1592,16 +1162,16 @@ mod tests {
 
     #[test]
     fn auto_sharded_default_search_matches_forced_sequential() {
-        // The constructor default is ScanParallelism::sequential(), which
-        // single-query search upgrades to sharded(available_parallelism).
-        // A config that pins the scan sequential (one shard, unreachable
-        // minimum) must produce bit-identical outcomes on every machine.
+        // The constructor default is ScanParallelism::auto(), which shards a
+        // single query up to the host's parallelism. A config that pins the
+        // scan to one shard must produce bit-identical outcomes on every
+        // machine.
         let vectors = clustered_vectors(160, 64);
         let db = VectorDatabase::ivf(&vectors, documents(160), 8).unwrap();
         let mut auto = ReisSystem::new(ReisConfig::tiny());
         let auto_id = auto.deploy(&db).unwrap();
-        let pinned_config = ReisConfig::tiny()
-            .with_scan_parallelism(crate::config::ScanParallelism::pinned_sequential());
+        let pinned_config =
+            ReisConfig::tiny().with_scan_parallelism(crate::config::ScanParallelism::sequential());
         let mut pinned = ReisSystem::new(pinned_config);
         let pinned_id = pinned.deploy(&db).unwrap();
         for q in [0usize, 19, 57] {

@@ -3,8 +3,8 @@
 //! The adaptive threshold schedule tightens only at fixed page-count window
 //! barriers of a scan's deterministic page list, so an adapting scan must
 //! produce bit-identical results, documents, modelled latency/activity *and
-//! transferred-entry counts* across `ScanParallelism::{pinned sequential,
-//! sharded}` and `BatchFusion::Fused`, on every machine, including over
+//! transferred-entry counts* across `ScanParallelism::{sequential, sharded}`
+//! and batch sizes, on every machine, including over
 //! mutated and compacted indexes. This suite proves that with targeted
 //! window-barrier edge cases plus a randomized cross-mode identity
 //! property.
@@ -99,8 +99,8 @@ fn record_summary(test: &str, line: &str) {
 fn mode_configs(base: ReisConfig, shards: usize) -> [(&'static str, ReisConfig); 2] {
     [
         (
-            "pinned-sequential",
-            base.with_scan_parallelism(ScanParallelism::pinned_sequential()),
+            "sequential",
+            base.with_scan_parallelism(ScanParallelism::sequential()),
         ),
         (
             "sharded",
@@ -296,7 +296,7 @@ fn post_compaction_generation_swap_mid_window() {
 
 #[test]
 fn fused_adaptive_batch_matches_sequential_and_amortizes_senses() {
-    // The fused executor runs the same windowed schedule per query, so a
+    // A batch runs the same windowed schedule per query, so a
     // default-config (adaptive brute-force) batch is bit-identical per
     // query to sequential search while sensing shared pages once.
     let mut system = ReisSystem::new(ReisConfig::tiny());
@@ -328,8 +328,8 @@ fn fused_adaptive_batch_matches_sequential_and_amortizes_senses() {
 }
 
 proptest! {
-    /// Adaptive scans are bit-identical across {pinned sequential, sharded,
-    /// fused batch} over random database shapes, window sizes and mutation
+    /// Adaptive scans are bit-identical across {sequential, sharded,
+    /// batched} over random database shapes, window sizes and mutation
     /// traces — and the transferred-entry / sense counts land in the
     /// determinism-gate summary so CI can diff them across forced
     /// parallelism budgets.
@@ -380,7 +380,7 @@ proptest! {
         };
 
         // The gate-sensitive leg: shard count pinned to the forced budget.
-        // `sharded(1)` is `pinned_sequential`, so a budget-1 gate run and a
+        // `sharded(1)` is `sequential`, so a budget-1 gate run and a
         // budget-4 run partition every window differently — their summary
         // equality is exactly the machine-invariance claim.
         let budget_mode = (
@@ -414,9 +414,9 @@ proptest! {
             }
         }
 
-        // Fused batch on a third fresh system (default BatchFusion::Fused
-        // with the default auto shard budget — exactly what
-        // REIS_TEST_PARALLELISM pins in the determinism gate).
+        // Batches on a third fresh system (with the default auto shard
+        // budget — exactly what REIS_TEST_PARALLELISM pins in the
+        // determinism gate).
         let mut fused = ReisSystem::new(base);
         let fused_id = fused.deploy(&db).expect("fused deploy");
         mutate(&mut fused, fused_id);

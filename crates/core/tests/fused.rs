@@ -1,5 +1,5 @@
-//! Correctness of the page-major fused batch executor: every query of a
-//! fused batch must produce the bit-identical outcome — results, documents,
+//! Correctness of page-major batches: every query of a batch must produce
+//! the bit-identical outcome — results, documents,
 //! activity counters, modelled latency and energy — of running that query
 //! alone through `ReisSystem::search` / `ivf_search`, across edge cases
 //! (batch of one, duplicate queries, candidate counts past the corpus
@@ -9,11 +9,10 @@
 use proptest::prelude::*;
 
 use reis_core::{
-    BatchFusion, CompactionPolicy, ReisConfig, ReisSystem, ScanParallelism, SearchOutcome,
-    VectorDatabase,
+    CompactionPolicy, ReisConfig, ReisSystem, ScanParallelism, SearchOutcome, VectorDatabase,
 };
 use reis_nand::Geometry;
-use reis_ssd::SsdConfig;
+use reis_ssd::{HybridPolicy, SsdConfig};
 
 fn vectors(n: usize, dim: usize) -> Vec<Vec<f32>> {
     (0..n)
@@ -250,24 +249,106 @@ fn fused_batch_composes_with_intra_query_sharding() {
     );
 }
 
+/// Eight well-separated clusters, so a few flipped bits in a sensed page
+/// cannot move an entry past its own cluster mates.
+fn clustered_vectors(n: usize, dim: usize) -> Vec<Vec<f32>> {
+    (0..n)
+        .map(|i| {
+            let cluster = i % 8;
+            (0..dim)
+                .map(|d| {
+                    let center = (((cluster * 37 + d * 11) % 19) as f32 - 9.0) / 2.0;
+                    let jitter = (((i * 13 + d * 7) % 11) as f32 - 5.0) / 25.0;
+                    center + jitter
+                })
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
-fn fused_and_replica_batches_return_identical_outcomes() {
-    let all = vectors(120, 64);
-    let db = VectorDatabase::ivf(&all, documents(120), 6).unwrap();
-    let queries: Vec<Vec<f32>> = (0..5).map(|q| all[q * 21].clone()).collect();
-    let mut fused = ReisSystem::new(ReisConfig::tiny());
-    let fused_id = fused.deploy(&db).unwrap();
-    let mut replicas = ReisSystem::new(ReisConfig::tiny().with_batch_fusion(BatchFusion::Replicas));
-    let replica_id = replicas.deploy(&db).unwrap();
-    let a = fused.search_batch(fused_id, &queries, 5, 3).unwrap();
-    let b = replicas.search_batch(replica_id, &queries, 5, 3).unwrap();
-    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_outcome_eq(x, y, &format!("fused vs replicas, query {i}"));
-    }
+fn error_injecting_embedding_reads_take_the_latch_reader() {
+    // With every region in TLC the embedding pages no longer read
+    // error-free, so the scan must sense them through the plane latches —
+    // the core's second page reader — for the injected errors to reach the
+    // scored bytes. Single searches and batches both run on it, on the
+    // system's own device.
+    let tlc = |parallelism| ReisConfig {
+        ssd: SsdConfig {
+            hybrid: HybridPolicy::all_tlc(),
+            ..SsdConfig::tiny()
+        },
+        ..ReisConfig::tiny().with_scan_parallelism(parallelism)
+    };
+    let all = clustered_vectors(160, 64);
+    let db = VectorDatabase::ivf(&all, documents(160), 8).unwrap();
+    let queries: Vec<Vec<f32>> = (0..5).map(|q| all[q * 21 + 3].clone()).collect();
+
+    let run = |parallelism| {
+        let mut system = ReisSystem::new(tlc(parallelism));
+        let id = system.deploy(&db).unwrap();
+        let ecc_before = system.controller().ecc().pages_decoded();
+        let before = *system.controller().device().stats();
+        let mut outcomes = Vec::new();
+        for (q, query) in queries.iter().enumerate() {
+            let single = system.search(id, query, 5).expect("single search");
+            assert_eq!(single.results[0].id, q * 21 + 3, "self-hit, query {q}");
+            assert_eq!(
+                single.documents[0],
+                format!("doc {}", q * 21 + 3).as_bytes()
+            );
+            outcomes.push(single);
+        }
+        let single_delta = system.controller().device().stats().delta_since(&before);
+        assert!(single_delta.page_reads > 0);
+        assert!(
+            single_delta.injected_bit_errors > 0,
+            "the scan must sense through the error-injecting read path"
+        );
+        assert!(system.controller().ecc().pages_decoded() > ecc_before);
+
+        let before = *system.controller().device().stats();
+        for batch in [
+            system.search_batch(id, &queries, 5, 4).expect("bf batch"),
+            system
+                .ivf_search_batch_with_nprobe(id, &queries, 5, 4, 4)
+                .expect("ivf batch"),
+        ] {
+            for (q, outcome) in batch.iter().enumerate() {
+                assert_eq!(
+                    outcome.results[0].id,
+                    q * 21 + 3,
+                    "batch self-hit, query {q}"
+                );
+            }
+            outcomes.extend(batch);
+        }
+        // The batch ran on this device (no replica to merge back from):
+        // its senses moved the device's own counters and error stream, each
+        // shared page sensed once for the whole batch.
+        let batch_delta = system.controller().device().stats().delta_since(&before);
+        let per_query: u64 = outcomes[queries.len()..]
+            .iter()
+            .map(|o| o.flash_stats.page_reads)
+            .sum();
+        assert!(batch_delta.page_reads > 0 && batch_delta.page_reads < per_query);
+        assert!(batch_delta.injected_bit_errors > 0);
+        (outcomes, *system.controller().device().stats())
+    };
+
+    // The latch reader mutates the device, so it runs on one shard whatever
+    // the configuration asks for: a sharded configuration queues no pool
+    // task and replays the sequential run exactly — down to the position of
+    // the device's error-injection stream, which any stored-page (shardable)
+    // read of an embedding page would have skipped.
+    let (sequential, sequential_stats) = run(ScanParallelism::sequential());
+    let (sharded, sharded_stats) = run(ScanParallelism::sharded(4).with_min_pages_per_shard(1));
+    assert_eq!(sequential, sharded);
+    assert_eq!(sequential_stats, sharded_stats);
 }
 
 proptest! {
-    /// The fused batch executor is bit-identical to per-query sequential
+    /// A batch is bit-identical to per-query sequential
     /// search across random flash geometries, database shapes, mutation
     /// traces and scan-parallelism settings, for both brute-force and IVF
     /// batches.

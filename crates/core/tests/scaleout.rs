@@ -7,8 +7,7 @@
 //! single device's, because leaf scans pin the static distance threshold,
 //! which is partition-invariant). This suite proves that for leaf counts
 //! {1, 2, 3, 5, 8}, for fresh flat and IVF deployments, under sequential,
-//! sharded and auto-defaulted scan parallelism and both batch-fusion
-//! modes, across random mutation traces (pre- and post-compaction),
+//! sharded and auto-defaulted scan parallelism, across random mutation traces (pre- and post-compaction),
 //! through hedged straggler schedules, and across per-leaf crash points
 //! with recovery from each leaf's durable prefix.
 //!
@@ -27,8 +26,8 @@ use proptest::prelude::*;
 
 use reis_cluster::{ClusterSystem, HedgePolicy, LatencyModel};
 use reis_core::{
-    BatchFusion, CompactionPolicy, DurableStore, FaultVfs, MemVfs, ReisConfig, ReisSystem,
-    ScanParallelism, SearchOutcome, VectorDatabase,
+    CompactionPolicy, DurableStore, FaultVfs, MemVfs, ReisConfig, ReisSystem, ScanParallelism,
+    SearchOutcome, VectorDatabase,
 };
 use reis_nand::Nanos;
 use reis_workloads::LeafCrashSchedule;
@@ -125,63 +124,54 @@ fn modes() -> [(&'static str, ReisConfig); 3] {
     ]
 }
 
-/// Fresh flat deployments: every leaf count, every parallelism mode, both
-/// batch-fusion settings, single and batched queries.
+/// Fresh flat deployments: every leaf count, every parallelism mode, single
+/// and batched queries.
 #[test]
 fn fresh_flat_cluster_matches_single_device() {
     let (vectors, documents) = corpus(48);
     let queries: Vec<Vec<f32>> = (0..4u32).map(|q| vector_for(900 + q, 17)).collect();
 
     for (mode, config) in modes() {
-        for fusion in [BatchFusion::Fused, BatchFusion::Replicas] {
-            let config = config.with_batch_fusion(fusion);
-            let mut single = ReisSystem::new(config.with_adaptive_filtering(false));
-            let db = single
-                .deploy(&VectorDatabase::flat(&vectors, documents.clone()).unwrap())
-                .unwrap();
+        let mut single = ReisSystem::new(config.with_adaptive_filtering(false));
+        let db = single
+            .deploy(&VectorDatabase::flat(&vectors, documents.clone()).unwrap())
+            .unwrap();
 
-            for leaves in LEAF_COUNTS {
-                let mut cluster = ClusterSystem::new(config, leaves).unwrap();
-                cluster.deploy_flat(&vectors, &documents).unwrap();
+        for leaves in LEAF_COUNTS {
+            let mut cluster = ClusterSystem::new(config, leaves).unwrap();
+            cluster.deploy_flat(&vectors, &documents).unwrap();
 
-                for (q, query) in queries.iter().enumerate() {
-                    let a = cluster.search(query, 6).unwrap();
-                    let b = single.search(db, query, 6).unwrap();
-                    let ctx = format!("{mode}/{fusion:?}/{leaves} leaves/query {q}");
-                    assert_cluster_matches(&a, &b, &ctx);
-                    if fusion == BatchFusion::Fused {
-                        record_summary(
-                            "scaleout_fresh_flat",
-                            &format!(
-                                "{mode} leaves={leaves} q={q} ids={:?} fine={} cut={}",
-                                a.results.iter().map(|n| n.id).collect::<Vec<_>>(),
-                                a.activity.activity.fine_entries,
-                                a.activity.cut_candidates
-                            ),
-                        );
-                    }
-                }
-
-                // Batched fan-out must equal one-at-a-time fan-out.
-                let batch = cluster.search_batch(&queries, 6, None).unwrap();
-                for (q, (b_out, query)) in batch.iter().zip(&queries).enumerate() {
-                    let s_out = single.search(db, query, 6).unwrap();
-                    assert_cluster_matches(
-                        b_out,
-                        &s_out,
-                        &format!("{mode}/{fusion:?}/{leaves} leaves/batch query {q}"),
-                    );
-                }
-
-                // k exceeding the corpus returns the full ranking.
-                let all = cluster.search(&queries[0], 60).unwrap();
-                let all_single = single.search(db, &queries[0], 60).unwrap();
-                assert_cluster_matches(
-                    &all,
-                    &all_single,
-                    &format!("{mode}/{fusion:?}/{leaves} leaves/k=60"),
+            for (q, query) in queries.iter().enumerate() {
+                let a = cluster.search(query, 6).unwrap();
+                let b = single.search(db, query, 6).unwrap();
+                let ctx = format!("{mode}/{leaves} leaves/query {q}");
+                assert_cluster_matches(&a, &b, &ctx);
+                record_summary(
+                    "scaleout_fresh_flat",
+                    &format!(
+                        "{mode} leaves={leaves} q={q} ids={:?} fine={} cut={}",
+                        a.results.iter().map(|n| n.id).collect::<Vec<_>>(),
+                        a.activity.activity.fine_entries,
+                        a.activity.cut_candidates
+                    ),
                 );
             }
+
+            // Batched fan-out must equal one-at-a-time fan-out.
+            let batch = cluster.search_batch(&queries, 6, None).unwrap();
+            for (q, (b_out, query)) in batch.iter().zip(&queries).enumerate() {
+                let s_out = single.search(db, query, 6).unwrap();
+                assert_cluster_matches(
+                    b_out,
+                    &s_out,
+                    &format!("{mode}/{leaves} leaves/batch query {q}"),
+                );
+            }
+
+            // k exceeding the corpus returns the full ranking.
+            let all = cluster.search(&queries[0], 60).unwrap();
+            let all_single = single.search(db, &queries[0], 60).unwrap();
+            assert_cluster_matches(&all, &all_single, &format!("{mode}/{leaves} leaves/k=60"));
         }
     }
 }

@@ -1,16 +1,13 @@
 //! Scheduler identity: the persistent worker pool changes *when threads
 //! exist*, never *what a query returns*.
 //!
-//! PR-10 moved every parallel execution path — sharded scan windows, fused
-//! page chunks and replica batch workers — from scoped `std::thread` spawns
-//! onto one long-lived work-stealing pool (`reis-sched`), and added the
-//! asynchronous request [`Pipeline`] in front of the batch executors. Both
-//! are pure scheduling changes, so this suite proves the strongest claim
-//! available: results, documents, modelled latency/activity and
-//! transferred-entry accounting are bit-identical across
-//! `ScanExecutor::{Pooled, SpawnScoped}` × `ScanParallelism` ×
-//! `BatchFusion` × pool sizes, and a pipeline-formed batch answers exactly
-//! like a direct `search_batch` call.
+//! Every scan shard runs as a task on one long-lived work-stealing pool
+//! (`reis-sched`), and the asynchronous request [`Pipeline`] sits in front
+//! of the batched searches. Both are pure scheduling, so this suite proves
+//! the strongest claim available: results, documents, modelled
+//! latency/activity and transferred-entry accounting are bit-identical
+//! across `ScanParallelism` × batch size × pool sizes, and a
+//! pipeline-formed batch answers exactly like a direct `search_batch` call.
 //!
 //! # The scheduler CI gate
 //!
@@ -19,7 +16,7 @@
 //! four times crossing `REIS_TEST_PARALLELISM={1,4}` (the forced auto-shard
 //! budget) with `REIS_SCHED_WORKERS={1,4}` (the pool size) and diffs every
 //! leg against the first: any accounting that depends on how many workers
-//! the pool has — or on which executor ran the shards — fails the gate.
+//! the pool has — or on how the shards were cut — fails the gate.
 //! The pipeline property makes the diff sensitive to formation order
 //! because its summary records virtual completion times, which would shift
 //! if pool size leaked into batch formation.
@@ -29,9 +26,9 @@ use std::io::Write;
 use proptest::prelude::*;
 
 use reis_core::{
-    AdaptiveFiltering, BatchFusion, CompactionPolicy, LanePriority, PipelineConfig, PipelineReply,
-    PipelineRequest, ReisConfig, ReisError, ReisSystem, ScanExecutor, ScanParallelism,
-    SearchOutcome, VectorDatabase,
+    AdaptiveFiltering, CompactionPolicy, LanePriority, PipelineConfig, PipelineReply,
+    PipelineRequest, ReisConfig, ReisError, ReisSystem, ScanParallelism, SearchOutcome,
+    VectorDatabase,
 };
 use reis_workloads::ArrivalTrace;
 
@@ -198,6 +195,59 @@ fn pipeline_backpressure_sheds_then_recovers() {
 }
 
 #[test]
+fn pipeline_refuses_a_malformed_search_without_poisoning_its_batch() {
+    // Eight searches arrive inside one formation window; the fifth has the
+    // wrong dimensionality. It is refused to its own submitter at once, and
+    // the seven well-formed requests it would have been batched with
+    // complete exactly as direct searches do.
+    let all = vectors(96, 64, 12);
+    let db = VectorDatabase::flat(&all, documents(96)).unwrap();
+    let mut system = ReisSystem::new(ReisConfig::tiny());
+    let id = system.deploy(&db).unwrap();
+    let mut direct = ReisSystem::new(ReisConfig::tiny());
+    let direct_id = direct.deploy(&db).unwrap();
+
+    let mut pipeline = system.pipeline(id, PipelineConfig::default().with_max_batch(8));
+    let mut accepted: Vec<(u64, usize)> = Vec::new();
+    for i in 0..8usize {
+        let query = if i == 4 {
+            all[i * 9][..40].to_vec()
+        } else {
+            all[i * 9].clone()
+        };
+        let submitted = pipeline.submit(10 + i as u64, PipelineRequest::Search { query, k: 4 });
+        if i == 4 {
+            assert!(
+                matches!(
+                    submitted,
+                    Err(ReisError::QueryDimensionMismatch {
+                        expected: 64,
+                        actual: 40
+                    })
+                ),
+                "the malformed request must be refused at submission: {submitted:?}"
+            );
+        } else {
+            accepted.push((submitted.expect("well-formed request"), i));
+        }
+    }
+    assert_eq!(pipeline.shed(), 0, "a refused request is not a shed one");
+    assert_eq!(pipeline.queued(), 7);
+    pipeline.flush();
+    let completions = pipeline.drain_completions();
+    assert_eq!(completions.len(), 7);
+    for (completion, (request_id, i)) in completions.iter().zip(&accepted) {
+        assert_eq!(completion.request_id, *request_id);
+        assert_eq!(completion.batch_size, 7, "the seven rode in one batch");
+        let Ok(PipelineReply::Search(got)) = &completion.reply else {
+            panic!("request {i} was poisoned: {:?}", completion.reply);
+        };
+        let want = direct.search(direct_id, &all[i * 9], 4).unwrap();
+        assert_outcome_eq(got, &want, &format!("pipeline vs direct, request {i}"));
+    }
+}
+
+#[test]
 fn pipeline_mutations_first_gives_read_your_writes() {
     // Under MutationsFirst, a search batch never dispatches while an
     // earlier-arriving insert is queued: the search must see the insert.
@@ -244,34 +294,30 @@ fn pipeline_mutations_first_gives_read_your_writes() {
     );
 }
 
-/// Build the executor × parallelism legs the identity property compares.
-/// Every leg must agree with every other — and with itself across the
-/// gate's `REIS_SCHED_WORKERS` pool sizes.
+/// Build the parallelism legs the identity property compares. Every leg
+/// must agree with every other — and with itself across the gate's
+/// `REIS_SCHED_WORKERS` pool sizes.
 fn scheduler_mode_configs(base: ReisConfig, shards: usize) -> Vec<(String, ReisConfig)> {
-    let mut legs = Vec::new();
-    for (exec_name, executor) in [
-        ("pooled", ScanExecutor::Pooled),
-        ("spawn", ScanExecutor::SpawnScoped),
-    ] {
-        let with_exec = base.with_scan_executor(executor);
-        legs.push((
-            format!("{exec_name}/pinned-sequential"),
-            with_exec.with_scan_parallelism(ScanParallelism::pinned_sequential()),
-        ));
-        legs.push((
-            format!("{exec_name}/sharded"),
-            with_exec.with_scan_parallelism(
+    vec![
+        (
+            "sequential".into(),
+            base.with_scan_parallelism(ScanParallelism::sequential()),
+        ),
+        (
+            "sharded".into(),
+            base.with_scan_parallelism(
                 ScanParallelism::sharded(forced_budget(shards)).with_min_pages_per_shard(1),
             ),
-        ));
-    }
-    legs
+        ),
+    ]
 }
 
 proptest! {
     /// Searches and batch searches are bit-identical across
-    /// `ScanExecutor::{Pooled, SpawnScoped}` × `ScanParallelism` ×
-    /// `BatchFusion` over random database shapes and mutation traces. The
+    /// `ScanParallelism` settings over random database shapes and mutation
+    /// traces (the name predates the deletion of the spawn-per-window
+    /// executor and the replica batch path it also crossed; the scheduler
+    /// gate's diff step keys on it). The
     /// transferred-entry and sense accounting lands in the scheduler-gate
     /// summary, so CI additionally diffs it across forced shard budgets
     /// *and* pool sizes.
@@ -346,48 +392,29 @@ proptest! {
             }
         }
 
-        // Batch executors: the pooled fused batch, the pooled replica
-        // batch and the spawn-scoped replica batch must each be per-query
-        // bit-identical to the sequential reference.
-        let mut fused_senses = 0u64;
-        for (name, config) in [
-            ("pooled-fused", base.with_scan_executor(ScanExecutor::Pooled)),
-            (
-                "pooled-replicas",
-                base.with_scan_executor(ScanExecutor::Pooled)
-                    .with_batch_fusion(BatchFusion::Replicas),
-            ),
-            (
-                "spawn-replicas",
-                base.with_scan_executor(ScanExecutor::SpawnScoped)
-                    .with_batch_fusion(BatchFusion::Replicas),
-            ),
-        ] {
-            let mut system = ReisSystem::new(config);
-            let id = system.deploy(&db).expect("batch deploy");
-            mutate(&mut system, id);
-            let before = *system.controller().device().stats();
-            let bf = system
-                .search_batch(id, &queries, 1, shards)
-                .expect("bf batch");
-            if name == "pooled-fused" {
-                fused_senses = system
-                    .controller()
-                    .device()
-                    .stats()
-                    .delta_since(&before)
-                    .page_reads;
-            }
-            let ivf = system
-                .ivf_search_batch_with_nprobe(id, &queries, 1, nprobe, shards)
-                .expect("ivf batch");
-            for (i, (b, s)) in bf.iter().chain(&ivf).zip(reference).enumerate() {
-                assert_outcome_eq(b, s, &format!("{name} batch vs sequential, query {i}"));
-            }
+        // A batch must be per-query bit-identical to the one-by-one
+        // reference.
+        let mut system = ReisSystem::new(base);
+        let id = system.deploy(&db).expect("batch deploy");
+        mutate(&mut system, id);
+        let before = *system.controller().device().stats();
+        let bf = system
+            .search_batch(id, &queries, 1, shards)
+            .expect("bf batch");
+        let fused_senses = system
+            .controller()
+            .device()
+            .stats()
+            .delta_since(&before)
+            .page_reads;
+        let ivf = system
+            .ivf_search_batch_with_nprobe(id, &queries, 1, nprobe, shards)
+            .expect("ivf batch");
+        for (i, (b, s)) in bf.iter().chain(&ivf).zip(reference).enumerate() {
+            assert_outcome_eq(b, s, &format!("batch vs one by one, query {i}"));
         }
 
-        // Gate summary: identical regardless of executor, shard budget or
-        // pool size — that is precisely the scheduler-invariance claim.
+        // Gate summary: identical regardless of shard budget or pool size — that is precisely the scheduler-invariance claim.
         let entries_line: Vec<String> = reference
             .iter()
             .map(|o| format!("{}/{}", o.activity.fine_entries, o.activity.fine_windows))

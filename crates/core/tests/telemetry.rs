@@ -16,9 +16,7 @@
 use proptest::prelude::*;
 
 use reis_cluster::ClusterSystem;
-use reis_core::{
-    BatchFusion, CounterId, HistogramId, ReisConfig, ReisSystem, ScanParallelism, VectorDatabase,
-};
+use reis_core::{CounterId, HistogramId, ReisConfig, ReisSystem, ScanParallelism, VectorDatabase};
 
 const DIM: usize = 32;
 
@@ -96,15 +94,11 @@ proptest! {
     fn sense_counter_matches_flash_stats(
         entries in 24usize..80,
         salt in 0usize..1_000,
-        fused_flag in 0usize..2,
         workers in 1usize..4,
     ) {
         let (vectors, documents) = corpus(entries, salt);
         let db = VectorDatabase::flat(&vectors, documents).expect("valid database");
-        let fused = fused_flag == 1;
-        let fusion = if fused { BatchFusion::Fused } else { BatchFusion::Replicas };
-        let config = ReisConfig::tiny().with_batch_fusion(fusion);
-        let mut system = ReisSystem::new(config);
+        let mut system = ReisSystem::new(ReisConfig::tiny());
         system.enable_telemetry();
         let db_id = system.deploy(&db).expect("deploy");
 
@@ -121,7 +115,7 @@ proptest! {
         prop_assert_eq!(t.counter(CounterId::WindowEntries), fine_entries);
         prop_assert_eq!(t.counter(CounterId::Queries), outcomes.len() as u64);
         prop_assert_eq!(t.counter(CounterId::Batches), 1);
-        prop_assert_eq!(t.counter(CounterId::FusedBatches), u64::from(fused));
+        prop_assert_eq!(t.counter(CounterId::FusedBatches), 1);
     }
 
     /// Σ over leaves of each leaf's own `Queries` counter equals the
@@ -154,19 +148,16 @@ proptest! {
 
     /// Bit-identity: every field of every outcome — results, documents,
     /// activity, modelled latency, flash statistics — is identical with
-    /// telemetry enabled and disabled, across fusion modes and a mutation.
+    /// telemetry enabled and disabled, across shard budgets and a mutation.
     #[test]
     fn outcomes_identical_with_telemetry_on_and_off(
         entries in 24usize..80,
         salt in 0usize..1_000,
-        fused_flag in 0usize..2,
         workers in 1usize..4,
     ) {
         let (vectors, documents) = corpus(entries, salt);
         let db = VectorDatabase::flat(&vectors, documents).expect("valid database");
-        let fused = fused_flag == 1;
-        let fusion = if fused { BatchFusion::Fused } else { BatchFusion::Replicas };
-        let config = ReisConfig::tiny().with_batch_fusion(fusion);
+        let config = ReisConfig::tiny();
 
         let mut plain = ReisSystem::new(config);
         let mut observed = ReisSystem::new(config);

@@ -194,18 +194,11 @@ impl FlashDevice {
     }
 
     /// Merge externally measured operation counters into this device's
-    /// statistics. Batch search runs queries on per-worker device replicas;
-    /// their per-query deltas are folded back here so the primary device's
-    /// counters stay authoritative.
+    /// statistics. Scan shards read stored pages without touching the
+    /// device; the activity they performed is folded back here so the
+    /// device's counters stay authoritative.
     pub fn absorb_stats(&mut self, delta: &FlashStats) {
         self.stats.accumulate(delta);
-    }
-
-    /// Re-seed the read-error-injection generator. Cloned devices (batch
-    /// search workers) inherit the primary's RNG state; giving every replica
-    /// a distinct seed decorrelates their injected error streams.
-    pub fn reseed_error_rng(&mut self, seed: u64) {
-        self.rng = SplitMix64::new(seed);
     }
 
     fn plane_index(&self, addr: PlaneAddr) -> Result<usize> {
@@ -567,17 +560,6 @@ impl FlashDevice {
     pub fn transfer_to_controller(&mut self, bytes: usize) -> Nanos {
         self.stats.bytes_to_controller += bytes as u64;
         self.timing.channel_transfer(bytes)
-    }
-
-    /// Clear every plane's page buffer (all latches and OOB bytes).
-    ///
-    /// Latch contents are per-query scratch, not persistent state; clearing
-    /// them before cloning the device for batch-search workers keeps the
-    /// clones as cheap as the copy-on-write block sharing allows.
-    pub fn clear_all_latches(&mut self) {
-        for plane in &mut self.planes {
-            plane.buffer.clear();
-        }
     }
 
     /// Promote the sensing latch of a plane to its cache latch, freeing the

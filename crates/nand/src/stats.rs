@@ -47,8 +47,8 @@ impl FlashStats {
     ///
     /// This is the *physical* accounting of a page-major batch scan: the
     /// sense amortizes across the in-flight queries while the in-plane
-    /// compute still runs per query, which is exactly the asymmetry the
-    /// fused executor exploits.
+    /// compute still runs per query, which is exactly the asymmetry a
+    /// batched scan exploits.
     pub fn fused_scan(pages_sensed: u64, page_scores: u64, bytes_to_controller: u64) -> FlashStats {
         FlashStats {
             page_reads: pages_sensed,

@@ -2,10 +2,10 @@
 //!
 //! REIS's throughput case rests on keeping every channel/die busy while the
 //! host stays decoupled from device-side work. Before this crate, the engine
-//! spawned scoped threads anew for every adaptive scan window, every fused
-//! page chunk and every replica batch — and `BENCH_pr5.json` showed the
-//! per-window spawn/join overhead eating the sharding win at transfer-optimal
-//! window sizes. [`WorkerPool`] is the fix: a long-lived pool built on std
+//! spawned scoped threads anew for every adaptive scan window — and
+//! `BENCH_pr5.json` showed the per-window spawn/join overhead eating the
+//! sharding win at transfer-optimal window sizes. [`WorkerPool`] is the fix:
+//! a long-lived pool built on std
 //! primitives only, constructed once per [`ReisSystem`](../reis_core) and
 //! reused by every query path afterwards, so no query or mutation path
 //! creates threads after system construction.
@@ -24,13 +24,9 @@
 //!   under `catch_unwind`; the first panic is reported as a [`TaskPanic`]
 //!   value, poisoning neither the pool nor unrelated scopes.
 //! * **Help-while-waiting** — a thread waiting for its scope to drain runs
-//!   queued tasks itself instead of blocking. This keeps nested scopes (a
-//!   replica-batch task whose query opens a sharded-scan scope) deadlock-free
-//!   even on a one-worker pool, and lets pool size 1 make progress at all.
-//! * **Per-worker state affinity** — [`WorkerLocal`] keeps one slot per
-//!   worker (plus one for helping waiters) so hot scratch structures such as
-//!   `ScanScratch` stay warm on the worker that used them last, acquired with
-//!   a non-blocking protocol that can never deadlock under help-recursion.
+//!   queued tasks itself instead of blocking. This keeps nested scopes
+//!   deadlock-free even on a one-worker pool, and lets pool size 1 make
+//!   progress at all.
 //!
 //! Scheduling never influences *what* is computed: callers merge results in
 //! shard/worker order from slots they own, so results and logical accounting
@@ -44,6 +40,5 @@
 mod pool;
 
 pub use pool::{
-    parse_pool_size, pool_size_from_env, Scope, TaskPanic, WorkerContext, WorkerLocal, WorkerPool,
-    POOL_SIZE_ENV,
+    parse_pool_size, pool_size_from_env, Scope, TaskPanic, WorkerContext, WorkerPool, POOL_SIZE_ENV,
 };

@@ -5,7 +5,7 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -105,8 +105,8 @@ impl Shared {
 }
 
 /// The long-lived work-stealing worker pool. Constructed once (per
-/// `ReisSystem`); every scan window, fused chunk and replica batch executes
-/// on it afterwards through [`WorkerPool::scope`]. Dropping the pool shuts
+/// `ReisSystem`); every scan shard executes on it afterwards through
+/// [`WorkerPool::scope`]. Dropping the pool shuts
 /// the workers down and joins them.
 pub struct WorkerPool {
     shared: Arc<Shared>,
@@ -155,8 +155,7 @@ impl WorkerPool {
     }
 
     /// The context index used by threads that help while waiting on a
-    /// scope (one past the last worker index). [`WorkerLocal`] reserves a
-    /// slot for it.
+    /// scope (one past the last worker index).
     pub fn helper_index(&self) -> usize {
         self.handles.len()
     }
@@ -224,8 +223,7 @@ fn worker_main(shared: &Shared, index: usize) {
 }
 
 /// Identifies which pool thread is running a task: worker index, or
-/// [`WorkerPool::helper_index`] for a scope waiter helping out. Used by
-/// [`WorkerLocal`] to pick the preferred slot.
+/// [`WorkerPool::helper_index`] for a scope waiter helping out.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerContext {
     index: usize,
@@ -390,62 +388,6 @@ impl fmt::Display for TaskPanic {
 
 impl std::error::Error for TaskPanic {}
 
-/// One slot of mutable state per pool thread (workers plus the helping
-/// waiter), for scratch structures that should stay warm on the worker
-/// that used them last.
-///
-/// [`WorkerLocal::acquire`] never blocks: it tries the caller's own slot
-/// first, then the others. Under help-recursion one OS thread can hold
-/// several slots at once (a replica task helping runs a sibling replica
-/// task), so a blocking lock could self-deadlock — instead `acquire`
-/// returns `None` when every slot is busy and the caller falls back to a
-/// temporary. Scratch state never affects results, only allocation reuse,
-/// so the fallback is identity-safe.
-pub struct WorkerLocal<T> {
-    slots: Vec<Mutex<T>>,
-}
-
-impl<T> fmt::Debug for WorkerLocal<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WorkerLocal")
-            .field("slots", &self.slots.len())
-            .finish()
-    }
-}
-
-impl<T> WorkerLocal<T> {
-    /// One slot per pool thread: `pool.workers() + 1` (the extra one is the
-    /// helping waiter's, see [`WorkerPool::helper_index`]).
-    pub fn new(pool: &WorkerPool, mut init: impl FnMut(usize) -> T) -> Self {
-        Self {
-            slots: (0..=pool.workers()).map(|i| Mutex::new(init(i))).collect(),
-        }
-    }
-
-    /// Number of slots.
-    pub fn slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Exclusive iteration over every slot (no locking — requires `&mut`).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.slots.iter_mut().map(|m| m.get_mut().unwrap())
-    }
-
-    /// Borrow a slot without blocking, preferring the caller's own; `None`
-    /// if every slot is currently held (callers use a temporary then).
-    pub fn acquire(&self, ctx: &WorkerContext) -> Option<MutexGuard<'_, T>> {
-        let n = self.slots.len();
-        let home = ctx.index() % n;
-        for offset in 0..n {
-            if let Ok(guard) = self.slots[(home + offset) % n].try_lock() {
-                return Some(guard);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,30 +494,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(count.load(Ordering::Relaxed), 16);
-    }
-
-    #[test]
-    fn worker_local_slots_cover_all_contexts() {
-        let pool = WorkerPool::new(3);
-        let mut local: WorkerLocal<Vec<usize>> = WorkerLocal::new(&pool, |_| Vec::new());
-        assert_eq!(local.slots(), 4);
-        pool.scope(|s| {
-            for i in 0..32 {
-                let local = &local;
-                s.spawn(move |ctx| {
-                    assert!(ctx.index() < local.slots());
-                    let mut slot = local.acquire(ctx).expect("uncontended acquire");
-                    slot.push(i);
-                });
-            }
-        })
-        .unwrap();
-        let mut all: Vec<usize> = Vec::new();
-        for slot in local.iter_mut() {
-            all.append(slot);
-        }
-        all.sort_unstable();
-        assert_eq!(all, (0..32).collect::<Vec<_>>());
     }
 
     #[test]

@@ -20,8 +20,8 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum CounterId {
-    /// Single queries executed (`ReisSystem::search` and the per-query
-    /// legs of replica batches; fused batch members count here too).
+    /// Queries executed: every single search, every member of a batch and
+    /// every leaf query.
     Queries,
     /// Batched search calls.
     Batches,

@@ -38,7 +38,7 @@ pub mod stats;
 pub mod tombstone;
 
 pub use policy::CompactionPolicy;
-pub use segment::{RunCursor, RunSlice, SegmentEntry, SegmentStore, SlotRef};
+pub use segment::{SegmentEntry, SegmentStore, SlotRef};
 pub use stats::MutationStats;
 pub use tombstone::TombstoneSet;
 

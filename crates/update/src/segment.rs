@@ -214,111 +214,6 @@ impl SegmentStore {
     }
 }
 
-/// One contiguous page span of an embedding run, produced by windowing the
-/// deterministic run order (see [`RunCursor`]): scan pages
-/// `start..end` of `region`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunSlice {
-    /// The run region the span lives in.
-    pub region: StripedRegion,
-    /// First page offset of the span within the run.
-    pub start: usize,
-    /// One past the last page offset of the span within the run.
-    pub end: usize,
-}
-
-impl RunSlice {
-    /// Number of pages the span covers.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the span covers no pages.
-    pub fn is_empty(&self) -> bool {
-        self.start >= self.end
-    }
-}
-
-/// A cursor over the deterministic segment-run page order of one scan,
-/// handing out fixed page-count windows.
-///
-/// The windowed adaptive filter treats a scan's page list — base ranges
-/// followed by the probed clusters' segment runs — as one sequence and only
-/// tightens its threshold at fixed page-count barriers of that sequence.
-/// `RunCursor` is the segment half of that: [`RunCursor::reset`] pins the
-/// run order (clusters in probe order, runs in append order) and
-/// [`RunCursor::take_into`] slices off up to a window's worth of pages at a
-/// time, splitting windows across run boundaries as needed (a run shorter
-/// than the window simply contributes all its pages and the window
-/// continues into the next run).
-///
-/// The cursor owns its run list so it can be embedded in a reusable scan
-/// scratch; `reset` keeps the allocations.
-#[derive(Debug, Clone, Default)]
-pub struct RunCursor {
-    runs: Vec<StripedRegion>,
-    run: usize,
-    page: usize,
-}
-
-impl RunCursor {
-    /// An empty cursor (no runs; [`RunCursor::is_done`] is immediately
-    /// true).
-    pub fn new() -> Self {
-        RunCursor::default()
-    }
-
-    /// Re-point the cursor at the runs covering `clusters` of `store`, in
-    /// scan order, rewinding to the first page. Allocations are reused.
-    pub fn reset(&mut self, store: &SegmentStore, clusters: &[usize]) {
-        self.runs.clear();
-        self.runs.extend(store.ordered_runs(clusters).copied());
-        self.run = 0;
-        self.page = 0;
-    }
-
-    /// Whether every page of every run has been taken.
-    pub fn is_done(&self) -> bool {
-        self.runs[self.run..].iter().map(|r| r.len).sum::<usize>() <= self.page
-    }
-
-    /// Pages not yet taken.
-    pub fn remaining_pages(&self) -> usize {
-        let ahead: usize = self.runs[self.run..].iter().map(|r| r.len).sum();
-        ahead - self.page.min(ahead)
-    }
-
-    /// Take up to `budget` pages off the front of the remaining run order,
-    /// appending one [`RunSlice`] per maximal contiguous span to `out`, and
-    /// return how many pages were taken (less than `budget` only when the
-    /// runs are exhausted).
-    pub fn take_into(&mut self, budget: usize, out: &mut Vec<RunSlice>) -> usize {
-        let mut taken = 0usize;
-        while taken < budget && self.run < self.runs.len() {
-            let run = self.runs[self.run];
-            let remaining = run.len - self.page;
-            if remaining == 0 {
-                self.run += 1;
-                self.page = 0;
-                continue;
-            }
-            let take = remaining.min(budget - taken);
-            out.push(RunSlice {
-                region: run,
-                start: self.page,
-                end: self.page + take,
-            });
-            taken += take;
-            self.page += take;
-            if self.page == run.len {
-                self.run += 1;
-                self.page = 0;
-            }
-        }
-        taken
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,71 +250,6 @@ mod tests {
         assert_eq!(got, vec![b, c, a]);
         assert_eq!(store.ordered_run_pages(&[2, 0]), 7);
         assert_eq!(store.ordered_run_pages(&[1]), 0);
-    }
-
-    #[test]
-    fn run_cursor_windows_split_across_runs() {
-        let mut store = SegmentStore::new(2);
-        // Runs of 2, 1 and 4 pages: a 3-page window must stitch the first
-        // two runs together; a run shorter than the window never pads.
-        store.add_run(0, StripedRegion { start: 0, len: 2 });
-        store.add_run(0, StripedRegion { start: 2, len: 1 });
-        store.add_run(1, StripedRegion { start: 3, len: 4 });
-        let mut cursor = RunCursor::new();
-        cursor.reset(&store, &[0, 1]);
-        assert_eq!(cursor.remaining_pages(), 7);
-        assert!(!cursor.is_done());
-
-        let mut out = Vec::new();
-        assert_eq!(cursor.take_into(3, &mut out), 3);
-        assert_eq!(
-            out,
-            vec![
-                RunSlice {
-                    region: StripedRegion { start: 0, len: 2 },
-                    start: 0,
-                    end: 2
-                },
-                RunSlice {
-                    region: StripedRegion { start: 2, len: 1 },
-                    start: 0,
-                    end: 1
-                },
-            ]
-        );
-        assert_eq!(cursor.remaining_pages(), 4);
-
-        // A window bigger than what is left takes only the remainder; a
-        // mid-run boundary leaves the cursor inside the run.
-        out.clear();
-        assert_eq!(cursor.take_into(3, &mut out), 3);
-        assert_eq!(
-            out,
-            vec![RunSlice {
-                region: StripedRegion { start: 3, len: 4 },
-                start: 0,
-                end: 3
-            }]
-        );
-        out.clear();
-        assert_eq!(cursor.take_into(10, &mut out), 1);
-        assert_eq!(
-            out,
-            vec![RunSlice {
-                region: StripedRegion { start: 3, len: 4 },
-                start: 3,
-                end: 4
-            }]
-        );
-        assert!(cursor.is_done());
-        assert_eq!(cursor.take_into(5, &mut out), 0);
-
-        // Reset reuses the cursor for a different probe order.
-        cursor.reset(&store, &[1]);
-        assert_eq!(cursor.remaining_pages(), 4);
-        let empty = RunCursor::new();
-        assert!(empty.is_done());
-        assert_eq!(empty.remaining_pages(), 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // pin the scan to one unit; everything else is the stock tiny config.
     // (`REIS_TELEMETRY=1` in the environment would enable telemetry at
     // construction; `enable_telemetry` does the same from code.)
-    let config = ReisConfig::tiny().with_scan_parallelism(ScanParallelism::pinned_sequential());
+    let config = ReisConfig::tiny().with_scan_parallelism(ScanParallelism::sequential());
     let mut reis = ReisSystem::new(config);
     reis.enable_telemetry();
 

@@ -10,9 +10,7 @@ use reis::baseline::{
     CpuPrecision, CpuSystem, IceModel, IceVariant, NdSearchAlgorithm, NdSearchModel,
 };
 use reis::cluster::ClusterSystem;
-use reis::core::{
-    BatchFusion, DurableStore, MemVfs, Optimizations, ReisConfig, ReisSystem, VectorDatabase,
-};
+use reis::core::{DurableStore, MemVfs, Optimizations, ReisConfig, ReisSystem, VectorDatabase};
 use reis::rag::{RagPipeline, RagStage};
 use reis::workloads::{DatasetProfile, GroundTruth, SyntheticDataset};
 
@@ -223,7 +221,7 @@ fn mutation_and_durability_round_trip_through_the_facade() {
 
 #[test]
 fn batch_fusion_modes_agree_end_to_end() {
-    // Fused page-major execution and per-worker device replicas are two
+    // A page-major batch and the same queries issued one by one are two
     // schedules of the same computation: identical results, documents and
     // per-query modelled latency.
     let dataset = scaled_dataset(256, 6, 27);
@@ -231,17 +229,19 @@ fn batch_fusion_modes_agree_end_to_end() {
         .expect("database construction");
     let queries: Vec<Vec<f32>> = dataset.queries().to_vec();
 
-    let mut outcomes = Vec::new();
-    for fusion in [BatchFusion::Fused, BatchFusion::Replicas] {
-        let mut reis = ReisSystem::new(ReisConfig::ssd1().with_batch_fusion(fusion));
-        let db_id = reis.deploy(&database).expect("deployment");
-        outcomes.push(
-            reis.ivf_search_batch_with_nprobe(db_id, &queries, 10, 4, 4)
-                .expect("batch search"),
-        );
-    }
-    let (fused, replicas) = (&outcomes[0], &outcomes[1]);
-    for (q, (a, b)) in fused.iter().zip(replicas.iter()).enumerate() {
+    let mut reis = ReisSystem::new(ReisConfig::ssd1());
+    let db_id = reis.deploy(&database).expect("deployment");
+    let batched = reis
+        .ivf_search_batch_with_nprobe(db_id, &queries, 10, 4, 4)
+        .expect("batch search");
+    let one_by_one: Vec<_> = queries
+        .iter()
+        .map(|q| {
+            reis.ivf_search_with_nprobe(db_id, q, 10, 4)
+                .expect("single search")
+        })
+        .collect();
+    for (q, (a, b)) in batched.iter().zip(one_by_one.iter()).enumerate() {
         assert_eq!(a.result_ids(), b.result_ids(), "query {q}");
         assert_eq!(a.documents, b.documents, "query {q}");
         assert_eq!(a.total_latency(), b.total_latency(), "query {q}");
