@@ -59,6 +59,27 @@ fn bench_in_plane_distance(c: &mut Criterion) {
             fused_counts.len()
         })
     });
+    // The kernel the scan core calls once per page: score and filter in one
+    // pass, at the widths of a single search and of a batch of 8. The
+    // threshold is the default filter's 0.47 share of the 1024 bits.
+    let thresholds = [481u32; 8];
+    let mut hits = Vec::new();
+    for width in [1usize, 8] {
+        c.bench_function(&format!("fused_hamming_filter_page_width{width}"), |b| {
+            b.iter(|| {
+                reis_kernels::fused_hamming_filter_into(
+                    &page,
+                    128,
+                    128,
+                    &query_refs[..width],
+                    &thresholds[..width],
+                    &mut Vec::new(),
+                    &mut hits,
+                );
+                hits.len()
+            })
+        });
+    }
 }
 
 fn bench_hamming_kernels(c: &mut Criterion) {

@@ -483,24 +483,20 @@ fn build_snapshot(
 /// centroid pages.
 fn read_centroids(controller: &mut SsdController, db: &DeployedDatabase) -> Result<Vec<Vec<u8>>> {
     let layout = db.layout;
+    let locations: Vec<(usize, usize)> = (0..layout.centroids)
+        .map(|cluster| layout.centroid_location(cluster))
+        .collect();
     let mut out = Vec::with_capacity(layout.centroids);
-    let mut buf = Vec::new();
-    let mut oob = Vec::new();
-    let mut cached_page = usize::MAX;
-    for cluster in 0..layout.centroids {
-        let (page, slot) = layout.centroid_location(cluster);
-        if page != cached_page {
-            controller.read_region_page_into(
-                &db.record.embedding_region,
-                page,
-                RegionKind::BinaryEmbeddings,
-                &mut buf,
-                &mut oob,
-            )?;
-            cached_page = page;
+    for same_page in locations.chunk_by(|a, b| a.0 == b.0) {
+        let view = controller.read_region_page_view(
+            &db.record.embedding_region,
+            same_page[0].0,
+            RegionKind::BinaryEmbeddings,
+        )?;
+        for &(_, slot) in same_page {
+            let start = slot * layout.embedding_slot_bytes;
+            out.push(view.data[start..start + layout.embedding_bytes].to_vec());
         }
-        let start = slot * layout.embedding_slot_bytes;
-        out.push(buf[start..start + layout.embedding_bytes].to_vec());
     }
     Ok(out)
 }

@@ -19,9 +19,10 @@
 //! # Downstream-phase invariants
 //!
 //! Reranking and document retrieval sort their candidates by flash page and
-//! stream each page once, scoring INT8 slots directly from the pooled staging
-//! buffer — no page cache map, no per-candidate vector copies and no per-page
-//! allocation.
+//! read each page once through the controller's borrowed read
+//! (`read_in_page_order`), scoring or copying the one slot they need straight
+//! out of the view — no page cache map, no staging copy of the page, no
+//! per-candidate vector copies and no per-page allocation.
 
 use reis_ann::topk::Neighbor;
 use reis_ann::vector::Int8Vector;
@@ -71,16 +72,12 @@ pub struct ScanScratch {
     /// The Temporal Top List holding the current query's candidates, in rank
     /// order once the scan core selected them.
     pub(crate) ttl: TemporalTopList,
-    /// Candidate visit order for the page-sorted rerank / document phases.
-    order: Vec<usize>,
+    /// Where each rerank candidate's INT8 copy (or each result's document)
+    /// lives, and the page-sorted order the phase visits them in.
+    slots: SlotPlan,
     /// Rerank scoring buffer: exact INT8 distances keyed for the
     /// deterministic `(distance, storage position)` tie-break.
     rerank_buf: Vec<RerankCandidate>,
-    /// Pooled controller staging buffer for ECC'd TLC page reads (the
-    /// rerank and document-fetch phases reuse it across pages and queries).
-    page_buf: Vec<u8>,
-    /// Pooled OOB staging buffer accompanying `page_buf`.
-    page_oob: Vec<u8>,
     /// Number of fine-search candidates requested (bounds `ttl.top`).
     pub(crate) candidate_count: usize,
 }
@@ -90,6 +87,113 @@ impl ScanScratch {
     pub fn new() -> Self {
         ScanScratch::default()
     }
+}
+
+/// One payload slot on flash: the region, the page within it, the slot
+/// within the page.
+type SlotLocation = (StripedRegion, usize, usize);
+
+/// The payload slots one downstream phase reads, pooled across queries: the
+/// resolved locations in candidate order and the page-sorted visit order.
+#[derive(Debug, Default)]
+struct SlotPlan {
+    locations: Vec<SlotLocation>,
+    order: Vec<usize>,
+}
+
+impl SlotPlan {
+    /// Read the pages behind the locations in `(region, page)` order — every
+    /// distinct page once, through the controller's borrowed read — and hand
+    /// `visit` each location's index, page, slot and page bytes. Returns the
+    /// number of pages read. The one page-ordered read loop of the rerank
+    /// and document phases.
+    fn read_in_page_order(
+        &mut self,
+        ssd: &mut SsdController,
+        kind: RegionKind,
+        mut visit: impl FnMut(usize, usize, usize, &[u8]) -> Result<()>,
+    ) -> Result<usize> {
+        let SlotPlan { locations, order } = self;
+        let page_of = |&i: &usize| (locations[i].0.start, locations[i].1);
+        order.clear();
+        order.extend(0..locations.len());
+        order.sort_unstable_by_key(page_of);
+        let mut pages_read = 0;
+        for same_page in order.chunk_by(|a, b| page_of(a) == page_of(b)) {
+            let (region, page, _) = locations[same_page[0]];
+            let view = ssd.read_region_page_view(&region, page, kind)?;
+            pages_read += 1;
+            for &i in same_page {
+                visit(i, page, locations[i].2, view.data)?;
+            }
+        }
+        Ok(pages_read)
+    }
+}
+
+/// Parse a document slot (4-byte length prefix + payload) out of a document
+/// page.
+pub(crate) fn parse_doc_slot(
+    page_bytes: &[u8],
+    slot: usize,
+    slot_bytes: usize,
+    page: usize,
+) -> Result<Vec<u8>> {
+    let start = slot * slot_bytes;
+    let corrupt = ReisError::CorruptDocument { page, slot };
+    let Some(prefix) = page_bytes.get(start..start + 4) else {
+        return Err(corrupt);
+    };
+    let len = u32::from_le_bytes(prefix.try_into().expect("4-byte prefix")) as usize;
+    if len > slot_bytes - 4 || start + 4 + len > page_bytes.len() {
+        return Err(corrupt);
+    }
+    Ok(page_bytes[start + 4..start + 4 + len].to_vec())
+}
+
+/// Score rerank candidates in INT8 precision: resolve each one's INT8 copy
+/// (base-region candidates through the layout's RADR arithmetic,
+/// append-segment candidates through the segment store's slot references),
+/// read the TLC pages in page order through the controller (with ECC) and
+/// hand `scored` each candidate with its exact squared distance. Returns the
+/// number of distinct INT8 pages read.
+///
+/// # Errors
+///
+/// [`ReisError::EntryNotFound`] if a candidate's segment entry is gone or
+/// tombstoned (cannot happen for candidates of a scan over the same state);
+/// flash read errors.
+fn score_candidates(
+    ssd: &mut SsdController,
+    db: &DeployedDatabase,
+    candidates: &[TtlEntry],
+    slots: &mut SlotPlan,
+    query_int8: &Int8Vector,
+    mut scored: impl FnMut(&TtlEntry, i64),
+) -> Result<usize> {
+    let layout = db.layout;
+    let base_capacity = db.updates.base_capacity;
+    slots.locations.clear();
+    for candidate in candidates {
+        slots.locations.push(if candidate.radr < base_capacity {
+            let (page, slot) = layout.int8_location(candidate.radr as usize);
+            (db.record.int8_region, page, slot)
+        } else {
+            let entry = db
+                .updates
+                .store
+                .entry(candidate.radr - base_capacity)
+                .filter(|entry| !entry.deleted)
+                .ok_or(ReisError::EntryNotFound(candidate.dadr))?;
+            (entry.int8.region, entry.int8.page, entry.int8.slot)
+        });
+    }
+    slots.read_in_page_order(ssd, RegionKind::Int8Embeddings, |i, _, slot, page| {
+        let start = slot * layout.int8_bytes;
+        let raw = query_int8.squared_l2_raw(&page[start..start + layout.int8_bytes]);
+        scored(&candidates[i], raw);
+        Ok(())
+    })
 }
 
 /// One reranked candidate: the exact INT8 squared distance plus the keys of
@@ -334,86 +438,43 @@ impl<'a> InStorageEngine<'a> {
     }
 
     /// Rerank the fine-search candidates in INT8 precision on the embedded
-    /// core: fetch their INT8 copies from the TLC regions (through the
-    /// controller, with ECC), recompute distances, and return the `k`
-    /// nearest as `(original id, INT8 squared distance)` plus the number of
-    /// distinct INT8 pages read.
+    /// core (see `score_candidates`) and return the `k` nearest as
+    /// `(original id, INT8 squared distance)` plus the number of distinct
+    /// INT8 pages read. The final ranking ties on `(distance,
+    /// storage_index)`, matching the candidate selection's total order.
     ///
-    /// Candidates are visited in page order so every distinct page is read
-    /// exactly once and each slot is scored directly from the pooled staging
-    /// buffer — no page cache, no per-candidate copy and no per-page
-    /// allocation (the ECC staging buffer lives in the [`ScanScratch`]).
-    /// Base-region candidates resolve their INT8 copy through the layout's
-    /// RADR arithmetic; append-segment candidates resolve through the
-    /// segment store's slot references. The final ranking ties on
-    /// `(distance, storage_index)`, matching the candidate selection's total
-    /// order.
+    /// # Errors
+    ///
+    /// [`ReisError::EntryNotFound`] if a candidate's segment entry is gone or
+    /// tombstoned; flash read errors.
     pub fn rerank(
         &mut self,
         db: &DeployedDatabase,
         query_int8: &Int8Vector,
         k: usize,
     ) -> Result<(Vec<Neighbor>, usize)> {
-        let layout = db.layout;
-        let base_capacity = db.updates.base_capacity;
-        let candidate_count = self.scratch.candidate_count;
         let ScanScratch {
             ttl,
-            order,
+            slots,
             rerank_buf,
-            page_buf,
-            page_oob,
-            ..
+            candidate_count,
         } = &mut *self.scratch;
-        let candidates = ttl.top(candidate_count);
-
-        // Resolve a candidate's INT8 page: `(region, page, slot)`.
-        let locate = |candidate: &TtlEntry| -> (StripedRegion, usize, usize) {
-            if candidate.radr < base_capacity {
-                let (page, slot) = layout.int8_location(candidate.radr as usize);
-                (db.record.int8_region, page, slot)
-            } else {
-                let entry = db
-                    .updates
-                    .store
-                    .entry(candidate.radr - base_capacity)
-                    .expect("candidate segment entry exists");
-                (entry.int8.region, entry.int8.page, entry.int8.slot)
-            }
-        };
-
-        order.clear();
-        order.extend(0..candidates.len());
-        order.sort_unstable_by_key(|&i| {
-            let (region, page, _) = locate(&candidates[i]);
-            (region.start, page)
-        });
-
+        let candidates = ttl.top(*candidate_count);
         rerank_buf.clear();
-        let mut pages_read = 0usize;
-        let mut current: Option<(usize, usize)> = None;
-        for &i in order.iter() {
-            let candidate = &candidates[i];
-            let (region, page, slot) = locate(candidate);
-            if current != Some((region.start, page)) {
-                self.ssd.read_region_page_into(
-                    &region,
-                    page,
-                    RegionKind::Int8Embeddings,
-                    page_buf,
-                    page_oob,
-                )?;
-                current = Some((region.start, page));
-                pages_read += 1;
-            }
-            let start = slot * layout.int8_bytes;
-            let raw = query_int8.squared_l2_raw(&page_buf[start..start + layout.int8_bytes]);
-            rerank_buf.push(RerankCandidate {
-                raw,
-                storage_index: candidate.storage_index,
-                dadr: candidate.dadr,
-            });
-        }
+        let pages_read = score_candidates(
+            self.ssd,
+            db,
+            candidates,
+            slots,
+            query_int8,
+            |candidate, raw| {
+                rerank_buf.push(RerankCandidate {
+                    raw,
+                    storage_index: candidate.storage_index,
+                    dadr: candidate.dadr,
+                });
+            },
+        )?;
         rerank_buf.sort_unstable_by_key(|c| (c.raw, c.storage_index));
         let top = rerank_buf[..k.min(rerank_buf.len())]
             .iter()
@@ -431,84 +492,51 @@ impl<'a> InStorageEngine<'a> {
     /// stable id. INT8 pages are read in page order exactly like
     /// [`InStorageEngine::rerank`]; the returned set is ordered by the
     /// leaf-local `(binary distance, storage index)` total order.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`InStorageEngine::rerank`].
     pub fn rerank_all(
         &mut self,
         db: &DeployedDatabase,
         query_int8: &Int8Vector,
     ) -> Result<(Vec<LeafCandidate>, usize)> {
-        let layout = db.layout;
-        let base_capacity = db.updates.base_capacity;
-        let candidate_count = self.scratch.candidate_count;
         let ScanScratch {
             ttl,
-            order,
-            page_buf,
-            page_oob,
+            slots,
+            candidate_count,
             ..
         } = &mut *self.scratch;
-        let candidates = ttl.top(candidate_count);
-
-        // Resolve a candidate's INT8 page: `(region, page, slot)`.
-        let locate = |candidate: &TtlEntry| -> (StripedRegion, usize, usize) {
-            if candidate.radr < base_capacity {
-                let (page, slot) = layout.int8_location(candidate.radr as usize);
-                (db.record.int8_region, page, slot)
-            } else {
-                let entry = db
-                    .updates
-                    .store
-                    .entry(candidate.radr - base_capacity)
-                    .expect("candidate segment entry exists");
-                (entry.int8.region, entry.int8.page, entry.int8.slot)
-            }
-        };
-
-        order.clear();
-        order.extend(0..candidates.len());
-        order.sort_unstable_by_key(|&i| {
-            let (region, page, _) = locate(&candidates[i]);
-            (region.start, page)
-        });
-
+        let candidates = ttl.top(*candidate_count);
         let mut scored: Vec<LeafCandidate> = Vec::with_capacity(candidates.len());
-        let mut pages_read = 0usize;
-        let mut current: Option<(usize, usize)> = None;
-        for &i in order.iter() {
-            let candidate = &candidates[i];
-            let (region, page, slot) = locate(candidate);
-            if current != Some((region.start, page)) {
-                self.ssd.read_region_page_into(
-                    &region,
-                    page,
-                    RegionKind::Int8Embeddings,
-                    page_buf,
-                    page_oob,
-                )?;
-                current = Some((region.start, page));
-                pages_read += 1;
-            }
-            let start = slot * layout.int8_bytes;
-            let raw = query_int8.squared_l2_raw(&page_buf[start..start + layout.int8_bytes]);
-            scored.push(LeafCandidate {
-                binary: candidate.distance,
-                storage_index: candidate.storage_index,
-                id: candidate.dadr,
-                raw,
-            });
-        }
+        let pages_read = score_candidates(
+            self.ssd,
+            db,
+            candidates,
+            slots,
+            query_int8,
+            |candidate, raw| {
+                scored.push(LeafCandidate {
+                    binary: candidate.distance,
+                    storage_index: candidate.storage_index,
+                    id: candidate.dadr,
+                    raw,
+                });
+            },
+        )?;
         scored.sort_unstable_by_key(|c| (c.binary, c.storage_index));
         Ok((scored, pages_read))
     }
 
     /// Document identification and retrieval: read the chunks of the top-k
     /// results from the document regions, in page order (each document page
-    /// is read once), validating every slot's length prefix.
+    /// is read once), validating every slot's length prefix and copying the
+    /// payload straight out of the controller's page view.
     ///
     /// A result id resolves to its live chunk: relocated ids (inserts, and
     /// upserts of base entries) read from their append-segment page; base
     /// ids read from the base document region at the slot the update state
-    /// maps them to (identity before the first compaction). The page reads
-    /// stage through the scratch's pooled buffer.
+    /// maps them to (identity before the first compaction).
     ///
     /// # Errors
     ///
@@ -522,76 +550,38 @@ impl<'a> InStorageEngine<'a> {
         top: &[Neighbor],
     ) -> Result<Vec<Vec<u8>>> {
         let layout = db.layout;
-        // Resolve an id's document page: `(region, page, slot)`.
-        let locate = |id: u32| -> Result<(StripedRegion, usize, usize)> {
-            if let Some(&sid) = db.updates.relocated.get(&id) {
-                let entry = db
-                    .updates
-                    .store
-                    .entry(sid)
-                    .ok_or(ReisError::EntryNotFound(id))?;
-                return Ok((
-                    entry.document.region,
-                    entry.document.page,
-                    entry.document.slot,
-                ));
-            }
-            let slot_index = db
-                .updates
-                .base_doc_slot(id)
-                .ok_or(ReisError::EntryNotFound(id))? as usize;
-            let (page, slot) = layout.document_location(slot_index);
-            Ok((db.record.document_region, page, slot))
-        };
-
-        let ScanScratch {
-            order,
-            page_buf,
-            page_oob,
-            ..
-        } = &mut *self.scratch;
-        // Resolve every result's location once, up front; the sort and the
-        // read loop then work off the resolved triples.
-        let locations = top
-            .iter()
-            .map(|n| locate(n.id as u32))
-            .collect::<Result<Vec<_>>>()?;
-        order.clear();
-        order.extend(0..top.len());
-        order.sort_unstable_by_key(|&i| {
-            let (region, page, _) = locations[i];
-            (region.start, page)
-        });
+        let slots = &mut self.scratch.slots;
+        slots.locations.clear();
+        for neighbor in top {
+            let id = neighbor.id as u32;
+            slots
+                .locations
+                .push(if let Some(&sid) = db.updates.relocated.get(&id) {
+                    let entry = db
+                        .updates
+                        .store
+                        .entry(sid)
+                        .ok_or(ReisError::EntryNotFound(id))?;
+                    (
+                        entry.document.region,
+                        entry.document.page,
+                        entry.document.slot,
+                    )
+                } else {
+                    let slot_index =
+                        db.updates
+                            .base_doc_slot(id)
+                            .ok_or(ReisError::EntryNotFound(id))? as usize;
+                    let (page, slot) = layout.document_location(slot_index);
+                    (db.record.document_region, page, slot)
+                });
+        }
 
         let mut documents: Vec<Vec<u8>> = vec![Vec::new(); top.len()];
-        let mut current: Option<(usize, usize)> = None;
-        for &i in order.iter() {
-            let (region, page, slot) = locations[i];
-            if current != Some((region.start, page)) {
-                self.ssd.read_region_page_into(
-                    &region,
-                    page,
-                    RegionKind::Documents,
-                    page_buf,
-                    page_oob,
-                )?;
-                current = Some((region.start, page));
-            }
-            let start = slot * layout.doc_slot_bytes;
-            let corrupt = ReisError::CorruptDocument { page, slot };
-            if start + 4 > page_buf.len() {
-                return Err(corrupt);
-            }
-            let len = u32::from_le_bytes(
-                page_buf[start..start + 4]
-                    .try_into()
-                    .expect("4-byte prefix"),
-            ) as usize;
-            if len > layout.doc_slot_bytes - 4 || start + 4 + len > page_buf.len() {
-                return Err(corrupt);
-            }
-            documents[i] = page_buf[start + 4..start + 4 + len].to_vec();
-        }
+        slots.read_in_page_order(self.ssd, RegionKind::Documents, |i, page, slot, bytes| {
+            documents[i] = parse_doc_slot(bytes, slot, layout.doc_slot_bytes, page)?;
+            Ok(())
+        })?;
         Ok(documents)
     }
 }
@@ -642,6 +632,64 @@ mod tests {
             matches!(err, ReisError::CorruptDocument { page: 0, slot: 0 }),
             "expected CorruptDocument, got {err:?}"
         );
+    }
+
+    #[test]
+    fn rerank_reports_a_segment_entry_tombstoned_since_the_scan() {
+        let vectors: Vec<Vec<f32>> = (0..24)
+            .map(|i| {
+                (0..32)
+                    .map(|d| (((i * 7 + d) % 13) as f32 - 6.0) / 3.0)
+                    .collect()
+            })
+            .collect();
+        let documents: Vec<Vec<u8>> = (0..24).map(|i| format!("doc {i}").into_bytes()).collect();
+        let mut ssd = SsdController::new(SsdConfig::tiny());
+        let db = VectorDatabase::flat(&vectors, documents).unwrap();
+        let mut deployed = crate::deploy::deploy(&mut ssd, &db, 1).unwrap();
+        let (ids, _, _) = crate::mutate::insert_batch(
+            &mut ssd,
+            &mut deployed,
+            &[vectors[3].clone()],
+            &[b"appended".to_vec()],
+        )
+        .unwrap();
+        let sid = deployed.updates.relocated[&ids[0]];
+
+        // The scan admits the live append-segment entry as a candidate...
+        let linkage = OobEntry {
+            dadr: ids[0],
+            radr: deployed.updates.base_capacity + sid,
+            tag: 0,
+        };
+        let candidate = segment_scan_entry(
+            &deployed.updates.store,
+            deployed.updates.base_capacity,
+            0,
+            linkage,
+        )
+        .expect("a live segment entry passes the scan");
+        let mut scratch = ScanScratch::new();
+        scratch.ttl.push(candidate);
+        scratch.candidate_count = 1;
+        let query = deployed.int8_quantizer.quantize(&vectors[3]).unwrap();
+        let mut engine = InStorageEngine::new(&mut ssd, &mut scratch);
+        let (top, pages) = engine.rerank(&deployed, &query, 1).unwrap();
+        assert_eq!((top[0].id, pages), (ids[0] as usize, 1));
+
+        // ...and is tombstoned before the rerank gets to it.
+        assert!(deployed.updates.store.mark_deleted(sid));
+        let mut engine = InStorageEngine::new(&mut ssd, &mut scratch);
+        for err in [
+            engine.rerank(&deployed, &query, 1).unwrap_err(),
+            engine.rerank_all(&deployed, &query).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, ReisError::EntryNotFound(id) if id == ids[0]),
+                "expected EntryNotFound({}), got {err:?}",
+                ids[0]
+            );
+        }
     }
 
     #[test]

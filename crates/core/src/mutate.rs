@@ -38,6 +38,7 @@ use reis_ssd::{DatabaseRecord, RegionKind, SsdController, StripedRegion};
 use reis_update::{EntryLocation, SegmentEntry, SlotRef, OOB_INVALID_RADR};
 
 use crate::deploy::{pad_slot, DeployedDatabase, RegionNames};
+use crate::engine::parse_doc_slot;
 use crate::error::{ReisError, Result};
 use crate::records::{RIvf, RIvfEntry};
 
@@ -574,7 +575,6 @@ pub(crate) struct Sweep {
 struct PageCache {
     key: Option<(usize, usize)>,
     buf: Vec<u8>,
-    oob: Vec<u8>,
 }
 
 impl PageCache {
@@ -590,26 +590,12 @@ impl PageCache {
         if self.key == Some((region.start, page)) {
             return Ok(Nanos::ZERO);
         }
-        let (latency, _) =
-            ssd.read_region_page_into(region, page, kind, &mut self.buf, &mut self.oob)?;
+        let view = ssd.read_region_page_view(region, page, kind)?;
+        self.buf.clear();
+        self.buf.extend_from_slice(view.data);
         self.key = Some((region.start, page));
-        Ok(latency)
+        Ok(view.latency)
     }
-}
-
-/// Parse a document slot (4-byte length prefix + payload) out of a staged
-/// document page.
-fn parse_doc_slot(buf: &[u8], slot: usize, slot_bytes: usize, page: usize) -> Result<Vec<u8>> {
-    let start = slot * slot_bytes;
-    let corrupt = ReisError::CorruptDocument { page, slot };
-    if start + 4 > buf.len() {
-        return Err(corrupt);
-    }
-    let len = u32::from_le_bytes(buf[start..start + 4].try_into().expect("4-byte prefix")) as usize;
-    if len > slot_bytes - 4 || start + 4 + len > buf.len() {
-        return Err(corrupt);
-    }
-    Ok(buf[start + 4..start + 4 + len].to_vec())
 }
 
 /// Read the surviving corpus of a database from flash, cluster-major, base
@@ -760,17 +746,13 @@ pub(crate) fn compact(
     // Stage the centroid pages (data + OOB) for verbatim rewrite.
     let mut centroid_pages: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(old_layout.centroid_pages);
     for page in 0..old_layout.centroid_pages {
-        let mut buf = Vec::new();
-        let mut oob_buf = Vec::new();
-        let (read_latency, _) = ssd.read_region_page_into(
+        let view = ssd.read_region_page_view(
             &db.record.embedding_region,
             page,
             RegionKind::BinaryEmbeddings,
-            &mut buf,
-            &mut oob_buf,
         )?;
-        latency += read_latency;
-        centroid_pages.push((buf, oob_buf));
+        latency += view.latency;
+        centroid_pages.push((view.data.to_vec(), view.oob.to_vec()));
     }
 
     // ---- Rewrite as a new region generation.

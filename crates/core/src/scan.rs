@@ -289,13 +289,12 @@ impl PageReader<'_> {
 }
 
 /// Reusable buffers of one page-scoring loop: the covering queries' padded
-/// images and current thresholds, the kernel's per-query accumulator and the
-/// emitted hits. One set serves one thread.
+/// images and current thresholds, and the emitted hits. One set serves one
+/// thread.
 #[derive(Default)]
 struct ScoreBufs<'a> {
     queries: Vec<&'a [u8]>,
     thresholds: Vec<u32>,
-    acc: Vec<u32>,
     hits: Vec<FusedHit>,
 }
 
@@ -378,7 +377,6 @@ impl<'q> PageBody<'_, 'q> {
             limit,
             &bufs.queries,
             &bufs.thresholds,
-            &mut bufs.acc,
             &mut bufs.hits,
         );
         for &q in members {

@@ -4,141 +4,80 @@
 //! rest of the workspace computes with. `reis-nand`'s peripheral model (the
 //! fail-bit counter and inter-latch XOR logic), `reis-ann`'s vector types and
 //! `reis-bench`'s baseline measurements all re-export from here, so exactly
-//! one implementation of each kernel exists — including the runtime POPCNT
-//! dispatch that used to be duplicated per crate.
+//! one implementation of each kernel exists.
 //!
 //! # Kernel discipline
 //!
-//! * All bit counting and XOR-ing operates on `u64` words (8 bytes at a
-//!   time) with exact byte-wise handling of any trailing partial word —
-//!   mirroring how the physical peripheral processes a whole bitline stripe
-//!   per cycle.
-//! * Every entry point dispatches once to a body compiled with the hardware
-//!   POPCNT instruction when the CPU has it (baseline x86-64 only guarantees
-//!   the multi-op SWAR fallback for `count_ones`); the dispatch is hoisted
-//!   out of all inner loops.
+//! * **One primitive.** Everything counted here is the Hamming distance
+//!   between one chunk and one query. Its bodies score four (chunk, query)
+//!   pairs per step — each pair in its own register accumulator, the four
+//!   reduced together — and one driver walks a latch slot-major (chunks
+//!   outside, queries inside) and hands every distance to a per-entry-point
+//!   closure. No distance takes a round trip through memory before it is
+//!   complete. A set-bit count is the distance to an all-zero query.
+//! * **One dispatch.** Every entry point detects the CPU's instruction-set
+//!   level once per call and runs the matching body: baseline scalar code,
+//!   scalar with hardware POPCNT, AVX2 (`vpshufb` nibble table + `vpsadbw`)
+//!   or AVX-512 (`VPOPCNTQ`, byte-masked tail loads). The CRC bodies hang
+//!   off the same detection. The tests run *every* body the host supports
+//!   against the byte-wise [`mod@reference`], not only the dispatched one.
+//! * Exact handling of any length: trailing partial chunks, and chunk sizes
+//!   that are no multiple of a word or a vector.
 //! * The `_into` variants write into caller-provided buffers, so steady-state
 //!   page scans perform no heap allocation here.
+//! * `unsafe` is confined to the `#[target_feature]` bodies and the calls
+//!   into them, each of which rests on a run-time feature check.
 //!
 //! # The fused multi-query kernel
 //!
 //! [`fused_hamming_per_chunk_into`] scores one sensed page against `B`
-//! broadcast queries in a single pass over the page words: each page word is
-//! loaded once and XOR-popcounted against the corresponding word of every
-//! query. This is the software mirror of REIS amortizing a flash sense
-//! across a batch of in-flight queries — the page moves through the
-//! peripheral once, the per-query XOR + fail-bit count runs `B` times.
-//! [`fused_hamming_filter_into`] additionally folds the pass/fail
-//! comparison into the same pass: each query carries its own threshold
-//! (fixed for the duration of one page window under the windowed adaptive
-//! schedule) and only passing [`FusedHit`]s are emitted.
+//! broadcast queries in a single pass over the page: each chunk is scored
+//! against every query while it is cache-hot. This is the software mirror of
+//! REIS amortizing a flash sense across a batch of in-flight queries — the
+//! page moves through the peripheral once, the per-query XOR + fail-bit
+//! count runs `B` times. [`fused_hamming_filter_into`] additionally folds
+//! the pass/fail comparison into the same pass: each query carries its own
+//! threshold (fixed for the duration of one page window under the windowed
+//! adaptive schedule) and only passing [`FusedHit`]s are emitted.
 //!
 //! # CRC32C
 //!
 //! [`crc32c`] / [`crc32c_extend`] implement the Castagnoli CRC
 //! (polynomial `0x1EDC6F41`, reflected) used by `reis-persist` for both the
 //! snapshot section checksums and the WAL frame checksums, so exactly one
-//! checksum implementation guards every durable byte. It is table-driven
-//! (the 256-entry table is built at compile time) with a bitwise
-//! [`reference::crc32c`] baseline the tests verify against.
+//! checksum implementation guards every durable byte. It runs on the SSE4.2
+//! `crc32` instruction where the CPU has it and on slicing-by-8 tables
+//! (built at compile time) elsewhere, with a bitwise [`reference::crc32c`]
+//! baseline the tests verify both against.
 //!
 //! The byte-at-a-time [`mod@reference`] kernels match the seed
-//! implementation and are kept solely as the baseline the benchmarks
-//! measure against.
+//! implementation and are kept solely as the baseline the tests and
+//! benchmarks measure against.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-#[inline(always)]
-fn word(chunk: &[u8]) -> u64 {
-    u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"))
-}
+mod crc;
+mod distance;
+mod isa;
 
-/// Word-parallel popcount body, shared by the portable and the
-/// POPCNT-enabled entry points: `u64` words four at a time with independent
-/// accumulators so the popcounts pipeline, then a byte-wise tail.
-#[inline(always)]
-fn popcount_bytes_core(bytes: &[u8]) -> u64 {
-    let mut blocks = bytes.chunks_exact(32);
-    let (mut s0, mut s1, mut s2, mut s3) = (0u64, 0u64, 0u64, 0u64);
-    for block in blocks.by_ref() {
-        s0 += word(&block[0..8]).count_ones() as u64;
-        s1 += word(&block[8..16]).count_ones() as u64;
-        s2 += word(&block[16..24]).count_ones() as u64;
-        s3 += word(&block[24..32]).count_ones() as u64;
-    }
-    let mut words = blocks.remainder().chunks_exact(8);
-    let mut total = s0 + s1 + s2 + s3;
-    for w in words.by_ref() {
-        total += word(w).count_ones() as u64;
-    }
-    for &b in words.remainder() {
-        total += b.count_ones() as u64;
-    }
-    total
-}
+use distance::Job;
+use isa::Isa;
 
-/// Word-parallel XOR-popcount body (two `u64` words per step with
-/// independent accumulators, byte-wise tail), shared by the portable and
-/// POPCNT entry points.
-#[inline(always)]
-fn hamming_core(a: &[u8], b: &[u8]) -> u32 {
-    let mut ab = a.chunks_exact(16);
-    let mut bb = b.chunks_exact(16);
-    let (mut s0, mut s1) = (0u32, 0u32);
-    for (x, y) in ab.by_ref().zip(bb.by_ref()) {
-        s0 += (word(&x[0..8]) ^ word(&y[0..8])).count_ones();
-        s1 += (word(&x[8..16]) ^ word(&y[8..16])).count_ones();
-    }
-    let mut aw = ab.remainder().chunks_exact(8);
-    let mut bw = bb.remainder().chunks_exact(8);
-    let mut total = s0 + s1;
-    for (x, y) in aw.by_ref().zip(bw.by_ref()) {
-        total += (word(x) ^ word(y)).count_ones();
-    }
-    for (x, y) in aw.remainder().iter().zip(bw.remainder()) {
-        total += (x ^ y).count_ones();
-    }
-    total
-}
+/// The all-zero query a set-bit count is the distance to.
+static ZEROS: [u8; 256] = [0; 256];
 
-/// `popcount_bytes_core` compiled with the hardware POPCNT instruction.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports the `popcnt` feature.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "popcnt")]
-unsafe fn popcount_bytes_popcnt(bytes: &[u8]) -> u64 {
-    popcount_bytes_core(bytes)
-}
-
-/// `hamming_core` compiled with the hardware POPCNT instruction.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports the `popcnt` feature.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "popcnt")]
-unsafe fn hamming_popcnt(a: &[u8], b: &[u8]) -> u32 {
-    hamming_core(a, b)
-}
-
-/// Set-bit count of a byte slice, processed as `u64` words with a byte-wise
-/// tail; uses the hardware POPCNT instruction when the CPU has it.
+/// Set-bit count of a byte slice.
 #[inline]
 pub fn popcount_bytes(bytes: &[u8]) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("popcnt") {
-        // SAFETY: feature presence checked at runtime just above.
-        return unsafe { popcount_bytes_popcnt(bytes) };
-    }
-    popcount_bytes_core(bytes)
+    let isa = Isa::detect();
+    bytes
+        .chunks(ZEROS.len())
+        .map(|block| u64::from(distance::pair(isa, block, &ZEROS[..block.len()])))
+        .sum()
 }
 
-/// Hamming distance between two equally long byte slices, processed as
-/// `u64` words with a byte-wise tail; uses the hardware POPCNT instruction
-/// when the CPU has it.
+/// Hamming distance between two equally long byte slices.
 ///
 /// # Panics
 ///
@@ -146,12 +85,7 @@ pub fn popcount_bytes(bytes: &[u8]) -> u64 {
 #[inline]
 pub fn hamming_bytes(a: &[u8], b: &[u8]) -> u32 {
     assert_eq!(a.len(), b.len(), "hamming distance requires equal lengths");
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("popcnt") {
-        // SAFETY: feature presence checked at runtime just above.
-        return unsafe { hamming_popcnt(a, b) };
-    }
-    hamming_core(a, b)
+    distance::pair(Isa::detect(), a, b)
 }
 
 /// XOR `a` and `b` into `out` (cleared and resized first), processed as
@@ -165,100 +99,61 @@ pub fn xor_bytes_into(a: &[u8], b: &[u8], out: &mut Vec<u8>) {
     assert_eq!(a.len(), b.len(), "latch contents must have identical sizes");
     out.clear();
     out.resize(a.len(), 0);
-    let mut aw = a.chunks_exact(8);
-    let mut bw = b.chunks_exact(8);
-    let mut ow = out.chunks_exact_mut(8);
-    for ((x, y), o) in aw.by_ref().zip(bw.by_ref()).zip(ow.by_ref()) {
-        let xw = word(x);
-        let yw = word(y);
-        o.copy_from_slice(&(xw ^ yw).to_le_bytes());
+    let (words_a, rest_a) = a.as_chunks::<8>();
+    let (words_b, rest_b) = b.as_chunks::<8>();
+    let (words_out, rest_out) = out.as_chunks_mut::<8>();
+    for ((x, y), o) in words_a.iter().zip(words_b).zip(words_out) {
+        *o = (u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y)).to_le_bytes();
     }
-    for ((x, y), o) in aw
-        .remainder()
-        .iter()
-        .zip(bw.remainder())
-        .zip(ow.into_remainder())
-    {
+    for ((x, y), o) in rest_a.iter().zip(rest_b).zip(rest_out) {
         *o = x ^ y;
     }
 }
 
 /// Count the set bits of every `chunk_bytes`-sized chunk of `latch`,
 /// appending one count per chunk into `out` (cleared first). A trailing
-/// partial chunk is counted as its own entry. The POPCNT dispatch is hoisted
-/// out of the per-chunk loop.
+/// partial chunk is counted as its own entry.
 ///
 /// # Panics
 ///
 /// Panics if `chunk_bytes` is zero.
 pub fn count_per_chunk_into(latch: &[u8], chunk_bytes: usize, out: &mut Vec<u32>) {
-    #[inline(always)]
-    fn core(latch: &[u8], chunk_bytes: usize, out: &mut Vec<u32>) {
-        out.extend(
-            latch
-                .chunks(chunk_bytes)
-                .map(|chunk| popcount_bytes_core(chunk) as u32),
-        );
-    }
-    /// # Safety: caller checks the `popcnt` feature.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "popcnt")]
-    unsafe fn core_popcnt(latch: &[u8], chunk_bytes: usize, out: &mut Vec<u32>) {
-        core(latch, chunk_bytes, out)
-    }
-
     assert!(chunk_bytes > 0, "chunk size must be non-zero");
     out.clear();
     out.reserve(latch.len().div_ceil(chunk_bytes));
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("popcnt") {
-        // SAFETY: feature presence checked at runtime just above.
-        unsafe { core_popcnt(latch, chunk_bytes, out) };
+    let Some(zeros) = ZEROS.get(..chunk_bytes) else {
+        // Chunks longer than the zero query: count each on its own.
+        out.extend(
+            latch
+                .chunks(chunk_bytes)
+                .map(|chunk| popcount_bytes(chunk) as u32),
+        );
         return;
-    }
-    core(latch, chunk_bytes, out);
+    };
+    let job = Job {
+        latch,
+        chunk_bytes,
+        slot_limit: usize::MAX,
+        queries: &[zeros],
+    };
+    distance::scan(Isa::detect(), &job, |_, _, count| out.push(count));
 }
 
-/// Body of the fused multi-query kernel: each `chunk_bytes` page chunk is
-/// walked word by word, each page word loaded once and XOR-popcounted
-/// against the matching word of every query.
-#[inline(always)]
-fn fused_core(latch: &[u8], chunk_bytes: usize, queries: &[&[u8]], out: &mut [u32]) {
-    let n_chunks = latch.len().div_ceil(chunk_bytes);
-    for (c, chunk) in latch.chunks(chunk_bytes).enumerate() {
-        let mut words = chunk.chunks_exact(8);
-        let mut offset = 0usize;
-        for w in words.by_ref() {
-            let page_word = word(w);
-            for (q, query) in queries.iter().enumerate() {
-                let query_word = word(&query[offset..offset + 8]);
-                out[q * n_chunks + c] += (page_word ^ query_word).count_ones();
-            }
-            offset += 8;
-        }
-        for &b in words.remainder() {
-            for (q, query) in queries.iter().enumerate() {
-                out[q * n_chunks + c] += (b ^ query[offset]).count_ones();
-            }
-            offset += 1;
-        }
+/// The shared argument checks of the fused kernels.
+fn check_fused(chunk_bytes: usize, queries: &[&[u8]]) {
+    assert!(chunk_bytes > 0, "chunk size must be non-zero");
+    for query in queries {
+        assert_eq!(
+            query.len(),
+            chunk_bytes,
+            "fused queries must match the chunk size"
+        );
     }
-}
-
-/// `fused_core` compiled with the hardware POPCNT instruction.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports the `popcnt` feature.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "popcnt")]
-unsafe fn fused_popcnt(latch: &[u8], chunk_bytes: usize, queries: &[&[u8]], out: &mut [u32]) {
-    fused_core(latch, chunk_bytes, queries, out)
 }
 
 /// Fused multi-query Hamming kernel: score every `chunk_bytes`-sized chunk
 /// of `latch` (one sensed page) against each query in a single pass over the
-/// page words.
+/// page.
 ///
 /// `out` is cleared and filled query-major: the counts of query `q` occupy
 /// `out[q * n_chunks .. (q + 1) * n_chunks]`, where
@@ -268,8 +163,8 @@ unsafe fn fused_popcnt(latch: &[u8], chunk_bytes: usize, queries: &[&[u8]], out:
 /// query tiled across the whole latch would.
 ///
 /// The result equals running [`count_per_chunk_into`] over the XOR of the
-/// page with each query's tiling, one query at a time — but the page words
-/// are loaded once for all queries.
+/// page with each query's tiling, one query at a time — but the page is
+/// walked once for all queries.
 ///
 /// # Panics
 ///
@@ -281,27 +176,19 @@ pub fn fused_hamming_per_chunk_into(
     queries: &[&[u8]],
     out: &mut Vec<u32>,
 ) {
-    assert!(chunk_bytes > 0, "chunk size must be non-zero");
-    for query in queries {
-        assert_eq!(
-            query.len(),
-            chunk_bytes,
-            "fused queries must match the chunk size"
-        );
-    }
+    check_fused(chunk_bytes, queries);
     let n_chunks = latch.len().div_ceil(chunk_bytes);
     out.clear();
     out.resize(n_chunks * queries.len(), 0);
-    if queries.is_empty() {
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("popcnt") {
-        // SAFETY: feature presence checked at runtime just above.
-        unsafe { fused_popcnt(latch, chunk_bytes, queries, out) };
-        return;
-    }
-    fused_core(latch, chunk_bytes, queries, out);
+    let job = Job {
+        latch,
+        chunk_bytes,
+        slot_limit: usize::MAX,
+        queries,
+    };
+    distance::scan(Isa::detect(), &job, |slot, q, distance| {
+        out[q * n_chunks + slot] = distance;
+    });
 }
 
 /// One passing slot of a threshold-aware fused scan: which query it passed
@@ -321,89 +208,21 @@ pub struct FusedHit {
     pub distance: u32,
 }
 
-/// Body of the threshold-aware fused kernel: walk each chunk's words once,
-/// accumulate the per-query distances in `acc`, then emit the queries whose
-/// distance passes their own threshold.
-#[inline(always)]
-fn fused_filter_core(
-    latch: &[u8],
-    chunk_bytes: usize,
-    slot_limit: usize,
-    queries: &[&[u8]],
-    thresholds: &[u32],
-    acc: &mut [u32],
-    out: &mut Vec<FusedHit>,
-) {
-    for (c, chunk) in latch.chunks(chunk_bytes).take(slot_limit).enumerate() {
-        acc.fill(0);
-        let mut words = chunk.chunks_exact(8);
-        let mut offset = 0usize;
-        for w in words.by_ref() {
-            let page_word = word(w);
-            for (q, query) in queries.iter().enumerate() {
-                let query_word = word(&query[offset..offset + 8]);
-                acc[q] += (page_word ^ query_word).count_ones();
-            }
-            offset += 8;
-        }
-        for &b in words.remainder() {
-            for (q, query) in queries.iter().enumerate() {
-                acc[q] += (b ^ query[offset]).count_ones();
-            }
-            offset += 1;
-        }
-        for (q, (&distance, &threshold)) in acc.iter().zip(thresholds).enumerate() {
-            if distance <= threshold {
-                out.push(FusedHit {
-                    query: q as u32,
-                    slot: c as u32,
-                    distance,
-                });
-            }
-        }
-    }
-}
-
-/// `fused_filter_core` compiled with the hardware POPCNT instruction.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports the `popcnt` feature.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "popcnt")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn fused_filter_popcnt(
-    latch: &[u8],
-    chunk_bytes: usize,
-    slot_limit: usize,
-    queries: &[&[u8]],
-    thresholds: &[u32],
-    acc: &mut [u32],
-    out: &mut Vec<FusedHit>,
-) {
-    fused_filter_core(
-        latch,
-        chunk_bytes,
-        slot_limit,
-        queries,
-        thresholds,
-        acc,
-        out,
-    )
-}
-
 /// Threshold-aware fused multi-query kernel: score the first `slot_limit`
 /// `chunk_bytes`-sized chunks of `latch` (one sensed page) against every
-/// query in a single pass over the page words, and emit only the
-/// [`FusedHit`]s whose distance is at or below that query's threshold.
+/// query in a single pass over the page, and emit only the [`FusedHit`]s
+/// whose distance is at or below that query's threshold.
 ///
 /// This fuses [`fused_hamming_per_chunk_into`] with the pass/fail
-/// comparison: distances that fail a query's filter are never materialized
-/// outside the per-chunk accumulator, which is what the windowed adaptive
-/// scan wants — each query's threshold is fixed for the duration of one page
-/// window, so the comparison can run inside the scoring pass. `acc` is a
-/// reusable per-query accumulator and `out` a reusable hit buffer (both
-/// cleared/resized here), so steady-state scans allocate nothing.
+/// comparison: distances that fail a query's filter never leave the
+/// registers, which is what the windowed adaptive scan wants — each query's
+/// threshold is fixed for the duration of one page window, so the comparison
+/// can run inside the scoring pass. `out` is a reusable hit buffer (cleared
+/// here), so steady-state scans allocate nothing.
+///
+/// `_acc` was the per-query accumulator of the earlier word-major kernel.
+/// The register-blocked bodies need none, so it is left untouched; the
+/// parameter stays because callers outside the workspace pass it.
 ///
 /// Hits are chunk-major: ascending slot, queries in input order within a
 /// slot (see [`FusedHit`]).
@@ -418,78 +237,32 @@ pub fn fused_hamming_filter_into(
     slot_limit: usize,
     queries: &[&[u8]],
     thresholds: &[u32],
-    acc: &mut Vec<u32>,
+    _acc: &mut Vec<u32>,
     out: &mut Vec<FusedHit>,
 ) {
-    assert!(chunk_bytes > 0, "chunk size must be non-zero");
     assert_eq!(
         queries.len(),
         thresholds.len(),
         "one threshold per fused query"
     );
-    for query in queries {
-        assert_eq!(
-            query.len(),
-            chunk_bytes,
-            "fused queries must match the chunk size"
-        );
-    }
+    check_fused(chunk_bytes, queries);
     out.clear();
-    if queries.is_empty() {
-        return;
-    }
-    acc.clear();
-    acc.resize(queries.len(), 0);
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("popcnt") {
-        // SAFETY: feature presence checked at runtime just above.
-        unsafe {
-            fused_filter_popcnt(
-                latch,
-                chunk_bytes,
-                slot_limit,
-                queries,
-                thresholds,
-                acc,
-                out,
-            )
-        };
-        return;
-    }
-    fused_filter_core(
+    let job = Job {
         latch,
         chunk_bytes,
         slot_limit,
         queries,
-        thresholds,
-        acc,
-        out,
-    );
-}
-
-/// Reflected form of the Castagnoli polynomial `0x1EDC6F41`.
-const CRC32C_POLY_REFLECTED: u32 = 0x82F6_3B78;
-
-/// The byte-at-a-time CRC32C lookup table, built at compile time.
-const CRC32C_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ CRC32C_POLY_REFLECTED
-            } else {
-                crc >> 1
-            };
-            bit += 1;
+    };
+    distance::scan(Isa::detect(), &job, |slot, q, distance| {
+        if distance <= thresholds[q] {
+            out.push(FusedHit {
+                query: q as u32,
+                slot: slot as u32,
+                distance,
+            });
         }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
+    });
+}
 
 /// Fold `bytes` into a running CRC32C state.
 ///
@@ -499,11 +272,7 @@ const CRC32C_TABLE: [u32; 256] = {
 /// checksum a frame it consumes in pieces.
 #[inline]
 pub fn crc32c_extend(state: u32, bytes: &[u8]) -> u32 {
-    let mut crc = !state;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
+    crc::extend(Isa::detect(), state, bytes)
 }
 
 /// CRC32C (Castagnoli) checksum of `bytes`.
@@ -547,7 +316,7 @@ pub mod reference {
     }
 
     /// Bitwise CRC32C: one shift-and-conditional-XOR step per input bit,
-    /// straight off the polynomial definition. The baseline the table-driven
+    /// straight off the polynomial definition. The baseline every body of
     /// [`crate::crc32c`] is tested against.
     pub fn crc32c(bytes: &[u8]) -> u32 {
         let mut crc = !0u32;
@@ -555,7 +324,7 @@ pub mod reference {
             crc ^= b as u32;
             for _ in 0..8 {
                 crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ super::CRC32C_POLY_REFLECTED
+                    (crc >> 1) ^ crate::crc::POLY_REFLECTED
                 } else {
                     crc >> 1
                 };
@@ -806,6 +575,191 @@ mod tests {
                     clean,
                     "flip {flip:#x} at {offset} must change the checksum"
                 );
+            }
+        }
+    }
+
+    /// Deterministic noise: a different stream per seed.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// The widths the fused bodies are checked at: none, fewer than one
+    /// lane block, exactly two, and blocks that straddle slot boundaries.
+    const WIDTHS: [usize; 7] = [0, 1, 2, 3, 8, 9, 33];
+
+    #[test]
+    fn every_body_emits_reference_distances_in_slot_then_query_order() {
+        let bodies: Vec<Isa> = Isa::supported().collect();
+        assert_eq!(bodies.last(), Some(&Isa::detect()));
+        // Chunk sizes that are and are not multiples of a word (8), an AVX2
+        // vector (32) and an AVX-512 vector (64); four full chunks and a
+        // trailing partial one.
+        for chunk in 1usize..=256 {
+            let page = noise(chunk * 4 + chunk / 2, chunk as u64);
+            let n_chunks = page.len().div_ceil(chunk);
+            let all_queries: Vec<Vec<u8>> = (0..33)
+                .map(|q| noise(chunk, 1_000 + (chunk * 64 + q) as u64))
+                .collect();
+            for &isa in &bodies {
+                assert_eq!(
+                    distance::pair(isa, &page[..chunk], &all_queries[0]),
+                    reference::hamming(&page[..chunk], &all_queries[0]),
+                    "{isa:?} chunk {chunk}"
+                );
+            }
+            for width in WIDTHS {
+                let queries: Vec<&[u8]> = all_queries[..width].iter().map(Vec::as_slice).collect();
+                for slot_limit in [0, 1, n_chunks / 2, n_chunks, n_chunks + 3] {
+                    // Ascending slot, then query order: the order
+                    // `PageBody::score_page`'s one-entry OOB cache relies on.
+                    let mut expected = Vec::new();
+                    for (slot, bytes) in page.chunks(chunk).take(slot_limit).enumerate() {
+                        for (q, query) in queries.iter().enumerate() {
+                            let distance = reference::hamming(bytes, &query[..bytes.len()]);
+                            expected.push((slot, q, distance));
+                        }
+                    }
+                    let job = Job {
+                        latch: &page,
+                        chunk_bytes: chunk,
+                        slot_limit,
+                        queries: &queries,
+                    };
+                    for &isa in &bodies {
+                        let mut got = Vec::with_capacity(expected.len());
+                        distance::scan(isa, &job, |slot, q, distance| {
+                            got.push((slot, q, distance));
+                        });
+                        assert_eq!(
+                            got, expected,
+                            "{isa:?} chunk {chunk} width {width} limit {slot_limit}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn entry_points_match_the_reference_for_every_chunk_size() {
+        for chunk in 1usize..=256 {
+            let mut page = noise(chunk * 4 + chunk / 2, 7 + chunk as u64);
+            let queries: Vec<Vec<u8>> = (0..9)
+                .map(|q| noise(chunk, (chunk * 16 + q) as u64))
+                .collect();
+            // Slot 2 equals query 1, so a threshold of 0 has a hit to keep.
+            page[2 * chunk..3 * chunk].copy_from_slice(&queries[1]);
+            let n_chunks = page.len().div_ceil(chunk);
+
+            let mut counts = Vec::new();
+            count_per_chunk_into(&page, chunk, &mut counts);
+            assert_eq!(counts, reference::count_per_chunk(&page, chunk), "{chunk}");
+            let ones: u64 = counts.iter().map(|&c| u64::from(c)).sum();
+            assert_eq!(popcount_bytes(&page), ones, "{chunk}");
+            assert_eq!(
+                hamming_bytes(&page[..chunk], &queries[0]),
+                reference::hamming(&page[..chunk], &queries[0]),
+                "{chunk}"
+            );
+
+            for width in [0usize, 1, 2, 3, 8, 9] {
+                let refs: Vec<&[u8]> = queries[..width].iter().map(Vec::as_slice).collect();
+                let distance = |slot: usize, q: usize| {
+                    let bytes = page.chunks(chunk).nth(slot).expect("slot in page");
+                    reference::hamming(bytes, &refs[q][..bytes.len()])
+                };
+                let mut fused = vec![u32::MAX; 3];
+                fused_hamming_per_chunk_into(&page, chunk, &refs, &mut fused);
+                assert_eq!(fused.len(), n_chunks * width);
+                for q in 0..width {
+                    for slot in 0..n_chunks {
+                        assert_eq!(fused[q * n_chunks + slot], distance(slot, q));
+                    }
+                }
+                let mixed: Vec<u32> = (0..width as u32).map(|q| chunk as u32 * (2 + q)).collect();
+                for thresholds in [vec![0; width], vec![u32::MAX; width], mixed] {
+                    for slot_limit in [0, 1, n_chunks / 2, n_chunks, n_chunks + 3] {
+                        let mut expected = Vec::new();
+                        for slot in 0..n_chunks.min(slot_limit) {
+                            for (q, &threshold) in thresholds.iter().enumerate() {
+                                let distance = distance(slot, q);
+                                if distance <= threshold {
+                                    expected.push(FusedHit {
+                                        query: q as u32,
+                                        slot: slot as u32,
+                                        distance,
+                                    });
+                                }
+                            }
+                        }
+                        let mut hits = vec![FusedHit {
+                            query: 9,
+                            slot: 9,
+                            distance: 9,
+                        }];
+                        fused_hamming_filter_into(
+                            &page,
+                            chunk,
+                            slot_limit,
+                            &refs,
+                            &thresholds,
+                            &mut Vec::new(),
+                            &mut hits,
+                        );
+                        assert_eq!(
+                            hits, expected,
+                            "chunk {chunk} width {width} limit {slot_limit} {thresholds:?}"
+                        );
+                        if width > 1 && slot_limit > 2 && thresholds[1] == 0 {
+                            assert!(hits.iter().any(|h| h.slot == 2 && h.query == 1));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counts_of_chunks_longer_than_the_zero_query() {
+        let page = noise(ZEROS.len() * 3 + 41, 5);
+        for chunk in [ZEROS.len(), ZEROS.len() + 1, ZEROS.len() * 2 + 7] {
+            let mut counts = Vec::new();
+            count_per_chunk_into(&page, chunk, &mut counts);
+            assert_eq!(counts, reference::count_per_chunk(&page, chunk), "{chunk}");
+        }
+        let ones: u64 = page.iter().map(|b| u64::from(b.count_ones())).sum();
+        assert_eq!(popcount_bytes(&page), ones);
+        assert_eq!(popcount_bytes(&[]), 0);
+        assert_eq!(hamming_bytes(&[], &[]), 0);
+    }
+
+    #[test]
+    fn every_crc32c_body_matches_the_bitwise_reference() {
+        let data = noise(1024, 3);
+        for isa in Isa::supported() {
+            for len in 0..=data.len() {
+                let bytes = &data[..len];
+                let want = reference::crc32c(bytes);
+                assert_eq!(crc::extend(isa, 0, bytes), want, "{isa:?} len {len}");
+                // Folding in two pieces — cut inside a word, at a word
+                // boundary and at the ends — equals one pass.
+                for split in [0, len / 3, (len / 2) & !7, len] {
+                    let state = crc::extend(isa, 0, &bytes[..split]);
+                    assert_eq!(
+                        crc::extend(isa, state, &bytes[split..]),
+                        want,
+                        "{isa:?} len {len} split {split}"
+                    );
+                }
             }
         }
     }

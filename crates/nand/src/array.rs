@@ -99,6 +99,23 @@ pub struct PageReadMeta {
     pub latency: Nanos,
 }
 
+/// A page read that reached the SSD controller, borrowed from the device
+/// instead of copied out of it (see [`FlashDevice::read_page_view`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageView<'a> {
+    /// The plane's sensing latch: the user data as sensed, read errors
+    /// included.
+    pub sensed: &'a [u8],
+    /// The user data as programmed — what a successful ECC decode of
+    /// `sensed` yields, by definition. A modelling backdoor for the
+    /// controller's ECC path: no real channel carries it.
+    pub stored: &'a [u8],
+    /// The OOB bytes of the page.
+    pub oob: &'a [u8],
+    /// Scheme, injected bit errors and latency of the read.
+    pub meta: PageReadMeta,
+}
+
 /// Result of a full page read that reaches the SSD controller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageReadout {
@@ -370,39 +387,62 @@ impl FlashDevice {
         Ok(latency)
     }
 
-    /// Read a page all the way to the controller: sense it, then transfer the
-    /// user data and OOB bytes over the channel.
+    /// Read a page all the way to the controller without copying it: sense
+    /// it into its plane's latch (injecting read errors there), account the
+    /// channel transfer of user data and OOB bytes, and lend out the latch
+    /// next to the stored page. Every other page read is a copy of this one.
+    ///
+    /// The stored → latch copy of the sense is the one copy that stays: error
+    /// injection flips bits in the latch, never in the array.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`FlashDevice::sense_page`].
+    pub fn read_page_view(&mut self, addr: PageAddr) -> Result<PageView<'_>> {
+        let (scheme, bit_errors, sense_latency) = self.sense_into_buffer(addr)?;
+        let plane = &self.planes[self.geometry.plane_index(addr.plane_addr())];
+        let sensed = plane
+            .buffer
+            .sensing()
+            .expect("sensing latch was just filled");
+        let oob = plane.buffer.oob().unwrap_or(&[]);
+        let stored = plane
+            .block(addr.block)
+            .and_then(|block| block.pages[addr.page].data.as_deref())
+            .expect("the page was just sensed");
+        let bytes = sensed.len() + oob.len();
+        self.stats.bytes_to_controller += bytes as u64;
+        Ok(PageView {
+            sensed,
+            stored,
+            oob,
+            meta: PageReadMeta {
+                scheme,
+                bit_errors,
+                latency: sense_latency + self.timing.channel_transfer(bytes),
+            },
+        })
+    }
+
+    /// [`FlashDevice::read_page_view`] copied into fresh buffers.
     ///
     /// # Errors
     ///
     /// Same conditions as [`FlashDevice::sense_page`].
     pub fn read_page(&mut self, addr: PageAddr) -> Result<PageReadout> {
-        let (scheme, bit_errors, sense_latency) = self.sense_into_buffer(addr)?;
-        let idx = self.geometry.plane_index(addr.plane_addr());
-        let buffer = &self.planes[idx].buffer;
-        let data = buffer
-            .sensing()
-            .expect("sensing latch was just filled")
-            .to_vec();
-        let oob = buffer.oob().unwrap_or(&[]).to_vec();
-        let bytes = data.len() + oob.len();
-        self.stats.bytes_to_controller += bytes as u64;
-        let latency = sense_latency + self.timing.channel_transfer(bytes);
+        let view = self.read_page_view(addr)?;
         Ok(PageReadout {
-            data,
-            oob,
-            scheme,
-            bit_errors,
-            latency,
+            data: view.sensed.to_vec(),
+            oob: view.oob.to_vec(),
+            scheme: view.meta.scheme,
+            bit_errors: view.meta.bit_errors,
+            latency: view.meta.latency,
         })
     }
 
-    /// Read a page all the way to the controller, writing the user data and
-    /// OOB bytes into caller-supplied buffers (which are cleared first).
-    ///
-    /// Functionally and statistically identical to
-    /// [`FlashDevice::read_page`], but reuses the caller's allocations so a
-    /// pooled readout loop performs no per-page heap allocation.
+    /// [`FlashDevice::read_page_view`] copied into caller-supplied buffers
+    /// (which are cleared first), so a pooled readout loop performs no
+    /// per-page heap allocation.
     ///
     /// # Errors
     ///
@@ -413,20 +453,12 @@ impl FlashDevice {
         data: &mut Vec<u8>,
         oob: &mut Vec<u8>,
     ) -> Result<PageReadMeta> {
-        let (scheme, bit_errors, sense_latency) = self.sense_into_buffer(addr)?;
-        let idx = self.geometry.plane_index(addr.plane_addr());
-        let buffer = &self.planes[idx].buffer;
+        let view = self.read_page_view(addr)?;
         data.clear();
-        data.extend_from_slice(buffer.sensing().expect("sensing latch was just filled"));
+        data.extend_from_slice(view.sensed);
         oob.clear();
-        oob.extend_from_slice(buffer.oob().unwrap_or(&[]));
-        let bytes = data.len() + oob.len();
-        self.stats.bytes_to_controller += bytes as u64;
-        Ok(PageReadMeta {
-            scheme,
-            bit_errors,
-            latency: sense_latency + self.timing.channel_transfer(bytes),
-        })
+        oob.extend_from_slice(view.oob);
+        Ok(view.meta)
     }
 
     /// Read only the OOB bytes of a page to the controller.
@@ -614,51 +646,6 @@ impl FlashDevice {
     /// the bytes a latch-based sense would.
     pub fn read_is_error_free(&self, scheme: ProgramScheme) -> bool {
         self.reliability.effective_ber(scheme) <= 0.0
-    }
-
-    /// Return the pristine stored contents of a page (user data and OOB)
-    /// without error injection, timing, or statistics.
-    ///
-    /// This is a modelling backdoor used by the controller's ECC path: when
-    /// the decoder reports a successful correction, the corrected payload is,
-    /// by definition, the originally programmed data, which this method hands
-    /// back without re-simulating the read.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NandError::PageNotProgrammed`] if the page holds no data.
-    pub fn pristine_page_data(&self, addr: PageAddr) -> Result<(Vec<u8>, Vec<u8>)> {
-        self.geometry.check_page(addr)?;
-        let idx = self.geometry.plane_index(addr.plane_addr());
-        let block = self.planes[idx]
-            .block(addr.block)
-            .ok_or(NandError::PageNotProgrammed(addr))?;
-        let page = &block.pages[addr.page];
-        let data = page
-            .data
-            .clone()
-            .ok_or(NandError::PageNotProgrammed(addr))?;
-        Ok((data, page.oob.clone().unwrap_or_default()))
-    }
-
-    /// Write the pristine stored user data of a page into a caller-supplied
-    /// buffer (the allocation-free variant of
-    /// [`FlashDevice::pristine_page_data`], used by the controller's pooled
-    /// ECC readout).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NandError::PageNotProgrammed`] if the page holds no data.
-    pub fn pristine_page_into(&self, addr: PageAddr, data: &mut Vec<u8>) -> Result<()> {
-        self.geometry.check_page(addr)?;
-        let idx = self.geometry.plane_index(addr.plane_addr());
-        let stored = self.planes[idx]
-            .block(addr.block)
-            .and_then(|block| block.pages[addr.page].data.as_deref())
-            .ok_or(NandError::PageNotProgrammed(addr))?;
-        data.clear();
-        data.extend_from_slice(stored);
-        Ok(())
     }
 
     /// Number of currently programmed pages in a block (0 for a block that

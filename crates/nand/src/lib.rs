@@ -63,7 +63,7 @@ pub mod sharding;
 pub mod stats;
 pub mod timing;
 
-pub use array::{FlashDevice, PageReadMeta, PageReadout};
+pub use array::{FlashDevice, PageReadMeta, PageReadout, PageView};
 pub use cell::{CellMode, ProgramScheme};
 pub use error::{NandError, Result};
 pub use geometry::{BlockAddr, Geometry, MiniPageAddr, PageAddr, PlaneAddr};

@@ -11,11 +11,11 @@
 //! # Hot-path invariants
 //!
 //! These helpers sit at the bottom of the query scan loop. The actual bit
-//! kernels — word-parallel `u64` processing, byte-wise tails, runtime POPCNT
-//! dispatch, allocation-free `_into` variants — live in the workspace's
-//! single kernel crate, [`reis_kernels`], and are re-exported here; this
-//! module only adds the peripheral framing (per-chunk semantics, the
-//! pass/fail comparator, the fused multi-query counter).
+//! kernels — one register-blocked distance primitive behind one run-time
+//! ISA dispatch, exact tails, allocation-free `_into` variants — live in the
+//! workspace's single kernel crate, [`reis_kernels`], and are re-exported
+//! here; this module only adds the peripheral framing (per-chunk semantics,
+//! the pass/fail comparator, the fused multi-query counter).
 
 use serde::{Deserialize, Serialize};
 
@@ -60,8 +60,7 @@ impl FailBitCounter {
 
     /// Allocation-free variant of [`FailBitCounter::count_per_chunk`]: the
     /// counts are written into `out` (cleared first), so a page-scan loop can
-    /// reuse one buffer for every page. The POPCNT dispatch is hoisted out of
-    /// the per-chunk loop.
+    /// reuse one buffer for every page.
     ///
     /// # Panics
     ///
@@ -71,7 +70,7 @@ impl FailBitCounter {
     }
 
     /// Fused multi-query fail-bit count: score one sensed page against every
-    /// broadcast query in a single pass over the page words, filling `out`
+    /// broadcast query in a single pass over the page, filling `out`
     /// query-major (query `q`'s per-chunk counts occupy
     /// `out[q * n_chunks .. (q + 1) * n_chunks]`).
     ///
@@ -140,8 +139,8 @@ impl PassFailChecker {
     }
 
     /// Threshold-aware fused scoring: score the first `slot_limit` chunks of
-    /// one sensed page against every query (each page word loaded once, as
-    /// in [`FailBitCounter::count_fused_into`]) and emit only the
+    /// one sensed page against every query (one pass over the page, as in
+    /// [`FailBitCounter::count_fused_into`]) and emit only the
     /// [`FusedHit`]s at or below that query's own threshold.
     ///
     /// This is the comparator form the windowed adaptive scan uses: every
@@ -152,26 +151,26 @@ impl PassFailChecker {
     /// changes where the work happens, not how much of it the peripheral
     /// performs.
     ///
-    /// `acc` and `out` are reusable buffers (see
+    /// `out` is a reusable hit buffer (see
     /// [`reis_kernels::fused_hamming_filter_into`] for the exact contract
     /// and panics).
-    #[allow(clippy::too_many_arguments)]
     pub fn filter_fused(
         latch: &[u8],
         chunk_bytes: usize,
         slot_limit: usize,
         queries: &[&[u8]],
         thresholds: &[u32],
-        acc: &mut Vec<u32>,
         out: &mut Vec<FusedHit>,
     ) {
+        // The kernel's accumulator argument is vestigial: an empty `Vec`
+        // allocates nothing.
         reis_kernels::fused_hamming_filter_into(
             latch,
             chunk_bytes,
             slot_limit,
             queries,
             thresholds,
-            acc,
+            &mut Vec::new(),
             out,
         );
     }

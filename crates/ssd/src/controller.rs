@@ -32,6 +32,50 @@ pub struct HostReadOutcome {
     pub corrected: bool,
 }
 
+/// One flash page as the controller's read path hands it on: borrowed from
+/// the device, not copied (see [`SsdController::read_region_page_view`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageReadView<'a> {
+    /// Page payload: the ECC-corrected stored page when the decoder
+    /// corrected raw errors, the plane's sensing latch otherwise.
+    pub data: &'a [u8],
+    /// The OOB bytes of the page.
+    pub oob: &'a [u8],
+    /// Total latency: flash read, channel transfer, ECC and DRAM staging.
+    pub latency: Nanos,
+    /// Whether ECC fully corrected the raw read (`true` without ECC).
+    pub corrected: bool,
+}
+
+/// The controller's one flash read: sense the page into its plane's latch
+/// (the device injects and counts read errors there), move it over the
+/// channel, decode it when an ECC engine is given, and lend out the bytes
+/// the decode leaves — the stored page after a successful correction, the
+/// latch otherwise. Takes the fields it touches so that callers can go on
+/// using the controller's other resources while they hold the view.
+fn read_decoded<'d>(
+    device: &'d mut FlashDevice,
+    ecc: Option<&mut EccEngine>,
+    addr: PageAddr,
+) -> Result<PageReadView<'d>> {
+    let page = device.read_page_view(addr)?;
+    let mut view = PageReadView {
+        data: page.sensed,
+        oob: page.oob,
+        latency: page.meta.latency,
+        corrected: true,
+    };
+    if let Some(ecc) = ecc {
+        let outcome = ecc.decode_page(page.meta.bit_errors);
+        view.latency += outcome.latency;
+        view.corrected = outcome.corrected;
+        if outcome.corrected && page.meta.bit_errors > 0 {
+            view.data = page.stored;
+        }
+    }
+    Ok(view)
+}
+
 /// Snapshot (or delta) of every activity counter the controller tracks:
 /// flash operations, internal-DRAM traffic and ECC work.
 ///
@@ -263,12 +307,32 @@ impl SsdController {
         Ok(self.device.program_page(addr, data, oob, scheme)?)
     }
 
-    /// Read one page of a database region through the controller, applying
-    /// ECC when the region's programming scheme requires it.
+    /// Read one page of a database region through the controller without
+    /// copying it: the page is sensed into its plane's latch, moved over the
+    /// channel, ECC-decoded when the region's programming scheme requires it
+    /// and staged in controller DRAM — all counted and timed — and the
+    /// returned view borrows the bytes where they already are. Rerank and
+    /// document fetch score and copy the one slot they need out of it.
     ///
-    /// Allocates a fresh buffer per call; hot loops should prefer
-    /// [`SsdController::read_region_page_into`], which stages the readout in
-    /// caller-pooled buffers instead.
+    /// # Errors
+    ///
+    /// Propagates flash read errors.
+    pub fn read_region_page_view(
+        &mut self,
+        region: &StripedRegion,
+        offset: usize,
+        kind: RegionKind,
+    ) -> Result<PageReadView<'_>> {
+        let addr = region.page_at(&self.config.geometry, offset)?;
+        let ecc = self.config.hybrid.needs_ecc(kind).then_some(&mut self.ecc);
+        let mut view = read_decoded(&mut self.device, ecc, addr)?;
+        // Staging the page in controller DRAM before it moves to the host.
+        view.latency += self.dram.write(view.data.len());
+        Ok(view)
+    }
+
+    /// [`SsdController::read_region_page_view`] with the payload copied into
+    /// a fresh buffer.
     ///
     /// # Errors
     ///
@@ -279,53 +343,12 @@ impl SsdController {
         offset: usize,
         kind: RegionKind,
     ) -> Result<HostReadOutcome> {
-        let mut data = Vec::new();
-        let mut oob = Vec::new();
-        let (latency, corrected) =
-            self.read_region_page_into(region, offset, kind, &mut data, &mut oob)?;
+        let view = self.read_region_page_view(region, offset, kind)?;
         Ok(HostReadOutcome {
-            data,
-            latency,
-            corrected,
+            data: view.data.to_vec(),
+            latency: view.latency,
+            corrected: view.corrected,
         })
-    }
-
-    /// Read one page of a database region through the controller into
-    /// caller-supplied staging buffers (cleared first), applying ECC when
-    /// the region's programming scheme requires it. Returns the read latency
-    /// and whether ECC fully corrected the raw read.
-    ///
-    /// This is the pooled variant of [`SsdController::read_region_page`]:
-    /// `data` stands in for the controller's ECC staging buffer, so a
-    /// page-ordered rerank or document-fetch loop that reuses one buffer
-    /// performs no per-page heap allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flash read errors.
-    pub fn read_region_page_into(
-        &mut self,
-        region: &StripedRegion,
-        offset: usize,
-        kind: RegionKind,
-        data: &mut Vec<u8>,
-        oob: &mut Vec<u8>,
-    ) -> Result<(Nanos, bool)> {
-        let addr = region.page_at(&self.config.geometry, offset)?;
-        let meta = self.device.read_page_into(addr, data, oob)?;
-        let mut latency = meta.latency;
-        let mut corrected = true;
-        if self.config.hybrid.needs_ecc(kind) {
-            let outcome = self.ecc.decode_page(meta.bit_errors);
-            latency += outcome.latency;
-            corrected = outcome.corrected;
-            if corrected && meta.bit_errors > 0 {
-                self.device.pristine_page_into(addr, data)?;
-            }
-        }
-        // Staging the page in controller DRAM before it moves to the host.
-        latency += self.dram.write(data.len());
-        Ok((latency, corrected))
     }
 
     /// Conventional host write of one logical page.
@@ -372,20 +395,12 @@ impl SsdController {
             });
         }
         let addr = self.page_ftl.translate(lpa)?;
-        let mut latency = self.cores.ftl_lookups(1) + self.dram.read(crate::ftl::PAGE_ENTRY_BYTES);
-        let readout = self.device.read_page(addr)?;
-        latency += readout.latency;
-        let ecc_outcome = self.ecc.decode_page(readout.bit_errors);
-        latency += ecc_outcome.latency;
-        let data = if ecc_outcome.corrected && readout.bit_errors > 0 {
-            self.device.pristine_page_data(addr)?.0
-        } else {
-            readout.data
-        };
+        let lookup = self.cores.ftl_lookups(1) + self.dram.read(crate::ftl::PAGE_ENTRY_BYTES);
+        let view = read_decoded(&mut self.device, Some(&mut self.ecc), addr)?;
         Ok(HostReadOutcome {
-            data,
-            latency,
-            corrected: ecc_outcome.corrected,
+            data: view.data.to_vec(),
+            latency: lookup + view.latency,
+            corrected: view.corrected,
         })
     }
 
@@ -470,6 +485,7 @@ impl SsdController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ecc::EccParams;
 
     fn controller() -> SsdController {
         SsdController::new(SsdConfig::tiny())
@@ -548,6 +564,147 @@ mod tests {
         assert_eq!(ssd.ecc().pages_decoded(), 1);
         // The regions are disjoint and tracked by the allocator.
         assert_eq!(ssd.free_pages(), ssd.config().geometry.total_pages() - 8);
+    }
+
+    /// The copy-out read the controller shipped before the borrowed view,
+    /// rebuilt from the device's primitive operations: sense (stored →
+    /// latch), copy the latch to a staging buffer, move it over the channel,
+    /// decode, and on a successful correction copy the stored page over the
+    /// staging buffer. Returns `(data, oob, latency, corrected, bit_errors)`.
+    fn copy_out_read(
+        ssd: &mut SsdController,
+        region: &StripedRegion,
+        offset: usize,
+        kind: RegionKind,
+    ) -> (Vec<u8>, Vec<u8>, Nanos, bool, usize) {
+        let addr = region.page_at(&ssd.config.geometry, offset).unwrap();
+        let errors_before = ssd.device.stats().injected_bit_errors;
+        let mut latency = ssd.device.sense_page(addr).unwrap();
+        let bit_errors = (ssd.device.stats().injected_bit_errors - errors_before) as usize;
+        let buffer = ssd.device.page_buffer(addr.plane_addr()).unwrap();
+        let mut data = buffer.sensing().unwrap().to_vec();
+        let oob = buffer.oob().unwrap_or(&[]).to_vec();
+        latency += ssd.device.transfer_to_controller(data.len() + oob.len());
+        let mut corrected = true;
+        if ssd.config.hybrid.needs_ecc(kind) {
+            let outcome = ssd.ecc.decode_page(bit_errors);
+            latency += outcome.latency;
+            corrected = outcome.corrected;
+            if corrected && bit_errors > 0 {
+                data = ssd.device.stored_page(addr).unwrap().0.to_vec();
+            }
+        }
+        latency += ssd.dram.write(data.len());
+        (data, oob, latency, corrected, bit_errors)
+    }
+
+    #[test]
+    fn borrowed_read_equals_the_copy_out_read_it_replaced() {
+        // A TLC page of the tiny geometry takes 3 or 4 raw bit errors per
+        // read; a decoder that corrects 3 leaves the 4-error reads
+        // uncorrectable, so both ECC outcomes occur.
+        let config = SsdConfig {
+            ecc: EccParams {
+                correctable_bits_per_page: 3,
+                ..EccParams::ldpc()
+            },
+            ..SsdConfig::tiny()
+        };
+        // Twins: same configuration, same fixed error-injection seed.
+        let mut old = SsdController::new(config);
+        let mut new = SsdController::new(config);
+        const PAGES: usize = 32;
+        let kinds = [RegionKind::Documents, RegionKind::BinaryEmbeddings];
+        let mut regions = Vec::new();
+        for (k, kind) in kinds.into_iter().enumerate() {
+            let mut region = None;
+            for ssd in [&mut old, &mut new] {
+                let reserved = ssd
+                    .reserve_region(&format!("db0/{k}"), PAGES, kind)
+                    .unwrap();
+                for page in 0..PAGES {
+                    let data: Vec<u8> = (0..4096).map(|i| (i * 7 + page * 13 + k) as u8).collect();
+                    let oob = [page as u8, k as u8, 0xEE];
+                    ssd.program_region_page(&reserved, page, kind, &data, &oob)
+                        .unwrap();
+                }
+                region = Some(reserved);
+            }
+            regions.push((kind, region.unwrap()));
+        }
+        assert_eq!(old, new);
+
+        let (mut corrected_reads, mut uncorrectable_reads) = (0, 0);
+        for page in 0..PAGES {
+            for (kind, region) in &regions {
+                let (data, oob, latency, corrected, bit_errors) =
+                    copy_out_read(&mut old, region, page, *kind);
+                let view = new.read_region_page_view(region, page, *kind).unwrap();
+                assert_eq!(view.data, &data[..], "{kind:?} page {page}");
+                assert_eq!(view.oob, &oob[..]);
+                assert_eq!(view.latency, latency);
+                assert_eq!(view.corrected, corrected);
+                let lent = view.data.as_ptr();
+
+                // The plane's sensing latch still holds the page as sensed:
+                // the programmed bytes with exactly the injected flips.
+                let addr = region.page_at(&config.geometry, page).unwrap();
+                let (stored, _, _) = new.device.stored_page(addr).unwrap();
+                let latch = new.device.page_buffer(addr.plane_addr()).unwrap();
+                let sensed = latch.sensing().unwrap();
+                let flipped: u32 = sensed
+                    .iter()
+                    .zip(stored)
+                    .map(|(a, b)| (a ^ b).count_ones())
+                    .sum();
+                assert_eq!(flipped as usize, bit_errors);
+                match (*kind, corrected) {
+                    (RegionKind::Documents, true) => {
+                        assert!(bit_errors > 0 && bit_errors <= 3);
+                        assert_eq!(
+                            lent,
+                            stored.as_ptr(),
+                            "corrected reads lend the stored page"
+                        );
+                        corrected_reads += 1;
+                    }
+                    (RegionKind::Documents, false) => {
+                        assert!(bit_errors > 3);
+                        assert_eq!(lent, sensed.as_ptr(), "uncorrectable reads lend the latch");
+                        uncorrectable_reads += 1;
+                    }
+                    _ => assert_eq!((bit_errors, sensed), (0, stored), "ESP-SLC reads clean"),
+                }
+
+                // Flash, ECC and DRAM counters, every latch and the error
+                // stream's position (`FlashDevice` equality covers its RNG).
+                assert_eq!(old.activity_snapshot(), new.activity_snapshot());
+                assert_eq!(old, new);
+            }
+        }
+        assert_eq!(corrected_reads + uncorrectable_reads, PAGES);
+        assert!(corrected_reads > 0 && uncorrectable_reads > 0);
+
+        // The next draws of the error stream land on the same bits.
+        let (_, tlc) = &regions[0];
+        let addr = tlc.page_at(&config.geometry, 0).unwrap();
+        for ssd in [&mut old, &mut new] {
+            ssd.device.sense_page(addr).unwrap();
+        }
+        assert_eq!(
+            old.device.page_buffer(addr.plane_addr()).unwrap().sensing(),
+            new.device.page_buffer(addr.plane_addr()).unwrap().sensing(),
+        );
+
+        // The copy-out wrappers are that view, copied.
+        let copied = old.read_region_page(tlc, 1, RegionKind::Documents).unwrap();
+        let view = new
+            .read_region_page_view(tlc, 1, RegionKind::Documents)
+            .unwrap();
+        assert_eq!(
+            (&copied.data[..], copied.latency, copied.corrected),
+            (view.data, view.latency, view.corrected)
+        );
     }
 
     #[test]

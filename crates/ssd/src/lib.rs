@@ -49,7 +49,7 @@ pub mod maintenance;
 
 pub use allocator::{PageAllocator, StripedRegion};
 pub use config::SsdConfig;
-pub use controller::{ControllerActivity, HostReadOutcome, SsdController};
+pub use controller::{ControllerActivity, HostReadOutcome, PageReadView, SsdController};
 pub use cores::{CoreParams, EmbeddedCores};
 pub use dram::{DramParams, InternalDram};
 pub use ecc::{EccEngine, EccParams};
