@@ -44,8 +44,9 @@ use reis_telemetry::{CounterId, HistogramId, QueryTrace, Span, Telemetry};
 
 use reis_core::system::ReisSystem;
 use reis_core::{
-    ClusterInfo, CompactionOutcome, DurableStore, LeafCandidate, MutationOutcome, QueryActivity,
-    RecoveryReport, ReisConfig, ReisError, Result, ScrubReport, VectorDatabase, DOC_SUBPAGE_BYTES,
+    Backend, ClusterInfo, CompactionOutcome, DurableStore, LeafCandidate, Modelled,
+    MutationOutcome, Pipeline, PipelineConfig, QueryActivity, RecoveryReport, ReisConfig,
+    ReisError, Result, ScrubReport, VectorDatabase, DOC_SUBPAGE_BYTES,
 };
 
 use crate::fault::{FaultDecision, FaultPlan};
@@ -225,24 +226,39 @@ impl ClusterSystem {
         replication: usize,
     ) -> Result<Self> {
         let router = ShardRouter::new_replicated(num_shards, replication)?;
-        let num_leaves = router.num_leaves();
-        Ok(ClusterSystem {
+        let leaves = (0..router.num_leaves())
+            .map(|_| ReisSystem::new(config))
+            .collect();
+        Ok(ClusterSystem::assemble(config, leaves, router, None))
+    }
+
+    /// The one place a `ClusterSystem` is put together: the given leaves
+    /// behind the given router with no corpus deployed at epoch 0,
+    /// everything else at its default (uniform latency, no hedging, no
+    /// faults, every leaf healthy).
+    fn assemble(
+        config: ReisConfig,
+        leaves: Vec<ReisSystem>,
+        router: ShardRouter,
+        manifest_vfs: Option<Box<dyn Vfs>>,
+    ) -> Self {
+        ClusterSystem {
             config,
-            leaves: (0..num_leaves).map(|_| ReisSystem::new(config)).collect(),
+            health: vec![LeafHealth::new(); leaves.len()],
+            leaves,
             leaf_dbs: Vec::new(),
             router,
             latency: LatencyModel::uniform(),
             hedge: None,
-            manifest_vfs: None,
+            manifest_vfs,
             epoch: 0,
             seq: 0,
             telemetry: Telemetry::from_env(),
             fault: None,
             retry: RetryPolicy::default(),
-            health: vec![LeafHealth::new(); num_leaves],
             agg_wal: Vec::new(),
             scrub_on_save: false,
-        })
+        }
     }
 
     /// Open a durable cluster: one snapshot/WAL store per leaf plus a VFS
@@ -330,23 +346,9 @@ impl ClusterSystem {
                 replication,
                 next_global,
             )?;
-            let cluster = ClusterSystem {
-                config,
-                leaves,
-                leaf_dbs: manifest.leaf_db_ids.clone(),
-                router,
-                latency: LatencyModel::uniform(),
-                hedge: None,
-                manifest_vfs: Some(manifest_vfs),
-                epoch: manifest.epoch,
-                seq: 0,
-                telemetry: Telemetry::from_env(),
-                fault: None,
-                retry: RetryPolicy::default(),
-                health: vec![LeafHealth::new(); num_leaves],
-                agg_wal: Vec::new(),
-                scrub_on_save: false,
-            };
+            let mut cluster = ClusterSystem::assemble(config, leaves, router, Some(manifest_vfs));
+            cluster.leaf_dbs = manifest.leaf_db_ids.clone();
+            cluster.epoch = manifest.epoch;
             let recovery = ClusterRecovery {
                 epoch: manifest.epoch,
                 leaves: reports,
@@ -365,23 +367,7 @@ impl ClusterSystem {
                 leaves.push(leaf);
             }
             let router = ShardRouter::new_replicated(num_leaves / replication, replication)?;
-            let cluster = ClusterSystem {
-                config,
-                leaves,
-                leaf_dbs: Vec::new(),
-                router,
-                latency: LatencyModel::uniform(),
-                hedge: None,
-                manifest_vfs: Some(manifest_vfs),
-                epoch: 0,
-                seq: 0,
-                telemetry: Telemetry::from_env(),
-                fault: None,
-                retry: RetryPolicy::default(),
-                health: vec![LeafHealth::new(); num_leaves],
-                agg_wal: Vec::new(),
-                scrub_on_save: false,
-            };
+            let cluster = ClusterSystem::assemble(config, leaves, router, Some(manifest_vfs));
             Ok((cluster, None))
         }
     }
@@ -408,16 +394,6 @@ impl ClusterSystem {
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
-    }
-
-    /// Replace the skew model in place.
-    pub fn set_latency_model(&mut self, model: LatencyModel) {
-        self.latency = model;
-    }
-
-    /// Replace the hedging policy in place.
-    pub fn set_hedging(&mut self, hedge: Option<HedgePolicy>) {
-        self.hedge = hedge;
     }
 
     /// Replace the fault plan in place (`None` never faults).
@@ -895,19 +871,26 @@ impl ClusterSystem {
         })
     }
 
-    /// Insert one entry; returns its globally assigned stable id.
+    /// Insert one entry under a freshly minted global stable id (see
+    /// [`ClusterSystem::insert_batch`]).
     ///
     /// # Errors
     ///
     /// Same conditions as [`ReisSystem::insert`].
-    pub fn insert(&mut self, vector: &[f32], document: Vec<u8>) -> Result<u32> {
-        let ids = self.insert_batch(std::slice::from_ref(&vector.to_vec()), vec![document])?;
-        Ok(ids[0])
+    pub fn insert(&mut self, vector: &[f32], document: Vec<u8>) -> Result<MutationOutcome> {
+        self.insert_batch(std::slice::from_ref(&vector.to_vec()), vec![document])
     }
 
     /// Insert a batch; global ids are minted consecutively and each entry
     /// is routed to (and natively stored under its global id by) every
     /// live replica of its owning shard, keeping the group in lockstep.
+    ///
+    /// The outcome's `ids` are the minted global ids, in batch order. Its
+    /// cost is what [`ClusterSystem::delete`] / [`ClusterSystem::upsert`]
+    /// report, over every owning shard: the first live replica speaks for
+    /// its shard, shards program in parallel (latency is the slowest
+    /// shard's, pages are summed), and `compaction` is the first shard's
+    /// that compacted.
     ///
     /// # Errors
     ///
@@ -918,7 +901,7 @@ impl ClusterSystem {
         &mut self,
         vectors: &[Vec<f32>],
         documents: Vec<Vec<u8>>,
-    ) -> Result<Vec<u32>> {
+    ) -> Result<MutationOutcome> {
         if self.leaf_dbs.is_empty() {
             return Err(ReisError::MalformedDatabase(
                 "cluster has no deployed corpus".into(),
@@ -937,10 +920,7 @@ impl ClusterSystem {
         for offset in 0..vectors.len() {
             let shard = self.router.owner(start + offset as u32);
             if self.live_replica(shard).is_none() {
-                return Err(ReisError::Unavailable {
-                    leaf: self.router.replicas(shard).start,
-                    source: None,
-                });
+                return Err(self.unavailable(shard));
             }
         }
         let ids = self.router.assign(vectors.len());
@@ -957,35 +937,27 @@ impl ClusterSystem {
             routed[shard].1.push(vector.clone());
             routed[shard].2.push(document);
         }
-        for (shard, (shard_ids, shard_vectors, mut shard_documents)) in
-            routed.into_iter().enumerate()
-        {
+        let mut combined = MutationOutcome {
+            ids,
+            latency: Nanos::ZERO,
+            pages_programmed: 0,
+            compaction: None,
+        };
+        for (shard, (shard_ids, shard_vectors, shard_documents)) in routed.into_iter().enumerate() {
             if shard_ids.is_empty() {
                 continue;
             }
-            let live: Vec<usize> = self
-                .router
-                .replicas(shard)
-                .filter(|&leaf| !self.health[leaf].is_down())
-                .collect();
-            for (position, &leaf_idx) in live.iter().enumerate() {
-                let leaf_documents = if position + 1 == live.len() {
-                    std::mem::take(&mut shard_documents)
-                } else {
-                    shard_documents.clone()
-                };
-                self.leaves[leaf_idx].insert_batch_at(
-                    self.leaf_dbs[leaf_idx],
-                    &shard_ids,
-                    &shard_vectors,
-                    leaf_documents,
-                )?;
-            }
+            let outcome = self.on_live_replicas(shard, |leaf, db| {
+                leaf.insert_batch_at(db, &shard_ids, &shard_vectors, &shard_documents)
+            })?;
+            combined.latency = combined.latency.max(outcome.latency);
+            combined.pages_programmed += outcome.pages_programmed;
+            combined.compaction = combined.compaction.or(outcome.compaction);
         }
         if let Some(record) = log_record {
             self.agg_wal.push(record);
         }
-        Ok(ids)
+        Ok(combined)
     }
 
     /// Delete stable id `id` from every live replica of its owning shard.
@@ -996,18 +968,7 @@ impl ClusterSystem {
     /// [`ReisError::Unavailable`] when the shard has no live replica.
     pub fn delete(&mut self, id: u32) -> Result<MutationOutcome> {
         let shard = self.owning_shard(id)?;
-        let mut outcome: Option<MutationOutcome> = None;
-        for leaf_idx in self.router.replicas(shard) {
-            if self.health[leaf_idx].is_down() {
-                continue;
-            }
-            let leaf_outcome = self.leaves[leaf_idx].delete(self.leaf_dbs[leaf_idx], id)?;
-            outcome.get_or_insert(leaf_outcome);
-        }
-        let outcome = outcome.ok_or_else(|| ReisError::Unavailable {
-            leaf: self.router.replicas(shard).start,
-            source: None,
-        })?;
+        let outcome = self.on_live_replicas(shard, |leaf, db| leaf.delete(db, id))?;
         self.log_mutation(AggWalRecord::Delete { id });
         Ok(outcome)
     }
@@ -1021,25 +982,41 @@ impl ClusterSystem {
     /// [`ReisError::Unavailable`] when the shard has no live replica.
     pub fn upsert(&mut self, id: u32, vector: &[f32], document: &[u8]) -> Result<MutationOutcome> {
         let shard = self.owning_shard(id)?;
-        let mut outcome: Option<MutationOutcome> = None;
-        for leaf_idx in self.router.replicas(shard) {
-            if self.health[leaf_idx].is_down() {
-                continue;
-            }
-            let leaf_outcome =
-                self.leaves[leaf_idx].upsert(self.leaf_dbs[leaf_idx], id, vector, document)?;
-            outcome.get_or_insert(leaf_outcome);
-        }
-        let outcome = outcome.ok_or_else(|| ReisError::Unavailable {
-            leaf: self.router.replicas(shard).start,
-            source: None,
-        })?;
+        let outcome =
+            self.on_live_replicas(shard, |leaf, db| leaf.upsert(db, id, vector, document))?;
         self.log_mutation(AggWalRecord::Upsert {
             id,
             vector: vector.to_vec(),
             document: document.to_vec(),
         });
         Ok(outcome)
+    }
+
+    /// Apply one mutation to every live replica of `shard`, in failover
+    /// order; the first live replica's outcome speaks for the lockstep
+    /// group. [`ReisError::Unavailable`] when no replica is live.
+    fn on_live_replicas(
+        &mut self,
+        shard: usize,
+        mut apply: impl FnMut(&mut ReisSystem, u32) -> Result<MutationOutcome>,
+    ) -> Result<MutationOutcome> {
+        let mut first: Option<MutationOutcome> = None;
+        for leaf in self.router.replicas(shard) {
+            if self.health[leaf].is_down() {
+                continue;
+            }
+            let outcome = apply(&mut self.leaves[leaf], self.leaf_dbs[leaf])?;
+            first.get_or_insert(outcome);
+        }
+        first.ok_or_else(|| self.unavailable(shard))
+    }
+
+    /// The error of a shard with no live replica.
+    fn unavailable(&self, shard: usize) -> ReisError {
+        ReisError::Unavailable {
+            leaf: self.router.replicas(shard).start,
+            source: None,
+        }
     }
 
     /// Compact every live leaf, in leaf order (down leaves compact during
@@ -1134,25 +1111,7 @@ impl ClusterSystem {
     /// [`ReisError::MalformedDatabase`] when `leaf` is out of range or not
     /// down; propagates replay errors.
     pub fn rejoin_leaf(&mut self, leaf: usize) -> Result<()> {
-        if leaf >= self.leaves.len() {
-            return Err(ReisError::MalformedDatabase(format!(
-                "leaf {leaf} is out of range for a {}-leaf cluster",
-                self.leaves.len()
-            )));
-        }
-        if !self.health[leaf].is_down() {
-            return Err(ReisError::MalformedDatabase(format!(
-                "leaf {leaf} is not down"
-            )));
-        }
-        let from = self.health[leaf].down_at_log();
-        self.catch_up(leaf, from)?;
-        if let Some(plan) = &mut self.fault {
-            plan.revive(leaf);
-        }
-        self.health[leaf].rejoin();
-        self.maybe_truncate_agg_wal();
-        Ok(())
+        self.rejoin(leaf, |_| Ok(()))
     }
 
     /// Rejoin down leaf `leaf` from its durable store: run single-device
@@ -1165,6 +1124,24 @@ impl ClusterSystem {
     /// Same conditions as [`ClusterSystem::rejoin_leaf`]; propagates
     /// recovery errors.
     pub fn reload_leaf(&mut self, leaf: usize, store: DurableStore) -> Result<RecoveryReport> {
+        self.rejoin(leaf, |cluster| {
+            let (system, report) = ReisSystem::recover(cluster.config, store)?;
+            cluster.leaves[leaf] = system;
+            if cluster.telemetry.is_enabled() {
+                cluster.leaves[leaf].enable_telemetry();
+            }
+            Ok(report)
+        })
+    }
+
+    /// The one rejoin body: check `leaf` is a down leaf, `restore` its
+    /// state, replay what it missed, lift any fault-plan kill and mark it
+    /// recovered.
+    fn rejoin<T>(
+        &mut self,
+        leaf: usize,
+        restore: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<T> {
         if leaf >= self.leaves.len() {
             return Err(ReisError::MalformedDatabase(format!(
                 "leaf {leaf} is out of range for a {}-leaf cluster",
@@ -1176,11 +1153,7 @@ impl ClusterSystem {
                 "leaf {leaf} is not down"
             )));
         }
-        let (system, report) = ReisSystem::recover(self.config, store)?;
-        self.leaves[leaf] = system;
-        if self.telemetry.is_enabled() {
-            self.leaves[leaf].enable_telemetry();
-        }
+        let restored = restore(self)?;
         let from = self.health[leaf].down_at_log();
         self.catch_up(leaf, from)?;
         if let Some(plan) = &mut self.fault {
@@ -1188,7 +1161,7 @@ impl ClusterSystem {
         }
         self.health[leaf].rejoin();
         self.maybe_truncate_agg_wal();
-        Ok(report)
+        Ok(restored)
     }
 
     /// Replay the aggregator log from `from`, filtered to `leaf`'s shard.
@@ -1218,7 +1191,7 @@ impl ClusterSystem {
                             self.leaf_dbs[leaf],
                             &shard_ids,
                             &shard_vectors,
-                            shard_documents,
+                            &shard_documents,
                         )?;
                     }
                 }
@@ -1366,5 +1339,59 @@ impl ClusterSystem {
     /// The cluster configuration.
     pub fn config(&self) -> &ReisConfig {
         &self.config
+    }
+
+    /// Open an asynchronous request pipeline over the deployed corpus (see
+    /// [`reis_core::Pipeline`]): the single-device front door, dispatching
+    /// through this aggregator. The pipeline borrows the cluster
+    /// exclusively; drop it (after `flush`) to use the cluster directly
+    /// again.
+    pub fn pipeline(&mut self, config: PipelineConfig) -> Pipeline<&mut ClusterSystem> {
+        Pipeline::new(self, config)
+    }
+}
+
+impl Modelled for ClusterSearchOutcome {
+    fn modelled_latency(&self) -> Nanos {
+        self.latency
+    }
+}
+
+/// The cluster behind the request pipeline. A formed batch fans out once
+/// per query and is priced by the aggregator's modelled end-to-end latency;
+/// a mutation is priced by its owning shards' first live replicas. The
+/// pipeline's shard budget is not forwarded: each leaf shards its scan by
+/// its own captured parallelism.
+impl Backend for &mut ClusterSystem {
+    type Search = ClusterSearchOutcome;
+
+    fn validate_search(&self, query: &[f32], k: usize, nprobe: Option<usize>) -> Result<()> {
+        (**self).validate_search(query, k, nprobe)
+    }
+
+    fn search_batch(
+        &mut self,
+        queries: &[Vec<f32>],
+        k: usize,
+        nprobe: Option<usize>,
+        _workers: usize,
+    ) -> Result<Vec<ClusterSearchOutcome>> {
+        (**self).search_batch(queries, k, nprobe)
+    }
+
+    fn insert(&mut self, vector: &[f32], document: Vec<u8>) -> Result<MutationOutcome> {
+        (**self).insert(vector, document)
+    }
+
+    fn delete(&mut self, id: u32) -> Result<MutationOutcome> {
+        (**self).delete(id)
+    }
+
+    fn upsert(&mut self, id: u32, vector: &[f32], document: &[u8]) -> Result<MutationOutcome> {
+        (**self).upsert(id, vector, document)
+    }
+
+    fn telemetry(&self) -> &Telemetry {
+        (**self).telemetry()
     }
 }

@@ -31,7 +31,9 @@
 //! * [`cluster`] — [`ClusterSystem`], the aggregator itself: deploy,
 //!   search, batched search, mutation routing with replica lockstep,
 //!   retry/failover/degradation, per-leaf durability, cluster-manifest
-//!   recovery and down-leaf rejoin.
+//!   recovery and down-leaf rejoin — and, through its
+//!   [`Backend`](reis_core::Backend) implementation, the request pipeline
+//!   ([`ClusterSystem::pipeline`] is the generic [`reis_core::Pipeline`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -41,7 +43,6 @@ pub mod fault;
 pub mod health;
 pub mod latency;
 pub mod merge;
-pub mod pipeline;
 pub mod router;
 
 pub use cluster::{ClusterActivity, ClusterRecovery, ClusterSearchOutcome, ClusterSystem};
@@ -49,5 +50,4 @@ pub use fault::{FaultDecision, FaultPlan};
 pub use health::{HealthState, LeafHealth, RetryPolicy, ShardCoverage};
 pub use latency::{HedgePolicy, LatencyModel};
 pub use merge::{merge_top_k, MergeOutcome, RankedCandidate};
-pub use pipeline::{ClusterPipeline, ClusterPipelineCompletion, ClusterPipelineReply};
 pub use router::ShardRouter;

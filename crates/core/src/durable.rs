@@ -370,7 +370,7 @@ fn apply_record(system: &mut ReisSystem, record: WalRecord) -> Result<bool> {
             documents,
             ids,
         } => {
-            let outcome = system.insert_batch_inner(db_id, &vectors, documents)?;
+            let outcome = system.insert_batch_inner(db_id, None, &vectors, &documents)?;
             if outcome.ids != ids {
                 return Err(PersistError::Malformed(format!(
                     "replay id divergence on database {db_id}: the WAL recorded ids {ids:?}, \
@@ -403,7 +403,7 @@ fn apply_record(system: &mut ReisSystem, record: WalRecord) -> Result<bool> {
             // The recorded ids are authoritative (the aggregator chose
             // them); replay re-applies the assignment verbatim, and the
             // routed-insert path re-validates freshness and uniqueness.
-            system.insert_batch_at_inner(db_id, &ids, &vectors, documents)?;
+            system.insert_batch_inner(db_id, Some(&ids), &vectors, &documents)?;
         }
     }
     Ok(true)

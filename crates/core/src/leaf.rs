@@ -42,14 +42,13 @@
 
 use reis_ann::topk::Neighbor;
 use reis_nand::{FlashStats, Nanos};
-use reis_persist::WalRecord;
 
 use crate::database::VectorDatabase;
 use crate::deploy;
 use crate::energy::EnergyBreakdown;
 use crate::engine::InStorageEngine;
 use crate::error::{ReisError, Result};
-use crate::mutate::{self, MutationOutcome};
+use crate::mutate::MutationOutcome;
 use crate::perf::{LatencyBreakdown, QueryActivity};
 use crate::scan::{Finish, Request};
 use crate::system::ReisSystem;
@@ -153,11 +152,12 @@ impl ReisSystem {
     }
 
     /// Insert a batch under *caller-chosen* stable ids (see
-    /// [`mutate`]'s routed-insert primitive): every id must be fresh (at or
-    /// past the shard's next-id watermark) and unique within the batch. On
-    /// a durably-opened system the batch is WAL-logged as
-    /// [`WalRecord::InsertBatchAt`] so replay re-applies the recorded
-    /// assignment verbatim.
+    /// [`crate::mutate`]'s routed-insert primitive): every id must be fresh
+    /// (at or past the shard's next-id watermark) and unique within the
+    /// batch. On a durably-opened system the batch is WAL-logged as
+    /// [`WalRecord::InsertBatchAt`](reis_persist::WalRecord) so replay
+    /// re-applies the recorded assignment verbatim. [`ReisSystem::insert_batch`]
+    /// is this call with the next unassigned ids.
     ///
     /// # Errors
     ///
@@ -168,54 +168,9 @@ impl ReisSystem {
         db_id: u32,
         ids: &[u32],
         vectors: &[Vec<f32>],
-        documents: Vec<Vec<u8>>,
+        documents: &[Vec<u8>],
     ) -> Result<MutationOutcome> {
-        let wal_payload = self
-            .durability
-            .is_some()
-            .then(|| (vectors.to_vec(), documents.clone()));
-        let outcome = self.insert_batch_at_inner(db_id, ids, vectors, documents)?;
-        if let Some((vectors, documents)) = wal_payload {
-            self.log_wal(WalRecord::InsertBatchAt {
-                db_id,
-                vectors,
-                documents,
-                ids: ids.to_vec(),
-            })?;
-        }
-        Ok(outcome)
-    }
-
-    /// The body of [`ReisSystem::insert_batch_at`], minus WAL logging (WAL
-    /// replay re-applies records through this path).
-    pub(crate) fn insert_batch_at_inner(
-        &mut self,
-        db_id: u32,
-        ids: &[u32],
-        vectors: &[Vec<f32>],
-        documents: Vec<Vec<u8>>,
-    ) -> Result<MutationOutcome> {
-        let db = self
-            .databases
-            .get_mut(&db_id)
-            .ok_or(ReisError::DatabaseNotDeployed(db_id))?;
-        let (centroid_pages, centroids) = if db.is_ivf() {
-            (db.layout.centroid_pages, db.layout.centroids)
-        } else {
-            (0, 0)
-        };
-        let (latency, pages_programmed) =
-            mutate::insert_batch_at(&mut self.controller, db, ids, vectors, &documents)?;
-        let overhead = self
-            .perf
-            .append_overhead(ids.len(), centroid_pages, centroids);
-        let compaction = self.maybe_auto_compact(db_id)?;
-        Ok(MutationOutcome {
-            ids: ids.to_vec(),
-            latency: latency + overhead,
-            pages_programmed,
-            compaction,
-        })
+        self.insert_logged(db_id, Some(ids), vectors, documents)
     }
 
     /// The shard's next unassigned stable id — after recovery, the cluster

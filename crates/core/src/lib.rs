@@ -23,6 +23,9 @@
 //!   pipelining, MPIBC).
 //! * [`energy`] — the per-operation energy model.
 //! * [`system`] — [`system::ReisSystem`], the host-facing API of Table 1.
+//! * [`pipeline`] — the asynchronous request front door: one
+//!   [`pipeline::Pipeline`] over the small [`pipeline::Backend`] contract,
+//!   serving a device here and a cluster in `reis-cluster`.
 //! * [`config`] — REIS-SSD1 / REIS-SSD2 configurations and the optimization
 //!   toggles of the Fig. 9 sensitivity study.
 //!
@@ -77,7 +80,8 @@ pub use leaf::{LeafCandidate, LeafDocumentsOutcome, LeafQueryOutcome};
 pub use mutate::{CompactionOutcome, MutationOutcome};
 pub use perf::{LatencyBreakdown, PerfModel, QueryActivity};
 pub use pipeline::{
-    LanePriority, Pipeline, PipelineCompletion, PipelineConfig, PipelineReply, PipelineRequest,
+    Backend, DeviceBackend, LanePriority, Modelled, Pipeline, PipelineCompletion, PipelineConfig,
+    PipelineReply, PipelineRequest,
 };
 pub use records::{RIvf, RIvfEntry, TemporalTopList, TtlEntry};
 pub use reis_sched::{WorkerContext, WorkerPool};

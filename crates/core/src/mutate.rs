@@ -392,23 +392,11 @@ pub(crate) fn insert_batch(
     vectors: &[Vec<f32>],
     documents: &[Vec<u8>],
 ) -> Result<(Vec<u32>, Nanos, usize)> {
-    let (binaries, int8s) = encode_batch(db, vectors, documents)?;
-    let mut latency = Nanos::ZERO;
-    let mut clusters = Vec::with_capacity(binaries.len());
-    for binary in &binaries {
-        let (cluster, scan_latency) = nearest_cluster(ssd, db, binary)?;
-        clusters.push(cluster);
-        latency += scan_latency;
-    }
     let ids: Vec<u32> = (0..vectors.len() as u32)
         .map(|i| db.updates.next_id + i)
         .collect();
-    let appended = append_entries(ssd, db, &ids, &binaries, &int8s, documents, &clusters);
-    let (append_latency, pages) = appended?;
-    db.updates.next_id += vectors.len() as u32;
-    db.updates.stats.inserts += vectors.len() as u64;
-    account_update_state(ssd, db)?;
-    Ok((ids, latency + append_latency, pages))
+    let (latency, pages) = insert_batch_at(ssd, db, &ids, vectors, documents)?;
+    Ok((ids, latency, pages))
 }
 
 /// Insert a batch of entries under *caller-chosen* stable ids (the cluster

@@ -3,7 +3,12 @@
 //! Callers of [`ReisSystem::search`] choose their own batch sizes; a serving
 //! deployment cannot — requests arrive whenever clients send them. The
 //! [`Pipeline`] turns arrivals into device work the way a real heavy-traffic
-//! server would, and makes **batch size an emergent property of load**:
+//! server would, and makes **batch size an emergent property of load**. It
+//! is one front door for every deployment shape: the lanes, the formation
+//! rule and the virtual clock are written once, generic over the small
+//! [`Backend`] contract, and instantiated for one database of one device
+//! ([`ReisSystem::pipeline`]) and — in `reis-cluster` — for a whole
+//! aggregator-leaf cluster.
 //!
 //! * **Bounded submission queues.** Each lane holds at most
 //!   [`PipelineConfig::queue_depth`] requests; past that, [`Pipeline::submit`]
@@ -23,8 +28,9 @@
 //! Time is **virtual**: callers stamp submissions with nanosecond
 //! timestamps (e.g. from a seeded
 //! [`ArrivalTrace`](../../reis_workloads/arrival) — the `fig_scheduler`
-//! bench does), and completions are priced by the modelled device latency,
-//! serialized through a device-busy horizon. The whole pipeline is therefore
+//! bench does), and completions are priced by the backend's modelled
+//! latency — searches and mutations alike — serialized through a
+//! device-busy horizon. The whole pipeline is therefore
 //! deterministic: the same trace produces byte-identical completions on any
 //! machine and any pool size, which is what lets the scheduler CI gate diff
 //! its summaries, and lets a QPS-vs-p99 sweep run on a single-core host.
@@ -35,7 +41,8 @@
 
 use std::collections::VecDeque;
 
-use reis_telemetry::{CounterId, HistogramId};
+use reis_nand::Nanos;
+use reis_telemetry::{CounterId, HistogramId, Telemetry};
 
 use crate::error::{ReisError, Result};
 use crate::mutate::MutationOutcome;
@@ -161,40 +168,171 @@ pub enum PipelineRequest {
     },
 }
 
-impl PipelineRequest {
-    /// True for the mutation lane (insert / delete / upsert).
-    pub fn is_mutation(&self) -> bool {
-        matches!(
-            self,
-            PipelineRequest::Insert { .. }
-                | PipelineRequest::Delete { .. }
-                | PipelineRequest::Upsert { .. }
-        )
-    }
+/// A search as the search lane holds it (`nprobe: None` = brute force).
+#[derive(Debug)]
+struct SearchRequest {
+    query: Vec<f32>,
+    k: usize,
+    nprobe: Option<usize>,
+}
 
+impl SearchRequest {
     /// Two searches fuse into one batch only when they form one scan-core
-    /// request: same `k` and same probe selection. `None` for mutations.
-    pub fn batch_key(&self) -> Option<(usize, Option<usize>)> {
-        self.as_search().map(|(_, k, nprobe)| (k, nprobe))
+    /// request: same `k` and same probe selection.
+    fn batch_key(&self) -> (usize, Option<usize>) {
+        (self.k, self.nprobe)
     }
+}
 
-    /// The query, `k` and probe selection (`None` = brute force) of a
-    /// search request; `None` for mutations.
-    pub fn as_search(&self) -> Option<(&[f32], usize, Option<usize>)> {
+/// A mutation as the mutation lane holds it.
+#[derive(Debug)]
+enum Mutation {
+    Insert {
+        vector: Vec<f32>,
+        document: Vec<u8>,
+    },
+    Delete {
+        id: u32,
+    },
+    Upsert {
+        id: u32,
+        vector: Vec<f32>,
+        document: Vec<u8>,
+    },
+}
+
+/// A request sorted into its lane's own type, so neither lane can hold a
+/// request of the other kind.
+enum Lane {
+    Search(SearchRequest),
+    Mutation(Mutation),
+}
+
+impl PipelineRequest {
+    fn into_lane(self) -> Lane {
         match self {
-            PipelineRequest::Search { query, k } => Some((query, *k, None)),
-            PipelineRequest::IvfSearch { query, k, nprobe } => Some((query, *k, Some(*nprobe))),
-            _ => None,
+            PipelineRequest::Search { query, k } => Lane::Search(SearchRequest {
+                query,
+                k,
+                nprobe: None,
+            }),
+            PipelineRequest::IvfSearch { query, k, nprobe } => Lane::Search(SearchRequest {
+                query,
+                k,
+                nprobe: Some(nprobe),
+            }),
+            PipelineRequest::Insert { vector, document } => {
+                Lane::Mutation(Mutation::Insert { vector, document })
+            }
+            PipelineRequest::Delete { id } => Lane::Mutation(Mutation::Delete { id }),
+            PipelineRequest::Upsert {
+                id,
+                vector,
+                document,
+            } => Lane::Mutation(Mutation::Upsert {
+                id,
+                vector,
+                document,
+            }),
         }
     }
 }
 
-/// A completed request's answer.
+/// A search answer the pipeline can price on its virtual clock.
+pub trait Modelled {
+    /// The modelled end-to-end latency of the search.
+    fn modelled_latency(&self) -> Nanos;
+}
+
+impl Modelled for SearchOutcome {
+    fn modelled_latency(&self) -> Nanos {
+        self.total_latency()
+    }
+}
+
+/// What a [`Pipeline`] asks of whatever executes its requests — exactly the
+/// calls the lane code makes, nothing else. Implemented by [`DeviceBackend`]
+/// (one database of one [`ReisSystem`]) and by `&mut ClusterSystem` in
+/// `reis-cluster`; the pipeline is monomorphised over it.
+pub trait Backend {
+    /// One search's answer.
+    type Search: Modelled;
+
+    /// Check a search without running it (`nprobe: None` = brute force):
+    /// the error the search itself would raise.
+    fn validate_search(&self, query: &[f32], k: usize, nprobe: Option<usize>) -> Result<()>;
+
+    /// Execute one formed batch; answers in query order. `workers` is
+    /// [`PipelineConfig::workers`].
+    fn search_batch(
+        &mut self,
+        queries: &[Vec<f32>],
+        k: usize,
+        nprobe: Option<usize>,
+        workers: usize,
+    ) -> Result<Vec<Self::Search>>;
+
+    /// Append one entry under a freshly minted stable id.
+    fn insert(&mut self, vector: &[f32], document: Vec<u8>) -> Result<MutationOutcome>;
+
+    /// Tombstone one entry by stable id.
+    fn delete(&mut self, id: u32) -> Result<MutationOutcome>;
+
+    /// Replace one entry by stable id.
+    fn upsert(&mut self, id: u32, vector: &[f32], document: &[u8]) -> Result<MutationOutcome>;
+
+    /// Where the pipeline records its `reis_pipeline_*` series.
+    fn telemetry(&self) -> &Telemetry;
+}
+
+/// The single-device [`Backend`]: one deployed database of one
+/// [`ReisSystem`], held exclusively.
+#[derive(Debug)]
+pub struct DeviceBackend<'a> {
+    system: &'a mut ReisSystem,
+    db_id: u32,
+}
+
+impl Backend for DeviceBackend<'_> {
+    type Search = SearchOutcome;
+
+    fn validate_search(&self, query: &[f32], k: usize, nprobe: Option<usize>) -> Result<()> {
+        self.system.validate_search(self.db_id, query, k, nprobe)
+    }
+
+    fn search_batch(
+        &mut self,
+        queries: &[Vec<f32>],
+        k: usize,
+        nprobe: Option<usize>,
+        workers: usize,
+    ) -> Result<Vec<SearchOutcome>> {
+        self.system
+            .run_batch(self.db_id, queries, k, nprobe, workers)
+    }
+
+    fn insert(&mut self, vector: &[f32], document: Vec<u8>) -> Result<MutationOutcome> {
+        self.system.insert(self.db_id, vector, document)
+    }
+
+    fn delete(&mut self, id: u32) -> Result<MutationOutcome> {
+        self.system.delete(self.db_id, id)
+    }
+
+    fn upsert(&mut self, id: u32, vector: &[f32], document: &[u8]) -> Result<MutationOutcome> {
+        self.system.upsert(self.db_id, id, vector, document)
+    }
+
+    fn telemetry(&self) -> &Telemetry {
+        &self.system.telemetry
+    }
+}
+
+/// A completed request's answer; `S` is the backend's search answer.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PipelineReply {
-    /// A search's outcome (boxed: a [`SearchOutcome`] dwarfs the
-    /// mutation variant).
-    Search(Box<SearchOutcome>),
+pub enum PipelineReply<S = SearchOutcome> {
+    /// A search's outcome (boxed: it dwarfs the mutation variant).
+    Search(Box<S>),
     /// A mutation's outcome.
     Mutation(MutationOutcome),
 }
@@ -202,7 +340,7 @@ pub enum PipelineReply {
 /// One completion record: when the request entered, when its batch
 /// dispatched, when the modelled device finished it, and the answer.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PipelineCompletion {
+pub struct PipelineCompletion<S = SearchOutcome> {
     /// The id [`Pipeline::submit`] returned.
     pub request_id: u64,
     /// Virtual submission timestamp (the caller's).
@@ -217,32 +355,32 @@ pub struct PipelineCompletion {
     /// The answer, or the error the executing batch surfaced (malformed
     /// searches never get this far: [`Pipeline::submit`] refuses them).
     /// Request-level errors never poison the pipeline itself.
-    pub reply: Result<PipelineReply>,
+    pub reply: Result<PipelineReply<S>>,
 }
 
 /// A queued request with its submission metadata.
 #[derive(Debug)]
-struct Pending {
+struct Pending<T> {
     request_id: u64,
     submitted_ns: u64,
-    request: PipelineRequest,
+    request: T,
 }
 
-/// The asynchronous request pipeline over one [`ReisSystem`] database (see
-/// the module docs). Created by [`ReisSystem::pipeline`]; holds the system
-/// exclusively, so submissions and dispatches interleave deterministically.
+/// The asynchronous request pipeline over a [`Backend`] (see the module
+/// docs). Created by [`ReisSystem::pipeline`] or `ClusterSystem::pipeline`;
+/// holds its backend exclusively, so submissions and dispatches interleave
+/// deterministically.
 #[derive(Debug)]
-pub struct Pipeline<'a> {
-    system: &'a mut ReisSystem,
-    db_id: u32,
+pub struct Pipeline<B: Backend> {
+    backend: B,
     config: PipelineConfig,
     /// Virtual now: the latest submission or dispatch event processed.
     clock_ns: u64,
     /// When the modelled device frees up; dispatches serialize behind it.
     device_free_ns: u64,
-    searches: VecDeque<Pending>,
-    mutations: VecDeque<Pending>,
-    completions: Vec<PipelineCompletion>,
+    searches: VecDeque<Pending<SearchRequest>>,
+    mutations: VecDeque<Pending<Mutation>>,
+    completions: Vec<PipelineCompletion<B::Search>>,
     next_id: u64,
     shed: u64,
 }
@@ -252,10 +390,22 @@ impl ReisSystem {
     /// (see [`Pipeline`]). The pipeline borrows the system exclusively;
     /// drop it (after [`Pipeline::flush`]) to use the system directly
     /// again.
-    pub fn pipeline(&mut self, db_id: u32, config: PipelineConfig) -> Pipeline<'_> {
+    pub fn pipeline(&mut self, db_id: u32, config: PipelineConfig) -> Pipeline<DeviceBackend<'_>> {
+        Pipeline::new(
+            DeviceBackend {
+                system: self,
+                db_id,
+            },
+            config,
+        )
+    }
+}
+
+impl<B: Backend> Pipeline<B> {
+    /// An empty pipeline over `backend` at virtual time 0.
+    pub fn new(backend: B, config: PipelineConfig) -> Self {
         Pipeline {
-            system: self,
-            db_id,
+            backend,
             config: PipelineConfig {
                 max_batch: config.max_batch.max(1),
                 queue_depth: config.queue_depth.max(1),
@@ -271,9 +421,7 @@ impl ReisSystem {
             shed: 0,
         }
     }
-}
 
-impl Pipeline<'_> {
     /// Submit one request at virtual time `at_ns` (timestamps must be
     /// non-decreasing across calls; earlier stamps are clamped to the
     /// current virtual clock). Returns the request id its completion will
@@ -281,10 +429,10 @@ impl Pipeline<'_> {
     ///
     /// # Errors
     ///
-    /// * The search's own validation error
-    ///   ([`ReisSystem::validate_search`]) for a malformed search — returned
-    ///   to this submitter only; nothing is queued, nothing counts as shed,
-    ///   and the requests it would have been batched with are unaffected.
+    /// * The search's own validation error ([`Backend::validate_search`])
+    ///   for a malformed search — returned to this submitter only; nothing
+    ///   is queued, nothing counts as shed, and the requests it would have
+    ///   been batched with are unaffected.
     /// * [`ReisError::Overloaded`] when the request's lane is at
     ///   [`PipelineConfig::queue_depth`] — the request is shed, nothing is
     ///   queued, and the pipeline stays fully usable (drain by advancing
@@ -292,87 +440,93 @@ impl Pipeline<'_> {
     pub fn submit(&mut self, at_ns: u64, request: PipelineRequest) -> Result<u64> {
         // Fire every formation deadline that elapsed before this arrival.
         self.run_until(at_ns);
-        self.clock_ns = self.clock_ns.max(at_ns);
-        if let Some((query, k, nprobe)) = request.as_search() {
-            self.system.validate_search(self.db_id, query, k, nprobe)?;
-        }
-
-        let telemetry = self.system.telemetry.clone();
-        let lane = if request.is_mutation() {
-            &mut self.mutations
-        } else {
-            &mut self.searches
-        };
-        if lane.len() >= self.config.queue_depth {
-            self.shed += 1;
-            telemetry.count(CounterId::PipelineShed, 1);
-            return Err(ReisError::Overloaded {
-                depth: self.config.queue_depth,
-            });
-        }
-
-        // A search that cannot fuse with the forming batch closes it: the
-        // lane stays homogeneous, so a dispatch always takes the whole lane.
-        let incompatible = !request.is_mutation()
-            && self
-                .searches
-                .front()
-                .is_some_and(|head| head.request.batch_key() != request.batch_key());
-        if incompatible {
-            self.dispatch_searches();
-        }
-
         let request_id = self.next_id;
+        let submitted_ns = self.clock_ns;
+        match request.into_lane() {
+            Lane::Search(request) => {
+                self.backend
+                    .validate_search(&request.query, request.k, request.nprobe)?;
+                self.admit(self.searches.len())?;
+                // A search that cannot fuse with the forming batch closes
+                // it: the lane stays homogeneous, so a dispatch always
+                // takes the whole lane.
+                let incompatible = self
+                    .searches
+                    .front()
+                    .is_some_and(|head| head.request.batch_key() != request.batch_key());
+                if incompatible {
+                    self.dispatch_searches();
+                }
+                self.searches.push_back(Pending {
+                    request_id,
+                    submitted_ns,
+                    request,
+                });
+                self.record_enqueued(self.searches.len());
+                if self.searches.len() >= self.config.max_batch {
+                    self.dispatch_searches();
+                }
+            }
+            Lane::Mutation(request) => {
+                self.admit(self.mutations.len())?;
+                self.mutations.push_back(Pending {
+                    request_id,
+                    submitted_ns,
+                    request,
+                });
+                self.record_enqueued(self.mutations.len());
+            }
+        }
         self.next_id += 1;
-        let is_mutation = request.is_mutation();
-        let pending = Pending {
-            request_id,
-            submitted_ns: self.clock_ns,
-            request,
-        };
-        let lane = if is_mutation {
-            &mut self.mutations
-        } else {
-            &mut self.searches
-        };
-        lane.push_back(pending);
-        let depth = lane.len();
+        Ok(request_id)
+    }
+
+    /// Shed the arriving request if its lane already holds `queued`.
+    fn admit(&mut self, queued: usize) -> Result<()> {
+        if queued < self.config.queue_depth {
+            return Ok(());
+        }
+        self.shed += 1;
+        self.backend.telemetry().count(CounterId::PipelineShed, 1);
+        Err(ReisError::Overloaded {
+            depth: self.config.queue_depth,
+        })
+    }
+
+    fn record_enqueued(&self, depth: usize) {
+        let telemetry = self.backend.telemetry();
         telemetry.count(CounterId::PipelineRequests, 1);
         telemetry.observe(HistogramId::PipelineQueueDepth, depth as u64);
-
-        if !is_mutation && self.searches.len() >= self.config.max_batch {
-            self.dispatch_searches();
-        }
-        Ok(request_id)
     }
 
     /// Advance virtual time to `at_ns`, firing every lane whose formation
     /// deadline (`oldest submission + max_wait`) elapses on the way, in
     /// deadline order (ties broken by [`LanePriority`]).
     pub fn run_until(&mut self, at_ns: u64) {
+        let max_wait_ns = self.config.max_wait_ns;
         loop {
             let search_deadline = self
                 .searches
                 .front()
-                .map(|p| p.submitted_ns.saturating_add(self.config.max_wait_ns));
+                .map(|p| p.submitted_ns.saturating_add(max_wait_ns));
             let mutation_deadline = self
                 .mutations
                 .front()
-                .map(|p| p.submitted_ns.saturating_add(self.config.max_wait_ns));
-            let mutations_first = match (search_deadline, mutation_deadline) {
+                .map(|p| p.submitted_ns.saturating_add(max_wait_ns));
+            // The lane whose deadline comes first, and that deadline.
+            let (mutations_first, deadline) = match (search_deadline, mutation_deadline) {
                 (None, None) => break,
-                (Some(s), None) if s <= at_ns => false,
-                (None, Some(m)) if m <= at_ns => true,
-                (Some(s), Some(m)) if s.min(m) <= at_ns => {
-                    m < s || (m == s && self.config.priority == LanePriority::MutationsFirst)
+                (Some(s), None) => (false, s),
+                (None, Some(m)) => (true, m),
+                (Some(s), Some(m)) => {
+                    let mutations_first =
+                        m < s || (m == s && self.config.priority == LanePriority::MutationsFirst);
+                    (mutations_first, s.min(m))
                 }
-                _ => break,
             };
-            let deadline = if mutations_first {
-                mutation_deadline.unwrap()
-            } else {
-                search_deadline.unwrap()
-            };
+            if deadline > at_ns {
+                break;
+            }
             self.clock_ns = self.clock_ns.max(deadline);
             if mutations_first {
                 self.dispatch_mutations();
@@ -399,7 +553,7 @@ impl Pipeline<'_> {
     }
 
     /// Take every completion recorded so far, in dispatch order.
-    pub fn drain_completions(&mut self) -> Vec<PipelineCompletion> {
+    pub fn drain_completions(&mut self) -> Vec<PipelineCompletion<B::Search>> {
         std::mem::take(&mut self.completions)
     }
 
@@ -422,70 +576,54 @@ impl Pipeline<'_> {
     fn dispatch_searches(&mut self) {
         // Read-your-writes: under MutationsFirst no search batch leaves
         // while an earlier-arriving mutation is still queued.
-        if self.config.priority == LanePriority::MutationsFirst && !self.mutations.is_empty() {
+        if self.config.priority == LanePriority::MutationsFirst {
             self.dispatch_mutations();
         }
-        if self.searches.is_empty() {
+        let Some(head) = self.searches.front() else {
             return;
-        }
-        let batch: Vec<Pending> = self.searches.drain(..).collect();
+        };
+        let (k, nprobe) = head.request.batch_key();
+        let batch_size = self.searches.len();
         let dispatched_ns = self.clock_ns;
         let start_ns = dispatched_ns.max(self.device_free_ns);
-        let batch_size = batch.len();
-        self.system
-            .telemetry
-            .observe(HistogramId::PipelineBatchSize, batch_size as u64);
-        for pending in &batch {
-            self.system.telemetry.observe(
+        let telemetry = self.backend.telemetry();
+        telemetry.observe(HistogramId::PipelineBatchSize, batch_size as u64);
+        let (arrivals, queries): (Vec<(u64, u64)>, Vec<Vec<f32>>) = self
+            .searches
+            .drain(..)
+            .map(|p| ((p.request_id, p.submitted_ns), p.request.query))
+            .unzip();
+        for &(_, submitted_ns) in &arrivals {
+            telemetry.observe(
                 HistogramId::PipelineQueueWaitNs,
-                dispatched_ns.saturating_sub(pending.submitted_ns),
+                dispatched_ns.saturating_sub(submitted_ns),
             );
         }
 
-        let (k, nprobe) = batch[0]
-            .request
-            .batch_key()
-            .expect("search lane holds only searches");
-        let queries: Vec<Vec<f32>> = batch
-            .iter()
-            .map(|p| {
-                let (query, ..) = p
-                    .request
-                    .as_search()
-                    .expect("search lane holds only searches");
-                query.to_vec()
-            })
-            .collect();
-        let executed = match nprobe {
-            Some(nprobe) => self.system.ivf_search_batch_with_nprobe(
-                self.db_id,
-                &queries,
-                k,
-                nprobe,
-                self.config.workers,
-            ),
-            None => self
-                .system
-                .search_batch(self.db_id, &queries, k, self.config.workers),
-        };
-
-        match executed {
+        let completion =
+            move |(request_id, submitted_ns), completed_ns, reply| PipelineCompletion {
+                request_id,
+                submitted_ns,
+                dispatched_ns,
+                completed_ns,
+                batch_size,
+                reply,
+            };
+        match self
+            .backend
+            .search_batch(&queries, k, nprobe, self.config.workers)
+        {
             Ok(outcomes) => {
                 // Queries of one batch share the device; the batch
                 // occupies it for its slowest member while each request
                 // completes at its own modelled latency.
                 let mut busy_until = start_ns;
-                for (pending, outcome) in batch.into_iter().zip(outcomes) {
-                    let completed_ns = start_ns + outcome.total_latency().as_nanos();
+                for (arrival, outcome) in arrivals.into_iter().zip(outcomes) {
+                    let completed_ns = start_ns + outcome.modelled_latency().as_nanos();
                     busy_until = busy_until.max(completed_ns);
-                    self.completions.push(PipelineCompletion {
-                        request_id: pending.request_id,
-                        submitted_ns: pending.submitted_ns,
-                        dispatched_ns,
-                        completed_ns,
-                        batch_size,
-                        reply: Ok(PipelineReply::Search(Box::new(outcome))),
-                    });
+                    let reply = Ok(PipelineReply::Search(Box::new(outcome)));
+                    self.completions
+                        .push(completion(arrival, completed_ns, reply));
                 }
                 self.device_free_ns = busy_until;
             }
@@ -493,15 +631,9 @@ impl Pipeline<'_> {
                 // A device-side failure (requests were validated at
                 // submission) fails the batch as a unit; no modelled time
                 // elapses for work the device rejected.
-                for pending in batch {
-                    self.completions.push(PipelineCompletion {
-                        request_id: pending.request_id,
-                        submitted_ns: pending.submitted_ns,
-                        dispatched_ns,
-                        completed_ns: start_ns,
-                        batch_size,
-                        reply: Err(error.clone()),
-                    });
+                for arrival in arrivals {
+                    self.completions
+                        .push(completion(arrival, start_ns, Err(error.clone())));
                 }
             }
         }
@@ -510,28 +642,21 @@ impl Pipeline<'_> {
     /// Dispatch the whole mutation lane, sequentially in arrival order
     /// (mutations serialize on the device's program path).
     fn dispatch_mutations(&mut self) {
-        if self.mutations.is_empty() {
-            return;
-        }
-        let lane: Vec<Pending> = self.mutations.drain(..).collect();
         let dispatched_ns = self.clock_ns;
-        for pending in lane {
-            self.system.telemetry.observe(
+        while let Some(pending) = self.mutations.pop_front() {
+            self.backend.telemetry().observe(
                 HistogramId::PipelineQueueWaitNs,
                 dispatched_ns.saturating_sub(pending.submitted_ns),
             );
             let start_ns = dispatched_ns.max(self.device_free_ns);
             let executed = match pending.request {
-                PipelineRequest::Insert { vector, document } => {
-                    self.system.insert(self.db_id, &vector, document)
-                }
-                PipelineRequest::Delete { id } => self.system.delete(self.db_id, id),
-                PipelineRequest::Upsert {
+                Mutation::Insert { vector, document } => self.backend.insert(&vector, document),
+                Mutation::Delete { id } => self.backend.delete(id),
+                Mutation::Upsert {
                     id,
                     vector,
                     document,
-                } => self.system.upsert(self.db_id, id, &vector, &document),
-                _ => unreachable!("mutation lane holds only mutations"),
+                } => self.backend.upsert(id, &vector, &document),
             };
             let (completed_ns, reply) = match executed {
                 Ok(outcome) => {

@@ -431,21 +431,40 @@ impl ReisSystem {
         vectors: &[Vec<f32>],
         documents: Vec<Vec<u8>>,
     ) -> Result<MutationOutcome> {
-        // Clone the batch for the WAL only when a durable store is attached
-        // (the clone is the record's payload; the ids it carries are filled
-        // in after the mutation assigns them).
+        self.insert_logged(db_id, None, vectors, &documents)
+    }
+
+    /// Both public insert entry points: apply the batch, WAL-log it under
+    /// the record kind of the entry point (`InsertBatchAt` when the caller
+    /// chose the ids, `InsertBatch` when the device minted them) and record
+    /// its telemetry.
+    pub(crate) fn insert_logged(
+        &mut self,
+        db_id: u32,
+        ids: Option<&[u32]>,
+        vectors: &[Vec<f32>],
+        documents: &[Vec<u8>],
+    ) -> Result<MutationOutcome> {
         let started = self.telemetry.is_enabled().then(Instant::now);
-        let wal_payload = self
-            .durability
-            .is_some()
-            .then(|| (vectors.to_vec(), documents.clone()));
-        let outcome = self.insert_batch_inner(db_id, vectors, documents)?;
-        if let Some((vectors, documents)) = wal_payload {
-            self.log_wal(WalRecord::InsertBatch {
-                db_id,
-                vectors,
-                documents,
-                ids: outcome.ids.clone(),
+        let outcome = self.insert_batch_inner(db_id, ids, vectors, documents)?;
+        // The batch is cloned — as the record's payload — only when a
+        // durable store is attached.
+        if self.durability.is_some() {
+            let (vectors, documents) = (vectors.to_vec(), documents.to_vec());
+            let assigned = outcome.ids.clone();
+            self.log_wal(match ids {
+                Some(_) => WalRecord::InsertBatchAt {
+                    db_id,
+                    vectors,
+                    documents,
+                    ids: assigned,
+                },
+                None => WalRecord::InsertBatch {
+                    db_id,
+                    vectors,
+                    documents,
+                    ids: assigned,
+                },
             })?;
         }
         self.record_mutation(
@@ -458,13 +477,15 @@ impl ReisSystem {
         Ok(outcome)
     }
 
-    /// The body of [`ReisSystem::insert_batch`], minus WAL logging (WAL
-    /// replay re-applies records through this path).
+    /// The body of every insert, minus WAL logging (WAL replay re-applies
+    /// records through this path): under the caller-chosen `ids`, or under
+    /// freshly minted ones for `None`.
     pub(crate) fn insert_batch_inner(
         &mut self,
         db_id: u32,
+        ids: Option<&[u32]>,
         vectors: &[Vec<f32>],
-        documents: Vec<Vec<u8>>,
+        documents: &[Vec<u8>],
     ) -> Result<MutationOutcome> {
         let db = self
             .databases
@@ -475,8 +496,14 @@ impl ReisSystem {
         } else {
             (0, 0)
         };
-        let (ids, latency, pages_programmed) =
-            mutate::insert_batch(&mut self.controller, db, vectors, &documents)?;
+        let (ids, latency, pages_programmed) = match ids {
+            Some(ids) => {
+                let (latency, pages) =
+                    mutate::insert_batch_at(&mut self.controller, db, ids, vectors, documents)?;
+                (ids.to_vec(), latency, pages)
+            }
+            None => mutate::insert_batch(&mut self.controller, db, vectors, documents)?,
+        };
         // The mutation path prices the flash work (page programs, centroid
         // senses); the controller-core and DRAM costs of the append are
         // modelled here.
@@ -826,7 +853,7 @@ impl ReisSystem {
         self.run_batch(db_id, queries, k, Some(nprobe), workers)
     }
 
-    fn run_batch(
+    pub(crate) fn run_batch(
         &mut self,
         db_id: u32,
         queries: &[Vec<f32>],

@@ -429,8 +429,10 @@ fn run_faulted_trace(
                 let vector = vector_for(1000 + payload as u32, payload);
                 let doc = doc_for(1000 + payload as u32, version);
                 match faulted.insert(&vector, doc.clone()) {
-                    Ok(id) => {
-                        let twin_id = twin.insert(&vector, doc.clone()).expect("twin insert");
+                    Ok(outcome) => {
+                        let id = outcome.ids[0];
+                        let twin_id =
+                            twin.insert(&vector, doc.clone()).expect("twin insert").ids[0];
                         assert_eq!(id, twin_id, "lockstep global id assignment");
                         mirrors[faulted.router().owner(id)].append(id, vector, doc);
                     }
@@ -812,10 +814,13 @@ fn dead_shard_refuses_mutations_without_burning_ids() {
     mirrors[0].remove(0);
     let id = faulted
         .insert(&vector_for(960, 2), doc_for(960, 1))
-        .unwrap();
+        .unwrap()
+        .ids[0];
     assert_eq!(
         id,
-        twin.insert(&vector_for(960, 2), doc_for(960, 1)).unwrap()
+        twin.insert(&vector_for(960, 2), doc_for(960, 1))
+            .unwrap()
+            .ids[0]
     );
     assert_eq!(faulted.router().owner(id), 0);
     mirrors[0].append(id, vector_for(960, 2), doc_for(960, 1));
@@ -851,7 +856,8 @@ fn dead_shard_refuses_mutations_without_burning_ids() {
     assert!(full, "rejoin restores full coverage");
     let id = faulted
         .insert(&vector_for(970, 4), doc_for(970, 1))
-        .unwrap();
+        .unwrap()
+        .ids[0];
     assert_eq!(
         faulted.router().owner(id),
         1,
@@ -909,10 +915,13 @@ fn downed_leaf_reloads_from_its_durable_store_and_catches_up() {
     // saved epoch; everyone live logs WAL frames as usual.
     let id = cluster
         .insert(&vector_for(980, 6), doc_for(980, 1))
-        .unwrap();
+        .unwrap()
+        .ids[0];
     assert_eq!(
         id,
-        twin.insert(&vector_for(980, 6), doc_for(980, 1)).unwrap()
+        twin.insert(&vector_for(980, 6), doc_for(980, 1))
+            .unwrap()
+            .ids[0]
     );
     assert_eq!(
         cluster.router().owner(id),

@@ -374,7 +374,8 @@ fn run_mutated(ops: &[(u8, u64)], entries: usize, leaves: usize, parallelism: Sc
                 let doc = doc_for(1000 + payload as u32, version);
                 let id = cluster
                     .insert(&vector, doc.clone())
-                    .expect("cluster insert");
+                    .expect("cluster insert")
+                    .ids[0];
                 let twin_id = twin
                     .insert(twin_db, &vector, doc.clone())
                     .expect("twin insert")
@@ -666,7 +667,7 @@ fn apply_scripted(
         Op::Insert => {
             let vector = vector_for(3000 + payload as u32, payload);
             let doc = doc_for(3000 + payload as u32, version);
-            let id = cluster.insert(&vector, doc.clone()).expect("insert");
+            let id = cluster.insert(&vector, doc.clone()).expect("insert").ids[0];
             mirrors[cluster.router().owner(id)].append(id, vector, doc);
         }
         Op::Delete => {
@@ -807,7 +808,8 @@ fn cluster_recovers_each_leaf_from_its_durable_prefix() {
         let fresh = vector_for(9_999, 3);
         let id = recovered
             .insert(&fresh, b"post-crash".to_vec())
-            .expect("post-recovery insert");
+            .expect("post-recovery insert")
+            .ids[0];
         let hit = recovered.search(&fresh, 1).expect("post-recovery search");
         assert_eq!(hit.results[0].id as u32, id);
         assert_eq!(hit.documents[0], b"post-crash");
@@ -918,7 +920,8 @@ fn durable_cluster_round_trips_through_save_and_open() {
 
     let inserted = cluster
         .insert(&vector_for(4_000, 1), doc_for(4_000, 1))
-        .unwrap();
+        .unwrap()
+        .ids[0];
     cluster.delete(3).unwrap();
     cluster
         .upsert(7, &vector_for(7, 99), &doc_for(7, 2))
@@ -968,7 +971,10 @@ fn durable_cluster_round_trips_through_save_and_open() {
     // Still mutable: the id namespace continues past the recovered
     // watermark instead of re-minting the pre-save insert's id.
     let fresh = vector_for(4_001, 2);
-    let id = reopened.insert(&fresh, b"after reopen".to_vec()).unwrap();
+    let id = reopened
+        .insert(&fresh, b"after reopen".to_vec())
+        .unwrap()
+        .ids[0];
     assert!(id > inserted, "id watermark survives recovery");
     let hit = reopened.search(&fresh, 1).unwrap();
     assert_eq!(hit.results[0].id as u32, id);

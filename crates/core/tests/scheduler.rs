@@ -8,6 +8,9 @@
 //! latency/activity and transferred-entry accounting are bit-identical
 //! across `ScanParallelism` × batch size × pool sizes, and a
 //! pipeline-formed batch answers exactly like a direct `search_batch` call.
+//! The pipeline is one generic front door, so the same mixed trace is also
+//! driven through the pipelines of a 1-leaf and a 3-leaf cluster: formation
+//! depends only on arrivals, and a cluster answers like its union.
 //!
 //! # The scheduler CI gate
 //!
@@ -25,12 +28,13 @@ use std::io::Write;
 
 use proptest::prelude::*;
 
+use reis_cluster::ClusterSystem;
 use reis_core::{
-    AdaptiveFiltering, CompactionPolicy, LanePriority, PipelineConfig, PipelineReply,
-    PipelineRequest, ReisConfig, ReisError, ReisSystem, ScanParallelism, SearchOutcome,
-    VectorDatabase,
+    AdaptiveFiltering, Backend, CompactionPolicy, LanePriority, Modelled, Pipeline,
+    PipelineCompletion, PipelineConfig, PipelineReply, PipelineRequest, ReisConfig, ReisError,
+    ReisSystem, ScanParallelism, SearchOutcome, VectorDatabase,
 };
-use reis_workloads::ArrivalTrace;
+use reis_workloads::{ArrivalEvent, ArrivalTrace};
 
 fn vectors(n: usize, dim: usize, salt: usize) -> Vec<Vec<f32>> {
     (0..n)
@@ -294,6 +298,116 @@ fn pipeline_mutations_first_gives_read_your_writes() {
     );
 }
 
+/// The first `count` arrivals of a seeded Poisson trace at `offered_qps`
+/// over `queries` query slots (the horizon is doubled, deterministically,
+/// on the rare short draw).
+fn poisson_arrivals(
+    offered_qps: u64,
+    count: usize,
+    queries: usize,
+    seed: u64,
+) -> Vec<ArrivalEvent> {
+    let mut duration_us = ((count as f64 / offered_qps as f64) * 2e6).ceil() as u64 + 1_000;
+    let mut trace = ArrivalTrace::poisson(offered_qps as f64, duration_us, queries, seed);
+    while trace.len() < count {
+        duration_us *= 2;
+        trace = ArrivalTrace::poisson(offered_qps as f64, duration_us, queries, seed);
+    }
+    trace.events().iter().take(count).copied().collect()
+}
+
+/// A vector of hashed, well-spread components: two distinct `id`s never
+/// share an INT8 rerank distance to a query in practice, so the only
+/// order two backends could disagree on — a tie-break — does not arise.
+fn spread_vector(id: u64, dim: usize) -> Vec<f32> {
+    (0..dim as u64)
+        .map(|d| {
+            let mut z = (id << 16 | d).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z >> 40) as f32 / (1u64 << 23) as f32) * 4.0 - 2.0
+        })
+        .collect()
+}
+
+/// Submit `requests` to a pipeline over any backend, flush it, and check
+/// what must hold whatever executes the work: nothing is shed, and the
+/// modelled device is occupied by every successful request — each one
+/// starts at its dispatch or when the work dispatched before it finishes,
+/// whichever is later, and an insert takes modelled time like any other
+/// mutation.
+fn drive<B: Backend>(
+    mut pipeline: Pipeline<B>,
+    requests: &[(u64, PipelineRequest)],
+) -> Vec<PipelineCompletion<B::Search>> {
+    for (at_ns, request) in requests {
+        pipeline
+            .submit(*at_ns, request.clone())
+            .expect("default queue depth exceeds the request count");
+    }
+    pipeline.flush();
+    assert_eq!(pipeline.shed(), 0);
+    let completions = pipeline.drain_completions();
+    assert_eq!(completions.len(), requests.len());
+
+    let mut busy_until = 0u64;
+    let mut next = 0usize;
+    while next < completions.len() {
+        // A search batch completes contiguously; a mutation is a batch of one.
+        let batch = &completions[next..next + completions[next].batch_size];
+        let mut batch_end = busy_until;
+        for completion in batch {
+            let latency_ns = match &completion.reply {
+                Ok(PipelineReply::Search(outcome)) => outcome.modelled_latency().as_nanos(),
+                Ok(PipelineReply::Mutation(outcome)) => outcome.latency.as_nanos(),
+                Err(_) => 0,
+            };
+            let request = &requests[completion.request_id as usize].1;
+            if completion.reply.is_ok() && matches!(request, PipelineRequest::Insert { .. }) {
+                assert!(latency_ns > 0, "an insert must occupy the modelled device");
+            }
+            assert_eq!(
+                completion.completed_ns - latency_ns,
+                completion.dispatched_ns.max(busy_until),
+                "request {} started before the device was free",
+                completion.request_id
+            );
+            if completion.reply.is_ok() {
+                batch_end = batch_end.max(completion.completed_ns);
+            }
+        }
+        busy_until = batch_end;
+        next += batch.len();
+    }
+    completions
+}
+
+/// What must agree across backends: who dispatched when, in what batch,
+/// and — for searches — which ids came back.
+type Formed = (u64, u64, u64, usize, Option<Vec<usize>>);
+
+fn formed<S>(
+    completions: &[PipelineCompletion<S>],
+    result_ids: impl Fn(&S) -> Vec<usize>,
+) -> Vec<Formed> {
+    completions
+        .iter()
+        .map(|c| {
+            let ids = match &c.reply {
+                Ok(PipelineReply::Search(outcome)) => Some(result_ids(outcome)),
+                _ => None,
+            };
+            (
+                c.request_id,
+                c.submitted_ns,
+                c.dispatched_ns,
+                c.batch_size,
+                ids,
+            )
+        })
+        .collect()
+}
+
 /// Build the parallelism legs the identity property compares. Every leg
 /// must agree with every other — and with itself across the gate's
 /// `REIS_SCHED_WORKERS` pool sizes.
@@ -448,16 +562,7 @@ proptest! {
         let dim = dim_words * 32;
         let all = vectors(entries, dim, seed as usize);
         let db = VectorDatabase::flat(&all, documents(entries)).expect("database");
-        // Horizon sized to cover `num_requests` arrivals, deterministically
-        // doubled on the rare short draw.
-        let mut duration_us =
-            ((num_requests as f64 / offered_qps as f64) * 2e6).ceil() as u64 + 1_000;
-        let mut trace = ArrivalTrace::poisson(offered_qps as f64, duration_us, entries, seed);
-        while trace.len() < num_requests {
-            duration_us *= 2;
-            trace = ArrivalTrace::poisson(offered_qps as f64, duration_us, entries, seed);
-        }
-        let arrivals: Vec<_> = trace.events().iter().take(num_requests).copied().collect();
+        let arrivals = poisson_arrivals(offered_qps, num_requests, entries, seed);
         let config = PipelineConfig::default()
             .with_max_batch(max_batch)
             .with_max_wait_us(max_wait_us);
@@ -525,5 +630,115 @@ proptest! {
                 schedule.join(","),
             ),
         );
+    }
+
+    /// One front door: the same seeded Poisson trace of mixed requests —
+    /// brute-force and IVF searches, inserts, deletes, upserts — forms the
+    /// same batches at the same virtual times through the device pipeline,
+    /// the pipeline of a 1-leaf cluster and the pipeline of a 3-leaf
+    /// cluster over the same corpus, and every search returns the same ids
+    /// (formation depends only on arrivals; a cluster answers like its
+    /// union). `drive` additionally holds each backend to the busy-device
+    /// model, cluster inserts included. The summary records the 3-leaf
+    /// cluster's full virtual schedule, so the gate diffs the generic
+    /// pipeline over a cluster across shard budgets and pool sizes.
+    #[test]
+    fn one_pipeline_forms_one_schedule_over_device_and_clusters(
+        entries in 24usize..40,
+        num_requests in 6usize..24,
+        max_batch in 1usize..9,
+        max_wait_us in 10u64..400,
+        offered_qps in 20_000u64..400_000,
+        seed in 0u64..1_000,
+    ) {
+        const DIM: usize = 64;
+        const NLIST: usize = 3;
+        // `rerank_factor x K` covers the whole (grown) corpus, so the
+        // candidate cut — whose tie-break order inserts do change between
+        // a device and a cluster — never bites.
+        const K: usize = 7;
+        let all: Vec<Vec<f32>> = (0..entries as u64)
+            .map(|id| spread_vector(seed << 20 | id, DIM))
+            .collect();
+        let docs = documents(entries);
+        let requests: Vec<(u64, PipelineRequest)> =
+            poisson_arrivals(offered_qps, num_requests, entries, seed)
+                .iter()
+                .enumerate()
+                .map(|(i, event)| {
+                    let target = event.query_index;
+                    let fresh = || spread_vector(seed << 20 | 1 << 19 | i as u64, DIM);
+                    let request = match (target + i) % 8 {
+                        0 => PipelineRequest::Insert {
+                            vector: fresh(),
+                            document: format!("ins {i}").into_bytes(),
+                        },
+                        1 => PipelineRequest::Delete { id: target as u32 },
+                        2 => PipelineRequest::Upsert {
+                            id: target as u32,
+                            vector: fresh(),
+                            document: format!("ups {i}").into_bytes(),
+                        },
+                        3 | 4 => PipelineRequest::IvfSearch {
+                            query: all[target].clone(),
+                            k: K,
+                            nprobe: 2,
+                        },
+                        _ => PipelineRequest::Search {
+                            query: all[target].clone(),
+                            k: K,
+                        },
+                    };
+                    (event.at_ns, request)
+                })
+                .collect();
+        let config = ReisConfig::tiny().with_compaction(CompactionPolicy::manual());
+        let pipeline_config = PipelineConfig::default()
+            .with_max_batch(max_batch)
+            .with_max_wait_us(max_wait_us);
+
+        let mut device = ReisSystem::new(config);
+        let db = device
+            .deploy(&VectorDatabase::ivf(&all, docs.clone(), NLIST).expect("database"))
+            .expect("deploy");
+        let on_device = formed(
+            &drive(device.pipeline(db, pipeline_config), &requests),
+            SearchOutcome::result_ids,
+        );
+
+        for leaves in [1usize, 3] {
+            let mut cluster = ClusterSystem::new(config, leaves).expect("cluster");
+            cluster.deploy_ivf(&all, &docs, NLIST).expect("cluster deploy");
+            let completions = drive(cluster.pipeline(pipeline_config), &requests);
+            let on_cluster = formed(&completions, |outcome| {
+                outcome.results.iter().map(|n| n.id).collect()
+            });
+            prop_assert_eq!(&on_cluster, &on_device, "{} leaves vs the device", leaves);
+            if leaves == 3 {
+                let schedule: Vec<String> = completions
+                    .iter()
+                    .zip(&on_cluster)
+                    .map(|(c, (.., ids))| {
+                        format!(
+                            "{}@{}:{}:{}x{}={:?}",
+                            c.request_id,
+                            c.submitted_ns,
+                            c.dispatched_ns,
+                            c.completed_ns,
+                            c.batch_size,
+                            ids
+                        )
+                    })
+                    .collect();
+                record_summary(
+                    "one_pipeline_forms_one_schedule_over_device_and_clusters",
+                    &format!(
+                        "case requests={} max_batch={max_batch} wait_us={max_wait_us} schedule={}",
+                        requests.len(),
+                        schedule.join(","),
+                    ),
+                );
+            }
+        }
     }
 }

@@ -357,6 +357,77 @@ fn fault_counters_match_the_injected_schedule_exactly() {
     assert_eq!(leaf_queries, t.counter(CounterId::LeafRequests));
 }
 
+/// A cluster insert is visible on the leaves that stored it: each live
+/// replica of each owning shard counts exactly the entries routed to it
+/// (one mutation observation per routed call), and every other leaf —
+/// a down replica, a shard that owns none of the batch — counts nothing.
+#[test]
+fn cluster_inserts_are_counted_on_every_live_replica_of_the_owning_shards() {
+    use reis_cluster::{FaultPlan, RetryPolicy};
+    use reis_nand::Nanos;
+
+    let (vectors, documents) = corpus(36, 13);
+    // 3 shards x 2 replicas; leaf 0 (shard 0's primary) dies at its first
+    // call, so shard 0 is served — and mutated — by leaf 1 alone.
+    let mut cluster = ClusterSystem::new_replicated(ReisConfig::tiny(), 3, 2)
+        .expect("cluster")
+        .with_fault_plan(Some(FaultPlan::healthy().with_kill(0, 0)))
+        .with_retry_policy(RetryPolicy::new(
+            0,
+            Nanos::from_micros(10),
+            Nanos::from_micros(500),
+        ));
+    cluster.enable_telemetry();
+    cluster.deploy_flat(&vectors, &documents).expect("deploy");
+    cluster.search(&vectors[5], 3).expect("search");
+    assert_eq!(cluster.down_leaves(), vec![0]);
+
+    let inserts = |cluster: &ClusterSystem| -> Vec<(u64, u64)> {
+        (0..cluster.num_leaves())
+            .map(|leaf| {
+                let t = cluster.leaf(leaf).telemetry();
+                (
+                    t.counter(CounterId::Inserts),
+                    t.histogram(HistogramId::MutationModelledNs).count,
+                )
+            })
+            .collect()
+    };
+    // A batch that reaches every shard, then one entry that reaches one.
+    for batch in [4usize, 1] {
+        let before = inserts(&cluster);
+        let fresh: Vec<Vec<f32>> = (0..batch).map(|i| vectors[i * 5 + batch].clone()).collect();
+        let docs: Vec<Vec<u8>> = (0..batch)
+            .map(|i| format!("new {i}").into_bytes())
+            .collect();
+        let outcome = cluster.insert_batch(&fresh, docs).expect("insert");
+        assert_eq!(outcome.ids.len(), batch);
+        let mut routed = vec![0u64; cluster.num_shards()];
+        for &id in &outcome.ids {
+            routed[cluster.router().owner(id)] += 1;
+        }
+        for (leaf, (&(count, calls), (count_before, calls_before))) in
+            inserts(&cluster).iter().zip(before).enumerate()
+        {
+            let expected = if leaf == 0 {
+                0
+            } else {
+                routed[cluster.router().shard_of_leaf(leaf)]
+            };
+            assert_eq!(
+                count - count_before,
+                expected,
+                "leaf {leaf}, batch of {batch}: Inserts"
+            );
+            assert_eq!(
+                calls - calls_before,
+                u64::from(expected > 0),
+                "leaf {leaf}, batch of {batch}: mutation observations"
+            );
+        }
+    }
+}
+
 /// Scrub counters record exactly what each scrub pass reports: one bump
 /// per corrupt snapshot and per quarantinable WAL tail, per pass.
 #[test]

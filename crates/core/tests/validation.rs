@@ -4,12 +4,13 @@
 //! `nprobe = 0`, a NaN or infinite query component, the wrong dimensionality,
 //! an IVF search of a flat deployment — is refused with the same typed
 //! error by every way into the scan core, before any device work: single
-//! and batched searches, leaf queries, the dry-run validators, both request
-//! pipelines (at submission) and the cluster front doors.
+//! and batched searches, leaf queries, the dry-run validators, the request
+//! pipeline over either backend (at submission) and the cluster front doors.
 
 use reis_cluster::ClusterSystem;
 use reis_core::{
-    PipelineConfig, PipelineRequest, ReisConfig, ReisError, ReisSystem, VectorDatabase,
+    Backend, Pipeline, PipelineConfig, PipelineRequest, ReisConfig, ReisError, ReisSystem,
+    VectorDatabase,
 };
 
 const DIM: usize = 64;
@@ -103,6 +104,16 @@ fn request(query: &[f32], k: usize, nprobe: Option<usize>) -> PipelineRequest {
     }
 }
 
+/// Submit one request to a fresh pipeline over either backend.
+fn submit_once<B: Backend>(
+    mut pipeline: Pipeline<B>,
+    request: PipelineRequest,
+) -> Result<(), ReisError> {
+    let submitted = pipeline.submit(10, request).map(drop);
+    assert_eq!(pipeline.shed(), 0, "a refused request is not a shed one");
+    submitted
+}
+
 /// Every front door. `ivf_search` / `ivf_search_batch` take a target recall
 /// instead of a probe count, so they cannot express `nprobe = 0`; the rows
 /// that need it skip them (`takes_nprobe`).
@@ -147,11 +158,9 @@ fn doors() -> Vec<(&'static str, bool, Door)> {
         ("validate_search", true, |f, q, k, np| {
             f.system.validate_search(f.db, q, k, np)
         }),
-        ("Pipeline::submit", true, |f, q, k, np| {
-            let mut pipeline = f.system.pipeline(f.db, PipelineConfig::default());
-            let submitted = pipeline.submit(10, request(q, k, np)).map(drop);
-            assert_eq!(pipeline.shed(), 0, "a refused request is not a shed one");
-            submitted
+        ("Pipeline::submit over a device", true, |f, q, k, np| {
+            let pipeline = f.system.pipeline(f.db, PipelineConfig::default());
+            submit_once(pipeline, request(q, k, np))
         }),
         ("ClusterSystem::search*", true, |f, q, k, np| {
             match np {
@@ -166,11 +175,9 @@ fn doors() -> Vec<(&'static str, bool, Door)> {
         ("ClusterSystem::validate_search", true, |f, q, k, np| {
             f.cluster.validate_search(q, k, np)
         }),
-        ("ClusterPipeline::submit", true, |f, q, k, np| {
-            let mut pipeline = f.cluster.pipeline(PipelineConfig::default());
-            let submitted = pipeline.submit(10, request(q, k, np)).map(drop);
-            assert_eq!(pipeline.shed(), 0, "a refused request is not a shed one");
-            submitted
+        ("Pipeline::submit over a cluster", true, |f, q, k, np| {
+            let pipeline = f.cluster.pipeline(PipelineConfig::default());
+            submit_once(pipeline, request(q, k, np))
         }),
     ]
 }

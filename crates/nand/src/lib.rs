@@ -13,8 +13,6 @@
 //!   already present in flash dies, repurposed as a Hamming-distance engine.
 //! * [`mod@array`] — the [`array::FlashDevice`] tying everything together, with
 //!   per-operation latency and statistics.
-//! * [`command`] — the flash command set plus the REIS extensions of
-//!   Table 2 (`IBC`, `XOR`, `GEN_DIST`, `RD_TTL`).
 //! * [`timing`] — the latency/bandwidth parameters (Table 3) and the
 //!   [`timing::Nanos`] simulated-time type.
 //! * [`reliability`] — raw bit-error injection for non-ESP reads.
@@ -52,7 +50,6 @@
 
 pub mod array;
 pub mod cell;
-pub mod command;
 pub mod error;
 pub mod geometry;
 pub mod latch;

@@ -38,9 +38,6 @@ pub enum SsdError {
         /// The number of valid entries in the region.
         limit: usize,
     },
-    /// A host command used an opcode outside the vendor-specific range or is
-    /// otherwise malformed.
-    InvalidHostCommand(String),
     /// The SSD is in the wrong mode for the requested operation (e.g. a RAG
     /// search while the device is in normal block-I/O mode).
     WrongMode {
@@ -73,7 +70,6 @@ impl fmt::Display for SsdError {
             SsdError::RegionOutOfBounds { region, offset, limit } => {
                 write!(f, "{region} region offset {offset} out of bounds (limit {limit})")
             }
-            SsdError::InvalidHostCommand(msg) => write!(f, "invalid host command: {msg}"),
             SsdError::WrongMode { current, required } => {
                 write!(f, "SSD is in {current} mode but the operation requires {required} mode")
             }
@@ -131,7 +127,6 @@ mod tests {
                 offset: 10,
                 limit: 5,
             },
-            SsdError::InvalidHostCommand("opcode 0x01".into()),
             SsdError::WrongMode {
                 current: "normal",
                 required: "RAG",

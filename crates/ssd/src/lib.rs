@@ -15,7 +15,6 @@
 //! * [`ecc`] — controller-side error correction.
 //! * [`maintenance`] — garbage collection, wear statistics, RAG/normal mode
 //!   switching.
-//! * [`host`] — the NVM command-set extension of Table 1.
 //!
 //! # Example
 //!
@@ -43,7 +42,6 @@ pub mod dram;
 pub mod ecc;
 pub mod error;
 pub mod ftl;
-pub mod host;
 pub mod hybrid;
 pub mod maintenance;
 
@@ -55,6 +53,5 @@ pub use dram::{DramParams, InternalDram};
 pub use ecc::{EccEngine, EccParams};
 pub use error::{Result, SsdError};
 pub use ftl::{CoarseFtl, DatabaseRecord, PageLevelFtl};
-pub use host::HostCommand;
 pub use hybrid::{HybridPolicy, RegionKind};
 pub use maintenance::{MaintenanceManager, SsdMode, WearStats};

@@ -6,7 +6,7 @@
 //! * [`nand`] — NAND flash device simulator (geometry, latches, OOB,
 //!   SLC/TLC/ESP programming, peripheral logic, timing).
 //! * [`ssd`] — SSD controller simulator (FTL, internal DRAM, embedded cores,
-//!   hybrid SLC/TLC partitioning, host command set).
+//!   hybrid SLC/TLC partitioning).
 //! * [`ann`] — ANNS algorithm library (IVF, HNSW, LSH, flat search,
 //!   binary/INT8/product quantization, reranking, recall metrics).
 //! * [`core`] — the REIS system itself: database layout, embedding–document

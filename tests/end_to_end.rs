@@ -281,7 +281,8 @@ fn cluster_facade_matches_a_single_device_end_to_end() {
     let fresh: Vec<f32> = dataset.queries()[0].clone();
     let cluster_id = cluster
         .insert(&fresh, b"routed insert".to_vec())
-        .expect("cluster insert");
+        .expect("cluster insert")
+        .ids[0];
     let single_id = single
         .insert(db_id, &fresh, b"routed insert".to_vec())
         .expect("single insert")
