@@ -23,9 +23,10 @@ use crate::error::Result;
 use crate::layout::LayoutPlan;
 use crate::records::{RIvf, RIvfEntry};
 
-/// The DRAM bookkeeping names of a database's three base regions. Regions
-/// are renamed per compaction generation, and releasing a region needs the
-/// name it was reserved under, so the names travel with the deployment.
+/// The DRAM bookkeeping names of a database: its three base regions and its
+/// update state. Regions are renamed per compaction generation, and
+/// releasing a region needs the name it was reserved under, so the names
+/// travel with the deployment.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RegionNames {
     /// Name of the ESP-SLC embedding (and centroid) region.
@@ -34,24 +35,26 @@ pub struct RegionNames {
     pub int8: String,
     /// Name of the TLC document region.
     pub documents: String,
+    /// Name of the update state's DRAM allocation (segment table,
+    /// tombstones, relocation maps), re-sized by every mutation; the same
+    /// in every generation.
+    pub update_state: String,
 }
 
 impl RegionNames {
     /// The names of generation `generation` of database `db_id` (generation
     /// 0 is the original deployment; each compaction starts a new one).
     pub fn generation(db_id: u32, generation: u64) -> Self {
-        if generation == 0 {
-            RegionNames {
-                embeddings: format!("db{db_id}/embeddings"),
-                int8: format!("db{db_id}/int8"),
-                documents: format!("db{db_id}/documents"),
-            }
+        let prefix = if generation == 0 {
+            format!("db{db_id}")
         } else {
-            RegionNames {
-                embeddings: format!("db{db_id}/g{generation}/embeddings"),
-                int8: format!("db{db_id}/g{generation}/int8"),
-                documents: format!("db{db_id}/g{generation}/documents"),
-            }
+            format!("db{db_id}/g{generation}")
+        };
+        RegionNames {
+            embeddings: format!("{prefix}/embeddings"),
+            int8: format!("{prefix}/int8"),
+            documents: format!("{prefix}/documents"),
+            update_state: format!("db{db_id}/update-state"),
         }
     }
 }

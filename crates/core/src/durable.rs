@@ -75,8 +75,9 @@ pub(crate) struct Durability {
 }
 
 impl Durability {
-    pub(crate) fn append(&mut self, record: &WalRecord) -> std::result::Result<(), PersistError> {
-        self.store.append_wal(self.seq, &record.encode_framed())
+    /// Append one framed record to the open WAL epoch.
+    pub(crate) fn append(&mut self, frame: &[u8]) -> std::result::Result<(), PersistError> {
+        self.store.append_wal(self.seq, frame)
     }
 }
 

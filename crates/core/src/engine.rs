@@ -141,10 +141,10 @@ pub(crate) fn parse_doc_slot(
 ) -> Result<Vec<u8>> {
     let start = slot * slot_bytes;
     let corrupt = ReisError::CorruptDocument { page, slot };
-    let Some(prefix) = page_bytes.get(start..start + 4) else {
+    let Some(&[a, b, c, d]) = page_bytes.get(start..start + 4) else {
         return Err(corrupt);
     };
-    let len = u32::from_le_bytes(prefix.try_into().expect("4-byte prefix")) as usize;
+    let len = u32::from_le_bytes([a, b, c, d]) as usize;
     if len > slot_bytes - 4 || start + 4 + len > page_bytes.len() {
         return Err(corrupt);
     }

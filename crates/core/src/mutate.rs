@@ -71,11 +71,13 @@ pub struct CompactionOutcome {
     pub live_entries: usize,
 }
 
-/// Validate and quantize a batch of vectors/documents for appending.
+/// Validate and quantize a batch of vectors/documents for appending. The
+/// batch is borrowed in whatever shape the caller holds it: an insert's
+/// `Vec`s, an upsert's one slice of each.
 fn encode_batch(
     db: &DeployedDatabase,
-    vectors: &[Vec<f32>],
-    documents: &[Vec<u8>],
+    vectors: &[impl AsRef<[f32]>],
+    documents: &[impl AsRef<[u8]>],
 ) -> Result<(Vec<BinaryVector>, Vec<Int8Vector>)> {
     if vectors.len() != documents.len() {
         return Err(ReisError::MalformedDatabase(format!(
@@ -86,29 +88,29 @@ fn encode_batch(
     }
     let dim = db.binary_quantizer.dim();
     for vector in vectors {
-        if vector.len() != dim {
+        if vector.as_ref().len() != dim {
             return Err(ReisError::QueryDimensionMismatch {
                 expected: dim,
-                actual: vector.len(),
+                actual: vector.as_ref().len(),
             });
         }
     }
     for document in documents {
-        if document.len() + 4 > db.layout.doc_slot_bytes {
+        if document.as_ref().len() + 4 > db.layout.doc_slot_bytes {
             return Err(ReisError::MalformedDatabase(format!(
                 "document chunk of {} bytes does not fit the deployment's {}-byte slots",
-                document.len(),
+                document.as_ref().len(),
                 db.layout.doc_slot_bytes
             )));
         }
     }
     let binaries = vectors
         .iter()
-        .map(|v| db.binary_quantizer.quantize(v))
+        .map(|v| db.binary_quantizer.quantize(v.as_ref()))
         .collect::<std::result::Result<Vec<_>, _>>()?;
     let int8s = vectors
         .iter()
-        .map(|v| db.int8_quantizer.quantize(v))
+        .map(|v| db.int8_quantizer.quantize(v.as_ref()))
         .collect::<std::result::Result<Vec<_>, _>>()?;
     Ok((binaries, int8s))
 }
@@ -186,7 +188,7 @@ fn append_entries(
     ids: &[u32],
     binaries: &[BinaryVector],
     int8s: &[Int8Vector],
-    documents: &[Vec<u8>],
+    documents: &[impl AsRef<[u8]>],
     clusters: &[usize],
 ) -> Result<(Nanos, usize)> {
     let layout = db.layout;
@@ -338,7 +340,7 @@ fn append_entries(
                 if j >= members.len() {
                     break;
                 }
-                let doc = &documents[members[j]];
+                let doc = documents[members[j]].as_ref();
                 let start = s * layout.doc_slot_bytes;
                 data[start..start + 4].copy_from_slice(&(doc.len() as u32).to_le_bytes());
                 data[start + 4..start + 4 + doc.len()].copy_from_slice(doc);
@@ -490,9 +492,7 @@ pub(crate) fn upsert_entry(
     if id >= db.updates.next_id {
         return Err(ReisError::EntryNotFound(id));
     }
-    let vec_owned = vec![vector.to_vec()];
-    let docs_owned = vec![document.to_vec()];
-    let (binaries, int8s) = encode_batch(db, &vec_owned, &docs_owned)?;
+    let (binaries, int8s) = encode_batch(db, &[vector], &[document])?;
     let (cluster, scan_latency) = nearest_cluster(ssd, db, &binaries[0])?;
     // Capture the live version *before* the append (afterwards the
     // relocation table already points at the new one), but only tombstone
@@ -502,7 +502,7 @@ pub(crate) fn upsert_entry(
         .updates
         .locate(id, |id| db.original_to_storage.get(&id).copied());
     let (append_latency, pages) =
-        append_entries(ssd, db, &[id], &binaries, &int8s, &docs_owned, &[cluster])?;
+        append_entries(ssd, db, &[id], &binaries, &int8s, &[document], &[cluster])?;
     let tombstoned = old_location.is_some();
     if let Some(location) = old_location {
         match location {
@@ -529,7 +529,7 @@ fn account_update_state(ssd: &mut SsdController, db: &DeployedDatabase) -> Resul
         + db.updates.relocated.len() * 8
         + db.updates.doc_slots.as_ref().map_or(0, |m| m.len() * 8);
     ssd.dram_mut()
-        .allocate(&format!("db{}/update-state", db.db_id), bytes)?;
+        .allocate(&db.region_names.update_state, bytes)?;
     Ok(())
 }
 
@@ -838,10 +838,14 @@ pub(crate) fn compact(
 
     // ---- Swap the metadata: R-IVF ranges, R-DB record, host-side maps.
     let rivf = if db.is_ivf() {
-        let entries = (0..nclusters)
-            .map(|cluster| {
-                let old = db.rivf.entry(cluster).expect("cluster exists");
-                let (begin, end) = cluster_bounds[cluster];
+        // One bound per R-IVF entry: `collect_survivors` walked the same
+        // `update_clusters()` clusters.
+        let entries = db
+            .rivf
+            .entries()
+            .iter()
+            .zip(&cluster_bounds)
+            .map(|(old, &(begin, end))| {
                 if begin == end {
                     RIvfEntry {
                         first_embedding: 1,

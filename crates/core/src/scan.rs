@@ -60,7 +60,10 @@
 //! Embedding regions normally read error-free (ESP-SLC), so the core borrows
 //! stored pages straight from the controller
 //! ([`SsdController::scan_region_page`]), shares the controller immutably
-//! across shards and folds the physical activity back afterwards. On a
+//! across shards and folds the physical activity back afterwards. A stored
+//! page is lent as programmed — an append-segment page holding one embedding
+//! is one slot long — so the kernel reads what was written, while every
+//! counter goes on saying what the plane does: a full page of slots. On a
 //! device whose embedding scheme injects read errors the page must be
 //! sensed through the plane's latch so the errors land in the scored bytes;
 //! that reader mutates the device and therefore runs on one shard.
@@ -212,24 +215,32 @@ struct PassList {
 }
 
 impl PassList {
-    /// Append pages `start..end` of `region`, scored by `members`; empty
-    /// page runs and empty query sets add nothing.
+    /// Append the page runs `(region, start, end)`, all scored by `members`.
+    /// An empty query set adds nothing — its runs are not even looked at —
+    /// and neither do empty page runs.
     fn push(
         &mut self,
-        region: StripedRegion,
-        (start, end): (usize, usize),
+        runs: impl IntoIterator<Item = (StripedRegion, usize, usize)>,
         members: impl IntoIterator<Item = usize>,
     ) {
         let first = self.members.len();
         self.members.extend(members);
-        if start < end && self.members.len() > first {
-            self.spans.push(Span {
-                region,
-                start,
-                end,
-                members: (first, self.members.len()),
-            });
-        } else {
+        let members = (first, self.members.len());
+        if members.0 == members.1 {
+            return;
+        }
+        let spans = self.spans.len();
+        for (region, start, end) in runs {
+            if start < end {
+                self.spans.push(Span {
+                    region,
+                    start,
+                    end,
+                    members,
+                });
+            }
+        }
+        if self.spans.len() == spans {
             self.members.truncate(first);
         }
     }
@@ -367,10 +378,11 @@ impl<'q> PageBody<'_, 'q> {
         bufs.thresholds.clear();
         bufs.thresholds
             .extend(members.iter().map(|&q| self.thresholds[q]));
-        let limit = data
-            .len()
-            .div_ceil(slot_bytes)
-            .min(self.db.layout.embeddings_per_page);
+        // The stored-page reader lends the programmed prefix of the page,
+        // so the kernel reads the slots that were written; the plane still
+        // computes — and the counters still say — a full page of slots.
+        let slots_per_page = self.db.layout.embeddings_per_page;
+        let limit = data.len().div_ceil(slot_bytes).min(slots_per_page);
         PassFailChecker::filter_fused(
             data,
             slot_bytes,
@@ -382,12 +394,12 @@ impl<'q> PageBody<'_, 'q> {
         for &q in members {
             let tally = &mut tallies[q];
             tally.counts.pages += 1;
-            tally.counts.slots_scanned += limit;
+            tally.counts.slots_scanned += slots_per_page;
             if let Some(events) = tally.explain.as_mut() {
                 events.push(ExplainEvent {
                     page: page as u32,
                     window: self.explain_window,
-                    slots: limit as u32,
+                    slots: slots_per_page as u32,
                     passed: 0,
                 });
             }
@@ -666,8 +678,11 @@ impl<'a> Scan<'a> {
     fn coarse(&mut self, nprobe: usize) -> Result<Vec<Vec<usize>>> {
         let mut list = PassList::default();
         list.push(
-            self.db.record.embedding_region,
-            (0, self.db.layout.centroid_pages),
+            [(
+                self.db.record.embedding_region,
+                0,
+                self.db.layout.centroid_pages,
+            )],
             0..self.tallies.len(),
         );
         self.thresholds.fill(u32::MAX);
@@ -714,8 +729,11 @@ impl<'a> Scan<'a> {
         let mut list = PassList::default();
         for pair in cuts.windows(2) {
             list.push(
-                self.db.record.embedding_region,
-                (base + pair[0], base + pair[1]),
+                [(
+                    self.db.record.embedding_region,
+                    base + pair[0],
+                    base + pair[1],
+                )],
                 (0..self.selections.len())
                     .filter(|&q| engine::in_page_ranges(&self.selections[q].page_ranges, pair[0])),
             );
@@ -731,14 +749,11 @@ impl<'a> Scan<'a> {
                 // Static thresholds: admission is order-independent, so each
                 // run page is sensed once for every query probing its cluster.
                 for cluster in 0..store.clusters() {
-                    for run in store.runs(cluster) {
-                        list.push(
-                            *run,
-                            (0, run.len),
-                            (0..self.selections.len())
-                                .filter(|&q| self.selections[q].clusters.contains(&cluster)),
-                        );
-                    }
+                    list.push(
+                        store.runs(cluster).iter().map(|run| (*run, 0, run.len)),
+                        (0..self.selections.len())
+                            .filter(|&q| self.selections[q].clusters.contains(&cluster)),
+                    );
                 }
             } else {
                 // Adapting: a query's windows continue from its base pages
@@ -755,9 +770,10 @@ impl<'a> Scan<'a> {
                     }
                 }
                 for (order, members) in &groups {
-                    for run in store.ordered_runs(order) {
-                        list.push(*run, (0, run.len), members.iter().copied());
-                    }
+                    list.push(
+                        store.ordered_runs(order).map(|run| (*run, 0, run.len)),
+                        members.iter().copied(),
+                    );
                 }
             }
             self.run_pass(Pass::Segments, &list)?;

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use reis_ann::topk::Neighbor;
 use reis_nand::{FlashStats, Nanos};
-use reis_persist::WalRecord;
+use reis_persist::{wal, WalRecord};
 use reis_sched::WorkerPool;
 use reis_ssd::{SsdController, SsdMode};
 use reis_telemetry::{CounterId, GaugeId, HistogramId, Telemetry};
@@ -447,25 +447,14 @@ impl ReisSystem {
     ) -> Result<MutationOutcome> {
         let started = self.telemetry.is_enabled().then(Instant::now);
         let outcome = self.insert_batch_inner(db_id, ids, vectors, documents)?;
-        // The batch is cloned — as the record's payload — only when a
-        // durable store is attached.
-        if self.durability.is_some() {
-            let (vectors, documents) = (vectors.to_vec(), documents.to_vec());
-            let assigned = outcome.ids.clone();
-            self.log_wal(match ids {
-                Some(_) => WalRecord::InsertBatchAt {
-                    db_id,
-                    vectors,
-                    documents,
-                    ids: assigned,
-                },
-                None => WalRecord::InsertBatch {
-                    db_id,
-                    vectors,
-                    documents,
-                    ids: assigned,
-                },
-            })?;
+        if let Some(durability) = self.durability.as_mut() {
+            durability.append(&wal::frame_insert_batch(
+                ids.is_some(),
+                db_id,
+                vectors,
+                documents,
+                &outcome.ids,
+            ))?;
         }
         self.record_mutation(
             CounterId::Inserts,
@@ -571,13 +560,8 @@ impl ReisSystem {
     ) -> Result<MutationOutcome> {
         let started = self.telemetry.is_enabled().then(Instant::now);
         let outcome = self.upsert_inner(db_id, id, vector, document)?;
-        if self.durability.is_some() {
-            self.log_wal(WalRecord::Upsert {
-                db_id,
-                id,
-                vector: vector.to_vec(),
-                document: document.to_vec(),
-            })?;
+        if let Some(durability) = self.durability.as_mut() {
+            durability.append(&wal::frame_upsert(db_id, id, vector, document))?;
         }
         self.record_mutation(CounterId::Upserts, 1, started, &outcome, db_id);
         Ok(outcome)
@@ -656,7 +640,7 @@ impl ReisSystem {
     /// successful [`ReisSystem::save`] re-establishes durability.
     pub(crate) fn log_wal(&mut self, record: WalRecord) -> Result<()> {
         if let Some(durability) = self.durability.as_mut() {
-            durability.append(&record)?;
+            durability.append(&record.encode_framed())?;
         }
         Ok(())
     }

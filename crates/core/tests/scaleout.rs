@@ -340,7 +340,16 @@ fn decode_op(code: u8) -> Op {
 /// leaves) must answer like a union rebuild of the per-leaf survivors,
 /// and its transferred-entry sum must equal a single device driven
 /// through the *same* trace — pre- and post-compaction.
-fn run_mutated(ops: &[(u8, u64)], entries: usize, leaves: usize, parallelism: ScanParallelism) {
+///
+/// `summary` names the calling property's summary file: the two callers
+/// run on parallel test threads, so each records into a file of its own.
+fn run_mutated(
+    summary: &str,
+    ops: &[(u8, u64)],
+    entries: usize,
+    leaves: usize,
+    parallelism: ScanParallelism,
+) {
     let (vectors, documents) = corpus(entries);
     let template = VectorDatabase::flat(&vectors, documents.clone()).expect("template");
     let config = ReisConfig::tiny()
@@ -443,7 +452,7 @@ fn run_mutated(ops: &[(u8, u64)], entries: usize, leaves: usize, parallelism: Sc
                         "transferred fine entries: {ctx}"
                     );
                     record_summary(
-                        "scaleout_mutated",
+                        summary,
                         &format!(
                             "{stage} leaves={leaves} q={q} ids={:?} fine={}",
                             a.results.iter().map(|n| n.id).collect::<Vec<_>>(),
@@ -472,7 +481,13 @@ proptest! {
         entries in 10usize..26,
         leaf_pick in 0usize..LEAF_COUNTS.len(),
     ) {
-        run_mutated(&ops, entries, LEAF_COUNTS[leaf_pick], ScanParallelism::sequential());
+        run_mutated(
+            "scaleout_mutated_sequential",
+            &ops,
+            entries,
+            LEAF_COUNTS[leaf_pick],
+            ScanParallelism::sequential(),
+        );
     }
 
     /// The same invariant under intra-query sharded leaf scans.
@@ -484,6 +499,7 @@ proptest! {
         shards in 2usize..5,
     ) {
         run_mutated(
+            "scaleout_mutated_sharded",
             &ops,
             entries,
             LEAF_COUNTS[leaf_pick],

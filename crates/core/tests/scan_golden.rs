@@ -15,6 +15,13 @@
 //! longer than any scan}; and three index states — clean, after a seeded
 //! insert/delete/upsert trace, and after compacting that trace.
 //!
+//! `fixtures/segment-fill-v1.txt` holds the same kind of answers, plus the
+//! per-page explain events, over append-segment pages filled with every
+//! slot count from one to a full page. It was generated right before pages
+//! started to remember how many bytes were programmed into them — when a
+//! scan still scored the zero padding of such a page — and pins that a scan
+//! of the programmed bytes alone admits, counts and reports the same.
+//!
 //! A diff means the scan no longer computes what it used to. Regenerate
 //! (`REIS_REGEN_FIXTURES=1 cargo test -p reis-core --test scan_golden`) only
 //! for an intended change of the modelled behaviour, and say so in the PR.
@@ -32,9 +39,13 @@ const NLIST: usize = 8;
 const NPROBE: usize = 3;
 
 fn fixture_path() -> PathBuf {
+    fixture("scan-golden-v1.txt")
+}
+
+fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
-        .join("scan-golden-v1.txt")
+        .join(name)
 }
 
 /// Eight loose clusters with per-entry jitter, so IVF probing, distance
@@ -398,4 +409,72 @@ fn leaf_queries_count_the_golden_activity() {
             }
         }
     }
+}
+
+/// One system per fill level: a clean deployment plus one insert batch of
+/// `fill` entries, which lands in one embedding page per touched cluster —
+/// `fill` slots of one page on the flat corpus, every smaller fill on the
+/// IVF one. Searched with an explain trace armed, so the per-page slot and
+/// pass counts are part of the answer.
+fn segment_fill_document(parallelism: ScanParallelism) -> String {
+    let mut document = String::new();
+    for (corpus, corpus_name) in [(Corpus::Flat, "flat"), (Corpus::Ivf, "ivf")] {
+        let scenario = Scenario {
+            name: String::new(),
+            corpus,
+            adaptive: AdaptiveFiltering::Off,
+            window: 4,
+            state: State::Clean,
+        };
+        let (probe, db) = scenario.build(parallelism);
+        let slots_per_page = probe
+            .database(db)
+            .expect("deployed")
+            .layout
+            .embeddings_per_page;
+        for fill in 1..=slots_per_page {
+            let (mut system, db) = scenario.build(parallelism);
+            let vectors: Vec<Vec<f32>> = (0..fill).map(|i| vector_for(2_000 + i, 6)).collect();
+            let documents: Vec<Vec<u8>> = (0..fill).map(|i| doc_for(2_000 + i, 1)).collect();
+            system.insert_batch(db, &vectors, documents).expect("fill");
+            system.enable_telemetry();
+            let name = format!("{corpus_name}/fill{fill}");
+            // The last inserted entry itself, and a point between entries.
+            let queries = [vector_for(2_000 + fill - 1, 6), vector_for(61, 4)];
+            for (index, query) in queries.iter().enumerate() {
+                let nprobe = (corpus == Corpus::Ivf).then_some(NPROBE);
+                system.telemetry().arm_explain();
+                let outcome = match nprobe {
+                    Some(nprobe) => system.ivf_search_with_nprobe(db, query, 5, nprobe),
+                    None => system.search(db, query, 5),
+                }
+                .expect("search");
+                document.push_str(&render(&name, index, 5, nprobe, &outcome));
+                let explain = system.telemetry().last_explain().expect("armed explain");
+                let mut events: Vec<_> = explain
+                    .events
+                    .iter()
+                    .map(|e| (e.page, e.window, e.slots, e.passed))
+                    .collect();
+                // Shards append their pages shard by shard.
+                events.sort_unstable();
+                writeln!(document, " explain={events:?}").unwrap();
+            }
+        }
+    }
+    document
+}
+
+#[test]
+fn partly_filled_segment_pages_scan_as_they_did_padded() {
+    let [one_shard, four_shards] = budgets();
+    let document = segment_fill_document(one_shard);
+    let path = fixture("segment-fill-v1.txt");
+    if std::env::var("REIS_REGEN_FIXTURES").is_ok_and(|v| v == "1") {
+        std::fs::write(&path, &document).expect("write fixture");
+        return;
+    }
+    let committed = std::fs::read_to_string(&path).expect("segment-fill fixture");
+    assert_eq!(committed, document, "one shard");
+    assert_eq!(committed, segment_fill_document(four_shards), "four shards");
 }

@@ -22,6 +22,10 @@ use crate::timing::{Nanos, TimingParams};
 /// One physical flash page: user data, OOB bytes and programming state.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 struct Page {
+    /// The user data as programmed: the bytes the program supplied, without
+    /// the zeros that fill the rest of the page. A sense pads them to a full
+    /// page in the latch; a page holding one embedding costs neither a page
+    /// of memory to keep nor a page of memory traffic to read.
     data: Option<Vec<u8>>,
     oob: Option<Vec<u8>>,
     scheme: Option<ProgramScheme>,
@@ -106,9 +110,10 @@ pub struct PageView<'a> {
     /// The plane's sensing latch: the user data as sensed, read errors
     /// included.
     pub sensed: &'a [u8],
-    /// The user data as programmed — what a successful ECC decode of
-    /// `sensed` yields, by definition. A modelling backdoor for the
-    /// controller's ECC path: no real channel carries it.
+    /// The user data as programmed, without the zeros that fill the rest of
+    /// the page — padded to the page size, it is what a successful ECC
+    /// decode of `sensed` yields, by definition. A modelling backdoor for
+    /// the controller's ECC path: no real channel carries it.
     pub stored: &'a [u8],
     /// The OOB bytes of the page.
     pub oob: &'a [u8],
@@ -315,7 +320,6 @@ impl FlashDevice {
             });
         }
         let pages_per_block = self.geometry.pages_per_block;
-        let page_size = self.geometry.page_size_bytes;
         let oob_size = self.geometry.oob_size_bytes;
         let idx = self.geometry.plane_index(addr.plane_addr());
         let block = self.planes[idx].block_mut(addr.block, pages_per_block);
@@ -323,11 +327,9 @@ impl FlashDevice {
         if page.is_programmed() {
             return Err(NandError::PageAlreadyProgrammed(addr));
         }
-        let mut stored = vec![0u8; page_size];
-        stored[..data.len()].copy_from_slice(data);
         let mut stored_oob = vec![0u8; oob_size];
         stored_oob[..oob.len()].copy_from_slice(oob);
-        page.data = Some(stored);
+        page.data = Some(data.to_vec());
         page.oob = Some(stored_oob);
         page.scheme = Some(scheme);
 
@@ -607,7 +609,9 @@ impl FlashDevice {
 
     /// Borrow the stored contents of a page (user data, OOB bytes and the
     /// programming scheme) without copying, error injection, timing, or
-    /// statistics.
+    /// statistics. The user data is lent as programmed: the bytes
+    /// [`FlashDevice::program_page`] was given, without the zeros that fill
+    /// the rest of the page.
     ///
     /// This is the readout primitive of read-only scan shards
     /// (see [`crate::sharding`]): shard workers share the device immutably,
@@ -677,12 +681,9 @@ impl FlashDevice {
     /// Returns [`NandError::PageNotProgrammed`] if either page is empty.
     pub fn xor_pages(&self, a: PageAddr, b: PageAddr) -> Result<Vec<u8>> {
         let read = |addr: PageAddr| -> Result<Vec<u8>> {
-            self.geometry.check_page(addr)?;
-            let idx = self.geometry.plane_index(addr.plane_addr());
-            self.planes[idx]
-                .block(addr.block)
-                .and_then(|blk| blk.pages[addr.page].data.clone())
-                .ok_or(NandError::PageNotProgrammed(addr))
+            let mut page = self.stored_page(addr)?.0.to_vec();
+            page.resize(self.geometry.page_size_bytes, 0);
+            Ok(page)
         };
         Ok(XorLogic::xor(&read(a)?, &read(b)?))
     }

@@ -98,11 +98,16 @@ impl PageBuffer {
     /// reusing the latch's existing buffers. This is the scan hot path: a
     /// multi-page scan re-senses into the same plane buffer without
     /// allocating per page.
+    ///
+    /// `data` is the programmed prefix of the page — at most a page — and
+    /// the latch is zero-filled behind it: the latch always holds a full
+    /// page, but a sense reads only what was written.
     pub fn load_sensing_copy(&mut self, data: &[u8], oob: &[u8]) {
-        debug_assert_eq!(data.len(), self.page_size);
+        debug_assert!(data.len() <= self.page_size);
         let sensing = self.sensing.get_or_insert_with(Vec::new);
         sensing.clear();
         sensing.extend_from_slice(data);
+        sensing.resize(self.page_size, 0);
         let oob_buf = self.oob.get_or_insert_with(Vec::new);
         oob_buf.clear();
         oob_buf.extend_from_slice(oob);

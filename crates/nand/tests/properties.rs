@@ -2,10 +2,11 @@
 
 use proptest::prelude::*;
 use reis_nand::array::FlashDevice;
-use reis_nand::cell::ProgramScheme;
+use reis_nand::cell::{CellMode, ProgramScheme};
 use reis_nand::geometry::{Geometry, PageAddr};
 use reis_nand::oob::{OobEntry, OobLayout};
 use reis_nand::peripheral::{FailBitCounter, PassFailChecker, XorLogic};
+use reis_nand::reliability::ReliabilityModel;
 use reis_nand::timing::{Nanos, TimingParams};
 
 proptest! {
@@ -55,6 +56,77 @@ proptest! {
         dev.xor_latches(addr.plane_addr()).unwrap();
         let (counts, _) = dev.count_fail_bits(addr.plane_addr(), emb_bytes).unwrap();
         prop_assert_eq!(counts, expected);
+    }
+
+    /// The device keeps a page as programmed, without its zero padding. A
+    /// page programmed with `len` bytes must nevertheless read exactly like
+    /// a twin programmed with the same bytes padded to the page size: a
+    /// page-sized latch with a zero tail, error injection drawn over the
+    /// whole page, the same bytes to the controller, the same latency — and
+    /// the same device state after every read. (The twins' own records of
+    /// the page differ by construction — one holds `len` bytes, the other a
+    /// page — and the padded program moved more bytes from the controller,
+    /// so the counters are reset after programming and the devices are
+    /// compared through everything a read can observe or move.)
+    #[test]
+    fn short_program_reads_like_its_padded_twin(
+        data in proptest::collection::vec(any::<u8>(), 1..4097),
+        tlc in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let geometry = Geometry::tiny();
+        let page_size = geometry.page_size_bytes;
+        // A BER scaled until a TLC read of the tiny page takes raw errors.
+        let device = || FlashDevice::with_reliability(
+            geometry,
+            TimingParams::default(),
+            ReliabilityModel { ber_scale: 1e3 },
+            seed,
+        );
+        let (mut short, mut padded) = (device(), device());
+        let scheme = if tlc {
+            ProgramScheme::Ispp(CellMode::Tlc)
+        } else {
+            ProgramScheme::EnhancedSlc
+        };
+        let addr = PageAddr::new(1, 0, 1, 2, 3);
+        let mut full = data.clone();
+        full.resize(page_size, 0);
+        short.program_page(addr, &data, &[0xAB, 0xCD], scheme).unwrap();
+        padded.program_page(addr, &full, &[0xAB, 0xCD], scheme).unwrap();
+        short.reset_stats();
+        padded.reset_stats();
+
+        // Shard readers are lent the bytes that were programmed.
+        prop_assert_eq!(short.stored_page(addr).unwrap().0, &data[..]);
+        prop_assert_eq!(padded.stored_page(addr).unwrap().0, &full[..]);
+
+        let mut errors = 0;
+        for _ in 0..4 {
+            let a = short.read_page_view(addr).unwrap();
+            let b = padded.read_page_view(addr).unwrap();
+            prop_assert_eq!(a.sensed.len(), page_size);
+            prop_assert_eq!(a.sensed, b.sensed);
+            prop_assert_eq!(a.oob, b.oob);
+            prop_assert_eq!(a.meta, b.meta);
+            prop_assert_eq!(a.stored, &data[..]);
+            errors += a.meta.bit_errors;
+            prop_assert_eq!(short.stats(), padded.stats());
+            prop_assert_eq!(
+                short.page_buffer(addr.plane_addr()).unwrap(),
+                padded.page_buffer(addr.plane_addr()).unwrap()
+            );
+        }
+        prop_assert_eq!(errors > 0, tlc, "only the TLC reads inject errors");
+        prop_assert_eq!(
+            short.stats().bytes_to_controller,
+            4 * (page_size + geometry.oob_size_bytes) as u64
+        );
+        // The in-plane path sees the same latch, and the error streams are
+        // at the same position: the next reads agree too.
+        prop_assert_eq!(short.sense_page(addr).unwrap(), padded.sense_page(addr).unwrap());
+        prop_assert_eq!(short.read_page(addr).unwrap(), padded.read_page(addr).unwrap());
+        prop_assert_eq!(short.xor_pages(addr, addr).unwrap(), vec![0u8; page_size]);
     }
 
     /// The fail-bit counter's chunked counts always sum to the total count.

@@ -12,7 +12,7 @@ use std::fmt::Debug;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::error::{PersistError, Result};
 
@@ -46,13 +46,20 @@ pub trait Vfs: Debug + Send {
 #[derive(Debug, Clone)]
 pub struct DirVfs {
     root: PathBuf,
+    /// Set once this handle has created `root`, so a write costs its own
+    /// system calls and not a directory check besides.
+    root_created: OnceLock<()>,
 }
 
 impl DirVfs {
     /// A VFS over `root`. The directory is created lazily on the first
-    /// write.
+    /// write, once: a directory removed under a live handle is not
+    /// recreated, and later writes through that handle fail.
     pub fn new(root: impl Into<PathBuf>) -> Self {
-        DirVfs { root: root.into() }
+        DirVfs {
+            root: root.into(),
+            root_created: OnceLock::new(),
+        }
     }
 
     fn path(&self, name: &str) -> PathBuf {
@@ -67,7 +74,11 @@ impl DirVfs {
     }
 
     fn ensure_root(&self) -> Result<()> {
-        fs::create_dir_all(&self.root).map_err(|e| Self::io_err("<root>", e))
+        if self.root_created.get().is_none() {
+            fs::create_dir_all(&self.root).map_err(|e| Self::io_err("<root>", e))?;
+            let _ = self.root_created.set(());
+        }
+        Ok(())
     }
 }
 

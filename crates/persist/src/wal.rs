@@ -107,24 +107,18 @@ impl WalRecord {
     /// Encode the record payload (unframed).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
+        self.put(&mut w);
+        w.into_bytes()
+    }
+
+    fn put(&self, w: &mut ByteWriter) {
         match self {
             WalRecord::InsertBatch {
                 db_id,
                 vectors,
                 documents,
                 ids,
-            } => {
-                assert_eq!(vectors.len(), documents.len(), "one document per vector");
-                assert_eq!(vectors.len(), ids.len(), "one assigned id per vector");
-                w.put_u8(OP_INSERT_BATCH);
-                w.put_u32(*db_id);
-                w.put_u32(vectors.len() as u32);
-                for ((vector, document), id) in vectors.iter().zip(documents).zip(ids) {
-                    w.put_f32_slice(vector);
-                    w.put_bytes(document);
-                    w.put_u32(*id);
-                }
-            }
+            } => put_insert_batch(w, OP_INSERT_BATCH, *db_id, vectors, documents, ids),
             WalRecord::Delete { db_id, id } => {
                 w.put_u8(OP_DELETE);
                 w.put_u32(*db_id);
@@ -135,13 +129,7 @@ impl WalRecord {
                 id,
                 vector,
                 document,
-            } => {
-                w.put_u8(OP_UPSERT);
-                w.put_u32(*db_id);
-                w.put_u32(*id);
-                w.put_f32_slice(vector);
-                w.put_bytes(document);
-            }
+            } => put_upsert(w, *db_id, *id, vector, document),
             WalRecord::Compact { db_id } => {
                 w.put_u8(OP_COMPACT);
                 w.put_u32(*db_id);
@@ -151,20 +139,8 @@ impl WalRecord {
                 vectors,
                 documents,
                 ids,
-            } => {
-                assert_eq!(vectors.len(), documents.len(), "one document per vector");
-                assert_eq!(vectors.len(), ids.len(), "one chosen id per vector");
-                w.put_u8(OP_INSERT_BATCH_AT);
-                w.put_u32(*db_id);
-                w.put_u32(vectors.len() as u32);
-                for ((vector, document), id) in vectors.iter().zip(documents).zip(ids) {
-                    w.put_f32_slice(vector);
-                    w.put_bytes(document);
-                    w.put_u32(*id);
-                }
-            }
+            } => put_insert_batch(w, OP_INSERT_BATCH_AT, *db_id, vectors, documents, ids),
         }
-        w.into_bytes()
     }
 
     /// Decode a record payload. The payload must decode exactly — trailing
@@ -231,17 +207,80 @@ impl WalRecord {
 
     /// Encode the record as one framed WAL append.
     pub fn encode_framed(&self) -> Vec<u8> {
-        frame(&self.encode())
+        framed(|w| self.put(w))
     }
+}
+
+fn put_insert_batch(
+    w: &mut ByteWriter,
+    op: u8,
+    db_id: u32,
+    vectors: &[Vec<f32>],
+    documents: &[Vec<u8>],
+    ids: &[u32],
+) {
+    assert_eq!(vectors.len(), documents.len(), "one document per vector");
+    assert_eq!(vectors.len(), ids.len(), "one stable id per vector");
+    w.put_u8(op);
+    w.put_u32(db_id);
+    w.put_u32(vectors.len() as u32);
+    for ((vector, document), id) in vectors.iter().zip(documents).zip(ids) {
+        w.put_f32_slice(vector);
+        w.put_bytes(document);
+        w.put_u32(*id);
+    }
+}
+
+fn put_upsert(w: &mut ByteWriter, db_id: u32, id: u32, vector: &[f32], document: &[u8]) {
+    w.put_u8(OP_UPSERT);
+    w.put_u32(db_id);
+    w.put_u32(id);
+    w.put_f32_slice(vector);
+    w.put_bytes(document);
+}
+
+/// The framed WAL append of a batch insert, encoded straight from the
+/// mutation's own arguments: byte for byte what
+/// [`WalRecord::InsertBatchAt`] (`chosen_ids`) or [`WalRecord::InsertBatch`]
+/// of the same values encodes to, without cloning the batch into a record
+/// first.
+pub fn frame_insert_batch(
+    chosen_ids: bool,
+    db_id: u32,
+    vectors: &[Vec<f32>],
+    documents: &[Vec<u8>],
+    ids: &[u32],
+) -> Vec<u8> {
+    let op = if chosen_ids {
+        OP_INSERT_BATCH_AT
+    } else {
+        OP_INSERT_BATCH
+    };
+    framed(|w| put_insert_batch(w, op, db_id, vectors, documents, ids))
+}
+
+/// The framed WAL append of an upsert, encoded from borrowed arguments (see
+/// [`frame_insert_batch`]): byte for byte a framed [`WalRecord::Upsert`].
+pub fn frame_upsert(db_id: u32, id: u32, vector: &[f32], document: &[u8]) -> Vec<u8> {
+    framed(|w| put_upsert(w, db_id, id, vector, document))
+}
+
+/// Encode a payload behind a frame header that is filled in afterwards, so
+/// the payload is written once, where it stays.
+fn framed(put: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_raw(&[0; FRAME_HEADER_BYTES]);
+    put(&mut w);
+    let mut bytes = w.into_bytes();
+    let (header, payload) = bytes.split_at_mut(FRAME_HEADER_BYTES);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32c(payload).to_le_bytes());
+    bytes
 }
 
 /// Frame a payload for appending: length, CRC32C, payload.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&crc32c(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    bytes
+    framed(|w| w.put_raw(payload))
 }
 
 /// What the end of a WAL file looked like.
@@ -381,6 +420,42 @@ mod tests {
             log.extend_from_slice(&record.encode_framed());
         }
         log
+    }
+
+    /// What the system appends for an insert or an upsert — encoded from
+    /// its borrowed arguments — is the frame of the record a reader decodes
+    /// it to, and that frame is length, CRC32C, payload.
+    #[test]
+    fn borrowed_frames_are_the_records_frames() {
+        for record in sample_records() {
+            let framed = record.encode_framed();
+            assert_eq!(framed, frame(&record.encode()));
+            let payload = &framed[FRAME_HEADER_BYTES..];
+            assert_eq!(framed[..4], (payload.len() as u32).to_le_bytes());
+            assert_eq!(framed[4..8], crc32c(payload).to_le_bytes());
+            let borrowed = match &record {
+                WalRecord::InsertBatch {
+                    db_id,
+                    vectors,
+                    documents,
+                    ids,
+                } => frame_insert_batch(false, *db_id, vectors, documents, ids),
+                WalRecord::InsertBatchAt {
+                    db_id,
+                    vectors,
+                    documents,
+                    ids,
+                } => frame_insert_batch(true, *db_id, vectors, documents, ids),
+                WalRecord::Upsert {
+                    db_id,
+                    id,
+                    vector,
+                    document,
+                } => frame_upsert(*db_id, *id, vector, document),
+                WalRecord::Delete { .. } | WalRecord::Compact { .. } => continue,
+            };
+            assert_eq!(borrowed, framed);
+        }
     }
 
     #[test]

@@ -112,17 +112,66 @@ pub fn page_to_stripe(geometry: &Geometry, addr: PageAddr) -> usize {
 /// high-watermark allocator (with whole-region reservation to guarantee
 /// physical contiguity) models the defragmented layout REIS creates during
 /// `DB_Deploy` (Sec. 4.1.4). The online update path additionally needs to
-/// give pages back: released regions enter a coalesced free-range list, and
-/// subsequent reservations may recycle a released range — but only once the
-/// caller can prove its pages were erased, which is why
-/// [`PageAllocator::reserve_recycled`] takes a per-stripe usability
-/// predicate (the controller passes "not currently programmed").
+/// give pages back, and a NAND page can only be programmed again after its
+/// block was erased. The allocator therefore keeps released stripes in two
+/// coalesced range lists: *reusable* ones (released unprogrammed, or erased
+/// since) that [`PageAllocator::reserve_recycled`] hands out again, and
+/// ones *awaiting an erase*, which it never looks at until
+/// [`PageAllocator::mark_erased`] moves them over. The controller reports
+/// both events; a reservation costs the number of reusable ranges, however
+/// many programmed stripes a compaction left behind.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PageAllocator {
     total_pages: usize,
     next_free: usize,
-    /// Released `(start, len)` stripe ranges, sorted by start and coalesced.
+    /// Released `(start, len)` stripe ranges that can be programmed again,
+    /// sorted by start and coalesced.
     recycled: Vec<(usize, usize)>,
+    /// Released ranges whose pages are still programmed, sorted by start
+    /// and coalesced.
+    awaiting_erase: Vec<(usize, usize)>,
+}
+
+/// Insert `[start, start + len)` into a sorted range list, coalescing it
+/// with the ranges it touches.
+fn insert_coalesced(ranges: &mut Vec<(usize, usize)>, start: usize, len: usize) {
+    let mut i = ranges.partition_point(|&(other, _)| other < start);
+    ranges.insert(i, (start, len));
+    // The predecessor may reach the new range; after that, whatever sits at
+    // `i` may reach its successors.
+    i = i.saturating_sub(1);
+    while i + 1 < ranges.len() {
+        let (a_start, a_len) = ranges[i];
+        let (b_start, b_len) = ranges[i + 1];
+        if a_start + a_len >= b_start {
+            let end = (a_start + a_len).max(b_start + b_len);
+            ranges[i] = (a_start, end - a_start);
+            ranges.remove(i + 1);
+        } else if ranges[i].0 < start {
+            i += 1;
+        } else {
+            break;
+        }
+    }
+}
+
+/// Cut `[start, start + len)` out of range `i` of a sorted range list,
+/// which must contain it.
+fn carve(ranges: &mut Vec<(usize, usize)>, i: usize, start: usize, len: usize) {
+    let (range_start, range_len) = ranges[i];
+    let head = start - range_start;
+    let tail = (range_start + range_len) - (start + len);
+    match (head > 0, tail > 0) {
+        (false, false) => {
+            ranges.remove(i);
+        }
+        (true, false) => ranges[i] = (range_start, head),
+        (false, true) => ranges[i] = (start + len, tail),
+        (true, true) => {
+            ranges[i] = (range_start, head);
+            ranges.insert(i + 1, (start + len, tail));
+        }
+    }
 }
 
 impl PageAllocator {
@@ -132,11 +181,12 @@ impl PageAllocator {
             total_pages: geometry.total_pages(),
             next_free: 0,
             recycled: Vec::new(),
+            awaiting_erase: Vec::new(),
         }
     }
 
     /// Pages not currently reserved (never-touched pages above the bump
-    /// watermark plus released ranges awaiting recycling).
+    /// watermark plus released ranges, erased or not).
     pub fn free_pages(&self) -> usize {
         self.total_pages - self.next_free + self.recycled_pages()
     }
@@ -146,8 +196,18 @@ impl PageAllocator {
         self.next_free - self.recycled_pages()
     }
 
-    /// Pages sitting in released ranges, available for recycling.
+    /// Pages sitting in released ranges: reusable now or once erased.
     pub fn recycled_pages(&self) -> usize {
+        self.reusable_pages()
+            + self
+                .awaiting_erase
+                .iter()
+                .map(|&(_, len)| len)
+                .sum::<usize>()
+    }
+
+    /// Released pages a reservation can take right now.
+    pub fn reusable_pages(&self) -> usize {
         self.recycled.iter().map(|&(_, len)| len).sum()
     }
 
@@ -174,81 +234,51 @@ impl PageAllocator {
         Ok(region)
     }
 
-    /// Try to reserve `pages` contiguous stripes from the released ranges.
-    ///
-    /// `usable` is consulted for every stripe of a candidate window; a
-    /// window is only handed out if all of its stripes qualify (the
-    /// controller passes "page not programmed", so recycled regions are
-    /// immediately programmable). Returns `None` — without side effects —
-    /// when no released window qualifies; callers then fall back to
+    /// Try to reserve `pages` contiguous stripes from the reusable released
+    /// ranges: the lowest window of that many stripes that were all
+    /// released unprogrammed or erased since. Returns `None` — without side
+    /// effects — when there is none; callers then fall back to
     /// [`PageAllocator::reserve`].
-    pub fn reserve_recycled(
-        &mut self,
-        pages: usize,
-        usable: impl Fn(usize) -> bool,
-    ) -> Option<StripedRegion> {
+    pub fn reserve_recycled(&mut self, pages: usize) -> Option<StripedRegion> {
         if pages == 0 {
             return None;
         }
-        for i in 0..self.recycled.len() {
-            let (start, len) = self.recycled[i];
-            if len < pages {
-                continue;
-            }
-            // First window of the range whose stripes are all usable.
-            let mut window = start;
-            while window + pages <= start + len {
-                if let Some(bad) = (window..window + pages).find(|&stripe| !usable(stripe)) {
-                    // Skip past the offending stripe.
-                    window = bad + 1;
-                    continue;
-                }
-                // Found: carve [window, window+pages) out of the range.
-                let region = StripedRegion {
-                    start: window,
-                    len: pages,
-                };
-                let head = window - start;
-                let tail = (start + len) - (window + pages);
-                match (head > 0, tail > 0) {
-                    (false, false) => {
-                        self.recycled.remove(i);
-                    }
-                    (true, false) => self.recycled[i] = (start, head),
-                    (false, true) => self.recycled[i] = (window + pages, tail),
-                    (true, true) => {
-                        self.recycled[i] = (start, head);
-                        self.recycled.insert(i + 1, (window + pages, tail));
-                    }
-                }
-                return Some(region);
-            }
-        }
-        None
+        let i = self.recycled.iter().position(|&(_, len)| len >= pages)?;
+        let start = self.recycled[i].0;
+        carve(&mut self.recycled, i, start, pages);
+        Some(StripedRegion { start, len: pages })
     }
 
     /// Return a region's stripes to the free list (coalescing with adjacent
-    /// released ranges). The pages may still be programmed; recycling them
-    /// is gated by the predicate of [`PageAllocator::reserve_recycled`].
-    pub fn release(&mut self, region: &StripedRegion) {
+    /// released ranges of the same kind). `programmed` says whether the
+    /// region's pages hold data: such stripes wait for
+    /// [`PageAllocator::mark_erased`] before they are handed out again.
+    pub fn release(&mut self, region: &StripedRegion, programmed: bool) {
         if region.is_empty() {
             return;
         }
-        let (start, len) = (region.start, region.len);
-        let at = self.recycled.partition_point(|&(other, _)| other < start);
-        self.recycled.insert(at, (start, len));
-        // Coalesce around the insertion point.
-        let mut i = at.saturating_sub(1);
-        while i + 1 < self.recycled.len() {
-            let (a_start, a_len) = self.recycled[i];
-            let (b_start, b_len) = self.recycled[i + 1];
-            if a_start + a_len >= b_start {
-                let end = (a_start + a_len).max(b_start + b_len);
-                self.recycled[i] = (a_start, end - a_start);
-                self.recycled.remove(i + 1);
-            } else {
-                i += 1;
-            }
+        let ranges = if programmed {
+            &mut self.awaiting_erase
+        } else {
+            &mut self.recycled
+        };
+        insert_coalesced(ranges, region.start, region.len);
+    }
+
+    /// Record that the page at `stripe` was erased: if it is a released
+    /// stripe awaiting exactly that, it becomes reusable. Any other stripe
+    /// (reserved, never touched, already reusable) is left alone.
+    pub fn mark_erased(&mut self, stripe: usize) {
+        let after = self
+            .awaiting_erase
+            .partition_point(|&(start, _)| start <= stripe);
+        let Some(i) = after.checked_sub(1) else {
+            return;
+        };
+        let (start, len) = self.awaiting_erase[i];
+        if stripe < start + len {
+            carve(&mut self.awaiting_erase, i, stripe, 1);
+            insert_coalesced(&mut self.recycled, stripe, 1);
         }
     }
 
@@ -257,6 +287,7 @@ impl PageAllocator {
     pub fn reset(&mut self) {
         self.next_free = 0;
         self.recycled.clear();
+        self.awaiting_erase.clear();
     }
 }
 
@@ -333,36 +364,85 @@ mod tests {
     }
 
     #[test]
-    fn released_ranges_coalesce_and_recycle_under_a_predicate() {
+    fn released_ranges_coalesce_and_recycle_once_erased() {
         let geom = Geometry::tiny();
         let mut alloc = PageAllocator::new(&geom);
         let a = alloc.reserve(8).unwrap();
         let b = alloc.reserve(8).unwrap();
         let c = alloc.reserve(8).unwrap();
         let used = alloc.used_pages();
-        alloc.release(&a);
-        alloc.release(&c);
+        alloc.release(&a, false);
+        alloc.release(&c, false);
         assert_eq!(alloc.recycled_pages(), 16);
         assert_eq!(alloc.used_pages(), used - 16);
         // Releasing b bridges a and c into one 24-stripe range.
-        alloc.release(&b);
+        alloc.release(&b, false);
         assert_eq!(alloc.recycled_pages(), 24);
+        assert_eq!(alloc.recycled, [(0, 24)]);
 
-        // A predicate rejecting stripe 3 forces the window past it.
-        let r = alloc.reserve_recycled(8, |stripe| stripe != 3).unwrap();
-        assert_eq!(r.start, 4);
-        assert_eq!(r.len, 8);
+        // Stripe 3 comes back programmed: windows form on either side of it.
+        let d = alloc.reserve_recycled(24).unwrap();
+        alloc.release(&StripedRegion { start: 0, len: 3 }, false);
+        alloc.release(&StripedRegion { start: 3, len: 1 }, true);
+        alloc.release(&StripedRegion { start: 4, len: 20 }, false);
+        assert_eq!((d.start, d.len), (0, 24));
+        let r = alloc.reserve_recycled(8).unwrap();
+        assert_eq!((r.start, r.len), (4, 8));
         assert_eq!(alloc.recycled_pages(), 16);
-        // Nothing qualifies when the predicate rejects everything; the free
-        // list is untouched.
-        assert!(alloc.reserve_recycled(4, |_| false).is_none());
+        assert_eq!(alloc.reusable_pages(), 15);
+        // Nothing reusable is wide enough; the free list is untouched.
+        assert!(alloc.reserve_recycled(13).is_none());
         assert_eq!(alloc.recycled_pages(), 16);
-        // The remaining head [0,4) and tail [12,24) are still usable.
-        let head = alloc.reserve_recycled(4, |_| true).unwrap();
+        // Erasing stripe 3 rejoins it with the head [0,3).
+        alloc.mark_erased(3);
+        let head = alloc.reserve_recycled(4).unwrap();
         assert_eq!((head.start, head.len), (0, 4));
-        let tail = alloc.reserve_recycled(12, |_| true).unwrap();
+        let tail = alloc.reserve_recycled(12).unwrap();
         assert_eq!((tail.start, tail.len), (12, 12));
         assert_eq!(alloc.recycled_pages(), 0);
+    }
+
+    #[test]
+    fn a_released_stripe_is_looked_at_once_per_erase() {
+        // Every other stripe of a reserved stretch comes back programmed,
+        // so nothing coalesces: N one-stripe ranges await an erase.
+        const N: usize = 64;
+        let mut alloc = PageAllocator::new(&Geometry::tiny());
+        alloc.reserve(2 * N).unwrap();
+        for i in 0..N {
+            alloc.release(
+                &StripedRegion {
+                    start: 2 * i,
+                    len: 1,
+                },
+                true,
+            );
+        }
+        assert_eq!(alloc.awaiting_erase.len(), N);
+        // However many reservations follow, none of them has a range to
+        // walk: the programmed stripes are not in the list they search.
+        for _ in 0..N {
+            assert!(alloc.reserve_recycled(1).is_none());
+            assert!(alloc.recycled.is_empty());
+        }
+        assert_eq!(alloc.recycled_pages(), N);
+
+        // An erase covers a quarter of them (and stripes that were never
+        // released, which it must not free): exactly those are handed out,
+        // lowest first, each once.
+        for stripe in 0..N / 2 {
+            alloc.mark_erased(stripe);
+        }
+        assert_eq!(alloc.reusable_pages(), N / 4);
+        for i in 0..N / 4 {
+            let region = alloc.reserve_recycled(1).unwrap();
+            assert_eq!((region.start, region.len), (2 * i, 1));
+        }
+        assert!(alloc.reserve_recycled(1).is_none());
+        assert_eq!(alloc.recycled_pages(), N - N / 4);
+        // Erasing a stripe twice, or one that is reserved again, is a no-op.
+        alloc.mark_erased(0);
+        assert_eq!(alloc.reusable_pages(), 0);
     }
 
     #[test]
@@ -372,12 +452,12 @@ mod tests {
         let total = geom.total_pages();
         let a = alloc.reserve(total).unwrap();
         assert_eq!(alloc.free_pages(), 0);
-        alloc.release(&a);
+        alloc.release(&a, false);
         assert_eq!(alloc.free_pages(), total);
         // The bump watermark is exhausted, so plain reserve still fails …
         assert!(alloc.reserve(1).is_err());
         // … but recycling succeeds.
-        assert!(alloc.reserve_recycled(total, |_| true).is_some());
+        assert!(alloc.reserve_recycled(total).is_some());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use reis_nand::{FlashDevice, FlashStats, Nanos, PageAddr};
 
-use crate::allocator::{PageAllocator, StripedRegion};
+use crate::allocator::{page_to_stripe, stripe_to_page, PageAllocator, StripedRegion};
 use crate::config::SsdConfig;
 use crate::cores::EmbeddedCores;
 use crate::dram::InternalDram;
@@ -50,12 +50,17 @@ pub struct PageReadView<'a> {
 /// The controller's one flash read: sense the page into its plane's latch
 /// (the device injects and counts read errors there), move it over the
 /// channel, decode it when an ECC engine is given, and lend out the bytes
-/// the decode leaves — the stored page after a successful correction, the
-/// latch otherwise. Takes the fields it touches so that callers can go on
-/// using the controller's other resources while they hold the view.
+/// the decode leaves — the page as programmed after a successful correction,
+/// the latch otherwise. The device keeps a page without the zeros behind
+/// its programmed bytes, so a corrected page that was programmed short is
+/// padded into `corrected` (the decoder's output buffer) and lent from
+/// there; a full one is lent where it is stored. Takes the fields it touches
+/// so that callers can go on using the controller's other resources while
+/// they hold the view.
 fn read_decoded<'d>(
     device: &'d mut FlashDevice,
     ecc: Option<&mut EccEngine>,
+    corrected: &'d mut Vec<u8>,
     addr: PageAddr,
 ) -> Result<PageReadView<'d>> {
     let page = device.read_page_view(addr)?;
@@ -70,7 +75,14 @@ fn read_decoded<'d>(
         view.latency += outcome.latency;
         view.corrected = outcome.corrected;
         if outcome.corrected && page.meta.bit_errors > 0 {
-            view.data = page.stored;
+            view.data = if page.stored.len() == page.sensed.len() {
+                page.stored
+            } else {
+                corrected.clear();
+                corrected.extend_from_slice(page.stored);
+                corrected.resize(page.sensed.len(), 0);
+                corrected
+            };
         }
     }
     Ok(view)
@@ -125,6 +137,9 @@ pub struct SsdController {
     dram: InternalDram,
     cores: EmbeddedCores,
     ecc: EccEngine,
+    /// Where [`read_decoded`] pads a corrected page that was programmed
+    /// short; scratch, overwritten by the next such read.
+    corrected_page: Vec<u8>,
     maintenance: MaintenanceManager,
 }
 
@@ -142,6 +157,7 @@ impl SsdController {
             dram: InternalDram::new(config.dram),
             cores: EmbeddedCores::new(config.cores),
             ecc: EccEngine::new(config.ecc),
+            corrected_page: Vec::new(),
             maintenance: MaintenanceManager::new(),
         }
     }
@@ -229,8 +245,10 @@ impl SsdController {
     /// Released regions are recycled first: a previously released stripe
     /// range is handed out again once every page in it has been erased
     /// (compaction reclaims fully-invalid blocks, which is what makes the
-    /// pages reprogrammable). Only if no released window qualifies does the
-    /// reservation fall back to never-touched pages.
+    /// pages reprogrammable; the allocator keeps the still-programmed ones
+    /// apart, so they cost a reservation nothing). Only if no released
+    /// window qualifies does the reservation fall back to never-touched
+    /// pages.
     ///
     /// # Errors
     ///
@@ -242,13 +260,7 @@ impl SsdController {
         pages: usize,
         _kind: RegionKind,
     ) -> Result<StripedRegion> {
-        let geometry = self.config.geometry;
-        let device = &self.device;
-        let recycled = self.allocator.reserve_recycled(pages, |stripe| {
-            let addr = crate::allocator::stripe_to_page(&geometry, stripe);
-            !device.is_programmed(addr).unwrap_or(true)
-        });
-        let region = match recycled {
+        let region = match self.allocator.reserve_recycled(pages) {
             Some(region) => region,
             None => self.allocator.reserve(pages)?,
         };
@@ -263,28 +275,53 @@ impl SsdController {
     ///
     /// The pages stay physically programmed until
     /// [`SsdController::reclaim_invalid_blocks`] erases the blocks they
-    /// complete; only then can the stripes actually be recycled.
+    /// complete; only then can the stripes actually be recycled. Stripes
+    /// that were never programmed are reusable at once.
     pub fn release_region(&mut self, name: &str, region: &StripedRegion) {
-        for offset in 0..region.len {
-            if let Ok(addr) = region.page_at(&self.config.geometry, offset) {
-                if self.device.is_programmed(addr).unwrap_or(false) {
-                    self.maintenance.mark_invalid(addr);
-                }
+        // Hand the region back as maximal runs of equally programmed pages.
+        let mut run = StripedRegion {
+            start: region.start,
+            len: 0,
+        };
+        let mut run_programmed = false;
+        for stripe in region.start..region.start + region.len {
+            let addr = stripe_to_page(&self.config.geometry, stripe);
+            let programmed = self.device.is_programmed(addr).unwrap_or(false);
+            if programmed {
+                self.maintenance.mark_invalid(addr);
             }
+            if programmed != run_programmed {
+                self.allocator.release(&run, run_programmed);
+                run = StripedRegion {
+                    start: stripe,
+                    len: 0,
+                };
+                run_programmed = programmed;
+            }
+            run.len += 1;
         }
-        self.allocator.release(region);
+        self.allocator.release(&run, run_programmed);
         self.dram.release(name);
     }
 
     /// Erase every block whose programmed pages have all been invalidated
     /// (see [`MaintenanceManager::reclaim_invalid_blocks`]), returning the
-    /// number of blocks erased and the total erase latency.
+    /// number of blocks erased and the total erase latency. Released
+    /// stripes in the erased blocks become reusable.
     ///
     /// # Errors
     ///
     /// Propagates flash erase errors.
     pub fn reclaim_invalid_blocks(&mut self) -> Result<(usize, Nanos)> {
-        self.maintenance.reclaim_invalid_blocks(&mut self.device)
+        let (erased, latency) = self.maintenance.reclaim_invalid_blocks(&mut self.device)?;
+        let geometry = &self.config.geometry;
+        for block in &erased {
+            for page in 0..geometry.pages_per_block {
+                let addr = PageAddr::new(block.channel, block.die, block.plane, block.block, page);
+                self.allocator.mark_erased(page_to_stripe(geometry, addr));
+            }
+        }
+        Ok((erased.len(), latency))
     }
 
     /// Program one page of a database region with the scheme mandated by the
@@ -325,7 +362,7 @@ impl SsdController {
     ) -> Result<PageReadView<'_>> {
         let addr = region.page_at(&self.config.geometry, offset)?;
         let ecc = self.config.hybrid.needs_ecc(kind).then_some(&mut self.ecc);
-        let mut view = read_decoded(&mut self.device, ecc, addr)?;
+        let mut view = read_decoded(&mut self.device, ecc, &mut self.corrected_page, addr)?;
         // Staging the page in controller DRAM before it moves to the host.
         view.latency += self.dram.write(view.data.len());
         Ok(view)
@@ -396,7 +433,12 @@ impl SsdController {
         }
         let addr = self.page_ftl.translate(lpa)?;
         let lookup = self.cores.ftl_lookups(1) + self.dram.read(crate::ftl::PAGE_ENTRY_BYTES);
-        let view = read_decoded(&mut self.device, Some(&mut self.ecc), addr)?;
+        let view = read_decoded(
+            &mut self.device,
+            Some(&mut self.ecc),
+            &mut self.corrected_page,
+            addr,
+        )?;
         Ok(HostReadOutcome {
             data: view.data.to_vec(),
             latency: lookup + view.latency,
@@ -486,6 +528,8 @@ impl SsdController {
 mod tests {
     use super::*;
     use crate::ecc::EccParams;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn controller() -> SsdController {
         SsdController::new(SsdConfig::tiny())
@@ -707,6 +751,59 @@ mod tests {
         );
     }
 
+    /// A page programmed short reads through the controller like a twin
+    /// programmed with the same bytes padded to the page size — whether the
+    /// decoder corrects the read (the view is the programmed page, padded)
+    /// or gives up (the view is the latch).
+    #[test]
+    fn short_programmed_pages_read_like_padded_ones() {
+        let config = SsdConfig {
+            ecc: EccParams {
+                correctable_bits_per_page: 3,
+                ..EccParams::ldpc()
+            },
+            ..SsdConfig::tiny()
+        };
+        let page_size = config.geometry.page_size_bytes;
+        let mut short = SsdController::new(config);
+        let mut padded = SsdController::new(config);
+        const PAGES: usize = 24;
+        let kind = RegionKind::Int8Embeddings;
+        let mut region = StripedRegion::EMPTY;
+        for (ssd, pad) in [(&mut short, false), (&mut padded, true)] {
+            region = ssd.reserve_region("db0/int8", PAGES, kind).unwrap();
+            for page in 0..PAGES {
+                let mut data: Vec<u8> = (0..1 + page * 170).map(|i| (i * 5 + page) as u8).collect();
+                if pad {
+                    data.resize(page_size, 0);
+                }
+                ssd.program_region_page(&region, page, kind, &data, &[page as u8])
+                    .unwrap();
+            }
+        }
+        let (mut corrected_reads, mut uncorrectable_reads) = (0, 0);
+        for page in 0..PAGES {
+            let a = short.read_region_page_view(&region, page, kind).unwrap();
+            let b = padded.read_region_page_view(&region, page, kind).unwrap();
+            assert_eq!(a.data.len(), page_size);
+            assert_eq!(a, b, "page {page}");
+            if a.corrected {
+                let programmed = 1 + page * 170;
+                assert!((0..programmed).all(|i| a.data[i] == (i * 5 + page) as u8));
+                assert!(a.data[programmed..].iter().all(|&byte| byte == 0));
+                corrected_reads += 1;
+            } else {
+                uncorrectable_reads += 1;
+            }
+            let mut activity = short.activity_snapshot();
+            // The padded twin moved more bytes when it programmed.
+            activity.flash.bytes_from_controller =
+                padded.activity_snapshot().flash.bytes_from_controller;
+            assert_eq!(activity, padded.activity_snapshot());
+        }
+        assert!(corrected_reads > 0 && uncorrectable_reads > 0);
+    }
+
     #[test]
     fn scan_region_page_borrows_stored_bytes_without_counting() {
         let mut ssd = controller();
@@ -746,6 +843,68 @@ mod tests {
         assert!(delta.ecc_pages_decoded > 0);
         primary.absorb_activity(&delta);
         assert_eq!(primary.activity_snapshot(), replica.activity_snapshot());
+    }
+
+    proptest! {
+        /// The allocator learns of programs and erases from the controller
+        /// instead of asking the device at every reservation. Its choice
+        /// must stay the one the asking rule made: the lowest window of
+        /// released stripes that the *device* reports unprogrammed, else the
+        /// watermark.
+        #[test]
+        fn recycling_agrees_with_what_the_device_holds(
+            ops in proptest::collection::vec((0u8..5, 1usize..7, 0usize..8), 1..120),
+        ) {
+            let mut ssd = controller();
+            let geometry = ssd.config().geometry;
+            let mut held: Vec<(String, StripedRegion)> = Vec::new();
+            let mut released: BTreeSet<usize> = BTreeSet::new();
+            let mut watermark = 0usize;
+            for (step, (op, pages, pick)) in ops.into_iter().enumerate() {
+                match op {
+                    // Reserve, and program none, some or all of the pages.
+                    0..=2 => {
+                        let unprogrammed = |stripe: usize| {
+                            !ssd.device().is_programmed(stripe_to_page(&geometry, stripe)).unwrap()
+                        };
+                        let window = released.iter().copied().find(|&start| {
+                            (start..start + pages)
+                                .all(|stripe| released.contains(&stripe) && unprogrammed(stripe))
+                        });
+                        if window.is_none() && watermark + pages > geometry.total_pages() {
+                            continue;
+                        }
+                        let name = format!("r{step}");
+                        let region = ssd.reserve_region(&name, pages, RegionKind::Documents).unwrap();
+                        match window {
+                            Some(start) => prop_assert_eq!(region.start, start),
+                            None => {
+                                prop_assert_eq!(region.start, watermark);
+                                watermark += pages;
+                            }
+                        }
+                        for stripe in region.start..region.start + pages {
+                            released.remove(&stripe);
+                        }
+                        let programmed = [0, pages.min(pick), pages][op as usize];
+                        for offset in 0..programmed {
+                            ssd.program_region_page(&region, offset, RegionKind::Documents, &[7; 16], &[])
+                                .unwrap();
+                        }
+                        held.push((name, region));
+                    }
+                    3 if !held.is_empty() => {
+                        let (name, region) = held.swap_remove(pick % held.len());
+                        ssd.release_region(&name, &region);
+                        released.extend(region.start..region.start + region.len);
+                    }
+                    _ => {
+                        ssd.reclaim_invalid_blocks().unwrap();
+                    }
+                }
+                prop_assert_eq!(ssd.free_pages(), geometry.total_pages() - watermark + released.len());
+            }
+        }
     }
 
     #[test]

@@ -59,6 +59,10 @@ impl Default for DramParams {
 pub struct InternalDram {
     params: DramParams,
     allocations: BTreeMap<String, usize>,
+    /// Sum of `allocations`, maintained by [`InternalDram::allocate`] and
+    /// [`InternalDram::release`] — the only two mutators of the map — so
+    /// the capacity check does not walk every named allocation.
+    used: usize,
     bytes_read: u64,
     bytes_written: u64,
 }
@@ -69,6 +73,7 @@ impl InternalDram {
         InternalDram {
             params,
             allocations: BTreeMap::new(),
+            used: 0,
             bytes_read: 0,
             bytes_written: 0,
         }
@@ -81,7 +86,7 @@ impl InternalDram {
 
     /// Total bytes currently allocated.
     pub fn used_bytes(&self) -> usize {
-        self.allocations.values().sum()
+        self.used
     }
 
     /// Bytes still available for allocation.
@@ -109,13 +114,21 @@ impl InternalDram {
                 available_bytes: free_without_existing,
             });
         }
-        self.allocations.insert(name.to_string(), bytes);
+        match self.allocations.get_mut(name) {
+            Some(slot) => *slot = bytes,
+            None => {
+                self.allocations.insert(name.to_string(), bytes);
+            }
+        }
+        self.used = self.used - existing + bytes;
         Ok(())
     }
 
     /// Release a named allocation. Releasing an unknown name is a no-op.
     pub fn release(&mut self, name: &str) {
-        self.allocations.remove(name);
+        if let Some(bytes) = self.allocations.remove(name) {
+            self.used -= bytes;
+        }
     }
 
     /// Latency of reading `bytes` from DRAM (one access latency plus the
@@ -157,6 +170,54 @@ impl InternalDram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The running total against a reference that sums the map on
+        /// every call, as `used_bytes` itself did before the total existed:
+        /// the same usage after every step, and `DramExhausted` at the same
+        /// call with the same numbers.
+        #[test]
+        fn running_total_matches_a_summing_reference(
+            ops in proptest::collection::vec((0u8..4, 0usize..6, 0usize..400), 1..200),
+        ) {
+            const CAPACITY: usize = 1000;
+            let mut dram = InternalDram::new(DramParams {
+                capacity_bytes: CAPACITY,
+                ..DramParams::one_gigabyte()
+            });
+            let mut reference: BTreeMap<String, usize> = BTreeMap::new();
+            for (op, name, bytes) in ops {
+                let name = format!("region{name}");
+                if op == 0 {
+                    dram.release(&name);
+                    reference.remove(&name);
+                } else {
+                    // Three in four steps allocate; names repeat, so many of
+                    // them replace an allocation of a different size.
+                    let others: usize = reference
+                        .iter()
+                        .filter(|(other, _)| **other != name)
+                        .map(|(_, &size)| size)
+                        .sum();
+                    let expected = if bytes > CAPACITY - others {
+                        Err(SsdError::DramExhausted {
+                            requested_bytes: bytes,
+                            available_bytes: CAPACITY - others,
+                        })
+                    } else {
+                        reference.insert(name.clone(), bytes);
+                        Ok(())
+                    };
+                    prop_assert_eq!(dram.allocate(&name, bytes), expected);
+                }
+                let sum: usize = reference.values().sum();
+                prop_assert_eq!(dram.used_bytes(), sum);
+                prop_assert_eq!(dram.free_bytes(), CAPACITY - sum);
+                prop_assert_eq!(dram.allocation(&name), reference.get(&name).copied());
+            }
+        }
+    }
 
     #[test]
     fn allocations_respect_capacity() {

@@ -154,14 +154,17 @@ impl MaintenanceManager {
     /// or tombstone-dropped every live page of a block, the block holds no
     /// useful data and an erase returns it to service).
     ///
-    /// Returns the number of blocks erased and the total erase latency.
+    /// Returns the blocks erased, in erase order, and the total erase latency.
     /// Blocks with a mix of live and invalid pages are left alone — a later
     /// release of the neighbouring region may complete them.
     ///
     /// # Errors
     ///
     /// Propagates flash erase errors.
-    pub fn reclaim_invalid_blocks(&mut self, device: &mut FlashDevice) -> Result<(usize, Nanos)> {
+    pub fn reclaim_invalid_blocks(
+        &mut self,
+        device: &mut FlashDevice,
+    ) -> Result<(Vec<BlockAddr>, Nanos)> {
         let mut victims: Vec<BlockAddr> = Vec::new();
         for (&block, invalid) in &self.invalid_pages {
             let programmed = device.programmed_pages_in_block(block)?;
@@ -177,7 +180,7 @@ impl MaintenanceManager {
             self.invalid_pages.remove(block);
             self.blocks_reclaimed += 1;
         }
-        Ok((victims.len(), latency))
+        Ok((victims, latency))
     }
 
     /// Number of blocks reclaimed (erased) because all their programmed
@@ -331,7 +334,7 @@ mod tests {
         m.mark_invalid(PageAddr::new(0, 0, 0, 1, 0));
 
         let (reclaimed, latency) = m.reclaim_invalid_blocks(&mut device).unwrap();
-        assert_eq!(reclaimed, 1);
+        assert_eq!(reclaimed, [BlockAddr::new(0, 0, 0, 0)]);
         assert!(latency > Nanos::ZERO);
         assert_eq!(m.blocks_reclaimed(), 1);
         assert_eq!(device.erase_count(BlockAddr::new(0, 0, 0, 0)).unwrap(), 1);
@@ -340,11 +343,11 @@ mod tests {
         // nothing new reclaims nothing.
         assert_eq!(m.invalid_count(BlockAddr::new(0, 0, 0, 1)), 1);
         let (again, _) = m.reclaim_invalid_blocks(&mut device).unwrap();
-        assert_eq!(again, 0);
+        assert!(again.is_empty());
         // Invalidating the remaining live page completes block 1.
         m.mark_invalid(PageAddr::new(0, 0, 0, 1, 1));
         let (last, _) = m.reclaim_invalid_blocks(&mut device).unwrap();
-        assert_eq!(last, 1);
+        assert_eq!(last, [BlockAddr::new(0, 0, 0, 1)]);
         assert_eq!(m.blocks_reclaimed(), 2);
     }
 }

@@ -171,22 +171,6 @@ impl SegmentStore {
         clusters.iter().flat_map(move |&cluster| self.runs(cluster))
     }
 
-    /// Total embedding-run pages covering `clusters` in scan order.
-    pub fn ordered_run_pages(&self, clusters: &[usize]) -> usize {
-        self.ordered_runs(clusters).map(|run| run.len).sum()
-    }
-
-    /// Total pages across the embedding runs of every cluster (the extra
-    /// scan work mutations currently cost; one input to the compaction
-    /// policy).
-    pub fn run_pages(&self) -> usize {
-        self.cluster_runs
-            .iter()
-            .flat_map(|runs| runs.iter())
-            .map(|r| r.len)
-            .sum()
-    }
-
     /// Register a flash region backing the segments (embedding, INT8 or
     /// document pages) under its DRAM bookkeeping name.
     pub fn register_region(&mut self, name: String, region: StripedRegion) {
@@ -248,8 +232,7 @@ mod tests {
         // Probe order 2-then-0: cluster 2's runs (append order) come first.
         let got: Vec<StripedRegion> = store.ordered_runs(&[2, 0]).copied().collect();
         assert_eq!(got, vec![b, c, a]);
-        assert_eq!(store.ordered_run_pages(&[2, 0]), 7);
-        assert_eq!(store.ordered_run_pages(&[1]), 0);
+        assert_eq!(store.ordered_runs(&[1]).count(), 0);
     }
 
     #[test]
@@ -264,12 +247,11 @@ mod tests {
         assert_eq!(store.runs(1), &[r1, r2]);
         assert!(store.runs(0).is_empty());
         assert!(store.runs(9).is_empty(), "unknown cluster is empty");
-        assert_eq!(store.run_pages(), 3);
         assert_eq!(store.regions().len(), 2);
         store.reset(1);
         assert!(store.is_empty());
         assert_eq!(store.clusters(), 1);
-        assert_eq!(store.run_pages(), 0);
+        assert!(store.runs(0).is_empty());
         assert!(store.regions().is_empty());
     }
 }
