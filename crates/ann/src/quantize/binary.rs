@@ -103,12 +103,23 @@ impl BinaryQuantizer {
                 actual: vector.len(),
             });
         }
-        let bits: Vec<bool> = vector
-            .iter()
-            .zip(self.thresholds.iter())
-            .map(|(&v, &t)| v > t)
-            .collect();
-        Ok(BinaryVector::from_bits(&bits))
+        // Eight comparisons to a byte, bit `d % 8` of byte `d / 8`: the
+        // packing of `BinaryVector::from_bits` without the `Vec<bool>`. The
+        // whole bytes go through fixed-size arrays, which is what lets the
+        // compiler unroll the eight shifts.
+        let (whole, rest) = vector.as_chunks::<8>();
+        let (whole_thresholds, rest_thresholds) = self.thresholds.as_chunks::<8>();
+        let mut bytes = Vec::with_capacity(vector.len().div_ceil(8));
+        bytes.extend(
+            whole
+                .iter()
+                .zip(whole_thresholds)
+                .map(|(values, thresholds)| pack_byte(values, thresholds)),
+        );
+        if !rest.is_empty() {
+            bytes.push(pack_byte(rest, rest_thresholds));
+        }
+        Ok(BinaryVector::from_packed(vector.len(), bytes))
     }
 
     /// Quantize a whole dataset.
@@ -127,6 +138,17 @@ impl BinaryQuantizer {
         let dim = self.dim();
         (dim * 4) as f64 / dim.div_ceil(8) as f64
     }
+}
+
+/// Bit `d` of the result is `values[d] > thresholds[d]`, for up to eight
+/// dimensions.
+#[inline]
+fn pack_byte(values: &[f32], thresholds: &[f32]) -> u8 {
+    values
+        .iter()
+        .zip(thresholds)
+        .enumerate()
+        .fold(0, |byte, (bit, (&v, &t))| byte | u8::from(v > t) << bit)
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! in-plane XOR/popcount engine consumes) and an *INT8* vector used by the
 //! reranking kernel on the SSD's embedded cores.
 
+use reis_kernels::squared_l2_i8;
 use serde::{Deserialize, Serialize};
 
 /// Hamming distance between two equally long packed bit vectors — the
@@ -153,62 +154,25 @@ impl Int8Vector {
         self.values.len()
     }
 
-    /// Squared Euclidean distance to another INT8 vector, accumulated in i64
-    /// to avoid overflow.
+    /// Squared Euclidean distance to another INT8 vector, exact in `i64`
+    /// ([`reis_kernels::squared_l2_i8`]).
     ///
     /// # Panics
     ///
     /// Panics if the dimensionalities differ.
     pub fn squared_l2(&self, other: &Int8Vector) -> i64 {
-        assert_eq!(
-            self.dim(),
-            other.dim(),
-            "distance requires equal dimensionality"
-        );
-        self.values
-            .iter()
-            .zip(other.values.iter())
-            .map(|(&a, &b)| {
-                let d = a as i64 - b as i64;
-                d * d
-            })
-            .sum()
+        squared_l2_i8(&self.values, &other.values)
     }
 
     /// Squared Euclidean distance to an INT8 embedding stored as raw bytes
     /// (each byte reinterpreted as `i8`), e.g. a slot borrowed directly from
-    /// a flash page readout. Four-wide unrolled with independent
-    /// accumulators so the lanes pipeline; each squared difference fits i32
-    /// and the lane sums accumulate in i64, so no overflow is possible.
+    /// a flash page readout: the same kernel as [`Int8Vector::squared_l2`].
     ///
     /// # Panics
     ///
     /// Panics if `raw.len()` differs from the vector's dimensionality.
     pub fn squared_l2_raw(&self, raw: &[u8]) -> i64 {
-        assert_eq!(
-            self.dim(),
-            raw.len(),
-            "distance requires equal dimensionality"
-        );
-        let mut aq = self.values.chunks_exact(4);
-        let mut bq = raw.chunks_exact(4);
-        let (mut s0, mut s1, mut s2, mut s3) = (0i64, 0i64, 0i64, 0i64);
-        for (a, b) in aq.by_ref().zip(bq.by_ref()) {
-            let d0 = a[0] as i32 - b[0] as i8 as i32;
-            let d1 = a[1] as i32 - b[1] as i8 as i32;
-            let d2 = a[2] as i32 - b[2] as i8 as i32;
-            let d3 = a[3] as i32 - b[3] as i8 as i32;
-            s0 += (d0 * d0) as i64;
-            s1 += (d1 * d1) as i64;
-            s2 += (d2 * d2) as i64;
-            s3 += (d3 * d3) as i64;
-        }
-        let mut tail = 0i64;
-        for (&a, &b) in aq.remainder().iter().zip(bq.remainder()) {
-            let d = a as i64 - b as i8 as i64;
-            tail += d * d;
-        }
-        s0 + s1 + s2 + s3 + tail
+        squared_l2_i8(&self.values, raw)
     }
 
     /// Inner product with another INT8 vector, accumulated in i64.

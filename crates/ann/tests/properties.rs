@@ -98,6 +98,24 @@ proptest! {
         prop_assert_eq!(v, restored);
     }
 
+    /// The binary quantizer packs its comparisons straight into bytes; the
+    /// result is the vector `from_bits` builds from the same comparisons,
+    /// for every tail length — values equal to their threshold and NaNs
+    /// (both quantize to 0) included.
+    #[test]
+    fn binary_quantizer_packs_what_from_bits_packs(
+        values in proptest::collection::vec((-2i8..3, -2i8..3, any::<bool>()), 1..258),
+    ) {
+        let thresholds: Vec<f32> = values.iter().map(|&(_, t, _)| f32::from(t) / 2.0).collect();
+        let vector: Vec<f32> = values
+            .iter()
+            .map(|&(v, _, nan)| if nan && v == 2 { f32::NAN } else { f32::from(v) / 2.0 })
+            .collect();
+        let bits: Vec<bool> = vector.iter().zip(&thresholds).map(|(v, t)| v > t).collect();
+        let quantized = BinaryQuantizer::from_thresholds(thresholds).quantize(&vector).unwrap();
+        prop_assert_eq!(quantized, BinaryVector::from_bits(&bits));
+    }
+
     /// The u64-word hamming/popcount kernels match the bit-by-bit reference
     /// for every dimensionality 1..=256, odd tails included.
     #[test]

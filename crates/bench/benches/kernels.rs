@@ -2,6 +2,8 @@
 //! XOR + fail-bit-count distance computation, the quickselect / quicksort
 //! selection kernels, binary quantization, and the IVF search variants.
 
+use std::hint::black_box;
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use reis_ann::ivf::{IvfBqIndex, IvfConfig, IvfIndex};
@@ -96,6 +98,16 @@ fn bench_hamming_kernels(c: &mut Criterion) {
     });
     c.bench_function("hamming_1024d_binary_vector", |bch| {
         bch.iter(|| va.hamming_distance(&vb))
+    });
+    // The rerank's distance: a 1024-d INT8 query against one page slot.
+    let query: Vec<i8> = (0..1024).map(|i| (i * 29 + 5) as i8).collect();
+    let slot: Vec<u8> = (0..1024).map(|i| (i * 13 + 11) as u8).collect();
+    let as_i8: Vec<i8> = slot.iter().map(|&b| b as i8).collect();
+    c.bench_function("squared_l2_1024d_int8", |bch| {
+        bch.iter(|| reis_kernels::squared_l2_i8(black_box(&query), black_box(&slot[..])))
+    });
+    c.bench_function("squared_l2_1024d_int8_elementwise", |bch| {
+        bch.iter(|| reis_kernels::reference::squared_l2_i8(black_box(&query), black_box(&as_i8)))
     });
 }
 

@@ -1,4 +1,4 @@
-//! The distance primitive, its bodies and its one dispatch.
+//! The distance primitives, their bodies and their one dispatch.
 //!
 //! Everything this crate counts is the Hamming distance between one chunk
 //! and one query. A [`Body`] computes up to [`LANES`] such distances at a
@@ -8,6 +8,9 @@
 //! pairs in that order and reports every distance to the caller's `emit`;
 //! the public page-level entry points differ only in what `emit` does with
 //! a distance. [`pair`] is the primitive on its own.
+//!
+//! The rerank's INT8 squared Euclidean distance ([`squared_l2_i8`]) goes
+//! through the same dispatch with one portable body.
 
 use crate::isa::{Isa, Level};
 
@@ -223,6 +226,72 @@ impl Kernel for Pair<'_> {
 #[inline]
 pub(crate) fn pair(isa: Isa, a: &[u8], b: &[u8]) -> u32 {
     dispatch(isa, Pair(a, b))
+}
+
+/// One INT8 component as a slice holds it: an `i8`, or the byte a flash page
+/// stores it as (two's complement). Implemented for exactly these two.
+pub trait Int8: Copy + sealed::Sealed {
+    /// The component's value.
+    fn value(self) -> i8;
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for i8 {}
+    impl Sealed for u8 {}
+}
+
+impl Int8 for i8 {
+    #[inline(always)]
+    fn value(self) -> i8 {
+        self
+    }
+}
+
+impl Int8 for u8 {
+    #[inline(always)]
+    fn value(self) -> i8 {
+        self as i8
+    }
+}
+
+/// Elements whose squared differences are summed in `i32` before the sum
+/// widens: a difference of two INT8 values is at most 255 in magnitude and
+/// 4,096 × 255² < 2³¹.
+const I8_BLOCK: usize = 4096;
+
+/// The INT8 squared Euclidean distance. Its one body is portable code —
+/// 16-bit differences, products summed in `i32` per block, blocks summed in
+/// `i64` — written so that the compiler vectorises it (`vpmaddwd` on x86-64)
+/// at whatever width the enclosing instruction-set level allows; as a
+/// [`Kernel`] it is compiled once per level and never looks at the Hamming
+/// body it is handed.
+struct SquaredL2I8<'a, T>(&'a [i8], &'a [T]);
+
+impl<T: Int8> Kernel for SquaredL2I8<'_, T> {
+    type Output = i64;
+
+    #[inline(always)]
+    unsafe fn run<B: Body>(self) -> i64 {
+        let mut total = 0i64;
+        for (a, b) in self.0.chunks(I8_BLOCK).zip(self.1.chunks(I8_BLOCK)) {
+            let mut sum = 0i32;
+            for (&x, &y) in a.iter().zip(b) {
+                let d = i16::from(x) - i16::from(y.value());
+                sum += i32::from(d) * i32::from(d);
+            }
+            total += i64::from(sum);
+        }
+        total
+    }
+}
+
+/// Squared Euclidean distance between the INT8 vectors `a` and `b`, compiled
+/// for the level of `isa`. The slices are equally long — the entry point
+/// checks it.
+#[inline]
+pub(crate) fn squared_l2_i8<T: Int8>(isa: Isa, a: &[i8], b: &[T]) -> i64 {
+    dispatch(isa, SquaredL2I8(a, b))
 }
 
 #[cfg(target_arch = "x86_64")]

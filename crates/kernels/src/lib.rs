@@ -61,6 +61,7 @@ mod crc;
 mod distance;
 mod isa;
 
+pub use distance::Int8;
 use distance::Job;
 use isa::Isa;
 
@@ -86,6 +87,19 @@ pub fn popcount_bytes(bytes: &[u8]) -> u64 {
 pub fn hamming_bytes(a: &[u8], b: &[u8]) -> u32 {
     assert_eq!(a.len(), b.len(), "hamming distance requires equal lengths");
     distance::pair(Isa::detect(), a, b)
+}
+
+/// Squared Euclidean distance between two equally long INT8 vectors, exact
+/// in `i64`. `b` may be `i8`s or the raw bytes of a flash page slot (see
+/// [`Int8`]) — the rerank scores candidates where the page read left them.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn squared_l2_i8<T: Int8>(a: &[i8], b: &[T]) -> i64 {
+    assert_eq!(a.len(), b.len(), "distance requires equal dimensionality");
+    distance::squared_l2_i8(Isa::detect(), a, b)
 }
 
 /// XOR `a` and `b` into `out` (cleared and resized first), processed as
@@ -312,6 +326,16 @@ pub mod reference {
         a.iter()
             .zip(b.iter())
             .map(|(x, y)| (x ^ y).count_ones())
+            .sum()
+    }
+
+    /// Element-wise INT8 squared Euclidean distance, every term in `i64`.
+    /// The baseline every level of [`crate::squared_l2_i8`] is tested
+    /// against.
+    pub fn squared_l2_i8(a: &[i8], b: &[i8]) -> i64 {
+        a.iter()
+            .zip(b.iter())
+            .map(|(&x, &y)| (i64::from(x) - i64::from(y)).pow(2))
             .sum()
     }
 
@@ -740,6 +764,41 @@ mod tests {
         assert_eq!(popcount_bytes(&page), ones);
         assert_eq!(popcount_bytes(&[]), 0);
         assert_eq!(hamming_bytes(&[], &[]), 0);
+    }
+
+    #[test]
+    fn every_level_of_the_int8_distance_matches_the_reference() {
+        // Every tail length of every vector width, the dimension the
+        // benchmark reranks at, and the block boundary of the `i32` sums.
+        let dims = (1..=67).chain([1_024, 4_095, 4_096, 4_097, 8_192]);
+        for dim in dims {
+            let a: Vec<i8> = noise(dim, dim as u64).iter().map(|&b| b as i8).collect();
+            let raw = noise(dim, 77 + dim as u64);
+            let b: Vec<i8> = raw.iter().map(|&b| b as i8).collect();
+            let want = reference::squared_l2_i8(&a, &b);
+            // The extreme: every difference is 255, in both directions.
+            let (low, high) = (vec![i8::MIN; dim], vec![i8::MAX; dim]);
+            let extreme = 255 * 255 * dim as i64;
+            for isa in Isa::supported() {
+                assert_eq!(distance::squared_l2_i8(isa, &a, &b), want, "{isa:?} {dim}");
+                assert_eq!(
+                    distance::squared_l2_i8(isa, &a, &raw),
+                    want,
+                    "{isa:?} {dim}"
+                );
+                assert_eq!(distance::squared_l2_i8(isa, &low, &high), extreme);
+                assert_eq!(distance::squared_l2_i8(isa, &high, &low), extreme);
+                assert_eq!(distance::squared_l2_i8(isa, &a, &a), 0);
+            }
+            assert_eq!(squared_l2_i8(&a, &raw), want, "{dim}");
+        }
+        assert_eq!(squared_l2_i8::<u8>(&[], &[]), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "equal dimensionality")]
+    fn int8_distance_rejects_length_mismatch() {
+        squared_l2_i8(&[1, 2], &[1u8]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::error::{NandError, Result};
 use crate::geometry::{BlockAddr, Geometry, PageAddr, PlaneAddr};
 use crate::latch::{Latch, PageBuffer};
 use crate::peripheral::{FailBitCounter, PassFailChecker, XorLogic};
-use crate::reliability::{ReliabilityModel, SplitMix64};
+use crate::reliability::{apply_read_errors, ReliabilityModel, SplitMix64};
 use crate::stats::FlashStats;
 use crate::timing::{Nanos, TimingParams};
 
@@ -91,6 +91,56 @@ impl Plane {
     }
 }
 
+/// The programmed contents of the page at `addr` within a plane's `blocks`:
+/// user data as programmed, OOB bytes, programming scheme. Takes the blocks
+/// alone so that a sense can fill the plane's buffer while it holds them.
+fn programmed_page(
+    blocks: &[Option<Arc<Block>>],
+    addr: PageAddr,
+) -> Result<(&[u8], &[u8], ProgramScheme)> {
+    let page = blocks
+        .get(addr.block)
+        .and_then(|block| block.as_deref())
+        .map(|block| &block.pages[addr.page])
+        .ok_or(NandError::PageNotProgrammed(addr))?;
+    let data = page
+        .data
+        .as_deref()
+        .ok_or(NandError::PageNotProgrammed(addr))?;
+    Ok((
+        data,
+        page.oob.as_deref().unwrap_or(&[]),
+        page.scheme.unwrap_or_default(),
+    ))
+}
+
+/// Count one array sense that took `bit_errors` raw errors — into the latch
+/// or on its way to the controller — and return its latency.
+fn count_sense(
+    stats: &mut FlashStats,
+    timing: &TimingParams,
+    scheme: ProgramScheme,
+    bit_errors: usize,
+) -> Nanos {
+    stats.page_reads += 1;
+    stats.injected_bit_errors += bit_errors as u64;
+    timing.read_latency(scheme) + timing.t_command_overhead
+}
+
+/// A reusable buffer that is no part of its owner's state: it compares equal
+/// to any other, so two devices (or controllers) that hold the same data and
+/// counters are equal whatever their last read left in scratch.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct Scratch<T>(pub T);
+
+impl<T> PartialEq for Scratch<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<T> Eq for Scratch<T> {}
+
 /// Metadata of a page read whose payload was written into caller-supplied
 /// buffers (the allocation-free variant of [`PageReadout`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,21 +154,45 @@ pub struct PageReadMeta {
 }
 
 /// A page read that reached the SSD controller, borrowed from the device
-/// instead of copied out of it (see [`FlashDevice::read_page_view`]).
+/// instead of copied out of it (see [`FlashDevice::read_page_view`]): the
+/// sensed page is the stored page plus the bit positions this read got
+/// wrong.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageView<'a> {
-    /// The plane's sensing latch: the user data as sensed, read errors
-    /// included.
-    pub sensed: &'a [u8],
     /// The user data as programmed, without the zeros that fill the rest of
-    /// the page — padded to the page size, it is what a successful ECC
-    /// decode of `sensed` yields, by definition. A modelling backdoor for
-    /// the controller's ECC path: no real channel carries it.
+    /// the page — padded to the page size, it is what a read without raw
+    /// errors delivers and what a successful ECC decode yields, by
+    /// definition. A modelling backdoor for the controller's ECC path: no
+    /// real channel carries it.
     pub stored: &'a [u8],
     /// The OOB bytes of the page.
     pub oob: &'a [u8],
+    /// The raw bit errors of this read, as bit positions within the page
+    /// (`meta.bit_errors` of them; a position listed twice flips back).
+    pub flips: &'a [u32],
+    /// Size of the full page in bytes: what the channel moved.
+    pub page_size: usize,
     /// Scheme, injected bit errors and latency of the read.
     pub meta: PageReadMeta,
+}
+
+impl PageView<'_> {
+    /// Write the page as programmed into `out` (cleared first): the stored
+    /// bytes followed by zeros up to the page size.
+    pub fn stored_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.extend_from_slice(self.stored);
+        out.resize(self.page_size, 0);
+    }
+
+    /// Write the page as sensed into `out` (cleared first): the page as
+    /// programmed with this read's bit errors applied — byte for byte what
+    /// [`FlashDevice::sense_page`] at the same position of the error stream
+    /// leaves in the plane's sensing latch.
+    pub fn sensed_into(&self, out: &mut Vec<u8>) {
+        self.stored_into(out);
+        apply_read_errors(out, self.flips);
+    }
 }
 
 /// Result of a full page read that reaches the SSD controller.
@@ -164,6 +238,8 @@ pub struct FlashDevice {
     rng: SplitMix64,
     planes: Vec<Plane>,
     stats: FlashStats,
+    /// The bit errors of the most recent read, as drawn.
+    flips: Scratch<Vec<u32>>,
 }
 
 impl FlashDevice {
@@ -192,6 +268,7 @@ impl FlashDevice {
             rng: SplitMix64::new(seed),
             planes,
             stats: FlashStats::new(),
+            flips: Scratch::default(),
         }
     }
 
@@ -339,85 +416,67 @@ impl FlashDevice {
         Ok(transfer + self.timing.program_latency(scheme) + self.timing.t_command_overhead)
     }
 
-    fn sense_into_buffer(&mut self, addr: PageAddr) -> Result<(ProgramScheme, usize, Nanos)> {
-        self.geometry.check_page(addr)?;
-        let idx = self.geometry.plane_index(addr.plane_addr());
-        // Split-borrow the plane so the stored page (immutable) can be copied
-        // into the plane's buffer (mutable) without cloning it first: a scan
-        // re-senses thousands of pages into the same latch buffers.
-        let Plane { buffer, blocks } = &mut self.planes[idx];
-        let scheme = {
-            let block = blocks
-                .get(addr.block)
-                .and_then(|b| b.as_deref())
-                .ok_or(NandError::PageNotProgrammed(addr))?;
-            let page = &block.pages[addr.page];
-            let data = page
-                .data
-                .as_deref()
-                .ok_or(NandError::PageNotProgrammed(addr))?;
-            let oob = page.oob.as_deref().unwrap_or(&[]);
-            buffer.load_sensing_copy(data, oob);
-            page.scheme.unwrap_or_default()
-        };
-        let bit_errors = if self.reliability.effective_ber(scheme) > 0.0 {
-            let sensed = buffer.sensing_mut().expect("sensing latch was just filled");
-            self.reliability
-                .inject_read_errors(sensed, scheme, &mut self.rng)
-        } else {
-            0
-        };
-        self.stats.page_reads += 1;
-        self.stats.injected_bit_errors += bit_errors as u64;
-        Ok((
-            scheme,
-            bit_errors,
-            self.timing.read_latency(scheme) + self.timing.t_command_overhead,
-        ))
-    }
-
     /// Sense a page into its plane's sensing latch without transferring it to
-    /// the controller. This is the read half of REIS's in-plane distance
-    /// computation.
+    /// the controller, injecting the read's bit errors there. This is the
+    /// read half of REIS's in-plane distance computation.
     ///
     /// # Errors
     ///
     /// Returns [`NandError::PageNotProgrammed`] if the page holds no data, or
     /// [`NandError::AddressOutOfRange`] for an invalid address.
     pub fn sense_page(&mut self, addr: PageAddr) -> Result<Nanos> {
-        let (_, _, latency) = self.sense_into_buffer(addr)?;
-        Ok(latency)
+        self.geometry.check_page(addr)?;
+        let idx = self.geometry.plane_index(addr.plane_addr());
+        // Split-borrow the plane so the stored page (immutable) can be copied
+        // into the plane's buffer (mutable) without cloning it first: a scan
+        // re-senses thousands of pages into the same latch buffers.
+        let Plane { buffer, blocks } = &mut self.planes[idx];
+        let (data, oob, scheme) = programmed_page(blocks, addr)?;
+        let latch = buffer.load_sensing_copy(data, oob);
+        let bit_errors =
+            self.reliability
+                .inject_read_errors(latch, scheme, &mut self.rng, &mut self.flips.0);
+        Ok(count_sense(
+            &mut self.stats,
+            &self.timing,
+            scheme,
+            bit_errors,
+        ))
     }
 
-    /// Read a page all the way to the controller without copying it: sense
-    /// it into its plane's latch (injecting read errors there), account the
-    /// channel transfer of user data and OOB bytes, and lend out the latch
-    /// next to the stored page. Every other page read is a copy of this one.
+    /// Read a page all the way to the controller without copying it: draw
+    /// the read's bit errors, count and time the sense and the channel
+    /// transfer of user data and OOB bytes exactly as a sense into the latch
+    /// followed by a transfer would, and lend out the stored page next to
+    /// the list of bits this read got wrong. Every other page read to the
+    /// controller is a copy of this one.
     ///
-    /// The stored → latch copy of the sense is the one copy that stays: error
-    /// injection flips bits in the latch, never in the array.
+    /// Nothing is copied and the plane's page buffer is left as it was: the
+    /// errors of a read must not land in the array, and a list of positions
+    /// keeps them out of it as well as a latch full of flipped bytes does.
+    /// Whoever needs the errored bytes materialises them
+    /// ([`PageView::sensed_into`]); the in-plane operations, which compute
+    /// on the latch, go through [`FlashDevice::sense_page`].
     ///
     /// # Errors
     ///
     /// Same conditions as [`FlashDevice::sense_page`].
     pub fn read_page_view(&mut self, addr: PageAddr) -> Result<PageView<'_>> {
-        let (scheme, bit_errors, sense_latency) = self.sense_into_buffer(addr)?;
-        let plane = &self.planes[self.geometry.plane_index(addr.plane_addr())];
-        let sensed = plane
-            .buffer
-            .sensing()
-            .expect("sensing latch was just filled");
-        let oob = plane.buffer.oob().unwrap_or(&[]);
-        let stored = plane
-            .block(addr.block)
-            .and_then(|block| block.pages[addr.page].data.as_deref())
-            .expect("the page was just sensed");
-        let bytes = sensed.len() + oob.len();
+        self.geometry.check_page(addr)?;
+        let idx = self.geometry.plane_index(addr.plane_addr());
+        let (stored, oob, scheme) = programmed_page(&self.planes[idx].blocks, addr)?;
+        let page_size = self.geometry.page_size_bytes;
+        self.reliability
+            .draw_read_errors(page_size, scheme, &mut self.rng, &mut self.flips.0);
+        let bit_errors = self.flips.0.len();
+        let sense_latency = count_sense(&mut self.stats, &self.timing, scheme, bit_errors);
+        let bytes = page_size + oob.len();
         self.stats.bytes_to_controller += bytes as u64;
         Ok(PageView {
-            sensed,
             stored,
             oob,
+            flips: &self.flips.0,
+            page_size,
             meta: PageReadMeta {
                 scheme,
                 bit_errors,
@@ -426,25 +485,27 @@ impl FlashDevice {
         })
     }
 
-    /// [`FlashDevice::read_page_view`] copied into fresh buffers.
+    /// [`FlashDevice::read_page_view`] materialised into fresh buffers.
     ///
     /// # Errors
     ///
     /// Same conditions as [`FlashDevice::sense_page`].
     pub fn read_page(&mut self, addr: PageAddr) -> Result<PageReadout> {
-        let view = self.read_page_view(addr)?;
+        let (mut data, mut oob) = (Vec::new(), Vec::new());
+        let meta = self.read_page_into(addr, &mut data, &mut oob)?;
         Ok(PageReadout {
-            data: view.sensed.to_vec(),
-            oob: view.oob.to_vec(),
-            scheme: view.meta.scheme,
-            bit_errors: view.meta.bit_errors,
-            latency: view.meta.latency,
+            data,
+            oob,
+            scheme: meta.scheme,
+            bit_errors: meta.bit_errors,
+            latency: meta.latency,
         })
     }
 
-    /// [`FlashDevice::read_page_view`] copied into caller-supplied buffers
-    /// (which are cleared first), so a pooled readout loop performs no
-    /// per-page heap allocation.
+    /// [`FlashDevice::read_page_view`] materialised into caller-supplied
+    /// buffers (which are cleared first): the page as sensed, built straight
+    /// into `data`, so a pooled readout loop performs no per-page heap
+    /// allocation.
     ///
     /// # Errors
     ///
@@ -456,8 +517,7 @@ impl FlashDevice {
         oob: &mut Vec<u8>,
     ) -> Result<PageReadMeta> {
         let view = self.read_page_view(addr)?;
-        data.clear();
-        data.extend_from_slice(view.sensed);
+        view.sensed_into(data);
         oob.clear();
         oob.extend_from_slice(view.oob);
         Ok(view.meta)
@@ -469,7 +529,7 @@ impl FlashDevice {
     ///
     /// Same conditions as [`FlashDevice::sense_page`].
     pub fn read_oob(&mut self, addr: PageAddr) -> Result<(Vec<u8>, Nanos)> {
-        let (_, _, sense_latency) = self.sense_into_buffer(addr)?;
+        let sense_latency = self.sense_page(addr)?;
         let idx = self.geometry.plane_index(addr.plane_addr());
         let oob = self.planes[idx].buffer.oob().unwrap_or(&[]).to_vec();
         self.stats.bytes_to_controller += oob.len() as u64;
@@ -629,19 +689,7 @@ impl FlashDevice {
     pub fn stored_page(&self, addr: PageAddr) -> Result<(&[u8], &[u8], ProgramScheme)> {
         self.geometry.check_page(addr)?;
         let idx = self.geometry.plane_index(addr.plane_addr());
-        let page = self.planes[idx]
-            .block(addr.block)
-            .map(|block| &block.pages[addr.page])
-            .ok_or(NandError::PageNotProgrammed(addr))?;
-        let data = page
-            .data
-            .as_deref()
-            .ok_or(NandError::PageNotProgrammed(addr))?;
-        Ok((
-            data,
-            page.oob.as_deref().unwrap_or(&[]),
-            page.scheme.unwrap_or_default(),
-        ))
+        programmed_page(&self.planes[idx].blocks, addr)
     }
 
     /// Whether reads of pages programmed with `scheme` are error-free on
@@ -850,6 +898,66 @@ mod tests {
         }
         assert!(tlc_errors > 0, "scaled TLC BER should corrupt some reads");
         assert!(dev.stats().injected_bit_errors > 0);
+    }
+
+    #[test]
+    fn a_controller_read_leaves_the_latch_and_the_array_as_it_found_them() {
+        let mut dev = FlashDevice::with_reliability(
+            Geometry::tiny(),
+            TimingParams::default(),
+            ReliabilityModel { ber_scale: 1e3 },
+            7,
+        );
+        // Three pages of one plane: the in-plane operand, and two pages the
+        // controller reads — one with raw errors, one programmed short.
+        let esp_addr = page0();
+        let tlc_addr = PageAddr::new(0, 0, 0, 0, 1);
+        let short_addr = PageAddr::new(0, 0, 0, 0, 2);
+        dev.program_page(esp_addr, &[0x0F; 4096], &[1], ProgramScheme::EnhancedSlc)
+            .unwrap();
+        dev.program_page(
+            tlc_addr,
+            &[0xA5; 4096],
+            &[2],
+            ProgramScheme::Ispp(CellMode::Tlc),
+        )
+        .unwrap();
+        dev.program_page(short_addr, &[0x77; 100], &[3], ProgramScheme::EnhancedSlc)
+            .unwrap();
+        dev.input_broadcast(0, 0, &[0xFF; 64], true).unwrap();
+        dev.sense_page(esp_addr).unwrap();
+        dev.xor_latches(esp_addr.plane_addr()).unwrap();
+        let buffer = dev.page_buffer(esp_addr.plane_addr()).unwrap().clone();
+        let mut twin = dev.clone();
+
+        let view = dev.read_page_view(tlc_addr).unwrap();
+        assert!(view.meta.bit_errors > 0);
+        assert_eq!((view.stored, view.oob[0]), (&[0xA5; 4096][..], 2));
+        let mut sensed = Vec::new();
+        view.sensed_into(&mut sensed);
+        assert_ne!(sensed, view.stored, "the flips reach whoever asks for them");
+        let readout = dev.read_page(short_addr).unwrap();
+        assert_eq!(readout.data.len(), 4096);
+        assert_eq!(
+            (&readout.data[..100], readout.oob[0]),
+            (&[0x77; 100][..], 3)
+        );
+        assert!(readout.data[100..].iter().all(|&b| b == 0));
+
+        assert_eq!(dev.page_buffer(esp_addr.plane_addr()).unwrap(), &buffer);
+        assert_eq!(dev.stored_page(tlc_addr).unwrap().0, &[0xA5; 4096][..]);
+        // The in-plane flow goes on from where it was.
+        let (counts, _) = dev.count_fail_bits(esp_addr.plane_addr(), 64).unwrap();
+        assert!(counts.iter().all(|&c| c == 64 * 4));
+
+        // The list of flips is scratch, not state: a twin that served the
+        // same reads in the other order — its last read had none — is the
+        // same device.
+        twin.read_page(short_addr).unwrap();
+        assert_eq!(twin.read_page(tlc_addr).unwrap().data, sensed);
+        twin.count_fail_bits(esp_addr.plane_addr(), 64).unwrap();
+        assert_ne!(twin.flips.0, dev.flips.0);
+        assert!(twin == dev);
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl Latch {
 ///
 /// let mut buf = PageBuffer::new(PlaneAddr::new(0, 0, 0), 4096);
 /// buf.broadcast_into_cache(&[0xAB; 128]).unwrap();
-/// buf.load_sensing(vec![0xCD; 4096], vec![0; 64]);
+/// buf.load_sensing_copy(&[0xCD; 4096], &[0; 64]);
 /// buf.xor_cache_into_data().unwrap();
 /// assert_eq!(buf.data().unwrap()[0], 0xAB ^ 0xCD);
 /// ```
@@ -84,39 +84,26 @@ impl PageBuffer {
         self.page_size
     }
 
-    /// Load sensed page data (and its OOB bytes) into the sensing latch.
-    ///
-    /// This models the array-to-latch sensing step of a page read; any
-    /// previous sensing-latch contents are overwritten.
-    pub fn load_sensing(&mut self, data: Vec<u8>, oob: Vec<u8>) {
-        debug_assert_eq!(data.len(), self.page_size);
-        self.sensing = Some(data);
-        self.oob = Some(oob);
-    }
-
     /// Copy sensed page data (and its OOB bytes) into the sensing latch,
-    /// reusing the latch's existing buffers. This is the scan hot path: a
-    /// multi-page scan re-senses into the same plane buffer without
-    /// allocating per page.
+    /// reusing the latch's existing buffers, and return the latch so the
+    /// device can inject the read's bit errors in place. This models the
+    /// array-to-latch sensing step of a page read; any previous
+    /// sensing-latch contents are overwritten. A multi-page scan re-senses
+    /// into the same plane buffer without allocating per page.
     ///
     /// `data` is the programmed prefix of the page — at most a page — and
     /// the latch is zero-filled behind it: the latch always holds a full
     /// page, but a sense reads only what was written.
-    pub fn load_sensing_copy(&mut self, data: &[u8], oob: &[u8]) {
+    pub fn load_sensing_copy(&mut self, data: &[u8], oob: &[u8]) -> &mut [u8] {
         debug_assert!(data.len() <= self.page_size);
+        let oob_buf = self.oob.get_or_insert_with(Vec::new);
+        oob_buf.clear();
+        oob_buf.extend_from_slice(oob);
         let sensing = self.sensing.get_or_insert_with(Vec::new);
         sensing.clear();
         sensing.extend_from_slice(data);
         sensing.resize(self.page_size, 0);
-        let oob_buf = self.oob.get_or_insert_with(Vec::new);
-        oob_buf.clear();
-        oob_buf.extend_from_slice(oob);
-    }
-
-    /// Mutable view of the sensing latch (used by the device to inject read
-    /// errors in place after [`PageBuffer::load_sensing_copy`]).
-    pub fn sensing_mut(&mut self) -> Option<&mut [u8]> {
-        self.sensing.as_deref_mut()
+        sensing
     }
 
     /// Contents of the sensing latch, if a page has been sensed.
@@ -271,7 +258,7 @@ mod tests {
     fn xor_computes_bitwise_difference() {
         let mut buf = buffer();
         buf.broadcast_into_cache(&[0b1010_1010u8; 64]).unwrap();
-        buf.load_sensing(vec![0b1100_1100u8; 1024], vec![1, 2, 3]);
+        buf.load_sensing_copy(&[0b1100_1100u8; 1024], &[1, 2, 3]);
         buf.xor_cache_into_data().unwrap();
         let data = buf.data().unwrap();
         assert!(data.iter().all(|&b| b == 0b0110_0110));
@@ -288,7 +275,7 @@ mod tests {
                 ..
             })
         ));
-        buf.load_sensing(vec![0; 1024], vec![]);
+        buf.load_sensing_copy(&[0; 1024], &[]);
         assert!(matches!(
             buf.xor_cache_into_data(),
             Err(NandError::LatchEmpty { latch: "cache", .. })
@@ -298,7 +285,7 @@ mod tests {
     #[test]
     fn promote_moves_sensing_to_cache() {
         let mut buf = buffer();
-        buf.load_sensing(vec![7; 1024], vec![]);
+        buf.load_sensing_copy(&[7; 1024], &[]);
         buf.promote_sensing_to_cache().unwrap();
         assert!(buf.sensing().is_none());
         assert_eq!(buf.cache().unwrap()[0], 7);
@@ -309,7 +296,7 @@ mod tests {
     fn read_latch_reports_empty_latches() {
         let mut buf = buffer();
         assert!(buf.read_latch(Latch::Data).is_err());
-        buf.load_sensing(vec![9; 1024], vec![]);
+        buf.load_sensing_copy(&[9; 1024], &[]);
         assert_eq!(buf.read_latch(Latch::Sensing).unwrap()[0], 9);
         buf.clear();
         assert!(buf.read_latch(Latch::Sensing).is_err());

@@ -60,7 +60,7 @@ pub mod sharding;
 pub mod stats;
 pub mod timing;
 
-pub use array::{FlashDevice, PageReadMeta, PageReadout, PageView};
+pub use array::{FlashDevice, PageReadMeta, PageReadout, PageView, Scratch};
 pub use cell::{CellMode, ProgramScheme};
 pub use error::{NandError, Result};
 pub use geometry::{BlockAddr, Geometry, MiniPageAddr, PageAddr, PlaneAddr};

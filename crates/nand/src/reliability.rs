@@ -86,36 +86,63 @@ impl ReliabilityModel {
         scheme.raw_bit_error_rate() * self.ber_scale
     }
 
-    /// Flip bits of `data` in place according to the scheme's error rate and
-    /// return the number of bits flipped.
+    /// Draw the raw bit errors of one read of a `page_bytes`-byte page into
+    /// `flips` (cleared first) as bit positions within the page: the device's
+    /// one routine for deciding which bits a read gets wrong.
     ///
-    /// The number of injected errors is the expectation `bits × BER`, with
-    /// the fractional remainder resolved by one Bernoulli draw; error
-    /// positions are uniform. This keeps the cost O(errors) rather than
-    /// O(bits) while preserving the expected error count.
+    /// The number of errors is the expectation `bits × BER`, with the
+    /// fractional remainder resolved by one Bernoulli draw; error positions
+    /// are uniform. This keeps the cost O(errors) rather than O(bits) while
+    /// preserving the expected error count. A position may be drawn twice,
+    /// in which case applying the list flips that bit back. (Positions are
+    /// `u32`: a flash page is far below 2³² bits.)
+    pub fn draw_read_errors(
+        &self,
+        page_bytes: usize,
+        scheme: ProgramScheme,
+        rng: &mut SplitMix64,
+        flips: &mut Vec<u32>,
+    ) {
+        flips.clear();
+        let ber = self.effective_ber(scheme);
+        if ber <= 0.0 || page_bytes == 0 {
+            return;
+        }
+        let bits = page_bytes as u64 * 8;
+        let expected = bits as f64 * ber;
+        let mut count = expected.floor() as usize;
+        if rng.next_f64() < expected.fract() {
+            count += 1;
+        }
+        flips.extend((0..count).map(|_| rng.next_below(bits) as u32));
+    }
+
+    /// Flip bits of `data` in place according to the scheme's error rate and
+    /// return the number of bits flipped: [`Self::draw_read_errors`] over
+    /// `data.len()` bytes, then [`apply_read_errors`]. `flips` is the
+    /// caller's reusable list and holds the drawn positions afterwards.
     pub fn inject_read_errors(
         &self,
         data: &mut [u8],
         scheme: ProgramScheme,
         rng: &mut SplitMix64,
+        flips: &mut Vec<u32>,
     ) -> usize {
-        let ber = self.effective_ber(scheme);
-        if ber <= 0.0 || data.is_empty() {
-            return 0;
-        }
-        let bits = data.len() as f64 * 8.0;
-        let expected = bits * ber;
-        let mut flips = expected.floor() as usize;
-        if rng.next_f64() < expected.fract() {
-            flips += 1;
-        }
-        for _ in 0..flips {
-            let bit = rng.next_below(data.len() as u64 * 8);
-            let byte = (bit / 8) as usize;
-            let offset = (bit % 8) as u32;
-            data[byte] ^= 1 << offset;
-        }
-        flips
+        self.draw_read_errors(data.len(), scheme, rng, flips);
+        apply_read_errors(data, flips);
+        flips.len()
+    }
+}
+
+/// Flip the bits of `data` at the positions [`ReliabilityModel::draw_read_errors`]
+/// drew for a page of `data.len()` bytes.
+///
+/// # Panics
+///
+/// Panics if a position lies outside `data`.
+pub fn apply_read_errors(data: &mut [u8], flips: &[u32]) {
+    for &bit in flips {
+        data[(bit / 8) as usize] ^= 1 << (bit % 8);
     }
 }
 
@@ -155,7 +182,12 @@ mod tests {
         let model = ReliabilityModel::nominal();
         let mut rng = SplitMix64::new(1);
         let mut data = vec![0xAA; 16 * 1024];
-        let flips = model.inject_read_errors(&mut data, ProgramScheme::EnhancedSlc, &mut rng);
+        let flips = model.inject_read_errors(
+            &mut data,
+            ProgramScheme::EnhancedSlc,
+            &mut rng,
+            &mut Vec::new(),
+        );
         assert_eq!(flips, 0);
         assert!(data.iter().all(|&b| b == 0xAA));
     }
@@ -166,11 +198,12 @@ mod tests {
         let mut rng = SplitMix64::new(99);
         let scheme = ProgramScheme::Ispp(CellMode::Tlc);
         let mut total_flips = 0usize;
+        let mut flips = Vec::new();
         let reads = 50usize;
         let page = 16 * 1024usize;
         for _ in 0..reads {
             let mut data = vec![0u8; page];
-            total_flips += model.inject_read_errors(&mut data, scheme, &mut rng);
+            total_flips += model.inject_read_errors(&mut data, scheme, &mut rng, &mut flips);
         }
         let expected = reads as f64 * page as f64 * 8.0 * scheme.raw_bit_error_rate();
         let observed = total_flips as f64;
@@ -186,8 +219,12 @@ mod tests {
         let model = ReliabilityModel::error_free();
         let mut rng = SplitMix64::default();
         let mut data = vec![0u8; 4096];
-        let flips =
-            model.inject_read_errors(&mut data, ProgramScheme::Ispp(CellMode::Qlc), &mut rng);
+        let flips = model.inject_read_errors(
+            &mut data,
+            ProgramScheme::Ispp(CellMode::Qlc),
+            &mut rng,
+            &mut Vec::new(),
+        );
         assert_eq!(flips, 0);
     }
 
@@ -197,10 +234,18 @@ mod tests {
         let model = ReliabilityModel { ber_scale: 1e3 };
         let mut rng = SplitMix64::new(5);
         let mut data = vec![0u8; 1024];
-        let flips =
-            model.inject_read_errors(&mut data, ProgramScheme::Ispp(CellMode::Tlc), &mut rng);
-        assert!(flips > 0);
-        let ones: u32 = data.iter().map(|b| b.count_ones()).sum();
-        assert!(ones > 0);
+        let mut flips = Vec::new();
+        let count = model.inject_read_errors(
+            &mut data,
+            ProgramScheme::Ispp(CellMode::Tlc),
+            &mut rng,
+            &mut flips,
+        );
+        assert!(count > 0);
+        assert_eq!(count, flips.len());
+        // The list is the whole difference: applying it again restores the
+        // buffer.
+        apply_read_errors(&mut data, &flips);
+        assert!(data.iter().all(|&b| b == 0));
     }
 }

@@ -58,14 +58,17 @@ proptest! {
         prop_assert_eq!(counts, expected);
     }
 
-    /// The device keeps a page as programmed, without its zero padding. A
-    /// page programmed with `len` bytes must nevertheless read exactly like
-    /// a twin programmed with the same bytes padded to the page size: a
-    /// page-sized latch with a zero tail, error injection drawn over the
-    /// whole page, the same bytes to the controller, the same latency — and
-    /// the same device state after every read. (The twins' own records of
-    /// the page differ by construction — one holds `len` bytes, the other a
-    /// page — and the padded program moved more bytes from the controller,
+    /// The device keeps a page as programmed, without its zero padding, and
+    /// a controller read lends it with the list of bits the read got wrong
+    /// instead of filling the plane's latch. A page programmed with `len`
+    /// bytes must nevertheless read exactly like (a) a twin programmed with
+    /// the same bytes padded to the page size and (b) a twin that senses the
+    /// page into its latch and moves the latch over the channel: the same
+    /// page-sized bytes with a zero tail, error injection drawn over the
+    /// whole page, the same bytes to the controller, the same latency, the
+    /// same counters — and the error stream at the same position after every
+    /// read. (The padded twin's own record of the page differs by
+    /// construction and its program moved more bytes from the controller,
     /// so the counters are reset after programming and the devices are
     /// compared through everything a read can observe or move.)
     #[test]
@@ -83,7 +86,7 @@ proptest! {
             ReliabilityModel { ber_scale: 1e3 },
             seed,
         );
-        let (mut short, mut padded) = (device(), device());
+        let (mut short, mut padded, mut latched) = (device(), device(), device());
         let scheme = if tlc {
             ProgramScheme::Ispp(CellMode::Tlc)
         } else {
@@ -94,37 +97,63 @@ proptest! {
         full.resize(page_size, 0);
         short.program_page(addr, &data, &[0xAB, 0xCD], scheme).unwrap();
         padded.program_page(addr, &full, &[0xAB, 0xCD], scheme).unwrap();
-        short.reset_stats();
-        padded.reset_stats();
+        latched.program_page(addr, &data, &[0xAB, 0xCD], scheme).unwrap();
+        for device in [&mut short, &mut padded, &mut latched] {
+            device.reset_stats();
+        }
 
         // Shard readers are lent the bytes that were programmed.
         prop_assert_eq!(short.stored_page(addr).unwrap().0, &data[..]);
         prop_assert_eq!(padded.stored_page(addr).unwrap().0, &full[..]);
 
+        let untouched = short.page_buffer(addr.plane_addr()).unwrap().clone();
+        let (mut sensed_a, mut sensed_b) = (Vec::new(), Vec::new());
         let mut errors = 0;
         for _ in 0..4 {
             let a = short.read_page_view(addr).unwrap();
             let b = padded.read_page_view(addr).unwrap();
-            prop_assert_eq!(a.sensed.len(), page_size);
-            prop_assert_eq!(a.sensed, b.sensed);
+            prop_assert_eq!(a.stored, &data[..]);
+            prop_assert_eq!((a.flips, a.page_size), (b.flips, b.page_size));
+            prop_assert_eq!(a.flips.len(), a.meta.bit_errors);
+            a.sensed_into(&mut sensed_a);
+            b.sensed_into(&mut sensed_b);
+            prop_assert_eq!(&sensed_a, &sensed_b);
+            // Every flipped bit is a listed one, and a bit listed twice
+            // flipped back.
+            let flipped: u32 = sensed_a.iter().zip(&full).map(|(x, y)| (x ^ y).count_ones()).sum();
+            prop_assert!(flipped as usize <= a.meta.bit_errors);
+            prop_assert_eq!(flipped as usize % 2, a.meta.bit_errors % 2);
+
+            // The twin that goes through its latch.
+            let latency = latched.sense_page(addr).unwrap()
+                + latched.transfer_to_controller(page_size + geometry.oob_size_bytes);
+            let latch = latched.page_buffer(addr.plane_addr()).unwrap();
+            prop_assert_eq!(latch.sensing().unwrap(), &sensed_a[..]);
+            prop_assert_eq!(latch.oob().unwrap(), a.oob);
             prop_assert_eq!(a.oob, b.oob);
             prop_assert_eq!(a.meta, b.meta);
-            prop_assert_eq!(a.stored, &data[..]);
+            prop_assert_eq!(a.meta.latency, latency);
             errors += a.meta.bit_errors;
             prop_assert_eq!(short.stats(), padded.stats());
-            prop_assert_eq!(
-                short.page_buffer(addr.plane_addr()).unwrap(),
-                padded.page_buffer(addr.plane_addr()).unwrap()
-            );
+            prop_assert_eq!(short.stats(), latched.stats());
+            // A controller read leaves the plane's page buffer alone.
+            prop_assert_eq!(short.page_buffer(addr.plane_addr()).unwrap(), &untouched);
         }
         prop_assert_eq!(errors > 0, tlc, "only the TLC reads inject errors");
         prop_assert_eq!(
             short.stats().bytes_to_controller,
             4 * (page_size + geometry.oob_size_bytes) as u64
         );
-        // The in-plane path sees the same latch, and the error streams are
-        // at the same position: the next reads agree too.
+        // The error streams are at the same position: the next reads agree
+        // too, whichever way they go, and the in-plane path sees the same
+        // latch.
         prop_assert_eq!(short.sense_page(addr).unwrap(), padded.sense_page(addr).unwrap());
+        latched.read_page_into(addr, &mut sensed_a, &mut sensed_b).unwrap();
+        for device in [&short, &padded] {
+            let latch = device.page_buffer(addr.plane_addr()).unwrap();
+            prop_assert_eq!(latch.sensing().unwrap(), &sensed_a[..]);
+            prop_assert_eq!(latch.oob().unwrap(), &sensed_b[..]);
+        }
         prop_assert_eq!(short.read_page(addr).unwrap(), padded.read_page(addr).unwrap());
         prop_assert_eq!(short.xor_pages(addr, addr).unwrap(), vec![0u8; page_size]);
     }

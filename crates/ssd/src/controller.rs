@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use reis_nand::{FlashDevice, FlashStats, Nanos, PageAddr};
+use reis_nand::{FlashDevice, FlashStats, Nanos, PageAddr, Scratch};
 
 use crate::allocator::{page_to_stripe, stripe_to_page, PageAllocator, StripedRegion};
 use crate::config::SsdConfig;
@@ -36,8 +36,9 @@ pub struct HostReadOutcome {
 /// the device, not copied (see [`SsdController::read_region_page_view`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageReadView<'a> {
-    /// Page payload: the ECC-corrected stored page when the decoder
-    /// corrected raw errors, the plane's sensing latch otherwise.
+    /// Page payload, a full page: the page as programmed when the read took
+    /// no raw errors or the decoder corrected them, the page as sensed —
+    /// raw errors included — otherwise.
     pub data: &'a [u8],
     /// The OOB bytes of the page.
     pub oob: &'a [u8],
@@ -47,45 +48,49 @@ pub struct PageReadView<'a> {
     pub corrected: bool,
 }
 
-/// The controller's one flash read: sense the page into its plane's latch
-/// (the device injects and counts read errors there), move it over the
-/// channel, decode it when an ECC engine is given, and lend out the bytes
-/// the decode leaves — the page as programmed after a successful correction,
-/// the latch otherwise. The device keeps a page without the zeros behind
-/// its programmed bytes, so a corrected page that was programmed short is
-/// padded into `corrected` (the decoder's output buffer) and lent from
-/// there; a full one is lent where it is stored. Takes the fields it touches
-/// so that callers can go on using the controller's other resources while
-/// they hold the view.
+/// The controller's one flash read: have the device sense the page and move
+/// it over the channel (it draws and counts the read's bit errors and lends
+/// the stored page next to them), decode it when an ECC engine is given, and
+/// lend out the bytes the decode leaves. A read without raw errors, or one
+/// the decoder corrected, is the page as programmed, lent where the device
+/// stores it — or, because the device keeps a page without the zeros behind
+/// its programmed bytes, padded into `staging` when it was programmed short.
+/// Only a read whose errors survive — the decoder gave up, or an
+/// error-injecting scheme was read without ECC — pays for the errored bytes:
+/// the page as sensed is built in `staging`. Takes the fields it touches so
+/// that callers can go on using the controller's other resources while they
+/// hold the view.
 fn read_decoded<'d>(
     device: &'d mut FlashDevice,
     ecc: Option<&mut EccEngine>,
-    corrected: &'d mut Vec<u8>,
+    staging: &'d mut Vec<u8>,
     addr: PageAddr,
 ) -> Result<PageReadView<'d>> {
     let page = device.read_page_view(addr)?;
-    let mut view = PageReadView {
-        data: page.sensed,
-        oob: page.oob,
-        latency: page.meta.latency,
-        corrected: true,
-    };
+    let mut latency = page.meta.latency;
+    let mut corrected = true;
+    let mut clean = page.flips.is_empty();
     if let Some(ecc) = ecc {
         let outcome = ecc.decode_page(page.meta.bit_errors);
-        view.latency += outcome.latency;
-        view.corrected = outcome.corrected;
-        if outcome.corrected && page.meta.bit_errors > 0 {
-            view.data = if page.stored.len() == page.sensed.len() {
-                page.stored
-            } else {
-                corrected.clear();
-                corrected.extend_from_slice(page.stored);
-                corrected.resize(page.sensed.len(), 0);
-                corrected
-            };
-        }
+        latency += outcome.latency;
+        corrected = outcome.corrected;
+        clean |= corrected;
     }
-    Ok(view)
+    let data = if !clean {
+        page.sensed_into(staging);
+        staging
+    } else if page.stored.len() < page.page_size {
+        page.stored_into(staging);
+        staging
+    } else {
+        page.stored
+    };
+    Ok(PageReadView {
+        data,
+        oob: page.oob,
+        latency,
+        corrected,
+    })
 }
 
 /// Snapshot (or delta) of every activity counter the controller tracks:
@@ -137,9 +142,9 @@ pub struct SsdController {
     dram: InternalDram,
     cores: EmbeddedCores,
     ecc: EccEngine,
-    /// Where [`read_decoded`] pads a corrected page that was programmed
-    /// short; scratch, overwritten by the next such read.
-    corrected_page: Vec<u8>,
+    /// Where [`read_decoded`] builds the pages it cannot lend from the
+    /// device; overwritten by the next such read.
+    staging: Scratch<Vec<u8>>,
     maintenance: MaintenanceManager,
 }
 
@@ -157,7 +162,7 @@ impl SsdController {
             dram: InternalDram::new(config.dram),
             cores: EmbeddedCores::new(config.cores),
             ecc: EccEngine::new(config.ecc),
-            corrected_page: Vec::new(),
+            staging: Scratch::default(),
             maintenance: MaintenanceManager::new(),
         }
     }
@@ -345,11 +350,11 @@ impl SsdController {
     }
 
     /// Read one page of a database region through the controller without
-    /// copying it: the page is sensed into its plane's latch, moved over the
-    /// channel, ECC-decoded when the region's programming scheme requires it
-    /// and staged in controller DRAM — all counted and timed — and the
-    /// returned view borrows the bytes where they already are. Rerank and
-    /// document fetch score and copy the one slot they need out of it.
+    /// copying it: the page is sensed, moved over the channel, ECC-decoded
+    /// when the region's programming scheme requires it and staged in
+    /// controller DRAM — all counted and timed — and the returned view
+    /// borrows the bytes where they already are. Rerank and document fetch
+    /// score and copy the one slot they need out of it.
     ///
     /// # Errors
     ///
@@ -362,7 +367,7 @@ impl SsdController {
     ) -> Result<PageReadView<'_>> {
         let addr = region.page_at(&self.config.geometry, offset)?;
         let ecc = self.config.hybrid.needs_ecc(kind).then_some(&mut self.ecc);
-        let mut view = read_decoded(&mut self.device, ecc, &mut self.corrected_page, addr)?;
+        let mut view = read_decoded(&mut self.device, ecc, &mut self.staging.0, addr)?;
         // Staging the page in controller DRAM before it moves to the host.
         view.latency += self.dram.write(view.data.len());
         Ok(view)
@@ -436,7 +441,7 @@ impl SsdController {
         let view = read_decoded(
             &mut self.device,
             Some(&mut self.ecc),
-            &mut self.corrected_page,
+            &mut self.staging.0,
             addr,
         )?;
         Ok(HostReadOutcome {
@@ -690,18 +695,19 @@ mod tests {
                 assert_eq!(view.corrected, corrected);
                 let lent = view.data.as_ptr();
 
-                // The plane's sensing latch still holds the page as sensed:
-                // the programmed bytes with exactly the injected flips.
+                // What the view lends: the stored page itself unless the
+                // read's errors survived, and then a page that differs from
+                // it in exactly the injected bits. Nothing reached the
+                // plane's latch.
                 let addr = region.page_at(&config.geometry, page).unwrap();
                 let (stored, _, _) = new.device.stored_page(addr).unwrap();
-                let latch = new.device.page_buffer(addr.plane_addr()).unwrap();
-                let sensed = latch.sensing().unwrap();
-                let flipped: u32 = sensed
+                let differing: u32 = data
                     .iter()
                     .zip(stored)
                     .map(|(a, b)| (a ^ b).count_ones())
                     .sum();
-                assert_eq!(flipped as usize, bit_errors);
+                let latch = new.device.page_buffer(addr.plane_addr()).unwrap();
+                assert_eq!(latch.sensing(), None);
                 match (*kind, corrected) {
                     (RegionKind::Documents, true) => {
                         assert!(bit_errors > 0 && bit_errors <= 3);
@@ -714,22 +720,24 @@ mod tests {
                     }
                     (RegionKind::Documents, false) => {
                         assert!(bit_errors > 3);
-                        assert_eq!(lent, sensed.as_ptr(), "uncorrectable reads lend the latch");
+                        assert_eq!(differing as usize, bit_errors);
                         uncorrectable_reads += 1;
                     }
-                    _ => assert_eq!((bit_errors, sensed), (0, stored), "ESP-SLC reads clean"),
+                    _ => {
+                        assert_eq!(bit_errors, 0);
+                        assert_eq!(lent, stored.as_ptr(), "ESP-SLC reads clean");
+                    }
                 }
 
-                // Flash, ECC and DRAM counters, every latch and the error
-                // stream's position (`FlashDevice` equality covers its RNG).
+                // Flash, ECC and DRAM counters.
                 assert_eq!(old.activity_snapshot(), new.activity_snapshot());
-                assert_eq!(old, new);
             }
         }
         assert_eq!(corrected_reads + uncorrectable_reads, PAGES);
         assert!(corrected_reads > 0 && uncorrectable_reads > 0);
 
-        // The next draws of the error stream land on the same bits.
+        // The error streams are at the same position: the next draws land on
+        // the same bits.
         let (_, tlc) = &regions[0];
         let addr = tlc.page_at(&config.geometry, 0).unwrap();
         for ssd in [&mut old, &mut new] {
@@ -802,6 +810,51 @@ mod tests {
             assert_eq!(activity, padded.activity_snapshot());
         }
         assert!(corrected_reads > 0 && uncorrectable_reads > 0);
+    }
+
+    /// The staging buffer and the device's list of flips are scratch: twins
+    /// that served the same reads in different orders — so that one last
+    /// staged a short page, the other an uncorrectable one — hold the same
+    /// data, counters and error-stream position, and compare equal.
+    #[test]
+    fn what_the_last_read_left_in_scratch_is_not_state() {
+        let config = SsdConfig {
+            ecc: EccParams {
+                correctable_bits_per_page: 0,
+                ..EccParams::ldpc()
+            },
+            ..SsdConfig::tiny()
+        };
+        let mut a = SsdController::new(config);
+        let short_kind = RegionKind::BinaryEmbeddings;
+        let tlc_kind = RegionKind::Documents;
+        let short = a.reserve_region("db0/short", 1, short_kind).unwrap();
+        let tlc = a.reserve_region("db0/tlc", 1, tlc_kind).unwrap();
+        a.program_region_page(&short, 0, short_kind, &[0x3C; 40], &[])
+            .unwrap();
+        a.program_region_page(&tlc, 0, tlc_kind, &[0x99; 4096], &[])
+            .unwrap();
+        let mut b = a.clone();
+
+        let uncorrectable = a.read_region_page(&tlc, 0, tlc_kind).unwrap();
+        assert!(!uncorrectable.corrected);
+        assert_ne!(uncorrectable.data, [0x99; 4096]);
+        let padded = a.read_region_page(&short, 0, short_kind).unwrap();
+        assert_eq!(
+            (&padded.data[..40], padded.data.len()),
+            (&[0x3C; 40][..], 4096)
+        );
+        assert_eq!(b.read_region_page(&short, 0, short_kind).unwrap(), padded);
+        assert_eq!(
+            b.read_region_page(&tlc, 0, tlc_kind).unwrap(),
+            uncorrectable
+        );
+
+        assert_eq!(
+            (&a.staging.0, &b.staging.0),
+            (&padded.data, &uncorrectable.data)
+        );
+        assert!(a == b);
     }
 
     #[test]
