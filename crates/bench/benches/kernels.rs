@@ -15,7 +15,7 @@ use reis_nand::geometry::{Geometry, PageAddr};
 use reis_nand::peripheral::{FailBitCounter, XorLogic};
 use reis_workloads::{DatasetProfile, SyntheticDataset};
 
-use reis_bench::seed_reference as bytewise;
+use reis_kernels::reference as bytewise;
 
 fn bench_in_plane_distance(c: &mut Criterion) {
     // A full 16 KB page of 128 binary 1024-d embeddings against one query.
@@ -29,7 +29,9 @@ fn bench_in_plane_distance(c: &mut Criterion) {
         })
     });
     // The same sweep with the byte-wise seed kernels: the ratio of these two
-    // is the word-kernel speedup reported in BENCH_pr1.json.
+    // is the word-kernel speedup. (The fixed benchmark tracks the scan
+    // kernel of today's hot path on the same page shape:
+    // `kernels.scan_ns_per_page` in `reis-perf`.)
     c.bench_function("in_plane_xor_popcount_page_bytewise", |b| {
         b.iter(|| {
             let xored = bytewise::xor(&page, &broadcast);

@@ -11,6 +11,8 @@
 //!   paper's full-scale dataset sizes, priced by `reis-core`'s latency and
 //!   energy models.
 //! * [`report`] — small helpers for printing figure series as aligned rows.
+//! * [`artifacts`] — the JSON value and parser the fixed benchmark
+//!   (`benchmark/`) reads its result documents back with.
 //!
 //! Every experiment prints both the scaled dataset used for functional
 //! calibration and the full-scale parameters used for extrapolation, so the
@@ -99,21 +101,6 @@ pub mod calibration {
             recall_curve,
             ivf,
         }
-    }
-
-    /// The smallest measured nprobe fraction that reaches `target_recall` on
-    /// the calibration curve (falls back to the largest fraction measured).
-    pub fn nprobe_fraction_for_recall(calibration: &Calibration, target_recall: f64) -> f64 {
-        for &(fraction, recall) in &calibration.recall_curve {
-            if recall >= target_recall {
-                return fraction;
-            }
-        }
-        calibration
-            .recall_curve
-            .last()
-            .map(|&(f, _)| f)
-            .unwrap_or(1.0)
     }
 }
 
@@ -253,16 +240,6 @@ pub mod fullscale {
     }
 }
 
-pub mod seed_reference {
-    //! Byte-at-a-time reference kernels matching the seed implementation.
-    //!
-    //! The baseline the criterion `kernels` bench measures the u64-word
-    //! kernels against. The implementations live in the workspace's kernel crate
-    //! ([`reis_kernels::reference`]) next to the word kernels they baseline.
-
-    pub use reis_kernels::reference::{count_per_chunk, hamming, xor};
-}
-
 pub mod report {
     //! Formatting helpers shared by the figure binaries.
 
@@ -271,40 +248,6 @@ pub mod report {
         println!("==================================================================");
         println!("{experiment}: {description}");
         println!("==================================================================");
-    }
-
-    /// Resolve the output path of a benchmark's JSON artifact: an
-    /// `--output PATH` (or `--output=PATH`) command-line argument wins,
-    /// then the `REIS_BENCH_OUT` environment variable, then `default`.
-    ///
-    /// `BENCH_pr*.json` files at the repository root are committed
-    /// artifacts (the run a PR shipped with). Benchmarks whose artifact
-    /// belongs to an *earlier* PR default to a non-committed,
-    /// `.gitignore`d path so a casual re-run never clobbers the recorded
-    /// measurement — refreshing one takes an explicit
-    /// `--output BENCH_prN.json`. A benchmark introduced by the current PR
-    /// may default to its own `BENCH_prN.json`, since that file is exactly
-    /// the run it is expected to (re)produce. See `docs/BENCHMARKS.md` for
-    /// the regeneration workflow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `--output` is given without a value (or followed by
-    /// another flag): silently falling back to the default could overwrite
-    /// a committed artifact the flag was meant to protect.
-    pub fn output_path(default: &str) -> String {
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            if arg == "--output" {
-                match args.next() {
-                    Some(path) if !path.starts_with("--") => return path,
-                    _ => panic!("--output requires a path argument"),
-                }
-            } else if let Some(path) = arg.strip_prefix("--output=") {
-                return path.to_string();
-            }
-        }
-        std::env::var("REIS_BENCH_OUT").unwrap_or_else(|_| default.to_string())
     }
 
     /// Print one labelled series as `label: v1 v2 v3 …` with fixed precision.
@@ -336,18 +279,11 @@ pub mod report {
 }
 
 pub mod artifacts {
-    //! Schema validation of the measured-benchmark JSON artifacts.
+    //! The workspace's JSON value and parser.
     //!
-    //! Every figure binary hand-writes its JSON (there is no serializer in
-    //! the offline workspace), which historically meant a malformed or
-    //! key-renamed artifact could land in the repository — or be uploaded
-    //! from CI — unnoticed until a reader choked on it. The
-    //! `validate-bench-artifacts` binary runs [`validate_file`] over the
-    //! committed `BENCH_pr*.json` files and the freshly produced smoke
-    //! artifacts in CI, enforcing the schemas documented in
-    //! `docs/BENCHMARKS.md`: required keys, value types, and
-    //! `available_cores` present on every measured artifact (it is the key
-    //! readers must consult before trusting any scaling column).
+    //! The fixed benchmark (`benchmark/`, `reis-perf`) reads its result
+    //! documents back with [`parse`] to compare two runs, and pins this
+    //! module's surface: [`Json`] and [`parse`].
 
     /// A parsed JSON value (minimal offline parser — the shimmed `serde`
     /// has no deserializer).
@@ -373,18 +309,6 @@ pub mod artifacts {
             match self {
                 Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
                 _ => None,
-            }
-        }
-
-        /// The human name of the value's type, for error messages.
-        pub fn type_name(&self) -> &'static str {
-            match self {
-                Json::Null => "null",
-                Json::Bool(_) => "bool",
-                Json::Num(_) => "number",
-                Json::Str(_) => "string",
-                Json::Arr(_) => "array",
-                Json::Obj(_) => "object",
             }
         }
     }
@@ -563,448 +487,11 @@ pub mod artifacts {
             }
         }
     }
-
-    /// The expected type of a required key.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Kind {
-        /// A JSON number.
-        Num,
-        /// A JSON string.
-        Str,
-        /// A JSON bool.
-        Bool,
-        /// A JSON object.
-        Obj,
-        /// A non-empty JSON array.
-        Arr,
-    }
-
-    fn check_kind(value: &Json, kind: Kind) -> bool {
-        match kind {
-            Kind::Num => matches!(value, Json::Num(_)),
-            Kind::Str => matches!(value, Json::Str(_)),
-            Kind::Bool => matches!(value, Json::Bool(_)),
-            Kind::Obj => matches!(value, Json::Obj(_)),
-            Kind::Arr => matches!(value, Json::Arr(items) if !items.is_empty()),
-        }
-    }
-
-    /// The required top-level keys of one artifact family, keyed off the
-    /// file name (`BENCH_pr5.json` and `BENCH_adaptive_smoke.json` share a
-    /// family, etc.). `None` for file names no schema is known for.
-    pub fn required_keys(file_name: &str) -> Option<&'static [(&'static str, Kind)]> {
-        const BATCH: &[(&str, Kind)] = &[
-            ("available_cores", Kind::Num),
-            ("dataset", Kind::Obj),
-            ("kernels", Kind::Obj),
-            ("batch_qps", Kind::Obj),
-            ("modelled_device_qps", Kind::Num),
-        ];
-        const INTRA: &[(&str, Kind)] = &[
-            ("available_cores", Kind::Num),
-            ("dataset", Kind::Obj),
-            ("queries", Kind::Num),
-            ("repeats_per_point", Kind::Num),
-            ("single_query_latency_us", Kind::Obj),
-            ("speedup_at_best_shard_count", Kind::Obj),
-        ];
-        const UPDATE: &[(&str, Kind)] = &[
-            ("available_cores", Kind::Num),
-            ("mode", Kind::Str),
-            ("dataset", Kind::Obj),
-            ("insert", Kind::Obj),
-            ("upsert", Kind::Obj),
-            ("delete", Kind::Obj),
-            ("search_under_update", Kind::Obj),
-            ("compaction", Kind::Obj),
-        ];
-        const FUSED: &[(&str, Kind)] = &[
-            ("available_cores", Kind::Num),
-            ("mode", Kind::Str),
-            ("results_identical_to_sequential", Kind::Bool),
-            ("brute_force", Kind::Obj),
-            ("ivf_nprobe8", Kind::Obj),
-            ("modelled_bf_scan_batch8_us", Kind::Obj),
-            ("bf_batch8_sense_reduction", Kind::Num),
-        ];
-        const ADAPTIVE: &[(&str, Kind)] = &[
-            ("available_cores", Kind::Num),
-            ("mode", Kind::Str),
-            ("dataset", Kind::Obj),
-            ("queries", Kind::Num),
-            ("repeats_per_point", Kind::Num),
-            ("k", Kind::Num),
-            ("partition_invariant", Kind::Bool),
-            ("static_baseline", Kind::Obj),
-            ("window_sweep", Kind::Arr),
-        ];
-        const PERSISTENCE: &[(&str, Kind)] = &[
-            ("available_cores", Kind::Num),
-            ("mode", Kind::Str),
-            ("dataset", Kind::Obj),
-            ("results_identical_to_precrash", Kind::Bool),
-            ("snapshot", Kind::Obj),
-            ("wal", Kind::Obj),
-            ("recovery", Kind::Obj),
-            ("torn_tail", Kind::Obj),
-        ];
-        const SCALEOUT: &[(&str, Kind)] = &[
-            ("available_cores", Kind::Num),
-            ("mode", Kind::Str),
-            ("dataset", Kind::Obj),
-            ("results_identical_to_single_device", Kind::Bool),
-            ("leaf_sweep", Kind::Arr),
-            ("hedging", Kind::Obj),
-        ];
-        const TELEMETRY: &[(&str, Kind)] = &[
-            ("available_cores", Kind::Num),
-            ("mode", Kind::Str),
-            ("dataset", Kind::Obj),
-            ("results_identical_with_telemetry", Kind::Bool),
-            ("fused_batch8", Kind::Obj),
-            ("interference", Kind::Obj),
-            ("hedge_quantiles", Kind::Obj),
-            ("exporters", Kind::Obj),
-        ];
-        const FAULT: &[(&str, Kind)] = &[
-            ("available_cores", Kind::Num),
-            ("mode", Kind::Str),
-            ("dataset", Kind::Obj),
-            ("results_identical_when_covered", Kind::Bool),
-            ("retry_overhead", Kind::Obj),
-            ("failure_sweep", Kind::Arr),
-        ];
-        const SCHEDULER: &[(&str, Kind)] = &[
-            ("available_cores", Kind::Num),
-            ("mode", Kind::Str),
-            ("dataset", Kind::Obj),
-            ("batch_formation_wins", Kind::Bool),
-            ("pipeline_sweep", Kind::Arr),
-        ];
-        let base = file_name.rsplit('/').next().unwrap_or(file_name);
-        match base {
-            "BENCH_pr1.json" => Some(BATCH),
-            "BENCH_pr2.json" => Some(INTRA),
-            "BENCH_pr3.json" => Some(UPDATE),
-            "BENCH_pr4.json" => Some(FUSED),
-            "BENCH_pr5.json" => Some(ADAPTIVE),
-            "BENCH_pr6.json" => Some(PERSISTENCE),
-            "BENCH_pr7.json" => Some(SCALEOUT),
-            "BENCH_pr8.json" => Some(TELEMETRY),
-            "BENCH_pr9.json" => Some(FAULT),
-            "BENCH_pr10.json" => Some(SCHEDULER),
-            _ if base.contains("scheduler") => Some(SCHEDULER),
-            _ if base.contains("intra_query") => Some(INTRA),
-            _ if base.contains("telemetry") => Some(TELEMETRY),
-            _ if base.contains("fault") => Some(FAULT),
-            _ if base.contains("update") => Some(UPDATE),
-            _ if base.contains("fused") => Some(FUSED),
-            _ if base.contains("adaptive") => Some(ADAPTIVE),
-            _ if base.contains("persistence") => Some(PERSISTENCE),
-            _ if base.contains("scaleout") => Some(SCALEOUT),
-            _ => None,
-        }
-    }
-
-    /// Validate one artifact's parsed document against its family schema,
-    /// returning every violation (empty = valid).
-    pub fn validate(file_name: &str, doc: &Json) -> Vec<String> {
-        let base = file_name.rsplit('/').next().unwrap_or(file_name);
-        let mut problems = Vec::new();
-        if base.contains("kernels-bench") {
-            // The criterion-shim emits a flat list of name/ns entries.
-            match doc {
-                Json::Arr(items) if !items.is_empty() => {
-                    for (i, item) in items.iter().enumerate() {
-                        if !matches!(item.get("name"), Some(Json::Str(_)))
-                            || !matches!(item.get("ns_per_iter"), Some(Json::Num(_)))
-                        {
-                            problems.push(format!(
-                                "entry {i}: expected {{ name: string, ns_per_iter: number }}"
-                            ));
-                        }
-                    }
-                }
-                _ => problems.push("expected a non-empty array of benchmark entries".into()),
-            }
-            return problems;
-        }
-        let Some(required) = required_keys(base) else {
-            problems.push(format!(
-                "no schema known for '{base}' (see docs/BENCHMARKS.md)"
-            ));
-            return problems;
-        };
-        if !matches!(doc, Json::Obj(_)) {
-            problems.push(format!(
-                "expected a top-level object, got {}",
-                doc.type_name()
-            ));
-            return problems;
-        }
-        for &(key, kind) in required {
-            match doc.get(key) {
-                None => problems.push(format!("missing required key '{key}'")),
-                Some(value) if !check_kind(value, kind) => problems.push(format!(
-                    "key '{key}': expected {kind:?}, got {}",
-                    value.type_name()
-                )),
-                Some(_) => {}
-            }
-        }
-        // Family-specific invariants beyond key presence.
-        if let Some(Json::Arr(points)) = doc.get("window_sweep") {
-            for (i, point) in points.iter().enumerate() {
-                for key in [
-                    "window",
-                    "fine_entries",
-                    "barriers",
-                    "modelled_us",
-                    "sequential_us",
-                    "sharded_us",
-                ] {
-                    if !matches!(point.get(key), Some(Json::Num(_))) {
-                        problems.push(format!("window_sweep[{i}]: missing numeric '{key}'"));
-                    }
-                }
-            }
-            if doc.get("partition_invariant") != Some(&Json::Bool(true)) {
-                problems.push("partition_invariant must be true".into());
-            }
-        }
-        // Scheduler family: batch formation must win the sweep's top offered
-        // load, and every row carries its columns. The pooled-vs-spawn
-        // section is history: only the committed `BENCH_pr10.json` carries
-        // it (the spawn executor it compares against is gone), so its rules
-        // — bit-identity, and pooled no slower than spawn in `mode: "full"`
-        // — apply where the key is present.
-        if let Some(Json::Arr(points)) = doc.get("pool_window_sweep") {
-            if doc.get("results_identical_to_spawn") != Some(&Json::Bool(true)) {
-                problems.push("results_identical_to_spawn must be true".into());
-            }
-            let full = doc.get("mode") == Some(&Json::Str("full".into()));
-            for (i, point) in points.iter().enumerate() {
-                for key in [
-                    "window",
-                    "fine_entries",
-                    "barriers",
-                    "modelled_us",
-                    "pooled_us",
-                    "spawn_us",
-                ] {
-                    if !matches!(point.get(key), Some(Json::Num(_))) {
-                        problems.push(format!("pool_window_sweep[{i}]: missing numeric '{key}'"));
-                    }
-                }
-                if full {
-                    if let (
-                        Some(Json::Num(window)),
-                        Some(Json::Num(pooled)),
-                        Some(Json::Num(spawn)),
-                    ) = (
-                        point.get("window"),
-                        point.get("pooled_us"),
-                        point.get("spawn_us"),
-                    ) {
-                        if (4.0..=32.0).contains(window) && *pooled > *spawn {
-                            problems.push(format!(
-                                "pool_window_sweep[{i}]: pooled_us ({pooled}) must not exceed \
-                                 spawn_us ({spawn}) at window {window} in full mode"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(Json::Arr(points)) = doc.get("pipeline_sweep") {
-            if doc.get("batch_formation_wins") != Some(&Json::Bool(true)) {
-                problems.push("batch_formation_wins must be true".into());
-            }
-            for (i, point) in points.iter().enumerate() {
-                for key in [
-                    "offered_qps",
-                    "max_batch",
-                    "requests",
-                    "completed",
-                    "shed",
-                    "p50_us",
-                    "p99_us",
-                    "throughput_qps",
-                ] {
-                    if !matches!(point.get(key), Some(Json::Num(_))) {
-                        problems.push(format!("pipeline_sweep[{i}]: missing numeric '{key}'"));
-                    }
-                }
-            }
-        }
-        if let Some(torn) = doc.get("torn_tail") {
-            if doc.get("results_identical_to_precrash") != Some(&Json::Bool(true)) {
-                problems.push("results_identical_to_precrash must be true".into());
-            }
-            if torn.get("quarantined") != Some(&Json::Bool(true)) {
-                problems.push("torn_tail.quarantined must be true".into());
-            }
-            for (section, keys) in [
-                ("snapshot", &["bytes", "write_us", "bytes_per_entry"][..]),
-                (
-                    "wal",
-                    &["ops", "bytes", "logged_ops_per_s", "unlogged_ops_per_s"][..],
-                ),
-                ("recovery", &["wal_records_replayed", "recover_us"][..]),
-            ] {
-                let Some(obj) = doc.get(section) else {
-                    continue;
-                };
-                for key in keys {
-                    if !matches!(obj.get(key), Some(Json::Num(_))) {
-                        problems.push(format!("{section}: missing numeric '{key}'"));
-                    }
-                }
-            }
-        }
-        // Telemetry family: the enabled-run must be result-identical, and
-        // the committed (full-mode) overhead on the fused batch-8 path must
-        // stay within the PR 8 budget. Smoke runs on shared CI runners are
-        // too noisy to gate on the percentage, so only `mode: "full"`
-        // artifacts enforce the bound.
-        if let Some(fused8) = doc.get("fused_batch8") {
-            if doc.get("results_identical_with_telemetry") != Some(&Json::Bool(true)) {
-                problems.push("results_identical_with_telemetry must be true".into());
-            }
-            for key in ["off_qps", "on_qps", "overhead_pct"] {
-                if !matches!(fused8.get(key), Some(Json::Num(_))) {
-                    problems.push(format!("fused_batch8: missing numeric '{key}'"));
-                }
-            }
-            if doc.get("mode") == Some(&Json::Str("full".into())) {
-                if let Some(Json::Num(pct)) = fused8.get("overhead_pct") {
-                    if *pct > 3.0 {
-                        problems.push(format!(
-                            "fused_batch8.overhead_pct must be <= 3.0 in full mode, got {pct}"
-                        ));
-                    }
-                }
-            }
-            if let Some(exporters) = doc.get("exporters") {
-                for key in ["prometheus_bytes", "json_snapshot_valid"] {
-                    if exporters.get(key).is_none() {
-                        problems.push(format!("exporters: missing '{key}'"));
-                    }
-                }
-            }
-        }
-        // The modelled search-vs-mutation interference section (always
-        // present in the telemetry family, opt-in for the update family —
-        // the committed `BENCH_pr3.json` predates it).
-        if let Some(interference) = doc.get("interference") {
-            for key in [
-                "quiescent_p50_us",
-                "quiescent_p95_us",
-                "quiescent_p99_us",
-                "dirty_p50_us",
-                "dirty_p95_us",
-                "dirty_p99_us",
-                "mutation_p50_us",
-                "mutation_p99_us",
-            ] {
-                if !matches!(interference.get(key), Some(Json::Num(_))) {
-                    problems.push(format!("interference: missing numeric '{key}'"));
-                }
-            }
-        }
-        // Fault-tolerance family: every covered (full-coverage) answer must
-        // be bit-identical to the no-fault run, and each sweep row carries
-        // the availability/latency columns.
-        if let Some(Json::Arr(points)) = doc.get("failure_sweep") {
-            if doc.get("results_identical_when_covered") != Some(&Json::Bool(true)) {
-                problems.push("results_identical_when_covered must be true".into());
-            }
-            for (i, point) in points.iter().enumerate() {
-                for key in [
-                    "replication",
-                    "fail_ppm",
-                    "modelled_qps",
-                    "fanout_p99_us",
-                    "availability",
-                    "degraded_queries",
-                ] {
-                    if !matches!(point.get(key), Some(Json::Num(_))) {
-                        problems.push(format!("failure_sweep[{i}]: missing numeric '{key}'"));
-                    }
-                }
-            }
-        }
-        // The retry/backoff machinery must be free on the healthy path:
-        // the PR 9 budget caps the full-mode overhead of running with a
-        // zero-rate fault plan at 3% (smoke runs are too noisy to gate).
-        if let Some(overhead) = doc.get("retry_overhead") {
-            for key in ["healthy_qps", "guarded_qps", "overhead_pct"] {
-                if !matches!(overhead.get(key), Some(Json::Num(_))) {
-                    problems.push(format!("retry_overhead: missing numeric '{key}'"));
-                }
-            }
-            if doc.get("mode") == Some(&Json::Str("full".into())) {
-                if let Some(Json::Num(pct)) = overhead.get("overhead_pct") {
-                    if *pct > 3.0 {
-                        problems.push(format!(
-                            "retry_overhead.overhead_pct must be <= 3.0 in full mode, got {pct}"
-                        ));
-                    }
-                }
-            }
-        }
-        // Per-policy hedge completion quantiles: any `policies` row that
-        // carries one quantile must carry the full p50/p95/p99 triple
-        // (opt-in for the scaleout family — `BENCH_pr7.json` predates it).
-        for section in ["hedging", "hedge_quantiles"] {
-            let Some(Json::Arr(policies)) = doc.get(section).and_then(|h| h.get("policies")) else {
-                continue;
-            };
-            let mandatory = section == "hedge_quantiles";
-            for (i, policy) in policies.iter().enumerate() {
-                if !mandatory && policy.get("completion_p50_us").is_none() {
-                    continue;
-                }
-                for key in [
-                    "completion_p50_us",
-                    "completion_p95_us",
-                    "completion_p99_us",
-                ] {
-                    if !matches!(policy.get(key), Some(Json::Num(_))) {
-                        problems.push(format!("{section}.policies[{i}]: missing numeric '{key}'"));
-                    }
-                }
-            }
-        }
-        problems
-    }
-
-    /// Read, parse and validate one artifact file.
-    ///
-    /// # Errors
-    ///
-    /// Returns the list of violations (I/O and parse errors included).
-    pub fn validate_file(path: &str) -> Result<(), Vec<String>> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(error) => return Err(vec![format!("cannot read: {error}")]),
-        };
-        let doc = match parse(&text) {
-            Ok(doc) => doc,
-            Err(error) => return Err(vec![format!("malformed JSON: {error}")]),
-        };
-        let problems = validate(path, &doc);
-        if problems.is_empty() {
-            Ok(())
-        } else {
-            Err(problems)
-        }
-    }
 }
 
 #[cfg(test)]
 mod artifact_tests {
-    use super::artifacts::{parse, required_keys, validate, Json, Kind};
+    use super::artifacts::{parse, Json};
 
     #[test]
     fn parser_round_trips_the_artifact_shapes() {
@@ -1032,242 +519,25 @@ mod artifact_tests {
     }
 
     #[test]
-    fn committed_artifacts_validate_and_corruptions_fail() {
-        // The real committed artifacts at the repository root must pass.
-        for name in [
-            "BENCH_pr1.json",
-            "BENCH_pr2.json",
-            "BENCH_pr3.json",
-            "BENCH_pr4.json",
-            "BENCH_pr5.json",
-            "BENCH_pr6.json",
-            "BENCH_pr7.json",
-            "BENCH_pr8.json",
-            "BENCH_pr9.json",
-            "BENCH_pr10.json",
-        ] {
-            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
-            let text = std::fs::read_to_string(&path).expect("committed artifact readable");
-            let doc = parse(&text).expect("committed artifact parses");
-            let problems = validate(name, &doc);
-            assert!(problems.is_empty(), "{name}: {problems:?}");
-
-            // Dropping any required key must be caught.
-            let (first_key, _) = required_keys(name).unwrap()[0];
-            if let Json::Obj(ref fields) = doc {
-                let stripped = Json::Obj(
-                    fields
-                        .iter()
-                        .filter(|(k, _)| k != first_key)
-                        .cloned()
-                        .collect(),
-                );
-                assert!(
-                    !validate(name, &stripped).is_empty(),
-                    "{name}: dropping '{first_key}' must fail validation"
-                );
-            }
+    fn telemetry_json_snapshot_parses_into_its_three_sections() {
+        let telemetry = reis_core::Telemetry::enabled();
+        telemetry.count(reis_core::CounterId::Queries, 3);
+        telemetry.observe(reis_core::HistogramId::QueryModelledNs, 1_500);
+        let doc = parse(&telemetry.json_snapshot()).expect("the snapshot is JSON");
+        for section in ["counters", "gauges", "histograms"] {
+            assert!(
+                matches!(doc.get(section), Some(Json::Obj(fields)) if !fields.is_empty()),
+                "section '{section}' missing or empty"
+            );
         }
-    }
-
-    #[test]
-    fn schema_families_cover_smoke_artifacts_and_reject_unknown() {
-        assert_eq!(
-            required_keys("BENCH_adaptive_smoke.json"),
-            required_keys("BENCH_pr5.json")
-        );
-        assert_eq!(
-            required_keys("BENCH_fused_smoke.json"),
-            required_keys("BENCH_pr4.json")
-        );
-        assert_eq!(
-            required_keys("BENCH_update_smoke.json"),
-            required_keys("BENCH_pr3.json")
-        );
-        assert_eq!(
-            required_keys("path/to/BENCH_intra_query.json"),
-            required_keys("BENCH_pr2.json")
-        );
-        assert_eq!(
-            required_keys("BENCH_persistence_smoke.json"),
-            required_keys("BENCH_pr6.json")
-        );
-        assert_eq!(
-            required_keys("BENCH_scaleout_smoke.json"),
-            required_keys("BENCH_pr7.json")
-        );
-        assert_eq!(
-            required_keys("BENCH_telemetry_smoke.json"),
-            required_keys("BENCH_pr8.json")
-        );
-        assert_eq!(
-            required_keys("BENCH_fault_tolerance_smoke.json"),
-            required_keys("BENCH_pr9.json")
-        );
-        assert_eq!(
-            required_keys("BENCH_scheduler_smoke.json"),
-            required_keys("BENCH_pr10.json")
-        );
-        assert!(required_keys("mystery.json").is_none());
-        assert!(!validate("mystery.json", &Json::Obj(vec![])).is_empty());
-        // A wrongly typed required key is reported with both types.
-        let doc = parse(r#"{ "available_cores": "one" }"#).unwrap();
-        let problems = validate("BENCH_pr2.json", &doc);
-        assert!(problems.iter().any(|p| p.contains("available_cores")));
-        // The kernels list validates entry by entry.
-        let kernels = parse(r#"[ { "name": "x", "ns_per_iter": 1.0 } ]"#).unwrap();
-        assert!(validate("kernels-bench.json", &kernels).is_empty());
-        let bad = parse(r#"[ { "name": 3 } ]"#).unwrap();
-        assert!(!validate("kernels-bench.json", &bad).is_empty());
-        let _ = Kind::Num;
-    }
-
-    #[test]
-    fn telemetry_family_enforces_overhead_and_quantile_invariants() {
-        let doc = parse(
-            r#"{ "mode": "full", "results_identical_with_telemetry": false,
-                 "fused_batch8": { "off_qps": 100.0, "on_qps": 90.0, "overhead_pct": 10.0 },
-                 "hedge_quantiles": { "policies": [ { "deadline": "none" } ] } }"#,
-        )
-        .unwrap();
-        let problems = validate("BENCH_pr8.json", &doc);
-        assert!(problems.iter().any(|p| p.contains("overhead_pct must")));
-        assert!(problems
-            .iter()
-            .any(|p| p.contains("results_identical_with_telemetry")));
-        assert!(problems.iter().any(|p| p.contains("completion_p50_us")));
-        // Smoke artifacts are too noisy to gate on the percentage.
-        let smoke = parse(
-            r#"{ "mode": "smoke", "results_identical_with_telemetry": true,
-                 "fused_batch8": { "off_qps": 100.0, "on_qps": 90.0, "overhead_pct": 10.0 } }"#,
-        )
-        .unwrap();
-        let smoke_problems = validate("BENCH_telemetry_smoke.json", &smoke);
-        assert!(!smoke_problems
-            .iter()
-            .any(|p| p.contains("overhead_pct must")));
-        // An update artifact that opts into the interference section must
-        // carry the full quantile set; scaleout policy rows that opt into
-        // completion quantiles must carry the whole triple.
-        let update = parse(r#"{ "interference": { "quiescent_p50_us": 1.0 } }"#).unwrap();
-        assert!(validate("BENCH_pr3.json", &update)
-            .iter()
-            .any(|p| p.contains("dirty_p99_us")));
-        let scaleout = parse(
-            r#"{ "hedging": { "policies": [
-                 { "deadline": "none", "completion_p50_us": 1.0 },
-                 { "deadline": "none" } ] } }"#,
-        )
-        .unwrap();
-        let scaleout_problems = validate("BENCH_pr7.json", &scaleout);
-        assert!(scaleout_problems
-            .iter()
-            .any(|p| p.contains("policies[0]") && p.contains("completion_p95_us")));
-        assert!(!scaleout_problems.iter().any(|p| p.contains("policies[1]")));
-    }
-
-    #[test]
-    fn scheduler_family_enforces_identity_and_formation_invariants() {
-        // The formation-win flag must be true and sweep rows carry their
-        // columns; where the historical pooled-vs-spawn section is present
-        // its identity flag must be true and the wall comparison gates
-        // full-mode artifacts only.
-        let doc = parse(
-            r#"{ "mode": "full", "results_identical_to_spawn": false,
-                 "batch_formation_wins": false,
-                 "pool_window_sweep": [ { "window": 8, "fine_entries": 1, "barriers": 1,
-                                          "modelled_us": 1.0, "pooled_us": 20.0,
-                                          "spawn_us": 10.0 } ],
-                 "pipeline_sweep": [ { "offered_qps": 1000.0 } ] }"#,
-        )
-        .unwrap();
-        let problems = validate("BENCH_pr10.json", &doc);
-        assert!(problems
-            .iter()
-            .any(|p| p.contains("results_identical_to_spawn")));
-        assert!(problems.iter().any(|p| p.contains("batch_formation_wins")));
-        assert!(problems
-            .iter()
-            .any(|p| p.contains("pooled_us") && p.contains("must not exceed")));
-        assert!(problems
-            .iter()
-            .any(|p| p.contains("pipeline_sweep[0]") && p.contains("p99_us")));
-        // The same slow-pooled point passes in smoke mode (wall-clock noise
-        // on shared runners), while the structural checks still apply.
-        let smoke = parse(
-            r#"{ "available_cores": 1, "mode": "smoke",
-                 "dataset": { "entries": 4096, "dim": 768 },
-                 "results_identical_to_spawn": true,
-                 "batch_formation_wins": true,
-                 "pool_window_sweep": [ { "window": 8, "fine_entries": 1, "barriers": 1,
-                                          "modelled_us": 1.0, "pooled_us": 20.0,
-                                          "spawn_us": 10.0 } ],
-                 "pipeline_sweep": [ { "offered_qps": 1000.0, "max_batch": 8,
-                                       "requests": 10, "completed": 10, "shed": 0,
-                                       "p50_us": 1.0, "p99_us": 2.0,
-                                       "throughput_qps": 900.0 } ] }"#,
-        )
-        .unwrap();
-        let smoke_problems = validate("BENCH_scheduler_smoke.json", &smoke);
-        assert!(
-            smoke_problems.is_empty(),
-            "smoke artifact must pass: {smoke_problems:?}"
-        );
-        // Today's `fig_scheduler` writes the pipeline sweep only.
-        let current = parse(
-            r#"{ "available_cores": 2, "mode": "smoke",
-                 "dataset": { "entries": 4096, "dim": 768 },
-                 "batch_formation_wins": true,
-                 "pipeline_sweep": [ { "offered_qps": 1000.0, "max_batch": 8,
-                                       "requests": 10, "completed": 10, "shed": 0,
-                                       "p50_us": 1.0, "p99_us": 2.0,
-                                       "throughput_qps": 900.0 } ] }"#,
-        )
-        .unwrap();
-        assert_eq!(
-            validate("BENCH_scheduler_smoke.json", &current),
-            Vec::<String>::new()
-        );
-    }
-
-    #[test]
-    fn fault_family_enforces_identity_columns_and_overhead() {
-        // Full-coverage identity must hold, sweep rows carry the columns,
-        // and the healthy-path retry overhead is budgeted in full mode.
-        let doc = parse(
-            r#"{ "mode": "full", "results_identical_when_covered": false,
-                 "retry_overhead": { "healthy_qps": 100.0, "guarded_qps": 90.0,
-                                     "overhead_pct": 10.0 },
-                 "failure_sweep": [ { "replication": 1 } ] }"#,
-        )
-        .unwrap();
-        let problems = validate("BENCH_pr9.json", &doc);
-        assert!(problems
-            .iter()
-            .any(|p| p.contains("results_identical_when_covered")));
-        assert!(problems
-            .iter()
-            .any(|p| p.contains("overhead_pct must be <= 3.0")));
-        assert!(problems
-            .iter()
-            .any(|p| p.contains("failure_sweep[0]") && p.contains("availability")));
-        // Smoke artifacts are too noisy to gate on the percentage.
-        let smoke = parse(
-            r#"{ "mode": "smoke",
-                 "retry_overhead": { "healthy_qps": 100.0, "guarded_qps": 90.0,
-                                     "overhead_pct": 10.0 } }"#,
-        )
-        .unwrap();
-        let smoke_problems = validate("BENCH_fault_tolerance_smoke.json", &smoke);
-        assert!(!smoke_problems
-            .iter()
-            .any(|p| p.contains("overhead_pct must")));
+        let counters = doc.get("counters").unwrap();
+        assert_eq!(counters.get("reis_queries_total"), Some(&Json::Num(3.0)));
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::calibration::{calibrate, measure_pass_fraction, nprobe_fraction_for_recall};
+    use super::calibration::{calibrate, measure_pass_fraction};
     use super::fullscale::{estimate_reis, SearchMode};
     use super::report::geomean;
     use reis_core::ReisConfig;
@@ -1288,8 +558,6 @@ mod tests {
             "recall must not drop as nprobe grows: {recalls:?}"
         );
         assert!(*recalls.last().unwrap() > 0.8);
-        let fraction = nprobe_fraction_for_recall(&calibration, 0.5);
-        assert!(fraction <= 1.0);
         assert!(measure_pass_fraction(&dataset, 0.0) < 0.05);
     }
 

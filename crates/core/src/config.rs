@@ -205,10 +205,10 @@ pub struct ReisConfig {
     /// only windows of ≥ 32 pages actually split across channel/die
     /// workers, so the 4-page default (tuned for transfer cuts) runs its
     /// windows sequentially. Deployments that want adaptive scans to
-    /// parallelize choose a larger window (the `fig_adaptive_window` bench
-    /// sweeps the trade) or a lower per-shard minimum; the *results and
-    /// entry counts* are identical either way — that is the windowed
-    /// schedule's partition invariance.
+    /// parallelize choose a larger window (`reis-perf` reports the barriers
+    /// a query pays as `core.fine_windows_per_op`) or a lower per-shard
+    /// minimum; the *results and entry counts* are identical either way —
+    /// that is the windowed schedule's partition invariance.
     pub adaptive_window_pages: usize,
     /// When the update path compacts automatically (append segments folded
     /// back into dense regions). [`CompactionPolicy::manual`] disables

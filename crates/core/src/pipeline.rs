@@ -27,10 +27,10 @@
 //!
 //! Time is **virtual**: callers stamp submissions with nanosecond
 //! timestamps (e.g. from a seeded
-//! [`ArrivalTrace`](../../reis_workloads/arrival) — the `fig_scheduler`
-//! bench does), and completions are priced by the backend's modelled
-//! latency — searches and mutations alike — serialized through a
-//! device-busy horizon. The whole pipeline is therefore
+//! [`ArrivalTrace`](../../reis_workloads/arrival) — the `pipeline_overload`
+//! workload of `reis-perf` does), and completions are priced by the
+//! backend's modelled latency — searches and mutations alike — serialized
+//! through a device-busy horizon. The whole pipeline is therefore
 //! deterministic: the same trace produces byte-identical completions on any
 //! machine and any pool size, which is what lets the scheduler CI gate diff
 //! its summaries, and lets a QPS-vs-p99 sweep run on a single-core host.

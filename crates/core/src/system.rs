@@ -20,7 +20,7 @@ use reis_sched::WorkerPool;
 use reis_ssd::{SsdController, SsdMode};
 use reis_telemetry::{CounterId, GaugeId, HistogramId, Telemetry};
 
-use crate::config::{ReisConfig, ScanParallelism};
+use crate::config::ReisConfig;
 use crate::database::VectorDatabase;
 use crate::deploy::{self, DeployedDatabase};
 use crate::durable::Durability;
@@ -94,6 +94,8 @@ pub struct ReisSystem {
     pub(crate) scratch: ScanScratch,
     /// The host's available parallelism, captured once: the shard budget
     /// [`ScanParallelism::auto`] resolves to (a batch's `workers` caps it).
+    ///
+    /// [`ScanParallelism::auto`]: crate::config::ScanParallelism::auto
     pub(crate) auto_shards: usize,
     /// The durable store this system checkpoints snapshots to and logs
     /// mutations into — `None` for a purely in-memory system (the
@@ -182,31 +184,6 @@ impl ReisSystem {
     /// The configuration of this instance.
     pub fn config(&self) -> &ReisConfig {
         &self.config
-    }
-
-    /// Change the scan sharding policy of subsequent queries.
-    ///
-    /// Sharding is a host-side execution knob, not a property of the
-    /// deployed data, so it can be reconfigured at any time — benchmarks
-    /// sweep it over one deployment. Results are bit-identical across
-    /// settings; only wall-clock latency changes.
-    pub fn set_scan_parallelism(&mut self, scan_parallelism: ScanParallelism) {
-        self.config.scan_parallelism = scan_parallelism;
-    }
-
-    /// Change the adaptive threshold-window size of subsequent queries
-    /// (clamped to at least 1; see
-    /// [`ReisConfig::adaptive_window_pages`](crate::config::ReisConfig)).
-    ///
-    /// Like scan parallelism, the window is a host-side execution knob, not
-    /// a property of the deployed data, so benchmarks sweep it over one
-    /// deployment. The returned top-k and documents are invariant under the
-    /// window size; the transferred-entry counts — and the latency the
-    /// model prices from them — are what change. The latency model is
-    /// rebuilt so the per-barrier maintenance cost follows the new window.
-    pub fn set_adaptive_window(&mut self, pages: usize) {
-        self.config.adaptive_window_pages = pages.max(1);
-        self.perf = PerfModel::new(self.config);
     }
 
     /// Access to the underlying SSD controller (primarily for inspection in
@@ -306,7 +283,8 @@ impl ReisSystem {
     ///
     /// Same conditions as [`ReisSystem::search`], plus
     /// [`ReisError::UnsupportedSearch`] if the database was deployed without
-    /// cluster structure.
+    /// cluster structure and [`ReisError::InvalidQuery`] for a NaN or
+    /// infinite `target_recall`.
     pub fn ivf_search(
         &mut self,
         db_id: u32,
@@ -314,6 +292,12 @@ impl ReisSystem {
         k: usize,
         target_recall: f64,
     ) -> Result<SearchOutcome> {
+        // `nprobe_for_recall` would map NaN to the smallest probe count.
+        if !target_recall.is_finite() {
+            return Err(ReisError::InvalidQuery(format!(
+                "target recall must be finite, got {target_recall}"
+            )));
+        }
         let nlist = self.database(db_id)?.rivf.len();
         let nprobe = Self::nprobe_for_recall(nlist, target_recall);
         self.run_single(db_id, query, k, Some(nprobe))
@@ -724,6 +708,8 @@ impl ReisSystem {
 
     /// Hand a request to the scan core on this system's device.
     /// `shard_budget` is what [`ScanParallelism::auto`] resolves to for it.
+    ///
+    /// [`ScanParallelism::auto`]: crate::config::ScanParallelism::auto
     pub(crate) fn execute(
         &mut self,
         db_id: u32,
@@ -791,6 +777,8 @@ impl ReisSystem {
     ///
     /// Same conditions as [`ReisSystem::search`]; a malformed query fails the
     /// whole batch before any device work.
+    ///
+    /// [`ScanParallelism`]: crate::config::ScanParallelism
     pub fn search_batch(
         &mut self,
         db_id: u32,
@@ -799,25 +787,6 @@ impl ReisSystem {
         workers: usize,
     ) -> Result<Vec<SearchOutcome>> {
         self.run_batch(db_id, queries, k, None, workers)
-    }
-
-    /// `IVF_Search` over a batch of independent queries with a target
-    /// recall (see [`ReisSystem::search_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ReisSystem::ivf_search`].
-    pub fn ivf_search_batch(
-        &mut self,
-        db_id: u32,
-        queries: &[Vec<f32>],
-        k: usize,
-        target_recall: f64,
-        workers: usize,
-    ) -> Result<Vec<SearchOutcome>> {
-        let nlist = self.database(db_id)?.rivf.len();
-        let nprobe = Self::nprobe_for_recall(nlist, target_recall);
-        self.run_batch(db_id, queries, k, Some(nprobe), workers)
     }
 
     /// IVF batch search with an explicit `nprobe` (see
@@ -1074,27 +1043,10 @@ mod tests {
             Err(ReisError::QueryDimensionMismatch { .. })
         ));
         assert!(matches!(
-            system.ivf_search_batch(id, &[vectors[0].clone()], 5, 0.94, 2),
+            system.ivf_search_batch_with_nprobe(id, &[vectors[0].clone()], 5, 2, 2),
             Err(ReisError::UnsupportedSearch(_))
         ));
         assert!(system.search_batch(id, &[], 5, 4).unwrap().is_empty());
-    }
-
-    /// Equality of everything a query computes. The raw
-    /// `injected_bit_errors` counter is exempt: it reflects the device RNG's
-    /// position, which depends on the *history* of TLC reads on that device,
-    /// not on how the scan of the compared query was parallelized.
-    fn assert_outcome_eq(a: &SearchOutcome, b: &SearchOutcome, ctx: &str) {
-        assert_eq!(a.results, b.results, "results: {ctx}");
-        assert_eq!(a.documents, b.documents, "documents: {ctx}");
-        assert_eq!(a.latency, b.latency, "latency: {ctx}");
-        assert_eq!(a.activity, b.activity, "activity: {ctx}");
-        assert_eq!(a.energy, b.energy, "energy: {ctx}");
-        let mut fa = a.flash_stats;
-        let mut fb = b.flash_stats;
-        fa.injected_bit_errors = 0;
-        fb.injected_bit_errors = 0;
-        assert_eq!(fa, fb, "flash stats: {ctx}");
     }
 
     #[test]
@@ -1128,21 +1080,6 @@ mod tests {
                 assert_eq!(a, b, "ivf, {shards} shards, query {q}");
             }
         }
-    }
-
-    #[test]
-    fn scan_parallelism_is_reconfigurable_at_runtime() {
-        let mut system = ReisSystem::new(ReisConfig::tiny());
-        let (id, vectors) = deploy_flat(&mut system, 96, 64);
-        let baseline = system.search(id, &vectors[11], 5).unwrap();
-        system.set_scan_parallelism(
-            crate::config::ScanParallelism::sharded(4).with_min_pages_per_shard(1),
-        );
-        let sharded = system.search(id, &vectors[11], 5).unwrap();
-        assert_outcome_eq(&baseline, &sharded, "sharded after reconfigure");
-        system.set_scan_parallelism(crate::config::ScanParallelism::sequential());
-        let again = system.search(id, &vectors[11], 5).unwrap();
-        assert_outcome_eq(&again, &baseline, "sequential after reconfigure");
     }
 
     #[test]

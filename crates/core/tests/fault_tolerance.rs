@@ -633,6 +633,46 @@ fn covering_scenarios_hold_the_guarantee_across_shapes() {
     }
 }
 
+/// Replication buys availability: under the same seeded transient fault
+/// rates and one permanent kill of leaf 0 a quarter of the way in, three
+/// replicas answer at full coverage at least as often as one at every rate —
+/// and at rate 0, where the kill is the only fault, R = 1 loses the shard
+/// while R = 3 fails over and never degrades.
+#[test]
+fn replication_never_costs_availability_and_absorbs_a_kill() {
+    let (vectors, documents) = corpus(36);
+    let queries: Vec<Vec<f32>> = (0..16u32).map(|q| vector_for(8_200 + q, 71)).collect();
+    let fail_rates_ppm = [0u32, 10_000, 50_000, 100_000, 200_000];
+    let covered = |replication: usize, rate_idx: usize| {
+        let fail_ppm = fail_rates_ppm[rate_idx];
+        let seed = 0xFA17_0B5E ^ ((replication as u64) << 32) ^ rate_idx as u64;
+        let plan = FaultPlan::new(seed, fail_ppm, fail_ppm / 2).with_kill(0, 4);
+        let mut cluster = ClusterSystem::new_replicated(ReisConfig::tiny(), 3, replication)
+            .unwrap()
+            .with_fault_plan(Some(plan))
+            .with_retry_policy(retry());
+        cluster.deploy_flat(&vectors, &documents).unwrap();
+        queries
+            .iter()
+            .filter(|query| cluster.search(query, 5).unwrap().is_full_coverage())
+            .count()
+    };
+    let coverage: Vec<(usize, usize)> = (0..fail_rates_ppm.len())
+        .map(|rate_idx| (covered(1, rate_idx), covered(3, rate_idx)))
+        .collect();
+    for (fail_ppm, (r1, r3)) in fail_rates_ppm.iter().zip(&coverage) {
+        assert!(
+            r3 >= r1,
+            "{fail_ppm} ppm: {r3} of 16 covered at R = 3 against {r1} at R = 1"
+        );
+    }
+    assert_eq!(
+        coverage[0],
+        (4, queries.len()),
+        "R = 1 answers in full until the kill, R = 3 absorbs it"
+    );
+}
+
 /// Deterministic failover walk at replication 2: a killed primary fails
 /// over without touching the answer, mutations keep only the live
 /// replicas moving (the down one goes stale, CRC-visibly), and rejoin

@@ -249,6 +249,39 @@ fn fused_batch_composes_with_intra_query_sharding() {
     );
 }
 
+#[test]
+fn brute_force_batch_of_eight_senses_a_quarter_of_one_by_one() {
+    // A batch shares the embedding pages and nothing else: every query
+    // still reads its own rerank and document pages (at k = 1, at most 10
+    // INT8 pages and one document). 72 embedding pages — 28 entries each,
+    // the OOB bound — make the shared part dominate, as the full-size
+    // corpus does on the real geometry. (One document per 4 KiB page is what
+    // the block count is for.)
+    let mut config = ReisConfig::tiny();
+    config.ssd.geometry.blocks_per_plane = 64;
+    let mut system = ReisSystem::new(config);
+    let all = vectors(72 * 28, 64);
+    let db = VectorDatabase::flat(&all, documents(all.len())).unwrap();
+    let id = system.deploy(&db).unwrap();
+    assert_eq!(system.database(id).unwrap().layout.embedding_pages, 72);
+    let queries: Vec<Vec<f32>> = (0..8).map(|q| all[q * 251 + 5].clone()).collect();
+
+    let before = *system.controller().device().stats();
+    for query in &queries {
+        system.search(id, query, 1).unwrap();
+    }
+    let one_by_one = system.controller().device().stats().delta_since(&before);
+    let before = *system.controller().device().stats();
+    system.search_batch(id, &queries, 1, 1).unwrap();
+    let batch = system.controller().device().stats().delta_since(&before);
+    assert!(
+        batch.page_reads * 4 <= one_by_one.page_reads,
+        "a batch of 8 sensed {} pages, one by one {}",
+        batch.page_reads,
+        one_by_one.page_reads
+    );
+}
+
 /// Eight well-separated clusters, so a few flipped bits in a sensed page
 /// cannot move an entry past its own cluster mates.
 fn clustered_vectors(n: usize, dim: usize) -> Vec<Vec<f32>> {

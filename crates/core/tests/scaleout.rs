@@ -26,10 +26,10 @@ use proptest::prelude::*;
 
 use reis_cluster::{ClusterSystem, HedgePolicy, LatencyModel};
 use reis_core::{
-    CompactionPolicy, DurableStore, FaultVfs, MemVfs, ReisConfig, ReisSystem, ScanParallelism,
-    SearchOutcome, VectorDatabase,
+    CompactionPolicy, DurableStore, FaultVfs, HistogramId, MemVfs, ReisConfig, ReisSystem,
+    ScanParallelism, SearchOutcome, VectorDatabase,
 };
-use reis_nand::Nanos;
+use reis_nand::{Geometry, Nanos};
 use reis_workloads::LeafCrashSchedule;
 
 const DIM: usize = 32;
@@ -593,6 +593,95 @@ fn hedged_schedules_never_change_results() {
     for (tied, bare) in hedge_ties.iter().zip(&tie_unhedged) {
         assert_eq!(tied.fanout_latency, bare.fanout_latency);
     }
+}
+
+/// The leaves scan their shards side by side, so the modelled fan-out
+/// shrinks with the shard and modelled QPS grows with the leaf count:
+/// better than half of linear at eight leaves.
+#[test]
+fn modelled_qps_grows_with_the_leaf_count() {
+    // A narrow package (8 planes of 4 KiB pages) under SSD1 timing: the
+    // one-leaf scan spans many plane rounds, so sharding has rounds to
+    // remove. On the 256-plane SSD1 geometry any corpus a test can build
+    // fits one round and every leaf count costs the same.
+    let mut config = ReisConfig::ssd1();
+    config.ssd.geometry = Geometry {
+        blocks_per_plane: 128,
+        pages_per_block: 64,
+        ..Geometry::tiny()
+    };
+    // splitmix64-mixed components: `vector_for`'s multiplicative sequence
+    // puts a query's nearest neighbours next to each other in id space, on
+    // one leaf, which then reranks for the whole cluster.
+    let spread = |id: u32| -> Vec<f32> {
+        (0..DIM as u64)
+            .map(|d| {
+                let mut x = (u64::from(id) << 32 | d).wrapping_add(0x9E37_79B9_7F4A_7C15);
+                x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((x ^ (x >> 31)) % 201) as f32 - 100.0
+            })
+            .collect()
+    };
+    let vectors: Vec<Vec<f32>> = (0..8_192).map(spread).collect();
+    let documents: Vec<Vec<u8>> = (0..8_192).map(|id| doc_for(id, 0)).collect();
+    let queries: Vec<Vec<f32>> = (0..4).map(|q| spread(1_000_000 + q)).collect();
+    let modelled_qps = |leaves: usize| {
+        let mut cluster = ClusterSystem::new(config, leaves).unwrap();
+        cluster.deploy_flat(&vectors, &documents).unwrap();
+        let mut total = Nanos::ZERO;
+        for query in &queries {
+            total += cluster.search(query, 10).unwrap().latency;
+        }
+        queries.len() as f64 / total.as_secs_f64()
+    };
+    let (one, eight) = (modelled_qps(1), modelled_qps(8));
+    assert!(
+        eight > 4.0 * one,
+        "8 leaves: {eight:.0} modelled QPS against {one:.0} on one leaf"
+    );
+}
+
+/// Under a heavy-tailed seeded skew, duplicating straggling leaf requests
+/// pays: a tight hedging deadline cuts the mean modelled fan-out and does
+/// not worsen the tail of the per-leaf completion times the aggregator
+/// records.
+#[test]
+fn a_tight_hedge_deadline_cuts_mean_fanout_and_the_completion_tail() {
+    let (vectors, documents) = corpus(96);
+    let queries: Vec<Vec<f32>> = (0..16u32).map(|q| vector_for(300 + q, 41)).collect();
+    // 100 us of base skew plus up to 3 ms of per-(leaf, query) jitter: a
+    // hedge beats its primary when the primary's draw exceeds the deadline
+    // plus the hedge's own, so the jitter must dwarf the deadline.
+    let run = |deadline: Option<Nanos>| {
+        let mut cluster = ClusterSystem::new(ReisConfig::tiny(), 4)
+            .unwrap()
+            .with_latency_model(LatencyModel::new(0x5CA1_E0D7, 100_000, 3_000_000))
+            .with_hedging(deadline.map(HedgePolicy::new));
+        cluster.deploy_flat(&vectors, &documents).unwrap();
+        cluster.enable_telemetry();
+        let mut fanout = Nanos::ZERO;
+        let mut hedges = 0;
+        for query in &queries {
+            let outcome = cluster.search(query, 5).unwrap();
+            fanout += outcome.fanout_latency;
+            hedges += outcome.hedges_launched;
+        }
+        let completion = cluster.telemetry().histogram(HistogramId::LeafCompletionNs);
+        assert_eq!(completion.count, (queries.len() * 4) as u64);
+        (fanout, completion.quantile(0.99), hedges)
+    };
+    let (unhedged, unhedged_p99, _) = run(None);
+    let (hedged, hedged_p99, hedges) = run(Some(Nanos::from_micros(400)));
+    assert!(hedges > 0, "the schedule must actually hedge");
+    assert!(
+        hedged < unhedged,
+        "summed fan-out {hedged:?} hedged against {unhedged:?} unhedged"
+    );
+    assert!(
+        hedged_p99 <= unhedged_p99,
+        "completion p99 {hedged_p99} ns hedged against {unhedged_p99} ns unhedged"
+    );
 }
 
 /// Duplicate vectors straddling shard boundaries: the lifted tie-break

@@ -256,6 +256,70 @@ fn query_trace_spans_match_latency_breakdown() {
     );
 }
 
+/// Search-versus-mutation interference on the modelled clock: append
+/// segments and tombstones give a probe more pages to scan and nothing
+/// less, so the `reis_query_modelled_ns` histogram of a probe round over
+/// the dirtied index reads no lower — in its median and in its exact sum —
+/// than the same round on the quiescent deployment.
+#[test]
+fn dirty_index_probes_are_modelled_no_cheaper_than_quiescent_ones() {
+    use reis_core::CompactionPolicy;
+
+    let (vectors, documents) = corpus(96, 17);
+    let db = VectorDatabase::ivf(&vectors, documents, 6).unwrap();
+    let mut system =
+        ReisSystem::new(ReisConfig::tiny().with_compaction(CompactionPolicy::manual()));
+    system.enable_telemetry();
+    let db_id = system.deploy(&db).unwrap();
+
+    let probe_round = |system: &mut ReisSystem| {
+        let before = system.telemetry().histogram(HistogramId::QueryModelledNs);
+        for q in 0..8 {
+            system
+                .ivf_search_with_nprobe(db_id, &vectors[q * 11], 5, 3)
+                .unwrap();
+        }
+        system
+            .telemetry()
+            .histogram(HistogramId::QueryModelledNs)
+            .delta(&before)
+    };
+    let quiescent = probe_round(&mut system);
+
+    // Two inserts to one delete to one upsert, as the mixed traces run.
+    for m in 0..24usize {
+        let fresh: Vec<f32> = (0..DIM)
+            .map(|d| (((m * 7 + d * 3) % 23) as f32 - 11.0) / 4.0)
+            .collect();
+        let target = (m * 3) as u32;
+        match m % 4 {
+            0 | 1 => system.insert(db_id, &fresh, b"fresh".to_vec()),
+            2 => system.delete(db_id, target),
+            _ => system.upsert(db_id, target + 1, &fresh, b"moved"),
+        }
+        .unwrap();
+    }
+    let mutations = system
+        .telemetry()
+        .histogram(HistogramId::MutationModelledNs);
+    assert_eq!(mutations.count, 24, "every mutation was observed");
+
+    let dirty = probe_round(&mut system);
+    assert_eq!((quiescent.count, dirty.count), (8, 8));
+    assert!(
+        dirty.quantile(0.5) >= quiescent.quantile(0.5),
+        "modelled p50 {} ns dirty against {} ns quiescent",
+        dirty.quantile(0.5),
+        quiescent.quantile(0.5)
+    );
+    assert!(
+        dirty.sum > quiescent.sum,
+        "modelled total {} ns dirty against {} ns quiescent",
+        dirty.sum,
+        quiescent.sum
+    );
+}
+
 /// Durability wiring: WAL appends, snapshot writes and recovery land in
 /// the registry when telemetry is enabled via the environment.
 #[test]

@@ -1,11 +1,12 @@
 //! One validation, every front door.
 //!
 //! A search request that can never be answered as asked — `k = 0`,
-//! `nprobe = 0`, a NaN or infinite query component, the wrong dimensionality,
-//! an IVF search of a flat deployment — is refused with the same typed
-//! error by every way into the scan core, before any device work: single
-//! and batched searches, leaf queries, the dry-run validators, the request
-//! pipeline over either backend (at submission) and the cluster front doors.
+//! `nprobe = 0`, a NaN or infinite query component or target recall, the wrong
+//! dimensionality, an IVF search of a flat deployment — is refused with the
+//! same typed error by every way into the scan core, before any device work:
+//! single and batched searches, leaf queries, the dry-run validators, the
+//! request pipeline over either backend (at submission) and the cluster front
+//! doors.
 
 use reis_cluster::ClusterSystem;
 use reis_core::{
@@ -114,9 +115,9 @@ fn submit_once<B: Backend>(
     submitted
 }
 
-/// Every front door. `ivf_search` / `ivf_search_batch` take a target recall
-/// instead of a probe count, so they cannot express `nprobe = 0`; the rows
-/// that need it skip them (`takes_nprobe`).
+/// Every front door. `ivf_search` takes a target recall instead of a probe
+/// count, so it cannot express `nprobe = 0`; the rows that need it skip it
+/// (`takes_nprobe`).
 fn doors() -> Vec<(&'static str, bool, Door)> {
     vec![
         ("search / ivf_search_with_nprobe", true, |f, q, k, np| {
@@ -144,14 +145,6 @@ fn doors() -> Vec<(&'static str, bool, Door)> {
                 .map(drop)
             },
         ),
-        ("ivf_search_batch", false, |f, q, k, np| {
-            let queries = batch_around(q);
-            match np {
-                Some(_) => f.system.ivf_search_batch(f.db, &queries, k, 0.94, 4),
-                None => f.system.search_batch(f.db, &queries, k, 4),
-            }
-            .map(drop)
-        }),
         ("leaf_query", true, |f, q, k, np| {
             f.system.leaf_query(f.db, q, k, np).map(drop)
         }),
@@ -261,6 +254,15 @@ fn every_front_door_refuses_malformed_requests_before_any_device_work() {
                 );
             }
         }
+    }
+    // The one door that takes a target recall refuses a non-finite one the
+    // same way (NaN would otherwise clamp to the smallest probe count).
+    for recall in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let error = ivf
+            .system
+            .ivf_search(ivf.db, &good, 3, recall)
+            .expect_err(&format!("ivf_search accepted target recall {recall}"));
+        assert!(invalid(&error), "target recall {recall}: {error:?}");
     }
     assert_eq!(
         ivf.page_reads(),

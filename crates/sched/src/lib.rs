@@ -2,9 +2,10 @@
 //!
 //! REIS's throughput case rests on keeping every channel/die busy while the
 //! host stays decoupled from device-side work. Before this crate, the engine
-//! spawned scoped threads anew for every adaptive scan window — and
-//! `BENCH_pr5.json` showed the per-window spawn/join overhead eating the
-//! sharding win at transfer-optimal window sizes. [`WorkerPool`] is the fix:
+//! spawned scoped threads anew for every adaptive scan window — and the
+//! per-window spawn/join overhead ate the sharding win at transfer-optimal
+//! window sizes (what a dispatch costs today is `sched.scope_dispatch_us`
+//! in `reis-perf`). [`WorkerPool`] is the fix:
 //! a long-lived pool built on std
 //! primitives only, constructed once per [`ReisSystem`](../reis_core) and
 //! reused by every query path afterwards, so no query or mutation path

@@ -139,7 +139,8 @@ mod tests {
         assert!(json.contains("\"reis_fine_entries_total\": 77"));
         assert!(json.contains("\"reis_fanout_ns\": { \"count\": 1"));
         // Braces and quotes balance (cheap well-formedness check; the
-        // real parser check lives in reis-bench's artifact validator).
+        // real parser check is `reis-bench`'s
+        // `telemetry_json_snapshot_parses_into_its_three_sections`).
         assert_eq!(
             json.matches('{').count(),
             json.matches('}').count(),
