@@ -14,9 +14,10 @@
 //!   replication factor `R` each shard's slice is deployed identically
 //!   to all `R` leaves of its replica group.
 //! * **Search** fans out [`ReisSystem::leaf_query`] to one live replica
-//!   per shard, merges under the lifted `(distance, shard, storage
-//!   index)` orders ([`crate::merge`]) and fetches only the winners'
-//!   chunks from their serving replicas.
+//!   per shard — concurrently, on the aggregator's worker pool — merges
+//!   under the lifted `(distance, shard, storage index)` orders
+//!   ([`crate::merge`]) and fetches only the winners' chunks from their
+//!   serving replicas.
 //! * **Mutations** route to every live replica of the owning shard with
 //!   globally assigned stable ids, so the cluster's id namespace is the
 //!   single device's and replicas stay in bit-identical lockstep.
@@ -44,9 +45,10 @@ use reis_telemetry::{CounterId, HistogramId, QueryTrace, Span, Telemetry};
 
 use reis_core::system::ReisSystem;
 use reis_core::{
-    Backend, ClusterInfo, CompactionOutcome, DurableStore, LeafCandidate, Modelled,
-    MutationOutcome, Pipeline, PipelineConfig, QueryActivity, RecoveryReport, ReisConfig,
-    ReisError, Result, ScrubReport, VectorDatabase, DOC_SUBPAGE_BYTES,
+    host_parallelism, Backend, ClusterInfo, CompactionOutcome, DurableStore, LeafCandidate,
+    LeafQueryOutcome, Modelled, MutationOutcome, Pipeline, PipelineConfig, QueryActivity,
+    RecoveryReport, ReisConfig, ReisError, Result, ScrubReport, VectorDatabase, WorkerPool,
+    DOC_SUBPAGE_BYTES,
 };
 
 use crate::fault::{FaultDecision, FaultPlan};
@@ -66,6 +68,9 @@ const DOC_ATTEMPT: u32 = 2;
 /// attempt `RETRY_ATTEMPT_BASE + n`, keeping retry service times
 /// independent of the primary/hedge/doc draws.
 const RETRY_ATTEMPT_BASE: u32 = 3;
+
+/// What one fanned-out leaf call returned, with its wall time in ns.
+type LeafAnswer = (Result<LeafQueryOutcome>, u64);
 
 /// Cluster-wide activity accounting of one fanned-out query. Deliberately
 /// free of any schedule-dependent field: the same query against the same
@@ -201,6 +206,12 @@ pub struct ClusterSystem {
     /// Run [`ClusterSystem::scrub`] after every save and fail the save on
     /// corruption.
     scrub_on_save: bool,
+    /// The host's parallelism, captured once: the scan budget a query's
+    /// serving leaves split between them.
+    host_budget: usize,
+    /// The pool a query's leaf calls run on. Sized by
+    /// `REIS_SCHED_WORKERS`, else by `host_budget`, like a leaf's own.
+    pool: WorkerPool,
 }
 
 impl ClusterSystem {
@@ -242,6 +253,7 @@ impl ClusterSystem {
         router: ShardRouter,
         manifest_vfs: Option<Box<dyn Vfs>>,
     ) -> Self {
+        let host_budget = host_parallelism();
         ClusterSystem {
             config,
             health: vec![LeafHealth::new(); leaves.len()],
@@ -258,6 +270,8 @@ impl ClusterSystem {
             retry: RetryPolicy::default(),
             agg_wal: Vec::new(),
             scrub_on_save: false,
+            host_budget,
+            pool: WorkerPool::from_env(host_budget),
         }
     }
 
@@ -394,16 +408,6 @@ impl ClusterSystem {
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
-    }
-
-    /// Replace the fault plan in place (`None` never faults).
-    pub fn set_fault_plan(&mut self, fault: Option<FaultPlan>) {
-        self.fault = fault;
-    }
-
-    /// Replace the retry policy in place.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
     }
 
     /// Scrub every live leaf's durable store after each save and fail the
@@ -580,10 +584,25 @@ impl ClusterSystem {
 
     /// Brute-force top-k over the whole cluster.
     ///
+    /// A query runs in three phases. *Plan* walks the shards in order and
+    /// picks one serving replica each, drawing every fault-plan decision
+    /// and applying every retry, failover and mark-down before any leaf
+    /// runs. *Execute* runs the serving leaves' [`ReisSystem::leaf_query`]
+    /// as tasks on the aggregator's pool (inline when only one serves),
+    /// each under `max(1, host parallelism / serving leaves)` scan shards.
+    /// *Gather* folds the answers in shard order, then merges and fetches
+    /// the winners' documents. Results, modelled latencies, fault-plan
+    /// cursors and counters are those of calling the leaves one after
+    /// another, whatever the pool size.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`ReisSystem::search`], plus
-    /// [`ReisError::MalformedDatabase`] before a corpus is deployed.
+    /// [`ReisError::MalformedDatabase`] before a corpus is deployed. The
+    /// first leaf error in shard order is returned; by then the fault plan
+    /// has ruled, and leaf health has absorbed, the calls of *every*
+    /// shard, later ones included. A panicking leaf task surfaces as
+    /// [`ReisError::WorkerPanic`] instead of unwinding the caller.
     pub fn search(&mut self, query: &[f32], k: usize) -> Result<ClusterSearchOutcome> {
         self.run(query, k, None)
     }
@@ -659,125 +678,70 @@ impl ClusterSystem {
         let enabled = self.telemetry.is_enabled();
         let mut spans: Vec<Span> = Vec::new();
 
-        // Scatter: one live replica per shard runs the in-storage pipeline
-        // through the rerank and reports its full scored candidate set.
-        // Within a shard, replicas are tried in failover order: known-down
-        // replicas are skipped outright (no fault-plan draw), transient
-        // faults are retried with deterministic exponential backoff, and a
-        // replica that exhausts its retries is marked down before the next
-        // replica takes over. A shard whose replicas are all down
-        // contributes nothing and is reported uncovered.
+        // Plan: pick one serving replica per shard, drawing every fault
+        // decision before any leaf runs.
         let num_shards = self.router.num_shards();
-        let mut per_shard: Vec<Vec<LeafCandidate>> = Vec::with_capacity(num_shards);
-        let mut serving: Vec<Option<usize>> = vec![None; num_shards];
-        let mut activity = QueryActivity::default();
-        let mut budget = 0;
+        let (serving, penalties): (Vec<Option<usize>>, Vec<Nanos>) = (0..num_shards)
+            .map(|shard| self.plan_shard(shard, seq))
+            .unzip();
         let mut fanout_latency = Nanos::ZERO;
-        let mut hedges_launched = 0;
-        for (shard, serving_slot) in serving.iter_mut().enumerate() {
-            // Modelled time burned on this shard before a replica answers:
-            // failed attempts, backoffs and timeout deadlines, sequentially.
-            let mut penalty = Nanos::ZERO;
-            let mut candidates: Vec<LeafCandidate> = Vec::new();
-            for leaf_idx in self.router.replicas(shard) {
-                if self.health[leaf_idx].is_down() {
-                    if enabled {
-                        self.telemetry.count(CounterId::LeafFailovers, 1);
-                    }
-                    continue;
-                }
-                let mut attempt: u32 = 0;
-                let mut served = false;
-                loop {
-                    let decision = match self.fault.as_mut() {
-                        Some(plan) => plan.decide(leaf_idx),
-                        None => FaultDecision::Ok,
-                    };
-                    match decision {
-                        FaultDecision::Ok => {
-                            let leaf_started = enabled.then(Instant::now);
-                            let outcome = self.leaves[leaf_idx].leaf_query(
-                                self.leaf_dbs[leaf_idx],
-                                query,
-                                k,
-                                nprobe,
-                            )?;
-                            debug_assert!(
-                                budget == 0 || budget == outcome.candidate_budget,
-                                "leaves disagree on the candidate budget"
-                            );
-                            budget = outcome.candidate_budget;
-                            let (completion, hedged) = leaf_completion(
-                                &self.latency,
-                                self.hedge,
-                                leaf_idx,
-                                seq,
-                                outcome.latency.total(),
-                            );
-                            let shard_completion = penalty + completion;
-                            fanout_latency = fanout_latency.max(shard_completion);
-                            hedges_launched += usize::from(hedged);
-                            activity.absorb(&outcome.activity);
-                            candidates = outcome.candidates;
-                            self.health[leaf_idx].on_success();
-                            if enabled {
-                                self.telemetry.count(CounterId::LeafRequests, 1);
-                                if hedged {
-                                    self.telemetry.count(CounterId::HedgesLaunched, 1);
-                                }
-                                self.telemetry.observe(
-                                    HistogramId::LeafCompletionNs,
-                                    shard_completion.as_nanos(),
-                                );
-                                spans.push(Span {
-                                    stage: if hedged { "leaf_hedged" } else { "leaf" },
-                                    index: leaf_idx as u32,
-                                    wall_ns: leaf_started
-                                        .map(|t0| t0.elapsed().as_nanos() as u64)
-                                        .unwrap_or(0),
-                                    modelled_ns: shard_completion.as_nanos(),
-                                });
-                            }
-                            served = true;
-                            break;
-                        }
-                        FaultDecision::Unavailable => {
-                            // A fast failure still costs one service draw.
-                            penalty +=
-                                self.latency
-                                    .delay(leaf_idx, seq, RETRY_ATTEMPT_BASE + attempt);
-                            self.health[leaf_idx].on_failure();
-                        }
-                        FaultDecision::Timeout => {
-                            penalty += self.retry.deadline;
-                            self.health[leaf_idx].on_failure();
-                        }
-                    }
-                    if attempt >= self.retry.max_retries {
-                        let position = self.agg_wal.len();
-                        self.health[leaf_idx].mark_down(position);
-                        if enabled {
-                            self.telemetry.count(CounterId::LeafFailovers, 1);
-                        }
-                        break;
-                    }
-                    penalty += self.retry.backoff(attempt);
-                    attempt += 1;
-                    if enabled {
-                        self.telemetry.count(CounterId::LeafRetries, 1);
-                    }
-                }
-                if served {
-                    *serving_slot = Some(leaf_idx);
-                    break;
-                }
-            }
-            if serving_slot.is_none() {
+        for (leaf, &penalty) in serving.iter().zip(&penalties) {
+            if leaf.is_none() {
                 // The shard is uncovered; the time spent discovering that
                 // still gates the fan-out.
                 fanout_latency = fanout_latency.max(penalty);
             }
-            per_shard.push(candidates);
+        }
+
+        // Execute: every serving leaf runs the in-storage pipeline through
+        // the rerank and reports its full scored candidate set.
+        let calls: Vec<usize> = serving.iter().flatten().copied().collect();
+        let mut answers = self.fan_out(&calls, query, k, nprobe, enabled)?.into_iter();
+
+        // Gather, in shard order. A shard whose replicas are all down
+        // contributes nothing and is reported uncovered.
+        let mut per_shard: Vec<Vec<LeafCandidate>> = vec![Vec::new(); num_shards];
+        let mut activity = QueryActivity::default();
+        let mut budget = 0;
+        let mut hedges_launched = 0;
+        for (shard, slot) in serving.iter().enumerate() {
+            let Some(leaf_idx) = *slot else {
+                continue;
+            };
+            let (answer, wall_ns) = answers.next().expect("one answer per serving leaf");
+            let outcome = answer?;
+            debug_assert!(
+                budget == 0 || budget == outcome.candidate_budget,
+                "leaves disagree on the candidate budget"
+            );
+            budget = outcome.candidate_budget;
+            let (completion, hedged) = leaf_completion(
+                &self.latency,
+                self.hedge,
+                leaf_idx,
+                seq,
+                outcome.latency.total(),
+            );
+            let shard_completion = penalties[shard] + completion;
+            fanout_latency = fanout_latency.max(shard_completion);
+            hedges_launched += usize::from(hedged);
+            activity.absorb(&outcome.activity);
+            per_shard[shard] = outcome.candidates;
+            self.health[leaf_idx].on_success();
+            if enabled {
+                self.telemetry.count(CounterId::LeafRequests, 1);
+                if hedged {
+                    self.telemetry.count(CounterId::HedgesLaunched, 1);
+                }
+                self.telemetry
+                    .observe(HistogramId::LeafCompletionNs, shard_completion.as_nanos());
+                spans.push(Span {
+                    stage: if hedged { "leaf_hedged" } else { "leaf" },
+                    index: leaf_idx as u32,
+                    wall_ns,
+                    modelled_ns: shard_completion.as_nanos(),
+                });
+            }
         }
         let covered: Vec<bool> = serving.iter().map(Option::is_some).collect();
         let degraded = covered.iter().any(|&c| !c);
@@ -869,6 +833,105 @@ impl ClusterSystem {
             hedges_launched,
             shard_coverage: ShardCoverage::new(covered),
         })
+    }
+
+    /// Pick the replica of `shard` that serves query `seq`, without
+    /// calling any leaf. Replicas are tried in failover order: known-down
+    /// replicas are skipped outright (no fault-plan draw), transient faults
+    /// are retried with deterministic exponential backoff, and a replica
+    /// that exhausts its retries is marked down before the next replica
+    /// takes over. Returns the serving leaf (`None` when every replica is
+    /// down) and the modelled time burned before it answers: failed
+    /// attempts, backoffs and timeout deadlines, sequentially.
+    fn plan_shard(&mut self, shard: usize, seq: u64) -> (Option<usize>, Nanos) {
+        let mut penalty = Nanos::ZERO;
+        for leaf_idx in self.router.replicas(shard) {
+            if self.health[leaf_idx].is_down() {
+                self.telemetry.count(CounterId::LeafFailovers, 1);
+                continue;
+            }
+            let mut attempt: u32 = 0;
+            loop {
+                let decision = match self.fault.as_mut() {
+                    Some(plan) => plan.decide(leaf_idx),
+                    None => FaultDecision::Ok,
+                };
+                match decision {
+                    FaultDecision::Ok => return (Some(leaf_idx), penalty),
+                    FaultDecision::Unavailable => {
+                        // A fast failure still costs one service draw.
+                        penalty += self
+                            .latency
+                            .delay(leaf_idx, seq, RETRY_ATTEMPT_BASE + attempt);
+                        self.health[leaf_idx].on_failure();
+                    }
+                    FaultDecision::Timeout => {
+                        penalty += self.retry.deadline;
+                        self.health[leaf_idx].on_failure();
+                    }
+                }
+                if attempt >= self.retry.max_retries {
+                    let position = self.agg_wal.len();
+                    self.health[leaf_idx].mark_down(position);
+                    self.telemetry.count(CounterId::LeafFailovers, 1);
+                    break;
+                }
+                penalty += self.retry.backoff(attempt);
+                attempt += 1;
+                self.telemetry.count(CounterId::LeafRetries, 1);
+            }
+        }
+        (None, penalty)
+    }
+
+    /// Run `leaf_query` on each of the distinct leaves `calls`, each under
+    /// an equal share of the host's scan budget: as tasks on the
+    /// aggregator's pool, or inline when there is only one. Answers come
+    /// back in `calls` order with each call's wall time (0 unless `timed`).
+    ///
+    /// # Errors
+    ///
+    /// [`ReisError::WorkerPanic`] when a leaf task panicked; a leaf's own
+    /// error is part of its answer.
+    fn fan_out(
+        &mut self,
+        calls: &[usize],
+        query: &[f32],
+        k: usize,
+        nprobe: Option<usize>,
+        timed: bool,
+    ) -> Result<Vec<LeafAnswer>> {
+        let workers = (self.host_budget / calls.len().max(1)).max(1);
+        let call = |leaf: &mut ReisSystem, db: u32| -> LeafAnswer {
+            let started = timed.then(Instant::now);
+            let answer = leaf.leaf_query(db, query, k, nprobe, workers);
+            let wall_ns = started.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+            (answer, wall_ns)
+        };
+        let mut leaves: Vec<Option<&mut ReisSystem>> = self.leaves.iter_mut().map(Some).collect();
+        let tasks: Vec<(&mut ReisSystem, u32)> = calls
+            .iter()
+            .map(|&leaf| {
+                let system = leaves[leaf].take().expect("a leaf serves one shard");
+                (system, self.leaf_dbs[leaf])
+            })
+            .collect();
+        if tasks.len() <= 1 {
+            return Ok(tasks.into_iter().map(|(leaf, db)| call(leaf, db)).collect());
+        }
+        let mut answers: Vec<Option<LeafAnswer>> = calls.iter().map(|_| None).collect();
+        let call = &call;
+        self.pool
+            .scope(|scope| {
+                for ((leaf, db), slot) in tasks.into_iter().zip(answers.iter_mut()) {
+                    scope.spawn(move |_| *slot = Some(call(leaf, db)));
+                }
+            })
+            .map_err(|panic| ReisError::WorkerPanic(panic.message))?;
+        Ok(answers
+            .into_iter()
+            .map(|answer| answer.expect("every leaf task ran"))
+            .collect())
     }
 
     /// Insert one entry under a freshly minted global stable id (see
@@ -1360,8 +1423,9 @@ impl Modelled for ClusterSearchOutcome {
 /// The cluster behind the request pipeline. A formed batch fans out once
 /// per query and is priced by the aggregator's modelled end-to-end latency;
 /// a mutation is priced by its owning shards' first live replicas. The
-/// pipeline's shard budget is not forwarded: each leaf shards its scan by
-/// its own captured parallelism.
+/// pipeline's shard budget is not forwarded: the aggregator splits its own
+/// captured host parallelism between the leaves a query runs on (see
+/// [`ClusterSystem::search`]).
 impl Backend for &mut ClusterSystem {
     type Search = ClusterSearchOutcome;
 

@@ -44,6 +44,10 @@ pub struct MergeOutcome {
 /// Merge per-leaf candidate sets into the global top `k`: the global
 /// candidate cut to `budget` by `(binary, leaf, storage index)`, then the
 /// top `k` by `(raw, leaf, storage index)`.
+///
+/// Both keys are total orders (a leaf reports each storage index once), so
+/// selecting each cut and sorting only the `k` winners yields exactly what
+/// sorting the whole union twice would.
 pub fn merge_top_k(per_leaf: &[Vec<LeafCandidate>], budget: usize, k: usize) -> MergeOutcome {
     let mut union: Vec<RankedCandidate> = per_leaf
         .iter()
@@ -56,17 +60,32 @@ pub fn merge_top_k(per_leaf: &[Vec<LeafCandidate>], budget: usize, k: usize) -> 
         .collect();
     let merged_candidates = union.len();
 
-    union.sort_unstable_by_key(|r| (r.candidate.binary, r.leaf, r.candidate.storage_index));
-    union.truncate(budget);
+    keep_least(&mut union, budget, |r| {
+        (r.candidate.binary, r.leaf, r.candidate.storage_index)
+    });
     let cut_candidates = union.len();
 
-    union.sort_unstable_by_key(|r| (r.candidate.raw, r.leaf, r.candidate.storage_index));
-    union.truncate(k);
+    let rank = |r: &RankedCandidate| (r.candidate.raw, r.leaf, r.candidate.storage_index);
+    keep_least(&mut union, k, rank);
+    union.sort_unstable_by_key(rank);
 
     MergeOutcome {
         winners: union,
         merged_candidates,
         cut_candidates,
+    }
+}
+
+/// Keep the `n` least elements of `items` under the total order `key`, in
+/// no particular order.
+fn keep_least<K: Ord>(
+    items: &mut Vec<RankedCandidate>,
+    n: usize,
+    key: impl FnMut(&RankedCandidate) -> K,
+) {
+    if n < items.len() {
+        items.select_nth_unstable_by_key(n, key);
+        items.truncate(n);
     }
 }
 
@@ -131,6 +150,64 @@ mod tests {
             vec![2, 1],
             "raw-best candidate must not survive the binary cut"
         );
+    }
+
+    /// The merge as it was first written: sort the whole union by the cut
+    /// key, truncate, sort the survivors by the rank key, truncate.
+    fn two_sort_reference(
+        per_leaf: &[Vec<LeafCandidate>],
+        budget: usize,
+        k: usize,
+    ) -> MergeOutcome {
+        let mut union: Vec<RankedCandidate> = per_leaf
+            .iter()
+            .enumerate()
+            .flat_map(|(leaf, candidates)| {
+                candidates
+                    .iter()
+                    .map(move |&candidate| RankedCandidate { leaf, candidate })
+            })
+            .collect();
+        let merged_candidates = union.len();
+        union.sort_by_key(|r| (r.candidate.binary, r.leaf, r.candidate.storage_index));
+        union.truncate(budget);
+        let cut_candidates = union.len();
+        union.sort_by_key(|r| (r.candidate.raw, r.leaf, r.candidate.storage_index));
+        union.truncate(k);
+        MergeOutcome {
+            winners: union,
+            merged_candidates,
+            cut_candidates,
+        }
+    }
+
+    #[test]
+    fn selecting_merge_equals_the_two_sort_reference() {
+        let mut state = 0x3E26_E5E1_u64;
+        let mut draw = |bound: u64| reis_persist::splitmix64(&mut state) % bound;
+        for case in 0..2_000 {
+            // Distances from a handful of values, so ties are the rule.
+            let spread = 1 + draw(6);
+            let per_leaf: Vec<Vec<LeafCandidate>> = (0..1 + draw(5))
+                .map(|_| {
+                    (0..draw(40) as u32)
+                        .map(|index| {
+                            cand(draw(spread) as u32, index, index, draw(spread) as i64 - 2)
+                        })
+                        .collect()
+                })
+                .collect();
+            let union: usize = per_leaf.iter().map(Vec::len).sum();
+            // Budgets below, at and past the union; `k` below, at and past
+            // the budget.
+            let budget = draw(union as u64 + 8) as usize;
+            let k = draw(budget as u64 + 4) as usize;
+            assert_eq!(
+                merge_top_k(&per_leaf, budget, k),
+                two_sort_reference(&per_leaf, budget, k),
+                "case {case}: budget {budget}, k {k}, union {union}"
+            );
+        }
     }
 
     #[test]

@@ -190,6 +190,10 @@ impl ReisSystem {
     /// partition-invariant; the windowed schedule is not) but is otherwise
     /// the request [`ReisSystem::search`] runs — same validation, same
     /// [`ScanParallelism`](crate::config::ScanParallelism), same scan core.
+    /// Like [`ReisSystem::search_batch`]'s, the scan shards across up to
+    /// `workers` (capped at the host's parallelism): an aggregator running
+    /// several leaves at once splits its host budget between them. Results
+    /// never depend on it.
     ///
     /// # Errors
     ///
@@ -202,6 +206,7 @@ impl ReisSystem {
         query: &[f32],
         k: usize,
         nprobe: Option<usize>,
+        workers: usize,
     ) -> Result<LeafQueryOutcome> {
         let config = self.config.with_adaptive_filtering(false);
         let request = Request {
@@ -211,7 +216,7 @@ impl ReisSystem {
             finish: Finish::Candidates,
             kind: "leaf",
         };
-        let mut executed = self.execute(db_id, config, self.auto_shards, &request)?;
+        let mut executed = self.execute(db_id, config, self.shard_budget(workers), &request)?;
         let answered = executed.pop().expect("one outcome per query");
         Ok(LeafQueryOutcome {
             candidates: answered.candidates,

@@ -84,7 +84,7 @@ pub use pipeline::{
     PipelineReply, PipelineRequest,
 };
 pub use records::{RIvf, RIvfEntry, TemporalTopList, TtlEntry};
-pub use reis_sched::{WorkerContext, WorkerPool};
+pub use reis_sched::{host_parallelism, WorkerContext, WorkerPool};
 
 pub use reis_persist::{
     DirVfs, DurableStore, FaultHandle, FaultVfs, MemVfs, PersistError, ScrubReport, Vfs, WalRecord,

@@ -120,24 +120,17 @@ pub struct ReisSystem {
 impl ReisSystem {
     /// Create a REIS system on a freshly initialised SSD.
     ///
-    /// The host's available parallelism is captured once and used as the
-    /// shard budget of auto-sharded scans. Results never depend on it (the
-    /// windowed adaptive schedule and the total-order candidate selection
-    /// are partition-invariant); the `REIS_TEST_PARALLELISM` environment
-    /// variable overrides the captured value so CI can *prove* that by
-    /// diffing runs pinned to different budgets on the same machine.
+    /// The host's parallelism ([`reis_sched::host_parallelism`]) is
+    /// captured once and used as the shard budget of auto-sharded scans.
+    /// Results never depend on it (the windowed adaptive schedule and the
+    /// total-order candidate selection are partition-invariant); the
+    /// `REIS_TEST_PARALLELISM` environment variable overrides the captured
+    /// value so CI can *prove* that by diffing runs pinned to different
+    /// budgets on the same machine.
     pub fn new(config: ReisConfig) -> Self {
         let mut controller = SsdController::new(config.ssd);
         controller.switch_mode(SsdMode::Rag);
-        let auto_shards = std::env::var("REIS_TEST_PARALLELISM")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
+        let auto_shards = reis_sched::host_parallelism();
         let sched = WorkerPool::from_env(auto_shards);
         ReisSystem {
             config,
@@ -737,6 +730,12 @@ impl ReisSystem {
         )
     }
 
+    /// The shard budget of a call given `workers`: at least one, at most
+    /// the host's parallelism.
+    pub(crate) fn shard_budget(&self, workers: usize) -> usize {
+        workers.clamp(1, self.auto_shards.max(1))
+    }
+
     /// A single query is a batch of one, sharded up to the host budget.
     fn run_single(
         &mut self,
@@ -822,8 +821,7 @@ impl ReisSystem {
             finish: Finish::Documents,
             kind: "fused_batch",
         };
-        let shard_budget = workers.clamp(1, self.auto_shards.max(1));
-        let executed = self.execute(db_id, self.config, shard_budget, &request)?;
+        let executed = self.execute(db_id, self.config, self.shard_budget(workers), &request)?;
         if !executed.is_empty() {
             self.telemetry.count(CounterId::Batches, 1);
             self.telemetry.count(CounterId::FusedBatches, 1);

@@ -21,9 +21,11 @@
 //!
 //! When `REIS_TEST_SUMMARY_DIR` is set, the identity checks write one
 //! line per case (coverage bitmap, result ids, transferred-entry sums).
-//! CI runs the suite under `REIS_TEST_PARALLELISM=1` and `=4` and diffs
-//! the summaries: fault handling must not perturb the partition-invariant
-//! accounting, and fault schedules must not depend on scan parallelism.
+//! CI runs the suite under `REIS_TEST_PARALLELISM` ∈ {1, 4} crossed with
+//! `REIS_SCHED_WORKERS` ∈ {1, 4} and diffs the summaries: fault handling
+//! must not perturb the partition-invariant accounting, and fault
+//! schedules must depend neither on scan parallelism nor on the size of
+//! the pool the aggregator fans leaf calls out on.
 
 use std::io::Write;
 
@@ -517,7 +519,7 @@ fn run_faulted_trace(
     for leaf in faulted.down_leaves() {
         faulted.rejoin_leaf(leaf).expect("final rejoin");
     }
-    faulted.set_fault_plan(None);
+    let mut faulted = faulted.with_fault_plan(None);
     assert_eq!(faulted.aggregator_log_len(), 0, "log drops once all rejoin");
     for shard in 0..num_shards {
         let crcs = faulted.shard_state_crcs(shard).expect("faulted crcs");
@@ -928,16 +930,17 @@ fn downed_leaf_reloads_from_its_durable_store_and_catches_up() {
     let config = ReisConfig::tiny().with_compaction(CompactionPolicy::manual());
 
     let (mems, stores, manifest) = durable_parts(num_shards * replication);
-    let (mut cluster, report) =
+    let (cluster, report) =
         ClusterSystem::open_replicated(config, stores, Box::new(manifest.clone()), replication)
             .unwrap();
     assert!(report.is_none(), "fresh stores have nothing to recover");
-    cluster.set_fault_plan(Some(FaultPlan::healthy().with_kill(0, 0)));
-    cluster.set_retry_policy(RetryPolicy::new(
-        0,
-        Nanos::from_micros(40),
-        Nanos::from_micros(900),
-    ));
+    let mut cluster = cluster
+        .with_fault_plan(Some(FaultPlan::healthy().with_kill(0, 0)))
+        .with_retry_policy(RetryPolicy::new(
+            0,
+            Nanos::from_micros(40),
+            Nanos::from_micros(900),
+        ));
     cluster.deploy_flat(&vectors, &documents).unwrap();
     assert_eq!(cluster.save().unwrap(), 1);
 

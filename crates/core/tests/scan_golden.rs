@@ -388,7 +388,7 @@ fn leaf_queries_count_the_golden_activity() {
                     continue;
                 }
                 let leaf = system
-                    .leaf_query(db, &query, k, nprobe)
+                    .leaf_query(db, &query, k, nprobe, 4)
                     .expect("leaf query");
                 let a = leaf.activity;
                 let counts = format!(

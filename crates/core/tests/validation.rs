@@ -146,7 +146,7 @@ fn doors() -> Vec<(&'static str, bool, Door)> {
             },
         ),
         ("leaf_query", true, |f, q, k, np| {
-            f.system.leaf_query(f.db, q, k, np).map(drop)
+            f.system.leaf_query(f.db, q, k, np, 4).map(drop)
         }),
         ("validate_search", true, |f, q, k, np| {
             f.system.validate_search(f.db, q, k, np)

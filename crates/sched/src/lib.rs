@@ -41,5 +41,6 @@
 mod pool;
 
 pub use pool::{
-    parse_pool_size, pool_size_from_env, Scope, TaskPanic, WorkerContext, WorkerPool, POOL_SIZE_ENV,
+    host_parallelism, parse_pool_size, pool_size_from_env, Scope, TaskPanic, WorkerContext,
+    WorkerPool, POOL_SIZE_ENV,
 };

@@ -37,6 +37,22 @@ pub fn pool_size_from_env(fallback: usize) -> usize {
     parse_pool_size(std::env::var(POOL_SIZE_ENV).ok().as_deref(), fallback)
 }
 
+/// The host's parallelism, the scan budget a system splits across shards:
+/// `REIS_TEST_PARALLELISM` when set to a positive count (so CI can pin
+/// different budgets on one machine and diff the runs), else
+/// [`std::thread::available_parallelism`], else 1.
+pub fn host_parallelism() -> usize {
+    std::env::var("REIS_TEST_PARALLELISM")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+}
+
 /// State shared between the pool handle, its workers and scope waiters.
 struct Shared {
     /// One deque per worker. Submissions round-robin across them; worker
