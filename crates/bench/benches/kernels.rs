@@ -84,6 +84,34 @@ fn bench_in_plane_distance(c: &mut Criterion) {
             })
         });
     }
+    // The same call as a scan pays it: each iteration scores the next of
+    // 256 distinct pages (4 MiB, the size of `bf_single`'s corpus), so the
+    // page comes from beyond the private caches rather than from L1.
+    let pages: Vec<Vec<u8>> = (0..256)
+        .map(|p| {
+            (0..16 * 1024)
+                .map(|i| ((i * 131 + p * 7) % 251) as u8)
+                .collect()
+        })
+        .collect();
+    for width in [1usize, 8] {
+        let mut next = pages.iter().cycle();
+        c.bench_function(&format!("fused_hamming_filter_4mib_width{width}"), |b| {
+            b.iter(|| {
+                let page = next.next().expect("the page cycle never ends");
+                reis_kernels::fused_hamming_filter_into(
+                    black_box(page),
+                    128,
+                    128,
+                    &query_refs[..width],
+                    &thresholds[..width],
+                    &mut Vec::new(),
+                    &mut hits,
+                );
+                hits.len()
+            })
+        });
+    }
 }
 
 fn bench_hamming_kernels(c: &mut Criterion) {

@@ -1,37 +1,90 @@
 //! The distance primitives, their bodies and their one dispatch.
 //!
 //! Everything this crate counts is the Hamming distance between one chunk
-//! and one query. A [`Body`] computes up to [`LANES`] such distances at a
-//! time — one loop over the bytes, each pair in its own register
-//! accumulator, the lanes reduced together. [`scan`] walks a latch
-//! slot-major (chunks outside, queries inside), hands the bodies their
-//! pairs in that order and reports every distance to the caller's `emit`;
-//! the public page-level entry points differ only in what `emit` does with
-//! a distance. [`pair`] is the primitive on its own.
+//! and one query. A [`Body`] scores one *block* of up to [`LANES`] such
+//! distances: `S` slots against a group of `G` queries, each slot's words
+//! loaded once for the whole group, each pair in its own register
+//! accumulator, and the block's accumulators reduced together into one
+//! register of totals. [`Scan`] walks a latch slot-major and cuts it into
+//! blocks by the number of queries: up to four queries, consecutive slots
+//! share a block (eight slots of one query, four of two, two of three or
+//! four, and the slots left over go one per block); more, and each slot is
+//! a row of its own with the queries in groups of eight. A [`Sink`] is what
+//! an entry point does with a block's totals: [`scan`] hands every distance
+//! to a closure in emission order, [`filter`] tests the totals against the
+//! queries' thresholds in one compare and writes out only the lanes that
+//! pass. [`pair`] is the primitive on its own.
 //!
 //! The rerank's INT8 squared Euclidean distance ([`squared_l2_i8`]) goes
 //! through the same dispatch with one portable body.
 
-use crate::isa::{Isa, Level};
+use std::ops::Range;
 
-/// (chunk, query) pairs one body step scores: that many independent
-/// accumulators live in registers, and the vector bodies pay one horizontal
-/// reduction for all of them.
-const LANES: usize = 4;
+use crate::isa::{Isa, Level};
+use crate::FusedHit;
+
+/// (slot, query) pairs one block scores: that many independent accumulators
+/// live in registers, the vector bodies reduce them together with one
+/// transpose, and the filter tests all of them with one compare.
+const LANES: usize = 8;
 
 /// One compiled body of the distance primitive.
 trait Body {
-    /// Hamming distance between `chunks[lane]` and `queries[lane]`, per
-    /// lane, for `N <= LANES` lanes.
+    /// A block's [`LANES`] totals, where the body keeps them.
+    type Totals: Copy;
+
+    /// Hamming distance of every (slot, query) pair of one block: lane
+    /// `row * G + g` is `slots[row]` against `queries[g]`, and the lanes
+    /// from `S * G` on are zero.
     ///
     /// # Panics
     ///
-    /// Panics unless all `2 * N` slices are equally long.
+    /// Panics unless all `S + G` slices are equally long.
     ///
     /// # Safety
     ///
     /// The CPU must support the instruction set the body is written in.
-    unsafe fn distances<const N: usize>(chunks: [&[u8]; N], queries: [&[u8]; N]) -> [u32; N];
+    unsafe fn block<const S: usize, const G: usize>(
+        slots: [&[u8]; S],
+        queries: [&[u8]; G],
+    ) -> Self::Totals;
+
+    /// Every lane of `totals`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Body::block`].
+    unsafe fn lanes(totals: Self::Totals) -> [u64; LANES];
+
+    /// The lanes below `S * G` at or below their query's threshold, as a
+    /// bit mask: lane `row * G + g` is held to `thresholds[g]`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Body::block`].
+    #[inline(always)]
+    unsafe fn at_most<const S: usize, const G: usize>(
+        totals: Self::Totals,
+        thresholds: &[u32; G],
+    ) -> u8 {
+        let lanes = Self::lanes(totals);
+        let mut pass = 0;
+        for lane in 0..S * G {
+            pass |= u8::from(lanes[lane] <= u64::from(thresholds[lane % G])) << lane;
+        }
+        pass
+    }
+
+    /// The lanes of `totals` that `pass` selects, at their lane; the other
+    /// lanes may hold anything.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Body::block`].
+    #[inline(always)]
+    unsafe fn passing(totals: Self::Totals, _pass: u8) -> [u64; LANES] {
+        Self::lanes(totals)
+    }
 }
 
 /// Work that runs inside one body; [`dispatch`] instantiates it once per
@@ -69,14 +122,14 @@ fn dispatch<K: Kernel>(isa: Isa, kernel: K) -> K::Output {
     }
 }
 
-/// The common length of a body step's slices.
+/// The common length of a block's slices.
 #[inline(always)]
-fn common_len<const N: usize>(chunks: &[&[u8]; N], queries: &[&[u8]; N]) -> usize {
-    const { assert!(N >= 1 && N <= LANES) };
-    let len = chunks[0].len();
+fn common_len<const S: usize, const G: usize>(slots: &[&[u8]; S], queries: &[&[u8]; G]) -> usize {
+    const { assert!(S >= 1 && G >= 1 && S * G <= LANES) };
+    let len = slots[0].len();
     assert!(
-        chunks.iter().chain(queries).all(|lane| lane.len() == len),
-        "the lanes of one step are equally long"
+        slots.iter().chain(queries).all(|lane| lane.len() == len),
+        "the slices of one block are equally long"
     );
     len
 }
@@ -118,13 +171,25 @@ fn distance_words(a: &[u8], b: &[u8]) -> u32 {
 struct Words;
 
 impl Body for Words {
+    type Totals = [u64; LANES];
+
     #[inline(always)]
-    unsafe fn distances<const N: usize>(chunks: [&[u8]; N], queries: [&[u8]; N]) -> [u32; N] {
-        common_len(&chunks, &queries);
-        let mut totals = [0; N];
-        for lane in 0..N {
-            totals[lane] = distance_words(chunks[lane], queries[lane]);
+    unsafe fn block<const S: usize, const G: usize>(
+        slots: [&[u8]; S],
+        queries: [&[u8]; G],
+    ) -> [u64; LANES] {
+        common_len(&slots, &queries);
+        let mut totals = [0; LANES];
+        for row in 0..S {
+            for g in 0..G {
+                totals[row * G + g] = u64::from(distance_words(slots[row], queries[g]));
+            }
         }
+        totals
+    }
+
+    #[inline(always)]
+    unsafe fn lanes(totals: [u64; LANES]) -> [u64; LANES] {
         totals
     }
 }
@@ -141,57 +206,174 @@ pub(crate) struct Job<'a> {
     pub(crate) queries: &'a [&'a [u8]],
 }
 
-/// The one page loop: slot-major, queries inside, pairs handed to the body
-/// [`LANES`] at a time in emission order, so `emit(slot, query, distance)`
-/// fires in ascending slot order and query order within a slot.
-struct Scan<'a, E> {
-    job: &'a Job<'a>,
-    emit: E,
+/// What an entry point does with the totals of each block.
+trait Sink {
+    /// Take one block's totals: lane `row * G + g` is slot `slot + row`
+    /// against query `query + g`. Blocks arrive in ascending slot order,
+    /// query order within a slot.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the instruction set of `B`.
+    unsafe fn take<B: Body, const S: usize, const G: usize>(
+        &mut self,
+        slot: usize,
+        query: usize,
+        totals: B::Totals,
+    );
 }
 
-impl<E: FnMut(usize, usize, u32)> Kernel for Scan<'_, E> {
+/// The one page loop: slot-major, blocks shaped by the number of queries,
+/// so a [`Sink`] sees the (slot, query) pairs in ascending slot order and
+/// query order within a slot.
+struct Scan<'a, K> {
+    job: &'a Job<'a>,
+    sink: K,
+}
+
+impl<K: Sink> Kernel for Scan<'_, K> {
     type Output = ();
 
     #[inline(always)]
     unsafe fn run<B: Body>(self) {
-        let Scan { job, mut emit } = self;
-        let width = job.queries.len();
+        let Scan { job, mut sink } = self;
         let full = job.latch.len() / job.chunk_bytes;
         let partial = job.latch.len() % job.chunk_bytes;
         let slots = (full + usize::from(partial > 0)).min(job.slot_limit);
         let full = full.min(slots);
         // The full chunks go first; a trailing partial chunk within the
-        // limit follows as a run of its own, so the lanes of one step are
+        // limit follows as a run of its own, so the slices of one block are
         // always equally long.
         for (run, len) in [(0..full, job.chunk_bytes), (full..slots, partial)] {
-            let chunk = |slot: usize| &job.latch[slot * job.chunk_bytes..][..len];
-            let query = |q: usize| &job.queries[q][..len];
-            let (mut slot, mut q) = (run.start, 0);
-            let mut next = || {
-                let id = (slot, q);
-                q += 1;
-                if q == width {
-                    (slot, q) = (slot + 1, 0);
+            let sink = &mut sink;
+            // SAFETY (every call below): this function's caller vouches for
+            // the instruction set of `B`.
+            match job.queries.len() {
+                0 => {}
+                1 => rows::<B, K, 8, 1>(job, len, run, 0, sink),
+                2 => rows::<B, K, 4, 2>(job, len, run, 0, sink),
+                3 => rows::<B, K, 2, 3>(job, len, run, 0, sink),
+                4 => rows::<B, K, 2, 4>(job, len, run, 0, sink),
+                width @ 5..=LANES => group::<B, K>(job, len, run, 0, width, sink),
+                width => {
+                    for slot in run {
+                        for query in (0..width).step_by(LANES) {
+                            let count = (width - query).min(LANES);
+                            group::<B, K>(job, len, slot..slot + 1, query, count, sink);
+                        }
+                    }
                 }
-                id
-            };
-            let mut left = run.len() * width;
-            while left >= LANES {
-                let ids = [next(), next(), next(), next()];
-                // SAFETY (both calls): this function's caller vouches for
-                // the instruction set of `B`.
-                let distances =
-                    B::distances(ids.map(|(slot, _)| chunk(slot)), ids.map(|(_, q)| query(q)));
-                for ((slot, q), distance) in ids.into_iter().zip(distances) {
-                    emit(slot, q, distance);
-                }
-                left -= LANES;
             }
-            for _ in 0..left {
-                let (slot, q) = next();
-                let [distance] = B::distances([chunk(slot)], [query(q)]);
-                emit(slot, q, distance);
-            }
+        }
+    }
+}
+
+/// [`rows`] of one slot per block against the `count` (one to eight)
+/// queries from `query`.
+///
+/// # Safety
+///
+/// The CPU must support the instruction set of `B`.
+#[inline(always)]
+unsafe fn group<B: Body, K: Sink>(
+    job: &Job<'_>,
+    len: usize,
+    run: Range<usize>,
+    query: usize,
+    count: usize,
+    sink: &mut K,
+) {
+    match count {
+        1 => rows::<B, K, 1, 1>(job, len, run, query, sink),
+        2 => rows::<B, K, 1, 2>(job, len, run, query, sink),
+        3 => rows::<B, K, 1, 3>(job, len, run, query, sink),
+        4 => rows::<B, K, 1, 4>(job, len, run, query, sink),
+        5 => rows::<B, K, 1, 5>(job, len, run, query, sink),
+        6 => rows::<B, K, 1, 6>(job, len, run, query, sink),
+        7 => rows::<B, K, 1, 7>(job, len, run, query, sink),
+        _ => rows::<B, K, 1, 8>(job, len, run, query, sink),
+    }
+}
+
+/// Score the first `len` bytes of the slots of `run` against the `G`
+/// queries from `query`, `S` consecutive slots per block, and hand each
+/// block to `sink`. The slots past the last whole block go one per block,
+/// so a page of a few slots costs a few pairs, not a block of eight.
+///
+/// # Safety
+///
+/// The CPU must support the instruction set of `B`.
+#[inline(always)]
+unsafe fn rows<B: Body, K: Sink, const S: usize, const G: usize>(
+    job: &Job<'_>,
+    len: usize,
+    run: Range<usize>,
+    query: usize,
+    sink: &mut K,
+) {
+    // Sliced once per run, not once per block.
+    let queries: [&[u8]; G] = std::array::from_fn(|g| &job.queries[query + g][..len]);
+    let (latch, chunk_bytes) = (job.latch, job.chunk_bytes);
+    let whole = run.start + run.len() / S * S;
+    for slot in (run.start..whole).step_by(S) {
+        let chunk = |row: usize| &latch[(slot + row) * chunk_bytes..][..len];
+        let totals = B::block::<S, G>(std::array::from_fn(chunk), queries);
+        sink.take::<B, S, G>(slot, query, totals);
+    }
+    if S > 1 && whole < run.end {
+        rows::<B, K, 1, G>(job, len, whole..run.end, query, sink);
+    }
+}
+
+/// Every distance, in emission order, to a closure `(slot, query, distance)`.
+struct Emit<F>(F);
+
+impl<F: FnMut(usize, usize, u32)> Sink for Emit<F> {
+    #[inline(always)]
+    unsafe fn take<B: Body, const S: usize, const G: usize>(
+        &mut self,
+        slot: usize,
+        query: usize,
+        totals: B::Totals,
+    ) {
+        let lanes = B::lanes(totals);
+        for (lane, &distance) in lanes[..S * G].iter().enumerate() {
+            (self.0)(slot + lane / G, query + lane % G, distance as u32);
+        }
+    }
+}
+
+/// The pass/fail checker: a block's totals against its queries' thresholds
+/// in one compare, and a hit appended for each lane that passes.
+struct Filter<'a> {
+    thresholds: &'a [u32],
+    hits: &'a mut Vec<FusedHit>,
+}
+
+impl Sink for Filter<'_> {
+    #[inline(always)]
+    unsafe fn take<B: Body, const S: usize, const G: usize>(
+        &mut self,
+        slot: usize,
+        query: usize,
+        totals: B::Totals,
+    ) {
+        let bounds = self.thresholds[query..]
+            .first_chunk::<G>()
+            .expect("every query of a block has a threshold");
+        let mut pass = B::at_most::<S, G>(totals, bounds);
+        if pass == 0 {
+            return;
+        }
+        let distances = B::passing(totals, pass);
+        while pass != 0 {
+            let lane = pass.trailing_zeros() as usize;
+            self.hits.push(FusedHit {
+                query: (query + lane % G) as u32,
+                slot: (slot + lane / G) as u32,
+                distance: distances[lane] as u32,
+            });
+            pass &= pass - 1;
         }
     }
 }
@@ -200,7 +382,28 @@ impl<E: FnMut(usize, usize, u32)> Kernel for Scan<'_, E> {
 /// distance to `emit` in ascending slot order, query order within a slot.
 #[inline]
 pub(crate) fn scan(isa: Isa, job: &Job<'_>, emit: impl FnMut(usize, usize, u32)) {
-    dispatch(isa, Scan { job, emit });
+    dispatch(
+        isa,
+        Scan {
+            job,
+            sink: Emit(emit),
+        },
+    );
+}
+
+/// Score `job` with the body of `isa` and append a [`FusedHit`] to `hits`
+/// for every (slot, query) distance at or below `thresholds[query]`, in
+/// ascending slot order, query order within a slot. `thresholds` holds one
+/// entry per query — the entry point checks it.
+#[inline]
+pub(crate) fn filter(isa: Isa, job: &Job<'_>, thresholds: &[u32], hits: &mut Vec<FusedHit>) {
+    dispatch(
+        isa,
+        Scan {
+            job,
+            sink: Filter { thresholds, hits },
+        },
+    );
 }
 
 /// The primitive on its own: one chunk, one query.
@@ -213,8 +416,8 @@ impl Kernel for Pair<'_> {
     unsafe fn run<B: Body>(self) -> u32 {
         // SAFETY: this function's caller vouches for the instruction set
         // of `B`.
-        let [distance] = B::distances([self.0], [self.1]);
-        distance
+        let [distance, ..] = B::lanes(B::block([self.0], [self.1]));
+        distance as u32
     }
 }
 
@@ -307,16 +510,14 @@ mod x86 {
 
     use super::{common_len, distance_words, Body, Kernel, Words, LANES};
 
-    /// Per-byte set-bit counts of the XOR of the 32 bytes at `a` and at `b`:
-    /// each nibble looked up in a 16-entry table with `vpshufb`.
+    /// Per-byte set-bit counts of the 32 bytes of `diff`: each nibble looked
+    /// up in a 16-entry table with `vpshufb`.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2, and 32 bytes must be readable at both
-    /// pointers.
+    /// The CPU must support AVX2.
     #[inline(always)]
-    unsafe fn diff_counts_avx2(a: *const u8, b: *const u8) -> __m256i {
-        let diff = _mm256_xor_si256(_mm256_loadu_si256(a.cast()), _mm256_loadu_si256(b.cast()));
+    unsafe fn byte_counts_avx2(diff: __m256i) -> __m256i {
         let table = _mm256_setr_epi8(
             0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, //
             0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
@@ -330,120 +531,250 @@ mod x86 {
         )
     }
 
-    /// Reduce the lanes together: up to four vectors of four partial sums
-    /// become one vector of totals with two unpack-adds and one cross-lane
-    /// add, instead of a horizontal sum per lane.
+    /// Reduce a block's accumulators together: each four vectors of four
+    /// partial sums become one vector of totals with two unpack-adds and one
+    /// cross-lane add, instead of a horizontal sum per lane.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX2.
     #[inline(always)]
-    unsafe fn reduce<const N: usize>(partials: [__m256i; N]) -> [u32; N] {
-        let mut p = [_mm256_setzero_si256(); LANES];
-        p[..N].copy_from_slice(&partials);
-        // Per 128-bit half: [p0 half-sum, p1 half-sum], likewise p2 / p3.
-        let p01 = _mm256_add_epi64(
-            _mm256_unpacklo_epi64(p[0], p[1]),
-            _mm256_unpackhi_epi64(p[0], p[1]),
-        );
-        let p23 = _mm256_add_epi64(
-            _mm256_unpacklo_epi64(p[2], p[3]),
-            _mm256_unpackhi_epi64(p[2], p[3]),
-        );
-        // Low halves of both plus high halves of both: [p0, p1, p2, p3].
-        let sums = _mm256_add_epi64(
-            _mm256_permute2x128_si256::<0x20>(p01, p23),
-            _mm256_permute2x128_si256::<0x31>(p01, p23),
-        );
-        let mut wide = [0u64; LANES];
-        _mm256_storeu_si256(wide.as_mut_ptr().cast(), sums);
-        let mut totals = [0; N];
-        for lane in 0..N {
-            totals[lane] = wide[lane] as u32;
+    unsafe fn reduce(p: [__m256i; LANES]) -> [u64; LANES] {
+        let mut totals = [0; LANES];
+        for half in [0, 4] {
+            // Per 128-bit half: [p0 half-sum, p1 half-sum], likewise p2 / p3.
+            let p01 = _mm256_add_epi64(
+                _mm256_unpacklo_epi64(p[half], p[half + 1]),
+                _mm256_unpackhi_epi64(p[half], p[half + 1]),
+            );
+            let p23 = _mm256_add_epi64(
+                _mm256_unpacklo_epi64(p[half + 2], p[half + 3]),
+                _mm256_unpackhi_epi64(p[half + 2], p[half + 3]),
+            );
+            // Low halves of both plus high halves of both: [p0, p1, p2, p3].
+            let sums = _mm256_add_epi64(
+                _mm256_permute2x128_si256::<0x20>(p01, p23),
+                _mm256_permute2x128_si256::<0x31>(p01, p23),
+            );
+            // SAFETY: `half + 4 <= LANES`, so the 32 bytes stored lie inside
+            // `totals`.
+            _mm256_storeu_si256(totals.as_mut_ptr().add(half).cast(), sums);
         }
         totals
     }
 
     /// 32 bytes per step — nibble-table byte counts folded into four `u64`
-    /// sums per lane by `vpsadbw` — then a scalar tail.
+    /// sums per pair by `vpsadbw` — then a scalar tail.
     struct Avx2;
 
     impl Body for Avx2 {
+        type Totals = [u64; LANES];
+
         #[inline(always)]
-        unsafe fn distances<const N: usize>(chunks: [&[u8]; N], queries: [&[u8]; N]) -> [u32; N] {
-            let len = common_len(&chunks, &queries);
+        unsafe fn block<const S: usize, const G: usize>(
+            slots: [&[u8]; S],
+            queries: [&[u8]; G],
+        ) -> [u64; LANES] {
+            let len = common_len(&slots, &queries);
             let zero = _mm256_setzero_si256();
-            let mut sums = [zero; N];
+            let mut sums = [zero; LANES];
             let mut at = 0;
             while at + 32 <= len {
-                for lane in 0..N {
-                    // SAFETY: both slices are `len` bytes long (checked by
-                    // `common_len`) and `at + 32 <= len`.
-                    let counts = diff_counts_avx2(
-                        chunks[lane].as_ptr().add(at),
-                        queries[lane].as_ptr().add(at),
-                    );
-                    sums[lane] = _mm256_add_epi64(sums[lane], _mm256_sad_epu8(counts, zero));
+                // SAFETY (every load): all slices are `len` bytes long
+                // (checked by `common_len`) and `at + 32 <= len`.
+                let mut words = [zero; G];
+                for g in 0..G {
+                    words[g] = _mm256_loadu_si256(queries[g].as_ptr().add(at).cast());
+                }
+                for (row, slot) in slots.iter().enumerate() {
+                    let chunk = _mm256_loadu_si256(slot.as_ptr().add(at).cast());
+                    for (g, &word) in words.iter().enumerate() {
+                        let counts = byte_counts_avx2(_mm256_xor_si256(chunk, word));
+                        let lane = row * G + g;
+                        sums[lane] = _mm256_add_epi64(sums[lane], _mm256_sad_epu8(counts, zero));
+                    }
                 }
                 at += 32;
             }
             let mut totals = reduce(sums);
             // Skipped for chunks of whole vectors: the empty tails would
-            // still cost each lane its slicing and loop set-up.
+            // still cost each pair its slicing and loop set-up.
             if at < len {
-                for lane in 0..N {
-                    totals[lane] += distance_words(&chunks[lane][at..], &queries[lane][at..]);
+                for row in 0..S {
+                    for g in 0..G {
+                        totals[row * G + g] +=
+                            u64::from(distance_words(&slots[row][at..], &queries[g][at..]));
+                    }
                 }
             }
             totals
         }
+
+        #[inline(always)]
+        unsafe fn lanes(totals: [u64; LANES]) -> [u64; LANES] {
+            totals
+        }
+    }
+
+    /// Add the set bits of every (slot, query) XOR over the 64 bytes at `at`
+    /// that `mask` selects to the block's accumulators, each slot's bytes
+    /// loaded once for all `G` queries.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512 F, BW and VPOPCNTDQ, and the bytes
+    /// `mask` selects from `at` on must lie inside every slice.
+    #[inline(always)]
+    unsafe fn step_avx512<const S: usize, const G: usize>(
+        sums: &mut [__m512i; LANES],
+        slots: &[&[u8]; S],
+        queries: &[&[u8]; G],
+        at: usize,
+        mask: __mmask64,
+    ) {
+        // SAFETY (every load): the caller vouches for the selected bytes;
+        // the bytes past them are masked off — never read, zero in the
+        // register.
+        let mut words = [_mm512_setzero_si512(); G];
+        for g in 0..G {
+            words[g] = _mm512_maskz_loadu_epi8(mask, queries[g].as_ptr().add(at).cast());
+        }
+        for (row, slot) in slots.iter().enumerate() {
+            let chunk = _mm512_maskz_loadu_epi8(mask, slot.as_ptr().add(at).cast());
+            for (g, &word) in words.iter().enumerate() {
+                let lane = row * G + g;
+                let diff = _mm512_xor_si512(chunk, word);
+                sums[lane] = _mm512_add_epi64(sums[lane], _mm512_popcnt_epi64(diff));
+            }
+        }
+    }
+
+    /// The halves of `a` and `b` summed pairwise: per 128-bit lane,
+    /// `[a0 + a1, b0 + b1]`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512 F.
+    #[inline(always)]
+    unsafe fn unpack_add(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_add_epi64(_mm512_unpacklo_epi64(a, b), _mm512_unpackhi_epi64(a, b))
+    }
+
+    /// The lanes `[0, 2]` of `a` and of `b` plus their lanes `[1, 3]`, in
+    /// 128-bit lanes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512 F.
+    #[inline(always)]
+    unsafe fn fold_lanes(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_add_epi64(
+            _mm512_shuffle_i64x2::<0b10_00_10_00>(a, b),
+            _mm512_shuffle_i64x2::<0b11_01_11_01>(a, b),
+        )
+    }
+
+    /// Reduce a block's eight accumulators of eight `u64` sums into one
+    /// vector of eight totals — a transpose-and-add: unpack-adds pair the
+    /// accumulators inside each 128-bit lane, two rounds of 128-bit lane
+    /// shuffles and adds fold the lanes. Lane `i` of the result is the sum of
+    /// `s[i]`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512 F.
+    #[inline(always)]
+    unsafe fn transpose_sum(s: [__m512i; LANES]) -> __m512i {
+        // Per 128-bit lane k: [s0 pair k, s1 pair k], likewise s2 / s3 …
+        let (s01, s23) = (unpack_add(s[0], s[1]), unpack_add(s[2], s[3]));
+        let (s45, s67) = (unpack_add(s[4], s[5]), unpack_add(s[6], s[7]));
+        // 128-bit lanes: [s0 s1 of pairs 0 + 1], [s0 s1 of pairs 2 + 3],
+        // then the same of s2 s3; likewise s4 … s7.
+        let (s0123, s4567) = (fold_lanes(s01, s23), fold_lanes(s45, s67));
+        // 128-bit lanes: [s0 s1], [s2 s3], [s4 s5], [s6 s7].
+        fold_lanes(s0123, s4567)
     }
 
     /// `VPOPCNTQ` over 64-byte steps and byte-masked loads for the tail; the
-    /// eight `u64` sums of a lane are folded to four so both vector bodies
-    /// share [`reduce`].
+    /// eight accumulators of a block are reduced by one transpose, and the
+    /// filter's compare is one `vpcmpuq` of the eight totals against the
+    /// eight thresholds.
     struct Avx512;
 
     impl Body for Avx512 {
+        type Totals = __m512i;
+
         #[inline(always)]
-        unsafe fn distances<const N: usize>(chunks: [&[u8]; N], queries: [&[u8]; N]) -> [u32; N] {
-            let len = common_len(&chunks, &queries);
-            let mut sums = [_mm512_setzero_si512(); N];
+        unsafe fn block<const S: usize, const G: usize>(
+            slots: [&[u8]; S],
+            queries: [&[u8]; G],
+        ) -> __m512i {
+            let len = common_len(&slots, &queries);
+            let mut sums = [_mm512_setzero_si512(); LANES];
             let mut at = 0;
+            // The first step on its own: its adds to the zeroed sums fold
+            // away — one vector op in six of a 128-byte chunk's steps.
+            if len >= 64 {
+                // SAFETY: all slices are `len` bytes long (checked by
+                // `common_len`) and `64 <= len`.
+                step_avx512(&mut sums, &slots, &queries, 0, !0);
+                at = 64;
+            }
             while at + 64 <= len {
-                for lane in 0..N {
-                    // SAFETY: both slices are `len` bytes long (checked by
-                    // `common_len`) and `at + 64 <= len`.
-                    let diff = _mm512_xor_si512(
-                        _mm512_loadu_si512(chunks[lane].as_ptr().add(at).cast()),
-                        _mm512_loadu_si512(queries[lane].as_ptr().add(at).cast()),
-                    );
-                    sums[lane] = _mm512_add_epi64(sums[lane], _mm512_popcnt_epi64(diff));
-                }
+                // SAFETY: as above, with `at + 64 <= len`.
+                step_avx512(&mut sums, &slots, &queries, at, !0);
                 at += 64;
             }
             if at < len {
-                let mask: __mmask64 = (1u64 << (len - at)) - 1;
-                for lane in 0..N {
-                    // SAFETY: `at < len`, and the `len - at` (< 64) bytes
-                    // the mask selects lie inside both slices; the bytes
-                    // past them are masked off — never read, zero in the
-                    // register.
-                    let diff = _mm512_xor_si512(
-                        _mm512_maskz_loadu_epi8(mask, chunks[lane].as_ptr().add(at).cast()),
-                        _mm512_maskz_loadu_epi8(mask, queries[lane].as_ptr().add(at).cast()),
-                    );
-                    sums[lane] = _mm512_add_epi64(sums[lane], _mm512_popcnt_epi64(diff));
-                }
+                // SAFETY: `at < len`, and the `len - at` (< 64) bytes the
+                // mask selects lie inside every slice.
+                step_avx512(&mut sums, &slots, &queries, at, (1 << (len - at)) - 1);
             }
-            let mut folded = [_mm256_setzero_si256(); N];
-            for lane in 0..N {
-                folded[lane] = _mm256_add_epi64(
-                    _mm512_castsi512_si256(sums[lane]),
-                    _mm512_extracti64x4_epi64::<1>(sums[lane]),
+            transpose_sum(sums)
+        }
+
+        #[inline(always)]
+        unsafe fn lanes(totals: __m512i) -> [u64; LANES] {
+            let mut lanes = [0; LANES];
+            // SAFETY: `lanes` is the 64 bytes stored.
+            _mm512_storeu_si512(lanes.as_mut_ptr().cast(), totals);
+            lanes
+        }
+
+        #[inline(always)]
+        unsafe fn at_most<const S: usize, const G: usize>(
+            totals: __m512i,
+            thresholds: &[u32; G],
+        ) -> u8 {
+            // SAFETY: the mask selects the `G` thresholds the array holds;
+            // the rest are masked off — never read.
+            let group = _mm512_maskz_loadu_epi32(u16::MAX >> (16 - G), thresholds.as_ptr().cast());
+            let mut bounds = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(group));
+            if S > 1 {
+                // Lane `row * G + g` is held to threshold `g`.
+                let lane = |i: usize| (i % G) as i64;
+                let index = _mm512_setr_epi64(
+                    lane(0),
+                    lane(1),
+                    lane(2),
+                    lane(3),
+                    lane(4),
+                    lane(5),
+                    lane(6),
+                    lane(7),
                 );
+                bounds = _mm512_permutexvar_epi64(index, bounds);
             }
-            reduce(folded)
+            // Only the block's `S * G` lanes: the zero lanes past them would
+            // pass any threshold.
+            _mm512_mask_cmple_epu64_mask(u8::MAX >> (LANES - S * G), totals, bounds)
+        }
+
+        /// Only the passing lanes leave the register: the rest are zeroed
+        /// before the block is stored.
+        #[inline(always)]
+        unsafe fn passing(totals: __m512i, pass: u8) -> [u64; LANES] {
+            Self::lanes(_mm512_maskz_mov_epi64(pass, totals))
         }
     }
 

@@ -9,12 +9,16 @@
 //! # Kernel discipline
 //!
 //! * **One primitive.** Everything counted here is the Hamming distance
-//!   between one chunk and one query. Its bodies score four (chunk, query)
-//!   pairs per step — each pair in its own register accumulator, the four
-//!   reduced together — and one driver walks a latch slot-major (chunks
-//!   outside, queries inside) and hands every distance to a per-entry-point
-//!   closure. No distance takes a round trip through memory before it is
-//!   complete. A set-bit count is the distance to an all-zero query.
+//!   between one chunk and one query. Its bodies score blocks of up to
+//!   eight (chunk, query) pairs — a slot's words loaded once for a group of
+//!   up to eight queries, or, below five queries, several consecutive slots
+//!   sharing one block; each pair in its own register accumulator, the
+//!   eight reduced together by one transpose. One driver walks a latch
+//!   slot-major (chunks outside, queries inside) and hands each block's
+//!   totals to the entry point: the filter tests all eight against their
+//!   thresholds in one compare, the counters store them. No distance takes
+//!   a round trip through memory before it is complete. A set-bit count is
+//!   the distance to an all-zero query.
 //! * **One dispatch.** Every entry point detects the CPU's instruction-set
 //!   level once per call and runs the matching body: baseline scalar code,
 //!   scalar with hardware POPCNT, AVX2 (`vpshufb` nibble table + `vpsadbw`)
@@ -228,15 +232,21 @@ pub struct FusedHit {
 /// whose distance is at or below that query's threshold.
 ///
 /// This fuses [`fused_hamming_per_chunk_into`] with the pass/fail
-/// comparison: distances that fail a query's filter never leave the
-/// registers, which is what the windowed adaptive scan wants — each query's
+/// comparison, which is what the windowed adaptive scan wants — each query's
 /// threshold is fixed for the duration of one page window, so the comparison
-/// can run inside the scoring pass. `out` is a reusable hit buffer (cleared
-/// here), so steady-state scans allocate nothing.
+/// can run inside the scoring pass. The kernel scores blocks of up to eight
+/// (slot, query) pairs and tests a block's totals against their queries'
+/// thresholds in one compare (one `vpcmpuq` on AVX-512), then walks the set
+/// bits of the resulting mask, one hit per bit. On AVX-512 a failing
+/// distance never leaves the registers: the totals are compared where the
+/// reduction left them, and a block with a hit is stored with its failing
+/// lanes zeroed. `out` is a reusable hit buffer (cleared here), so
+/// steady-state scans allocate nothing.
 ///
-/// `_acc` was the per-query accumulator of the earlier word-major kernel.
-/// The register-blocked bodies need none, so it is left untouched; the
-/// parameter stays because callers outside the workspace pass it.
+/// `_acc` was the per-query accumulator of an earlier word-major kernel.
+/// The register-blocked bodies keep their sums in registers and need none,
+/// so it is left untouched; the parameter stays because callers outside the
+/// workspace pass it.
 ///
 /// Hits are chunk-major: ascending slot, queries in input order within a
 /// slot (see [`FusedHit`]).
@@ -267,15 +277,7 @@ pub fn fused_hamming_filter_into(
         slot_limit,
         queries,
     };
-    distance::scan(Isa::detect(), &job, |slot, q, distance| {
-        if distance <= thresholds[q] {
-            out.push(FusedHit {
-                query: q as u32,
-                slot: slot as u32,
-                distance,
-            });
-        }
-    });
+    distance::filter(Isa::detect(), &job, thresholds, out);
 }
 
 /// Fold `bytes` into a running CRC32C state.
@@ -616,19 +618,22 @@ mod tests {
             .collect()
     }
 
-    /// The widths the fused bodies are checked at: none, fewer than one
-    /// lane block, exactly two, and blocks that straddle slot boundaries.
-    const WIDTHS: [usize; 7] = [0, 1, 2, 3, 8, 9, 33];
+    /// The widths the fused bodies are checked at: none, the narrow widths
+    /// whose blocks hold several slots (with slots left over at the end of
+    /// the page), one slot against seven and eight queries, and query groups
+    /// of eight with remainders of none, one and seven.
+    const WIDTHS: [usize; 11] = [0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 33];
 
     #[test]
     fn every_body_emits_reference_distances_in_slot_then_query_order() {
         let bodies: Vec<Isa> = Isa::supported().collect();
         assert_eq!(bodies.last(), Some(&Isa::detect()));
         // Chunk sizes that are and are not multiples of a word (8), an AVX2
-        // vector (32) and an AVX-512 vector (64); four full chunks and a
-        // trailing partial one.
+        // vector (32) and an AVX-512 vector (64); nine full chunks — one
+        // whole block of eight slots for a single query, and slots left
+        // over for every narrow width — and a trailing partial one.
         for chunk in 1usize..=256 {
-            let page = noise(chunk * 4 + chunk / 2, chunk as u64);
+            let page = noise(chunk * 9 + chunk / 2, chunk as u64);
             let n_chunks = page.len().div_ceil(chunk);
             let all_queries: Vec<Vec<u8>> = (0..33)
                 .map(|q| noise(chunk, 1_000 + (chunk * 64 + q) as u64))
@@ -675,14 +680,22 @@ mod tests {
 
     #[test]
     fn entry_points_match_the_reference_for_every_chunk_size() {
+        let bodies: Vec<Isa> = Isa::supported().collect();
         for chunk in 1usize..=256 {
-            let mut page = noise(chunk * 4 + chunk / 2, 7 + chunk as u64);
-            let queries: Vec<Vec<u8>> = (0..9)
-                .map(|q| noise(chunk, (chunk * 16 + q) as u64))
+            let mut page = noise(chunk * 9 + chunk / 2, 7 + chunk as u64);
+            let queries: Vec<Vec<u8>> = (0..33)
+                .map(|q| noise(chunk, (chunk * 64 + q) as u64))
                 .collect();
             // Slot 2 equals query 1, so a threshold of 0 has a hit to keep.
             page[2 * chunk..3 * chunk].copy_from_slice(&queries[1]);
             let n_chunks = page.len().div_ceil(chunk);
+            let reference: Vec<Vec<u32>> = page
+                .chunks(chunk)
+                .map(|bytes| {
+                    let prefix = |query: &Vec<u8>| reference::hamming(bytes, &query[..bytes.len()]);
+                    queries.iter().map(prefix).collect()
+                })
+                .collect();
 
             let mut counts = Vec::new();
             count_per_chunk_into(&page, chunk, &mut counts);
@@ -695,36 +708,42 @@ mod tests {
                 "{chunk}"
             );
 
-            for width in [0usize, 1, 2, 3, 8, 9] {
+            for width in WIDTHS {
                 let refs: Vec<&[u8]> = queries[..width].iter().map(Vec::as_slice).collect();
-                let distance = |slot: usize, q: usize| {
-                    let bytes = page.chunks(chunk).nth(slot).expect("slot in page");
-                    reference::hamming(bytes, &refs[q][..bytes.len()])
-                };
                 let mut fused = vec![u32::MAX; 3];
                 fused_hamming_per_chunk_into(&page, chunk, &refs, &mut fused);
                 assert_eq!(fused.len(), n_chunks * width);
                 for q in 0..width {
                     for slot in 0..n_chunks {
-                        assert_eq!(fused[q * n_chunks + slot], distance(slot, q));
+                        assert_eq!(fused[q * n_chunks + slot], reference[slot][q]);
                     }
                 }
-                let mixed: Vec<u32> = (0..width as u32).map(|q| chunk as u32 * (2 + q)).collect();
-                for thresholds in [vec![0; width], vec![u32::MAX; width], mixed] {
+                // Each query's threshold is exactly its distance to one
+                // slot: the inclusive edge of the compare.
+                let edge: Vec<u32> = (0..width).map(|q| reference[q % n_chunks][q]).collect();
+                let mixed: Vec<u32> = (0..width)
+                    .map(|q| match q % 4 {
+                        0 => 0,
+                        1 => u32::MAX,
+                        2 => edge[q].saturating_sub(1),
+                        _ => chunk as u32 * 4,
+                    })
+                    .collect();
+                for thresholds in [vec![0; width], vec![u32::MAX; width], edge, mixed] {
                     for slot_limit in [0, 1, n_chunks / 2, n_chunks, n_chunks + 3] {
                         let mut expected = Vec::new();
-                        for slot in 0..n_chunks.min(slot_limit) {
+                        for (slot, distances) in reference.iter().take(slot_limit).enumerate() {
                             for (q, &threshold) in thresholds.iter().enumerate() {
-                                let distance = distance(slot, q);
-                                if distance <= threshold {
+                                if distances[q] <= threshold {
                                     expected.push(FusedHit {
                                         query: q as u32,
                                         slot: slot as u32,
-                                        distance,
+                                        distance: distances[q],
                                     });
                                 }
                             }
                         }
+                        let context = format!("chunk {chunk} width {width} limit {slot_limit}");
                         let mut hits = vec![FusedHit {
                             query: 9,
                             slot: 9,
@@ -739,12 +758,22 @@ mod tests {
                             &mut Vec::new(),
                             &mut hits,
                         );
-                        assert_eq!(
-                            hits, expected,
-                            "chunk {chunk} width {width} limit {slot_limit} {thresholds:?}"
-                        );
+                        assert_eq!(hits, expected, "{context} {thresholds:?}");
                         if width > 1 && slot_limit > 2 && thresholds[1] == 0 {
                             assert!(hits.iter().any(|h| h.slot == 2 && h.query == 1));
+                        }
+                        // Every body's own compare and mask walk, not only
+                        // the dispatched one.
+                        let job = Job {
+                            latch: &page,
+                            chunk_bytes: chunk,
+                            slot_limit,
+                            queries: &refs,
+                        };
+                        for &isa in &bodies {
+                            hits.clear();
+                            distance::filter(isa, &job, &thresholds, &mut hits);
+                            assert_eq!(hits, expected, "{isa:?} {context} {thresholds:?}");
                         }
                     }
                 }

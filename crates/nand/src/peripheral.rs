@@ -11,11 +11,15 @@
 //! # Hot-path invariants
 //!
 //! These helpers sit at the bottom of the query scan loop. The actual bit
-//! kernels — one register-blocked distance primitive behind one run-time
-//! ISA dispatch, exact tails, allocation-free `_into` variants — live in the
-//! workspace's single kernel crate, [`reis_kernels`], and are re-exported
-//! here; this module only adds the peripheral framing (per-chunk semantics,
-//! the pass/fail comparator, the fused multi-query counter).
+//! kernels — one distance primitive that scores blocks of eight (slot,
+//! query) pairs in registers behind one run-time ISA dispatch, exact tails,
+//! allocation-free `_into` variants — live in the workspace's single kernel
+//! crate, [`reis_kernels`], and are re-exported here; this module only adds
+//! the peripheral framing (per-chunk semantics, the pass/fail comparator,
+//! the fused multi-query counter). The fused comparator
+//! ([`PassFailChecker::filter_fused`]) is the kernel's own: eight counts
+//! against eight thresholds in one vector compare, the way the on-die
+//! checker tests a count as it comes off the counter.
 
 use serde::{Deserialize, Serialize};
 
