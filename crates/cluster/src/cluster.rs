@@ -16,7 +16,8 @@
 //! * **Search** fans out [`ReisSystem::leaf_query`] to one live replica
 //!   per shard — concurrently, on the aggregator's worker pool — merges
 //!   under the lifted `(distance, shard, storage index)` orders
-//!   ([`crate::merge`]) and fetches only the winners' chunks from their
+//!   ([`reis_core::merge_top_k`], the rule a single device ranks its own
+//!   candidates with) and fetches only the winners' chunks from their
 //!   serving replicas.
 //! * **Mutations** route to every live replica of the owning shard with
 //!   globally assigned stable ids, so the cluster's id namespace is the
@@ -45,16 +46,15 @@ use reis_telemetry::{CounterId, HistogramId, QueryTrace, Span, Telemetry};
 
 use reis_core::system::ReisSystem;
 use reis_core::{
-    host_parallelism, Backend, ClusterInfo, CompactionOutcome, DurableStore, LeafCandidate,
-    LeafQueryOutcome, Modelled, MutationOutcome, Pipeline, PipelineConfig, QueryActivity,
-    RecoveryReport, ReisConfig, ReisError, Result, ScrubReport, VectorDatabase, WorkerPool,
-    DOC_SUBPAGE_BYTES,
+    host_parallelism, merge_top_k, Backend, ClusterInfo, CompactionOutcome, DurableStore,
+    LeafCandidate, LeafQueryOutcome, Modelled, MutationOutcome, Pipeline, PipelineConfig,
+    QueryActivity, RecoveryReport, ReisConfig, ReisError, Result, ScrubReport, VectorDatabase,
+    WorkerPool, DOC_SUBPAGE_BYTES,
 };
 
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::health::{HealthState, LeafHealth, RetryPolicy, ShardCoverage};
 use crate::latency::{leaf_completion, HedgePolicy, LatencyModel};
-use crate::merge::merge_top_k;
 use crate::router::ShardRouter;
 
 /// File name of the cluster manifest inside its VFS.
@@ -702,7 +702,6 @@ impl ClusterSystem {
         // contributes nothing and is reported uncovered.
         let mut per_shard: Vec<Vec<LeafCandidate>> = vec![Vec::new(); num_shards];
         let mut activity = QueryActivity::default();
-        let mut budget = 0;
         let mut hedges_launched = 0;
         for (shard, slot) in serving.iter().enumerate() {
             let Some(leaf_idx) = *slot else {
@@ -710,11 +709,6 @@ impl ClusterSystem {
             };
             let (answer, wall_ns) = answers.next().expect("one answer per serving leaf");
             let outcome = answer?;
-            debug_assert!(
-                budget == 0 || budget == outcome.candidate_budget,
-                "leaves disagree on the candidate budget"
-            );
-            budget = outcome.candidate_budget;
             let (completion, hedged) = leaf_completion(
                 &self.latency,
                 self.hedge,
@@ -747,14 +741,11 @@ impl ClusterSystem {
         let degraded = covered.iter().any(|&c| !c);
 
         // Gather: replay the single-device cut and ranking over the union
-        // of the covered shards (all shards, in the healthy case).
+        // of the covered shards (all shards, in the healthy case). Every
+        // leaf runs this configuration, so they all cut to its budget.
         let merge_started = enabled.then(Instant::now);
-        let merged = merge_top_k(&per_shard, budget, k);
-        let results: Vec<Neighbor> = merged
-            .winners
-            .iter()
-            .map(|w| Neighbor::new(w.candidate.id as usize, w.candidate.raw as f32))
-            .collect();
+        let merged = merge_top_k(&per_shard, self.config.rerank_candidates(k), k);
+        let results = merged.results();
 
         // Fetch only the winners' chunks, each from its shard's serving
         // replica, and splice them back into global rank order.

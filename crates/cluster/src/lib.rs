@@ -15,10 +15,6 @@
 //!   the union's storage order, an owner map for deploy-time ids,
 //!   round-robin routing for later inserts, and shard-major replica
 //!   groups when a replication factor is configured.
-//! * [`merge`] — the exact scatter–gather merge: the single-device
-//!   candidate cut and top-k rules replayed over the union of leaf
-//!   candidate sets under the lifted `(distance, leaf, storage index)`
-//!   order.
 //! * [`latency`] — modelled per-leaf latency skew (seeded, deterministic)
 //!   and hedged duplicate requests for straggler tolerance.
 //! * [`fault`] — seeded, deterministic fault injection at the
@@ -29,7 +25,7 @@
 //!   retry/backoff policy and the [`ShardCoverage`] degradation
 //!   contract.
 //! * [`cluster`] — [`ClusterSystem`], the aggregator itself: deploy,
-//!   search, batched search, mutation routing with replica lockstep,
+//!   search (merged exactly by [`reis_core::merge_top_k`]), batched search, mutation routing with replica lockstep,
 //!   retry/failover/degradation, per-leaf durability, cluster-manifest
 //!   recovery and down-leaf rejoin — and, through its
 //!   [`Backend`](reis_core::Backend) implementation, the request pipeline
@@ -42,12 +38,10 @@ pub mod cluster;
 pub mod fault;
 pub mod health;
 pub mod latency;
-pub mod merge;
 pub mod router;
 
 pub use cluster::{ClusterActivity, ClusterRecovery, ClusterSearchOutcome, ClusterSystem};
 pub use fault::{FaultDecision, FaultPlan};
 pub use health::{HealthState, LeafHealth, RetryPolicy, ShardCoverage};
 pub use latency::{HedgePolicy, LatencyModel};
-pub use merge::{merge_top_k, MergeOutcome, RankedCandidate};
 pub use router::ShardRouter;

@@ -133,20 +133,7 @@ impl VectorDatabase {
         clusters: ClusterInfo,
     ) -> Result<Self> {
         Self::validate(vectors, &documents)?;
-        let mut seen = vec![false; vectors.len()];
-        for &member in clusters.lists.iter().flatten() {
-            if member >= vectors.len() || seen[member] {
-                return Err(ReisError::MalformedDatabase(format!(
-                    "cluster member {member} is out of range or duplicated"
-                )));
-            }
-            seen[member] = true;
-        }
-        if seen.iter().any(|&s| !s) {
-            return Err(ReisError::MalformedDatabase(
-                "cluster lists do not cover every entry".into(),
-            ));
-        }
+        check_partition(&clusters, vectors.len())?;
         Ok(VectorDatabase {
             dim: binary_quantizer.dim(),
             binary: binary_quantizer.quantize_all(vectors)?,
@@ -173,7 +160,6 @@ impl VectorDatabase {
     /// [`ReisError::MalformedDatabase`] if the corpus is empty, the
     /// binary/INT8/document counts disagree, any code has the wrong byte
     /// width for `dim`, or the cluster lists are not a partition.
-    #[allow(clippy::too_many_arguments)]
     pub fn from_quantized_parts(
         dim: usize,
         binary: Vec<BinaryVector>,
@@ -218,20 +204,7 @@ impl VectorDatabase {
             }
         }
         if let Some(info) = &clusters {
-            let mut seen = vec![false; binary.len()];
-            for &member in info.lists.iter().flatten() {
-                if member >= binary.len() || seen[member] {
-                    return Err(ReisError::MalformedDatabase(format!(
-                        "cluster member {member} is out of range or duplicated"
-                    )));
-                }
-                seen[member] = true;
-            }
-            if seen.iter().any(|&s| !s) {
-                return Err(ReisError::MalformedDatabase(
-                    "cluster lists do not cover every entry".into(),
-                ));
-            }
+            check_partition(info, binary.len())?;
         }
         Ok(VectorDatabase {
             dim,
@@ -337,6 +310,26 @@ impl VectorDatabase {
     pub fn max_document_bytes(&self) -> usize {
         self.documents.iter().map(Vec::len).max().unwrap_or(0)
     }
+}
+
+/// Check that the cluster member lists partition the entry indices
+/// `0..entries`: every index in exactly one list.
+fn check_partition(clusters: &ClusterInfo, entries: usize) -> Result<()> {
+    let mut seen = vec![false; entries];
+    for &member in clusters.lists.iter().flatten() {
+        if member >= entries || seen[member] {
+            return Err(ReisError::MalformedDatabase(format!(
+                "cluster member {member} is out of range or duplicated"
+            )));
+        }
+        seen[member] = true;
+    }
+    if seen.iter().any(|&s| !s) {
+        return Err(ReisError::MalformedDatabase(
+            "cluster lists do not cover every entry".into(),
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

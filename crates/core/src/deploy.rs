@@ -153,6 +153,11 @@ pub fn deploy(
 /// replayed or future mutations, as they were before the crash — keep
 /// fitting their slots.
 ///
+/// The next-id watermark advances past the largest assigned id, and
+/// document chunks — which live at entry-order slots — resolve through an
+/// explicit id → slot map, since the identity fallback of
+/// `UpdateState::base_doc_slot` no longer holds.
+///
 /// # Errors
 ///
 /// Same as [`deploy`], plus [`crate::error::ReisError::MalformedDatabase`]
@@ -164,13 +169,24 @@ pub(crate) fn deploy_with_ids(
     stable_ids: &[u32],
     min_doc_slot_bytes: usize,
 ) -> Result<DeployedDatabase> {
-    deploy_inner(
+    let mut deployed = deploy_inner(
         ssd,
         database,
         db_id,
         Some(stable_ids),
         Some(min_doc_slot_bytes),
-    )
+    )?;
+    let updates = &mut deployed.updates;
+    let past_max = stable_ids.iter().map(|&id| id + 1).max().unwrap_or(0);
+    updates.next_id = updates.next_id.max(past_max);
+    updates.doc_slots = Some(
+        stable_ids
+            .iter()
+            .enumerate()
+            .map(|(slot, &id)| (id, slot as u32))
+            .collect(),
+    );
+    Ok(deployed)
 }
 
 fn deploy_inner(
@@ -240,6 +256,11 @@ fn deploy_inner(
         None => storage_to_entry.clone(),
     };
 
+    let order = StorageOrder {
+        to_entry: &storage_to_entry,
+        to_original: &storage_to_original,
+        tags: &storage_tags,
+    };
     let mut latency = Nanos::ZERO;
     latency += write_embedding_region(
         ssd,
@@ -247,9 +268,7 @@ fn deploy_inner(
         &layout,
         &oob_layout,
         &embedding_region,
-        &storage_to_entry,
-        &storage_to_original,
-        &storage_tags,
+        &order,
     )?;
     latency += write_int8_region(ssd, database, &layout, &int8_region, &storage_to_entry)?;
     latency += write_document_region(ssd, database, &layout, &document_region)?;
@@ -337,16 +356,21 @@ pub(crate) fn pad_slot(bytes: &[u8], slot: usize) -> Vec<u8> {
     out
 }
 
-#[allow(clippy::too_many_arguments)]
+/// What each storage-order position of a deployment holds: the database
+/// entry, the stable id its OOB linkage records, and its cluster tag.
+struct StorageOrder<'a> {
+    to_entry: &'a [u32],
+    to_original: &'a [u32],
+    tags: &'a [u8],
+}
+
 fn write_embedding_region(
     ssd: &mut SsdController,
     database: &VectorDatabase,
     layout: &LayoutPlan,
     oob_layout: &OobLayout,
     region: &StripedRegion,
-    storage_to_entry: &[u32],
-    storage_to_original: &[u32],
-    storage_tags: &[u8],
+    order: &StorageOrder<'_>,
 ) -> Result<Nanos> {
     let mut latency = Nanos::ZERO;
     let slot = layout.embedding_slot_bytes;
@@ -383,12 +407,12 @@ fn write_embedding_region(
             if storage_index >= layout.entries {
                 break;
             }
-            let entry = storage_to_entry[storage_index] as usize;
+            let entry = order.to_entry[storage_index] as usize;
             data.extend(pad_slot(database.binary()[entry].as_bytes(), slot));
             oob_entries.push(OobEntry {
-                dadr: storage_to_original[storage_index],
+                dadr: order.to_original[storage_index],
                 radr: storage_index as u32,
-                tag: storage_tags[storage_index],
+                tag: order.tags[storage_index],
             });
         }
         let oob = oob_layout.pack(&oob_entries)?;

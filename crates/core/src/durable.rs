@@ -767,35 +767,24 @@ fn install_db(system: &mut ReisSystem, snap: DbSnapshot) -> Result<()> {
         int8_quantizer,
         clusters,
     )?;
-    let deployed = deploy::deploy_with_ids(
+    let mut deployed = deploy::deploy_with_ids(
         &mut system.controller,
         &database,
         snap.db_id,
         &ids,
         snap.doc_slot_bytes,
     )?;
-    system.databases.insert(snap.db_id, deployed);
-    let db = system
-        .databases
-        .get_mut(&snap.db_id)
-        .expect("just inserted");
 
     // Restore the mutation counters the snapshot carried: ids keep
-    // advancing from where the pre-crash system left off, document chunks
-    // of recovered entries resolve through the re-packed slot positions,
-    // and future compactions keep minting fresh region generation names.
-    db.updates.next_id = snap.next_id;
-    db.updates.doc_slots = Some(
-        ids.iter()
-            .enumerate()
-            .map(|(slot, &id)| (id, slot as u32))
-            .collect(),
-    );
-    db.updates.generation = snap.generation;
+    // advancing from where the pre-crash system left off and future
+    // compactions keep minting fresh region generation names.
+    deployed.updates.next_id = snap.next_id;
+    deployed.updates.generation = snap.generation;
 
     if empty {
-        mutate::delete_entry(&mut system.controller, db, 0)?;
+        mutate::delete_entry(&mut system.controller, &mut deployed, 0)?;
     }
+    system.install(deployed)?;
     Ok(())
 }
 

@@ -1,4 +1,4 @@
-//! Leaf-facing hooks for multi-device scale-out.
+//! Leaf-facing hooks for multi-device scale-out, and the one ranking rule.
 //!
 //! A scale-out deployment (see the `reis-cluster` crate) partitions one
 //! logical corpus across N independent leaf [`ReisSystem`] instances and
@@ -19,9 +19,13 @@
 //!    `(binary distance, leaf id, storage index)`, then ranks the
 //!    survivors by `(raw INT8 distance, leaf id, storage index)` — the
 //!    single-device `(distance, storage_index)` tie-breaks with the leaf id
-//!    spliced in. When each leaf holds a contiguous slice of the
-//!    single-device scan order, the lifted order coincides with the
-//!    single-device order and the merged top-k is bit-identical.
+//!    spliced in ([`merge_top_k`]). When each leaf holds a contiguous slice
+//!    of the single-device scan order, the lifted order coincides with the
+//!    single-device order and the merged top-k is bit-identical. A single
+//!    device ranks its own candidates with the same function over one leaf:
+//!    its selection is already cut to the budget under the same order, so
+//!    the cut keeps everything, and `(raw, 0, storage index)` orders as
+//!    `(raw, storage index)` does.
 //! 3. [`ReisSystem::leaf_fetch_documents`] retrieves the winners' chunks
 //!    from their owning leaves only.
 //!
@@ -46,11 +50,10 @@ use reis_nand::{FlashStats, Nanos};
 use crate::database::VectorDatabase;
 use crate::deploy;
 use crate::energy::EnergyBreakdown;
-use crate::engine::InStorageEngine;
 use crate::error::{ReisError, Result};
 use crate::mutate::MutationOutcome;
 use crate::perf::{LatencyBreakdown, QueryActivity};
-use crate::scan::{Finish, Request};
+use crate::scan::{self, Finish, Request};
 use crate::system::ReisSystem;
 
 /// One fully scored fine-search candidate, as a leaf reports it to the
@@ -75,8 +78,6 @@ pub struct LeafCandidate {
 pub struct LeafQueryOutcome {
     /// All leaf-local candidates, ordered by `(binary, storage_index)`.
     pub candidates: Vec<LeafCandidate>,
-    /// The candidate budget this leaf cut to (`rerank_factor × k`).
-    pub candidate_budget: usize,
     /// Activity counters of the leaf's scan and rerank phases.
     pub activity: QueryActivity,
     /// Per-phase modelled latency of the leaf's work (documents excluded —
@@ -123,32 +124,14 @@ impl ReisSystem {
         stable_ids: &[u32],
         min_doc_slot_bytes: usize,
     ) -> Result<u32> {
-        let db_id = self.next_db_id;
-        let mut deployed = deploy::deploy_with_ids(
+        let deployed = deploy::deploy_with_ids(
             &mut self.controller,
             database,
-            db_id,
+            self.next_db_id,
             stable_ids,
             min_doc_slot_bytes,
         )?;
-        let past_max = stable_ids.iter().map(|&id| id + 1).max().unwrap_or(0);
-        deployed.updates.next_id = deployed.updates.next_id.max(past_max);
-        // Document chunks live at entry-order slots; with external ids the
-        // identity fallback of `base_doc_slot` no longer holds, so install
-        // the explicit id → slot map (as snapshot recovery does).
-        deployed.updates.doc_slots = Some(
-            stable_ids
-                .iter()
-                .enumerate()
-                .map(|(slot, &id)| (id, slot as u32))
-                .collect(),
-        );
-        self.databases.insert(db_id, deployed);
-        self.next_db_id += 1;
-        if self.durability.is_some() {
-            self.save()?;
-        }
-        Ok(db_id)
+        self.install(deployed)
     }
 
     /// Insert a batch under *caller-chosen* stable ids (see
@@ -220,7 +203,6 @@ impl ReisSystem {
         let answered = executed.pop().expect("one outcome per query");
         Ok(LeafQueryOutcome {
             candidates: answered.candidates,
-            candidate_budget: config.rerank_candidates(k),
             activity: answered.outcome.activity,
             latency: answered.outcome.latency,
             energy: answered.outcome.energy,
@@ -246,8 +228,8 @@ impl ReisSystem {
             .get(&db_id)
             .ok_or(ReisError::DatabaseNotDeployed(db_id))?;
         let stats_before = *self.controller.device().stats();
-        let mut engine = InStorageEngine::new(&mut self.controller, &mut self.scratch);
-        let documents = engine.fetch_documents(db, results)?;
+        let documents =
+            scan::fetch_documents(&mut self.controller, &mut self.scratch, db, results)?;
         let doc_slot_bytes = db.layout.doc_slot_bytes;
         let latency = self.perf.document_fetch(documents.len(), doc_slot_bytes)
             + self.perf.host_transfer(documents.len(), doc_slot_bytes);
@@ -257,5 +239,217 @@ impl ReisSystem {
             latency,
             flash_stats,
         })
+    }
+}
+
+/// A ranked candidate with its originating leaf (the merge tie-break key
+/// and the document-fetch routing handle).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RankedCandidate {
+    /// Index of the leaf that reported the candidate (0 on a single device).
+    pub leaf: usize,
+    /// The leaf's fully scored candidate.
+    pub candidate: LeafCandidate,
+}
+
+/// What the merge produced, with the accounting the aggregator reports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MergeOutcome {
+    /// The global top-k, ascending by `(raw, leaf, storage index)`.
+    pub winners: Vec<RankedCandidate>,
+    /// Union candidate count before the global cut.
+    pub merged_candidates: usize,
+    /// Candidates surviving the global `rerank_factor × k` cut.
+    pub cut_candidates: usize,
+}
+
+impl MergeOutcome {
+    /// The winners as search results: `(stable id, INT8 rerank distance)`,
+    /// in rank order.
+    pub fn results(&self) -> Vec<Neighbor> {
+        self.winners
+            .iter()
+            .map(|w| Neighbor::new(w.candidate.id as usize, w.candidate.raw as f32))
+            .collect()
+    }
+}
+
+/// Rank per-leaf candidate sets into the global top `k` (see the module
+/// docs): the global candidate cut to `budget` by `(binary, leaf, storage
+/// index)`, then the top `k` by `(raw, leaf, storage index)`. The one
+/// ranking rule of both a device (one leaf) and a cluster aggregator.
+///
+/// Both keys are total orders (a leaf reports each storage index once), so
+/// selecting each cut and sorting only the `k` winners yields exactly what
+/// sorting the whole union twice would.
+pub fn merge_top_k(per_leaf: &[Vec<LeafCandidate>], budget: usize, k: usize) -> MergeOutcome {
+    let mut union: Vec<RankedCandidate> = per_leaf
+        .iter()
+        .enumerate()
+        .flat_map(|(leaf, candidates)| {
+            candidates
+                .iter()
+                .map(move |&candidate| RankedCandidate { leaf, candidate })
+        })
+        .collect();
+    let merged_candidates = union.len();
+
+    keep_least(&mut union, budget, |r| {
+        (r.candidate.binary, r.leaf, r.candidate.storage_index)
+    });
+    let cut_candidates = union.len();
+
+    let rank = |r: &RankedCandidate| (r.candidate.raw, r.leaf, r.candidate.storage_index);
+    keep_least(&mut union, k, rank);
+    union.sort_unstable_by_key(rank);
+
+    MergeOutcome {
+        winners: union,
+        merged_candidates,
+        cut_candidates,
+    }
+}
+
+/// Keep the `n` least elements of `items` under the total order `key`, in
+/// no particular order.
+fn keep_least<K: Ord>(
+    items: &mut Vec<RankedCandidate>,
+    n: usize,
+    key: impl FnMut(&RankedCandidate) -> K,
+) {
+    if n < items.len() {
+        items.select_nth_unstable_by_key(n, key);
+        items.truncate(n);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cand(binary: u32, storage_index: u32, id: u32, raw: i64) -> LeafCandidate {
+        LeafCandidate {
+            binary,
+            storage_index,
+            id,
+            raw,
+        }
+    }
+
+    #[test]
+    fn candidate_cut_prefers_lower_leaf_then_lower_storage_index() {
+        // Three candidates share the boundary binary distance; budget keeps
+        // exactly one of them. Leaf order breaks the tie first, storage
+        // index second.
+        let per_leaf = vec![
+            vec![cand(3, 9, 100, 50)],
+            vec![cand(3, 0, 200, 10), cand(3, 1, 201, 20)],
+        ];
+        let merged = merge_top_k(&per_leaf, 1, 1);
+        assert_eq!(merged.merged_candidates, 3);
+        assert_eq!(merged.cut_candidates, 1);
+        // (3, leaf 0, idx 9) beats (3, leaf 1, idx 0) despite the larger
+        // storage index: the leaf id is the senior tie-break.
+        assert_eq!(merged.winners[0].candidate.id, 100);
+    }
+
+    #[test]
+    fn final_ranking_breaks_raw_ties_by_leaf_then_storage_index() {
+        // Duplicate raw distances colliding across leaves.
+        let per_leaf = vec![
+            vec![cand(1, 5, 10, 77), cand(2, 6, 11, 77)],
+            vec![cand(1, 0, 20, 77)],
+            vec![cand(1, 2, 30, 76)],
+        ];
+        let merged = merge_top_k(&per_leaf, 10, 4);
+        let ids: Vec<u32> = merged.winners.iter().map(|w| w.candidate.id).collect();
+        // 30 wins outright (raw 76); among the 77s: leaf 0 idx 5, leaf 0
+        // idx 6, then leaf 1 idx 0.
+        assert_eq!(ids, vec![30, 10, 11, 20]);
+    }
+
+    #[test]
+    fn cut_happens_before_ranking() {
+        // A candidate with the best raw distance but a boundary-losing
+        // binary distance must be cut before ranking, exactly as a single
+        // device would cut it.
+        let per_leaf = vec![
+            vec![cand(1, 0, 1, 100), cand(1, 1, 2, 90)],
+            vec![cand(5, 0, 3, 1)],
+        ];
+        let merged = merge_top_k(&per_leaf, 2, 2);
+        let ids: Vec<u32> = merged.winners.iter().map(|w| w.candidate.id).collect();
+        assert_eq!(
+            ids,
+            vec![2, 1],
+            "raw-best candidate must not survive the binary cut"
+        );
+    }
+
+    /// The merge as it was first written: sort the whole union by the cut
+    /// key, truncate, sort the survivors by the rank key, truncate.
+    fn two_sort_reference(
+        per_leaf: &[Vec<LeafCandidate>],
+        budget: usize,
+        k: usize,
+    ) -> MergeOutcome {
+        let mut union: Vec<RankedCandidate> = per_leaf
+            .iter()
+            .enumerate()
+            .flat_map(|(leaf, candidates)| {
+                candidates
+                    .iter()
+                    .map(move |&candidate| RankedCandidate { leaf, candidate })
+            })
+            .collect();
+        let merged_candidates = union.len();
+        union.sort_by_key(|r| (r.candidate.binary, r.leaf, r.candidate.storage_index));
+        union.truncate(budget);
+        let cut_candidates = union.len();
+        union.sort_by_key(|r| (r.candidate.raw, r.leaf, r.candidate.storage_index));
+        union.truncate(k);
+        MergeOutcome {
+            winners: union,
+            merged_candidates,
+            cut_candidates,
+        }
+    }
+
+    #[test]
+    fn selecting_merge_equals_the_two_sort_reference() {
+        let mut state = 0x3E26_E5E1_u64;
+        let mut draw = |bound: u64| reis_persist::splitmix64(&mut state) % bound;
+        for case in 0..2_000 {
+            // Distances from a handful of values, so ties are the rule.
+            let spread = 1 + draw(6);
+            let per_leaf: Vec<Vec<LeafCandidate>> = (0..1 + draw(5))
+                .map(|_| {
+                    (0..draw(40) as u32)
+                        .map(|index| {
+                            cand(draw(spread) as u32, index, index, draw(spread) as i64 - 2)
+                        })
+                        .collect()
+                })
+                .collect();
+            let union: usize = per_leaf.iter().map(Vec::len).sum();
+            // Budgets below, at and past the union; `k` below, at and past
+            // the budget.
+            let budget = draw(union as u64 + 8) as usize;
+            let k = draw(budget as u64 + 4) as usize;
+            assert_eq!(
+                merge_top_k(&per_leaf, budget, k),
+                two_sort_reference(&per_leaf, budget, k),
+                "case {case}: budget {budget}, k {k}, union {union}"
+            );
+        }
+    }
+
+    #[test]
+    fn short_inputs_merge_without_padding() {
+        let merged = merge_top_k(&[vec![], vec![cand(0, 0, 7, 5)]], 10, 3);
+        assert_eq!(merged.merged_candidates, 1);
+        assert_eq!(merged.cut_candidates, 1);
+        assert_eq!(merged.winners.len(), 1);
+        assert_eq!(merged.winners[0].leaf, 1);
     }
 }

@@ -16,9 +16,11 @@
 //!   filtering, adaptive thresholds, channel/die sharding — see
 //!   [`config::ScanParallelism`] — and the query lifecycle around them). A
 //!   batch senses each probed page once for all its queries; a single
-//!   search is a batch of one.
-//! * [`engine`] — what the core is built from and what runs after it:
-//!   candidate admission, quickselect, INT8 reranking, document retrieval.
+//!   search is a batch of one. The same lifecycle runs quickselect, INT8
+//!   reranking and document retrieval after the scan.
+//! * [`leaf`] — the scale-out hooks ([`system::ReisSystem::leaf_query`])
+//!   and [`leaf::merge_top_k`], the one rule that ranks rerank candidates
+//!   on a device (one leaf) and on a cluster aggregator (many).
 //! * [`perf`] — the latency model (plane/die/channel parallelism,
 //!   pipelining, MPIBC).
 //! * [`energy`] — the per-operation energy model.
@@ -58,7 +60,6 @@ pub mod database;
 pub mod deploy;
 pub mod durable;
 pub mod energy;
-pub mod engine;
 pub mod error;
 pub mod layout;
 pub mod leaf;
@@ -76,7 +77,10 @@ pub use durable::{RecoveryReport, WalQuarantine};
 pub use energy::{EnergyBreakdown, EnergyModel, EnergyParams};
 pub use error::{ReisError, Result};
 pub use layout::{LayoutPlan, DOC_SUBPAGE_BYTES};
-pub use leaf::{LeafCandidate, LeafDocumentsOutcome, LeafQueryOutcome};
+pub use leaf::{
+    merge_top_k, LeafCandidate, LeafDocumentsOutcome, LeafQueryOutcome, MergeOutcome,
+    RankedCandidate,
+};
 pub use mutate::{CompactionOutcome, MutationOutcome};
 pub use perf::{LatencyBreakdown, PerfModel, QueryActivity};
 pub use pipeline::{

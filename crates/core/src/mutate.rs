@@ -24,7 +24,7 @@
 //!   whose programmed pages all became invalid — returning the space to the
 //!   allocator for recycling.
 //!
-//! The search path (see [`crate::engine`]) composes with all of this:
+//! The search path (see [`crate::scan`]) composes with all of this:
 //! scans cover base + live segments and filter tombstones, so a search
 //! after any mutation sequence returns exactly what a from-scratch
 //! deployment of the surviving corpus (under the same quantizers and
@@ -38,9 +38,9 @@ use reis_ssd::{DatabaseRecord, RegionKind, SsdController, StripedRegion};
 use reis_update::{EntryLocation, SegmentEntry, SlotRef, OOB_INVALID_RADR};
 
 use crate::deploy::{pad_slot, DeployedDatabase, RegionNames};
-use crate::engine::parse_doc_slot;
 use crate::error::{ReisError, Result};
 use crate::records::{RIvf, RIvfEntry};
+use crate::scan::parse_doc_slot;
 
 /// Outcome of one insert/delete/upsert call.
 #[derive(Debug, Clone, PartialEq)]

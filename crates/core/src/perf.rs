@@ -1,6 +1,6 @@
 //! Latency model of one in-storage query.
 //!
-//! The functional engine (`engine` module) counts what a query actually did —
+//! The functional engine (the `scan` module) counts what a query actually did —
 //! pages scanned, entries that passed the distance filter, candidates
 //! reranked, documents fetched. This module turns those counts into latency
 //! by composing the flash, channel, DRAM and embedded-core costs of Table 3

@@ -5,7 +5,7 @@
 //! of one. The core has four parts.
 //!
 //! * **The plan.** A query set of size B ≥ 1, each query with its own fine
-//!   selection (`engine::plan_fine_selection`), and an ordered page list
+//!   selection (`plan_fine_selection`), and an ordered page list
 //!   walked in three *passes*: the centroid pages (IVF only), the merged base
 //!   ranges, then the probed clusters' append-segment runs. A pass is a list
 //!   of `Span`s — runs of consecutive pages of one region that the same
@@ -16,19 +16,25 @@
 //!   kernel ([`PassFailChecker::filter_fused`]) scores one sensed page
 //!   against every covering query in a single pass over the page words, the
 //!   OOB linkage of a passing slot unpacks once for all queries that passed
-//!   it, and the pass's admission rule (`engine::coarse_scan_entry`,
-//!   `engine::base_scan_entry`, `engine::segment_scan_entry`) turns hits
-//!   into Temporal-Top-List entries.
+//!   it, and the pass's admission rule (`coarse_scan_entry`,
+//!   `base_scan_entry`, `segment_scan_entry`) turns hits into
+//!   Temporal-Top-List entries.
 //! * **The pass driver** (`Scan::run_pass`): cuts the pass at the next
 //!   adaptive-window barrier of any in-flight query (a non-adapting pass is
 //!   one chunk), picks the chunk's shard count with
 //!   [`ScanParallelism::effective_shards`](crate::config::ScanParallelism),
 //!   runs the shards as pool tasks — inline when the count is one —, merges
 //!   them in shard order and tightens the thresholds of the queries that
-//!   completed a window (`engine::tighten_threshold`). The same driver
-//!   runs the coarse, base and segment passes.
+//!   completed a window (`tighten_threshold`). The same driver runs the
+//!   coarse, base and segment passes.
 //! * **The lifecycle** (`execute`): validate → quantise → scan → select →
 //!   rerank → fetch → [`QueryActivity`] → price → telemetry, per query.
+//!   The rerank scores every selected candidate once, into a
+//!   [`LeafCandidate`] at its position in the selection's `(distance,
+//!   storage_index)` order. A device search then ranks that scored set with
+//!   [`merge_top_k`] over one leaf — the rule the cluster aggregator runs
+//!   over many — and fetches the winners' documents; a leaf query hands the
+//!   scored set back.
 //!
 //! # Why the special cases are special cases
 //!
@@ -70,6 +76,12 @@
 //! [`reis_nand::FlashDevice::read_is_error_free`] decides — it is something
 //! the core observes, not an option.
 //!
+//! Reranking and document retrieval sort their slots by flash page and read
+//! each page once through the controller's borrowed read
+//! (`SlotPlan::read_in_page_order`), scoring or copying the one slot they
+//! need straight out of the view — no page cache map, no staging copy of the
+//! page, no per-candidate vector copies and no per-page allocation.
+//!
 //! # Accounting
 //!
 //! After the scan the *physical* flash activity — each page sensed once, the
@@ -81,6 +93,8 @@
 
 use std::time::Instant;
 
+use reis_ann::topk::Neighbor;
+use reis_ann::vector::Int8Vector;
 use reis_nand::latch::Latch;
 use reis_nand::peripheral::PassFailChecker;
 use reis_nand::{FlashStats, FusedHit, Nanos, OobEntry, OobLayout, ScanShardPlan};
@@ -89,16 +103,312 @@ use reis_ssd::{ControllerActivity, RegionKind, SsdController, StripedRegion};
 use reis_telemetry::{
     CounterId, ExplainEvent, ExplainTrace, HistogramId, QueryTrace, Span as TraceSpan, Telemetry,
 };
+use reis_update::OOB_INVALID_RADR;
 
 use crate::config::ReisConfig;
 use crate::deploy::DeployedDatabase;
 use crate::energy::EnergyModel;
-use crate::engine::{self, FineSelection, InStorageEngine, ScanCounts, ScanScratch};
 use crate::error::{ReisError, Result};
-use crate::leaf::LeafCandidate;
+use crate::layout::LayoutPlan;
+use crate::leaf::{merge_top_k, LeafCandidate};
 use crate::perf::{PerfModel, QueryActivity};
 use crate::records::{TemporalTopList, TtlEntry};
 use crate::system::SearchOutcome;
+
+/// Activity counters of one scan pass.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ScanCounts {
+    /// Pages sensed.
+    pages: usize,
+    /// Embedding slots whose distance was computed.
+    slots_scanned: usize,
+    /// Entries that passed the distance filter and were transferred.
+    entries_passed: usize,
+    /// Adaptive window barriers crossed (0 for static-threshold scans): the
+    /// number of times the embedded core re-ran quickselect over the
+    /// accumulated Temporal Top List to tighten the in-plane threshold.
+    windows: usize,
+}
+
+impl ScanCounts {
+    /// Fold the page/slot/entry counters of one shard into this one (window
+    /// barriers are counted by the pass driver, not by its shards, so they
+    /// do not accumulate here).
+    fn absorb(&mut self, other: ScanCounts) {
+        self.pages += other.pages;
+        self.slots_scanned += other.slots_scanned;
+        self.entries_passed += other.entries_passed;
+    }
+}
+
+/// Reusable buffers of the phases downstream of the scan, created once per
+/// system so steady-state reranking and document fetching perform no
+/// per-page heap allocation.
+#[derive(Debug, Default)]
+pub(crate) struct ScanScratch {
+    /// Where each rerank candidate's INT8 copy (or each result's document)
+    /// lives, and the page-sorted order the phase visits them in.
+    slots: SlotPlan,
+    /// The current query's scored candidates, in selection order.
+    scored: Vec<LeafCandidate>,
+}
+
+/// One payload slot on flash: the region, the page within it, the slot
+/// within the page.
+type SlotLocation = (StripedRegion, usize, usize);
+
+/// The payload slots one downstream phase reads, pooled across queries: the
+/// resolved locations in candidate order and the page-sorted visit order.
+#[derive(Debug, Default)]
+struct SlotPlan {
+    locations: Vec<SlotLocation>,
+    order: Vec<usize>,
+}
+
+impl SlotPlan {
+    /// Read the pages behind the locations in `(region, page)` order — every
+    /// distinct page once, through the controller's borrowed read — and hand
+    /// `visit` each location's index, page, slot and page bytes. Returns the
+    /// number of pages read. The one page-ordered read loop of the rerank
+    /// and document phases.
+    fn read_in_page_order(
+        &mut self,
+        ssd: &mut SsdController,
+        kind: RegionKind,
+        mut visit: impl FnMut(usize, usize, usize, &[u8]) -> Result<()>,
+    ) -> Result<usize> {
+        let SlotPlan { locations, order } = self;
+        let page_of = |&i: &usize| (locations[i].0.start, locations[i].1);
+        order.clear();
+        order.extend(0..locations.len());
+        order.sort_unstable_by_key(page_of);
+        let mut pages_read = 0;
+        for same_page in order.chunk_by(|a, b| page_of(a) == page_of(b)) {
+            let (region, page, _) = locations[same_page[0]];
+            let view = ssd.read_region_page_view(&region, page, kind)?;
+            pages_read += 1;
+            for &i in same_page {
+                visit(i, page, locations[i].2, view.data)?;
+            }
+        }
+        Ok(pages_read)
+    }
+}
+
+/// Parse a document slot (4-byte length prefix + payload) out of a document
+/// page.
+pub(crate) fn parse_doc_slot(
+    page_bytes: &[u8],
+    slot: usize,
+    slot_bytes: usize,
+    page: usize,
+) -> Result<Vec<u8>> {
+    let start = slot * slot_bytes;
+    let corrupt = ReisError::CorruptDocument { page, slot };
+    let Some(&[a, b, c, d]) = page_bytes.get(start..start + 4) else {
+        return Err(corrupt);
+    };
+    let len = u32::from_le_bytes([a, b, c, d]) as usize;
+    if len > slot_bytes - 4 || start + 4 + len > page_bytes.len() {
+        return Err(corrupt);
+    }
+    Ok(page_bytes[start + 4..start + 4 + len].to_vec())
+}
+
+/// Tighten an adaptive distance-filter threshold against the current
+/// contents of a Temporal Top List: once at least `2 × candidate_count`
+/// entries accumulated, quickselect down to the candidate count and clamp
+/// the threshold to the worst surviving distance. Any embedding farther
+/// than that can never enter the final candidate set (its total-order key
+/// exceeds every kept key, and more candidates only shrink the cut), so
+/// filtering it in-plane is lossless. The `<=` pass condition keeps
+/// equal-distance entries flowing, which the `storage_index` tie-break may
+/// still admit.
+///
+/// Under the windowed schedule this runs only at window *barriers* — fixed
+/// page-count positions of the scan's deterministic page list — over the
+/// TTL state accumulated across all completed windows. Because the TTL
+/// quickselect keys on a total order, the merged state at a barrier (and
+/// therefore the tightened threshold) is independent of how the window's
+/// pages were partitioned across shard workers.
+fn tighten_threshold(ttl: &mut TemporalTopList, candidate_count: usize, threshold: &mut u32) {
+    if ttl.len() >= candidate_count.saturating_mul(2) {
+        ttl.quickselect(candidate_count);
+        if let Some(max) = ttl.entries().iter().map(|e| e.distance).max() {
+            *threshold = (*threshold).min(max);
+        }
+    }
+}
+
+/// Merge a list of `(start, end)` half-open ranges in place: empty ranges
+/// are dropped, the rest sorted and overlapping/adjacent ranges coalesced.
+fn merge_page_ranges(ranges: &mut Vec<(usize, usize)>) {
+    ranges.retain(|&(start, end)| start < end);
+    if ranges.len() <= 1 {
+        return;
+    }
+    ranges.sort_unstable();
+    let mut write = 0usize;
+    for read in 1..ranges.len() {
+        let (start, end) = ranges[read];
+        if start <= ranges[write].1 {
+            ranges[write].1 = ranges[write].1.max(end);
+        } else {
+            write += 1;
+            ranges[write] = (start, end);
+        }
+    }
+    ranges.truncate(write + 1);
+}
+
+/// Whether `index` falls inside one of the sorted, disjoint inclusive
+/// `(first, last)` ranges.
+fn in_valid_ranges(ranges: &[(u32, u32)], index: u32) -> bool {
+    let after = ranges.partition_point(|&(first, _)| first <= index);
+    after > 0 && ranges[after - 1].1 >= index
+}
+
+/// Whether relative page `offset` falls inside one of the sorted, disjoint
+/// half-open `(start, end)` merged page ranges (the per-query membership
+/// test of the base pass).
+fn in_page_ranges(ranges: &[(usize, usize)], offset: usize) -> bool {
+    let after = ranges.partition_point(|&(start, _)| start <= offset);
+    after > 0 && ranges[after - 1].1 > offset
+}
+
+/// The fine-scan selection of one query.
+#[derive(Debug, Default)]
+struct FineSelection {
+    /// Merged page ranges, relative to the database-embedding sub-region.
+    page_ranges: Vec<(usize, usize)>,
+    /// Sorted storage-index ranges of the probed clusters.
+    valid_ranges: Vec<(u32, u32)>,
+    /// The clusters whose append segments the scan must also cover, in
+    /// probe order (the order their segment runs join the page list).
+    clusters: Vec<usize>,
+}
+
+/// Compute the fine-scan selection of one query from its probed clusters
+/// (`None` selects the whole database, a brute-force scan).
+fn plan_fine_selection(db: &DeployedDatabase, clusters: Option<&[usize]>) -> Result<FineSelection> {
+    let layout = db.layout;
+    let mut selection = FineSelection::default();
+    match clusters {
+        Some(selected) => {
+            for &cluster in selected {
+                let entry = db
+                    .rivf
+                    .entry(cluster)
+                    .ok_or(ReisError::UnsupportedSearch(format!(
+                        "cluster {cluster} unknown"
+                    )))?;
+                selection.clusters.push(cluster);
+                if entry.member_count() == 0 {
+                    continue;
+                }
+                selection
+                    .valid_ranges
+                    .push((entry.first_embedding, entry.last_embedding));
+                selection.page_ranges.push(layout.embedding_page_range(
+                    entry.first_embedding as usize,
+                    entry.last_embedding as usize,
+                ));
+            }
+        }
+        None => {
+            selection.clusters.extend(0..db.update_clusters());
+            if layout.entries > 0 {
+                selection
+                    .valid_ranges
+                    .push((0, (layout.entries - 1) as u32));
+                selection.page_ranges.push((0, layout.embedding_pages));
+            }
+        }
+    }
+    merge_page_ranges(&mut selection.page_ranges);
+    selection.valid_ranges.sort_unstable();
+    Ok(selection)
+}
+
+/// Convert one passing base-region slot into a TTL entry, or `None` for
+/// slots that are out of range, tombstoned or outside the probed clusters.
+fn base_scan_entry(
+    layout: &LayoutPlan,
+    tombstones: &reis_update::TombstoneSet,
+    valid_ranges: &[(u32, u32)],
+    page: usize,
+    slot: usize,
+    distance: u32,
+    oob: OobEntry,
+) -> Option<TtlEntry> {
+    let storage_index = (page - layout.centroid_pages) * layout.embeddings_per_page + slot;
+    if storage_index >= layout.entries {
+        return None;
+    }
+    // Tombstoned base entries are dead; their flash pages still hold
+    // them, so the scan must drop them here.
+    if tombstones.contains(storage_index) {
+        return None;
+    }
+    let si = storage_index as u32;
+    if !in_valid_ranges(valid_ranges, si) {
+        return None;
+    }
+    Some(TtlEntry {
+        distance,
+        storage_index: si,
+        radr: oob.radr,
+        dadr: oob.dadr,
+        tag: oob.tag,
+    })
+}
+
+/// Convert one passing append-segment slot into a TTL entry, filtering the
+/// OOB validity sentinel of unfilled slots and DRAM-side deletions.
+fn segment_scan_entry(
+    store: &reis_update::SegmentStore,
+    base_capacity: u32,
+    distance: u32,
+    oob: OobEntry,
+) -> Option<TtlEntry> {
+    if oob.radr == OOB_INVALID_RADR || oob.radr < base_capacity {
+        return None;
+    }
+    let entry = store.entry(oob.radr - base_capacity)?;
+    if entry.deleted {
+        return None;
+    }
+    Some(TtlEntry {
+        distance,
+        storage_index: oob.radr,
+        radr: oob.radr,
+        dadr: oob.dadr,
+        tag: oob.tag,
+    })
+}
+
+/// Convert one passing centroid slot into a TTL-C entry, or `None` for pad
+/// slots past the last centroid.
+fn coarse_scan_entry(
+    epp: usize,
+    centroids: usize,
+    page: usize,
+    slot: usize,
+    distance: u32,
+    oob: OobEntry,
+) -> Option<TtlEntry> {
+    let cluster = page * epp + slot;
+    if cluster >= centroids {
+        return None;
+    }
+    Some(TtlEntry {
+        distance,
+        storage_index: cluster as u32,
+        radr: oob.radr,
+        dadr: oob.dadr,
+        tag: oob.tag,
+    })
+}
 
 /// Everything one request borrows from its [`ReisSystem`](crate::ReisSystem).
 pub(crate) struct ScanCtx<'a> {
@@ -117,13 +427,14 @@ pub(crate) struct ScanCtx<'a> {
     pub(crate) shard_budget: usize,
 }
 
-/// What the lifecycle does with a query's selected candidates.
+/// What the lifecycle does with a query's scored candidates.
 #[derive(Clone, Copy, PartialEq)]
 pub(crate) enum Finish {
-    /// Rerank, cut to the top `k` and fetch their documents.
+    /// Rank them as a one-leaf merge, keep the top `k` and fetch their
+    /// documents.
     Documents,
-    /// Rerank and report *every* candidate, fetching nothing (the leaf half
-    /// of the scale-out protocol, see [`crate::leaf`]).
+    /// Report *every* one, fetching nothing (the leaf half of the scale-out
+    /// protocol, see [`crate::leaf`]).
     Candidates,
 }
 
@@ -338,7 +649,7 @@ impl<'q> PageBody<'_, 'q> {
         let layout = &self.db.layout;
         let updates = &self.db.updates;
         match self.pass {
-            Pass::Coarse => engine::coarse_scan_entry(
+            Pass::Coarse => coarse_scan_entry(
                 layout.embeddings_per_page,
                 layout.centroids,
                 page,
@@ -346,7 +657,7 @@ impl<'q> PageBody<'_, 'q> {
                 distance,
                 oob,
             ),
-            Pass::Base => engine::base_scan_entry(
+            Pass::Base => base_scan_entry(
                 layout,
                 &updates.tombstones,
                 &self.selections[q].valid_ranges,
@@ -356,7 +667,7 @@ impl<'q> PageBody<'_, 'q> {
                 oob,
             ),
             Pass::Segments => {
-                engine::segment_scan_entry(&updates.store, updates.base_capacity, distance, oob)
+                segment_scan_entry(&updates.store, updates.base_capacity, distance, oob)
             }
         }
     }
@@ -652,7 +963,7 @@ impl<'a> Scan<'a> {
             for &q in &crossed {
                 let tally = &mut self.tallies[q];
                 tally.counts.windows += 1;
-                engine::tighten_threshold(
+                tighten_threshold(
                     &mut tally.ttl,
                     self.candidate_count,
                     &mut self.thresholds[q],
@@ -713,7 +1024,7 @@ impl<'a> Scan<'a> {
     /// ranges, then the append segments.
     fn fine(&mut self, clusters: Option<&[Vec<usize>]>) -> Result<()> {
         self.selections = (0..self.tallies.len())
-            .map(|q| engine::plan_fine_selection(self.db, clusters.map(|c| c[q].as_slice())))
+            .map(|q| plan_fine_selection(self.db, clusters.map(|c| c[q].as_slice())))
             .collect::<Result<_>>()?;
 
         // ---- Base pass: cut the union at every range boundary of any
@@ -735,7 +1046,7 @@ impl<'a> Scan<'a> {
                     base + pair[1],
                 )],
                 (0..self.selections.len())
-                    .filter(|&q| engine::in_page_ranges(&self.selections[q].page_ranges, pair[0])),
+                    .filter(|&q| in_page_ranges(&self.selections[q].page_ranges, pair[0])),
             );
         }
         self.run_pass(Pass::Base, &list)?;
@@ -820,6 +1131,150 @@ fn broadcast_stats(config: &ReisConfig, payload_bytes: usize) -> FlashStats {
         bytes_from_controller: dies * per_die,
         ..FlashStats::new()
     }
+}
+
+/// Score the selected candidates in INT8 precision on the embedded core:
+/// resolve each one's INT8 copy (base-region candidates through the
+/// layout's RADR arithmetic, append-segment candidates through the segment
+/// store's slot references), read the TLC pages in page order through the
+/// controller (with ECC) and write each candidate into the scratch's scored
+/// set at its own index, which keeps the selection's `(distance,
+/// storage_index)` order. Returns the number of distinct INT8 pages read.
+///
+/// # Errors
+///
+/// [`ReisError::EntryNotFound`] if a candidate's segment entry is gone or
+/// tombstoned (cannot happen for candidates of a scan over the same state);
+/// flash read errors.
+fn score_candidates(
+    controller: &mut SsdController,
+    scratch: &mut ScanScratch,
+    db: &DeployedDatabase,
+    selected: &[TtlEntry],
+    query_int8: &Int8Vector,
+) -> Result<usize> {
+    let layout = db.layout;
+    let base_capacity = db.updates.base_capacity;
+    let ScanScratch { slots, scored } = scratch;
+    slots.locations.clear();
+    scored.clear();
+    for candidate in selected {
+        slots.locations.push(if candidate.radr < base_capacity {
+            let (page, slot) = layout.int8_location(candidate.radr as usize);
+            (db.record.int8_region, page, slot)
+        } else {
+            let entry = db
+                .updates
+                .store
+                .entry(candidate.radr - base_capacity)
+                .filter(|entry| !entry.deleted)
+                .ok_or(ReisError::EntryNotFound(candidate.dadr))?;
+            (entry.int8.region, entry.int8.page, entry.int8.slot)
+        });
+        scored.push(LeafCandidate {
+            binary: candidate.distance,
+            storage_index: candidate.storage_index,
+            id: candidate.dadr,
+            raw: 0,
+        });
+    }
+    slots.read_in_page_order(
+        controller,
+        RegionKind::Int8Embeddings,
+        |i, _, slot, page| {
+            let start = slot * layout.int8_bytes;
+            scored[i].raw = query_int8.squared_l2_raw(&page[start..start + layout.int8_bytes]);
+            Ok(())
+        },
+    )
+}
+
+/// The rerank phase of one query: score every selected candidate once, then
+/// finish as the request asks. [`Finish::Documents`] ranks the scored set as
+/// one leaf's answer under [`merge_top_k`] — the selection is already cut
+/// to `budget` under the same total order, so the merge's cut keeps every
+/// candidate — and returns the top `k` as results; [`Finish::Candidates`]
+/// hands the whole scored set back. Also returns the number of INT8 pages
+/// read.
+///
+/// # Errors
+///
+/// Same conditions as `score_candidates`.
+fn rerank(
+    controller: &mut SsdController,
+    scratch: &mut ScanScratch,
+    db: &DeployedDatabase,
+    selected: &[TtlEntry],
+    query_int8: &Int8Vector,
+    request: &Request<'_>,
+    budget: usize,
+) -> Result<(Vec<Neighbor>, Vec<LeafCandidate>, usize)> {
+    let int8_pages = score_candidates(controller, scratch, db, selected, query_int8)?;
+    Ok(match request.finish {
+        Finish::Documents => {
+            let ranked = merge_top_k(std::slice::from_ref(&scratch.scored), budget, request.k);
+            (ranked.results(), Vec::new(), int8_pages)
+        }
+        Finish::Candidates => (Vec::new(), scratch.scored.clone(), int8_pages),
+    })
+}
+
+/// Document identification and retrieval: read the chunks of `results`
+/// from the document regions, in page order (each document page is read
+/// once), validating every slot's length prefix and copying the payload
+/// straight out of the controller's page view.
+///
+/// A result id resolves to its live chunk: relocated ids (inserts, and
+/// upserts of base entries) read from their append-segment page; base ids
+/// read from the base document region at the slot the update state maps
+/// them to (identity before the first compaction).
+///
+/// # Errors
+///
+/// * [`ReisError::CorruptDocument`] if a slot's 4-byte length prefix is
+///   missing or points outside the slot.
+/// * [`ReisError::EntryNotFound`] if a result id has no live document
+///   (cannot happen for ids produced by the same search).
+pub(crate) fn fetch_documents(
+    controller: &mut SsdController,
+    scratch: &mut ScanScratch,
+    db: &DeployedDatabase,
+    results: &[Neighbor],
+) -> Result<Vec<Vec<u8>>> {
+    let layout = db.layout;
+    let slots = &mut scratch.slots;
+    slots.locations.clear();
+    for neighbor in results {
+        let id = neighbor.id as u32;
+        slots
+            .locations
+            .push(if let Some(&sid) = db.updates.relocated.get(&id) {
+                let entry = db
+                    .updates
+                    .store
+                    .entry(sid)
+                    .ok_or(ReisError::EntryNotFound(id))?;
+                (
+                    entry.document.region,
+                    entry.document.page,
+                    entry.document.slot,
+                )
+            } else {
+                let slot_index = db
+                    .updates
+                    .base_doc_slot(id)
+                    .ok_or(ReisError::EntryNotFound(id))? as usize;
+                let (page, slot) = layout.document_location(slot_index);
+                (db.record.document_region, page, slot)
+            });
+    }
+
+    let mut documents: Vec<Vec<u8>> = vec![Vec::new(); results.len()];
+    slots.read_in_page_order(controller, RegionKind::Documents, |i, page, slot, bytes| {
+        documents[i] = parse_doc_slot(bytes, slot, layout.doc_slot_bytes, page)?;
+        Ok(())
+    })?;
+    Ok(documents)
 }
 
 /// Execute a request: the one query lifecycle (see the module docs).
@@ -966,27 +1421,25 @@ pub(crate) fn execute(ctx: ScanCtx<'_>, request: &Request<'_>) -> Result<Vec<Exe
         };
         tally.ttl.quickselect(candidate_count);
         tally.ttl.sort_ascending();
-        std::mem::swap(&mut scratch.ttl, &mut tally.ttl);
-        scratch.candidate_count = candidate_count;
+        let selected = tally.ttl.top(candidate_count);
 
         let stats_before = *controller.device().stats();
         let dram_before = controller.dram().bytes_read() + controller.dram().bytes_written();
-        let mut engine = InStorageEngine::new(controller, scratch);
-        let rerank_candidates = engine.num_candidates();
-        let (results, documents, candidates, int8_pages) = match finish {
-            Finish::Documents => {
-                let (results, int8_pages) = engine.rerank(db, &int8s[q], k)?;
-                stamp(&mut mark, &mut walls.rerank);
-                let documents = engine.fetch_documents(db, &results)?;
-                stamp(&mut mark, &mut walls.doc_fetch);
-                (results, documents, Vec::new(), int8_pages)
-            }
-            Finish::Candidates => {
-                let (candidates, int8_pages) = engine.rerank_all(db, &int8s[q])?;
-                stamp(&mut mark, &mut walls.rerank);
-                (Vec::new(), Vec::new(), candidates, int8_pages)
-            }
-        };
+        let (results, candidates, int8_pages) = rerank(
+            controller,
+            scratch,
+            db,
+            selected,
+            &int8s[q],
+            request,
+            candidate_count,
+        )?;
+        stamp(&mut mark, &mut walls.rerank);
+        let mut documents = Vec::new();
+        if finish == Finish::Documents {
+            documents = fetch_documents(controller, scratch, db, &results)?;
+            stamp(&mut mark, &mut walls.doc_fetch);
+        }
         let downstream = controller.device().stats().delta_since(&stats_before);
         let dram_bytes =
             controller.dram().bytes_read() + controller.dram().bytes_written() - dram_before;
@@ -997,7 +1450,7 @@ pub(crate) fn execute(ctx: ScanCtx<'_>, request: &Request<'_>) -> Result<Vec<Exe
             fine_pages: tally.counts.pages,
             fine_entries: tally.counts.entries_passed,
             fine_windows: tally.counts.windows,
-            rerank_candidates,
+            rerank_candidates: selected.len(),
             int8_pages,
             documents: results.len(),
             embedding_slot_bytes: slot_bytes,
@@ -1122,5 +1575,155 @@ fn span(stage: &'static str, wall_ns: u64, modelled: Nanos) -> TraceSpan {
         index: 0,
         wall_ns,
         modelled_ns: modelled.as_nanos(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::database::VectorDatabase;
+    use reis_ssd::SsdConfig;
+
+    fn corpus() -> (Vec<Vec<f32>>, VectorDatabase) {
+        let vectors: Vec<Vec<f32>> = (0..24)
+            .map(|i| {
+                (0..32)
+                    .map(|d| (((i * 7 + d) % 13) as f32 - 6.0) / 3.0)
+                    .collect()
+            })
+            .collect();
+        let documents: Vec<Vec<u8>> = (0..24).map(|i| format!("doc {i}").into_bytes()).collect();
+        let db = VectorDatabase::flat(&vectors, documents).unwrap();
+        (vectors, db)
+    }
+
+    #[test]
+    fn fetch_documents_reports_corrupt_slots_instead_of_panicking() {
+        let (_, db) = corpus();
+        let mut ssd = SsdController::new(SsdConfig::tiny());
+        let deployed = crate::deploy::deploy(&mut ssd, &db, 1).unwrap();
+
+        // Corrupt the first document page: erase its block and reprogram the
+        // page with all-ones, which makes every slot's length prefix invalid.
+        let geometry = ssd.config().geometry;
+        let addr = deployed
+            .record
+            .document_region
+            .page_at(&geometry, 0)
+            .unwrap();
+        ssd.device_mut().erase_block(addr.block_addr()).unwrap();
+        ssd.device_mut()
+            .program_page(
+                addr,
+                &vec![0xFF; geometry.page_size_bytes],
+                &[],
+                reis_nand::ProgramScheme::EnhancedSlc,
+            )
+            .unwrap();
+
+        let top = [Neighbor::new(0, 0.0)];
+        let err =
+            fetch_documents(&mut ssd, &mut ScanScratch::default(), &deployed, &top).unwrap_err();
+        assert!(
+            matches!(err, ReisError::CorruptDocument { page: 0, slot: 0 }),
+            "expected CorruptDocument, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn rerank_reports_a_segment_entry_tombstoned_since_the_scan() {
+        let (vectors, db) = corpus();
+        let mut ssd = SsdController::new(SsdConfig::tiny());
+        let mut deployed = crate::deploy::deploy(&mut ssd, &db, 1).unwrap();
+        let (ids, _, _) = crate::mutate::insert_batch(
+            &mut ssd,
+            &mut deployed,
+            &[vectors[3].clone()],
+            &[b"appended".to_vec()],
+        )
+        .unwrap();
+        let sid = deployed.updates.relocated[&ids[0]];
+
+        // The scan admits the live append-segment entry as a candidate...
+        let linkage = OobEntry {
+            dadr: ids[0],
+            radr: deployed.updates.base_capacity + sid,
+            tag: 0,
+        };
+        let candidate = segment_scan_entry(
+            &deployed.updates.store,
+            deployed.updates.base_capacity,
+            0,
+            linkage,
+        )
+        .expect("a live segment entry passes the scan");
+        let query = deployed.int8_quantizer.quantize(&vectors[3]).unwrap();
+        let request = |finish| Request {
+            queries: &[],
+            k: 1,
+            nprobe: None,
+            finish,
+            kind: "test",
+        };
+        let mut scratch = ScanScratch::default();
+        let (top, _, pages) = rerank(
+            &mut ssd,
+            &mut scratch,
+            &deployed,
+            &[candidate],
+            &query,
+            &request(Finish::Documents),
+            1,
+        )
+        .unwrap();
+        assert_eq!((top[0].id, pages), (ids[0] as usize, 1));
+
+        // ...and is tombstoned before the rerank of either finish gets to it.
+        assert!(deployed.updates.store.mark_deleted(sid));
+        for finish in [Finish::Documents, Finish::Candidates] {
+            let err = rerank(
+                &mut ssd,
+                &mut scratch,
+                &deployed,
+                &[candidate],
+                &query,
+                &request(finish),
+                1,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, ReisError::EntryNotFound(id) if id == ids[0]),
+                "expected EntryNotFound({}), got {err:?}",
+                ids[0]
+            );
+        }
+    }
+
+    #[test]
+    fn merge_page_ranges_coalesces_overlaps() {
+        let mut ranges = vec![(5, 7), (0, 2), (1, 4), (7, 9), (12, 12), (10, 11)];
+        merge_page_ranges(&mut ranges);
+        assert_eq!(ranges, vec![(0, 4), (5, 9), (10, 11)]);
+        let mut empty: Vec<(usize, usize)> = vec![(3, 3)];
+        merge_page_ranges(&mut empty);
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn in_valid_ranges_uses_binary_search_semantics() {
+        let ranges = vec![(0u32, 4u32), (10, 10), (20, 29)];
+        for (index, expected) in [
+            (0, true),
+            (4, true),
+            (5, false),
+            (9, false),
+            (10, true),
+            (11, false),
+            (25, true),
+            (30, false),
+        ] {
+            assert_eq!(in_valid_ranges(&ranges, index), expected, "index {index}");
+        }
+        assert!(!in_valid_ranges(&[], 0));
     }
 }

@@ -25,11 +25,10 @@ use crate::database::VectorDatabase;
 use crate::deploy::{self, DeployedDatabase};
 use crate::durable::Durability;
 use crate::energy::{EnergyBreakdown, EnergyModel};
-use crate::engine::ScanScratch;
 use crate::error::{ReisError, Result};
 use crate::mutate::{self, CompactionOutcome, MutationOutcome};
 use crate::perf::{LatencyBreakdown, PerfModel, QueryActivity};
-use crate::scan::{self, Executed, Finish, Request, ScanCtx};
+use crate::scan::{self, Executed, Finish, Request, ScanCtx, ScanScratch};
 
 /// Result of one REIS search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -139,7 +138,7 @@ impl ReisSystem {
             energy: EnergyModel::default(),
             databases: HashMap::new(),
             next_db_id: 1,
-            scratch: ScanScratch::new(),
+            scratch: ScanScratch::default(),
             auto_shards,
             durability: None,
             telemetry: Telemetry::from_env(),
@@ -208,10 +207,19 @@ impl ReisSystem {
     ///
     /// Propagates layout and capacity errors from the deployment path.
     pub fn deploy(&mut self, database: &VectorDatabase) -> Result<u32> {
-        let db_id = self.next_db_id;
-        let deployed = deploy::deploy(&mut self.controller, database, db_id)?;
+        let deployed = deploy::deploy(&mut self.controller, database, self.next_db_id)?;
+        self.install(deployed)
+    }
+
+    /// Take a freshly deployed database into service under its id: the one
+    /// tail of [`ReisSystem::deploy`], [`ReisSystem::deploy_with_ids`] and
+    /// snapshot recovery. Deployments are carried by snapshots, so a
+    /// durably-opened system checkpoints; the deployment gauge is published
+    /// either way.
+    pub(crate) fn install(&mut self, deployed: DeployedDatabase) -> Result<u32> {
+        let db_id = deployed.db_id;
         self.databases.insert(db_id, deployed);
-        self.next_db_id += 1;
+        self.next_db_id = self.next_db_id.max(db_id + 1);
         if self.durability.is_some() {
             self.save()?;
         }

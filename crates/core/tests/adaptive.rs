@@ -24,14 +24,15 @@
 //! is partitioned): the two gate runs execute different partitionings, and
 //! only true partition invariance makes their summaries byte-identical.
 
-use std::io::Write;
-
 use proptest::prelude::*;
 
 use reis_core::{
     AdaptiveFiltering, CompactionPolicy, ReisConfig, ReisSystem, ScanParallelism, SearchOutcome,
     VectorDatabase,
 };
+
+mod support;
+use support::record_summary;
 
 fn vectors(n: usize, dim: usize, salt: usize) -> Vec<Vec<f32>> {
     (0..n)
@@ -62,33 +63,6 @@ fn assert_outcome_eq(a: &SearchOutcome, b: &SearchOutcome, ctx: &str) {
     fa.injected_bit_errors = 0;
     fb.injected_bit_errors = 0;
     assert_eq!(fa, fb, "flash stats: {ctx}");
-}
-
-/// Append one summary line to `<REIS_TEST_SUMMARY_DIR>/<test>.txt` (no-op
-/// when the variable is unset). The first line a test writes truncates its
-/// file, so a rerun starts fresh; within one test the cases run
-/// sequentially, so the line order is deterministic and two runs of the
-/// same suite diff cleanly.
-fn record_summary(test: &str, line: &str) {
-    let Some(dir) = std::env::var_os("REIS_TEST_SUMMARY_DIR") else {
-        return;
-    };
-    let dir = std::path::PathBuf::from(dir);
-    std::fs::create_dir_all(&dir).expect("summary dir");
-    let path = dir.join(format!("{test}.txt"));
-    thread_local! {
-        static STARTED: std::cell::RefCell<std::collections::HashSet<String>> =
-            std::cell::RefCell::new(std::collections::HashSet::new());
-    }
-    let fresh = STARTED.with(|s| s.borrow_mut().insert(test.to_string()));
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .append(!fresh)
-        .truncate(fresh)
-        .open(&path)
-        .expect("summary file");
-    writeln!(file, "{line}").expect("summary write");
 }
 
 /// The parallelism modes an adaptive scan must agree across. The per-shard

@@ -27,8 +27,6 @@
 //! schedules must depend neither on scan parallelism nor on the size of
 //! the pool the aggregator fans leaf calls out on.
 
-use std::io::Write;
-
 use proptest::prelude::*;
 
 use reis_cluster::{ClusterSearchOutcome, ClusterSystem, FaultPlan, HealthState, RetryPolicy};
@@ -38,6 +36,9 @@ use reis_core::{
 };
 use reis_nand::Nanos;
 use reis_workloads::FaultScenario;
+
+mod support;
+use support::{record_summary, Mirror};
 
 const DIM: usize = 32;
 
@@ -63,31 +64,6 @@ fn corpus(entries: usize) -> (Vec<Vec<f32>>, Vec<Vec<u8>>) {
     (vectors, documents)
 }
 
-/// Append one summary line to `<REIS_TEST_SUMMARY_DIR>/<test>.txt` (no-op
-/// when the variable is unset); the first line a test writes truncates its
-/// file so reruns diff cleanly.
-fn record_summary(test: &str, line: &str) {
-    let Some(dir) = std::env::var_os("REIS_TEST_SUMMARY_DIR") else {
-        return;
-    };
-    let dir = std::path::PathBuf::from(dir);
-    std::fs::create_dir_all(&dir).expect("summary dir");
-    let path = dir.join(format!("{test}.txt"));
-    thread_local! {
-        static STARTED: std::cell::RefCell<std::collections::HashSet<String>> =
-            std::cell::RefCell::new(std::collections::HashSet::new());
-    }
-    let fresh = STARTED.with(|s| s.borrow_mut().insert(test.to_string()));
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .append(!fresh)
-        .truncate(fresh)
-        .open(&path)
-        .expect("summary file");
-    writeln!(file, "{line}").expect("summary write");
-}
-
 /// The deterministic retry policy the suite runs under: one retry, short
 /// backoff, a sub-millisecond timeout deadline.
 fn retry() -> RetryPolicy {
@@ -100,38 +76,6 @@ fn plan_for(scenario: &FaultScenario) -> FaultPlan {
         plan = plan.with_kill(leaf, nth_call);
     }
     plan
-}
-
-/// Host-side mirror of one *shard's* logical corpus in its scan order
-/// (base survivors in storage order, then appends).
-struct Mirror {
-    order: Vec<u32>,
-    versions: std::collections::HashMap<u32, (Vec<f32>, Vec<u8>)>,
-}
-
-impl Mirror {
-    fn empty() -> Self {
-        Mirror {
-            order: Vec::new(),
-            versions: std::collections::HashMap::new(),
-        }
-    }
-
-    fn seed(&mut self, id: u32, vector: Vec<f32>, doc: Vec<u8>) {
-        self.order.push(id);
-        self.versions.insert(id, (vector, doc));
-    }
-
-    fn remove(&mut self, id: u32) {
-        self.order.retain(|&x| x != id);
-        self.versions.remove(&id);
-    }
-
-    fn append(&mut self, id: u32, vector: Vec<f32>, doc: Vec<u8>) {
-        self.order.retain(|&x| x != id);
-        self.order.push(id);
-        self.versions.insert(id, (vector, doc));
-    }
 }
 
 /// Per-shard mirrors seeded with the deploy-time slices (for a flat corpus
@@ -217,19 +161,20 @@ fn assert_matches_rebuild(
 /// answer is bit-identical to the no-fault twin; partial coverage means
 /// the lost shards are reported truthfully (every replica down) and the
 /// answer is bit-identical to a single-device build of exactly the
-/// covered shards' survivors. Returns whether coverage was full.
-#[allow(clippy::too_many_arguments)]
+/// covered shards' survivors. Returns whether coverage was full. Every
+/// case asks for the top 5; the reference runs the faulted cluster's
+/// configuration.
 fn check_faulted_query(
     faulted: &mut ClusterSystem,
     twin: &mut ClusterSystem,
     mirrors: &[Mirror],
     template: &VectorDatabase,
-    config: ReisConfig,
     query: &[f32],
-    k: usize,
     summary_test: &str,
     ctx: &str,
 ) -> bool {
+    let k = 5;
+    let config = *faulted.config();
     let a = faulted.search(query, k).expect("faulted search");
     let b = twin.search(query, k).expect("twin search");
     assert!(b.is_full_coverage(), "the no-fault twin never degrades");
@@ -330,9 +275,7 @@ fn run_seeded(
             &mut twin,
             &mirrors,
             &template,
-            config,
             &query,
-            5,
             "fault_identity",
             &ctx,
         );
@@ -497,9 +440,7 @@ fn run_faulted_trace(
                 &mut twin,
                 &mirrors,
                 &template,
-                config,
                 &query,
-                5,
                 "fault_mutated",
                 &ctx,
             );
@@ -538,9 +479,7 @@ fn run_faulted_trace(
             &mut twin,
             &mirrors,
             &template,
-            config,
             &query,
-            5,
             "fault_mutated",
             &ctx,
         );
@@ -611,9 +550,7 @@ fn covering_scenarios_hold_the_guarantee_across_shapes() {
                     &mut twin,
                     &mirrors,
                     &template,
-                    config,
                     &query,
-                    5,
                     "fault_covering",
                     &ctx,
                 );
@@ -708,9 +645,7 @@ fn failover_mutation_and_rejoin_restore_replica_lockstep() {
             twin,
             &mirrors,
             &template,
-            config,
             &query,
-            5,
             "fault_failover",
             ctx,
         );
@@ -814,9 +749,7 @@ fn dead_shard_refuses_mutations_without_burning_ids() {
         &mut twin,
         &mirrors,
         &template,
-        config,
         &vector_for(9_000, 61),
-        5,
         "fault_dead_shard",
         "kill q0",
     );
@@ -873,9 +806,7 @@ fn dead_shard_refuses_mutations_without_burning_ids() {
         &mut twin,
         &mirrors,
         &template,
-        config,
         &vector_for(9_001, 61),
-        5,
         "fault_dead_shard",
         "mutated q1",
     );
@@ -889,9 +820,7 @@ fn dead_shard_refuses_mutations_without_burning_ids() {
         &mut twin,
         &mirrors,
         &template,
-        config,
         &vector_for(9_002, 61),
-        5,
         "fault_dead_shard",
         "rejoined q2",
     );

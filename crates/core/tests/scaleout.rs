@@ -20,8 +20,6 @@
 //! and diffs the summaries: only true partition invariance of the
 //! scale-out merge makes them byte-identical.
 
-use std::io::Write;
-
 use proptest::prelude::*;
 
 use reis_cluster::{ClusterSystem, HedgePolicy, LatencyModel};
@@ -31,6 +29,9 @@ use reis_core::{
 };
 use reis_nand::{Geometry, Nanos};
 use reis_workloads::LeafCrashSchedule;
+
+mod support;
+use support::{record_summary, Mirror};
 
 const DIM: usize = 32;
 const LEAF_COUNTS: [usize; 5] = [1, 2, 3, 5, 8];
@@ -55,31 +56,6 @@ fn corpus(entries: usize) -> (Vec<Vec<f32>>, Vec<Vec<u8>>) {
     let vectors = (0..entries as u32).map(|id| vector_for(id, 0)).collect();
     let documents = (0..entries as u32).map(|id| doc_for(id, 0)).collect();
     (vectors, documents)
-}
-
-/// Append one summary line to `<REIS_TEST_SUMMARY_DIR>/<test>.txt` (no-op
-/// when the variable is unset); the first line a test writes truncates its
-/// file so reruns diff cleanly.
-fn record_summary(test: &str, line: &str) {
-    let Some(dir) = std::env::var_os("REIS_TEST_SUMMARY_DIR") else {
-        return;
-    };
-    let dir = std::path::PathBuf::from(dir);
-    std::fs::create_dir_all(&dir).expect("summary dir");
-    let path = dir.join(format!("{test}.txt"));
-    thread_local! {
-        static STARTED: std::cell::RefCell<std::collections::HashSet<String>> =
-            std::cell::RefCell::new(std::collections::HashSet::new());
-    }
-    let fresh = STARTED.with(|s| s.borrow_mut().insert(test.to_string()));
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .append(!fresh)
-        .truncate(fresh)
-        .open(&path)
-        .expect("summary file");
-    writeln!(file, "{line}").expect("summary write");
 }
 
 /// Cluster outcome == single-device outcome: ids, distances, documents,
@@ -217,38 +193,6 @@ fn fresh_ivf_cluster_matches_single_device() {
                 assert_cluster_matches(&a, &b, &format!("{mode}/{leaves} leaves/brute q{q}"));
             }
         }
-    }
-}
-
-/// Host-side mirror of one leaf's logical corpus in its scan order (base
-/// survivors in storage order, then appends; compaction preserves this).
-struct Mirror {
-    order: Vec<u32>,
-    versions: std::collections::HashMap<u32, (Vec<f32>, Vec<u8>)>,
-}
-
-impl Mirror {
-    fn empty() -> Self {
-        Mirror {
-            order: Vec::new(),
-            versions: std::collections::HashMap::new(),
-        }
-    }
-
-    fn seed(&mut self, id: u32, vector: Vec<f32>, doc: Vec<u8>) {
-        self.order.push(id);
-        self.versions.insert(id, (vector, doc));
-    }
-
-    fn remove(&mut self, id: u32) {
-        self.order.retain(|&x| x != id);
-        self.versions.remove(&id);
-    }
-
-    fn append(&mut self, id: u32, vector: Vec<f32>, doc: Vec<u8>) {
-        self.order.retain(|&x| x != id);
-        self.order.push(id);
-        self.versions.insert(id, (vector, doc));
     }
 }
 
@@ -880,7 +824,6 @@ fn cluster_recovers_each_leaf_from_its_durable_prefix() {
             &script,
             &marks,
             recovered.router(),
-            entries,
             &vectors,
             &documents,
             victim,
@@ -928,17 +871,16 @@ fn cluster_recovers_each_leaf_from_its_durable_prefix() {
 /// is lost too — including the replay targets' consistency: the doomed
 /// cluster chose targets from its *in-memory* state, which never saw the
 /// kill, so target selection replays against the full history).
-#[allow(clippy::too_many_arguments)]
 fn replay_durable_prefix(
     script: &[(u8, u64)],
     marks: &[Vec<u64>],
     router: &reis_cluster::ShardRouter,
-    entries: usize,
     vectors: &[Vec<f32>],
     documents: &[Vec<u8>],
     victim: usize,
     point: u64,
 ) -> Vec<Mirror> {
+    let entries = vectors.len();
     let leaves = marks[0].len();
     let mut full: Vec<Mirror> = (0..leaves).map(|_| Mirror::empty()).collect();
     let mut expected: Vec<Mirror> = (0..leaves).map(|_| Mirror::empty()).collect();

@@ -24,8 +24,6 @@
 //! because its summary records virtual completion times, which would shift
 //! if pool size leaked into batch formation.
 
-use std::io::Write;
-
 use proptest::prelude::*;
 
 use reis_cluster::ClusterSystem;
@@ -35,6 +33,9 @@ use reis_core::{
     ReisSystem, ScanParallelism, SearchOutcome, VectorDatabase,
 };
 use reis_workloads::{ArrivalEvent, ArrivalTrace};
+
+mod support;
+use support::record_summary;
 
 fn vectors(n: usize, dim: usize, salt: usize) -> Vec<Vec<f32>> {
     (0..n)
@@ -64,31 +65,6 @@ fn assert_outcome_eq(a: &SearchOutcome, b: &SearchOutcome, ctx: &str) {
     fa.injected_bit_errors = 0;
     fb.injected_bit_errors = 0;
     assert_eq!(fa, fb, "flash stats: {ctx}");
-}
-
-/// Append one summary line to `<REIS_TEST_SUMMARY_DIR>/<test>.txt` (no-op
-/// when the variable is unset); first write truncates, so reruns diff
-/// cleanly. Same contract as the determinism-gate suites.
-fn record_summary(test: &str, line: &str) {
-    let Some(dir) = std::env::var_os("REIS_TEST_SUMMARY_DIR") else {
-        return;
-    };
-    let dir = std::path::PathBuf::from(dir);
-    std::fs::create_dir_all(&dir).expect("summary dir");
-    let path = dir.join(format!("{test}.txt"));
-    thread_local! {
-        static STARTED: std::cell::RefCell<std::collections::HashSet<String>> =
-            std::cell::RefCell::new(std::collections::HashSet::new());
-    }
-    let fresh = STARTED.with(|s| s.borrow_mut().insert(test.to_string()));
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .append(!fresh)
-        .truncate(fresh)
-        .open(&path)
-        .expect("summary file");
-    writeln!(file, "{line}").expect("summary write");
 }
 
 /// The forced auto-shard budget of the gate (`REIS_TEST_PARALLELISM`), or

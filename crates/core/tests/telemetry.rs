@@ -421,6 +421,28 @@ fn fault_counters_match_the_injected_schedule_exactly() {
     assert_eq!(leaf_queries, t.counter(CounterId::LeafRequests));
 }
 
+/// A cluster deployment publishes every leaf's deployment gauge as it
+/// lands, like a device deployment does — not at the leaf's first mutation.
+#[test]
+fn cluster_deploy_publishes_every_leaf_deployment_gauge() {
+    use reis_core::GaugeId;
+
+    let (vectors, documents) = corpus(36, 11);
+    let mut cluster = ClusterSystem::new(ReisConfig::tiny(), 3).expect("cluster");
+    cluster.enable_telemetry();
+    cluster.deploy_flat(&vectors, &documents).expect("deploy");
+    for leaf in 0..3 {
+        assert_eq!(
+            cluster
+                .leaf(leaf)
+                .telemetry()
+                .gauge(GaugeId::DatabasesDeployed),
+            1,
+            "leaf {leaf}"
+        );
+    }
+}
+
 /// A cluster insert is visible on the leaves that stored it: each live
 /// replica of each owning shard counts exactly the entries routed to it
 /// (one mutation observation per routed call), and every other leaf —
