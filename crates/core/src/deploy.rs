@@ -230,18 +230,9 @@ fn deploy_inner(
     let embedding_region = ssd.reserve_region(
         &region_names.embeddings,
         layout.centroid_pages + layout.embedding_pages,
-        RegionKind::BinaryEmbeddings,
     )?;
-    let int8_region = ssd.reserve_region(
-        &region_names.int8,
-        layout.int8_pages,
-        RegionKind::Int8Embeddings,
-    )?;
-    let document_region = ssd.reserve_region(
-        &region_names.documents,
-        layout.doc_pages,
-        RegionKind::Documents,
-    )?;
+    let int8_region = ssd.reserve_region(&region_names.int8, layout.int8_pages)?;
+    let document_region = ssd.reserve_region(&region_names.documents, layout.doc_pages)?;
 
     // Storage order: cluster-contiguous for IVF, entry order for flat.
     // `storage_to_entry` indexes the database arrays; `storage_to_original`

@@ -221,21 +221,9 @@ fn append_entries(
         let doc_name = format!("{prefix}/doc");
         let reserve =
             |ssd: &mut SsdController| -> Result<(StripedRegion, StripedRegion, StripedRegion)> {
-                let emb = ssd.reserve_region(
-                    &emb_name,
-                    members.len().div_ceil(epp),
-                    RegionKind::BinaryEmbeddings,
-                )?;
-                let int8 = ssd.reserve_region(
-                    &int8_name,
-                    members.len().div_ceil(i8pp),
-                    RegionKind::Int8Embeddings,
-                )?;
-                let doc = ssd.reserve_region(
-                    &doc_name,
-                    members.len().div_ceil(dpp),
-                    RegionKind::Documents,
-                )?;
+                let emb = ssd.reserve_region(&emb_name, members.len().div_ceil(epp))?;
+                let int8 = ssd.reserve_region(&int8_name, members.len().div_ceil(i8pp))?;
+                let doc = ssd.reserve_region(&doc_name, members.len().div_ceil(dpp))?;
                 Ok((emb, int8, doc))
             };
         match reserve(ssd) {
@@ -753,18 +741,9 @@ pub(crate) fn compact(
     let emb_region = ssd.reserve_region(
         &names.embeddings,
         new_layout.centroid_pages + new_layout.embedding_pages,
-        RegionKind::BinaryEmbeddings,
     )?;
-    let int8_region = ssd.reserve_region(
-        &names.int8,
-        new_layout.int8_pages,
-        RegionKind::Int8Embeddings,
-    )?;
-    let doc_region = ssd.reserve_region(
-        &names.documents,
-        new_layout.doc_pages,
-        RegionKind::Documents,
-    )?;
+    let int8_region = ssd.reserve_region(&names.int8, new_layout.int8_pages)?;
+    let doc_region = ssd.reserve_region(&names.documents, new_layout.doc_pages)?;
     let mut pages_rewritten = 0usize;
 
     for (page, (data, oob)) in centroid_pages.iter().enumerate() {

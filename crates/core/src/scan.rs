@@ -99,7 +99,7 @@ use reis_nand::latch::Latch;
 use reis_nand::peripheral::PassFailChecker;
 use reis_nand::{FlashStats, FusedHit, Nanos, OobEntry, OobLayout, ScanShardPlan};
 use reis_sched::WorkerPool;
-use reis_ssd::{ControllerActivity, RegionKind, SsdController, StripedRegion};
+use reis_ssd::{RegionKind, SsdController, StripedRegion};
 use reis_telemetry::{
     CounterId, ExplainEvent, ExplainTrace, HistogramId, QueryTrace, Span as TraceSpan, Telemetry,
 };
@@ -1404,7 +1404,7 @@ pub(crate) fn execute(ctx: ScanCtx<'_>, request: &Request<'_>) -> Result<Vec<Exe
     for _ in queries {
         physical.accumulate(&broadcast);
     }
-    controller.absorb_activity(&ControllerActivity::flash_only(physical));
+    controller.device_mut().absorb_stats(&physical);
     scanned?;
 
     // ---- Downstream phases, per query on the shared controller, measured
@@ -1424,7 +1424,7 @@ pub(crate) fn execute(ctx: ScanCtx<'_>, request: &Request<'_>) -> Result<Vec<Exe
         let selected = tally.ttl.top(candidate_count);
 
         let stats_before = *controller.device().stats();
-        let dram_before = controller.dram().bytes_read() + controller.dram().bytes_written();
+        let dram_before = controller.dram().bytes_written();
         let (results, candidates, int8_pages) = rerank(
             controller,
             scratch,
@@ -1441,8 +1441,7 @@ pub(crate) fn execute(ctx: ScanCtx<'_>, request: &Request<'_>) -> Result<Vec<Exe
             stamp(&mut mark, &mut walls.doc_fetch);
         }
         let downstream = controller.device().stats().delta_since(&stats_before);
-        let dram_bytes =
-            controller.dram().bytes_read() + controller.dram().bytes_written() - dram_before;
+        let dram_bytes = controller.dram().bytes_written() - dram_before;
 
         let activity = QueryActivity {
             coarse_pages: coarse.pages,

@@ -17,7 +17,7 @@ use reis_ann::topk::Neighbor;
 use reis_nand::{FlashStats, Nanos};
 use reis_persist::{wal, WalRecord};
 use reis_sched::WorkerPool;
-use reis_ssd::{SsdController, SsdMode};
+use reis_ssd::SsdController;
 use reis_telemetry::{CounterId, GaugeId, HistogramId, Telemetry};
 
 use crate::config::ReisConfig;
@@ -127,8 +127,7 @@ impl ReisSystem {
     /// value so CI can *prove* that by diffing runs pinned to different
     /// budgets on the same machine.
     pub fn new(config: ReisConfig) -> Self {
-        let mut controller = SsdController::new(config.ssd);
-        controller.switch_mode(SsdMode::Rag);
+        let controller = SsdController::new(config.ssd);
         let auto_shards = reis_sched::host_parallelism();
         let sched = WorkerPool::from_env(auto_shards);
         ReisSystem {

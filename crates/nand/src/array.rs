@@ -14,7 +14,7 @@ use crate::cell::ProgramScheme;
 use crate::error::{NandError, Result};
 use crate::geometry::{BlockAddr, Geometry, PageAddr, PlaneAddr};
 use crate::latch::{Latch, PageBuffer};
-use crate::peripheral::{FailBitCounter, PassFailChecker, XorLogic};
+use crate::peripheral::{FailBitCounter, XorLogic};
 use crate::reliability::{apply_read_errors, ReliabilityModel, SplitMix64};
 use crate::stats::FlashStats;
 use crate::timing::{Nanos, TimingParams};
@@ -220,9 +220,10 @@ pub struct PageReadout {
 /// use reis_nand::geometry::{Geometry, PageAddr};
 ///
 /// # fn main() -> Result<(), reis_nand::error::NandError> {
-/// let mut device = FlashDevice::new(Geometry::tiny(), Default::default());
+/// let geometry = Geometry::tiny();
+/// let mut device = FlashDevice::new(geometry, Default::default());
 /// let addr = PageAddr::new(0, 0, 0, 0, 0);
-/// let data = vec![0xA5; device.geometry().page_size_bytes];
+/// let data = vec![0xA5; geometry.page_size_bytes];
 /// device.program_page(addr, &data, &[], ProgramScheme::EnhancedSlc)?;
 /// let readout = device.read_page(addr)?;
 /// assert_eq!(readout.data, data);
@@ -270,16 +271,6 @@ impl FlashDevice {
             stats: FlashStats::new(),
             flips: Scratch::default(),
         }
-    }
-
-    /// The device geometry.
-    pub fn geometry(&self) -> &Geometry {
-        &self.geometry
-    }
-
-    /// The timing parameters in use.
-    pub fn timing(&self) -> &TimingParams {
-        &self.timing
     }
 
     /// Cumulative operation counters.
@@ -622,49 +613,12 @@ impl FlashDevice {
         Ok(self.timing.t_fail_bit_count)
     }
 
-    /// Apply the pass/fail checker to a set of counts with the given
-    /// distance-filter threshold, returning the per-entry pass flags.
-    pub fn pass_fail_check(&mut self, counts: &[u32], threshold: u32) -> (Vec<bool>, Nanos) {
-        self.stats.pass_fail_ops += 1;
-        (
-            PassFailChecker::passes(counts, threshold),
-            self.timing.t_pass_fail_check,
-        )
-    }
-
-    /// Fused pass/fail check: invoke `emit(slot, count)` for every count at
-    /// or below `threshold`, returning how many passed and the checker
-    /// latency. Unlike [`FlashDevice::pass_fail_check`] this never
-    /// materializes a `Vec<bool>`, which keeps the scan hot path
-    /// allocation-free.
-    pub fn pass_fail_filter(
-        &mut self,
-        counts: &[u32],
-        threshold: u32,
-        emit: impl FnMut(usize, u32),
-    ) -> (usize, Nanos) {
-        self.stats.pass_fail_ops += 1;
-        let passed = PassFailChecker::filter_passing(counts, threshold, emit);
-        (passed, self.timing.t_pass_fail_check)
-    }
-
     /// Transfer `bytes` from a die to the controller over its channel,
     /// returning only the latency (the caller already holds the data, e.g.
     /// TTL entries assembled from latch contents).
     pub fn transfer_to_controller(&mut self, bytes: usize) -> Nanos {
         self.stats.bytes_to_controller += bytes as u64;
         self.timing.channel_transfer(bytes)
-    }
-
-    /// Promote the sensing latch of a plane to its cache latch, freeing the
-    /// sensing latch for the next read (read-page-cache-sequential mode).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NandError::LatchEmpty`] if the sensing latch is empty.
-    pub fn promote_sensing_to_cache(&mut self, addr: PlaneAddr) -> Result<()> {
-        let idx = self.plane_index(addr)?;
-        self.planes[idx].buffer.promote_sensing_to_cache()
     }
 
     /// Borrow the stored contents of a page (user data, OOB bytes and the
@@ -836,18 +790,16 @@ mod tests {
             let expected = (i as u8).count_ones() * emb_bytes as u32;
             assert_eq!(count, expected, "embedding {i}");
         }
-        let (passes, _) = dev.pass_fail_check(&counts, 32);
-        assert_eq!(passes.len(), counts.len());
-        assert!(passes[0], "identical embedding must pass any filter");
     }
 
     #[test]
     fn broadcast_reaches_all_planes_of_a_die() {
         let mut dev = device();
         dev.input_broadcast(1, 1, &[0xEE; 64], false).unwrap();
-        for plane in 0..dev.geometry().planes_per_die {
+        for plane in 0..Geometry::tiny().planes_per_die {
             let buf = dev.page_buffer(PlaneAddr::new(1, 1, plane)).unwrap();
-            assert!(buf.cache().unwrap().iter().all(|&b| b == 0xEE));
+            let cache = buf.read_latch(Latch::Cache).unwrap();
+            assert!(cache.iter().all(|&b| b == 0xEE));
         }
     }
 
@@ -858,17 +810,17 @@ mod tests {
         let t_with = with.input_broadcast(0, 0, &[1u8; 128], true).unwrap();
         let t_without = without.input_broadcast(0, 0, &[1u8; 128], false).unwrap();
         assert!(t_with < t_without);
-        for plane in 0..with.geometry().planes_per_die {
+        for plane in 0..Geometry::tiny().planes_per_die {
             let a = with
                 .page_buffer(PlaneAddr::new(0, 0, plane))
                 .unwrap()
-                .cache()
+                .read_latch(Latch::Cache)
                 .unwrap()
                 .to_vec();
             let b = without
                 .page_buffer(PlaneAddr::new(0, 0, plane))
                 .unwrap()
-                .cache()
+                .read_latch(Latch::Cache)
                 .unwrap()
                 .to_vec();
             assert_eq!(a, b);
@@ -1007,17 +959,5 @@ mod tests {
             .unwrap();
         let x = dev.xor_pages(a_addr, b_addr).unwrap();
         assert!(x.iter().all(|&v| v == 0b0101_1010));
-    }
-
-    #[test]
-    fn read_page_cache_mode_frees_sensing_latch() {
-        let mut dev = device();
-        dev.program_page(page0(), &[9u8; 64], &[], ProgramScheme::EnhancedSlc)
-            .unwrap();
-        dev.sense_page(page0()).unwrap();
-        dev.promote_sensing_to_cache(page0().plane_addr()).unwrap();
-        let buf = dev.page_buffer(page0().plane_addr()).unwrap();
-        assert!(buf.sensing().is_none());
-        assert_eq!(buf.cache().unwrap()[0], 9);
     }
 }

@@ -38,17 +38,6 @@ impl CellMode {
             CellMode::Qlc => 4,
         }
     }
-
-    /// Number of page-buffer data latches a die needs to assemble a full
-    /// program operation in this mode (one per bit).
-    pub fn required_latches(&self) -> usize {
-        self.bits_per_cell() as usize
-    }
-
-    /// Capacity multiplier relative to SLC for the same physical block.
-    pub fn density_factor(&self) -> f64 {
-        self.bits_per_cell() as f64
-    }
 }
 
 impl fmt::Display for CellMode {
@@ -159,12 +148,6 @@ mod tests {
             slc > 0.0,
             "normal SLC is reliable but not guaranteed error-free"
         );
-    }
-
-    #[test]
-    fn required_latches_match_bits() {
-        assert_eq!(CellMode::Tlc.required_latches(), 3);
-        assert_eq!(CellMode::Slc.required_latches(), 1);
     }
 
     #[test]

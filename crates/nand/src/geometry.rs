@@ -118,16 +118,6 @@ impl Geometry {
         self.total_blocks() * self.pages_per_block
     }
 
-    /// Pages per plane.
-    pub fn pages_per_plane(&self) -> usize {
-        self.blocks_per_plane * self.pages_per_block
-    }
-
-    /// Total user-data capacity in bytes (excluding OOB).
-    pub fn capacity_bytes(&self) -> u64 {
-        self.total_pages() as u64 * self.page_size_bytes as u64
-    }
-
     /// Validate that an address lies inside this geometry.
     ///
     /// # Errors
@@ -376,39 +366,6 @@ impl fmt::Display for PageAddr {
     }
 }
 
-/// A *mini-page* address: a physical page address plus an offset selecting
-/// one fixed-size element (e.g. one 128-byte binary embedding) inside the
-/// page.
-///
-/// REIS introduces mini-pages (Sec. 4.3.2) so the Temporal Top Lists can
-/// reference individual embeddings without a per-embedding FTL entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct MiniPageAddr {
-    /// The physical page holding the element.
-    pub page: PageAddr,
-    /// Offset of the element within the page, in element-size units.
-    pub offset: usize,
-}
-
-impl MiniPageAddr {
-    /// Create a mini-page address.
-    pub fn new(page: PageAddr, offset: usize) -> Self {
-        MiniPageAddr { page, offset }
-    }
-
-    /// Byte offset of this element inside its page, for elements of
-    /// `element_bytes` bytes.
-    pub fn byte_offset(&self, element_bytes: usize) -> usize {
-        self.offset * element_bytes
-    }
-}
-
-impl fmt::Display for MiniPageAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}+{}", self.page, self.offset)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,9 +441,9 @@ mod tests {
     fn capacity_accounts_all_pages() {
         let g = Geometry::tiny();
         assert_eq!(
-            g.capacity_bytes(),
-            (2 * 2 * 2 * 4 * 8) as u64 * 4096,
-            "tiny geometry capacity should be pages x page size"
+            g.total_pages(),
+            2 * 2 * 2 * 4 * 8,
+            "tiny geometry should count every page of every plane"
         );
     }
 
@@ -505,8 +462,5 @@ mod tests {
     fn display_formats_are_informative() {
         let addr = PageAddr::new(1, 2, 0, 3, 7);
         assert_eq!(addr.to_string(), "ch1/die2/pl0/blk3/pg7");
-        let mini = MiniPageAddr::new(addr, 5);
-        assert_eq!(mini.to_string(), "ch1/die2/pl0/blk3/pg7+5");
-        assert_eq!(mini.byte_offset(128), 640);
     }
 }

@@ -41,14 +41,14 @@ impl Latch {
 /// # Examples
 ///
 /// ```
-/// use reis_nand::latch::PageBuffer;
+/// use reis_nand::latch::{Latch, PageBuffer};
 /// use reis_nand::geometry::PlaneAddr;
 ///
 /// let mut buf = PageBuffer::new(PlaneAddr::new(0, 0, 0), 4096);
 /// buf.broadcast_into_cache(&[0xAB; 128]).unwrap();
 /// buf.load_sensing_copy(&[0xCD; 4096], &[0; 64]);
 /// buf.xor_cache_into_data().unwrap();
-/// assert_eq!(buf.data().unwrap()[0], 0xAB ^ 0xCD);
+/// assert_eq!(buf.read_latch(Latch::Data).unwrap()[0], 0xAB ^ 0xCD);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PageBuffer {
@@ -72,16 +72,6 @@ impl PageBuffer {
             cache: None,
             oob: None,
         }
-    }
-
-    /// The plane this buffer belongs to.
-    pub fn plane(&self) -> PlaneAddr {
-        self.plane
-    }
-
-    /// The page size this buffer was created for.
-    pub fn page_size(&self) -> usize {
-        self.page_size
     }
 
     /// Copy sensed page data (and its OOB bytes) into the sensing latch,
@@ -109,16 +99,6 @@ impl PageBuffer {
     /// Contents of the sensing latch, if a page has been sensed.
     pub fn sensing(&self) -> Option<&[u8]> {
         self.sensing.as_deref()
-    }
-
-    /// Contents of the data latch, if any operation has filled it.
-    pub fn data(&self) -> Option<&[u8]> {
-        self.data.as_deref()
-    }
-
-    /// Contents of the cache latch, if any operation has filled it.
-    pub fn cache(&self) -> Option<&[u8]> {
-        self.cache.as_deref()
     }
 
     /// OOB bytes of the most recently sensed page.
@@ -177,21 +157,6 @@ impl PageBuffer {
         Ok(())
     }
 
-    /// Copy the sensing latch into the cache latch, freeing the sensing latch
-    /// for the next read (read-page-cache-sequential mode, Sec. 4.3.4).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NandError::LatchEmpty`] if the sensing latch is empty.
-    pub fn promote_sensing_to_cache(&mut self) -> Result<()> {
-        let sensing = self.sensing.take().ok_or(NandError::LatchEmpty {
-            latch: Latch::Sensing.name(),
-            plane: self.plane,
-        })?;
-        self.cache = Some(sensing);
-        Ok(())
-    }
-
     /// Read out the contents of a latch.
     ///
     /// # Errors
@@ -208,14 +173,6 @@ impl PageBuffer {
             plane: self.plane,
         })
     }
-
-    /// Clear all latches (used when the die switches workloads).
-    pub fn clear(&mut self) {
-        self.sensing = None;
-        self.data = None;
-        self.cache = None;
-        self.oob = None;
-    }
 }
 
 #[cfg(test)]
@@ -231,7 +188,7 @@ mod tests {
         let mut buf = buffer();
         let payload = [0x5A_u8; 128];
         buf.broadcast_into_cache(&payload).unwrap();
-        let cache = buf.cache().unwrap();
+        let cache = buf.read_latch(Latch::Cache).unwrap();
         assert_eq!(cache.len(), 1024);
         assert!(cache.iter().all(|&b| b == 0x5A));
     }
@@ -260,7 +217,7 @@ mod tests {
         buf.broadcast_into_cache(&[0b1010_1010u8; 64]).unwrap();
         buf.load_sensing_copy(&[0b1100_1100u8; 1024], &[1, 2, 3]);
         buf.xor_cache_into_data().unwrap();
-        let data = buf.data().unwrap();
+        let data = buf.read_latch(Latch::Data).unwrap();
         assert!(data.iter().all(|&b| b == 0b0110_0110));
         assert_eq!(buf.oob(), Some(&[1u8, 2, 3][..]));
     }
@@ -283,22 +240,11 @@ mod tests {
     }
 
     #[test]
-    fn promote_moves_sensing_to_cache() {
-        let mut buf = buffer();
-        buf.load_sensing_copy(&[7; 1024], &[]);
-        buf.promote_sensing_to_cache().unwrap();
-        assert!(buf.sensing().is_none());
-        assert_eq!(buf.cache().unwrap()[0], 7);
-        assert!(buf.promote_sensing_to_cache().is_err());
-    }
-
-    #[test]
     fn read_latch_reports_empty_latches() {
         let mut buf = buffer();
         assert!(buf.read_latch(Latch::Data).is_err());
         buf.load_sensing_copy(&[9; 1024], &[]);
         assert_eq!(buf.read_latch(Latch::Sensing).unwrap()[0], 9);
-        buf.clear();
-        assert!(buf.read_latch(Latch::Sensing).is_err());
+        assert!(buf.read_latch(Latch::Cache).is_err());
     }
 }

@@ -4,7 +4,7 @@
 //! providing the substrate the REIS in-storage retrieval system computes on:
 //!
 //! * [`geometry`] — channels, dies, planes, blocks, pages, OOB areas and the
-//!   address types that navigate them (including REIS mini-page addresses).
+//!   address types that navigate them.
 //! * [`cell`] — SLC/MLC/TLC/QLC cell modes and programming schemes,
 //!   including Enhanced SLC Programming (ESP) with zero raw bit error rate.
 //! * [`latch`] — the per-plane page buffer (sensing / data / cache latches)
@@ -63,7 +63,7 @@ pub mod timing;
 pub use array::{FlashDevice, PageReadMeta, PageReadout, PageView, Scratch};
 pub use cell::{CellMode, ProgramScheme};
 pub use error::{NandError, Result};
-pub use geometry::{BlockAddr, Geometry, MiniPageAddr, PageAddr, PlaneAddr};
+pub use geometry::{BlockAddr, Geometry, PageAddr, PlaneAddr};
 pub use oob::{OobEntry, OobLayout};
 pub use peripheral::FusedHit;
 pub use sharding::{ScanShard, ScanShardPlan};

@@ -110,14 +110,6 @@ impl OobLayout {
         self.entries_per_page * OobEntry::SIZE
     }
 
-    /// Fraction of the OOB area consumed by linkage entries (the paper
-    /// reports 0.7 % for 4 KB embeddings with 4-byte addresses; with the
-    /// richer 9-byte entries used here the overhead stays below 6 % even for
-    /// 128 embeddings per page).
-    pub fn overhead_fraction(&self) -> f64 {
-        self.used_bytes() as f64 / self.oob_size_bytes as f64
-    }
-
     /// Pack linkage entries into a freshly allocated OOB buffer.
     ///
     /// # Errors
@@ -246,7 +238,7 @@ mod tests {
     fn overhead_fraction_is_small_for_reference_layout() {
         // 128 binary 1024-d embeddings per 16 KB page (Sec. 4.3.2).
         let layout = OobLayout::new(2208, 128).unwrap();
-        assert!(layout.overhead_fraction() < 0.6);
+        assert!((layout.used_bytes() as f64 / layout.oob_size_bytes as f64) < 0.6);
         assert_eq!(layout.used_bytes(), 128 * 9);
     }
 }

@@ -76,11 +76,6 @@ impl ReliabilityModel {
         ReliabilityModel { ber_scale: 1.0 }
     }
 
-    /// A model that never injects errors, regardless of programming scheme.
-    pub fn error_free() -> Self {
-        ReliabilityModel { ber_scale: 0.0 }
-    }
-
     /// Effective raw bit error rate of a read for the given scheme.
     pub fn effective_ber(&self, scheme: ProgramScheme) -> f64 {
         scheme.raw_bit_error_rate() * self.ber_scale
@@ -216,7 +211,7 @@ mod tests {
 
     #[test]
     fn error_free_model_disables_injection() {
-        let model = ReliabilityModel::error_free();
+        let model = ReliabilityModel { ber_scale: 0.0 };
         let mut rng = SplitMix64::default();
         let mut data = vec![0u8; 4096];
         let flips = model.inject_read_errors(

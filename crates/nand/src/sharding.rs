@@ -29,11 +29,15 @@
 //!     Ok(PlaneAddr::new(offset % 2, (offset / 2) % 2, 0))
 //! })
 //! .unwrap();
-//! assert_eq!(plan.shard_count(), 2);
-//! assert_eq!(plan.planned_pages(), 8);
+//! assert_eq!(plan.shards().len(), 2);
 //! // Every page lands in exactly one shard.
-//! let per_shard: Vec<usize> = plan.shards().iter().map(|s| s.page_count()).collect();
-//! assert_eq!(per_shard.iter().sum::<usize>(), 8);
+//! let pages: usize = plan
+//!     .shards()
+//!     .iter()
+//!     .flat_map(|s| s.ranges())
+//!     .map(|&(start, end)| end - start)
+//!     .sum();
+//! assert_eq!(pages, 8);
 //! ```
 
 use crate::geometry::{Geometry, PlaneAddr};
@@ -44,7 +48,6 @@ use crate::geometry::{Geometry, PlaneAddr};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanShard {
     ranges: Vec<(usize, usize)>,
-    pages: usize,
 }
 
 impl ScanShard {
@@ -53,29 +56,16 @@ impl ScanShard {
         &self.ranges
     }
 
-    /// Number of pages assigned to this shard.
-    pub fn page_count(&self) -> usize {
-        self.pages
-    }
-
-    /// Whether the shard received no pages (possible when the scan touches
-    /// fewer channel/die units than there are shards).
-    pub fn is_empty(&self) -> bool {
-        self.pages == 0
-    }
-
     /// Append one page offset, extending the last range when contiguous.
     /// Offsets must be pushed in strictly ascending order.
     fn push_offset(&mut self, offset: usize) {
         if let Some(last) = self.ranges.last_mut() {
             if last.1 == offset {
                 last.1 = offset + 1;
-                self.pages += 1;
                 return;
             }
         }
         self.ranges.push((offset, offset + 1));
-        self.pages += 1;
     }
 }
 
@@ -126,24 +116,10 @@ impl ScanShardPlan {
         Ok(ScanShardPlan { shards })
     }
 
-    /// The planned shards (some may be empty).
+    /// The planned shards (some may be empty: a scan can touch fewer
+    /// channel/die units than there are shards).
     pub fn shards(&self) -> &[ScanShard] {
         &self.shards
-    }
-
-    /// Number of shards in the plan, including empty ones.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total pages across all shards.
-    pub fn planned_pages(&self) -> usize {
-        self.shards.iter().map(|s| s.pages).sum()
-    }
-
-    /// Pages of the largest shard — the critical path of a sharded scan.
-    pub fn max_shard_pages(&self) -> usize {
-        self.shards.iter().map(|s| s.pages).max().unwrap_or(0)
     }
 }
 
@@ -160,6 +136,16 @@ mod tests {
         PlaneAddr::new(channel, die, 0)
     }
 
+    /// Pages assigned to a shard.
+    fn pages(shard: &ScanShard) -> usize {
+        shard.ranges().iter().map(|&(start, end)| end - start).sum()
+    }
+
+    /// Pages of a plan's largest shard — the critical path of a sharded scan.
+    fn max_shard_pages(plan: &ScanShardPlan) -> usize {
+        plan.shards().iter().map(pages).max().unwrap_or(0)
+    }
+
     #[test]
     fn every_page_lands_in_exactly_one_shard() {
         let geometry = Geometry::tiny();
@@ -169,7 +155,7 @@ mod tests {
                 Ok(striped_plane(&geometry, o))
             })
             .unwrap();
-            assert_eq!(plan.shard_count(), shard_count);
+            assert_eq!(plan.shards().len(), shard_count);
             let mut seen: Vec<usize> = plan
                 .shards()
                 .iter()
@@ -178,7 +164,10 @@ mod tests {
             seen.sort_unstable();
             let expected: Vec<usize> = ranges.iter().flat_map(|&(a, b)| a..b).collect();
             assert_eq!(seen, expected, "{shard_count} shards");
-            assert_eq!(plan.planned_pages(), expected.len());
+            assert_eq!(
+                plan.shards().iter().map(pages).sum::<usize>(),
+                expected.len()
+            );
         }
     }
 
@@ -215,15 +204,15 @@ mod tests {
     #[test]
     fn striped_scans_balance_to_within_one_unit() {
         let geometry = Geometry::reis_ssd1(); // 128 units
-        let pages = 1024usize;
+        let total = 1024usize;
         for shard_count in [2usize, 4, 8] {
-            let plan = ScanShardPlan::build::<()>(&geometry, shard_count, &[(0, pages)], |o| {
+            let plan = ScanShardPlan::build::<()>(&geometry, shard_count, &[(0, total)], |o| {
                 Ok(striped_plane(&geometry, o))
             })
             .unwrap();
-            let min = plan.shards().iter().map(|s| s.page_count()).min().unwrap();
-            assert_eq!(plan.max_shard_pages(), min, "{shard_count} shards");
-            assert_eq!(plan.max_shard_pages(), pages / shard_count);
+            let min = plan.shards().iter().map(pages).min().unwrap();
+            assert_eq!(max_shard_pages(&plan), min, "{shard_count} shards");
+            assert_eq!(max_shard_pages(&plan), total / shard_count);
         }
     }
 
@@ -240,8 +229,8 @@ mod tests {
         })
         .unwrap();
         assert_eq!(plan.shards()[0].ranges(), &[(3, 9)]);
-        assert!(plan.shards()[1].is_empty());
-        assert_eq!(plan.max_shard_pages(), 6);
+        assert!(plan.shards()[1].ranges().is_empty());
+        assert_eq!(max_shard_pages(&plan), 6);
     }
 
     #[test]

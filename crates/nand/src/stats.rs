@@ -60,17 +60,6 @@ impl FlashStats {
         }
     }
 
-    /// Total number of flash array operations (reads + programs + erases).
-    pub fn array_ops(&self) -> u64 {
-        self.page_reads + self.page_programs + self.block_erases
-    }
-
-    /// Total number of in-plane compute operations performed by the
-    /// peripheral logic on behalf of REIS.
-    pub fn in_plane_ops(&self) -> u64 {
-        self.xor_ops + self.bit_count_ops + self.pass_fail_ops
-    }
-
     /// Total bytes moved over the flash channels in either direction.
     pub fn channel_bytes(&self) -> u64 {
         self.bytes_to_controller + self.bytes_from_controller
@@ -128,8 +117,6 @@ mod tests {
             bytes_from_controller: 50,
             injected_bit_errors: 0,
         };
-        assert_eq!(stats.array_ops(), 16);
-        assert_eq!(stats.in_plane_ops(), 17);
         assert_eq!(stats.channel_bytes(), 150);
     }
 

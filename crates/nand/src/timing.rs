@@ -66,34 +66,14 @@ impl Nanos {
         self.0
     }
 
-    /// The duration in microseconds (truncating).
-    pub const fn as_micros(&self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// The duration in seconds as a float.
     pub fn as_secs_f64(&self) -> f64 {
         self.0 as f64 / 1e9
     }
 
-    /// Saturating addition.
-    pub fn saturating_add(self, other: Nanos) -> Nanos {
-        Nanos(self.0.saturating_add(other.0))
-    }
-
     /// Saturating subtraction (clamps at zero).
     pub fn saturating_sub(self, other: Nanos) -> Nanos {
         Nanos(self.0.saturating_sub(other.0))
-    }
-
-    /// The larger of two durations.
-    pub fn max(self, other: Nanos) -> Nanos {
-        Nanos(self.0.max(other.0))
-    }
-
-    /// The smaller of two durations.
-    pub fn min(self, other: Nanos) -> Nanos {
-        Nanos(self.0.min(other.0))
     }
 }
 

@@ -58,13 +58,6 @@ impl StripedRegion {
     pub fn page_at(&self, geometry: &Geometry, offset: usize) -> Result<PageAddr> {
         Ok(stripe_to_page(geometry, self.stripe_at(offset)?))
     }
-
-    /// Iterate over the physical page addresses of the region in order.
-    pub fn pages<'a>(&self, geometry: &'a Geometry) -> impl Iterator<Item = PageAddr> + 'a {
-        let start = self.start;
-        let len = self.len;
-        (0..len).map(move |i| stripe_to_page(geometry, start + i))
-    }
 }
 
 /// Convert a stripe index to a physical page address.
@@ -192,7 +185,8 @@ impl PageAllocator {
     }
 
     /// Pages currently reserved.
-    pub fn used_pages(&self) -> usize {
+    #[cfg(test)]
+    fn used_pages(&self) -> usize {
         self.next_free - self.recycled_pages()
     }
 
@@ -281,20 +275,19 @@ impl PageAllocator {
             insert_coalesced(&mut self.recycled, stripe, 1);
         }
     }
-
-    /// Release every reservation (used when a database is torn down in
-    /// tests; real deployments erase and redeploy).
-    pub fn reset(&mut self) {
-        self.next_free = 0;
-        self.recycled.clear();
-        self.awaiting_erase.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    /// The physical page addresses of a region, in order.
+    fn pages(region: &StripedRegion, geometry: &Geometry) -> Vec<PageAddr> {
+        (0..region.len)
+            .map(|offset| region.page_at(geometry, offset).unwrap())
+            .collect()
+    }
 
     #[test]
     fn stripe_mapping_round_trips_and_rotates_planes() {
@@ -328,8 +321,8 @@ mod tests {
         assert_eq!(a.len, 10);
         assert_eq!(b.start, 10);
         assert_eq!(alloc.used_pages(), 30);
-        let pages_a: HashSet<_> = a.pages(&geom).collect();
-        let pages_b: HashSet<_> = b.pages(&geom).collect();
+        let pages_a: HashSet<_> = pages(&a, &geom).into_iter().collect();
+        let pages_b: HashSet<_> = pages(&b, &geom).into_iter().collect();
         assert!(pages_a.is_disjoint(&pages_b));
         assert_eq!(pages_a.len(), 10);
     }
@@ -340,9 +333,9 @@ mod tests {
         let mut alloc = PageAllocator::new(&geom);
         let total = geom.total_pages();
         assert!(alloc.reserve(total + 1).is_err());
-        alloc.reserve(total).unwrap();
+        let all = alloc.reserve(total).unwrap();
         assert!(matches!(alloc.reserve(1), Err(SsdError::OutOfSpace { .. })));
-        alloc.reset();
+        alloc.release(&all, false);
         assert_eq!(alloc.free_pages(), total);
     }
 
@@ -467,7 +460,7 @@ mod tests {
             start: 0,
             len: geom.channels * 4,
         };
-        let channels: HashSet<usize> = region.pages(&geom).map(|p| p.channel).collect();
+        let channels: HashSet<usize> = pages(&region, &geom).iter().map(|p| p.channel).collect();
         assert_eq!(
             channels.len(),
             geom.channels,

@@ -76,12 +76,6 @@ impl SsdConfig {
             hybrid: HybridPolicy::reis(),
         }
     }
-
-    /// Aggregate internal flash bandwidth of the device in bytes per second
-    /// (channel count × per-channel bandwidth).
-    pub fn internal_bandwidth_bps(&self) -> f64 {
-        self.geometry.channels as f64 * self.timing.channel_bandwidth_bps
-    }
 }
 
 impl Default for SsdConfig {
@@ -94,6 +88,12 @@ impl Default for SsdConfig {
 mod tests {
     use super::*;
 
+    /// Aggregate internal flash bandwidth in bytes per second (channel count
+    /// × per-channel bandwidth).
+    fn internal_bandwidth_bps(config: &SsdConfig) -> f64 {
+        config.geometry.channels as f64 * config.timing.channel_bandwidth_bps
+    }
+
     #[test]
     fn presets_match_table3_relationships() {
         let s1 = SsdConfig::ssd1();
@@ -101,7 +101,7 @@ mod tests {
         assert_eq!(s1.geometry.channels, 8);
         assert_eq!(s2.geometry.channels, 16);
         // SSD2 has 2x the channels at ~1.7x the bandwidth each => > 3x total.
-        assert!(s2.internal_bandwidth_bps() > 3.0 * s1.internal_bandwidth_bps() / 1.2);
+        assert!(internal_bandwidth_bps(&s2) > 3.0 * internal_bandwidth_bps(&s1) / 1.2);
         assert!(s2.dram.capacity_bytes > s1.dram.capacity_bytes);
         assert_eq!(s1.cores.num_cores, 4);
     }
@@ -110,6 +110,6 @@ mod tests {
     fn ssd2_internal_bandwidth_is_32_gbps() {
         // The paper quotes 32 GB/s of internal bandwidth for REIS-SSD2.
         let s2 = SsdConfig::ssd2();
-        assert!((s2.internal_bandwidth_bps() - 32.0e9).abs() < 1e6);
+        assert!((internal_bandwidth_bps(&s2) - 32.0e9).abs() < 1e6);
     }
 }

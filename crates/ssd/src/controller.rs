@@ -1,36 +1,23 @@
 //! The SSD controller.
 //!
 //! [`SsdController`] owns the flash device and every controller-side
-//! resource: the page-level and coarse-grained FTLs, the internal DRAM, the
-//! embedded cores, the ECC engine and the maintenance manager. It implements
-//! the conventional read/write path and exposes its resources to the REIS
-//! engine (in `reis-core`), which drives the flash array directly for
-//! in-storage search.
+//! resource REIS drives: the coarse-grained FTL (R-DB), the page allocator,
+//! the internal DRAM, the ECC engine and the maintenance manager that
+//! reclaims invalidated blocks. It manages database regions — reserve,
+//! program, read through ECC, release, reclaim — and lends the flash array
+//! to the REIS engine (in `reis-core`), which drives it directly for
+//! in-storage search. Conventional block I/O is not modelled.
 
-use serde::{Deserialize, Serialize};
-
-use reis_nand::{FlashDevice, FlashStats, Nanos, PageAddr, Scratch};
+use reis_nand::{FlashDevice, Nanos, PageAddr, Scratch};
 
 use crate::allocator::{page_to_stripe, stripe_to_page, PageAllocator, StripedRegion};
 use crate::config::SsdConfig;
-use crate::cores::EmbeddedCores;
 use crate::dram::InternalDram;
 use crate::ecc::EccEngine;
-use crate::error::{Result, SsdError};
-use crate::ftl::{CoarseFtl, PageLevelFtl};
+use crate::error::Result;
+use crate::ftl::CoarseFtl;
 use crate::hybrid::{HybridPolicy, RegionKind};
-use crate::maintenance::{MaintenanceManager, SsdMode};
-
-/// Outcome of a conventional host read.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HostReadOutcome {
-    /// Page payload after error correction.
-    pub data: Vec<u8>,
-    /// Total latency: FTL lookup, flash read, channel transfer and ECC.
-    pub latency: Nanos,
-    /// Whether ECC fully corrected the raw read.
-    pub corrected: bool,
-}
+use crate::maintenance::MaintenanceManager;
 
 /// One flash page as the controller's read path hands it on: borrowed from
 /// the device, not copied (see [`SsdController::read_region_page_view`]).
@@ -93,54 +80,14 @@ fn read_decoded<'d>(
     })
 }
 
-/// Snapshot (or delta) of every activity counter the controller tracks:
-/// flash operations, internal-DRAM traffic and ECC work.
-///
-/// Parallel search paths — batch-search workers running on controller
-/// replicas, and intra-query scan shards accounting their flash work
-/// locally — measure their activity as a delta between two snapshots and
-/// fold it back into the primary controller with
-/// [`SsdController::absorb_activity`], so the primary's counters stay
-/// authoritative no matter how the work was parallelized.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ControllerActivity {
-    /// Flash device operation counters.
-    pub flash: FlashStats,
-    /// Bytes read from the internal DRAM.
-    pub dram_bytes_read: u64,
-    /// Bytes written to the internal DRAM.
-    pub dram_bytes_written: u64,
-    /// Pages decoded by the ECC engine.
-    pub ecc_pages_decoded: u64,
-    /// Bit errors corrected by the ECC engine.
-    pub ecc_bits_corrected: u64,
-}
-
-impl ControllerActivity {
-    /// An activity delta consisting of flash work only — the shape fused
-    /// multi-query scans produce: they sense borrowed pages and run the
-    /// in-plane kernels without touching DRAM or the ECC engine, then fold
-    /// the tally back via [`SsdController::absorb_activity`]. Each page of a
-    /// fused scan is counted as sensed *once* no matter how many queries it
-    /// was scored against (see `FlashStats::fused_scan`).
-    pub fn flash_only(flash: FlashStats) -> Self {
-        ControllerActivity {
-            flash,
-            ..ControllerActivity::default()
-        }
-    }
-}
-
 /// The simulated SSD controller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SsdController {
     config: SsdConfig,
     device: FlashDevice,
-    page_ftl: PageLevelFtl,
     coarse_ftl: CoarseFtl,
     allocator: PageAllocator,
     dram: InternalDram,
-    cores: EmbeddedCores,
     ecc: EccEngine,
     /// Where [`read_decoded`] builds the pages it cannot lend from the
     /// device; overwritten by the next such read.
@@ -156,11 +103,9 @@ impl SsdController {
         SsdController {
             config,
             device,
-            page_ftl: PageLevelFtl::new(),
             coarse_ftl: CoarseFtl::new(),
             allocator,
             dram: InternalDram::new(config.dram),
-            cores: EmbeddedCores::new(config.cores),
             ecc: EccEngine::new(config.ecc),
             staging: Scratch::default(),
             maintenance: MaintenanceManager::new(),
@@ -187,11 +132,6 @@ impl SsdController {
         &mut self.device
     }
 
-    /// The embedded-core cost model.
-    pub fn cores(&self) -> &EmbeddedCores {
-        &self.cores
-    }
-
     /// Immutable access to the internal DRAM.
     pub fn dram(&self) -> &InternalDram {
         &self.dram
@@ -212,40 +152,14 @@ impl SsdController {
         &mut self.coarse_ftl
     }
 
-    /// Immutable access to the page-level FTL.
-    pub fn page_ftl(&self) -> &PageLevelFtl {
-        &self.page_ftl
-    }
-
     /// Immutable access to the ECC engine.
     pub fn ecc(&self) -> &EccEngine {
         &self.ecc
     }
 
-    /// Mutable access to the ECC engine (used by the in-storage engine for
-    /// TLC reads it routes through the controller).
-    pub fn ecc_mut(&mut self) -> &mut EccEngine {
-        &mut self.ecc
-    }
-
-    /// Immutable access to the maintenance manager.
-    pub fn maintenance(&self) -> &MaintenanceManager {
-        &self.maintenance
-    }
-
-    /// Current operating mode.
-    pub fn mode(&self) -> SsdMode {
-        self.maintenance.mode()
-    }
-
-    /// Switch the device into the given mode, returning the FTL-swap latency.
-    pub fn switch_mode(&mut self, mode: SsdMode) -> Nanos {
-        self.maintenance.switch_mode(mode)
-    }
-
     /// Reserve a physically contiguous, plane-striped region of `pages`
-    /// pages for a database region of the given kind, accounting its DRAM
-    /// bookkeeping under `name`.
+    /// pages for a database region, accounting its DRAM bookkeeping under
+    /// `name`. The region's kind only matters when it is programmed or read.
     ///
     /// Released regions are recycled first: a previously released stripe
     /// range is handed out again once every page in it has been erased
@@ -257,14 +171,11 @@ impl SsdController {
     ///
     /// # Errors
     ///
-    /// * [`SsdError::OutOfSpace`] if the flash array cannot fit the region.
-    /// * [`SsdError::DramExhausted`] if the bookkeeping does not fit in DRAM.
-    pub fn reserve_region(
-        &mut self,
-        name: &str,
-        pages: usize,
-        _kind: RegionKind,
-    ) -> Result<StripedRegion> {
+    /// * [`SsdError::OutOfSpace`](crate::SsdError::OutOfSpace) if the flash
+    ///   array cannot fit the region.
+    /// * [`SsdError::DramExhausted`](crate::SsdError::DramExhausted) if the
+    ///   bookkeeping does not fit in DRAM.
+    pub fn reserve_region(&mut self, name: &str, pages: usize) -> Result<StripedRegion> {
         let region = match self.allocator.reserve_recycled(pages) {
             Some(region) => region,
             None => self.allocator.reserve(pages)?,
@@ -373,97 +284,20 @@ impl SsdController {
         Ok(view)
     }
 
-    /// [`SsdController::read_region_page_view`] with the payload copied into
-    /// a fresh buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flash read errors.
-    pub fn read_region_page(
-        &mut self,
-        region: &StripedRegion,
-        offset: usize,
-        kind: RegionKind,
-    ) -> Result<HostReadOutcome> {
-        let view = self.read_region_page_view(region, offset, kind)?;
-        Ok(HostReadOutcome {
-            data: view.data.to_vec(),
-            latency: view.latency,
-            corrected: view.corrected,
-        })
-    }
-
-    /// Conventional host write of one logical page.
-    ///
-    /// The write allocates a fresh physical page (out-of-place update),
-    /// invalidates any previous mapping, and updates the page-level FTL.
-    ///
-    /// # Errors
-    ///
-    /// * [`SsdError::WrongMode`] if the device is in RAG mode.
-    /// * [`SsdError::OutOfSpace`] if no free page is available.
-    /// * Flash programming errors.
-    pub fn host_write(&mut self, lpa: u64, data: &[u8]) -> Result<Nanos> {
-        if self.mode() != SsdMode::Normal {
-            return Err(SsdError::WrongMode {
-                current: "RAG",
-                required: "normal",
-            });
-        }
-        let region = self.allocator.reserve(1)?;
-        let addr = region.page_at(&self.config.geometry, 0)?;
-        let scheme = self.config.hybrid.bulk_scheme;
-        let mut latency = self.device.program_page(addr, data, &[], scheme)?;
-        latency += self.cores.ftl_lookups(1);
-        latency += self.dram.write(crate::ftl::PAGE_ENTRY_BYTES);
-        if let Some(stale) = self.page_ftl.map(lpa, addr) {
-            self.maintenance.mark_invalid(stale);
-        }
-        Ok(latency)
-    }
-
-    /// Conventional host read of one logical page.
-    ///
-    /// # Errors
-    ///
-    /// * [`SsdError::WrongMode`] if the device is in RAG mode.
-    /// * [`SsdError::UnmappedLogicalPage`] if the page was never written.
-    /// * Flash read errors.
-    pub fn host_read(&mut self, lpa: u64) -> Result<HostReadOutcome> {
-        if self.mode() != SsdMode::Normal {
-            return Err(SsdError::WrongMode {
-                current: "RAG",
-                required: "normal",
-            });
-        }
-        let addr = self.page_ftl.translate(lpa)?;
-        let lookup = self.cores.ftl_lookups(1) + self.dram.read(crate::ftl::PAGE_ENTRY_BYTES);
-        let view = read_decoded(
-            &mut self.device,
-            Some(&mut self.ecc),
-            &mut self.staging.0,
-            addr,
-        )?;
-        Ok(HostReadOutcome {
-            data: view.data.to_vec(),
-            latency: lookup + view.latency,
-            corrected: view.corrected,
-        })
-    }
-
     /// Borrow the stored bytes of a region page for a read-only scan shard:
     /// the resolved physical address, the user data and the OOB bytes.
     ///
-    /// Unlike [`SsdController::read_region_page`] this copies nothing,
-    /// stages nothing in DRAM and records no statistics — shard workers
-    /// account their own flash activity locally and the engine folds it back
-    /// with [`SsdController::absorb_activity`] after the shards join. It is
-    /// only exact for regions whose programming scheme reads error-free
-    /// (the ESP-SLC embedding regions the in-plane scan targets).
+    /// Unlike [`SsdController::read_region_page_view`] this stages nothing
+    /// in DRAM and records no statistics — shard workers account their own
+    /// flash activity locally and the engine folds it back into the device
+    /// (`FlashDevice::absorb_stats`) after the shards join. It is only exact
+    /// for regions whose programming scheme reads error-free (the ESP-SLC
+    /// embedding regions the in-plane scan targets).
     ///
     /// # Errors
     ///
-    /// * [`SsdError::RegionOutOfBounds`] if the offset exceeds the region.
+    /// * [`SsdError::RegionOutOfBounds`](crate::SsdError::RegionOutOfBounds)
+    ///   if the offset exceeds the region.
     /// * Flash errors for unprogrammed pages.
     pub fn scan_region_page(
         &self,
@@ -475,57 +309,16 @@ impl SsdController {
         Ok((addr, data, oob))
     }
 
-    /// Snapshot every activity counter (flash, DRAM, ECC) of this
-    /// controller, for later differencing with
-    /// [`SsdController::activity_since`].
-    pub fn activity_snapshot(&self) -> ControllerActivity {
-        ControllerActivity {
-            flash: *self.device.stats(),
-            dram_bytes_read: self.dram.bytes_read(),
-            dram_bytes_written: self.dram.bytes_written(),
-            ecc_pages_decoded: self.ecc.pages_decoded(),
-            ecc_bits_corrected: self.ecc.bits_corrected(),
-        }
-    }
-
-    /// The activity performed since `before` was snapshotted (element-wise
-    /// difference of all counters).
-    pub fn activity_since(&self, before: &ControllerActivity) -> ControllerActivity {
-        let now = self.activity_snapshot();
-        ControllerActivity {
-            flash: now.flash.delta_since(&before.flash),
-            dram_bytes_read: now.dram_bytes_read - before.dram_bytes_read,
-            dram_bytes_written: now.dram_bytes_written - before.dram_bytes_written,
-            ecc_pages_decoded: now.ecc_pages_decoded - before.ecc_pages_decoded,
-            ecc_bits_corrected: now.ecc_bits_corrected - before.ecc_bits_corrected,
-        }
-    }
-
-    /// Merge an externally measured activity delta into this controller's
-    /// counters: batch-search worker replicas and intra-query scan shards
-    /// perform real work that the primary controller must account for.
-    pub fn absorb_activity(&mut self, delta: &ControllerActivity) {
-        self.device.absorb_stats(&delta.flash);
-        self.dram
-            .absorb_traffic(delta.dram_bytes_read, delta.dram_bytes_written);
-        self.ecc
-            .absorb_counters(delta.ecc_pages_decoded, delta.ecc_bits_corrected);
-    }
-
     /// Translate a page address helper for a region offset (convenience for
     /// the in-storage engine).
     ///
     /// # Errors
     ///
-    /// Returns [`SsdError::RegionOutOfBounds`] if the offset exceeds the
-    /// region.
+    /// Returns
+    /// [`SsdError::RegionOutOfBounds`](crate::SsdError::RegionOutOfBounds)
+    /// if the offset exceeds the region.
     pub fn region_page(&self, region: &StripedRegion, offset: usize) -> Result<PageAddr> {
         region.page_at(&self.config.geometry, offset)
-    }
-
-    /// Free flash pages remaining in the allocator.
-    pub fn free_pages(&self) -> usize {
-        self.allocator.free_pages()
     }
 }
 
@@ -533,64 +326,35 @@ impl SsdController {
 mod tests {
     use super::*;
     use crate::ecc::EccParams;
+    use crate::error::SsdError;
     use proptest::prelude::*;
+    use reis_nand::FlashStats;
     use std::collections::BTreeSet;
 
     fn controller() -> SsdController {
         SsdController::new(SsdConfig::tiny())
     }
 
-    #[test]
-    fn host_write_then_read_roundtrips_through_ftl_and_ecc() {
-        let mut ssd = controller();
-        let data = vec![0x42; 4096];
-        let w = ssd.host_write(10, &data).unwrap();
-        assert!(w > Nanos::ZERO);
-        let read = ssd.host_read(10).unwrap();
-        assert_eq!(read.data, data);
-        assert!(read.corrected);
-        assert!(read.latency > Nanos::ZERO);
-        assert_eq!(ssd.ecc().pages_decoded(), 1);
-        assert!(matches!(
-            ssd.host_read(99),
-            Err(SsdError::UnmappedLogicalPage(99))
-        ));
+    /// Every activity counter the controller keeps: flash operations, DRAM
+    /// bytes written and ECC pages decoded.
+    fn counters(ssd: &SsdController) -> (FlashStats, u64, u64) {
+        (
+            *ssd.device().stats(),
+            ssd.dram().bytes_written(),
+            ssd.ecc().pages_decoded(),
+        )
     }
 
-    #[test]
-    fn overwriting_a_logical_page_invalidates_the_old_copy() {
-        let mut ssd = controller();
-        ssd.host_write(5, &[1u8; 64]).unwrap();
-        let first_phys = ssd.page_ftl().translate(5).unwrap();
-        ssd.host_write(5, &[2u8; 64]).unwrap();
-        let second_phys = ssd.page_ftl().translate(5).unwrap();
-        assert_ne!(first_phys, second_phys);
-        assert_eq!(ssd.maintenance().invalid_count(first_phys.block_addr()), 1);
-        assert_eq!(ssd.host_read(5).unwrap().data[0], 2);
-    }
-
-    #[test]
-    fn rag_mode_blocks_conventional_io() {
-        let mut ssd = controller();
-        ssd.switch_mode(SsdMode::Rag);
-        assert!(matches!(
-            ssd.host_write(1, &[0u8; 16]),
-            Err(SsdError::WrongMode { .. })
-        ));
-        assert!(matches!(ssd.host_read(1), Err(SsdError::WrongMode { .. })));
-        ssd.switch_mode(SsdMode::Normal);
-        ssd.host_write(1, &[0u8; 16]).unwrap();
+    /// A read view's payload, latency and ECC outcome, copied out.
+    fn owned(view: PageReadView<'_>) -> (Vec<u8>, Nanos, bool) {
+        (view.data.to_vec(), view.latency, view.corrected)
     }
 
     #[test]
     fn region_lifecycle_program_and_read_with_policy_schemes() {
         let mut ssd = controller();
-        let emb = ssd
-            .reserve_region("db0/embeddings", 4, RegionKind::BinaryEmbeddings)
-            .unwrap();
-        let docs = ssd
-            .reserve_region("db0/documents", 4, RegionKind::Documents)
-            .unwrap();
+        let emb = ssd.reserve_region("db0/embeddings", 4).unwrap();
+        let docs = ssd.reserve_region("db0/documents", 4).unwrap();
         ssd.program_region_page(
             &emb,
             0,
@@ -602,17 +366,20 @@ mod tests {
         ssd.program_region_page(&docs, 0, RegionKind::Documents, &[0xCD; 4096], &[])
             .unwrap();
         let emb_read = ssd
-            .read_region_page(&emb, 0, RegionKind::BinaryEmbeddings)
-            .unwrap();
-        let doc_read = ssd
-            .read_region_page(&docs, 0, RegionKind::Documents)
+            .read_region_page_view(&emb, 0, RegionKind::BinaryEmbeddings)
             .unwrap();
         assert_eq!(emb_read.data[0], 0xAB);
+        let doc_read = ssd
+            .read_region_page_view(&docs, 0, RegionKind::Documents)
+            .unwrap();
         assert_eq!(doc_read.data[0], 0xCD);
         // Only the document (TLC) read goes through ECC.
         assert_eq!(ssd.ecc().pages_decoded(), 1);
         // The regions are disjoint and tracked by the allocator.
-        assert_eq!(ssd.free_pages(), ssd.config().geometry.total_pages() - 8);
+        assert_eq!(
+            ssd.allocator.free_pages(),
+            ssd.config().geometry.total_pages() - 8
+        );
     }
 
     /// The copy-out read the controller shipped before the borrowed view,
@@ -668,9 +435,7 @@ mod tests {
         for (k, kind) in kinds.into_iter().enumerate() {
             let mut region = None;
             for ssd in [&mut old, &mut new] {
-                let reserved = ssd
-                    .reserve_region(&format!("db0/{k}"), PAGES, kind)
-                    .unwrap();
+                let reserved = ssd.reserve_region(&format!("db0/{k}"), PAGES).unwrap();
                 for page in 0..PAGES {
                     let data: Vec<u8> = (0..4096).map(|i| (i * 7 + page * 13 + k) as u8).collect();
                     let oob = [page as u8, k as u8, 0xEE];
@@ -730,7 +495,7 @@ mod tests {
                 }
 
                 // Flash, ECC and DRAM counters.
-                assert_eq!(old.activity_snapshot(), new.activity_snapshot());
+                assert_eq!(counters(&old), counters(&new));
             }
         }
         assert_eq!(corrected_reads + uncorrectable_reads, PAGES);
@@ -748,13 +513,16 @@ mod tests {
             new.device.page_buffer(addr.plane_addr()).unwrap().sensing(),
         );
 
-        // The copy-out wrappers are that view, copied.
-        let copied = old.read_region_page(tlc, 1, RegionKind::Documents).unwrap();
+        // A copy of the view is that view.
+        let copied = owned(
+            old.read_region_page_view(tlc, 1, RegionKind::Documents)
+                .unwrap(),
+        );
         let view = new
             .read_region_page_view(tlc, 1, RegionKind::Documents)
             .unwrap();
         assert_eq!(
-            (&copied.data[..], copied.latency, copied.corrected),
+            (&copied.0[..], copied.1, copied.2),
             (view.data, view.latency, view.corrected)
         );
     }
@@ -779,7 +547,7 @@ mod tests {
         let kind = RegionKind::Int8Embeddings;
         let mut region = StripedRegion::EMPTY;
         for (ssd, pad) in [(&mut short, false), (&mut padded, true)] {
-            region = ssd.reserve_region("db0/int8", PAGES, kind).unwrap();
+            region = ssd.reserve_region("db0/int8", PAGES).unwrap();
             for page in 0..PAGES {
                 let mut data: Vec<u8> = (0..1 + page * 170).map(|i| (i * 5 + page) as u8).collect();
                 if pad {
@@ -803,11 +571,10 @@ mod tests {
             } else {
                 uncorrectable_reads += 1;
             }
-            let mut activity = short.activity_snapshot();
+            let mut activity = counters(&short);
             // The padded twin moved more bytes when it programmed.
-            activity.flash.bytes_from_controller =
-                padded.activity_snapshot().flash.bytes_from_controller;
-            assert_eq!(activity, padded.activity_snapshot());
+            activity.0.bytes_from_controller = padded.device().stats().bytes_from_controller;
+            assert_eq!(activity, counters(&padded));
         }
         assert!(corrected_reads > 0 && uncorrectable_reads > 0);
     }
@@ -828,41 +595,36 @@ mod tests {
         let mut a = SsdController::new(config);
         let short_kind = RegionKind::BinaryEmbeddings;
         let tlc_kind = RegionKind::Documents;
-        let short = a.reserve_region("db0/short", 1, short_kind).unwrap();
-        let tlc = a.reserve_region("db0/tlc", 1, tlc_kind).unwrap();
+        let short = a.reserve_region("db0/short", 1).unwrap();
+        let tlc = a.reserve_region("db0/tlc", 1).unwrap();
         a.program_region_page(&short, 0, short_kind, &[0x3C; 40], &[])
             .unwrap();
         a.program_region_page(&tlc, 0, tlc_kind, &[0x99; 4096], &[])
             .unwrap();
         let mut b = a.clone();
 
-        let uncorrectable = a.read_region_page(&tlc, 0, tlc_kind).unwrap();
-        assert!(!uncorrectable.corrected);
-        assert_ne!(uncorrectable.data, [0x99; 4096]);
-        let padded = a.read_region_page(&short, 0, short_kind).unwrap();
+        let uncorrectable = owned(a.read_region_page_view(&tlc, 0, tlc_kind).unwrap());
+        assert!(!uncorrectable.2);
+        assert_ne!(uncorrectable.0, [0x99; 4096]);
+        let padded = owned(a.read_region_page_view(&short, 0, short_kind).unwrap());
+        assert_eq!((&padded.0[..40], padded.0.len()), (&[0x3C; 40][..], 4096));
         assert_eq!(
-            (&padded.data[..40], padded.data.len()),
-            (&[0x3C; 40][..], 4096)
+            owned(b.read_region_page_view(&short, 0, short_kind).unwrap()),
+            padded
         );
-        assert_eq!(b.read_region_page(&short, 0, short_kind).unwrap(), padded);
         assert_eq!(
-            b.read_region_page(&tlc, 0, tlc_kind).unwrap(),
+            owned(b.read_region_page_view(&tlc, 0, tlc_kind).unwrap()),
             uncorrectable
         );
 
-        assert_eq!(
-            (&a.staging.0, &b.staging.0),
-            (&padded.data, &uncorrectable.data)
-        );
+        assert_eq!((&a.staging.0, &b.staging.0), (&padded.0, &uncorrectable.0));
         assert!(a == b);
     }
 
     #[test]
     fn scan_region_page_borrows_stored_bytes_without_counting() {
         let mut ssd = controller();
-        let region = ssd
-            .reserve_region("db0/embeddings", 2, RegionKind::BinaryEmbeddings)
-            .unwrap();
+        let region = ssd.reserve_region("db0/embeddings", 2).unwrap();
         ssd.program_region_page(
             &region,
             1,
@@ -871,31 +633,42 @@ mod tests {
             &[9, 8, 7],
         )
         .unwrap();
-        let before = ssd.activity_snapshot();
+        let before = counters(&ssd);
         let (addr, data, oob) = ssd.scan_region_page(&region, 1).unwrap();
         assert_eq!(addr, region.page_at(&ssd.config().geometry, 1).unwrap());
         assert_eq!(data.len(), ssd.config().geometry.page_size_bytes);
         assert_eq!(data[0], 0x5A);
         assert_eq!(&oob[..3], &[9, 8, 7]);
         // A shard read records nothing; the shard's own stats are merged
-        // back through absorb_activity instead.
-        let delta = ssd.activity_since(&before);
-        assert_eq!(delta, ControllerActivity::default());
+        // back through the device's absorb_stats instead.
+        assert_eq!(counters(&ssd), before);
         assert!(ssd.scan_region_page(&region, 0).is_err(), "unprogrammed");
     }
 
+    /// The flash activity a twin recorded, folded into the controller it was
+    /// cloned from, leaves both devices with the same counters — the way a
+    /// sharded scan hands its tally back.
     #[test]
     fn activity_snapshot_absorb_roundtrip() {
         let mut primary = controller();
+        let region = primary.reserve_region("db0/documents", 2).unwrap();
+        for page in 0..2 {
+            primary
+                .program_region_page(&region, page, RegionKind::Documents, &[1u8; 512], &[])
+                .unwrap();
+        }
         let mut replica = primary.clone();
-        let before = replica.activity_snapshot();
-        replica.host_write(3, &[1u8; 512]).unwrap();
-        replica.host_read(3).unwrap();
-        let delta = replica.activity_since(&before);
-        assert!(delta.flash.page_reads > 0);
-        assert!(delta.ecc_pages_decoded > 0);
-        primary.absorb_activity(&delta);
-        assert_eq!(primary.activity_snapshot(), replica.activity_snapshot());
+        let before = *replica.device().stats();
+        for page in 0..2 {
+            replica
+                .read_region_page_view(&region, page, RegionKind::Documents)
+                .unwrap();
+        }
+        let delta = replica.device().stats().delta_since(&before);
+        assert_eq!(delta.page_reads, 2);
+        assert!(delta.bytes_to_controller > 0);
+        primary.device_mut().absorb_stats(&delta);
+        assert_eq!(primary.device().stats(), replica.device().stats());
     }
 
     proptest! {
@@ -928,7 +701,7 @@ mod tests {
                             continue;
                         }
                         let name = format!("r{step}");
-                        let region = ssd.reserve_region(&name, pages, RegionKind::Documents).unwrap();
+                        let region = ssd.reserve_region(&name, pages).unwrap();
                         match window {
                             Some(start) => prop_assert_eq!(region.start, start),
                             None => {
@@ -955,7 +728,7 @@ mod tests {
                         ssd.reclaim_invalid_blocks().unwrap();
                     }
                 }
-                prop_assert_eq!(ssd.free_pages(), geometry.total_pages() - watermark + released.len());
+                prop_assert_eq!(ssd.allocator.free_pages(), geometry.total_pages() - watermark + released.len());
             }
         }
     }
@@ -964,10 +737,9 @@ mod tests {
     fn reserve_region_fails_when_flash_is_full() {
         let mut ssd = controller();
         let total = ssd.config().geometry.total_pages();
-        ssd.reserve_region("big", total, RegionKind::Documents)
-            .unwrap();
+        ssd.reserve_region("big", total).unwrap();
         assert!(matches!(
-            ssd.reserve_region("more", 1, RegionKind::Documents),
+            ssd.reserve_region("more", 1),
             Err(SsdError::OutOfSpace { .. })
         ));
     }

@@ -17,8 +17,6 @@ use reis_nand::Nanos;
 pub struct CoreParams {
     /// Number of embedded cores in the controller.
     pub num_cores: usize,
-    /// Number of cores REIS is allowed to use for its kernels.
-    pub cores_for_reis: usize,
     /// Core clock frequency in Hz (Cortex-R8 class parts clock around 1 GHz).
     pub clock_hz: f64,
     /// Average cycles per element for the quickselect kernel (comparison,
@@ -32,23 +30,19 @@ pub struct CoreParams {
     /// Cycles charged per FTL lookup (hash + DRAM pointer chase issued by the
     /// core).
     pub cycles_per_ftl_lookup: f64,
-    /// Active power per core in watts.
-    pub active_power_w: f64,
 }
 
 impl CoreParams {
     /// Cortex-R8-class defaults used by both REIS SSD configurations: four
-    /// cores, one reserved for REIS.
+    /// cores, REIS's kernels priced on one of them.
     pub fn cortex_r8() -> Self {
         CoreParams {
             num_cores: 4,
-            cores_for_reis: 1,
             clock_hz: 1.0e9,
             cycles_per_quickselect_element: 6.0,
             cycles_per_quicksort_element: 8.0,
             cycles_per_rerank_dimension: 2.0,
             cycles_per_ftl_lookup: 40.0,
-            active_power_w: 0.35,
         }
     }
 }
@@ -69,11 +63,6 @@ impl EmbeddedCores {
     /// Create the cost model from core parameters.
     pub fn new(params: CoreParams) -> Self {
         EmbeddedCores { params }
-    }
-
-    /// The configured parameters.
-    pub fn params(&self) -> &CoreParams {
-        &self.params
     }
 
     fn cycles_to_time(&self, cycles: f64) -> Nanos {
@@ -106,16 +95,6 @@ impl EmbeddedCores {
     /// Latency of `lookups` page-level FTL translations.
     pub fn ftl_lookups(&self, lookups: usize) -> Nanos {
         self.cycles_to_time(self.params.cycles_per_ftl_lookup * lookups as f64)
-    }
-
-    /// Energy in joules of running a kernel of duration `busy` on one core.
-    pub fn energy_joules(&self, busy: Nanos) -> f64 {
-        self.params.active_power_w * busy.as_secs_f64()
-    }
-
-    /// Power in watts of the cores REIS keeps busy (used for QPS/W).
-    pub fn reis_power_w(&self) -> f64 {
-        self.params.active_power_w * self.params.cores_for_reis as f64
     }
 }
 
@@ -155,13 +134,5 @@ mod tests {
         let t = cores.rerank(100, 1024);
         let expected = 2.0 * 100.0 * 1024.0 / 1.0e9;
         assert!((t.as_secs_f64() - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn energy_and_power_are_positive() {
-        let cores = EmbeddedCores::default();
-        assert!(cores.energy_joules(Nanos::from_micros(100)) > 0.0);
-        assert_eq!(cores.reis_power_w(), 0.35);
-        assert_eq!(cores.params().num_cores, 4);
     }
 }

@@ -4,8 +4,8 @@
 //! capacity). The controller keeps the L2P mapping table and frequently
 //! accessed pages there; REIS additionally places the R-DB and R-IVF records
 //! and the Temporal Top Lists in it (Sec. 4.1.4, 4.2.1). This module tracks
-//! named allocations against the DRAM capacity and models access latency and
-//! energy.
+//! named allocations against the DRAM capacity and models the latency of
+//! staging data in it.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -14,7 +14,7 @@ use reis_nand::Nanos;
 
 use crate::error::{Result, SsdError};
 
-/// Capacity, latency and energy parameters of the internal DRAM.
+/// Capacity and latency parameters of the internal DRAM.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DramParams {
     /// Usable capacity in bytes.
@@ -23,9 +23,6 @@ pub struct DramParams {
     pub access_latency: Nanos,
     /// Sustained bandwidth for streaming transfers, bytes per second.
     pub bandwidth_bps: f64,
-    /// Energy per byte transferred, in picojoules (CACTI-style estimate for
-    /// an LPDDR4-class device).
-    pub energy_pj_per_byte: f64,
 }
 
 impl DramParams {
@@ -35,7 +32,6 @@ impl DramParams {
             capacity_bytes: 1 << 30,
             access_latency: Nanos::from_nanos(50),
             bandwidth_bps: 8.0e9,
-            energy_pj_per_byte: 20.0,
         }
     }
 
@@ -63,7 +59,6 @@ pub struct InternalDram {
     /// [`InternalDram::release`] — the only two mutators of the map — so
     /// the capacity check does not walk every named allocation.
     used: usize,
-    bytes_read: u64,
     bytes_written: u64,
 }
 
@@ -74,14 +69,8 @@ impl InternalDram {
             params,
             allocations: BTreeMap::new(),
             used: 0,
-            bytes_read: 0,
             bytes_written: 0,
         }
-    }
-
-    /// The configured parameters.
-    pub fn params(&self) -> &DramParams {
-        &self.params
     }
 
     /// Total bytes currently allocated.
@@ -131,39 +120,16 @@ impl InternalDram {
         }
     }
 
-    /// Latency of reading `bytes` from DRAM (one access latency plus the
+    /// Latency of writing `bytes` to DRAM (one access latency plus the
     /// streaming transfer time) and account the traffic.
-    pub fn read(&mut self, bytes: usize) -> Nanos {
-        self.bytes_read += bytes as u64;
-        self.params.access_latency + Nanos::from_secs_f64(bytes as f64 / self.params.bandwidth_bps)
-    }
-
-    /// Latency of writing `bytes` to DRAM and account the traffic.
     pub fn write(&mut self, bytes: usize) -> Nanos {
         self.bytes_written += bytes as u64;
         self.params.access_latency + Nanos::from_secs_f64(bytes as f64 / self.params.bandwidth_bps)
     }
 
-    /// Merge externally measured traffic into this DRAM's counters (used to
-    /// fold batch-search worker replicas' activity back into the primary).
-    pub fn absorb_traffic(&mut self, bytes_read: u64, bytes_written: u64) {
-        self.bytes_read += bytes_read;
-        self.bytes_written += bytes_written;
-    }
-
-    /// Total bytes read since construction.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
     /// Total bytes written since construction.
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
-    }
-
-    /// Energy consumed by all DRAM traffic so far, in joules.
-    pub fn energy_joules(&self) -> f64 {
-        (self.bytes_read + self.bytes_written) as f64 * self.params.energy_pj_per_byte * 1e-12
     }
 }
 
@@ -259,13 +225,11 @@ mod tests {
     #[test]
     fn access_latency_scales_with_size() {
         let mut dram = InternalDram::new(DramParams::one_gigabyte());
-        let small = dram.read(64);
-        let large = dram.read(1 << 20);
+        let small = dram.write(64);
+        let large = dram.write(1 << 20);
         assert!(large > small);
-        assert_eq!(dram.bytes_read(), 64 + (1 << 20));
-        let w = dram.write(4096);
-        assert!(w >= dram.params().access_latency);
-        assert!(dram.energy_joules() > 0.0);
+        assert_eq!(dram.bytes_written(), 64 + (1 << 20));
+        assert!(small >= DramParams::one_gigabyte().access_latency);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use reis_nand::Nanos;
 
-/// Latency/energy/strength parameters of the ECC engine.
+/// Latency and strength parameters of the ECC engine.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EccParams {
     /// Decode latency for one 16 KB page with few or no errors.
@@ -19,8 +19,6 @@ pub struct EccParams {
     pub latency_per_corrected_bit: Nanos,
     /// Maximum number of raw bit errors the code can correct per page.
     pub correctable_bits_per_page: usize,
-    /// Energy per decoded page in nanojoules.
-    pub energy_nj_per_page: f64,
 }
 
 impl EccParams {
@@ -30,7 +28,6 @@ impl EccParams {
             decode_latency_per_page: Nanos::from_micros(8),
             latency_per_corrected_bit: Nanos::from_nanos(40),
             correctable_bits_per_page: 512,
-            energy_nj_per_page: 250.0,
         }
     }
 }
@@ -48,8 +45,6 @@ pub struct EccOutcome {
     pub corrected: bool,
     /// Decode latency.
     pub latency: Nanos,
-    /// Energy consumed in joules.
-    pub energy_joules: f64,
 }
 
 /// The controller's ECC engine.
@@ -57,7 +52,6 @@ pub struct EccOutcome {
 pub struct EccEngine {
     params: EccParams,
     pages_decoded: u64,
-    bits_corrected: u64,
 }
 
 impl EccEngine {
@@ -66,13 +60,7 @@ impl EccEngine {
         EccEngine {
             params,
             pages_decoded: 0,
-            bits_corrected: 0,
         }
-    }
-
-    /// The configured parameters.
-    pub fn params(&self) -> &EccParams {
-        &self.params
     }
 
     /// Decode one page that arrived with `raw_bit_errors` errors.
@@ -84,31 +72,16 @@ impl EccEngine {
         self.pages_decoded += 1;
         let correctable = raw_bit_errors <= self.params.correctable_bits_per_page;
         let corrected_bits = raw_bit_errors.min(self.params.correctable_bits_per_page);
-        self.bits_corrected += corrected_bits as u64;
         EccOutcome {
             corrected: correctable,
             latency: self.params.decode_latency_per_page
                 + self.params.latency_per_corrected_bit * corrected_bits as u64,
-            energy_joules: self.params.energy_nj_per_page * 1e-9,
         }
-    }
-
-    /// Merge externally measured decode activity into this engine's counters
-    /// (used to fold batch-search worker replicas' activity back into the
-    /// primary).
-    pub fn absorb_counters(&mut self, pages_decoded: u64, bits_corrected: u64) {
-        self.pages_decoded += pages_decoded;
-        self.bits_corrected += bits_corrected;
     }
 
     /// Pages decoded so far.
     pub fn pages_decoded(&self) -> u64 {
         self.pages_decoded
-    }
-
-    /// Raw bits corrected so far.
-    pub fn bits_corrected(&self) -> u64 {
-        self.bits_corrected
     }
 }
 
@@ -122,7 +95,6 @@ mod tests {
         let out = ecc.decode_page(0);
         assert!(out.corrected);
         assert_eq!(out.latency, EccParams::ldpc().decode_latency_per_page);
-        assert!(out.energy_joules > 0.0);
     }
 
     #[test]
@@ -132,7 +104,6 @@ mod tests {
         let dirty = ecc.decode_page(100).latency;
         assert!(dirty > clean);
         assert_eq!(ecc.pages_decoded(), 2);
-        assert_eq!(ecc.bits_corrected(), 100);
     }
 
     #[test]

@@ -23,8 +23,6 @@ pub enum SsdError {
         /// Bytes available.
         available_bytes: usize,
     },
-    /// A logical page address has no mapping in the FTL.
-    UnmappedLogicalPage(u64),
     /// A database id is not present in the R-DB record.
     UnknownDatabase(u32),
     /// A database with this id has already been deployed.
@@ -37,14 +35,6 @@ pub enum SsdError {
         offset: usize,
         /// The number of valid entries in the region.
         limit: usize,
-    },
-    /// The SSD is in the wrong mode for the requested operation (e.g. a RAG
-    /// search while the device is in normal block-I/O mode).
-    WrongMode {
-        /// Mode the SSD is currently in.
-        current: &'static str,
-        /// Mode the operation requires.
-        required: &'static str,
     },
 }
 
@@ -60,18 +50,12 @@ impl fmt::Display for SsdError {
                 f,
                 "DRAM allocation of {requested_bytes} bytes exceeds the {available_bytes} free bytes"
             ),
-            SsdError::UnmappedLogicalPage(lpa) => {
-                write!(f, "logical page {lpa} has no physical mapping")
-            }
             SsdError::UnknownDatabase(id) => write!(f, "database {id} is not deployed"),
             SsdError::DatabaseAlreadyDeployed(id) => {
                 write!(f, "database {id} is already deployed")
             }
             SsdError::RegionOutOfBounds { region, offset, limit } => {
                 write!(f, "{region} region offset {offset} out of bounds (limit {limit})")
-            }
-            SsdError::WrongMode { current, required } => {
-                write!(f, "SSD is in {current} mode but the operation requires {required} mode")
             }
         }
     }
@@ -119,17 +103,12 @@ mod tests {
                 requested_bytes: 100,
                 available_bytes: 10,
             },
-            SsdError::UnmappedLogicalPage(42),
             SsdError::UnknownDatabase(3),
             SsdError::DatabaseAlreadyDeployed(3),
             SsdError::RegionOutOfBounds {
                 region: "embedding",
                 offset: 10,
                 limit: 5,
-            },
-            SsdError::WrongMode {
-                current: "normal",
-                required: "RAG",
             },
         ];
         for e in errs {

@@ -1,5 +1,5 @@
-//! Flash Translation Layer: page-level mapping and REIS's coarse-grained
-//! region mapping (the R-DB record).
+//! Flash Translation Layer: REIS's coarse-grained region mapping (the R-DB
+//! record).
 //!
 //! A conventional page-level FTL needs roughly 1 GB of mapping table per TB
 //! of flash — DRAM that REIS would rather spend on the Temporal Top Lists.
@@ -9,77 +9,13 @@
 //! computes each next address by incrementing the previous one (Sec. 4.1.4).
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-
-use reis_nand::{Geometry, PageAddr};
 
 use crate::allocator::StripedRegion;
 use crate::error::{Result, SsdError};
 
-/// Bytes of DRAM one page-level mapping entry occupies (4-byte LPA key packed
-/// with a 4-byte physical page number).
-pub const PAGE_ENTRY_BYTES: usize = 8;
-
 /// Bytes of DRAM one coarse-grained database record occupies (the paper
 /// quotes 21 bytes: a 1-byte id plus first/last addresses of both regions).
 pub const COARSE_RECORD_BYTES: usize = 21;
-
-/// Conventional page-level logical-to-physical mapping table.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PageLevelFtl {
-    map: HashMap<u64, PageAddr>,
-}
-
-impl PageLevelFtl {
-    /// Create an empty mapping table.
-    pub fn new() -> Self {
-        PageLevelFtl::default()
-    }
-
-    /// Number of mapped logical pages.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no logical page is mapped.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// DRAM footprint of the mapping table in bytes.
-    pub fn footprint_bytes(&self) -> usize {
-        self.map.len() * PAGE_ENTRY_BYTES
-    }
-
-    /// Map a logical page to a physical page, returning the previous mapping
-    /// (now stale and eligible for garbage collection) if one existed.
-    pub fn map(&mut self, lpa: u64, ppa: PageAddr) -> Option<PageAddr> {
-        self.map.insert(lpa, ppa)
-    }
-
-    /// Translate a logical page address.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SsdError::UnmappedLogicalPage`] if the page was never
-    /// written.
-    pub fn translate(&self, lpa: u64) -> Result<PageAddr> {
-        self.map
-            .get(&lpa)
-            .copied()
-            .ok_or(SsdError::UnmappedLogicalPage(lpa))
-    }
-
-    /// Remove the mapping of a logical page, returning it if present.
-    pub fn unmap(&mut self, lpa: u64) -> Option<PageAddr> {
-        self.map.remove(&lpa)
-    }
-
-    /// Iterate over all `(logical, physical)` mappings (order unspecified).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, PageAddr)> + '_ {
-        self.map.iter().map(|(&l, &p)| (l, p))
-    }
-}
 
 /// The record REIS keeps per deployed database: where its regions live and
 /// how many entries it holds.
@@ -97,13 +33,6 @@ pub struct DatabaseRecord {
     pub entries: usize,
 }
 
-impl DatabaseRecord {
-    /// DRAM footprint of this record in bytes.
-    pub fn footprint_bytes(&self) -> usize {
-        COARSE_RECORD_BYTES
-    }
-}
-
 /// The R-DB array: coarse-grained FTL over all deployed databases.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CoarseFtl {
@@ -114,16 +43,6 @@ impl CoarseFtl {
     /// Create an empty R-DB.
     pub fn new() -> Self {
         CoarseFtl::default()
-    }
-
-    /// Number of deployed databases.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether no database is deployed.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 
     /// Total DRAM footprint of all records in bytes.
@@ -170,85 +89,13 @@ impl CoarseFtl {
             .ok_or(SsdError::UnknownDatabase(db_id))?;
         Ok(self.records.remove(idx))
     }
-
-    /// Translate the `offset`-th embedding-region page of a database to a
-    /// physical page address by pure arithmetic — no per-page table lookup.
-    ///
-    /// # Errors
-    ///
-    /// * [`SsdError::UnknownDatabase`] if the id is not deployed.
-    /// * [`SsdError::RegionOutOfBounds`] if `offset` exceeds the region.
-    pub fn embedding_page(
-        &self,
-        geometry: &Geometry,
-        db_id: u32,
-        offset: usize,
-    ) -> Result<PageAddr> {
-        self.record(db_id)?
-            .embedding_region
-            .page_at(geometry, offset)
-    }
-
-    /// Translate the `offset`-th document-region page of a database.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CoarseFtl::embedding_page`].
-    pub fn document_page(
-        &self,
-        geometry: &Geometry,
-        db_id: u32,
-        offset: usize,
-    ) -> Result<PageAddr> {
-        self.record(db_id)?
-            .document_region
-            .page_at(geometry, offset)
-    }
-
-    /// Translate the `offset`-th INT8-region page of a database.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CoarseFtl::embedding_page`].
-    pub fn int8_page(&self, geometry: &Geometry, db_id: u32, offset: usize) -> Result<PageAddr> {
-        self.record(db_id)?.int8_region.page_at(geometry, offset)
-    }
-
-    /// Iterate over all deployed records.
-    pub fn iter(&self) -> impl Iterator<Item = &DatabaseRecord> {
-        self.records.iter()
-    }
-}
-
-/// DRAM saving of coarse-grained addressing for a database of `pages` pages:
-/// the page-level footprint divided by the coarse record footprint.
-pub fn coarse_ftl_saving(pages: usize) -> f64 {
-    (pages * PAGE_ENTRY_BYTES) as f64 / COARSE_RECORD_BYTES as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::allocator::PageAllocator;
-
-    #[test]
-    fn page_level_ftl_maps_and_invalidates() {
-        let mut ftl = PageLevelFtl::new();
-        let p0 = PageAddr::new(0, 0, 0, 0, 0);
-        let p1 = PageAddr::new(0, 0, 0, 0, 1);
-        assert!(ftl.map(7, p0).is_none());
-        assert_eq!(ftl.translate(7).unwrap(), p0);
-        // Overwriting returns the stale physical page for GC.
-        assert_eq!(ftl.map(7, p1), Some(p0));
-        assert_eq!(ftl.translate(7).unwrap(), p1);
-        assert!(matches!(
-            ftl.translate(8),
-            Err(SsdError::UnmappedLogicalPage(8))
-        ));
-        assert_eq!(ftl.footprint_bytes(), PAGE_ENTRY_BYTES);
-        assert_eq!(ftl.unmap(7), Some(p1));
-        assert!(ftl.is_empty());
-    }
+    use reis_nand::Geometry;
 
     #[test]
     fn coarse_ftl_translates_by_arithmetic() {
@@ -266,26 +113,26 @@ mod tests {
             entries: 100,
         })
         .unwrap();
-        let a = rdb.embedding_page(&geom, 1, 0).unwrap();
-        let b = rdb.embedding_page(&geom, 1, 1).unwrap();
+        // Every page of a database is its record's region start plus an
+        // offset: no per-page table lookup.
+        let record = rdb.record(1).unwrap();
+        let a = record.embedding_region.page_at(&geom, 0).unwrap();
+        let b = record.embedding_region.page_at(&geom, 1).unwrap();
         assert_ne!(a, b);
         assert_eq!(a, emb.page_at(&geom, 0).unwrap());
         assert_eq!(
-            rdb.document_page(&geom, 1, 3).unwrap(),
+            record.document_region.page_at(&geom, 3).unwrap(),
             docs.page_at(&geom, 3).unwrap()
         );
         assert_eq!(
-            rdb.int8_page(&geom, 1, 5).unwrap(),
+            record.int8_region.page_at(&geom, 5).unwrap(),
             int8.page_at(&geom, 5).unwrap()
         );
         assert!(matches!(
-            rdb.embedding_page(&geom, 1, 16),
+            record.embedding_region.page_at(&geom, 16),
             Err(SsdError::RegionOutOfBounds { .. })
         ));
-        assert!(matches!(
-            rdb.embedding_page(&geom, 9, 0),
-            Err(SsdError::UnknownDatabase(9))
-        ));
+        assert!(matches!(rdb.record(9), Err(SsdError::UnknownDatabase(9))));
     }
 
     #[test]
@@ -305,18 +152,29 @@ mod tests {
         ));
         assert_eq!(rdb.footprint_bytes(), COARSE_RECORD_BYTES);
         assert_eq!(rdb.record(2).unwrap().entries, 10);
-        assert_eq!(rdb.iter().count(), 1);
         rdb.remove(2).unwrap();
-        assert!(rdb.is_empty());
+        assert_eq!(rdb.footprint_bytes(), 0);
         assert!(matches!(rdb.remove(2), Err(SsdError::UnknownDatabase(2))));
     }
 
     #[test]
     fn coarse_addressing_saves_orders_of_magnitude_of_dram() {
         // The paper's example: a 1 TB database that needs ~1 GB of page-level
-        // FTL collapses to a 21-byte record.
-        let pages_1tb = (1u64 << 40) / (16 * 1024);
-        let saving = coarse_ftl_saving(pages_1tb as usize);
+        // FTL (8 bytes per 16 KiB page) collapses to a 21-byte record.
+        let pages_1tb = (1usize << 40) / (16 * 1024);
+        let mut rdb = CoarseFtl::new();
+        rdb.deploy(DatabaseRecord {
+            db_id: 1,
+            embedding_region: StripedRegion::EMPTY,
+            int8_region: StripedRegion::EMPTY,
+            document_region: StripedRegion {
+                start: 0,
+                len: pages_1tb,
+            },
+            entries: 0,
+        })
+        .unwrap();
+        let saving = (pages_1tb * 8) as f64 / rdb.footprint_bytes() as f64;
         assert!(
             saving > 1e7,
             "saving factor {saving} should exceed ten million"

@@ -5,8 +5,7 @@
 //! Programming so reads are error-free without ECC, while document chunks and
 //! INT8 embeddings stay in dense TLC and take the conventional
 //! ECC-in-the-controller read path. This module is the policy that maps a
-//! region's role to its programming scheme and accounts for the capacity cost
-//! of running part of the array in SLC mode.
+//! region's role to its programming scheme.
 
 use serde::{Deserialize, Serialize};
 
@@ -67,14 +66,6 @@ impl HybridPolicy {
     pub fn needs_ecc(&self, kind: RegionKind) -> bool {
         !self.scheme_for(kind).is_error_free()
     }
-
-    /// Capacity cost factor of storing `bytes` under the given kind, i.e. how
-    /// many bytes of *TLC-equivalent* raw capacity the data consumes. SLC
-    /// storage costs 3× because each cell holds one bit instead of three.
-    pub fn capacity_cost_factor(&self, kind: RegionKind) -> f64 {
-        let scheme = self.scheme_for(kind);
-        CellMode::Tlc.density_factor() / scheme.cell_mode().density_factor()
-    }
 }
 
 impl Default for HybridPolicy {
@@ -117,21 +108,22 @@ mod tests {
             RegionKind::Documents,
         ] {
             assert!(policy.needs_ecc(kind));
-            assert_eq!(policy.capacity_cost_factor(kind), 1.0);
         }
     }
 
     #[test]
     fn slc_storage_costs_three_times_the_capacity() {
+        // TLC-equivalent raw capacity per stored byte: one bit per cell
+        // instead of three.
         let policy = HybridPolicy::reis();
-        assert_eq!(
-            policy.capacity_cost_factor(RegionKind::BinaryEmbeddings),
-            3.0
-        );
-        assert_eq!(policy.capacity_cost_factor(RegionKind::Documents), 1.0);
+        let cost = |kind| {
+            let bits = policy.scheme_for(kind).cell_mode().bits_per_cell();
+            CellMode::Tlc.bits_per_cell() as f64 / bits as f64
+        };
+        assert_eq!(cost(RegionKind::BinaryEmbeddings), 3.0);
+        assert_eq!(cost(RegionKind::Documents), 1.0);
         // Binary embeddings are 32x smaller than f32, so even at 3x capacity
-        // cost the SLC partition is a net win — check the combined factor.
-        let effective_blowup = 3.0 / 32.0;
-        assert!(effective_blowup < 0.1);
+        // cost the SLC partition is a net win.
+        assert!(cost(RegionKind::BinaryEmbeddings) / 32.0 < 0.1);
     }
 }

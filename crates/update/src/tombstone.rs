@@ -27,11 +27,6 @@ impl TombstoneSet {
         }
     }
 
-    /// Number of storage-order slots covered.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of tombstoned slots.
     pub fn dead_count(&self) -> usize {
         self.dead
@@ -92,7 +87,6 @@ mod tests {
         assert!(set.contains(0) && set.contains(63) && set.contains(64) && set.contains(99));
         assert!(!set.contains(1));
         assert!(!set.contains(100));
-        assert_eq!(set.capacity(), 100);
         assert_eq!(set.footprint_bytes(), 16);
     }
 
