@@ -30,37 +30,23 @@ impl Metric {
     }
 }
 
-/// Squared Euclidean distance between two vectors.
+/// Squared Euclidean distance between two vectors:
+/// [`reis_kernels::squared_l2_f32`], the workspace's one definition of it.
 ///
-/// Four-wide unrolled with independent accumulators so the adds pipeline
-/// instead of forming one serial dependency chain (the scalar kernel is on
-/// the critical path of IVF training and the flat baselines). Note the sum
-/// order differs from a naive sequential fold, so results can differ by
-/// float-rounding noise.
+/// The result is exact to the bit and the same on every CPU: lane `l` of a
+/// four-lane fold sums `(a[i] - b[i])²` over the dimensions `i ≡ l (mod 4)`
+/// in order, a tail sums the last `len % 4` squares in order, and the result
+/// is `(s0 + s1) + (s2 + s3) + tail`, with no fused multiply-add. It is
+/// symmetric (`squared_l2(a, b) == squared_l2(b, a)` bit for bit), but not
+/// the sequential fold `Σ (a[i] - b[i])²`, from which it differs by
+/// rounding.
 ///
 /// # Panics
 ///
 /// Panics if the vectors have different lengths.
+#[inline]
 pub fn squared_l2(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "vectors must have equal dimensionality");
-    let mut aq = a.chunks_exact(4);
-    let mut bq = b.chunks_exact(4);
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    for (x, y) in aq.by_ref().zip(bq.by_ref()) {
-        let d0 = x[0] - y[0];
-        let d1 = x[1] - y[1];
-        let d2 = x[2] - y[2];
-        let d3 = x[3] - y[3];
-        s0 += d0 * d0;
-        s1 += d1 * d1;
-        s2 += d2 * d2;
-        s3 += d3 * d3;
-    }
-    let mut tail = 0.0f32;
-    for (x, y) in aq.remainder().iter().zip(bq.remainder()) {
-        tail += (x - y) * (x - y);
-    }
-    (s0 + s1) + (s2 + s3) + tail
+    reis_kernels::squared_l2_f32(a, b)
 }
 
 /// Euclidean distance between two vectors.
@@ -74,7 +60,7 @@ pub fn l2(a: &[f32], b: &[f32]) -> f32 {
 
 /// Inner product of two vectors.
 ///
-/// Four-wide unrolled with independent accumulators (see [`squared_l2`]).
+/// The same four-lane fold as [`squared_l2`], over products.
 ///
 /// # Panics
 ///

@@ -211,14 +211,7 @@ impl ProductQuantizer {
 }
 
 fn nearest_code(codebook: &[Vec<f32>], sub: &[f32]) -> u8 {
-    let mut best = (0usize, f32::INFINITY);
-    for (i, c) in codebook.iter().enumerate() {
-        let d = squared_l2(c, sub);
-        if d < best.1 {
-            best = (i, d);
-        }
-    }
-    best.0 as u8
+    reis_kernels::nearest_f32(sub, codebook).0 as u8
 }
 
 #[cfg(test)]

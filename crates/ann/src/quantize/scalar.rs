@@ -121,10 +121,7 @@ impl Int8Quantizer {
         let values = vector
             .iter()
             .zip(self.offsets.iter().zip(self.scales.iter()))
-            .map(|(&x, (&o, &s))| {
-                let q = ((x - o) / s).round();
-                q.clamp(-127.0, 127.0) as i8
-            })
+            .map(|(&x, (&o, &s))| round_to_i8((x - o) / s))
             .collect();
         Ok(Int8Vector::new(values))
     }
@@ -150,10 +147,82 @@ impl Int8Quantizer {
     }
 }
 
+/// `value.round().clamp(-127.0, 127.0) as i8` — round half away from zero,
+/// saturate at ±127, NaN to 0 — without `f32::round`, which the baseline
+/// x86-64 target compiles to one `roundf` library call per dimension. The
+/// value is clamped first (rounding and clamping to integer bounds
+/// commute), truncated, and moved one step away from zero when the
+/// remainder, which the subtraction computes exactly, is at least one
+/// half. A sweep of every `f32` checks the two agree.
+#[inline]
+fn round_to_i8(value: f32) -> i8 {
+    let clamped = value.clamp(-127.0, 127.0);
+    let truncated = clamped as i32;
+    let remainder = clamped - truncated as f32;
+    (truncated + i32::from(remainder >= 0.5) - i32::from(remainder <= -0.5)) as i8
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distance::squared_l2;
+
+    /// The rule `round_to_i8` replaces.
+    fn rounded(value: f32) -> i8 {
+        value.round().clamp(-127.0, 127.0) as i8
+    }
+
+    #[test]
+    fn rounding_matches_round_then_clamp_at_the_edges() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7F80_0001), // signalling NaN
+            f32::from_bits(0xFFC0_1234),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1), // the smallest subnormal
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007F_FFFF), // the largest subnormal
+            f32::MAX,
+            f32::MIN,
+        ];
+        // Eight ulps either side of every half-integer from -129.5 to
+        // 129.5, and of every integer in between.
+        for k in -130..130 {
+            for centre in [k as f32 + 0.5, k as f32] {
+                let bits = centre.to_bits();
+                for step in 0..=8u32 {
+                    values.push(f32::from_bits(bits.wrapping_add(step)));
+                    values.push(f32::from_bits(bits.wrapping_sub(step)));
+                }
+            }
+        }
+        for value in values {
+            assert_eq!(round_to_i8(value), rounded(value), "{value:e}");
+        }
+        assert_eq!(round_to_i8(2.5), 3);
+        assert_eq!(round_to_i8(-2.5), -3);
+        assert_eq!(round_to_i8(126.5), 127);
+        assert_eq!(round_to_i8(-200.0), -127);
+    }
+
+    /// Every one of the 2³² `f32` bit patterns; about 40 s in release, so
+    /// run on request (`cargo test --release -p reis-ann --lib --
+    /// --ignored`).
+    #[test]
+    #[ignore = "sweeps all 2^32 f32 values; run in release with --ignored"]
+    fn rounding_matches_round_then_clamp_for_every_f32() {
+        let mismatches = (0..=u32::MAX)
+            .map(f32::from_bits)
+            .filter(|&value| round_to_i8(value) != rounded(value))
+            .count();
+        assert_eq!(mismatches, 0);
+    }
 
     fn training_data() -> Vec<Vec<f32>> {
         (0..50)

@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the kernels REIS executes: the in-plane
-//! XOR + fail-bit-count distance computation, the quickselect / quicksort
-//! selection kernels, binary quantization, and the IVF search variants.
+//! XOR + fail-bit-count distance computation, the f32 distance k-means
+//! trains with, the quickselect / quicksort selection kernels, binary
+//! quantization, and the IVF search variants.
 
 use std::hint::black_box;
 
@@ -141,6 +142,29 @@ fn bench_hamming_kernels(c: &mut Criterion) {
     });
 }
 
+/// The f32 distance k-means computes: one 1024-d pair, and one vector
+/// against 64 packed centroids — a training vector's share of an IVF
+/// assignment pass at the benchmark's `nlist`.
+fn bench_f32_distance(c: &mut Criterion) {
+    let query: Vec<f32> = (0..1024)
+        .map(|i| ((i * 37 % 101) as f32) / 50.0 - 1.0)
+        .collect();
+    let centroids: Vec<Vec<f32>> = (0..64)
+        .map(|r| {
+            (0..1024)
+                .map(|i| ((i * 13 + r * 29) % 97) as f32 / 48.0 - 1.0)
+                .collect()
+        })
+        .collect();
+    c.bench_function("squared_l2_f32_1024", |b| {
+        b.iter(|| reis_kernels::squared_l2_f32(black_box(&query), black_box(&centroids[0])))
+    });
+    let packed = reis_kernels::PackedRows::new(&centroids);
+    c.bench_function("nearest_f32_64x1024", |b| {
+        b.iter(|| packed.nearest(black_box(&query)))
+    });
+}
+
 fn bench_flash_device_scan(c: &mut Criterion) {
     let mut device = FlashDevice::new(Geometry::tiny(), Default::default());
     let addr = PageAddr::new(0, 0, 0, 0, 0);
@@ -197,6 +221,7 @@ criterion_group!(
     kernels,
     bench_in_plane_distance,
     bench_hamming_kernels,
+    bench_f32_distance,
     bench_flash_device_scan,
     bench_selection_kernels,
     bench_quantization_and_ivf

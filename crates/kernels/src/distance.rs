@@ -16,11 +16,14 @@
 //! pass. [`pair`] is the primitive on its own.
 //!
 //! The rerank's INT8 squared Euclidean distance ([`squared_l2_i8`]) goes
-//! through the same dispatch with one portable body.
+//! through the same dispatch with one portable body, and so does the f32
+//! family of [`crate::l2`]: each [`Body`] names the f32 body of its level.
 
+use std::marker::PhantomData;
 use std::ops::Range;
 
 use crate::isa::{Isa, Level};
+use crate::l2::{F32Body, Fold};
 use crate::FusedHit;
 
 /// (slot, query) pairs one block scores: that many independent accumulators
@@ -29,7 +32,10 @@ use crate::FusedHit;
 const LANES: usize = 8;
 
 /// One compiled body of the distance primitive.
-trait Body {
+pub(crate) trait Body {
+    /// The f32 body of the same instruction-set level (see [`crate::l2`]).
+    type F32: F32Body;
+
     /// A block's [`LANES`] totals, where the body keeps them.
     type Totals: Copy;
 
@@ -89,7 +95,7 @@ trait Body {
 
 /// Work that runs inside one body; [`dispatch`] instantiates it once per
 /// instruction-set level.
-trait Kernel {
+pub(crate) trait Kernel {
     /// What the work returns.
     type Output;
 
@@ -102,13 +108,13 @@ trait Kernel {
 }
 
 /// Run `kernel` on the body of `isa`: the crate's one selection of a
-/// Hamming body.
+/// body.
 #[inline(always)]
-fn dispatch<K: Kernel>(isa: Isa, kernel: K) -> K::Output {
+pub(crate) fn dispatch<K: Kernel>(isa: Isa, kernel: K) -> K::Output {
     match isa.level() {
-        // SAFETY: the scalar body instantiated here uses no instruction
+        // SAFETY: the scalar bodies instantiated here use no instruction
         // beyond the compilation target's baseline.
-        Level::Portable => unsafe { kernel.run::<Words>() },
+        Level::Portable => unsafe { kernel.run::<Words<Fold>>() },
         // SAFETY (all three arms): an `Isa` of a level exists only after
         // `Isa::detect` saw `is_x86_feature_detected!` confirm every feature
         // of that level and the levels below it, which are exactly the
@@ -167,10 +173,12 @@ fn distance_words(a: &[u8], b: &[u8]) -> u32 {
 }
 
 /// The scalar body: baseline code when instantiated as is, hardware POPCNT
-/// when instantiated inside [`x86::in_sse42`].
-struct Words;
+/// when instantiated inside [`x86::in_sse42`]. `F` is the f32 body of the
+/// same level: the portable fold, or the SSE rows.
+struct Words<F>(PhantomData<F>);
 
-impl Body for Words {
+impl<F: F32Body> Body for Words<F> {
+    type F32 = F;
     type Totals = [u64; LANES];
 
     #[inline(always)]
@@ -509,6 +517,7 @@ mod x86 {
     use std::arch::x86_64::*;
 
     use super::{common_len, distance_words, Body, Kernel, Words, LANES};
+    use crate::l2::x86 as f32s;
 
     /// Per-byte set-bit counts of the 32 bytes of `diff`: each nibble looked
     /// up in a 16-entry table with `vpshufb`.
@@ -568,6 +577,7 @@ mod x86 {
     struct Avx2;
 
     impl Body for Avx2 {
+        type F32 = f32s::Avx2;
         type Totals = [u64; LANES];
 
         #[inline(always)]
@@ -702,6 +712,7 @@ mod x86 {
     struct Avx512;
 
     impl Body for Avx512 {
+        type F32 = f32s::Avx512;
         type Totals = __m512i;
 
         #[inline(always)]
@@ -778,14 +789,15 @@ mod x86 {
         }
     }
 
-    /// Run `kernel` on the scalar body, compiled with hardware POPCNT.
+    /// Run `kernel` on the scalar body, compiled with hardware POPCNT, and
+    /// the SSE f32 rows.
     ///
     /// # Safety
     ///
     /// The CPU must support SSE4.2 and POPCNT.
     #[target_feature(enable = "sse4.2,popcnt")]
     pub(super) unsafe fn in_sse42<K: Kernel>(kernel: K) -> K::Output {
-        kernel.run::<Words>()
+        kernel.run::<Words<f32s::Sse>>()
     }
 
     /// Run `kernel` on the AVX2 nibble-table body.

@@ -1,8 +1,11 @@
-//! # reis-kernels — the word-level bit kernels of the REIS workspace
+//! # reis-kernels — the distance kernels of the REIS workspace
 //!
-//! The single home of the XOR/popcount and Hamming-distance kernels that the
-//! rest of the workspace computes with. `reis-nand`'s peripheral model (the
-//! fail-bit counter and inter-latch XOR logic), `reis-ann`'s vector types and
+//! The single home of the kernels the rest of the workspace computes
+//! distances with: the word-level XOR/popcount and Hamming-distance kernels
+//! of the in-flash scan, the rerank's INT8 squared Euclidean distance, and
+//! the f32 squared Euclidean distance the host-side index build (k-means)
+//! runs on. `reis-nand`'s peripheral model (the fail-bit counter and
+//! inter-latch XOR logic), `reis-ann`'s vector types and distances and
 //! `reis-bench`'s baseline measurements all re-export from here, so exactly
 //! one implementation of each kernel exists.
 //!
@@ -22,13 +25,29 @@
 //! * **One dispatch.** Every entry point detects the CPU's instruction-set
 //!   level once per call and runs the matching body: baseline scalar code,
 //!   scalar with hardware POPCNT, AVX2 (`vpshufb` nibble table + `vpsadbw`)
-//!   or AVX-512 (`VPOPCNTQ`, byte-masked tail loads). The CRC bodies hang
-//!   off the same detection. The tests run *every* body the host supports
+//!   or AVX-512 (`VPOPCNTQ`, byte-masked tail loads). The CRC, INT8 and f32
+//!   bodies hang off the same detection. The tests run *every* body the host supports
 //!   against the byte-wise [`mod@reference`], not only the dispatched one.
 //! * Exact handling of any length: trailing partial chunks, and chunk sizes
 //!   that are no multiple of a word or a vector.
 //! * The `_into` variants write into caller-provided buffers, so steady-state
 //!   page scans perform no heap allocation here.
+//! * **One f32 contract.** [`squared_l2_f32`] is a four-lane fold: lane
+//!   `l` sums `(x[i] - y[i])²` over the dimensions `i ≡ l (mod 4)` in
+//!   order, a tail sums the last `len % 4` squares in order, and the result
+//!   is `(s0 + s1) + (s2 + s3) + tail`. **No FMA**: every subtract,
+//!   multiply and add is rounded on its own, in every body, so the same
+//!   inputs give the same bits on every CPU (a NaN is a NaN; Rust leaves
+//!   its payload unspecified). The bodies differ only in how many rows they
+//!   fold against one query at once, each row's four lanes in a register
+//!   accumulator of its own: one (portable), eight `__m128` (SSE), sixteen
+//!   as two per `__m256` (AVX2), sixteen as four per `__m512` (AVX-512,
+//!   from a [`PackedRows`] whose four-row interleave fills a register with
+//!   one load). [`squared_l2_f32_rows`], [`nearest_f32`] and
+//!   [`PackedRows::nearest`] are the row entry points; a nearest row is the
+//!   first one below every earlier distance, so ties go to the lower index
+//!   and a NaN never wins. The tests hold every body to the element-wise
+//!   [`reference::squared_l2_f32`] bit for bit.
 //! * `unsafe` is confined to the `#[target_feature]` bodies and the calls
 //!   into them, each of which rests on a run-time feature check.
 //!
@@ -54,9 +73,10 @@
 //! (built at compile time) elsewhere, with a bitwise [`reference::crc32c`]
 //! baseline the tests verify both against.
 //!
-//! The byte-at-a-time [`mod@reference`] kernels match the seed
-//! implementation and are kept solely as the baseline the tests and
-//! benchmarks measure against.
+//! The element-at-a-time [`mod@reference`] kernels match the seed
+//! implementation (and, for f32, the fold `reis-ann` had before it moved
+//! here) and are kept solely as the baseline the tests and benchmarks
+//! measure against.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -64,10 +84,13 @@
 mod crc;
 mod distance;
 mod isa;
+mod l2;
 
 pub use distance::Int8;
 use distance::Job;
 use isa::Isa;
+pub use l2::PackedRows;
+use l2::Slices;
 
 /// The all-zero query a set-bit count is the distance to.
 static ZEROS: [u8; 256] = [0; 256];
@@ -104,6 +127,48 @@ pub fn hamming_bytes(a: &[u8], b: &[u8]) -> u32 {
 pub fn squared_l2_i8<T: Int8>(a: &[i8], b: &[T]) -> i64 {
     assert_eq!(a.len(), b.len(), "distance requires equal dimensionality");
     distance::squared_l2_i8(Isa::detect(), a, b)
+}
+
+/// Squared Euclidean distance between two equally long `f32` vectors: the
+/// workspace's one definition of it. Lane `l` of a four-lane fold sums
+/// `(a[i] - b[i])²` over the dimensions `i ≡ l (mod 4)` in order, a tail
+/// sums the last `len % 4` squares in order, and the result is
+/// `(s0 + s1) + (s2 + s3) + tail` — every subtract, multiply and add
+/// rounded on its own, never fused. Every entry point of the f32 family
+/// returns exactly these bits.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn squared_l2_f32(a: &[f32], b: &[f32]) -> f32 {
+    let mut out = [0.0];
+    l2::distances(Isa::detect(), &Slices(&[a]), b, &mut out);
+    out[0]
+}
+
+/// `out[i] = squared_l2_f32(rows[i], query)` for every row, several rows
+/// folded at once, each in its own register accumulator.
+///
+/// # Panics
+///
+/// Panics if a row is not as long as `query`, or `out` not as long as
+/// `rows`.
+pub fn squared_l2_f32_rows<R: AsRef<[f32]>>(query: &[f32], rows: &[R], out: &mut [f32]) {
+    l2::distances(Isa::detect(), &Slices(rows), query, out);
+}
+
+/// The row of `rows` nearest to `query` under [`squared_l2_f32`], and its
+/// distance — the rule of [`PackedRows::nearest`], for rows not worth
+/// packing: the first row below every earlier one, starting from `+∞`, so
+/// a tie goes to the lower index, a NaN never wins, and the answer is
+/// `(0, +∞)` when no row is below `+∞`.
+///
+/// # Panics
+///
+/// Panics if a row is not as long as `query`.
+pub fn nearest_f32<R: AsRef<[f32]>>(query: &[f32], rows: &[R]) -> (usize, f32) {
+    l2::nearest(Isa::detect(), &Slices(rows), query)
 }
 
 /// XOR `a` and `b` into `out` (cleared and resized first), processed as
@@ -339,6 +404,31 @@ pub mod reference {
             .zip(b.iter())
             .map(|(&x, &y)| (i64::from(x) - i64::from(y)).pow(2))
             .sum()
+    }
+
+    /// The f32 squared Euclidean distance as `reis-ann` computed it before
+    /// the f32 family moved here — the four-lane fold on two slices,
+    /// element by element. The baseline every body of
+    /// [`crate::squared_l2_f32`] is tested against, bit for bit.
+    pub fn squared_l2_f32(a: &[f32], b: &[f32]) -> f32 {
+        let mut aq = a.chunks_exact(4);
+        let mut bq = b.chunks_exact(4);
+        let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+        for (x, y) in aq.by_ref().zip(bq.by_ref()) {
+            let d0 = x[0] - y[0];
+            let d1 = x[1] - y[1];
+            let d2 = x[2] - y[2];
+            let d3 = x[3] - y[3];
+            s0 += d0 * d0;
+            s1 += d1 * d1;
+            s2 += d2 * d2;
+            s3 += d3 * d3;
+        }
+        let mut tail = 0.0f32;
+        for (x, y) in aq.remainder().iter().zip(bq.remainder()) {
+            tail += (x - y) * (x - y);
+        }
+        (s0 + s1) + (s2 + s3) + tail
     }
 
     /// Bitwise CRC32C: one shift-and-conditional-XOR step per input bit,
