@@ -93,7 +93,7 @@ impl<R: AsRef<[f32]>> Rows for Slices<'_, R> {
 /// register. Build it once for a set of rows (k-means builds one per Lloyd
 /// iteration over its centroids) and score every query against it with
 /// [`PackedRows::nearest`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct PackedRows {
     rows: usize,
     dim: usize,
