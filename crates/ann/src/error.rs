@@ -15,6 +15,14 @@ pub enum AnnError {
     },
     /// An operation that needs training data received an empty dataset.
     EmptyDataset,
+    /// A vector held a NaN or infinite component. Nothing trains on,
+    /// quantizes or stores one: its distances compare with nothing.
+    NonFinite {
+        /// Index of the first such vector in its batch or dataset.
+        row: usize,
+        /// Index of its first non-finite component.
+        component: usize,
+    },
     /// A parameter was outside its valid range.
     InvalidParameter {
         /// Name of the parameter.
@@ -39,6 +47,12 @@ impl fmt::Display for AnnError {
                 )
             }
             AnnError::EmptyDataset => write!(f, "operation requires a non-empty dataset"),
+            AnnError::NonFinite { row, component } => {
+                write!(
+                    f,
+                    "vector {row} has a NaN or infinite component {component}"
+                )
+            }
             AnnError::InvalidParameter { name, message } => {
                 write!(f, "invalid parameter `{name}`: {message}")
             }
@@ -49,6 +63,17 @@ impl fmt::Display for AnnError {
 }
 
 impl std::error::Error for AnnError {}
+
+impl AnnError {
+    /// The [`AnnError::NonFinite`] of the first vector of `data` that
+    /// holds a NaN or infinite component, if any.
+    pub(crate) fn first_non_finite(data: &[Vec<f32>]) -> Option<AnnError> {
+        data.iter().enumerate().find_map(|(row, v)| {
+            let component = v.iter().position(|x| !x.is_finite())?;
+            Some(AnnError::NonFinite { row, component })
+        })
+    }
+}
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, AnnError>;
@@ -65,6 +90,10 @@ mod tests {
                 actual: 768,
             },
             AnnError::EmptyDataset,
+            AnnError::NonFinite {
+                row: 3,
+                component: 17,
+            },
             AnnError::InvalidParameter {
                 name: "nlist",
                 message: "must be non-zero".into(),

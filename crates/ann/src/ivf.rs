@@ -77,6 +77,8 @@ impl IvfIndex {
     ///   number of vectors.
     /// * [`AnnError::DimensionMismatch`] if the vectors have inconsistent
     ///   dimensionality.
+    /// * [`AnnError::NonFinite`] for the first vector holding a NaN or an
+    ///   infinite component.
     pub fn build(vectors: Vec<Vec<f32>>, config: IvfConfig) -> Result<Self> {
         if vectors.is_empty() {
             return Err(AnnError::EmptyDataset);
@@ -586,6 +588,19 @@ mod tests {
             IvfIndex::build(vec![], IvfConfig::new(1)),
             Err(AnnError::EmptyDataset)
         ));
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut poisoned = data.clone();
+            poisoned[7][1] = bad;
+            let error = AnnError::NonFinite {
+                row: 7,
+                component: 1,
+            };
+            assert_eq!(
+                IvfIndex::build(poisoned.clone(), IvfConfig::new(2)),
+                Err(error.clone())
+            );
+            assert_eq!(IvfBqIndex::build(poisoned, IvfConfig::new(2)), Err(error));
+        }
         let index = IvfIndex::build(data, IvfConfig::new(2)).unwrap();
         assert!(
             index.search(&[1.0, 2.0], 3, 1).is_err(),

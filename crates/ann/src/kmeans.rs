@@ -1,8 +1,21 @@
 //! Lloyd's k-means with k-means++ seeding.
 //!
 //! Used to train IVF cluster centroids and product-quantization codebooks.
-//! The implementation is deterministic for a given seed so that index
-//! construction — and therefore every benchmark result — is reproducible.
+//! The implementation is deterministic for a given seed *whatever the
+//! thread count*, so that index construction — and therefore every
+//! benchmark result — is reproducible on any host:
+//!
+//! * every pass over the training vectors runs on up to
+//!   [`std::thread::available_parallelism`] threads (read once per
+//!   [`train`]; one thread below 2,048 rows), which claim fixed
+//!   blocks of rows and write each row's distance or nearest centroid into
+//!   that row's own slot;
+//! * everything whose order matters stays on the calling thread, in row
+//!   order: the inertia sum, the k-means++ total and its sampling walk, and
+//!   the RNG draws that re-seed empty clusters;
+//! * the per-cluster `f64` sums of the centroid update are split by
+//!   dimension range, never by rows, so every accumulator adds the same
+//!   values in the same order as one thread would.
 //!
 //! Every distance is [`squared_l2`](crate::distance::squared_l2), computed
 //! by the `reis-kernels` f32 family, whose bodies fold 8–16 rows at once
@@ -22,6 +35,7 @@ use reis_kernels::{nearest_f32, squared_l2_f32_rows, PackedRows};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{AnnError, Result};
+use crate::parallel::{self, ROW_BLOCK};
 
 /// Configuration of a k-means training run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -96,19 +110,51 @@ impl KMeansModel {
 }
 
 /// Assign every vector of `data` to its nearest centroid; the objective
-/// (the sum of the nearest distances) is returned.
-fn assign(data: &[Vec<f32>], centroids: &[Vec<f32>], assignments: &mut [usize]) -> f64 {
+/// (the sum of the nearest distances, in row order) is returned.
+fn assign(
+    data: &[Vec<f32>],
+    centroids: &[Vec<f32>],
+    assignments: &mut [usize],
+    threads: usize,
+) -> f64 {
     let packed = PackedRows::new(centroids);
+    let nearest = parallel::map(threads, data.len(), ROW_BLOCK, |row| {
+        packed.nearest(&data[row])
+    });
     let mut inertia = 0.0f64;
-    for (v, assignment) in data.iter().zip(assignments.iter_mut()) {
-        let (c, d) = packed.nearest(v);
+    for (assignment, (c, d)) in assignments.iter_mut().zip(nearest) {
         *assignment = c;
         inertia += d as f64;
     }
     inertia
 }
 
+/// The sum of the vectors assigned to each of `k` clusters, one block per
+/// dimension range of [`parallel::map_dims`], in dimension order: block
+/// `b` holds cluster `c`'s sums over its `w` dimensions at `c * w..`.
+fn cluster_sums(
+    data: &[Vec<f32>],
+    assignments: &[usize],
+    k: usize,
+    threads: usize,
+) -> Vec<Vec<f64>> {
+    parallel::map_dims(threads, data[0].len(), |dims| {
+        let width = dims.len();
+        let mut sums = vec![0.0f64; k * width];
+        for (v, &a) in data.iter().zip(assignments) {
+            for (s, &x) in sums[a * width..][..width].iter_mut().zip(&v[dims.clone()]) {
+                *s += x as f64;
+            }
+        }
+        sums
+    })
+}
+
 /// Train k-means on `data` (a slice of equal-length vectors).
+///
+/// The passes over the rows run on up to
+/// [`std::thread::available_parallelism`] threads (one below 2,048 rows);
+/// the model is the same bits at every thread count.
 ///
 /// # Errors
 ///
@@ -117,6 +163,8 @@ fn assign(data: &[Vec<f32>], centroids: &[Vec<f32>], assignments: &mut [usize]) 
 ///   training vectors.
 /// * [`AnnError::DimensionMismatch`] if the vectors have inconsistent
 ///   dimensionality.
+/// * [`AnnError::NonFinite`] for the first vector holding a NaN or an
+///   infinite component.
 pub fn train(data: &[Vec<f32>], config: &KMeansConfig) -> Result<KMeansModel> {
     if data.is_empty() {
         return Err(AnnError::EmptyDataset);
@@ -137,33 +185,35 @@ pub fn train(data: &[Vec<f32>], config: &KMeansConfig) -> Result<KMeansModel> {
         }
     }
 
+    let threads = parallel::threads_for(data.len());
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut centroids = kmeans_plus_plus_init(data, config.k, &mut rng);
+    let mut centroids = kmeans_plus_plus_init(data, config.k, &mut rng, threads)?;
     let mut assignments = vec![0usize; data.len()];
     let mut inertia = f64::INFINITY;
     let mut iterations = 0usize;
 
     for iter in 0..config.max_iterations.max(1) {
         iterations = iter + 1;
-        let new_inertia = assign(data, &centroids, &mut assignments);
+        let new_inertia = assign(data, &centroids, &mut assignments, threads);
         // Update step.
-        let mut sums = vec![vec![0.0f64; dim]; config.k];
+        let sums = cluster_sums(data, &assignments, config.k, threads);
         let mut counts = vec![0usize; config.k];
-        for (v, &a) in data.iter().zip(assignments.iter()) {
+        for &a in &assignments {
             counts[a] += 1;
-            for (s, &x) in sums[a].iter_mut().zip(v.iter()) {
-                *s += x as f64;
-            }
         }
-        for (c, (sum, &count)) in centroids.iter_mut().zip(sums.iter().zip(counts.iter())) {
+        for (c, (centroid, &count)) in centroids.iter_mut().zip(&counts).enumerate() {
             if count > 0 {
-                for (dst, &s) in c.iter_mut().zip(sum.iter()) {
+                let totals = sums.iter().flat_map(|block| {
+                    let width = block.len() / config.k;
+                    &block[c * width..][..width]
+                });
+                for (dst, &s) in centroid.iter_mut().zip(totals) {
                     *dst = (s / count as f64) as f32;
                 }
             } else {
                 // Re-seed an empty cluster with a random training vector so no
                 // centroid is wasted.
-                *c = data[rng.gen_range(0..data.len())].clone();
+                *centroid = data[rng.gen_range(0..data.len())].clone();
             }
         }
         let improvement = (inertia - new_inertia) / inertia.max(f64::MIN_POSITIVE);
@@ -174,7 +224,7 @@ pub fn train(data: &[Vec<f32>], config: &KMeansConfig) -> Result<KMeansModel> {
     }
 
     // Final assignment against the last centroid update.
-    let final_inertia = assign(data, &centroids, &mut assignments);
+    let final_inertia = assign(data, &centroids, &mut assignments, threads);
 
     Ok(KMeansModel {
         centroids,
@@ -184,23 +234,34 @@ pub fn train(data: &[Vec<f32>], config: &KMeansConfig) -> Result<KMeansModel> {
     })
 }
 
-/// Training vectors k-means++ scores per kernel call: their distances stay
-/// in a stack buffer.
-const INIT_BLOCK: usize = 256;
+/// The sum of `distances`, in row order: what k-means++ samples under.
+fn total_distance(distances: &[f32]) -> f64 {
+    distances.iter().map(|&d| d as f64).sum()
+}
 
-fn kmeans_plus_plus_init(data: &[Vec<f32>], k: usize, rng: &mut StdRng) -> Vec<Vec<f32>> {
+fn kmeans_plus_plus_init(
+    data: &[Vec<f32>],
+    k: usize,
+    rng: &mut StdRng,
+    threads: usize,
+) -> Result<Vec<Vec<f32>>> {
     let mut centroids = Vec::with_capacity(k);
     centroids.push(data[rng.gen_range(0..data.len())].clone());
     let mut distances = vec![0.0f32; data.len()];
-    for (block, out) in data
-        .chunks(INIT_BLOCK)
-        .zip(distances.chunks_mut(INIT_BLOCK))
-    {
-        squared_l2_f32_rows(&centroids[0], block, out);
+    parallel::for_each_block(threads, &mut distances, ROW_BLOCK, |first, ds| {
+        squared_l2_f32_rows(&centroids[0], &data[first..first + ds.len()], ds);
+    });
+    let mut total = total_distance(&distances);
+    // A NaN or infinite component makes its row's distance to the first
+    // centroid, and so the total, NaN or infinite (and every distance, if
+    // the first centroid holds it). Finite rows can still overflow to an
+    // infinite total, so the rows themselves decide.
+    if !total.is_finite() {
+        if let Some(error) = AnnError::first_non_finite(data) {
+            return Err(error);
+        }
     }
-    let mut scratch = [0.0f32; INIT_BLOCK];
     while centroids.len() < k {
-        let total: f64 = distances.iter().map(|&d| d as f64).sum();
         let chosen = if total <= f64::EPSILON {
             rng.gen_range(0..data.len())
         } else {
@@ -218,25 +279,26 @@ fn kmeans_plus_plus_init(data: &[Vec<f32>], k: usize, rng: &mut StdRng) -> Vec<V
         };
         centroids.push(data[chosen].clone());
         let newest = centroids.last().expect("just pushed");
-        for (block, ds) in data
-            .chunks(INIT_BLOCK)
-            .zip(distances.chunks_mut(INIT_BLOCK))
-        {
-            let scored = &mut scratch[..block.len()];
-            squared_l2_f32_rows(newest, block, scored);
+        parallel::for_each_block(threads, &mut distances, ROW_BLOCK, |first, ds| {
+            let mut scored = [0.0f32; ROW_BLOCK];
+            let scored = &mut scored[..ds.len()];
+            squared_l2_f32_rows(newest, &data[first..first + ds.len()], scored);
             for (d, &nd) in ds.iter_mut().zip(scored.iter()) {
                 if nd < *d {
                     *d = nd;
                 }
             }
-        }
+        });
+        total = total_distance(&distances);
     }
-    centroids
+    Ok(centroids)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden;
+    use crate::parallel::tests::{order_sensitive, with_threads};
 
     /// Three well-separated 2-d blobs.
     fn blob_data() -> Vec<Vec<f32>> {
@@ -327,5 +389,110 @@ mod tests {
         let data = vec![vec![0.0, 0.0], vec![5.0, 5.0], vec![9.0, 1.0]];
         let model = train(&data, &KMeansConfig::new(3)).unwrap();
         assert!(model.inertia < 1e-9);
+    }
+
+    /// Everything a model is, as bits.
+    fn bits(model: &KMeansModel) -> (Vec<Vec<u32>>, &[usize], u64, usize) {
+        let centroids = model
+            .centroids
+            .iter()
+            .map(|c| c.iter().map(|x| x.to_bits()).collect())
+            .collect();
+        (
+            centroids,
+            &model.assignments,
+            model.inertia.to_bits(),
+            model.iterations,
+        )
+    }
+
+    fn assert_thread_count_invariant(data: &[Vec<f32>], config: &KMeansConfig) -> KMeansModel {
+        let one = with_threads(1, || train(data, config)).unwrap();
+        for threads in [2, 3, 8] {
+            let many = with_threads(threads, || train(data, config)).unwrap();
+            assert_eq!(bits(&many), bits(&one), "{threads} threads");
+        }
+        one
+    }
+
+    #[test]
+    fn every_thread_count_trains_the_same_bits() {
+        // 1,000 rows (three full blocks of rows and a partial fourth) of
+        // 600 dimensions (two ranges of dimensions, the second partial).
+        let data = golden::dataset(1_000, 600, 9, false, 41);
+        assert_thread_count_invariant(&data, &KMeansConfig::new(13).with_seed(3));
+        // One cluster holds every row, so its sums are the ones that round
+        // differently in any other order.
+        let data = order_sensitive(data);
+        assert_thread_count_invariant(&data, &KMeansConfig::new(1).with_seed(3));
+
+        // Duplicated rows on a half-integer grid: tied distances, which
+        // the lower centroid index must win on every thread.
+        let half = golden::dataset(300, 12, 5, true, 42);
+        let data: Vec<Vec<f32>> = half.iter().chain(&half).cloned().collect();
+        assert_thread_count_invariant(&data, &KMeansConfig::new(7).with_seed(9));
+
+        // Three distinct rows and k = 6: k-means++ must repeat rows as
+        // centroids, the lower-index copy takes every member, and each
+        // Lloyd update re-seeds the empty clusters from the RNG.
+        let distinct = [
+            vec![0.0, 1.0, 2.0],
+            vec![5.0, -1.0, 0.5],
+            vec![-3.0, 4.0, 1.0],
+        ];
+        let data: Vec<Vec<f32>> = (0..700).map(|i| distinct[i % 3].clone()).collect();
+        let model = assert_thread_count_invariant(&data, &KMeansConfig::new(6).with_seed(5));
+        let mut used = model.assignments.clone();
+        used.sort_unstable();
+        used.dedup();
+        assert!(used.len() < 6, "some cluster must stay empty");
+    }
+
+    #[test]
+    fn golden_1024d_model_holds_at_one_and_two_threads() {
+        // The fixture's first model: 2,048 x 1,024-d, k 64.
+        let fixture = include_str!("../tests/fixtures/kmeans-golden-v1.txt");
+        let data = golden::dataset(2_048, 1_024, 80, false, 11);
+        let probes = golden::dataset(96, 1_024, 80, false, 12);
+        let config = KMeansConfig::new(64).with_seed(7).with_max_iterations(6);
+        for threads in [1, 2] {
+            let model = with_threads(threads, || train(&data, &config)).unwrap();
+            let line = golden::model_line(
+                "2048x1024-k64",
+                &model.centroids,
+                &model.assignments,
+                model.inertia,
+                model.iterations,
+                probes.iter().map(|p| model.nearest_centroid(p)),
+            );
+            assert_eq!(
+                line.trim_end(),
+                fixture.lines().next().unwrap(),
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_components() {
+        let data = golden::dataset(40, 6, 3, false, 43);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            // The first row, a middle one and the last; a second bad row
+            // after the first must not be the one reported.
+            for row in [0, 17, 39] {
+                let mut data = data.clone();
+                data[row][4] = bad;
+                if let Some(later) = data.get_mut(row + 5) {
+                    later[1] = bad;
+                }
+                for k in [1, 3] {
+                    assert_eq!(
+                        train(&data, &KMeansConfig::new(k)),
+                        Err(AnnError::NonFinite { row, component: 4 }),
+                        "{bad} in row {row}, k {k}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -40,11 +40,17 @@
 pub mod distance;
 pub mod error;
 pub mod flat;
+/// The k-means golden fixture's generators, for the unit tests that check
+/// build passes at forced thread counts.
+#[cfg(test)]
+#[path = "../tests/golden/mod.rs"]
+mod golden;
 pub mod hnsw;
 pub mod ivf;
 pub mod kmeans;
 pub mod lsh;
 pub mod metrics;
+mod parallel;
 pub mod quantize;
 pub mod rerank;
 pub mod topk;

@@ -9,7 +9,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use super::column_means;
 use crate::error::{AnnError, Result};
+use crate::parallel::{self, ROW_BLOCK};
 use crate::vector::BinaryVector;
 
 /// A per-dimension threshold binary quantizer.
@@ -49,27 +51,10 @@ impl BinaryQuantizer {
     /// * [`AnnError::EmptyDataset`] if `data` is empty.
     /// * [`AnnError::DimensionMismatch`] if the vectors have inconsistent
     ///   dimensionality.
+    /// * [`AnnError::NonFinite`] for the first vector holding a NaN or an
+    ///   infinite component.
     pub fn fit(data: &[Vec<f32>]) -> Result<Self> {
-        if data.is_empty() {
-            return Err(AnnError::EmptyDataset);
-        }
-        let dim = data[0].len();
-        let mut sums = vec![0.0f64; dim];
-        for v in data {
-            if v.len() != dim {
-                return Err(AnnError::DimensionMismatch {
-                    expected: dim,
-                    actual: v.len(),
-                });
-            }
-            for (s, &x) in sums.iter_mut().zip(v.iter()) {
-                *s += x as f64;
-            }
-        }
-        let thresholds = sums
-            .iter()
-            .map(|&s| (s / data.len() as f64) as f32)
-            .collect();
+        let thresholds = column_means(data, parallel::threads_for(data.len()))?;
         Ok(BinaryQuantizer { thresholds })
     }
 
@@ -129,7 +114,12 @@ impl BinaryQuantizer {
     /// Returns [`AnnError::DimensionMismatch`] for the first vector whose
     /// length differs from the quantizer's dimensionality.
     pub fn quantize_all(&self, data: &[Vec<f32>]) -> Result<Vec<BinaryVector>> {
-        data.iter().map(|v| self.quantize(v)).collect()
+        let threads = parallel::threads_for(data.len());
+        parallel::map(threads, data.len(), ROW_BLOCK, |row| {
+            self.quantize(&data[row])
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Compression ratio relative to `f32` storage (32× for any dimension

@@ -8,7 +8,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use super::column_means;
 use crate::error::{AnnError, Result};
+use crate::parallel::{self, ROW_BLOCK};
 use crate::vector::Int8Vector;
 
 /// Per-dimension affine INT8 quantizer.
@@ -36,36 +38,25 @@ impl Int8Quantizer {
     /// * [`AnnError::EmptyDataset`] if `data` is empty.
     /// * [`AnnError::DimensionMismatch`] if the vectors have inconsistent
     ///   dimensionality.
+    /// * [`AnnError::NonFinite`] for the first vector holding a NaN or an
+    ///   infinite component.
     pub fn fit(data: &[Vec<f32>]) -> Result<Self> {
-        if data.is_empty() {
-            return Err(AnnError::EmptyDataset);
-        }
-        let dim = data[0].len();
-        let mut sums = vec![0.0f64; dim];
-        for v in data {
-            if v.len() != dim {
-                return Err(AnnError::DimensionMismatch {
-                    expected: dim,
-                    actual: v.len(),
-                });
-            }
-            for (s, &x) in sums.iter_mut().zip(v.iter()) {
-                *s += x as f64;
-            }
-        }
-        let offsets: Vec<f32> = sums
-            .iter()
-            .map(|&s| (s / data.len() as f64) as f32)
-            .collect();
-        let mut max_dev = vec![0.0f32; dim];
-        for v in data {
-            for ((m, &x), &o) in max_dev.iter_mut().zip(v.iter()).zip(offsets.iter()) {
-                let dev = (x - o).abs();
-                if dev > *m {
-                    *m = dev;
+        let threads = parallel::threads_for(data.len());
+        let offsets = column_means(data, threads)?;
+        let max_dev = parallel::map_dims(threads, offsets.len(), |dims| {
+            let offsets = &offsets[dims.clone()];
+            let mut max_dev = vec![0.0f32; dims.len()];
+            for v in data {
+                for ((m, &x), &o) in max_dev.iter_mut().zip(&v[dims.clone()]).zip(offsets) {
+                    let dev = (x - o).abs();
+                    if dev > *m {
+                        *m = dev;
+                    }
                 }
             }
-        }
+            max_dev
+        })
+        .concat();
         let scales = max_dev
             .iter()
             .map(|&m| if m > 0.0 { m / 127.0 } else { 1.0 / 127.0 })
@@ -133,7 +124,12 @@ impl Int8Quantizer {
     /// Returns [`AnnError::DimensionMismatch`] for the first vector whose
     /// length differs from the quantizer's dimensionality.
     pub fn quantize_all(&self, data: &[Vec<f32>]) -> Result<Vec<Int8Vector>> {
-        data.iter().map(|v| self.quantize(v)).collect()
+        let threads = parallel::threads_for(data.len());
+        parallel::map(threads, data.len(), ROW_BLOCK, |row| {
+            self.quantize(&data[row])
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Reconstruct an approximate `f32` vector from its INT8 representation.

@@ -51,7 +51,9 @@ impl VectorDatabase {
     ///
     /// * [`ReisError::MalformedDatabase`] if the corpus is empty or the
     ///   number of documents does not match the number of embeddings.
-    /// * Quantizer training errors for inconsistent dimensionality.
+    /// * Quantizer training errors for inconsistent dimensionality, and
+    ///   [`AnnError::NonFinite`](reis_ann::AnnError::NonFinite) for the
+    ///   first embedding holding a NaN or an infinite component.
     pub fn flat(vectors: &[Vec<f32>], documents: Vec<Vec<u8>>) -> Result<Self> {
         Self::validate(vectors, &documents)?;
         let binary_quantizer = BinaryQuantizer::fit(vectors)?;

@@ -33,6 +33,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use reis_ann::vector::{hamming_bytes, BinaryVector, Int8Vector};
+use reis_ann::AnnError;
 use reis_nand::{FlashStats, Nanos, OobEntry, OobLayout};
 use reis_ssd::{DatabaseRecord, RegionKind, SsdController, StripedRegion};
 use reis_update::{EntryLocation, SegmentEntry, SlotRef, OOB_INVALID_RADR};
@@ -71,7 +72,8 @@ pub struct CompactionOutcome {
     pub live_entries: usize,
 }
 
-/// Validate and quantize a batch of vectors/documents for appending. The
+/// Validate and quantize a batch of vectors/documents for appending: every
+/// check runs before anything is quantized, programmed or logged. The
 /// batch is borrowed in whatever shape the caller holds it: an insert's
 /// `Vec`s, an upsert's one slice of each.
 fn encode_batch(
@@ -87,12 +89,18 @@ fn encode_batch(
         )));
     }
     let dim = db.binary_quantizer.dim();
-    for vector in vectors {
-        if vector.as_ref().len() != dim {
+    for (row, vector) in vectors.iter().enumerate() {
+        let vector = vector.as_ref();
+        if vector.len() != dim {
             return Err(ReisError::QueryDimensionMismatch {
                 expected: dim,
-                actual: vector.as_ref().len(),
+                actual: vector.len(),
             });
+        }
+        // The quantizers would encode a NaN as a zero bit and a zero INT8
+        // level without complaint; searches already refuse one.
+        if let Some(component) = vector.iter().position(|x| !x.is_finite()) {
+            return Err(AnnError::NonFinite { row, component }.into());
         }
     }
     for document in documents {

@@ -358,6 +358,10 @@ impl ReisSystem {
     /// * [`ReisError::DatabaseNotDeployed`] for an unknown id.
     /// * [`ReisError::QueryDimensionMismatch`] for a vector of the wrong
     ///   dimensionality.
+    /// * [`ReisError::Ann`] wrapping
+    ///   [`AnnError::NonFinite`](reis_ann::AnnError::NonFinite) for a vector
+    ///   holding a NaN or an infinite component (its batch index is the
+    ///   `row`); nothing is appended or logged.
     /// * [`ReisError::MalformedDatabase`] for a document chunk that does
     ///   not fit the deployment's document slots.
     ///

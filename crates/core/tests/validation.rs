@@ -6,12 +6,14 @@
 //! same typed error by every way into the scan core, before any device work:
 //! single and batched searches, leaf queries, the dry-run validators, the
 //! request pipeline over either backend (at submission) and the cluster front
-//! doors.
+//! doors. A NaN or infinite embedding is refused the same way by every way a
+//! vector enters the system: the corpus builders, inserts and upserts.
 
+use reis_ann::AnnError;
 use reis_cluster::ClusterSystem;
 use reis_core::{
-    Backend, Pipeline, PipelineConfig, PipelineRequest, ReisConfig, ReisError, ReisSystem,
-    VectorDatabase,
+    Backend, DurableStore, FaultVfs, MemVfs, Pipeline, PipelineConfig, PipelineRequest, ReisConfig,
+    ReisError, ReisSystem, VectorDatabase,
 };
 
 const DIM: usize = 64;
@@ -289,4 +291,63 @@ fn every_front_door_refuses_malformed_requests_before_any_device_work() {
         );
     }
     assert_eq!(flat.page_reads(), senses_before);
+}
+
+#[test]
+fn every_way_in_refuses_a_non_finite_vector_before_writing_anything() {
+    let (vectors, documents) = corpus();
+    let (fault, handle) = FaultVfs::new(MemVfs::new());
+    let (mut system, _) = ReisSystem::open(ReisConfig::tiny(), DurableStore::new(Box::new(fault)))
+        .expect("open a fresh store");
+    let database = VectorDatabase::flat(&vectors, documents.clone()).expect("database");
+    let db = system.deploy(&database).expect("deploy");
+    let written = handle.bytes_written();
+    let non_finite = |row, component| ReisError::Ann(AnnError::NonFinite { row, component });
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        // The first of two poisoned embeddings is the one named.
+        let mut poisoned = vectors.clone();
+        poisoned[40][9] = bad;
+        poisoned[70][2] = bad;
+        assert_eq!(
+            VectorDatabase::flat(&poisoned, documents.clone()),
+            Err(non_finite(40, 9)),
+            "flat, {bad}"
+        );
+        assert_eq!(
+            VectorDatabase::ivf(&poisoned, documents.clone(), 6),
+            Err(non_finite(40, 9)),
+            "ivf, {bad}"
+        );
+
+        let mut vector = vector_for(5);
+        vector[DIM - 1] = bad;
+        assert_eq!(
+            system.insert(db, &vector, b"poisoned".to_vec()),
+            Err(non_finite(0, DIM - 1)),
+            "insert, {bad}"
+        );
+        assert_eq!(
+            system.insert_batch(
+                db,
+                &[vector_for(1), vector.clone()],
+                vec![b"fine".to_vec(), b"poisoned".to_vec()],
+            ),
+            Err(non_finite(1, DIM - 1)),
+            "insert_batch, {bad}"
+        );
+        assert_eq!(
+            system.upsert(db, 5, &vector, b"poisoned"),
+            Err(non_finite(0, DIM - 1)),
+            "upsert, {bad}"
+        );
+    }
+    assert_eq!(
+        handle.bytes_written(),
+        written,
+        "a refused vector must not reach the WAL"
+    );
+    assert_eq!(
+        system.database(db).expect("deployed").live_entries(),
+        ENTRIES
+    );
 }

@@ -28,18 +28,6 @@ pub enum CellMode {
     Qlc,
 }
 
-impl CellMode {
-    /// Bits stored per cell in this mode.
-    pub fn bits_per_cell(&self) -> u32 {
-        match self {
-            CellMode::Slc => 1,
-            CellMode::Mlc => 2,
-            CellMode::Tlc => 3,
-            CellMode::Qlc => 4,
-        }
-    }
-}
-
 impl fmt::Display for CellMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
@@ -120,14 +108,6 @@ impl Default for ProgramScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bits_per_cell_are_monotonic() {
-        let modes = [CellMode::Slc, CellMode::Mlc, CellMode::Tlc, CellMode::Qlc];
-        for pair in modes.windows(2) {
-            assert!(pair[0].bits_per_cell() < pair[1].bits_per_cell());
-        }
-    }
 
     #[test]
     fn esp_is_error_free_and_slc() {

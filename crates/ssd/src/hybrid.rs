@@ -110,20 +110,4 @@ mod tests {
             assert!(policy.needs_ecc(kind));
         }
     }
-
-    #[test]
-    fn slc_storage_costs_three_times_the_capacity() {
-        // TLC-equivalent raw capacity per stored byte: one bit per cell
-        // instead of three.
-        let policy = HybridPolicy::reis();
-        let cost = |kind| {
-            let bits = policy.scheme_for(kind).cell_mode().bits_per_cell();
-            CellMode::Tlc.bits_per_cell() as f64 / bits as f64
-        };
-        assert_eq!(cost(RegionKind::BinaryEmbeddings), 3.0);
-        assert_eq!(cost(RegionKind::Documents), 1.0);
-        // Binary embeddings are 32x smaller than f32, so even at 3x capacity
-        // cost the SLC partition is a net win.
-        assert!(cost(RegionKind::BinaryEmbeddings) / 32.0 < 0.1);
-    }
 }

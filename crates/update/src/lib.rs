@@ -190,6 +190,18 @@ impl UpdateState {
 mod tests {
     use super::*;
 
+    /// A live segment entry; no test here reads its payload locations.
+    fn live(id: u32, cluster: usize) -> SegmentEntry {
+        SegmentEntry {
+            id,
+            cluster,
+            embedding: SlotRef::default(),
+            int8: SlotRef::default(),
+            document: SlotRef::default(),
+            deleted: false,
+        }
+    }
+
     #[test]
     fn locate_routes_through_tombstones_and_relocations() {
         let mut state = UpdateState::new(10, 1);
@@ -201,7 +213,7 @@ mod tests {
         assert_eq!(state.live_entries(10), 9);
 
         // An upserted id points at its live segment version.
-        let sid = state.store.push(SegmentEntry::new(4, 0));
+        let sid = state.store.push(live(4, 0));
         state.relocated.insert(4, sid);
         state.tombstones.mark(4);
         assert_eq!(state.locate(4, Some), Some(EntryLocation::Segment(sid)));
@@ -216,7 +228,7 @@ mod tests {
     fn compaction_reset_starts_a_new_generation() {
         let mut state = UpdateState::new(8, 2);
         state.tombstones.mark(1);
-        let sid = state.store.push(SegmentEntry::new(8, 1));
+        let sid = state.store.push(live(8, 1));
         state.relocated.insert(8, sid);
         state.next_id = 9;
 

@@ -50,21 +50,6 @@ pub struct SegmentEntry {
     pub deleted: bool,
 }
 
-impl SegmentEntry {
-    /// A new live entry with unresolved payload locations (filled in by the
-    /// writer once pages are programmed).
-    pub fn new(id: u32, cluster: usize) -> Self {
-        SegmentEntry {
-            id,
-            cluster,
-            embedding: SlotRef::default(),
-            int8: SlotRef::default(),
-            document: SlotRef::default(),
-            deleted: false,
-        }
-    }
-}
-
 /// The append segments of one database: the sid-indexed entry table, the
 /// per-cluster embedding runs the scan must cover, and every flash region
 /// the segments occupy (for release at compaction).
@@ -204,10 +189,18 @@ mod tests {
 
     #[test]
     fn push_mark_and_count() {
+        let live = |id, cluster| SegmentEntry {
+            id,
+            cluster,
+            embedding: SlotRef::default(),
+            int8: SlotRef::default(),
+            document: SlotRef::default(),
+            deleted: false,
+        };
         let mut store = SegmentStore::new(2);
         assert!(store.is_empty());
-        let a = store.push(SegmentEntry::new(10, 0));
-        let b = store.push(SegmentEntry::new(11, 1));
+        let a = store.push(live(10, 0));
+        let b = store.push(live(11, 1));
         assert_eq!((a, b), (0, 1));
         assert_eq!(store.len(), 2);
         assert_eq!(store.live_count(), 2);

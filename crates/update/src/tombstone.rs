@@ -32,11 +32,6 @@ impl TombstoneSet {
         self.dead
     }
 
-    /// Whether no slot is tombstoned.
-    pub fn is_empty(&self) -> bool {
-        self.dead == 0
-    }
-
     /// Tombstone the slot at `index`, returning whether it was live before
     /// (marking an already-dead or out-of-range slot is a no-op).
     pub fn mark(&mut self, index: usize) -> bool {
@@ -76,7 +71,7 @@ mod tests {
     #[test]
     fn mark_and_query() {
         let mut set = TombstoneSet::new(100);
-        assert!(set.is_empty());
+        assert_eq!(set.dead_count(), 0);
         assert!(set.mark(0));
         assert!(set.mark(63));
         assert!(set.mark(64));
