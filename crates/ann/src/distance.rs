@@ -49,15 +49,6 @@ pub fn squared_l2(a: &[f32], b: &[f32]) -> f32 {
     reis_kernels::squared_l2_f32(a, b)
 }
 
-/// Euclidean distance between two vectors.
-///
-/// # Panics
-///
-/// Panics if the vectors have different lengths.
-pub fn l2(a: &[f32], b: &[f32]) -> f32 {
-    squared_l2(a, b).sqrt()
-}
-
 /// Inner product of two vectors.
 ///
 /// The same four-lane fold as [`squared_l2`], over products.
@@ -112,7 +103,6 @@ mod tests {
         let a = [1.0, 2.0, 3.0];
         let b = [2.0, 0.0, 3.0];
         assert_eq!(squared_l2(&a, &b), 1.0 + 4.0);
-        assert!((l2(&a, &b) - 5.0_f32.sqrt()).abs() < 1e-6);
     }
 
     #[test]

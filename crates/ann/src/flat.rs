@@ -1,4 +1,4 @@
-//! Flat (exhaustive) indexes.
+//! The flat (exhaustive) index.
 //!
 //! A flat index compares the query against every database vector. It is the
 //! slowest search strategy but is exact, so it provides (i) the ground truth
@@ -11,7 +11,6 @@ use serde::{Deserialize, Serialize};
 use crate::distance::Metric;
 use crate::error::{AnnError, Result};
 use crate::topk::{Neighbor, TopK};
-use crate::vector::BinaryVector;
 
 /// Exact nearest-neighbor index over full-precision vectors.
 ///
@@ -63,38 +62,6 @@ impl FlatIndex {
         })
     }
 
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.vectors.len()
-    }
-
-    /// Whether the index is empty (never true for a constructed index).
-    pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
-    }
-
-    /// Dimensionality of the indexed vectors.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The metric the index ranks by.
-    pub fn metric(&self) -> Metric {
-        self.metric
-    }
-
-    /// Access an indexed vector by id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::UnknownVector`] for an out-of-range id.
-    pub fn vector(&self, id: usize) -> Result<&[f32]> {
-        self.vectors
-            .get(id)
-            .map(Vec::as_slice)
-            .ok_or(AnnError::UnknownVector(id))
-    }
-
     /// Exhaustively search for the `k` nearest neighbors of `query`.
     ///
     /// # Errors
@@ -114,96 +81,11 @@ impl FlatIndex {
         }
         Ok(top.into_sorted_vec())
     }
-
-    /// Number of distance computations one query performs (the full database
-    /// size; used by the analytic CPU cost model).
-    pub fn distance_computations_per_query(&self) -> usize {
-        self.vectors.len()
-    }
-}
-
-/// Exact nearest-neighbor index over binary-quantized vectors (Hamming
-/// distance), as used by the "CPU + BQ" baseline of Fig. 3.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FlatBinaryIndex {
-    vectors: Vec<BinaryVector>,
-    dim: usize,
-}
-
-impl FlatBinaryIndex {
-    /// Build a flat Hamming index over the given binary vectors.
-    ///
-    /// # Errors
-    ///
-    /// * [`AnnError::EmptyDataset`] if `vectors` is empty.
-    /// * [`AnnError::DimensionMismatch`] if the vectors have inconsistent
-    ///   dimensionality.
-    pub fn new(vectors: Vec<BinaryVector>) -> Result<Self> {
-        if vectors.is_empty() {
-            return Err(AnnError::EmptyDataset);
-        }
-        let dim = vectors[0].dim();
-        for v in &vectors {
-            if v.dim() != dim {
-                return Err(AnnError::DimensionMismatch {
-                    expected: dim,
-                    actual: v.dim(),
-                });
-            }
-        }
-        Ok(FlatBinaryIndex { vectors, dim })
-    }
-
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.vectors.len()
-    }
-
-    /// Whether the index is empty (never true for a constructed index).
-    pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
-    }
-
-    /// Dimensionality (bits) of the indexed vectors.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Access an indexed vector by id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::UnknownVector`] for an out-of-range id.
-    pub fn vector(&self, id: usize) -> Result<&BinaryVector> {
-        self.vectors.get(id).ok_or(AnnError::UnknownVector(id))
-    }
-
-    /// Exhaustively search for the `k` nearest neighbors of `query` under
-    /// Hamming distance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnnError::DimensionMismatch`] if the query's dimensionality
-    /// differs from the index.
-    pub fn search(&self, query: &BinaryVector, k: usize) -> Result<Vec<Neighbor>> {
-        if query.dim() != self.dim {
-            return Err(AnnError::DimensionMismatch {
-                expected: self.dim,
-                actual: query.dim(),
-            });
-        }
-        let mut top = TopK::new(k);
-        for (id, v) in self.vectors.iter().enumerate() {
-            top.push(Neighbor::new(id, query.hamming_distance(v) as f32));
-        }
-        Ok(top.into_sorted_vec())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quantize::BinaryQuantizer;
 
     fn grid_vectors() -> Vec<Vec<f32>> {
         (0..25)
@@ -230,7 +112,6 @@ mod tests {
         let index = FlatIndex::new(grid_vectors(), Metric::SquaredL2).unwrap();
         let hits = index.search(&[0.0, 0.0], 100).unwrap();
         assert_eq!(hits.len(), 25);
-        assert_eq!(index.distance_computations_per_query(), 25);
     }
 
     #[test]
@@ -249,33 +130,5 @@ mod tests {
             index.search(&[1.0], 1),
             Err(AnnError::DimensionMismatch { .. })
         ));
-        assert!(matches!(
-            index.vector(999),
-            Err(AnnError::UnknownVector(999))
-        ));
-        assert_eq!(index.vector(3).unwrap(), &[3.0, 0.0]);
-    }
-
-    #[test]
-    fn binary_flat_search_finds_hamming_neighbors() {
-        let data = grid_vectors();
-        let quantizer = BinaryQuantizer::fit(&data).unwrap();
-        let binary = quantizer.quantize_all(&data).unwrap();
-        let index = FlatBinaryIndex::new(binary.clone()).unwrap();
-        assert_eq!(index.len(), 25);
-        assert_eq!(index.dim(), 2);
-        let hits = index.search(&binary[7], 1).unwrap();
-        // The nearest binary vector to itself is at distance zero.
-        assert_eq!(hits[0].distance, 0.0);
-        assert_eq!(index.vector(7).unwrap(), &binary[7]);
-    }
-
-    #[test]
-    fn binary_flat_rejects_dimension_mismatch() {
-        let a = BinaryVector::from_bits(&[true; 8]);
-        let index = FlatBinaryIndex::new(vec![a]).unwrap();
-        let bad = BinaryVector::from_bits(&[true; 16]);
-        assert!(index.search(&bad, 1).is_err());
-        assert!(FlatBinaryIndex::new(vec![]).is_err());
     }
 }

@@ -52,9 +52,6 @@ pub struct HnswIndex {
     links: Vec<Vec<Vec<usize>>>,
     entry_point: Option<usize>,
     max_level: usize,
-    /// Number of graph hops performed by the most recent search (used by the
-    /// access-pattern models of the ISP comparators).
-    hops_last_search: usize,
 }
 
 impl HnswIndex {
@@ -92,47 +89,12 @@ impl HnswIndex {
             links: Vec::with_capacity(vectors.len()),
             entry_point: None,
             max_level: 0,
-            hops_last_search: 0,
         };
         let mut rng = StdRng::seed_from_u64(config.seed);
         for v in vectors {
             index.insert(v, &mut rng);
         }
         Ok(index)
-    }
-
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.vectors.len()
-    }
-
-    /// Whether the index is empty (never true for a constructed index).
-    pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
-    }
-
-    /// Dimensionality of the indexed vectors.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of graph hops (vertex visits) performed by the last search —
-    /// the quantity the ISP comparator models multiply by a per-hop flash
-    /// read latency.
-    pub fn hops_last_search(&self) -> usize {
-        self.hops_last_search
-    }
-
-    /// Approximate memory footprint of the graph structure in bytes
-    /// (vectors excluded): one `usize` per link. HNSW indexes are markedly
-    /// larger than IVF ones, which the paper notes when loading time is taken
-    /// into account.
-    pub fn graph_bytes(&self) -> usize {
-        self.links
-            .iter()
-            .map(|levels| levels.iter().map(|l| l.len()).sum::<usize>())
-            .sum::<usize>()
-            * std::mem::size_of::<usize>()
     }
 
     fn distance(&self, a: &[f32], b: &[f32]) -> f32 {
@@ -159,9 +121,8 @@ impl HnswIndex {
 
         let query = self.vectors[id].clone();
         // Greedy descent through the layers above the new node's level.
-        let mut visited_hops = 0usize;
         for lc in (level + 1..=self.max_level).rev() {
-            ep = self.greedy_closest(&query, ep, lc, &mut visited_hops);
+            ep = self.greedy_closest(&query, ep, lc);
         }
         // Insert into every layer from min(level, max_level) down to 0.
         let mut entry_points = vec![ep];
@@ -208,14 +169,13 @@ impl HnswIndex {
         self.links[node][level] = neighbors.into_iter().take(m_max).map(|n| n.id).collect();
     }
 
-    fn greedy_closest(&self, query: &[f32], start: usize, level: usize, hops: &mut usize) -> usize {
+    fn greedy_closest(&self, query: &[f32], start: usize, level: usize) -> usize {
         let mut current = start;
         let mut current_dist = self.distance(query, &self.vectors[current]);
         loop {
             let mut improved = false;
             if level < self.links[current].len() {
                 for &n in &self.links[current][level] {
-                    *hops += 1;
                     let d = self.distance(query, &self.vectors[n]);
                     if d < current_dist {
                         current = n;
@@ -282,7 +242,7 @@ impl HnswIndex {
     ///
     /// Returns [`AnnError::DimensionMismatch`] for a query of the wrong
     /// dimensionality.
-    pub fn search(&mut self, query: &[f32], k: usize, ef: usize) -> Result<Vec<Neighbor>> {
+    pub fn search(&self, query: &[f32], k: usize, ef: usize) -> Result<Vec<Neighbor>> {
         if query.len() != self.dim {
             return Err(AnnError::DimensionMismatch {
                 expected: self.dim,
@@ -292,13 +252,10 @@ impl HnswIndex {
         let Some(mut ep) = self.entry_point else {
             return Ok(Vec::new());
         };
-        let mut hops = 0usize;
         for lc in (1..=self.max_level).rev() {
-            ep = self.greedy_closest(query, ep, lc, &mut hops);
+            ep = self.greedy_closest(query, ep, lc);
         }
         let results = self.search_layer(query, &[ep], ef.max(k), 0);
-        // Every settled candidate corresponds to (at least) one vertex visit.
-        self.hops_last_search = hops + results.len();
         Ok(results.into_iter().take(k).collect())
     }
 }
@@ -321,7 +278,7 @@ mod tests {
     #[test]
     fn finds_exact_match_for_indexed_vectors() {
         let data = random_data(300, 16, 1);
-        let mut index = HnswIndex::build(data.clone(), HnswConfig::new(16)).unwrap();
+        let index = HnswIndex::build(data.clone(), HnswConfig::new(16)).unwrap();
         for qi in [0usize, 50, 123, 299] {
             let hits = index.search(&data[qi], 1, 32).unwrap();
             assert_eq!(hits[0].id, qi, "query {qi} should find itself");
@@ -332,7 +289,7 @@ mod tests {
     #[test]
     fn recall_against_exhaustive_search_is_high() {
         let data = random_data(800, 24, 2);
-        let mut index = HnswIndex::build(data.clone(), HnswConfig::new(16)).unwrap();
+        let index = HnswIndex::build(data.clone(), HnswConfig::new(16)).unwrap();
         let flat = FlatIndex::new(data.clone(), Metric::SquaredL2).unwrap();
         let mut recall = 0.0;
         let queries = 30usize;
@@ -359,7 +316,7 @@ mod tests {
     #[test]
     fn larger_ef_does_not_reduce_recall() {
         let data = random_data(500, 16, 3);
-        let mut index = HnswIndex::build(data.clone(), HnswConfig::new(8)).unwrap();
+        let index = HnswIndex::build(data.clone(), HnswConfig::new(8)).unwrap();
         let flat = FlatIndex::new(data.clone(), Metric::SquaredL2).unwrap();
         let mut recall_small = 0.0;
         let mut recall_large = 0.0;
@@ -390,17 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn search_reports_graph_hops_and_footprint() {
-        let data = random_data(400, 8, 4);
-        let mut index = HnswIndex::build(data.clone(), HnswConfig::new(8)).unwrap();
-        index.search(&data[7], 5, 32).unwrap();
-        assert!(index.hops_last_search() > 0);
-        assert!(index.graph_bytes() > 0);
-        // The graph must connect every inserted node at layer 0.
-        assert_eq!(index.len(), 400);
-    }
-
-    #[test]
     fn rejects_invalid_input() {
         assert!(matches!(
             HnswIndex::build(vec![], HnswConfig::new(8)),
@@ -411,13 +357,13 @@ mod tests {
             HnswIndex::build(data.clone(), HnswConfig::new(0)),
             Err(AnnError::InvalidParameter { name: "m", .. })
         ));
-        let mut index = HnswIndex::build(data, HnswConfig::new(4)).unwrap();
+        let index = HnswIndex::build(data, HnswConfig::new(4)).unwrap();
         assert!(index.search(&[0.0; 5], 1, 8).is_err());
     }
 
     #[test]
     fn single_vector_index_returns_it() {
-        let mut index = HnswIndex::build(vec![vec![1.0, 2.0]], HnswConfig::new(4)).unwrap();
+        let index = HnswIndex::build(vec![vec![1.0, 2.0]], HnswConfig::new(4)).unwrap();
         let hits = index.search(&[1.0, 2.1], 3, 8).unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].id, 0);

@@ -89,16 +89,6 @@ pub struct KMeansModel {
 }
 
 impl KMeansModel {
-    /// Number of clusters.
-    pub fn k(&self) -> usize {
-        self.centroids.len()
-    }
-
-    /// Dimensionality of the centroids.
-    pub fn dim(&self) -> usize {
-        self.centroids.first().map(Vec::len).unwrap_or(0)
-    }
-
     /// Index of the centroid nearest to `vector`.
     ///
     /// # Panics
@@ -316,8 +306,8 @@ mod tests {
     fn finds_well_separated_clusters() {
         let data = blob_data();
         let model = train(&data, &KMeansConfig::new(3)).unwrap();
-        assert_eq!(model.k(), 3);
-        assert_eq!(model.dim(), 2);
+        assert_eq!(model.centroids.len(), 3);
+        assert!(model.centroids.iter().all(|c| c.len() == 2));
         // Every triple of consecutive points belongs to three distinct clusters.
         for chunk in model.assignments.chunks(3) {
             let mut c = chunk.to_vec();

@@ -8,7 +8,7 @@
 //!   engine consumes), INT8 scalar quantization (reranking) and product
 //!   quantization (the Fig. 5 comparison point).
 //! * [`kmeans`] — centroid training for IVF and PQ.
-//! * [`flat`] — exhaustive search (ground truth and the "BF" configuration).
+//! * [`flat`] — exhaustive f32 search (ground truth and the "BF" configuration).
 //! * [`ivf`] — the Inverted File index, including the binary-quantized +
 //!   INT8-reranked variant REIS executes in storage.
 //! * [`hnsw`] / [`lsh`] — the graph- and hash-based alternatives evaluated in
@@ -16,7 +16,7 @@
 //! * [`rerank`] — INT8 / f32 rescoring of quantized candidates.
 //! * [`topk`] — quickselect and top-k selection primitives (the kernels the
 //!   SSD's embedded cores run).
-//! * [`metrics`] — Recall@k and throughput accounting.
+//! * [`metrics`] — Recall@k.
 //!
 //! # Example
 //!
@@ -58,7 +58,7 @@ pub mod vector;
 
 pub use distance::Metric;
 pub use error::{AnnError, Result};
-pub use flat::{FlatBinaryIndex, FlatIndex};
+pub use flat::FlatIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use ivf::{IvfBqIndex, IvfConfig, IvfIndex};
 pub use lsh::{LshConfig, LshIndex};

@@ -64,8 +64,6 @@ pub struct LshIndex {
     metric: Metric,
     vectors: Vec<Vec<f32>>,
     tables: Vec<LshTable>,
-    /// Candidates examined by the most recent search (cost proxy).
-    candidates_last_search: usize,
 }
 
 impl LshIndex {
@@ -125,28 +123,7 @@ impl LshIndex {
             metric: Metric::SquaredL2,
             vectors,
             tables,
-            candidates_last_search: 0,
         })
-    }
-
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.vectors.len()
-    }
-
-    /// Whether the index is empty (never true for a constructed index).
-    pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
-    }
-
-    /// Dimensionality of the indexed vectors.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of candidate vectors ranked during the most recent search.
-    pub fn candidates_last_search(&self) -> usize {
-        self.candidates_last_search
     }
 
     /// Search for the `k` nearest neighbors of `query`.
@@ -159,7 +136,7 @@ impl LshIndex {
     ///
     /// Returns [`AnnError::DimensionMismatch`] for a query of the wrong
     /// dimensionality.
-    pub fn search(&mut self, query: &[f32], k: usize, multiprobe: bool) -> Result<Vec<Neighbor>> {
+    pub fn search(&self, query: &[f32], k: usize, multiprobe: bool) -> Result<Vec<Neighbor>> {
         if query.len() != self.dim {
             return Err(AnnError::DimensionMismatch {
                 expected: self.dim,
@@ -180,7 +157,6 @@ impl LshIndex {
                 }
             }
         }
-        self.candidates_last_search = candidates.len();
         let mut top = TopK::new(k);
         for id in candidates {
             top.push(Neighbor::new(
@@ -218,21 +194,19 @@ mod tests {
     #[test]
     fn finds_identical_vector_in_its_own_bucket() {
         let data = clustered_data(400, 16, 1);
-        let mut index = LshIndex::build(data.clone(), LshConfig::new(8, 12)).unwrap();
+        let index = LshIndex::build(data.clone(), LshConfig::new(8, 12)).unwrap();
         let hits = index.search(&data[33], 1, false).unwrap();
         assert_eq!(hits[0].id, 33);
         assert_eq!(hits[0].distance, 0.0);
-        assert!(index.candidates_last_search() > 0);
-        assert!(
-            index.candidates_last_search() < index.len(),
-            "LSH must prune candidates"
-        );
+        // Asking for every vector returns only the probed buckets' members.
+        let candidates = index.search(&data[33], data.len(), false).unwrap();
+        assert!(candidates.len() < data.len(), "LSH must prune candidates");
     }
 
     #[test]
     fn multiprobe_improves_or_preserves_recall() {
         let data = clustered_data(600, 12, 2);
-        let mut index = LshIndex::build(data.clone(), LshConfig::new(4, 14)).unwrap();
+        let index = LshIndex::build(data.clone(), LshConfig::new(4, 14)).unwrap();
         let flat = FlatIndex::new(data.clone(), Metric::SquaredL2).unwrap();
         let mut recall_single = 0.0;
         let mut recall_multi = 0.0;
@@ -294,7 +268,7 @@ mod tests {
             LshIndex::build(vec![], LshConfig::new(2, 8)),
             Err(AnnError::EmptyDataset)
         ));
-        let mut index = LshIndex::build(data, LshConfig::new(2, 8)).unwrap();
+        let index = LshIndex::build(data, LshConfig::new(2, 8)).unwrap();
         assert!(index.search(&[0.0; 3], 1, false).is_err());
     }
 }

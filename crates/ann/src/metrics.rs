@@ -1,6 +1,4 @@
-//! Retrieval quality and throughput metrics.
-
-use serde::{Deserialize, Serialize};
+//! Retrieval quality metrics.
 
 /// Fraction of the true `k` nearest neighbors present in the retrieved list
 /// (Recall@k, the quality metric used throughout the paper's evaluation).
@@ -26,68 +24,6 @@ pub fn recall_at_k(retrieved: &[usize], ground_truth: &[usize], k: usize) -> f64
     hits as f64 / truth.len() as f64
 }
 
-/// Mean Recall@k over a batch of queries.
-///
-/// # Panics
-///
-/// Panics if the two batches have different lengths.
-pub fn mean_recall_at_k(retrieved: &[Vec<usize>], ground_truth: &[Vec<usize>], k: usize) -> f64 {
-    assert_eq!(
-        retrieved.len(),
-        ground_truth.len(),
-        "batches must have equal length"
-    );
-    if retrieved.is_empty() {
-        return 0.0;
-    }
-    retrieved
-        .iter()
-        .zip(ground_truth.iter())
-        .map(|(r, t)| recall_at_k(r, t, k))
-        .sum::<f64>()
-        / retrieved.len() as f64
-}
-
-/// Queries-per-second for `queries` completed in `seconds`.
-pub fn queries_per_second(queries: usize, seconds: f64) -> f64 {
-    if seconds <= 0.0 {
-        return 0.0;
-    }
-    queries as f64 / seconds
-}
-
-/// A labelled throughput/recall observation, the unit the figure benches
-/// aggregate into their series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThroughputPoint {
-    /// Human-readable label of the configuration (e.g. "IVF nlist=16384").
-    pub label: String,
-    /// Observed or modelled recall@k.
-    pub recall: f64,
-    /// Observed or modelled queries per second.
-    pub qps: f64,
-}
-
-impl ThroughputPoint {
-    /// Create a throughput point.
-    pub fn new(label: impl Into<String>, recall: f64, qps: f64) -> Self {
-        ThroughputPoint {
-            label: label.into(),
-            recall,
-            qps,
-        }
-    }
-
-    /// This point's QPS normalized to a baseline QPS (the y-axis of
-    /// Figs. 5, 7, 9 and 10).
-    pub fn normalized_qps(&self, baseline_qps: f64) -> f64 {
-        if baseline_qps <= 0.0 {
-            return 0.0;
-        }
-        self.qps / baseline_qps
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,28 +46,5 @@ mod tests {
     #[test]
     fn recall_handles_shorter_retrieved_lists() {
         assert_eq!(recall_at_k(&[1], &[1, 2, 3, 4], 4), 0.25);
-    }
-
-    #[test]
-    fn mean_recall_averages_over_queries() {
-        let retrieved = vec![vec![1, 2], vec![5, 6]];
-        let truth = vec![vec![1, 2], vec![7, 8]];
-        assert_eq!(mean_recall_at_k(&retrieved, &truth, 2), 0.5);
-        assert_eq!(mean_recall_at_k(&[], &[], 2), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn mean_recall_rejects_mismatched_batches() {
-        mean_recall_at_k(&[vec![1]], &[], 1);
-    }
-
-    #[test]
-    fn qps_and_normalization() {
-        assert_eq!(queries_per_second(100, 2.0), 50.0);
-        assert_eq!(queries_per_second(100, 0.0), 0.0);
-        let p = ThroughputPoint::new("IVF", 0.95, 200.0);
-        assert_eq!(p.normalized_qps(50.0), 4.0);
-        assert_eq!(p.normalized_qps(0.0), 0.0);
     }
 }

@@ -29,7 +29,8 @@ use crate::vector::BinaryVector;
 /// let quantizer = BinaryQuantizer::zero_threshold(4);
 /// let v = quantizer.quantize(&[0.5, -0.25, 0.0, 1.0]).unwrap();
 /// assert_eq!(v.dim(), 4);
-/// assert!(v.bit(0) && !v.bit(1) && !v.bit(2) && v.bit(3));
+/// // Dimensions 0 and 3 are positive: bits 0 and 3 of the packed byte.
+/// assert_eq!(v.as_bytes(), &[0b1001]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BinaryQuantizer {
@@ -121,13 +122,6 @@ impl BinaryQuantizer {
         .into_iter()
         .collect()
     }
-
-    /// Compression ratio relative to `f32` storage (32× for any dimension
-    /// that is a multiple of 8).
-    pub fn compression_ratio(&self) -> f64 {
-        let dim = self.dim();
-        (dim * 4) as f64 / dim.div_ceil(8) as f64
-    }
 }
 
 /// Bit `d` of the result is `values[d] > thresholds[d]`, for up to eight
@@ -149,10 +143,8 @@ mod tests {
     fn zero_threshold_is_the_sign_bit() {
         let q = BinaryQuantizer::zero_threshold(5);
         let v = q.quantize(&[1.0, -1.0, 0.0, 0.001, -0.001]).unwrap();
-        assert_eq!(
-            (0..5).map(|i| v.bit(i)).collect::<Vec<_>>(),
-            vec![true, false, false, true, false]
-        );
+        // Dimensions 0 and 3 are positive: bits 0 and 3 of the one byte.
+        assert_eq!(v.as_bytes(), &[0b0_1001]);
     }
 
     #[test]
@@ -213,13 +205,5 @@ mod tests {
         let q = BinaryQuantizer::fit(&data).unwrap();
         let rebuilt = BinaryQuantizer::from_thresholds(q.thresholds().to_vec());
         assert_eq!(rebuilt, q);
-    }
-
-    #[test]
-    fn compression_ratio_is_32x_for_byte_aligned_dims() {
-        assert_eq!(
-            BinaryQuantizer::zero_threshold(1024).compression_ratio(),
-            32.0
-        );
     }
 }

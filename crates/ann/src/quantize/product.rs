@@ -28,18 +28,6 @@ pub struct ProductQuantizerConfig {
     pub train_iterations: usize,
 }
 
-impl ProductQuantizerConfig {
-    /// Sensible defaults: `m` sub-quantizers with 256-entry codebooks.
-    pub fn new(num_subquantizers: usize) -> Self {
-        ProductQuantizerConfig {
-            num_subquantizers,
-            codebook_size: 256,
-            seed: 0x5EED_00F0,
-            train_iterations: 10,
-        }
-    }
-}
-
 /// A trained product quantizer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProductQuantizer {
@@ -108,11 +96,6 @@ impl ProductQuantizer {
             sub_dim,
             codebooks,
         })
-    }
-
-    /// Dimensionality of the original vectors.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Number of sub-quantizers (code bytes per vector).

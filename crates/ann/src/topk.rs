@@ -139,26 +139,6 @@ impl TopK {
         }
     }
 
-    /// Current number of stored candidates.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no candidate has been accepted yet.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Distance of the current worst stored candidate, if the accumulator is
-    /// full. Useful as a pruning bound.
-    pub fn worst_distance(&self) -> Option<f32> {
-        if self.heap.len() < self.k {
-            None
-        } else {
-            self.heap.peek().map(|n| n.distance)
-        }
-    }
-
     /// Consume the accumulator and return the neighbors in ascending distance
     /// order.
     pub fn into_sorted_vec(self) -> Vec<Neighbor> {
@@ -219,18 +199,16 @@ mod tests {
         for c in candidates() {
             acc.push(c);
         }
-        assert_eq!(acc.len(), 3);
-        assert_eq!(acc.worst_distance(), Some(2.5));
         let streamed = acc.into_sorted_vec();
         let direct = select_k_nearest(&candidates(), 3);
         assert_eq!(streamed, direct);
+        assert_eq!(streamed.last().map(|n| n.distance), Some(2.5));
     }
 
     #[test]
     fn topk_with_zero_capacity_stays_empty() {
         let mut acc = TopK::new(0);
         acc.push(Neighbor::new(1, 1.0));
-        assert!(acc.is_empty());
         assert!(acc.into_sorted_vec().is_empty());
     }
 

@@ -40,7 +40,7 @@ pub fn popcount(bytes: &[u8]) -> u32 {
 /// let v = BinaryVector::from_bits(&[true, false, true, true]);
 /// assert_eq!(v.dim(), 4);
 /// assert_eq!(v.count_ones(), 3);
-/// assert!(v.bit(0) && !v.bit(1));
+/// assert_eq!(v.as_bytes(), &[0b1101]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BinaryVector {
@@ -87,25 +87,6 @@ impl BinaryVector {
         &self.bytes
     }
 
-    /// Consume the vector and return its packed bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
-
-    /// Value of bit `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d >= self.dim()`.
-    pub fn bit(&self, d: usize) -> bool {
-        assert!(
-            d < self.dim,
-            "bit index {d} out of range for {}-d vector",
-            self.dim
-        );
-        (self.bytes[d / 8] >> (d % 8)) & 1 == 1
-    }
-
     /// Number of set bits (word-parallel popcount).
     pub fn count_ones(&self) -> u32 {
         popcount(&self.bytes)
@@ -149,11 +130,6 @@ impl Int8Vector {
         &self.values
     }
 
-    /// The byte footprint of the vector (one byte per dimension).
-    pub fn byte_len(&self) -> usize {
-        self.values.len()
-    }
-
     /// Squared Euclidean distance to another INT8 vector, exact in `i64`
     /// ([`reis_kernels::squared_l2_i8`]).
     ///
@@ -174,34 +150,6 @@ impl Int8Vector {
     pub fn squared_l2_raw(&self, raw: &[u8]) -> i64 {
         squared_l2_i8(&self.values, raw)
     }
-
-    /// Inner product with another INT8 vector, accumulated in i64.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensionalities differ.
-    pub fn dot(&self, other: &Int8Vector) -> i64 {
-        assert_eq!(
-            self.dim(),
-            other.dim(),
-            "dot product requires equal dimensionality"
-        );
-        self.values
-            .iter()
-            .zip(other.values.iter())
-            .map(|(&a, &b)| a as i64 * b as i64)
-            .sum()
-    }
-}
-
-/// Byte footprint of one full-precision `f32` vector of `dim` dimensions.
-pub fn f32_vector_bytes(dim: usize) -> usize {
-    dim * std::mem::size_of::<f32>()
-}
-
-/// Byte footprint of one binary vector of `dim` dimensions (packed).
-pub fn binary_vector_bytes(dim: usize) -> usize {
-    dim.div_ceil(8)
 }
 
 #[cfg(test)]
@@ -213,11 +161,9 @@ mod tests {
         let bits = vec![true, false, false, true, true, false, true, false, true];
         let v = BinaryVector::from_bits(&bits);
         assert_eq!(v.dim(), 9);
-        for (i, &b) in bits.iter().enumerate() {
-            assert_eq!(v.bit(i), b, "bit {i}");
-        }
+        // Bit `d` lives in byte `d / 8`, least-significant bit first.
+        assert_eq!(v.as_bytes(), &[0b0101_1001, 0b0000_0001]);
         assert_eq!(v.count_ones(), 5);
-        assert_eq!(v.as_bytes().len(), 2);
     }
 
     #[test]
@@ -240,9 +186,8 @@ mod tests {
     fn packed_roundtrip() {
         let v = BinaryVector::from_packed(16, vec![0xFF, 0x01]);
         assert_eq!(v.count_ones(), 9);
-        assert_eq!(v.clone().into_bytes(), vec![0xFF, 0x01]);
-        assert!(v.bit(8));
-        assert!(!v.bit(9));
+        assert_eq!(v.dim(), 16);
+        assert_eq!(v.as_bytes(), &[0xFF, 0x01]);
     }
 
     #[test]
@@ -250,8 +195,6 @@ mod tests {
         let a = Int8Vector::new(vec![1, -2, 3]);
         let b = Int8Vector::new(vec![-1, 2, 3]);
         assert_eq!(a.squared_l2(&b), (4 + 16));
-        assert_eq!(a.dot(&b), -1 - 4 + 9);
-        assert_eq!(a.byte_len(), 3);
     }
 
     #[test]
@@ -294,15 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn footprint_helpers() {
-        assert_eq!(f32_vector_bytes(1024), 4096);
-        assert_eq!(binary_vector_bytes(1024), 128);
-        assert_eq!(binary_vector_bytes(1025), 129);
-    }
-
-    #[test]
     fn one_kibibyte_dimension_embedding_is_a_mini_page() {
         // A 1024-d binary embedding is 128 bytes: 128 of them fill a 16 KB page.
-        assert_eq!(16 * 1024 / binary_vector_bytes(1024), 128);
+        let embedding = BinaryVector::from_bits(&[true; 1024]);
+        assert_eq!(16 * 1024 / embedding.as_bytes().len(), 128);
     }
 }

@@ -147,11 +147,6 @@ impl CpuSystem {
         CpuSystem { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &CpuSystemConfig {
-        &self.config
-    }
-
     /// Effective number of cores after accounting for parallel efficiency.
     fn effective_cores(&self) -> f64 {
         (self.config.cores as f64 * self.config.parallel_efficiency).max(1.0)

@@ -49,11 +49,6 @@ impl IceModel {
         IceModel { config, variant }
     }
 
-    /// The modelled variant.
-    pub fn variant(&self) -> IceVariant {
-        self.variant
-    }
-
     /// Flash pages ICE must scan to evaluate `entries` embeddings of the
     /// profile's dimensionality.
     pub fn pages_for_entries(&self, profile: &DatasetProfile, entries: u64) -> u64 {

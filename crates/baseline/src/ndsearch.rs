@@ -30,7 +30,6 @@ pub enum NdSearchAlgorithm {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NdSearchModel {
     config: ReisConfig,
-    algorithm: NdSearchAlgorithm,
     /// Vertices visited per query at the target recall.
     pub hops_per_query: usize,
     /// Traversal beam width (vertex expansions that can proceed in
@@ -53,23 +52,10 @@ impl NdSearchModel {
         };
         NdSearchModel {
             config,
-            algorithm,
             hops_per_query: hops,
             beam_width: beam,
             conflict_factor: 0.35,
         }
-    }
-
-    /// The modelled algorithm.
-    pub fn algorithm(&self) -> NdSearchAlgorithm {
-        self.algorithm
-    }
-
-    /// Builder-style override of the hop count (e.g. to model a different
-    /// recall target or dataset scale).
-    pub fn with_hops(mut self, hops: usize) -> Self {
-        self.hops_per_query = hops.max(1);
-        self
     }
 
     /// Per-query latency: dependent flash reads of visited vertices, with
@@ -109,7 +95,6 @@ mod tests {
         let hnsw = NdSearchModel::new(ReisConfig::ssd2(), NdSearchAlgorithm::Hnsw);
         let diskann = NdSearchModel::new(ReisConfig::ssd2(), NdSearchAlgorithm::DiskAnn);
         assert_ne!(hnsw.query_latency(&sift), diskann.query_latency(&sift));
-        assert_eq!(hnsw.algorithm(), NdSearchAlgorithm::Hnsw);
         assert!(hnsw.qps(&sift) > 0.0);
     }
 
@@ -117,7 +102,10 @@ mod tests {
     fn more_hops_cost_more() {
         let deep = DatasetProfile::deep_1b();
         let base = NdSearchModel::new(ReisConfig::ssd1(), NdSearchAlgorithm::Hnsw);
-        let deeper = base.with_hops(base.hops_per_query * 2);
+        let deeper = NdSearchModel {
+            hops_per_query: base.hops_per_query * 2,
+            ..base
+        };
         assert!(deeper.query_latency(&deep) > base.query_latency(&deep));
     }
 

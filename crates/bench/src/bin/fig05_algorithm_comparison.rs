@@ -121,7 +121,7 @@ fn main() {
     // HNSW (float) at several ef settings, and BQ HNSW (same graph, binary
     // distance for traversal would change recall little; the paper observes
     // its throughput stays constant, so we report the float graph twice).
-    let mut hnsw = HnswIndex::build(dataset.vectors().to_vec(), HnswConfig::new(32)).expect("hnsw");
+    let hnsw = HnswIndex::build(dataset.vectors().to_vec(), HnswConfig::new(32)).expect("hnsw");
     for ef in [16, 64, 256] {
         let (recall, qps) = time_queries(queries, &truth, |q| {
             hnsw.search(q, K, ef)
@@ -135,7 +135,7 @@ fn main() {
     }
 
     // LSH.
-    let mut lsh = LshIndex::build(dataset.vectors().to_vec(), LshConfig::new(8, 14)).expect("lsh");
+    let lsh = LshIndex::build(dataset.vectors().to_vec(), LshConfig::new(8, 14)).expect("lsh");
     let (recall, qps) = time_queries(queries, &truth, |q| {
         lsh.search(q, K, true)
             .expect("lsh")

@@ -116,16 +116,6 @@ pub struct ClusterSearchOutcome {
 }
 
 impl ClusterSearchOutcome {
-    /// Queries per second the modelled latency corresponds to.
-    pub fn qps(&self) -> f64 {
-        let secs = self.latency.as_secs_f64();
-        if secs > 0.0 {
-            1.0 / secs
-        } else {
-            f64::INFINITY
-        }
-    }
-
     /// Whether the answer covers every shard (not degraded).
     pub fn is_full_coverage(&self) -> bool {
         self.shard_coverage.is_full()
@@ -419,11 +409,6 @@ impl ClusterSystem {
     /// The active fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault.as_ref()
-    }
-
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// The aggregator's telemetry handle (fan-out counters, leaf
@@ -1350,11 +1335,6 @@ impl ClusterSystem {
         &self.leaves[leaf]
     }
 
-    /// The database id leaf `leaf` serves the shard under.
-    pub fn leaf_db_id(&self, leaf: usize) -> Option<u32> {
-        self.leaf_dbs.get(leaf).copied()
-    }
-
     /// Health state of physical leaf `leaf`.
     pub fn leaf_health(&self, leaf: usize) -> HealthState {
         self.health[leaf].state()
@@ -1382,8 +1362,15 @@ impl ClusterSystem {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ReisSystem::state_crc`].
+    /// [`ReisError::MalformedDatabase`] when `shard` is out of range; same
+    /// conditions as [`ReisSystem::state_crc`].
     pub fn shard_state_crcs(&mut self, shard: usize) -> Result<Vec<u32>> {
+        if shard >= self.router.num_shards() {
+            return Err(ReisError::MalformedDatabase(format!(
+                "shard {shard} is out of range for a {}-shard cluster",
+                self.router.num_shards()
+            )));
+        }
         self.router
             .replicas(shard)
             .map(|leaf| self.leaves[leaf].state_crc())

@@ -139,21 +139,6 @@ impl FaultPlan {
     pub fn calls_consumed(&self, leaf: usize) -> u64 {
         self.calls.get(leaf).copied().unwrap_or(0)
     }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Transient-failure rate in parts per million.
-    pub fn fail_ppm(&self) -> u32 {
-        self.fail_ppm
-    }
-
-    /// Timeout rate in parts per million.
-    pub fn timeout_ppm(&self) -> u32 {
-        self.timeout_ppm
-    }
 }
 
 #[cfg(test)]

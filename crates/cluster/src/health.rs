@@ -46,7 +46,6 @@ pub enum HealthState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeafHealth {
     state: HealthState,
-    consecutive_failures: u32,
     /// Aggregator-log position at which the leaf went down: the first
     /// logged mutation it missed and must replay on rejoin.
     down_at_log: usize,
@@ -57,7 +56,6 @@ impl LeafHealth {
     pub fn new() -> Self {
         LeafHealth {
             state: HealthState::Healthy,
-            consecutive_failures: 0,
             down_at_log: 0,
         }
     }
@@ -72,11 +70,6 @@ impl LeafHealth {
         self.state == HealthState::Down
     }
 
-    /// Consecutive failed call attempts since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
-    }
-
     /// Aggregator-log position recorded when the leaf went down.
     pub fn down_at_log(&self) -> usize {
         self.down_at_log
@@ -84,14 +77,12 @@ impl LeafHealth {
 
     pub(crate) fn on_success(&mut self) {
         self.state = HealthState::Healthy;
-        self.consecutive_failures = 0;
     }
 
     pub(crate) fn on_failure(&mut self) {
         if self.state != HealthState::Down {
             self.state = HealthState::Suspect;
         }
-        self.consecutive_failures += 1;
     }
 
     pub(crate) fn mark_down(&mut self, log_position: usize) {
@@ -104,7 +95,6 @@ impl LeafHealth {
     pub(crate) fn rejoin(&mut self) {
         if self.state == HealthState::Down {
             self.state = HealthState::Recovered;
-            self.consecutive_failures = 0;
         }
     }
 }
@@ -177,26 +167,6 @@ impl ShardCoverage {
     pub fn covered(&self, shard: usize) -> bool {
         self.covered[shard]
     }
-
-    /// Number of shards that answered.
-    pub fn covered_count(&self) -> usize {
-        self.covered.iter().filter(|&&c| c).count()
-    }
-
-    /// Number of shards fanned out to.
-    pub fn num_shards(&self) -> usize {
-        self.covered.len()
-    }
-
-    /// Indices of the shards that did **not** answer, ascending.
-    pub fn uncovered(&self) -> Vec<usize> {
-        self.covered
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| !c)
-            .map(|(shard, _)| shard)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -209,10 +179,8 @@ mod tests {
         assert_eq!(health.state(), HealthState::Healthy);
         health.on_failure();
         assert_eq!(health.state(), HealthState::Suspect);
-        assert_eq!(health.consecutive_failures(), 1);
         health.on_success();
         assert_eq!(health.state(), HealthState::Healthy);
-        assert_eq!(health.consecutive_failures(), 0);
 
         health.on_failure();
         health.mark_down(7);
@@ -243,15 +211,11 @@ mod tests {
     fn coverage_reports_exactly_the_missing_shards() {
         let full = ShardCoverage::new(vec![true, true, true]);
         assert!(full.is_full());
-        assert_eq!(full.covered_count(), 3);
-        assert!(full.uncovered().is_empty());
+        assert!((0..3).all(|shard| full.covered(shard)));
 
         let partial = ShardCoverage::new(vec![true, false, true, false]);
         assert!(!partial.is_full());
-        assert_eq!(partial.num_shards(), 4);
-        assert_eq!(partial.covered_count(), 2);
-        assert_eq!(partial.uncovered(), vec![1, 3]);
-        assert!(partial.covered(0));
-        assert!(!partial.covered(3));
+        let missing: Vec<usize> = (0..4).filter(|&shard| !partial.covered(shard)).collect();
+        assert_eq!(missing, vec![1, 3]);
     }
 }

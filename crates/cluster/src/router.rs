@@ -34,15 +34,6 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// An empty unreplicated router: `num_leaves` shards, one leaf each.
-    ///
-    /// # Errors
-    ///
-    /// [`ReisError::MalformedDatabase`] when `num_leaves` is zero.
-    pub fn new(num_leaves: usize) -> Result<Self> {
-        ShardRouter::new_replicated(num_leaves, 1)
-    }
-
     /// An empty router over `num_shards` shards, each served by
     /// `replication` lockstep replica leaves (`num_shards × replication`
     /// physical leaves in total).
@@ -70,7 +61,9 @@ impl ShardRouter {
     }
 
     /// Rebuild a router from recovered durable state: the manifest's owner
-    /// map plus the id watermark re-derived from the leaves.
+    /// map plus the id watermark re-derived from the leaves, over
+    /// `num_leaves` physical leaves grouped into `num_leaves / replication`
+    /// shards.
     ///
     /// # Errors
     ///
@@ -78,21 +71,6 @@ impl ShardRouter {
     /// divide into `replication`-sized replica groups, the owner map names
     /// a shard outside `0..num_shards`, or the watermark precedes the
     /// initial corpus.
-    pub fn from_owners(
-        initial_owners: Vec<u32>,
-        num_leaves: usize,
-        next_global: u32,
-    ) -> Result<Self> {
-        ShardRouter::from_owners_replicated(initial_owners, num_leaves, 1, next_global)
-    }
-
-    /// [`ShardRouter::from_owners`] for a replicated deployment:
-    /// `num_leaves` physical leaves grouped into `num_leaves /
-    /// replication` shards.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ShardRouter::from_owners`].
     pub fn from_owners_replicated(
         initial_owners: Vec<u32>,
         num_leaves: usize,
@@ -236,7 +214,7 @@ mod tests {
 
     #[test]
     fn owner_uses_map_then_round_robin() {
-        let mut router = ShardRouter::new(3).unwrap();
+        let mut router = ShardRouter::new_replicated(3, 1).unwrap();
         router.set_initial_owners(vec![2, 2, 0, 1]);
         assert_eq!(router.owner(0), 2);
         assert_eq!(router.owner(3), 1);
@@ -248,7 +226,7 @@ mod tests {
 
     #[test]
     fn assign_mints_consecutive_ids_past_the_corpus() {
-        let mut router = ShardRouter::new(2).unwrap();
+        let mut router = ShardRouter::new_replicated(2, 1).unwrap();
         router.set_initial_owners(vec![0, 1, 0]);
         assert_eq!(router.assign(2), vec![3, 4]);
         assert_eq!(router.assign(1), vec![5]);
@@ -268,18 +246,18 @@ mod tests {
             assert!(router.replicas(router.shard_of_leaf(leaf)).contains(&leaf));
         }
         // R = 1 collapses shard and leaf indices.
-        let flat = ShardRouter::new(4).unwrap();
+        let flat = ShardRouter::new_replicated(4, 1).unwrap();
         assert_eq!(flat.replicas(3), 3..4);
         assert_eq!(flat.shard_of_leaf(3), 3);
     }
 
     #[test]
     fn invalid_recovered_state_is_rejected() {
-        assert!(ShardRouter::new(0).is_err());
+        assert!(ShardRouter::new_replicated(0, 1).is_err());
         assert!(ShardRouter::new_replicated(2, 0).is_err());
-        assert!(ShardRouter::from_owners(vec![3], 3, 1).is_err());
-        assert!(ShardRouter::from_owners(vec![0, 1], 2, 1).is_err());
-        assert!(ShardRouter::from_owners(vec![0, 1], 2, 2).is_ok());
+        assert!(ShardRouter::from_owners_replicated(vec![3], 3, 1, 1).is_err());
+        assert!(ShardRouter::from_owners_replicated(vec![0, 1], 2, 1, 1).is_err());
+        assert!(ShardRouter::from_owners_replicated(vec![0, 1], 2, 1, 2).is_ok());
         // Leaves must divide into replica groups; owners are shard indices.
         assert!(ShardRouter::from_owners_replicated(vec![0], 3, 2, 1).is_err());
         assert!(ShardRouter::from_owners_replicated(vec![2], 4, 2, 1).is_err());

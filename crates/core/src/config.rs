@@ -255,12 +255,6 @@ impl ReisConfig {
         self
     }
 
-    /// Builder-style override of the distance-filter threshold fraction.
-    pub fn with_filter_threshold(mut self, fraction: f64) -> Self {
-        self.filter_threshold_fraction = fraction;
-        self
-    }
-
     /// Builder-style override of the scan sharding policy.
     pub fn with_scan_parallelism(mut self, scan_parallelism: ScanParallelism) -> Self {
         self.scan_parallelism = scan_parallelism;
@@ -367,7 +361,10 @@ mod tests {
         assert_eq!(config.filter_threshold(1024), 481);
         let no_df = config.with_optimizations(Optimizations::none());
         assert_eq!(no_df.filter_threshold(1024), u32::MAX);
-        let tighter = config.with_filter_threshold(0.25);
+        let tighter = ReisConfig {
+            filter_threshold_fraction: 0.25,
+            ..config
+        };
         assert_eq!(tighter.filter_threshold(1024), 256);
     }
 

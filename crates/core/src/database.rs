@@ -262,11 +262,6 @@ impl VectorDatabase {
         self.binary.is_empty()
     }
 
-    /// Embedding dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Binary embeddings in entry order.
     pub fn binary(&self) -> &[BinaryVector] {
         &self.binary
@@ -358,7 +353,7 @@ mod tests {
     fn flat_database_quantizes_every_entry() {
         let db = VectorDatabase::flat(&vectors(50, 64), documents(50)).unwrap();
         assert_eq!(db.len(), 50);
-        assert_eq!(db.dim(), 64);
+        assert_eq!(db.dim, 64);
         assert_eq!(db.binary().len(), 50);
         assert_eq!(db.int8().len(), 50);
         assert_eq!(db.binary_bytes(), 8);

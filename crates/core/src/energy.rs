@@ -106,11 +106,6 @@ impl EnergyModel {
         EnergyModel { params }
     }
 
-    /// The configured parameters.
-    pub fn params(&self) -> &EnergyParams {
-        &self.params
-    }
-
     /// Energy of a query given the flash activity it caused, the DRAM bytes
     /// it moved, the time the embedded core was busy and the total elapsed
     /// latency.
@@ -137,15 +132,6 @@ impl EnergyModel {
             cores_j: p.core_active_w * core_busy.as_secs_f64(),
             static_j: p.static_power_w * elapsed.as_secs_f64(),
         }
-    }
-
-    /// Average power of the SSD while serving queries back-to-back with the
-    /// given per-query energy and latency (used for the QPS/W figures).
-    pub fn average_power_w(&self, energy_per_query: &EnergyBreakdown, latency: Nanos) -> f64 {
-        if latency == Nanos::ZERO {
-            return self.params.static_power_w;
-        }
-        energy_per_query.total_j() / latency.as_secs_f64()
     }
 }
 
@@ -220,15 +206,12 @@ mod tests {
             Nanos::from_millis(1),
             Nanos::from_millis(2),
         );
-        let power = model.average_power_w(&b, Nanos::from_millis(2));
+        // Back-to-back queries at 2 ms each.
+        let power = b.total_j() / Nanos::from_millis(2).as_secs_f64();
         assert!(
             power < 40.0,
             "SSD average power {power} W should stay well below a server CPU"
         );
         assert!(power > 0.5);
-        assert_eq!(
-            model.average_power_w(&EnergyBreakdown::default(), Nanos::ZERO),
-            model.params().static_power_w
-        );
     }
 }

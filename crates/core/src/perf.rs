@@ -163,7 +163,7 @@ impl PerfModel {
     /// distance filtering, and the adaptive threshold tightening that
     /// discards provably-unrankable entries in-plane — are priced directly:
     /// fewer entries mean smaller per-round channel transfers here and a
-    /// cheaper quickselect in [`PerfModel::select`].
+    /// cheaper quickselect in [`PerfModel::select_with_maintenance`].
     pub fn scan(&self, pages: usize, entries_out: usize, embedding_slot_bytes: usize) -> Nanos {
         self.fused_scan(pages, 1, entries_out, embedding_slot_bytes)
     }
@@ -217,19 +217,13 @@ impl PerfModel {
         }
     }
 
-    /// Latency of the quickselect kernel over `entries` TTL entries, given
-    /// the scan time it can hide behind when pipelining is enabled.
-    pub fn select(&self, entries: usize, k: usize, scan_time: Nanos) -> Nanos {
-        self.select_with_maintenance(entries, k, Nanos::ZERO, scan_time)
-    }
-
     /// Latency of the selection phase including the windowed adaptive
     /// maintenance: the final quickselect over `entries` TTL entries plus
     /// the (precomputed, see [`PerfModel::window_maintenance`]) per-barrier
     /// TTL upkeep, hidden together behind `scan_time` when pipelining is
     /// enabled — both run on the embedded core, interleaved with the scan
     /// they overlap. This is the single implementation of the selection
-    /// pricing rule; [`PerfModel::select`] is the static-scan special case.
+    /// pricing rule; a static scan passes zero maintenance.
     pub fn select_with_maintenance(
         &self,
         entries: usize,

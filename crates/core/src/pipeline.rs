@@ -567,11 +567,6 @@ impl<B: Backend> Pipeline<B> {
         self.searches.len() + self.mutations.len()
     }
 
-    /// The current virtual time, nanoseconds.
-    pub fn clock_ns(&self) -> u64 {
-        self.clock_ns
-    }
-
     /// Dispatch the whole search lane as one fused batch.
     fn dispatch_searches(&mut self) {
         // Read-your-writes: under MutationsFirst no search batch leaves

@@ -192,20 +192,6 @@ impl TemporalTopList {
         }
         examined
     }
-
-    /// Return the `k` smallest-distance entries in ascending order (the
-    /// final quicksort step).
-    pub fn sorted_top(&self, k: usize) -> Vec<TtlEntry> {
-        let mut copy = self.entries.clone();
-        copy.sort_by_key(|e| (e.distance, e.storage_index));
-        copy.truncate(k);
-        copy
-    }
-
-    /// DRAM footprint in bytes, given the on-wire entry size.
-    pub fn footprint_bytes(&self, entry_bytes: usize) -> usize {
-        self.entries.len() * entry_bytes
-    }
 }
 
 #[cfg(test)]
@@ -260,7 +246,8 @@ mod tests {
         let mut kept: Vec<u32> = ttl.entries().iter().map(|e| e.storage_index).collect();
         kept.sort_unstable();
         assert_eq!(kept, (90..100).collect::<Vec<u32>>());
-        let sorted = ttl.sorted_top(3);
+        ttl.sort_ascending();
+        let sorted = ttl.top(3);
         assert_eq!(sorted[0].storage_index, 99);
         assert!(sorted.windows(2).all(|w| w[0].distance <= w[1].distance));
     }
@@ -269,7 +256,10 @@ mod tests {
     fn in_place_sort_and_top_match_sorted_top() {
         let mut ttl = TemporalTopList::new();
         ttl.extend((0..50).map(|i| entry((i * 37) % 23, i)));
-        let copied = ttl.sorted_top(7);
+        // Reference: a stable sort of a copy by (distance, storage index).
+        let mut copied = ttl.entries().to_vec();
+        copied.sort_by_key(|e| (e.distance, e.storage_index));
+        copied.truncate(7);
         ttl.sort_ascending();
         assert_eq!(ttl.top(7), &copied[..]);
         ttl.clear();
@@ -283,7 +273,6 @@ mod tests {
         ttl.extend((0..5).map(|i| entry(i, i)));
         ttl.quickselect(100);
         assert_eq!(ttl.len(), 5);
-        assert_eq!(ttl.footprint_bytes(141), 5 * 141);
         assert!(!ttl.is_empty());
     }
 }

@@ -54,26 +54,6 @@ impl SearchOutcome {
         self.latency.total()
     }
 
-    /// Queries per second this query's latency corresponds to.
-    pub fn qps(&self) -> f64 {
-        let secs = self.total_latency().as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            1.0 / secs
-        }
-    }
-
-    /// Queries per second per watt (the energy-efficiency metric of Fig. 8).
-    pub fn qps_per_watt(&self) -> f64 {
-        let energy = self.energy.total_j();
-        if energy <= 0.0 {
-            0.0
-        } else {
-            1.0 / energy
-        }
-    }
-
     /// The original entry ids of the results, in rank order.
     pub fn result_ids(&self) -> Vec<usize> {
         self.results.iter().map(|n| n.id).collect()
@@ -903,8 +883,6 @@ mod tests {
         assert_eq!(outcome.documents[0], b"document 17");
         assert!(outcome.total_latency() > Nanos::ZERO);
         assert!(outcome.energy.total_j() > 0.0);
-        assert!(outcome.qps() > 0.0);
-        assert!(outcome.qps_per_watt() > 0.0);
         assert!(outcome.flash_stats.page_reads > 0);
         assert_eq!(outcome.activity.coarse_pages, 0);
         // A brute-force search scans every embedding page of the database.

@@ -836,6 +836,30 @@ fn dead_shard_refuses_mutations_without_burning_ids() {
     );
 }
 
+/// Leaf and shard arguments past the end of the cluster are typed errors,
+/// not panics: the per-shard CRC probe, both rejoin paths.
+#[test]
+fn out_of_range_leaf_and_shard_arguments_are_typed_errors() {
+    let (vectors, documents) = corpus(12);
+    let mut cluster = ClusterSystem::new_replicated(ReisConfig::tiny(), 2, 2).unwrap();
+    cluster.deploy_flat(&vectors, &documents).unwrap();
+    let out_of_range = |result: Result<(), ReisError>, what: &str| match result {
+        Err(ReisError::MalformedDatabase(message)) => {
+            assert!(message.contains("out of range"), "{what}: {message}")
+        }
+        other => panic!("{what}: expected an out-of-range error, got {other:?}"),
+    };
+    assert_eq!(cluster.shard_state_crcs(1).unwrap().len(), 2);
+    out_of_range(
+        cluster.shard_state_crcs(cluster.num_shards()).map(drop),
+        "shard_state_crcs",
+    );
+    let leaves = cluster.num_leaves();
+    out_of_range(cluster.rejoin_leaf(leaves), "rejoin_leaf");
+    let store = DurableStore::new(Box::new(MemVfs::new()));
+    out_of_range(cluster.reload_leaf(leaves, store).map(drop), "reload_leaf");
+}
+
 /// Per-leaf stores for a durable cluster plus the manifest VFS.
 fn durable_parts(leaves: usize) -> (Vec<MemVfs>, Vec<DurableStore>, MemVfs) {
     let mems: Vec<MemVfs> = (0..leaves).map(|_| MemVfs::new()).collect();

@@ -1,17 +1,15 @@
 //! Deterministic fault injection for the durable write path.
 //!
-//! [`FaultVfs`] wraps any [`Vfs`] and models the two storage failures a
-//! durability layer must survive:
-//!
-//! * **Power loss** — [`FaultHandle::arm_kill_after`] sets a byte budget;
-//!   once the wrapped backend has absorbed that many further bytes, the
-//!   write in flight is torn at exactly the budget boundary and every
-//!   subsequent write or removal is silently dropped. Calls still return
-//!   `Ok`: a dying machine does not report its own death, it just stops
-//!   persisting. The surviving bytes are whatever reached the backend —
-//!   the recovery tests then reopen the underlying store.
-//! * **Media corruption** — [`FaultVfs::flip_byte`] flips bits of an
-//!   already-written file at rest, which the CRC32C checks must catch.
+//! [`FaultVfs`] wraps any [`Vfs`] and models power loss:
+//! [`FaultHandle::arm_kill_after`] sets a byte budget; once the wrapped
+//! backend has absorbed that many further bytes, the write in flight is torn
+//! at exactly the budget boundary and every subsequent write or removal is
+//! silently dropped. Calls still return `Ok`: a dying machine does not
+//! report its own death, it just stops persisting. The surviving bytes are
+//! whatever reached the backend — the recovery tests then reopen the
+//! underlying store. (Media corruption needs no wrapper: the corruption
+//! tests rewrite a file of the underlying store with flipped bits, which the
+//! CRC32C checks must catch.)
 //!
 //! Crash points are *byte-granular and deterministic*: the harness seeds
 //! them with [`splitmix64`], so a failing case replays exactly.
@@ -48,17 +46,6 @@ impl FaultHandle {
         self.state.budget.store(budget, Ordering::SeqCst);
     }
 
-    /// Disarm a pending kill (writes flow again; already-dropped bytes stay
-    /// lost).
-    pub fn disarm(&self) {
-        self.state.budget.store(DISARMED, Ordering::SeqCst);
-    }
-
-    /// Whether the armed kill has fired.
-    pub fn killed(&self) -> bool {
-        self.state.budget.load(Ordering::SeqCst) == 0
-    }
-
     /// Total bytes the backend absorbed so far.
     pub fn bytes_written(&self) -> u64 {
         self.state.written.load(Ordering::SeqCst)
@@ -84,14 +71,6 @@ impl<V: Vfs> FaultVfs<V> {
             state: Arc::clone(&state),
         };
         (FaultVfs { inner, state }, handle)
-    }
-
-    /// Flip the bits of `mask` in byte `offset` of `name` at rest,
-    /// bypassing the kill switch (corruption of already-persisted data).
-    pub fn flip_byte(&self, name: &str, offset: usize, mask: u8) -> Result<()> {
-        let mut bytes = self.inner.read_file(name)?;
-        bytes[offset] ^= mask;
-        self.inner.write_file(name, &bytes)
     }
 
     /// How many of `len` incoming bytes survive, consuming budget.
@@ -191,7 +170,7 @@ mod tests {
         vfs.append("a", b" world").unwrap();
         assert_eq!(mem.read_file("a").unwrap(), b"hello world");
         assert_eq!(handle.bytes_written(), 11);
-        assert!(!handle.killed());
+        assert!(!vfs.killed());
     }
 
     #[test]
@@ -202,7 +181,7 @@ mod tests {
         handle.arm_kill_after(4);
         // 10-byte append with 4 bytes of budget: exactly 4 survive.
         vfs.append("wal", b"0123456789").unwrap();
-        assert!(handle.killed());
+        assert!(vfs.killed());
         assert_eq!(mem.read_file("wal").unwrap(), b"intact0123");
         // Everything after the kill is silently dropped, including removes.
         vfs.append("wal", b"more").unwrap();
@@ -221,18 +200,9 @@ mod tests {
         handle.arm_kill_after(0);
         vfs.write_file("a", b"gone").unwrap();
         assert_eq!(mem.read_file("a").unwrap(), b"");
-        handle.disarm();
+        handle.arm_kill_after(DISARMED);
         vfs.write_file("a", b"back").unwrap();
         assert_eq!(mem.read_file("a").unwrap(), b"back");
-    }
-
-    #[test]
-    fn flip_byte_corrupts_at_rest() {
-        let mem = MemVfs::new();
-        let (vfs, _handle) = FaultVfs::new(mem.clone());
-        vfs.write_file("snap", &[0xAA, 0xBB]).unwrap();
-        vfs.flip_byte("snap", 1, 0x01).unwrap();
-        assert_eq!(mem.read_file("snap").unwrap(), vec![0xAA, 0xBA]);
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl ClusterManifest {
         self.leaf_db_ids.len()
     }
 
-    /// Number of shards (`num_leaves / replication`).
-    pub fn num_shards(&self) -> usize {
-        self.leaf_db_ids.len() / self.replication.max(1) as usize
-    }
-
     /// Encode the manifest as a snapshot-container file image.
     pub fn encode(&self) -> Vec<u8> {
         let mut header = ByteWriter::new();
@@ -223,7 +218,6 @@ mod tests {
         let decoded = ClusterManifest::decode(&bytes, "manifest").unwrap();
         assert_eq!(decoded, manifest);
         assert_eq!(decoded.num_leaves(), 4);
-        assert_eq!(decoded.num_shards(), 2);
 
         // Owner naming a shard ≥ num_shards (even though < num_leaves) is
         // rejected under replication.

@@ -183,11 +183,6 @@ impl<'a> SnapshotReader<'a> {
             .find(|(existing, _, _)| *existing == id)
             .map(|&(_, offset, len)| &self.bytes[offset..offset + len])
     }
-
-    /// All section ids, in file order.
-    pub fn section_ids(&self) -> Vec<u32> {
-        self.directory.iter().map(|&(id, _, _)| id).collect()
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +201,8 @@ mod tests {
     fn round_trips_sections_by_id() {
         let bytes = sample();
         let snap = SnapshotReader::parse(&bytes, "snap").unwrap();
-        assert_eq!(snap.section_ids(), vec![0x01, 0x0102, 0x0103]);
+        let ids: Vec<u32> = snap.directory.iter().map(|&(id, _, _)| id).collect();
+        assert_eq!(ids, vec![0x01, 0x0102, 0x0103], "file order");
         assert_eq!(snap.section(0x01).unwrap(), b"meta payload");
         assert_eq!(snap.section(0x0102).unwrap(), &[0u8; 64]);
         assert_eq!(snap.section(0x0103).unwrap().len(), 256);
@@ -267,7 +263,7 @@ mod tests {
     fn empty_snapshot_is_valid() {
         let bytes = SnapshotBuilder::new().finish();
         let snap = SnapshotReader::parse(&bytes, "snap").unwrap();
-        assert!(snap.section_ids().is_empty());
+        assert!(snap.directory.is_empty());
     }
 
     #[test]

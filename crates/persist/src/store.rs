@@ -77,11 +77,6 @@ impl DurableStore {
         self.telemetry = telemetry;
     }
 
-    /// A store over a real directory.
-    pub fn dir(root: impl Into<std::path::PathBuf>) -> Self {
-        DurableStore::new(Box::new(crate::vfs::DirVfs::new(root)))
-    }
-
     /// The file name of epoch `seq`'s snapshot.
     pub fn snapshot_name(seq: u64) -> String {
         format!("{SNAPSHOT_PREFIX}{seq:08}")
@@ -224,12 +219,6 @@ impl DurableStore {
             report.quarantined_wals.len() as u64,
         );
         Ok(report)
-    }
-
-    /// Direct access to the backend (fixture generation, corruption
-    /// helpers in tests).
-    pub fn vfs(&self) -> &dyn Vfs {
-        &*self.vfs
     }
 }
 

@@ -160,35 +160,6 @@ impl MemVfs {
     fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Vec<u8>>> {
         self.files.lock().unwrap_or_else(|e| e.into_inner())
     }
-
-    /// Flip the bits of `mask` in byte `offset` of `name` — at-rest media
-    /// corruption for checksum tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file does not exist or the offset is out of range
-    /// (harness misuse, not a recoverable condition).
-    pub fn flip_byte(&self, name: &str, offset: usize, mask: u8) {
-        let mut files = self.lock();
-        let file = files.get_mut(name).expect("flip_byte: no such file");
-        file[offset] ^= mask;
-    }
-
-    /// Truncate `name` to `len` bytes — a torn tail for recovery tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file does not exist.
-    pub fn truncate(&self, name: &str, len: usize) {
-        let mut files = self.lock();
-        let file = files.get_mut(name).expect("truncate: no such file");
-        file.truncate(len);
-    }
-
-    /// Size of `name` in bytes, if it exists.
-    pub fn size(&self, name: &str) -> Option<usize> {
-        self.lock().get(name).map(Vec::len)
-    }
 }
 
 impl Vfs for MemVfs {
@@ -265,14 +236,14 @@ mod tests {
     }
 
     #[test]
-    fn mem_vfs_clones_share_contents_and_corruption_helpers_work() {
+    fn mem_vfs_clones_share_contents() {
         let a = MemVfs::new();
         let b = a.clone();
         a.write_file("wal", &[0u8, 1, 2, 3]).unwrap();
         assert_eq!(b.read_file("wal").unwrap(), vec![0, 1, 2, 3]);
-        b.flip_byte("wal", 2, 0xFF);
-        assert_eq!(a.read_file("wal").unwrap(), vec![0, 1, 0xFD, 3]);
-        b.truncate("wal", 1);
-        assert_eq!(a.size("wal"), Some(1));
+        b.append("wal", &[4]).unwrap();
+        assert_eq!(a.read_file("wal").unwrap(), vec![0, 1, 2, 3, 4]);
+        b.remove("wal").unwrap();
+        assert!(!a.exists("wal"));
     }
 }

@@ -104,13 +104,6 @@ impl WalRecord {
         }
     }
 
-    /// Encode the record payload (unframed).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        self.put(&mut w);
-        w.into_bytes()
-    }
-
     fn put(&self, w: &mut ByteWriter) {
         match self {
             WalRecord::InsertBatch {
@@ -278,11 +271,6 @@ fn framed(put: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
     bytes
 }
 
-/// Frame a payload for appending: length, CRC32C, payload.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    framed(|w| w.put_raw(payload))
-}
-
 /// What the end of a WAL file looked like.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalTail {
@@ -310,8 +298,8 @@ impl WalTail {
 ///
 /// Returns the records and the tail status. A record for an unknown opcode
 /// or with a mismatched checksum terminates decoding at that frame — the
-/// caller decides whether a non-clean tail is tolerable (crash recovery)
-/// or an error (strict audits; see [`read_records_strict`]).
+/// caller decides whether a non-clean tail is tolerable (crash recovery
+/// quarantines it) or an error.
 pub fn read_records(bytes: &[u8]) -> (Vec<WalRecord>, WalTail) {
     let mut records = Vec::new();
     let mut pos = 0usize;
@@ -371,20 +359,6 @@ pub fn read_records(bytes: &[u8]) -> (Vec<WalRecord>, WalTail) {
     (records, WalTail::Clean)
 }
 
-/// [`read_records`], but a non-clean tail is a [`PersistError::CorruptWal`]
-/// — for contexts where quarantining is not acceptable (fixture audits,
-/// offline verification).
-pub fn read_records_strict(bytes: &[u8], file: &str) -> Result<Vec<WalRecord>> {
-    match read_records(bytes) {
-        (records, WalTail::Clean) => Ok(records),
-        (_, WalTail::Quarantined { offset, detail }) => Err(PersistError::CorruptWal {
-            file: file.to_string(),
-            offset,
-            detail,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,7 +403,6 @@ mod tests {
     fn borrowed_frames_are_the_records_frames() {
         for record in sample_records() {
             let framed = record.encode_framed();
-            assert_eq!(framed, frame(&record.encode()));
             let payload = &framed[FRAME_HEADER_BYTES..];
             assert_eq!(framed[..4], (payload.len() as u32).to_le_bytes());
             assert_eq!(framed[4..8], crc32c(payload).to_le_bytes());
@@ -465,7 +438,6 @@ mod tests {
         let (decoded, tail) = read_records(&log);
         assert_eq!(tail, WalTail::Clean);
         assert_eq!(decoded, records);
-        assert_eq!(read_records_strict(&log, "wal").unwrap(), records);
     }
 
     #[test]
@@ -494,7 +466,6 @@ mod tests {
                 assert!(tail.is_clean(), "truncation at a frame boundary is clean");
             } else {
                 assert!(!tail.is_clean(), "mid-frame truncation to {len}");
-                assert!(read_records_strict(&log[..len], "wal").is_err());
             }
         }
     }
@@ -538,7 +509,7 @@ mod tests {
 
     #[test]
     fn unknown_opcodes_are_quarantined_not_panicked() {
-        let bogus = frame(&[0xEEu8, 0, 0, 0, 0]);
+        let bogus = framed(|w| w.put_raw(&[0xEE, 0, 0, 0, 0]));
         let (records, tail) = read_records(&bogus);
         assert!(records.is_empty());
         assert!(matches!(tail, WalTail::Quarantined { offset: 0, .. }));

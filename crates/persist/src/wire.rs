@@ -22,16 +22,6 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
-    /// Bytes encoded so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been encoded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consume the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -142,16 +132,6 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
 
-    /// Read an `f32` from its IEEE-754 bit pattern.
-    pub fn get_f32(&mut self) -> Result<f32> {
-        Ok(f32::from_bits(self.get_u32()?))
-    }
-
-    /// Read `n` raw bytes.
-    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8]> {
-        self.take(n)
-    }
-
     /// Read a `u32`-length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.get_u32()? as usize;
@@ -213,8 +193,8 @@ mod tests {
         assert_eq!(r.get_u8().unwrap(), 0xAB);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(r.get_f32().unwrap().to_bits(), (-0.0f32).to_bits());
-        assert!(r.get_f32().unwrap().is_nan());
+        assert_eq!(r.get_u32().unwrap(), (-0.0f32).to_bits());
+        assert!(f32::from_bits(r.get_u32().unwrap()).is_nan());
         assert_eq!(r.get_bytes().unwrap(), b"chunk");
         assert_eq!(r.get_u32_vec().unwrap(), vec![1, u32::MAX]);
         assert_eq!(r.get_f32_vec().unwrap(), vec![1.5, -2.25e-8]);

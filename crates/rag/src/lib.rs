@@ -89,15 +89,6 @@ impl RagModelParams {
             generation_s: 17.45,
         }
     }
-
-    /// A larger generator (e.g. a 90B-class model): generation grows by
-    /// roughly an order of magnitude, which is the caveat Sec. 3.1 discusses.
-    pub fn large_generator() -> Self {
-        RagModelParams {
-            generation_s: 170.0,
-            ..RagModelParams::roberta_llama_1b()
-        }
-    }
 }
 
 impl Default for RagModelParams {
@@ -174,11 +165,6 @@ impl RagPipeline {
     /// Create a pipeline with the given fixed-stage parameters.
     pub fn new(params: RagModelParams) -> Self {
         RagPipeline { params }
-    }
-
-    /// The fixed-stage parameters.
-    pub fn params(&self) -> &RagModelParams {
-        &self.params
     }
 
     /// Compose a breakdown from explicit retrieval-stage costs.
@@ -268,7 +254,12 @@ mod tests {
     #[test]
     fn larger_generators_shrink_the_retrieval_share() {
         let small = RagPipeline::new(RagModelParams::roberta_llama_1b());
-        let large = RagPipeline::new(RagModelParams::large_generator());
+        // A 90B-class generator: generation grows by about an order of
+        // magnitude, the caveat Sec. 3.1 discusses.
+        let large = RagPipeline::new(RagModelParams {
+            generation_s: 170.0,
+            ..RagModelParams::roberta_llama_1b()
+        });
         let cpu = CpuSystem::default();
         let p = DatasetProfile::hotpotqa();
         let a = small.cpu_breakdown(&cpu, &p, CpuPrecision::Float32);

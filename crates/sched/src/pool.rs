@@ -165,17 +165,6 @@ impl WorkerPool {
         Self::new(pool_size_from_env(fallback))
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// The context index used by threads that help while waiting on a
-    /// scope (one past the last worker index).
-    pub fn helper_index(&self) -> usize {
-        self.handles.len()
-    }
-
     /// Run `body` with a [`Scope`] on which tasks borrowing from the
     /// caller's stack can be spawned, and wait for all of them — helping
     /// to run queued tasks while waiting. Returns `body`'s value, or the
@@ -238,18 +227,11 @@ fn worker_main(shared: &Shared, index: usize) {
     }
 }
 
-/// Identifies which pool thread is running a task: worker index, or
-/// [`WorkerPool::helper_index`] for a scope waiter helping out.
+/// Identifies which pool thread is running a task: worker index, or one
+/// past the last worker index for a scope waiter helping out.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerContext {
     index: usize,
-}
-
-impl WorkerContext {
-    /// The running thread's slot index.
-    pub fn index(&self) -> usize {
-        self.index
-    }
 }
 
 /// Per-scope completion tracking: outstanding task count plus the first

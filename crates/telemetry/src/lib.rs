@@ -232,20 +232,6 @@ impl Telemetry {
         }
     }
 
-    /// The recorded query traces, oldest first (empty when disabled).
-    pub fn traces(&self) -> Vec<QueryTrace> {
-        match &self.inner {
-            Some(inner) => inner
-                .traces
-                .lock()
-                .expect("trace ring lock")
-                .iter()
-                .cloned()
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
     /// The most recent query trace.
     pub fn last_trace(&self) -> Option<QueryTrace> {
         self.inner.as_ref().and_then(|inner| {
@@ -256,17 +242,6 @@ impl Telemetry {
                 .last()
                 .cloned()
         })
-    }
-
-    /// Zero every metric and drop every trace. Intended for interval
-    /// measurements in benches, not for the serving path.
-    pub fn reset(&self) {
-        if let Some(inner) = &self.inner {
-            inner.registry.reset();
-            inner.traces.lock().expect("trace ring lock").clear();
-            inner.explains.lock().expect("explain ring lock").clear();
-            inner.explain_armed.store(false, Ordering::Relaxed);
-        }
     }
 
     // ---- exporters -----------------------------------------------------
@@ -312,7 +287,6 @@ mod tests {
         assert_eq!(t.counter(CounterId::Queries), 0);
         assert_eq!(t.gauge(GaugeId::Tombstones), 0);
         assert_eq!(t.histogram(HistogramId::QueryWallNs).count, 0);
-        assert!(t.traces().is_empty());
         assert!(t.last_trace().is_none());
         assert!(t.last_explain().is_none());
         assert_eq!(t.prometheus(), "");
@@ -349,8 +323,6 @@ mod tests {
         let explain = t.last_explain().expect("captured");
         assert_eq!(explain.sequence, 3);
         assert_eq!(explain.total_passed(), 2);
-        t.reset();
-        assert!(t.last_explain().is_none());
     }
 
     #[test]
@@ -369,14 +341,10 @@ mod tests {
                 }],
             });
         }
-        let traces = t.traces();
-        assert_eq!(traces.len(), TRACE_RING_CAPACITY);
+        let inner = t.inner.as_ref().unwrap();
+        assert_eq!(inner.traces.lock().unwrap().len(), TRACE_RING_CAPACITY);
         assert_eq!(
-            t.last_trace().unwrap().sequence,
-            traces.last().unwrap().sequence
-        );
-        assert_eq!(
-            traces.last().unwrap().sequence as usize,
+            t.last_trace().unwrap().sequence as usize,
             TRACE_RING_CAPACITY + 9
         );
     }

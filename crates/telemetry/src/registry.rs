@@ -407,14 +407,6 @@ impl Histogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    fn reset(&self) {
-        for bucket in &self.buckets {
-            bucket.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
-
     fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = [0u64; HISTOGRAM_BUCKETS];
         for (out, bucket) in buckets.iter_mut().zip(&self.buckets) {
@@ -559,20 +551,6 @@ impl Registry {
     pub fn histogram(&self, id: HistogramId) -> HistogramSnapshot {
         self.histograms[id as usize].snapshot()
     }
-
-    /// Zero every metric (not meant for the hot path; interval
-    /// measurements should prefer [`HistogramSnapshot::delta`]).
-    pub fn reset(&self) {
-        for counter in &self.counters {
-            counter.store(0, Ordering::Relaxed);
-        }
-        for gauge in &self.gauges {
-            gauge.store(0, Ordering::Relaxed);
-        }
-        for histogram in &self.histograms {
-            histogram.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -609,10 +587,6 @@ mod tests {
         assert_eq!(snap.sum, 1_000_301);
         assert_eq!(snap.buckets[0], 1);
         assert_eq!(snap.buckets[bucket_index(100)], 3);
-
-        registry.reset();
-        assert_eq!(registry.counter(CounterId::Queries), 0);
-        assert_eq!(registry.histogram(HistogramId::QueryWallNs).count, 0);
     }
 
     #[test]

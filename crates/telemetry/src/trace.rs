@@ -48,11 +48,6 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// Total wall-clock nanoseconds across all spans.
-    pub fn wall_ns(&self) -> u64 {
-        self.spans.iter().map(|s| s.wall_ns).sum()
-    }
-
     /// Total modelled nanoseconds across all spans.
     pub fn modelled_ns(&self) -> u64 {
         self.spans.iter().map(|s| s.modelled_ns).sum()
@@ -113,29 +108,15 @@ impl<T> Ring<T> {
         self.items.push_back(item);
     }
 
-    /// Records oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
-
     /// The most recent record.
     pub fn last(&self) -> Option<&T> {
         self.items.back()
     }
 
     /// Number of records currently held.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.items.len()
-    }
-
-    /// Whether the ring holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Drop every record.
-    pub fn clear(&mut self) {
-        self.items.clear();
     }
 }
 
@@ -146,15 +127,13 @@ mod tests {
     #[test]
     fn ring_drops_oldest_at_capacity() {
         let mut ring = Ring::new(3);
-        assert!(ring.is_empty());
+        assert_eq!(ring.len(), 0);
         for i in 0..5 {
             ring.push(i);
         }
         assert_eq!(ring.len(), 3);
-        assert_eq!(ring.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
+        assert_eq!(ring.items, [2, 3, 4]);
         assert_eq!(ring.last(), Some(&4));
-        ring.clear();
-        assert!(ring.is_empty());
     }
 
     #[test]
@@ -177,7 +156,6 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(trace.wall_ns(), 42);
         assert_eq!(trace.modelled_ns(), 1000);
         let explain = ExplainTrace {
             sequence: 7,

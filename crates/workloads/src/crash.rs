@@ -74,21 +74,6 @@ impl CrashSchedule {
     pub fn points(&self) -> &[u64] {
         &self.points
     }
-
-    /// The write-stream length the schedule covers.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Number of scheduled crash points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the schedule is empty (never true for a constructed one).
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
 }
 
 /// Per-leaf crash points for a scale-out cluster: one [`CrashSchedule`]
@@ -129,16 +114,6 @@ impl LeafCrashSchedule {
         self
     }
 
-    /// The schedule of one leaf.
-    pub fn leaf(&self, leaf: usize) -> &CrashSchedule {
-        &self.schedules[leaf]
-    }
-
-    /// Number of leaves covered.
-    pub fn num_leaves(&self) -> usize {
-        self.schedules.len()
-    }
-
     /// Every `(leaf, crash point)` pair, leaf-major.
     pub fn pairs(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.schedules
@@ -164,8 +139,11 @@ mod tests {
             a.points().windows(2).all(|w| w[0] < w[1]),
             "sorted, deduped"
         );
-        assert_eq!(a.total_bytes(), 10_000);
-        assert!(!a.is_empty());
+        assert_eq!(
+            a.points().last(),
+            Some(&10_000),
+            "the stream end is a point"
+        );
     }
 
     #[test]
@@ -178,7 +156,6 @@ mod tests {
         }
         // Boundaries beyond the stream clamp to its end instead of escaping.
         assert!(points.iter().all(|&p| p <= 5_000));
-        assert_eq!(schedule.len(), points.len());
     }
 
     #[test]
@@ -195,11 +172,11 @@ mod tests {
         let a = LeafCrashSchedule::covering(&totals, 6, 11);
         let b = LeafCrashSchedule::covering(&totals, 6, 11);
         assert_eq!(a, b, "same inputs, same per-leaf schedules");
-        assert_eq!(a.num_leaves(), 3);
+        assert_eq!(a.schedules.len(), 3);
         // Equal stream lengths still get distinct interior points per leaf.
         assert_ne!(
-            a.leaf(0).points(),
-            a.leaf(1).points(),
+            a.schedules[0].points(),
+            a.schedules[1].points(),
             "per-leaf seeds must differ"
         );
         // Every pair stays inside its own leaf's stream.
@@ -208,8 +185,8 @@ mod tests {
         }
         let with = a.clone().with_boundaries(2, &[123]);
         for expected in [122, 123, 124] {
-            assert!(with.leaf(2).points().contains(&expected));
+            assert!(with.schedules[2].points().contains(&expected));
         }
-        assert_eq!(with.leaf(0), a.leaf(0), "other leaves untouched");
+        assert_eq!(with.schedules[0], a.schedules[0], "other leaves untouched");
     }
 }

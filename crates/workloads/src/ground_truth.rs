@@ -1,9 +1,8 @@
-//! Exact ground truth and recall evaluation for generated datasets.
+//! Exact ground truth for generated datasets.
 
 use serde::{Deserialize, Serialize};
 
 use reis_ann::flat::FlatIndex;
-use reis_ann::metrics::recall_at_k;
 use reis_ann::{Metric, Result};
 
 use crate::synthetic::SyntheticDataset;
@@ -11,7 +10,6 @@ use crate::synthetic::SyntheticDataset;
 /// Exact top-k neighbors of every query of a dataset.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroundTruth {
-    k: usize,
     neighbors: Vec<Vec<usize>>,
 }
 
@@ -29,12 +27,7 @@ impl GroundTruth {
             .iter()
             .map(|q| Ok(index.search(q, k)?.into_iter().map(|n| n.id).collect()))
             .collect::<Result<Vec<Vec<usize>>>>()?;
-        Ok(GroundTruth { k, neighbors })
-    }
-
-    /// The `k` this ground truth was computed for.
-    pub fn k(&self) -> usize {
-        self.k
+        Ok(GroundTruth { neighbors })
     }
 
     /// Exact neighbors of query `q`.
@@ -50,29 +43,6 @@ impl GroundTruth {
     /// Whether the ground truth covers no queries.
     pub fn is_empty(&self) -> bool {
         self.neighbors.is_empty()
-    }
-
-    /// Mean Recall@k of a batch of retrieved id lists (one per query, in the
-    /// same order as the dataset's queries).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `retrieved` does not have one entry per query.
-    pub fn mean_recall(&self, retrieved: &[Vec<usize>]) -> f64 {
-        assert_eq!(
-            retrieved.len(),
-            self.neighbors.len(),
-            "one result list per query required"
-        );
-        if retrieved.is_empty() {
-            return 0.0;
-        }
-        retrieved
-            .iter()
-            .zip(self.neighbors.iter())
-            .map(|(got, truth)| recall_at_k(got, truth, self.k))
-            .sum::<f64>()
-            / retrieved.len() as f64
     }
 }
 
@@ -90,28 +60,7 @@ mod tests {
         let data = dataset();
         let truth = GroundTruth::compute(&data, 10).unwrap();
         assert_eq!(truth.len(), 6);
-        assert_eq!(truth.k(), 10);
         assert_eq!(truth.neighbors(0).len(), 10);
         assert!(!truth.is_empty());
-    }
-
-    #[test]
-    fn perfect_retrieval_scores_recall_one() {
-        let data = dataset();
-        let truth = GroundTruth::compute(&data, 5).unwrap();
-        let perfect: Vec<Vec<usize>> = (0..truth.len())
-            .map(|q| truth.neighbors(q).to_vec())
-            .collect();
-        assert_eq!(truth.mean_recall(&perfect), 1.0);
-        let empty: Vec<Vec<usize>> = vec![vec![]; truth.len()];
-        assert_eq!(truth.mean_recall(&empty), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "one result list per query")]
-    fn mismatched_batch_sizes_panic() {
-        let data = dataset();
-        let truth = GroundTruth::compute(&data, 5).unwrap();
-        truth.mean_recall(&[vec![1, 2, 3]]);
     }
 }

@@ -109,8 +109,6 @@ impl Default for MutationMix {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MutationTrace {
     ops: Vec<MutationOp>,
-    mix: MutationMix,
-    live_at_end: usize,
 }
 
 impl MutationTrace {
@@ -188,40 +186,12 @@ impl MutationTrace {
                 query: fresh_vector(&mut rng),
             });
         }
-        MutationTrace {
-            ops: trace,
-            mix,
-            live_at_end: live.len(),
-        }
+        MutationTrace { ops: trace }
     }
 
     /// The operations, in replay order.
     pub fn ops(&self) -> &[MutationOp] {
         &self.ops
-    }
-
-    /// The mix the trace was generated with.
-    pub fn mix(&self) -> MutationMix {
-        self.mix
-    }
-
-    /// Number of live logical entries once the whole trace is applied.
-    pub fn live_at_end(&self) -> usize {
-        self.live_at_end
-    }
-
-    /// Counts of `(inserts, deletes, upserts, searches)` in the trace.
-    pub fn op_counts(&self) -> (usize, usize, usize, usize) {
-        let mut counts = (0usize, 0usize, 0usize, 0usize);
-        for op in &self.ops {
-            match op {
-                MutationOp::Insert { .. } => counts.0 += 1,
-                MutationOp::Delete { .. } => counts.1 += 1,
-                MutationOp::Upsert { .. } => counts.2 += 1,
-                MutationOp::Search { .. } => counts.3 += 1,
-            }
-        }
-        counts
     }
 }
 
@@ -237,14 +207,16 @@ mod tests {
         let c = MutationTrace::generate(50, 16, 64, 200, MutationMix::ingest_heavy(), 8);
         assert_ne!(a, c, "different seed, different trace");
 
-        let (inserts, deletes, _, searches) = a.op_counts();
+        let count = |kind: fn(&MutationOp) -> bool| a.ops().iter().filter(|op| kind(op)).count();
+        let inserts = count(|op| matches!(op, MutationOp::Insert { .. }));
+        let deletes = count(|op| matches!(op, MutationOp::Delete { .. }));
+        let searches = count(|op| matches!(op, MutationOp::Search { .. }));
         assert!(
             inserts > deletes,
             "ingest-heavy mix inserts more than it deletes"
         );
         assert!(searches > 0);
         assert_eq!(a.ops().len(), 200);
-        assert!(a.live_at_end() > 0);
     }
 
     #[test]
@@ -262,6 +234,7 @@ mod tests {
                 }
                 MutationOp::Delete { target } => {
                     assert!(live.remove(target), "delete of dead id {target}");
+                    assert!(!live.is_empty(), "the last live entry is never deleted");
                 }
                 MutationOp::Upsert { target, vector, .. } => {
                     assert!(live.contains(target), "upsert of dead id {target}");
@@ -270,6 +243,5 @@ mod tests {
                 MutationOp::Search { query } => assert_eq!(query.len(), 8),
             }
         }
-        assert_eq!(live.len(), trace.live_at_end());
     }
 }

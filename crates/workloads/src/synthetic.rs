@@ -20,7 +20,6 @@ pub struct SyntheticDataset {
     vectors: Vec<Vec<f32>>,
     queries: Vec<Vec<f32>>,
     documents: Vec<Vec<u8>>,
-    latent_cluster: Vec<usize>,
 }
 
 impl SyntheticDataset {
@@ -33,10 +32,7 @@ impl SyntheticDataset {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = profile.scaled_entries;
         let dim = profile.dim;
-        // Fewer latent topics than IVF cells: an IVF index built with
-        // `scaled_nlist` cells then has to split topics across cells, which
-        // is what gives real corpora their recall-versus-nprobe trade-off.
-        let clusters = (profile.scaled_nlist / 8).max(4);
+        let clusters = latent_topics(&profile);
 
         // Latent topic centroids.
         let centers: Vec<Vec<f32>> = (0..clusters)
@@ -44,10 +40,8 @@ impl SyntheticDataset {
             .collect();
 
         let mut vectors = Vec::with_capacity(n);
-        let mut latent_cluster = Vec::with_capacity(n);
         for i in 0..n {
             let c = i % clusters;
-            latent_cluster.push(c);
             // Per-entry spread: some entries sit close to their topic
             // centroid, others drift towards neighbouring topics, which is
             // what makes the recall-versus-nprobe trade-off of real corpora
@@ -92,7 +86,6 @@ impl SyntheticDataset {
             vectors,
             queries,
             documents,
-            latent_cluster,
         }
     }
 
@@ -126,16 +119,18 @@ impl SyntheticDataset {
         &self.documents
     }
 
-    /// Latent topic of every entry (useful for checking that indexes keep
-    /// topical neighbors together).
-    pub fn latent_cluster(&self) -> &[usize] {
-        &self.latent_cluster
-    }
-
     /// Clone the documents (convenience for APIs that take ownership).
     pub fn documents_owned(&self) -> Vec<Vec<u8>> {
         self.documents.clone()
     }
+}
+
+/// Number of latent topics a dataset of `profile` is drawn around. Fewer
+/// topics than IVF cells: an IVF index built with `scaled_nlist` cells then
+/// has to split topics across cells, which is what gives real corpora their
+/// recall-versus-nprobe trade-off.
+fn latent_topics(profile: &DatasetProfile) -> usize {
+    (profile.scaled_nlist / 8).max(4)
 }
 
 #[cfg(test)]
@@ -170,7 +165,8 @@ mod tests {
         let data = SyntheticDataset::generate(profile, 7);
         // Entries of the same latent topic are closer than entries of
         // different topics, on average over many pairs.
-        let clusters = data.latent_cluster();
+        // Entry `i` is drawn around latent topic `i mod topics`.
+        let topics = latent_topics(data.profile());
         let mut same_sum = 0.0f64;
         let mut same_n = 0usize;
         let mut diff_sum = 0.0f64;
@@ -178,7 +174,7 @@ mod tests {
         for i in 0..100 {
             for j in (i + 1)..100 {
                 let d = squared_l2(&data.vectors()[i], &data.vectors()[j]) as f64;
-                if clusters[i] == clusters[j] {
+                if i % topics == j % topics {
                     same_sum += d;
                     same_n += 1;
                 } else {
