@@ -58,11 +58,6 @@ pub enum ReisError {
     /// section payload. The wrapped [`PersistError`] pinpoints what rotted
     /// and is exposed through [`std::error::Error::source`].
     CorruptSnapshot(PersistError),
-    /// A WAL failed validation in a context that does not tolerate
-    /// quarantining (recovery itself quarantines torn tails and reports
-    /// them instead of erroring). Wraps the precise [`PersistError`],
-    /// exposed through [`std::error::Error::source`].
-    CorruptWal(PersistError),
     /// Any other durability failure (storage I/O, missing files, replay
     /// divergence), with the underlying [`PersistError`] as the source.
     Persist(PersistError),
@@ -118,7 +113,6 @@ impl fmt::Display for ReisError {
                 )
             }
             ReisError::CorruptSnapshot(e) => write!(f, "corrupt snapshot: {e}"),
-            ReisError::CorruptWal(e) => write!(f, "corrupt WAL: {e}"),
             ReisError::Persist(e) => write!(f, "durability error: {e}"),
             ReisError::Unavailable { leaf, source } => match source {
                 Some(e) => write!(f, "leaf {leaf} is unavailable: {e}"),
@@ -141,9 +135,7 @@ impl std::error::Error for ReisError {
             ReisError::Ssd(e) => Some(e),
             ReisError::Nand(e) => Some(e),
             ReisError::Ann(e) => Some(e),
-            ReisError::CorruptSnapshot(e) | ReisError::CorruptWal(e) | ReisError::Persist(e) => {
-                Some(e)
-            }
+            ReisError::CorruptSnapshot(e) | ReisError::Persist(e) => Some(e),
             ReisError::Unavailable {
                 source: Some(e), ..
             } => Some(e),
@@ -153,14 +145,14 @@ impl std::error::Error for ReisError {
 }
 
 impl From<PersistError> for ReisError {
-    /// Route checksum/validation failures to the dedicated `Corrupt*`
-    /// variants and everything else to the generic [`ReisError::Persist`].
+    /// Route snapshot checksum/validation failures to the dedicated
+    /// [`ReisError::CorruptSnapshot`] and everything else to the generic
+    /// [`ReisError::Persist`].
     fn from(e: PersistError) -> Self {
         match &e {
             PersistError::CorruptSnapshot { .. } | PersistError::UnsupportedVersion { .. } => {
                 ReisError::CorruptSnapshot(e)
             }
-            PersistError::CorruptWal { .. } => ReisError::CorruptWal(e),
             _ => ReisError::Persist(e),
         }
     }
@@ -240,15 +232,6 @@ mod tests {
         }
         .into();
         assert!(matches!(e, ReisError::CorruptSnapshot(_)));
-
-        let e: ReisError = PersistError::CorruptWal {
-            file: "wal-00000001".into(),
-            offset: 40,
-            detail: "torn frame".into(),
-        }
-        .into();
-        assert!(matches!(e, ReisError::CorruptWal(_)));
-        assert!(std::error::Error::source(&e).is_some());
 
         let e: ReisError = PersistError::NoSnapshot.into();
         assert!(matches!(e, ReisError::Persist(_)));

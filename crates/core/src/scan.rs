@@ -80,7 +80,16 @@
 //! each page once through the controller's borrowed read
 //! (`SlotPlan::read_in_page_order`), scoring or copying the one slot they
 //! need straight out of the view — no page cache map, no staging copy of the
-//! page, no per-candidate vector copies and no per-page allocation.
+//! page, no per-candidate vector copies and no per-page allocation. The
+//! loop is *resolve → prefetch → read*: a first pass over the page order
+//! resolves every page to its stored bytes through the uncounted borrow
+//! ([`SsdController::scan_region_page`]), then hints each slot's cache
+//! lines in ([`reis_nand::prefetch`]), so the request's scattered slots
+//! miss in parallel rather than one after another; the second pass does
+//! the counted reads at the resolved addresses and scores or copies. The
+//! first pass counts nothing and skips a page that fails to resolve, so
+//! every counter, byte and error — that page's included — is what one
+//! counted pass gives. A batch runs the loop per query.
 //!
 //! # Accounting
 //!
@@ -97,7 +106,9 @@ use reis_ann::topk::Neighbor;
 use reis_ann::vector::Int8Vector;
 use reis_nand::latch::Latch;
 use reis_nand::peripheral::PassFailChecker;
-use reis_nand::{FlashStats, FusedHit, Nanos, OobEntry, OobLayout, ScanShardPlan};
+use reis_nand::{
+    prefetch, FlashStats, FusedHit, Nanos, OobEntry, OobLayout, PageAddr, ScanShardPlan,
+};
 use reis_sched::WorkerPool;
 use reis_ssd::{RegionKind, SsdController, StripedRegion};
 use reis_telemetry::{
@@ -158,11 +169,16 @@ pub(crate) struct ScanScratch {
 type SlotLocation = (StripedRegion, usize, usize);
 
 /// The payload slots one downstream phase reads, pooled across queries: the
-/// resolved locations in candidate order and the page-sorted visit order.
+/// resolved locations in candidate order, the page-sorted visit order and
+/// each visited page's resolved address.
 #[derive(Debug, Default)]
 struct SlotPlan {
     locations: Vec<SlotLocation>,
     order: Vec<usize>,
+    /// One entry per distinct page, in visit order: the page's address, or
+    /// `None` where resolving it failed, so that the counted read surfaces
+    /// the error at the page it belongs to.
+    pages: Vec<Option<PageAddr>>,
 }
 
 impl SlotPlan {
@@ -171,27 +187,59 @@ impl SlotPlan {
     /// `visit` each location's index, page, slot and page bytes. Returns the
     /// number of pages read. The one page-ordered read loop of the rerank
     /// and document phases.
+    ///
+    /// Two passes over the same order. The first resolves every page to
+    /// its stored bytes through the uncounted borrow
+    /// ([`SsdController::scan_region_page`]), then prefetches each
+    /// `slot_bytes`-long slot, so the slots' memory misses overlap instead
+    /// of landing one per visit. The second does the counted reads at the
+    /// addresses the first resolved and visits the slots: every counter,
+    /// byte and error is what a single counted pass gives.
     fn read_in_page_order(
         &mut self,
         ssd: &mut SsdController,
         kind: RegionKind,
+        slot_bytes: usize,
         mut visit: impl FnMut(usize, usize, usize, &[u8]) -> Result<()>,
     ) -> Result<usize> {
-        let SlotPlan { locations, order } = self;
+        let SlotPlan {
+            locations,
+            order,
+            pages,
+        } = self;
         let page_of = |&i: &usize| (locations[i].0.start, locations[i].1);
         order.clear();
         order.extend(0..locations.len());
         order.sort_unstable_by_key(page_of);
-        let mut pages_read = 0;
+        pages.clear();
+        let mut slots = Vec::with_capacity(order.len());
         for same_page in order.chunk_by(|a, b| page_of(a) == page_of(b)) {
             let (region, page, _) = locations[same_page[0]];
-            let view = ssd.read_region_page_view(&region, page, kind)?;
-            pages_read += 1;
+            let Ok((addr, data, _)) = ssd.scan_region_page(&region, page) else {
+                pages.push(None);
+                continue;
+            };
+            slots.extend(same_page.iter().map(|&i| {
+                let start = (locations[i].2 * slot_bytes).min(data.len());
+                &data[start..(start + slot_bytes).min(data.len())]
+            }));
+            pages.push(Some(addr));
+        }
+        // Hinted once every page is resolved, so that the lookups do not
+        // queue behind the slots' cache misses.
+        slots.into_iter().for_each(prefetch);
+        let same_pages = order.chunk_by(|a, b| page_of(a) == page_of(b));
+        for (same_page, addr) in same_pages.zip(pages.iter()) {
+            let (region, page, _) = locations[same_page[0]];
+            let view = match *addr {
+                Some(addr) => ssd.read_page_view(addr, kind)?,
+                None => ssd.read_region_page_view(&region, page, kind)?,
+            };
             for &i in same_page {
                 visit(i, page, locations[i].2, view.data)?;
             }
         }
-        Ok(pages_read)
+        Ok(pages.len())
     }
 }
 
@@ -1181,6 +1229,7 @@ fn score_candidates(
     slots.read_in_page_order(
         controller,
         RegionKind::Int8Embeddings,
+        layout.int8_bytes,
         |i, _, slot, page| {
             let start = slot * layout.int8_bytes;
             scored[i].raw = query_int8.squared_l2_raw(&page[start..start + layout.int8_bytes]);
@@ -1270,10 +1319,15 @@ pub(crate) fn fetch_documents(
     }
 
     let mut documents: Vec<Vec<u8>> = vec![Vec::new(); results.len()];
-    slots.read_in_page_order(controller, RegionKind::Documents, |i, page, slot, bytes| {
-        documents[i] = parse_doc_slot(bytes, slot, layout.doc_slot_bytes, page)?;
-        Ok(())
-    })?;
+    slots.read_in_page_order(
+        controller,
+        RegionKind::Documents,
+        layout.doc_slot_bytes,
+        |i, page, slot, bytes| {
+            documents[i] = parse_doc_slot(bytes, slot, layout.doc_slot_bytes, page)?;
+            Ok(())
+        },
+    )?;
     Ok(documents)
 }
 
@@ -1596,20 +1650,62 @@ mod tests {
         (vectors, db)
     }
 
+    /// The counters a counted page read moves: flash page reads, bytes to
+    /// the controller, ECC pages decoded and DRAM bytes staged.
+    fn read_counters(ssd: &SsdController) -> [u64; 4] {
+        let stats = ssd.device().stats();
+        [
+            stats.page_reads,
+            stats.bytes_to_controller,
+            ssd.ecc().pages_decoded(),
+            ssd.dram().bytes_written(),
+        ]
+    }
+
+    /// What `fetch_documents` of `ids` returns and how far it moves the
+    /// read counters, next to what one counted region read of each of
+    /// `counted` moves: the cost of a single page-ordered counted pass that
+    /// stops at its failure.
+    fn failing_fetch(
+        ssd: &mut SsdController,
+        deployed: &DeployedDatabase,
+        ids: &[usize],
+        counted: &[usize],
+    ) -> (ReisError, [u64; 4], [u64; 4]) {
+        let since = |ssd: &SsdController, before: [u64; 4]| {
+            let now = read_counters(ssd);
+            std::array::from_fn(|i| now[i] - before[i])
+        };
+        let results: Vec<Neighbor> = ids.iter().map(|&id| Neighbor::new(id, 0.0)).collect();
+        let before = read_counters(ssd);
+        let err = fetch_documents(ssd, &mut ScanScratch::default(), deployed, &results)
+            .expect_err("the fetch fails");
+        let spent = since(ssd, before);
+        let before = read_counters(ssd);
+        let region = deployed.record.document_region;
+        for &page in counted {
+            ssd.read_region_page_view(&region, page, RegionKind::Documents)
+                .expect("a page the fetch read before failing reads");
+        }
+        (err, spent, since(ssd, before))
+    }
+
     #[test]
     fn fetch_documents_reports_corrupt_slots_instead_of_panicking() {
         let (_, db) = corpus();
         let mut ssd = SsdController::new(SsdConfig::tiny());
         let deployed = crate::deploy::deploy(&mut ssd, &db, 1).unwrap();
+        let region = deployed.record.document_region;
+        let geometry = ssd.config().geometry;
+        let on_page = |page: usize| {
+            (0..24)
+                .find(|&id| deployed.layout.document_location(id).0 == page)
+                .expect("a document on the page")
+        };
 
         // Corrupt the first document page: erase its block and reprogram the
         // page with all-ones, which makes every slot's length prefix invalid.
-        let geometry = ssd.config().geometry;
-        let addr = deployed
-            .record
-            .document_region
-            .page_at(&geometry, 0)
-            .unwrap();
+        let addr = region.page_at(&geometry, 0).unwrap();
         ssd.device_mut().erase_block(addr.block_addr()).unwrap();
         ssd.device_mut()
             .program_page(
@@ -1619,14 +1715,34 @@ mod tests {
                 reis_nand::ProgramScheme::EnhancedSlc,
             )
             .unwrap();
+        // Erase the block of document page 5 and leave it unprogrammed: the
+        // page no longer resolves. (Pages 0, 3, 5 and 7 sit on four
+        // different planes, so neither erase touches another of them.)
+        let unprogrammed = region.page_at(&geometry, 5).unwrap();
+        ssd.device_mut()
+            .erase_block(unprogrammed.block_addr())
+            .unwrap();
 
-        let top = [Neighbor::new(0, 0.0)];
-        let err =
-            fetch_documents(&mut ssd, &mut ScanScratch::default(), &deployed, &top).unwrap_err();
+        let (err, spent, one_pass) = failing_fetch(&mut ssd, &deployed, &[on_page(0)], &[0]);
         assert!(
             matches!(err, ReisError::CorruptDocument { page: 0, slot: 0 }),
             "expected CorruptDocument, got {err:?}"
         );
+        // The resolve/prefetch pass counts nothing: the failed fetch cost
+        // exactly the one counted read of the corrupt page.
+        assert_eq!(spent, one_pass);
+        assert_eq!(one_pass[0], 1);
+
+        // A page that fails to resolve errors from the counted pass, in page
+        // order: after page 3 was read and counted, before page 7 is.
+        let ids = [on_page(7), on_page(5), on_page(3)];
+        let (err, spent, one_pass) = failing_fetch(&mut ssd, &deployed, &ids, &[3]);
+        let direct = ssd
+            .read_region_page_view(&region, 5, RegionKind::Documents)
+            .expect_err("page 5 is unprogrammed");
+        assert_eq!(err, ReisError::from(direct));
+        assert_eq!(spent, one_pass);
+        assert_eq!(one_pass[0], 1);
     }
 
     #[test]

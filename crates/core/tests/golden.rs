@@ -153,10 +153,7 @@ fn every_flipped_byte_is_rejected_without_panicking() {
         tampered[offset] ^= 0x40;
         let err = recover_from_bytes(&tampered).expect_err("tampered snapshot must be rejected");
         assert!(
-            matches!(
-                err,
-                ReisError::CorruptSnapshot(_) | ReisError::Persist(_) | ReisError::CorruptWal(_)
-            ),
+            matches!(err, ReisError::CorruptSnapshot(_) | ReisError::Persist(_)),
             "byte {offset}: unexpected error shape {err:?}"
         );
         offset += 97;

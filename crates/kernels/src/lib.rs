@@ -49,7 +49,8 @@
 //!   and a NaN never wins. The tests hold every body to the element-wise
 //!   [`reference::squared_l2_f32`] bit for bit.
 //! * `unsafe` is confined to the `#[target_feature]` bodies and the calls
-//!   into them, each of which rests on a run-time feature check.
+//!   into them, each of which rests on a run-time feature check, and to
+//!   the one cache hint of [`prefetch`].
 //!
 //! # The fused multi-query kernel
 //!
@@ -345,6 +346,37 @@ pub fn fused_hamming_filter_into(
     distance::filter(Isa::detect(), &job, thresholds, out);
 }
 
+/// The cache-line size [`prefetch`] steps by.
+const CACHE_LINE: usize = 64;
+
+/// The offset into a `len`-byte slice at address `addr` of the first byte
+/// of every cache line the slice touches, ascending: `0`, then each line
+/// boundary inside the slice.
+fn line_offsets(addr: usize, len: usize) -> impl Iterator<Item = usize> {
+    let next_boundary = CACHE_LINE - addr % CACHE_LINE;
+    (0..len.min(1)).chain((next_boundary..len).step_by(CACHE_LINE))
+}
+
+/// Hint the CPU to pull every cache line of `bytes` into its caches, so a
+/// later read of many scattered slots overlaps their memory misses instead
+/// of paying them one after another. A hint only: it reads no value,
+/// cannot fault, and is a no-op off x86-64.
+#[inline]
+pub fn prefetch(bytes: &[u8]) {
+    for offset in line_offsets(bytes.as_ptr() as usize, bytes.len()) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `offset < bytes.len()`, so the pointer is inside the
+        // slice; `_mm_prefetch` only hints the cache (SSE, baseline on
+        // x86-64) and never dereferences it.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(bytes.as_ptr().add(offset).cast());
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = offset;
+    }
+}
+
 /// Fold `bytes` into a running CRC32C state.
 ///
 /// The state is the *finalized* checksum of everything folded so far:
@@ -456,6 +488,36 @@ mod tests {
 
     fn pattern(len: usize, mul: usize, add: usize) -> Vec<u8> {
         (0..len).map(|i| (i * mul + add) as u8).collect()
+    }
+
+    #[test]
+    fn prefetch_touches_every_line_once_and_changes_nothing() {
+        for skew in [0usize, 1, 31, 63, 64, 100] {
+            for len in [0usize, 1, 2, 63, 64, 65, 127, 128, 1024, 1025] {
+                let offsets: Vec<usize> = line_offsets(skew, len).collect();
+                let lines: Vec<usize> = offsets.iter().map(|o| (skew + o) / CACHE_LINE).collect();
+                let want: Vec<usize> = if len == 0 {
+                    Vec::new()
+                } else {
+                    (skew / CACHE_LINE..=(skew + len - 1) / CACHE_LINE).collect()
+                };
+                assert_eq!(lines, want, "skew {skew} len {len}");
+                assert!(offsets.iter().all(|&o| o < len), "skew {skew} len {len}");
+            }
+        }
+        // Empty, one-byte, unaligned and end-of-page slices of a page.
+        let page = pattern(4096, 29, 5);
+        for slot in [
+            &page[..0],
+            &page[..1],
+            &page[3..70],
+            &page[4096 - 1024..],
+            &page[4095..],
+        ] {
+            prefetch(slot);
+        }
+        prefetch(&[]);
+        assert_eq!(page, pattern(4096, 29, 5));
     }
 
     #[test]

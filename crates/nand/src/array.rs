@@ -62,10 +62,12 @@ impl Block {
 /// One plane: lazily allocated blocks plus the plane's page buffer.
 ///
 /// Blocks are held behind [`Arc`] with copy-on-write mutation
-/// ([`Arc::make_mut`]): cloning a device for a batch-search worker then
-/// costs one refcount bump per programmed block instead of a deep copy of
-/// the stored pages, and read-only scans on the replicas share the flash
-/// contents with the primary.
+/// ([`Arc::make_mut`]), so a cloned device shares its programmed blocks
+/// with the original until one of them writes. The batch-search workers
+/// that cloned devices are gone; today only three unit tests clone one
+/// (two in the SSD controller, one in this module). ROADMAP item 10
+/// replaces this store with per-region or per-block arenas and drops the
+/// `Arc` and the device `Clone`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Plane {
     buffer: PageBuffer,

@@ -66,6 +66,9 @@ pub use error::{NandError, Result};
 pub use geometry::{BlockAddr, Geometry, PageAddr, PlaneAddr};
 pub use oob::{OobEntry, OobLayout};
 pub use peripheral::FusedHit;
+// The cache hint a reader of stored pages warms a slot with before its
+// counted read (the rerank and document phases of `reis-core`).
+pub use reis_kernels::prefetch;
 pub use sharding::{ScanShard, ScanShardPlan};
 pub use stats::FlashStats;
 pub use timing::{Nanos, TimingParams};

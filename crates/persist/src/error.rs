@@ -1,10 +1,10 @@
 //! Structured durability errors.
 //!
 //! Every failure mode of the persistence layer is a distinct variant, so
-//! `reis-core` can surface checksum mismatches as its own `Corrupt*` error
-//! variants while treating plain I/O failures generically. The enum is
-//! `#[non_exhaustive]`: future formats may add failure modes without a
-//! breaking change.
+//! `reis-core` can surface snapshot checksum mismatches as its own
+//! `CorruptSnapshot` error variant while treating plain I/O failures
+//! generically. The enum is `#[non_exhaustive]`: future formats may add
+//! failure modes without a breaking change.
 
 use std::error::Error;
 use std::fmt;
@@ -38,16 +38,6 @@ pub enum PersistError {
         /// What failed to validate.
         detail: String,
     },
-    /// A WAL frame failed validation at `offset` (length prefix runs past
-    /// the file, or the payload checksum does not match).
-    CorruptWal {
-        /// The WAL file.
-        file: String,
-        /// Byte offset of the bad frame.
-        offset: u64,
-        /// What failed to validate.
-        detail: String,
-    },
     /// The snapshot superblock carries a format version this build does not
     /// understand.
     UnsupportedVersion {
@@ -75,14 +65,6 @@ impl fmt::Display for PersistError {
             PersistError::CorruptSnapshot { file, detail } => {
                 write!(f, "corrupt snapshot '{file}': {detail}")
             }
-            PersistError::CorruptWal {
-                file,
-                offset,
-                detail,
-            } => write!(
-                f,
-                "corrupt WAL frame in '{file}' at byte {offset}: {detail}"
-            ),
             PersistError::UnsupportedVersion {
                 file,
                 found,
@@ -106,14 +88,13 @@ mod tests {
 
     #[test]
     fn display_is_structured_and_specific() {
-        let err = PersistError::CorruptWal {
-            file: "wal-00000003".into(),
-            offset: 128,
-            detail: "payload checksum mismatch".into(),
+        let err = PersistError::CorruptSnapshot {
+            file: "snapshot-00000003".into(),
+            detail: "section 2 checksum mismatch".into(),
         };
         let text = err.to_string();
-        assert!(text.contains("wal-00000003"));
-        assert!(text.contains("128"));
+        assert!(text.contains("snapshot-00000003"));
+        assert!(text.contains("section 2"));
         assert!(text.contains("checksum"));
 
         let err = PersistError::UnsupportedVersion {

@@ -277,6 +277,18 @@ impl SsdController {
         kind: RegionKind,
     ) -> Result<PageReadView<'_>> {
         let addr = region.page_at(&self.config.geometry, offset)?;
+        self.read_page_view(addr, kind)
+    }
+
+    /// [`SsdController::read_region_page_view`] of a page whose address was
+    /// already resolved (by [`SsdController::scan_region_page`]): counted,
+    /// timed and decoded the same way, without translating the region
+    /// offset a second time.
+    ///
+    /// # Errors
+    ///
+    /// Propagates flash read errors.
+    pub fn read_page_view(&mut self, addr: PageAddr, kind: RegionKind) -> Result<PageReadView<'_>> {
         let ecc = self.config.hybrid.needs_ecc(kind).then_some(&mut self.ecc);
         let mut view = read_decoded(&mut self.device, ecc, &mut self.staging.0, addr)?;
         // Staging the page in controller DRAM before it moves to the host.
@@ -643,6 +655,32 @@ mod tests {
         // back through the device's absorb_stats instead.
         assert_eq!(counters(&ssd), before);
         assert!(ssd.scan_region_page(&region, 0).is_err(), "unprogrammed");
+    }
+
+    #[test]
+    fn read_at_a_resolved_address_equals_the_region_read() {
+        let mut ssd = controller();
+        let region = ssd.reserve_region("db0/embeddings", 2).unwrap();
+        let kind = RegionKind::BinaryEmbeddings;
+        ssd.program_region_page(&region, 1, kind, &[0x3C; 4096], &[4, 2])
+            .unwrap();
+        let (addr, _, _) = ssd.scan_region_page(&region, 1).unwrap();
+        let delta = |ssd: &SsdController, (flash, dram, ecc): (FlashStats, u64, u64)| {
+            let (now_flash, now_dram, now_ecc) = counters(ssd);
+            (
+                now_flash.delta_since(&flash),
+                now_dram - dram,
+                now_ecc - ecc,
+            )
+        };
+        let before = counters(&ssd);
+        let by_region = owned(ssd.read_region_page_view(&region, 1, kind).unwrap());
+        let region_cost = delta(&ssd, before);
+        let before = counters(&ssd);
+        let by_addr = owned(ssd.read_page_view(addr, kind).unwrap());
+        assert_eq!(by_addr, by_region);
+        assert_eq!(delta(&ssd, before), region_cost);
+        assert_eq!(region_cost.0.page_reads, 1);
     }
 
     /// The flash activity a twin recorded, folded into the controller it was

@@ -53,8 +53,9 @@ pub use registry::{
     bucket_index, CounterId, GaugeId, Histogram, HistogramId, HistogramSnapshot, Registry,
     HISTOGRAM_BUCKETS,
 };
+use trace::Ring;
 pub use trace::{
-    ExplainEvent, ExplainTrace, QueryTrace, Ring, Span, EXPLAIN_RING_CAPACITY, TRACE_RING_CAPACITY,
+    ExplainEvent, ExplainTrace, QueryTrace, Span, EXPLAIN_RING_CAPACITY, TRACE_RING_CAPACITY,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -86,14 +86,14 @@ impl ExplainTrace {
 
 /// A bounded FIFO ring of trace records.
 #[derive(Debug)]
-pub struct Ring<T> {
+pub(crate) struct Ring<T> {
     items: VecDeque<T>,
     capacity: usize,
 }
 
 impl<T> Ring<T> {
     /// An empty ring holding at most `capacity` records.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Ring {
             items: VecDeque::with_capacity(capacity),
             capacity,
@@ -101,7 +101,7 @@ impl<T> Ring<T> {
     }
 
     /// Append, dropping the oldest record when full.
-    pub fn push(&mut self, item: T) {
+    pub(crate) fn push(&mut self, item: T) {
         if self.items.len() == self.capacity {
             self.items.pop_front();
         }
@@ -109,7 +109,7 @@ impl<T> Ring<T> {
     }
 
     /// The most recent record.
-    pub fn last(&self) -> Option<&T> {
+    pub(crate) fn last(&self) -> Option<&T> {
         self.items.back()
     }
 
