@@ -498,10 +498,9 @@ mod tests {
         let record = ssd.coarse_ftl().record(1).unwrap();
         assert_eq!(record.entries, 60);
         // Every embedding page is programmed.
-        let geom = ssd.config().geometry;
         for offset in 0..deployed.layout.embedding_pages {
-            let addr = record.embedding_region.page_at(&geom, offset).unwrap();
-            assert!(ssd.device().is_programmed(addr).unwrap());
+            let stripe = record.embedding_region.stripe_at(offset).unwrap();
+            assert!(ssd.device().is_programmed(stripe));
         }
         // Program counts match the layout's page totals.
         assert_eq!(

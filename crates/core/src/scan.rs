@@ -63,8 +63,12 @@
 //!
 //! # The two page readers
 //!
+//! The device keeps every page in one table in stripe order
+//! ([`reis_nand::Geometry::stripe_index`]), the order regions are laid out
+//! in: page `offset` of a region sits at stripe position `start + offset`,
+//! so finding it is one table index and no physical address is built.
 //! Embedding regions normally read error-free (ESP-SLC), so the core borrows
-//! stored pages straight from the controller
+//! stored pages straight from the controller at that position
 //! ([`SsdController::scan_region_page`]), shares the controller immutably
 //! across shards and folds the physical activity back afterwards. A stored
 //! page is lent as programmed — an append-segment page holding one embedding
@@ -72,7 +76,8 @@
 //! counter goes on saying what the plane does: a full page of slots. On a
 //! device whose embedding scheme injects read errors the page must be
 //! sensed through the plane's latch so the errors land in the scored bytes;
-//! that reader mutates the device and therefore runs on one shard.
+//! that reader needs the page's plane, so it resolves the physical address,
+//! and it mutates the device and therefore runs on one shard.
 //! [`reis_nand::FlashDevice::read_is_error_free`] decides — it is something
 //! the core observes, not an option.
 //!
@@ -82,14 +87,15 @@
 //! need straight out of the view — no page cache map, no staging copy of the
 //! page, no per-candidate vector copies and no per-page allocation. The
 //! loop is *resolve → prefetch → read*: a first pass over the page order
-//! resolves every page to its stored bytes through the uncounted borrow
-//! ([`SsdController::scan_region_page`]), then hints each slot's cache
-//! lines in ([`reis_nand::prefetch`]), so the request's scattered slots
-//! miss in parallel rather than one after another; the second pass does
-//! the counted reads at the resolved addresses and scores or copies. The
-//! first pass counts nothing and skips a page that fails to resolve, so
-//! every counter, byte and error — that page's included — is what one
-//! counted pass gives. A batch runs the loop per query.
+//! resolves every page to its stripe position and stored bytes through the
+//! uncounted borrow ([`SsdController::scan_region_page`]), then hints each
+//! slot's cache lines in ([`reis_nand::prefetch`]), so the request's
+//! scattered slots miss in parallel rather than one after another; the
+//! second pass does the counted reads at those stripe positions
+//! ([`SsdController::read_page_view`]) and scores or copies. The first pass
+//! counts nothing and skips a page that fails to resolve, so every counter,
+//! byte and error — that page's included — is what one counted pass gives.
+//! A batch runs the loop per query.
 //!
 //! # Accounting
 //!
@@ -106,9 +112,7 @@ use reis_ann::topk::Neighbor;
 use reis_ann::vector::Int8Vector;
 use reis_nand::latch::Latch;
 use reis_nand::peripheral::PassFailChecker;
-use reis_nand::{
-    prefetch, FlashStats, FusedHit, Nanos, OobEntry, OobLayout, PageAddr, ScanShardPlan,
-};
+use reis_nand::{prefetch, FlashStats, FusedHit, Nanos, OobEntry, OobLayout, ScanShardPlan};
 use reis_sched::WorkerPool;
 use reis_ssd::{RegionKind, SsdController, StripedRegion};
 use reis_telemetry::{
@@ -170,15 +174,15 @@ type SlotLocation = (StripedRegion, usize, usize);
 
 /// The payload slots one downstream phase reads, pooled across queries: the
 /// resolved locations in candidate order, the page-sorted visit order and
-/// each visited page's resolved address.
+/// each visited page's stripe position.
 #[derive(Debug, Default)]
 struct SlotPlan {
     locations: Vec<SlotLocation>,
     order: Vec<usize>,
-    /// One entry per distinct page, in visit order: the page's address, or
-    /// `None` where resolving it failed, so that the counted read surfaces
-    /// the error at the page it belongs to.
-    pages: Vec<Option<PageAddr>>,
+    /// One entry per distinct page, in visit order: the page's stripe
+    /// position, or `None` where resolving it failed, so that the counted
+    /// read surfaces the error at the page it belongs to.
+    pages: Vec<Option<usize>>,
 }
 
 impl SlotPlan {
@@ -189,12 +193,12 @@ impl SlotPlan {
     /// and document phases.
     ///
     /// Two passes over the same order. The first resolves every page to
-    /// its stored bytes through the uncounted borrow
+    /// its stripe position and stored bytes through the uncounted borrow
     /// ([`SsdController::scan_region_page`]), then prefetches each
     /// `slot_bytes`-long slot, so the slots' memory misses overlap instead
     /// of landing one per visit. The second does the counted reads at the
-    /// addresses the first resolved and visits the slots: every counter,
-    /// byte and error is what a single counted pass gives.
+    /// stripe positions the first resolved and visits the slots: every
+    /// counter, byte and error is what a single counted pass gives.
     fn read_in_page_order(
         &mut self,
         ssd: &mut SsdController,
@@ -215,7 +219,7 @@ impl SlotPlan {
         let mut slots = Vec::with_capacity(order.len());
         for same_page in order.chunk_by(|a, b| page_of(a) == page_of(b)) {
             let (region, page, _) = locations[same_page[0]];
-            let Ok((addr, data, _)) = ssd.scan_region_page(&region, page) else {
+            let Ok((stripe, data, _)) = ssd.scan_region_page(&region, page) else {
                 pages.push(None);
                 continue;
             };
@@ -223,16 +227,16 @@ impl SlotPlan {
                 let start = (locations[i].2 * slot_bytes).min(data.len());
                 &data[start..(start + slot_bytes).min(data.len())]
             }));
-            pages.push(Some(addr));
+            pages.push(Some(stripe));
         }
         // Hinted once every page is resolved, so that the lookups do not
         // queue behind the slots' cache misses.
         slots.into_iter().for_each(prefetch);
         let same_pages = order.chunk_by(|a, b| page_of(a) == page_of(b));
-        for (same_page, addr) in same_pages.zip(pages.iter()) {
+        for (same_page, stripe) in same_pages.zip(pages.iter()) {
             let (region, page, _) = locations[same_page[0]];
-            let view = match *addr {
-                Some(addr) => ssd.read_page_view(addr, kind)?,
+            let view = match *stripe {
+                Some(stripe) => ssd.read_page_view(stripe, kind)?,
                 None => ssd.read_region_page_view(&region, page, kind)?,
             };
             for &i in same_page {
@@ -646,7 +650,7 @@ impl PageReader<'_> {
                 Ok((data, oob))
             }
             PageReader::Latch(controller) => {
-                let addr = controller.region_page(region, offset)?;
+                let addr = region.page_at(&controller.config().geometry, offset)?;
                 controller.device_mut().sense_page(addr)?;
                 let buffer = controller.device().page_buffer(addr.plane_addr())?;
                 Ok((

@@ -22,9 +22,9 @@ pub(crate) enum Level {
 }
 
 /// Proof that the running CPU supports a [`Level`]: the field is private and
-/// only [`Isa::detect`] and [`Isa::supported`] construct a value, each after
-/// the run-time feature checks of that level. The `unsafe` calls into
-/// `#[target_feature]` bodies rest on it.
+/// only [`Isa::detect`] and the test-only `Isa::supported` construct a value,
+/// each after the run-time feature checks of that level. The `unsafe` calls
+/// into `#[target_feature]` bodies rest on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Isa(Level);
 

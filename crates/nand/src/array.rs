@@ -6,8 +6,6 @@
 //! latency of the operation, so higher layers can compose latencies with or
 //! without pipelining while relying on functionally correct data.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 
 use crate::cell::ProgramScheme;
@@ -19,101 +17,65 @@ use crate::reliability::{apply_read_errors, ReliabilityModel, SplitMix64};
 use crate::stats::FlashStats;
 use crate::timing::{Nanos, TimingParams};
 
-/// One physical flash page: user data, OOB bytes and programming state.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// One programmed flash page: user data, OOB bytes and programming scheme.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct Page {
     /// The user data as programmed: the bytes the program supplied, without
     /// the zeros that fill the rest of the page. A sense pads them to a full
     /// page in the latch; a page holding one embedding costs neither a page
     /// of memory to keep nor a page of memory traffic to read.
-    data: Option<Vec<u8>>,
-    oob: Option<Vec<u8>>,
-    scheme: Option<ProgramScheme>,
+    data: Vec<u8>,
+    oob: Vec<u8>,
+    scheme: ProgramScheme,
 }
 
-impl Page {
-    fn is_programmed(&self) -> bool {
-        self.data.is_some()
-    }
+/// Pages per chunk of the [`PageStore`]: the unit in which it commits
+/// memory. A chunk (56 KiB) stays below glibc's default mmap threshold
+/// (128 KiB), so chunks come from the heap and are reused across devices
+/// like any small allocation, instead of being mapped and unmapped — which
+/// would also move the threshold every later allocation is placed by.
+const CHUNK_PAGES: usize = 1024;
 
-    fn reset(&mut self) {
-        self.data = None;
-        self.oob = None;
-        self.scheme = None;
-    }
+/// Every page of the device, in stripe order ([`Geometry::stripe_index`]):
+/// the order in which regions are laid out and every scan, rerank and fetch
+/// walks them, so finding a page is one index. The table is committed a
+/// chunk of [`CHUNK_PAGES`] pages at a time, on the first program into the
+/// chunk — a full table of an SSD1 device would take about 235 MB however
+/// little it stored. A slot is `None` until programmed and after an erase,
+/// which frees the page's bytes.
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+struct PageStore {
+    chunks: Vec<Option<Box<[Option<Page>]>>>,
 }
 
-/// One erase block: a run of pages plus its program/erase cycle counter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct Block {
-    pages: Vec<Page>,
-    erase_count: u64,
-}
-
-impl Block {
-    fn new(pages_per_block: usize) -> Self {
-        Block {
-            pages: vec![Page::default(); pages_per_block],
-            erase_count: 0,
-        }
-    }
-}
-
-/// One plane: lazily allocated blocks plus the plane's page buffer.
-///
-/// Blocks are held behind [`Arc`] with copy-on-write mutation
-/// ([`Arc::make_mut`]), so a cloned device shares its programmed blocks
-/// with the original until one of them writes. The batch-search workers
-/// that cloned devices are gone; today only three unit tests clone one
-/// (two in the SSD controller, one in this module). ROADMAP item 10
-/// replaces this store with per-region or per-block arenas and drops the
-/// `Arc` and the device `Clone`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Plane {
-    buffer: PageBuffer,
-    blocks: Vec<Option<Arc<Block>>>,
-}
-
-impl Plane {
-    fn new(addr: PlaneAddr, geometry: &Geometry) -> Self {
-        Plane {
-            buffer: PageBuffer::new(addr, geometry.page_size_bytes),
-            blocks: vec![None; geometry.blocks_per_plane],
+impl PageStore {
+    fn new(geometry: &Geometry) -> Self {
+        PageStore {
+            chunks: vec![None; geometry.total_pages().div_ceil(CHUNK_PAGES)],
         }
     }
 
-    fn block_mut(&mut self, block: usize, pages_per_block: usize) -> &mut Block {
-        Arc::make_mut(
-            self.blocks[block].get_or_insert_with(|| Arc::new(Block::new(pages_per_block))),
-        )
+    /// The programmed page at `stripe`, if there is one.
+    fn get(&self, stripe: usize) -> Option<&Page> {
+        let chunk = self.chunks.get(stripe / CHUNK_PAGES)?.as_deref()?;
+        chunk.get(stripe % CHUNK_PAGES)?.as_ref()
     }
 
-    fn block(&self, block: usize) -> Option<&Block> {
-        self.blocks.get(block).and_then(|b| b.as_deref())
+    /// The slot of the page at `stripe`, its chunk committed first if need
+    /// be.
+    fn slot(&mut self, stripe: usize) -> &mut Option<Page> {
+        let chunk = self.chunks[stripe / CHUNK_PAGES]
+            .get_or_insert_with(|| vec![None; CHUNK_PAGES].into_boxed_slice());
+        &mut chunk[stripe % CHUNK_PAGES]
     }
 }
 
-/// The programmed contents of the page at `addr` within a plane's `blocks`:
-/// user data as programmed, OOB bytes, programming scheme. Takes the blocks
-/// alone so that a sense can fill the plane's buffer while it holds them.
-fn programmed_page(
-    blocks: &[Option<Arc<Block>>],
-    addr: PageAddr,
-) -> Result<(&[u8], &[u8], ProgramScheme)> {
-    let page = blocks
-        .get(addr.block)
-        .and_then(|block| block.as_deref())
-        .map(|block| &block.pages[addr.page])
-        .ok_or(NandError::PageNotProgrammed(addr))?;
-    let data = page
-        .data
-        .as_deref()
-        .ok_or(NandError::PageNotProgrammed(addr))?;
-    Ok((
-        data,
-        page.oob.as_deref().unwrap_or(&[]),
-        page.scheme.unwrap_or_default(),
-    ))
+/// The error of a read at `stripe` that found no page: the page there was
+/// never programmed (or erased since), or the position is off the device.
+fn not_programmed(geometry: &Geometry, stripe: usize) -> NandError {
+    geometry
+        .stripe_addr(stripe)
+        .map_or_else(|e| e, NandError::PageNotProgrammed)
 }
 
 /// Count one array sense that took `bit_errors` raw errors — into the latch
@@ -233,13 +195,18 @@ pub struct PageReadout {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct FlashDevice {
     geometry: Geometry,
     timing: TimingParams,
     reliability: ReliabilityModel,
     rng: SplitMix64,
-    planes: Vec<Plane>,
+    store: PageStore,
+    /// Erase cycles per block, indexed by [`FlashDevice::block_index`].
+    erase_counts: Vec<u64>,
+    /// One page buffer per plane, in [`Geometry::plane_index`] order: the
+    /// latches a sense fills and the in-plane operations compute on.
+    buffers: Vec<PageBuffer>,
     stats: FlashStats,
     /// The bit errors of the most recent read, as drawn.
     flips: Scratch<Vec<u32>>,
@@ -260,16 +227,18 @@ impl FlashDevice {
         reliability: ReliabilityModel,
         seed: u64,
     ) -> Self {
-        let planes = geometry
+        let buffers = geometry
             .planes()
-            .map(|addr| Plane::new(addr, &geometry))
+            .map(|addr| PageBuffer::new(addr, geometry.page_size_bytes))
             .collect();
         FlashDevice {
             geometry,
             timing,
             reliability,
             rng: SplitMix64::new(seed),
-            planes,
+            store: PageStore::new(&geometry),
+            erase_counts: vec![0; geometry.total_blocks()],
+            buffers,
             stats: FlashStats::new(),
             flips: Scratch::default(),
         }
@@ -298,6 +267,22 @@ impl FlashDevice {
         Ok(self.geometry.plane_index(addr))
     }
 
+    /// The stripe position of a valid page address.
+    fn stripe_of(&self, addr: PageAddr) -> Result<usize> {
+        self.geometry.check_page(addr)?;
+        Ok(self.geometry.stripe_index(addr))
+    }
+
+    /// The dense index of a valid block address: plane by plane, in
+    /// [`Geometry::plane_index`] order.
+    fn block_index(&self, addr: BlockAddr) -> Result<usize> {
+        let plane = self.plane_index(addr.plane_addr())?;
+        if addr.block >= self.geometry.blocks_per_plane {
+            return Err(NandError::BlockOutOfRange(addr));
+        }
+        Ok(plane * self.geometry.blocks_per_plane + addr.block)
+    }
+
     /// Immutable access to the page buffer of a plane.
     ///
     /// # Errors
@@ -305,21 +290,13 @@ impl FlashDevice {
     /// Returns [`NandError::AddressOutOfRange`] for an invalid plane address.
     pub fn page_buffer(&self, addr: PlaneAddr) -> Result<&PageBuffer> {
         let idx = self.plane_index(addr)?;
-        Ok(&self.planes[idx].buffer)
+        Ok(&self.buffers[idx])
     }
 
-    /// Whether a page has been programmed since its block was last erased.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NandError::AddressOutOfRange`] for an invalid page address.
-    pub fn is_programmed(&self, addr: PageAddr) -> Result<bool> {
-        self.geometry.check_page(addr)?;
-        let idx = self.geometry.plane_index(addr.plane_addr());
-        Ok(self.planes[idx]
-            .block(addr.block)
-            .map(|b| b.pages[addr.page].is_programmed())
-            .unwrap_or(false))
+    /// Whether the page at stripe position `stripe` has been programmed
+    /// since its block was last erased (`false` off the device).
+    pub fn is_programmed(&self, stripe: usize) -> bool {
+        self.store.get(stripe).is_some()
     }
 
     /// Erase a block, clearing all of its pages and bumping its erase count.
@@ -328,17 +305,14 @@ impl FlashDevice {
     ///
     /// Returns [`NandError::AddressOutOfRange`] for an invalid block address.
     pub fn erase_block(&mut self, addr: BlockAddr) -> Result<Nanos> {
-        self.geometry.check_plane(addr.plane_addr())?;
-        if addr.block >= self.geometry.blocks_per_plane {
-            return Err(NandError::BlockOutOfRange(addr));
+        let block = self.block_index(addr)?;
+        // Only slots that hold a page are touched: an erase commits no chunk.
+        for stripe in self.geometry.block_stripes(addr) {
+            if self.store.get(stripe).is_some() {
+                *self.store.slot(stripe) = None;
+            }
         }
-        let pages_per_block = self.geometry.pages_per_block;
-        let idx = self.geometry.plane_index(addr.plane_addr());
-        let block = self.planes[idx].block_mut(addr.block, pages_per_block);
-        for page in &mut block.pages {
-            page.reset();
-        }
-        block.erase_count += 1;
+        self.erase_counts[block] += 1;
         self.stats.block_erases += 1;
         Ok(self.timing.t_erase + self.timing.t_command_overhead)
     }
@@ -349,12 +323,7 @@ impl FlashDevice {
     ///
     /// Returns [`NandError::AddressOutOfRange`] for an invalid block address.
     pub fn erase_count(&self, addr: BlockAddr) -> Result<u64> {
-        self.geometry.check_plane(addr.plane_addr())?;
-        let idx = self.geometry.plane_index(addr.plane_addr());
-        Ok(self.planes[idx]
-            .block(addr.block)
-            .map(|b| b.erase_count)
-            .unwrap_or(0))
+        Ok(self.erase_counts[self.block_index(addr)?])
     }
 
     /// Program a page with user data and OOB metadata using `scheme`.
@@ -376,7 +345,7 @@ impl FlashDevice {
         oob: &[u8],
         scheme: ProgramScheme,
     ) -> Result<Nanos> {
-        self.geometry.check_page(addr)?;
+        let stripe = self.stripe_of(addr)?;
         if data.len() > self.geometry.page_size_bytes {
             return Err(NandError::DataTooLarge {
                 provided: data.len(),
@@ -389,19 +358,17 @@ impl FlashDevice {
                 capacity: self.geometry.oob_size_bytes,
             });
         }
-        let pages_per_block = self.geometry.pages_per_block;
-        let oob_size = self.geometry.oob_size_bytes;
-        let idx = self.geometry.plane_index(addr.plane_addr());
-        let block = self.planes[idx].block_mut(addr.block, pages_per_block);
-        let page = &mut block.pages[addr.page];
-        if page.is_programmed() {
+        let slot = self.store.slot(stripe);
+        if slot.is_some() {
             return Err(NandError::PageAlreadyProgrammed(addr));
         }
-        let mut stored_oob = vec![0u8; oob_size];
+        let mut stored_oob = vec![0u8; self.geometry.oob_size_bytes];
         stored_oob[..oob.len()].copy_from_slice(oob);
-        page.data = Some(data.to_vec());
-        page.oob = Some(stored_oob);
-        page.scheme = Some(scheme);
+        *slot = Some(Page {
+            data: data.to_vec(),
+            oob: stored_oob,
+            scheme,
+        });
 
         self.stats.page_programs += 1;
         self.stats.bytes_from_controller += (data.len() + oob.len()) as u64;
@@ -418,31 +385,36 @@ impl FlashDevice {
     /// Returns [`NandError::PageNotProgrammed`] if the page holds no data, or
     /// [`NandError::AddressOutOfRange`] for an invalid address.
     pub fn sense_page(&mut self, addr: PageAddr) -> Result<Nanos> {
-        self.geometry.check_page(addr)?;
-        let idx = self.geometry.plane_index(addr.plane_addr());
-        // Split-borrow the plane so the stored page (immutable) can be copied
-        // into the plane's buffer (mutable) without cloning it first: a scan
+        let stripe = self.stripe_of(addr)?;
+        // The stored page (borrowed from the store) is copied into the
+        // plane's buffer (a disjoint field) without cloning it first: a scan
         // re-senses thousands of pages into the same latch buffers.
-        let Plane { buffer, blocks } = &mut self.planes[idx];
-        let (data, oob, scheme) = programmed_page(blocks, addr)?;
-        let latch = buffer.load_sensing_copy(data, oob);
-        let bit_errors =
-            self.reliability
-                .inject_read_errors(latch, scheme, &mut self.rng, &mut self.flips.0);
+        let page = self
+            .store
+            .get(stripe)
+            .ok_or(NandError::PageNotProgrammed(addr))?;
+        let idx = self.geometry.plane_index(addr.plane_addr());
+        let latch = self.buffers[idx].load_sensing_copy(&page.data, &page.oob);
+        let bit_errors = self.reliability.inject_read_errors(
+            latch,
+            page.scheme,
+            &mut self.rng,
+            &mut self.flips.0,
+        );
         Ok(count_sense(
             &mut self.stats,
             &self.timing,
-            scheme,
+            page.scheme,
             bit_errors,
         ))
     }
 
-    /// Read a page all the way to the controller without copying it: draw
-    /// the read's bit errors, count and time the sense and the channel
-    /// transfer of user data and OOB bytes exactly as a sense into the latch
-    /// followed by a transfer would, and lend out the stored page next to
-    /// the list of bits this read got wrong. Every other page read to the
-    /// controller is a copy of this one.
+    /// Read the page at stripe position `stripe` all the way to the
+    /// controller without copying it: draw the read's bit errors, count and
+    /// time the sense and the channel transfer of user data and OOB bytes
+    /// exactly as a sense into the latch followed by a transfer would, and
+    /// lend out the stored page next to the list of bits this read got
+    /// wrong. Every other page read to the controller is a copy of this one.
     ///
     /// Nothing is copied and the plane's page buffer is left as it was: the
     /// errors of a read must not land in the array, and a list of positions
@@ -453,12 +425,15 @@ impl FlashDevice {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`FlashDevice::sense_page`].
-    pub fn read_page_view(&mut self, addr: PageAddr) -> Result<PageView<'_>> {
-        self.geometry.check_page(addr)?;
-        let idx = self.geometry.plane_index(addr.plane_addr());
-        let (stored, oob, scheme) = programmed_page(&self.planes[idx].blocks, addr)?;
-        let page_size = self.geometry.page_size_bytes;
+    /// Returns [`NandError::PageNotProgrammed`] if the page at stripe
+    /// position `stripe` holds no data, or [`NandError::AddressOutOfRange`]
+    /// for a position off the device.
+    pub fn read_page_view(&mut self, stripe: usize) -> Result<PageView<'_>> {
+        let Page { data, oob, scheme } = self
+            .store
+            .get(stripe)
+            .ok_or_else(|| not_programmed(&self.geometry, stripe))?;
+        let (scheme, page_size) = (*scheme, self.geometry.page_size_bytes);
         self.reliability
             .draw_read_errors(page_size, scheme, &mut self.rng, &mut self.flips.0);
         let bit_errors = self.flips.0.len();
@@ -466,7 +441,7 @@ impl FlashDevice {
         let bytes = page_size + oob.len();
         self.stats.bytes_to_controller += bytes as u64;
         Ok(PageView {
-            stored,
+            stored: data,
             oob,
             flips: &self.flips.0,
             page_size,
@@ -509,7 +484,8 @@ impl FlashDevice {
         data: &mut Vec<u8>,
         oob: &mut Vec<u8>,
     ) -> Result<PageReadMeta> {
-        let view = self.read_page_view(addr)?;
+        let stripe = self.stripe_of(addr)?;
+        let view = self.read_page_view(stripe)?;
         view.sensed_into(data);
         oob.clear();
         oob.extend_from_slice(view.oob);
@@ -524,7 +500,7 @@ impl FlashDevice {
     pub fn read_oob(&mut self, addr: PageAddr) -> Result<(Vec<u8>, Nanos)> {
         let sense_latency = self.sense_page(addr)?;
         let idx = self.geometry.plane_index(addr.plane_addr());
-        let oob = self.planes[idx].buffer.oob().unwrap_or(&[]).to_vec();
+        let oob = self.buffers[idx].oob().unwrap_or(&[]).to_vec();
         self.stats.bytes_to_controller += oob.len() as u64;
         let latency = sense_latency + self.timing.channel_transfer(oob.len());
         Ok((oob, latency))
@@ -551,7 +527,7 @@ impl FlashDevice {
             let idx = self
                 .geometry
                 .plane_index(PlaneAddr::new(channel, die, plane));
-            self.planes[idx].buffer.broadcast_into_cache(payload)?;
+            self.buffers[idx].broadcast_into_cache(payload)?;
         }
         self.stats.broadcast_ops += 1;
         self.stats.bytes_from_controller += if multi_plane {
@@ -573,7 +549,7 @@ impl FlashDevice {
     /// page and received a broadcast.
     pub fn xor_latches(&mut self, addr: PlaneAddr) -> Result<Nanos> {
         let idx = self.plane_index(addr)?;
-        self.planes[idx].buffer.xor_cache_into_data()?;
+        self.buffers[idx].xor_cache_into_data()?;
         self.stats.xor_ops += 1;
         Ok(self.timing.t_latch_xor)
     }
@@ -609,7 +585,7 @@ impl FlashDevice {
         out: &mut Vec<u32>,
     ) -> Result<Nanos> {
         let idx = self.plane_index(addr)?;
-        let data = self.planes[idx].buffer.read_latch(Latch::Data)?;
+        let data = self.buffers[idx].read_latch(Latch::Data)?;
         FailBitCounter::count_per_chunk_into(data, chunk_bytes, out);
         self.stats.bit_count_ops += 1;
         Ok(self.timing.t_fail_bit_count)
@@ -623,11 +599,11 @@ impl FlashDevice {
         self.timing.channel_transfer(bytes)
     }
 
-    /// Borrow the stored contents of a page (user data, OOB bytes and the
-    /// programming scheme) without copying, error injection, timing, or
-    /// statistics. The user data is lent as programmed: the bytes
-    /// [`FlashDevice::program_page`] was given, without the zeros that fill
-    /// the rest of the page.
+    /// Borrow the stored contents of the page at stripe position `stripe`
+    /// (user data, OOB bytes and the programming scheme) without copying,
+    /// error injection, timing, or statistics. The user data is lent as
+    /// programmed: the bytes [`FlashDevice::program_page`] was given,
+    /// without the zeros that fill the rest of the page.
     ///
     /// This is the readout primitive of read-only scan shards
     /// (see [`crate::sharding`]): shard workers share the device immutably,
@@ -640,12 +616,11 @@ impl FlashDevice {
     ///
     /// # Errors
     ///
-    /// Returns [`NandError::PageNotProgrammed`] if the page holds no data, or
-    /// [`NandError::AddressOutOfRange`] for an invalid address.
-    pub fn stored_page(&self, addr: PageAddr) -> Result<(&[u8], &[u8], ProgramScheme)> {
-        self.geometry.check_page(addr)?;
-        let idx = self.geometry.plane_index(addr.plane_addr());
-        programmed_page(&self.planes[idx].blocks, addr)
+    /// Same conditions as [`FlashDevice::read_page_view`].
+    pub fn stored_page(&self, stripe: usize) -> Result<(&[u8], &[u8], ProgramScheme)> {
+        let page = self.store.get(stripe);
+        page.map(|page| (&page.data[..], &page.oob[..], page.scheme))
+            .ok_or_else(|| not_programmed(&self.geometry, stripe))
     }
 
     /// Whether reads of pages programmed with `scheme` are error-free on
@@ -665,15 +640,12 @@ impl FlashDevice {
     ///
     /// Returns [`NandError::AddressOutOfRange`] for an invalid block address.
     pub fn programmed_pages_in_block(&self, addr: BlockAddr) -> Result<usize> {
-        self.geometry.check_plane(addr.plane_addr())?;
-        if addr.block >= self.geometry.blocks_per_plane {
-            return Err(NandError::BlockOutOfRange(addr));
-        }
-        let idx = self.geometry.plane_index(addr.plane_addr());
-        Ok(self.planes[idx]
-            .block(addr.block)
-            .map(|b| b.pages.iter().filter(|p| p.is_programmed()).count())
-            .unwrap_or(0))
+        self.block_index(addr)?;
+        Ok(self
+            .geometry
+            .block_stripes(addr)
+            .filter(|&stripe| self.is_programmed(stripe))
+            .count())
     }
 
     /// Read the raw XOR of two programmed pages, as the randomizer logic
@@ -685,7 +657,7 @@ impl FlashDevice {
     /// Returns [`NandError::PageNotProgrammed`] if either page is empty.
     pub fn xor_pages(&self, a: PageAddr, b: PageAddr) -> Result<Vec<u8>> {
         let read = |addr: PageAddr| -> Result<Vec<u8>> {
-            let mut page = self.stored_page(addr)?.0.to_vec();
+            let mut page = self.stored_page(self.stripe_of(addr)?)?.0.to_vec();
             page.resize(self.geometry.page_size_bytes, 0);
             Ok(page)
         };
@@ -856,35 +828,40 @@ mod tests {
 
     #[test]
     fn a_controller_read_leaves_the_latch_and_the_array_as_it_found_them() {
-        let mut dev = FlashDevice::with_reliability(
-            Geometry::tiny(),
-            TimingParams::default(),
-            ReliabilityModel { ber_scale: 1e3 },
-            7,
-        );
         // Three pages of one plane: the in-plane operand, and two pages the
         // controller reads — one with raw errors, one programmed short.
         let esp_addr = page0();
         let tlc_addr = PageAddr::new(0, 0, 0, 0, 1);
         let short_addr = PageAddr::new(0, 0, 0, 0, 2);
-        dev.program_page(esp_addr, &[0x0F; 4096], &[1], ProgramScheme::EnhancedSlc)
+        let tlc_stripe = Geometry::tiny().stripe_index(tlc_addr);
+        // A device and its twin: the same programs and in-plane operations.
+        let build = || {
+            let mut dev = FlashDevice::with_reliability(
+                Geometry::tiny(),
+                TimingParams::default(),
+                ReliabilityModel { ber_scale: 1e3 },
+                7,
+            );
+            dev.program_page(esp_addr, &[0x0F; 4096], &[1], ProgramScheme::EnhancedSlc)
+                .unwrap();
+            dev.program_page(
+                tlc_addr,
+                &[0xA5; 4096],
+                &[2],
+                ProgramScheme::Ispp(CellMode::Tlc),
+            )
             .unwrap();
-        dev.program_page(
-            tlc_addr,
-            &[0xA5; 4096],
-            &[2],
-            ProgramScheme::Ispp(CellMode::Tlc),
-        )
-        .unwrap();
-        dev.program_page(short_addr, &[0x77; 100], &[3], ProgramScheme::EnhancedSlc)
-            .unwrap();
-        dev.input_broadcast(0, 0, &[0xFF; 64], true).unwrap();
-        dev.sense_page(esp_addr).unwrap();
-        dev.xor_latches(esp_addr.plane_addr()).unwrap();
+            dev.program_page(short_addr, &[0x77; 100], &[3], ProgramScheme::EnhancedSlc)
+                .unwrap();
+            dev.input_broadcast(0, 0, &[0xFF; 64], true).unwrap();
+            dev.sense_page(esp_addr).unwrap();
+            dev.xor_latches(esp_addr.plane_addr()).unwrap();
+            dev
+        };
+        let (mut dev, mut twin) = (build(), build());
         let buffer = dev.page_buffer(esp_addr.plane_addr()).unwrap().clone();
-        let mut twin = dev.clone();
 
-        let view = dev.read_page_view(tlc_addr).unwrap();
+        let view = dev.read_page_view(tlc_stripe).unwrap();
         assert!(view.meta.bit_errors > 0);
         assert_eq!((view.stored, view.oob[0]), (&[0xA5; 4096][..], 2));
         let mut sensed = Vec::new();
@@ -899,7 +876,7 @@ mod tests {
         assert!(readout.data[100..].iter().all(|&b| b == 0));
 
         assert_eq!(dev.page_buffer(esp_addr.plane_addr()).unwrap(), &buffer);
-        assert_eq!(dev.stored_page(tlc_addr).unwrap().0, &[0xA5; 4096][..]);
+        assert_eq!(dev.stored_page(tlc_stripe).unwrap().0, &[0xA5; 4096][..]);
         // The in-plane flow goes on from where it was.
         let (counts, _) = dev.count_fail_bits(esp_addr.plane_addr(), 64).unwrap();
         assert!(counts.iter().all(|&c| c == 64 * 4));
@@ -961,5 +938,99 @@ mod tests {
             .unwrap();
         let x = dev.xor_pages(a_addr, b_addr).unwrap();
         assert!(x.iter().all(|&v| v == 0b0101_1010));
+    }
+
+    /// Pages of every plane read back alike by address and by stripe,
+    /// through the stored and the counted read; an erase clears exactly its
+    /// block, which takes programs again.
+    #[test]
+    fn pages_read_alike_by_address_and_by_stripe_and_an_erase_clears_one_block() {
+        let g = Geometry::tiny();
+        // Pages 0 and 1 of blocks 0 and 1 of every plane.
+        let pages: Vec<PageAddr> = (0..g.total_pages())
+            .map(|stripe| g.stripe_addr(stripe).unwrap())
+            .filter(|addr| addr.block < 2 && addr.page < 2)
+            .collect();
+        let data = |addr: PageAddr| vec![addr.page as u8; 64 + g.stripe_index(addr)];
+        let build = || {
+            let mut dev = device();
+            for &addr in &pages {
+                let oob = [addr.block as u8, 0xEE];
+                dev.program_page(addr, &data(addr), &oob, ProgramScheme::EnhancedSlc)
+                    .unwrap();
+            }
+            dev
+        };
+        let mut dev = build();
+        for &addr in &pages {
+            let stripe = g.stripe_index(addr);
+            let (before, readout) = (*dev.stats(), dev.read_page(addr).unwrap());
+            let after = *dev.stats();
+            let view = dev.read_page_view(stripe).unwrap();
+            let by_stripe = (view.stored.to_vec(), view.oob.to_vec(), view.meta.latency);
+            assert_eq!(dev.stats().delta_since(&after), after.delta_since(&before));
+            assert_eq!(
+                by_stripe,
+                (data(addr), readout.oob.clone(), readout.latency)
+            );
+            let (stored, oob, _) = dev.stored_page(stripe).unwrap();
+            assert_eq!((stored, oob), (&by_stripe.0[..], &by_stripe.1[..]));
+            assert_eq!(
+                (&readout.data[..stored.len()], &oob[..2]),
+                (stored, &[addr.block as u8, 0xEE][..])
+            );
+        }
+
+        let erased = BlockAddr::new(1, 0, 1, 0);
+        dev.erase_block(erased).unwrap();
+        for &addr in &pages {
+            let stored = dev
+                .stored_page(g.stripe_index(addr))
+                .map(|page| page.0.to_vec());
+            if addr.block_addr() == erased {
+                assert_eq!(stored, Err(NandError::PageNotProgrammed(addr)));
+                assert_eq!(dev.read_page(addr), Err(NandError::PageNotProgrammed(addr)));
+            } else {
+                assert_eq!(stored, Ok(data(addr)));
+            }
+        }
+        assert_eq!(dev.programmed_pages_in_block(erased), Ok(0));
+        assert_eq!(dev.erase_count(erased), Ok(1));
+        for stripe in g.block_stripes(erased) {
+            let addr = g.stripe_addr(stripe).unwrap();
+            dev.program_page(addr, &[7; 8], &[], ProgramScheme::EnhancedSlc)
+                .unwrap();
+        }
+        assert_eq!(dev.programmed_pages_in_block(erased), Ok(g.pages_per_block));
+
+        // Erasing a block that was never programmed changes nothing but its
+        // erase count (and the erase counter).
+        let (mut dev, twin) = (build(), build());
+        let untouched = BlockAddr::new(0, 1, 0, 3);
+        dev.erase_block(untouched).unwrap();
+        assert_eq!(dev.erase_count(untouched), Ok(1));
+        let block = dev.block_index(untouched).unwrap();
+        dev.erase_counts[block] = 0;
+        dev.stats.block_erases -= 1;
+        assert!(dev == twin);
+    }
+
+    #[test]
+    fn the_store_commits_only_the_chunks_that_were_programmed() {
+        let g = Geometry::reis_ssd1();
+        let mut dev = FlashDevice::new(g, TimingParams::default());
+        for stripe in [CHUNK_PAGES - 1, CHUNK_PAGES, g.total_pages() - 1] {
+            let (addr, data) = (g.stripe_addr(stripe).unwrap(), [stripe as u8; 16]);
+            dev.program_page(addr, &data, &[], ProgramScheme::EnhancedSlc)
+                .unwrap();
+            assert_eq!(dev.stored_page(stripe).unwrap().0, data);
+        }
+        assert_eq!(dev.store.chunks.iter().flatten().count(), 3);
+        assert_eq!(std::mem::size_of::<[Option<Page>; CHUNK_PAGES]>(), 56 << 10);
+        assert!(!dev.is_programmed(CHUNK_PAGES + 1));
+        assert!(matches!(
+            dev.stored_page(g.total_pages()),
+            Err(NandError::AddressOutOfRange { what: "stripe", .. })
+        ));
     }
 }

@@ -203,34 +203,59 @@ impl Geometry {
         }
     }
 
-    /// Convert a page address to a dense index in `0..total_pages()`.
-    pub fn page_index(&self, addr: PageAddr) -> usize {
-        let plane = self.plane_index(addr.plane_addr());
-        (plane * self.blocks_per_plane + addr.block) * self.pages_per_block + addr.page
+    /// The position of a page in *stripe order*, in `0..total_pages()`.
+    ///
+    /// Stripe order is the order of Parallelism-First Page Allocation
+    /// (Sec. 4.1): consecutive positions rotate through the channels first,
+    /// then the dies of a channel, then the planes of a die, and only then
+    /// move on to the next page of each plane, so a run of positions keeps
+    /// every channel, die and plane busy in round-robin order. Regions are
+    /// ranges of it, scans walk it, and the flash device stores its pages
+    /// in it.
+    pub fn stripe_index(&self, addr: PageAddr) -> usize {
+        let within_plane = addr.block * self.pages_per_block + addr.page;
+        ((within_plane * self.planes_per_die + addr.plane) * self.dies_per_channel + addr.die)
+            * self.channels
+            + addr.channel
     }
 
-    /// Inverse of [`Geometry::page_index`].
+    /// Inverse of [`Geometry::stripe_index`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `index >= self.total_pages()`.
-    pub fn page_at(&self, index: usize) -> PageAddr {
-        assert!(
-            index < self.total_pages(),
-            "page index {index} out of range"
-        );
-        let page = index % self.pages_per_block;
-        let rest = index / self.pages_per_block;
-        let block = rest % self.blocks_per_plane;
-        let plane_idx = rest / self.blocks_per_plane;
-        let plane = self.plane_at(plane_idx);
-        PageAddr {
-            channel: plane.channel,
-            die: plane.die,
-            plane: plane.plane,
-            block,
-            page,
+    /// Returns [`NandError::AddressOutOfRange`] if `stripe` lies beyond the
+    /// device (`stripe >= self.total_pages()`).
+    pub fn stripe_addr(&self, stripe: usize) -> Result<PageAddr> {
+        if stripe >= self.total_pages() {
+            return Err(NandError::AddressOutOfRange {
+                what: "stripe",
+                index: stripe,
+                limit: self.total_pages(),
+            });
         }
+        let channel = stripe % self.channels;
+        let rest = stripe / self.channels;
+        let die = rest % self.dies_per_channel;
+        let rest = rest / self.dies_per_channel;
+        let plane = rest % self.planes_per_die;
+        let within_plane = rest / self.planes_per_die;
+        Ok(PageAddr {
+            channel,
+            die,
+            plane,
+            block: within_plane / self.pages_per_block,
+            page: within_plane % self.pages_per_block,
+        })
+    }
+
+    /// The stripe positions of a block's pages, page 0 first: one every
+    /// `total_planes()` positions.
+    pub fn block_stripes(&self, addr: BlockAddr) -> impl Iterator<Item = usize> {
+        let (c, d, p, b) = (addr.channel, addr.die, addr.plane, addr.block);
+        let first = self.stripe_index(PageAddr::new(c, d, p, b, 0));
+        (first..)
+            .step_by(self.total_planes())
+            .take(self.pages_per_block)
     }
 
     /// Iterate over all plane addresses in dense-index order.
@@ -397,11 +422,20 @@ mod tests {
     #[test]
     fn page_index_roundtrip() {
         let g = Geometry::tiny();
-        for i in 0..g.total_pages() {
-            let addr = g.page_at(i);
-            assert_eq!(g.page_index(addr), i);
+        for stripe in 0..g.total_pages() {
+            let addr = g.stripe_addr(stripe).unwrap();
             g.check_page(addr).expect("generated address must be valid");
+            assert_eq!(g.stripe_index(addr), stripe);
         }
+        assert!(matches!(
+            g.stripe_addr(g.total_pages()),
+            Err(NandError::AddressOutOfRange { what: "stripe", .. })
+        ));
+        // Consecutive stripes hit distinct planes until every plane was used.
+        let first_planes: std::collections::HashSet<PlaneAddr> = (0..g.total_planes())
+            .map(|stripe| g.stripe_addr(stripe).unwrap().plane_addr())
+            .collect();
+        assert_eq!(first_planes.len(), g.total_planes());
     }
 
     #[test]

@@ -127,13 +127,9 @@ impl ScanShardPlan {
 mod tests {
     use super::*;
 
-    /// Striping used by the tests: offsets rotate channel-first, then die,
-    /// matching the SSD allocator's parallelism-first page order.
+    /// The plane of stripe position `offset`: parallelism-first striping.
     fn striped_plane(geometry: &Geometry, offset: usize) -> PlaneAddr {
-        let channel = offset % geometry.channels;
-        let rest = offset / geometry.channels;
-        let die = rest % geometry.dies_per_channel;
-        PlaneAddr::new(channel, die, 0)
+        geometry.stripe_addr(offset).unwrap().plane_addr()
     }
 
     /// Pages assigned to a shard.

@@ -93,6 +93,7 @@ proptest! {
             ProgramScheme::EnhancedSlc
         };
         let addr = PageAddr::new(1, 0, 1, 2, 3);
+        let stripe = geometry.stripe_index(addr);
         let mut full = data.clone();
         full.resize(page_size, 0);
         short.program_page(addr, &data, &[0xAB, 0xCD], scheme).unwrap();
@@ -103,15 +104,15 @@ proptest! {
         }
 
         // Shard readers are lent the bytes that were programmed.
-        prop_assert_eq!(short.stored_page(addr).unwrap().0, &data[..]);
-        prop_assert_eq!(padded.stored_page(addr).unwrap().0, &full[..]);
+        prop_assert_eq!(short.stored_page(stripe).unwrap().0, &data[..]);
+        prop_assert_eq!(padded.stored_page(stripe).unwrap().0, &full[..]);
 
         let untouched = short.page_buffer(addr.plane_addr()).unwrap().clone();
         let (mut sensed_a, mut sensed_b) = (Vec::new(), Vec::new());
         let mut errors = 0;
         for _ in 0..4 {
-            let a = short.read_page_view(addr).unwrap();
-            let b = padded.read_page_view(addr).unwrap();
+            let a = short.read_page_view(stripe).unwrap();
+            let b = padded.read_page_view(stripe).unwrap();
             prop_assert_eq!(a.stored, &data[..]);
             prop_assert_eq!((a.flips, a.page_size), (b.flips, b.page_size));
             prop_assert_eq!(a.flips.len(), a.meta.bit_errors);
@@ -253,14 +254,27 @@ proptest! {
         prop_assert_eq!(unpacked, entries);
     }
 
-    /// Page addresses survive a round trip through the dense page index for
-    /// both reference geometries.
+    /// Page addresses survive a round trip through their stripe position
+    /// on the test geometry and both reference geometries.
     #[test]
-    fn page_index_roundtrip_reference_geometries(index in 0usize..100_000) {
-        for geom in [Geometry::reis_ssd1(), Geometry::reis_ssd2()] {
-            let idx = index % geom.total_pages();
-            let addr = geom.page_at(idx);
-            prop_assert_eq!(geom.page_index(addr), idx);
+    fn page_index_roundtrip_reference_geometries(
+        channel in 0usize..16,
+        die in 0usize..16,
+        plane in 0usize..4,
+        block in 0usize..64,
+        page in 0usize..256,
+    ) {
+        for geom in [Geometry::tiny(), Geometry::reis_ssd1(), Geometry::reis_ssd2()] {
+            let addr = PageAddr::new(
+                channel % geom.channels,
+                die % geom.dies_per_channel,
+                plane % geom.planes_per_die,
+                block % geom.blocks_per_plane,
+                page % geom.pages_per_block,
+            );
+            let stripe = geom.stripe_index(addr);
+            prop_assert!(stripe < geom.total_pages());
+            prop_assert_eq!(geom.stripe_addr(stripe).unwrap(), addr);
         }
     }
 

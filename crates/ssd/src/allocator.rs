@@ -50,53 +50,15 @@ impl StripedRegion {
     }
 
     /// The physical page address of the `offset`-th page of the region under
-    /// parallelism-first striping.
+    /// parallelism-first striping ([`Geometry::stripe_addr`]).
     ///
     /// # Errors
     ///
-    /// Returns [`SsdError::RegionOutOfBounds`] if `offset >= self.len`.
+    /// * [`SsdError::RegionOutOfBounds`] if `offset >= self.len`.
+    /// * [`SsdError::Nand`] if the page lies beyond the device.
     pub fn page_at(&self, geometry: &Geometry, offset: usize) -> Result<PageAddr> {
-        Ok(stripe_to_page(geometry, self.stripe_at(offset)?))
+        Ok(geometry.stripe_addr(self.stripe_at(offset)?)?)
     }
-}
-
-/// Convert a stripe index to a physical page address.
-///
-/// Consecutive stripe indices rotate through the channels first, then the
-/// dies of a channel, then the planes of a die, so a sequential scan of
-/// stripe indices keeps every channel, die and plane of the device busy in
-/// round-robin order (Parallelism-First Page Allocation).
-///
-/// # Panics
-///
-/// Panics if the stripe index exceeds the device capacity.
-pub fn stripe_to_page(geometry: &Geometry, stripe: usize) -> PageAddr {
-    assert!(
-        stripe < geometry.total_pages(),
-        "stripe {stripe} beyond device capacity"
-    );
-    let channel = stripe % geometry.channels;
-    let rest = stripe / geometry.channels;
-    let die = rest % geometry.dies_per_channel;
-    let rest = rest / geometry.dies_per_channel;
-    let plane = rest % geometry.planes_per_die;
-    let within_plane = rest / geometry.planes_per_die;
-    PageAddr {
-        channel,
-        die,
-        plane,
-        block: within_plane / geometry.pages_per_block,
-        page: within_plane % geometry.pages_per_block,
-    }
-}
-
-/// Convert a physical page address back to its stripe index (inverse of
-/// [`stripe_to_page`]).
-pub fn page_to_stripe(geometry: &Geometry, addr: PageAddr) -> usize {
-    let within_plane = addr.block * geometry.pages_per_block + addr.page;
-    ((within_plane * geometry.planes_per_die + addr.plane) * geometry.dies_per_channel + addr.die)
-        * geometry.channels
-        + addr.channel
 }
 
 /// Bump allocator over the stripe index space, with a recycling free list.
@@ -290,29 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn stripe_mapping_round_trips_and_rotates_planes() {
-        let geom = Geometry::tiny();
-        let planes = geom.total_planes();
-        let mut seen = HashSet::new();
-        for stripe in 0..geom.total_pages() {
-            let addr = stripe_to_page(&geom, stripe);
-            geom.check_page(addr).unwrap();
-            assert_eq!(page_to_stripe(&geom, addr), stripe);
-            assert!(seen.insert(addr), "stripe mapping must be injective");
-        }
-        // Consecutive stripes hit distinct planes until every plane was used.
-        let first_planes: Vec<usize> = (0..planes)
-            .map(|s| geom.plane_index(stripe_to_page(&geom, s).plane_addr()))
-            .collect();
-        let unique: HashSet<_> = first_planes.iter().collect();
-        assert_eq!(
-            unique.len(),
-            planes,
-            "first {planes} stripes must cover all planes"
-        );
-    }
-
-    #[test]
     fn regions_are_disjoint_and_in_bounds() {
         let geom = Geometry::tiny();
         let mut alloc = PageAllocator::new(&geom);
@@ -354,6 +293,36 @@ mod tests {
             })
         ));
         assert!(StripedRegion::EMPTY.is_empty());
+        // A region built by hand past the end of the device errors there.
+        let past_end = StripedRegion {
+            start: geom.total_pages() - 1,
+            len: 2,
+        };
+        assert!(past_end.page_at(&geom, 0).is_ok());
+        assert!(matches!(
+            past_end.page_at(&geom, 1),
+            Err(SsdError::Nand(reis_nand::NandError::AddressOutOfRange {
+                what: "stripe",
+                ..
+            }))
+        ));
+    }
+
+    proptest::proptest! {
+        /// The `i`-th page of a region is the device's stripe position
+        /// `start + i`, on the test geometry and both reference geometries.
+        #[test]
+        fn region_pages_are_stripe_positions(start in 0usize..1 << 23, i in 0usize..4096) {
+            for geom in [Geometry::tiny(), Geometry::reis_ssd1(), Geometry::reis_ssd2()] {
+                let i = i % geom.total_pages();
+                let start = start % (geom.total_pages() - i);
+                let region = StripedRegion { start, len: i + 1 };
+                proptest::prop_assert_eq!(
+                    region.page_at(&geom, i).unwrap(),
+                    geom.stripe_addr(start + i).unwrap()
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! to the REIS engine (in `reis-core`), which drives it directly for
 //! in-storage search. Conventional block I/O is not modelled.
 
-use reis_nand::{FlashDevice, Nanos, PageAddr, Scratch};
+use reis_nand::{FlashDevice, Nanos, Scratch};
 
-use crate::allocator::{page_to_stripe, stripe_to_page, PageAllocator, StripedRegion};
+use crate::allocator::{PageAllocator, StripedRegion};
 use crate::config::SsdConfig;
 use crate::dram::InternalDram;
 use crate::ecc::EccEngine;
@@ -35,7 +35,8 @@ pub struct PageReadView<'a> {
     pub corrected: bool,
 }
 
-/// The controller's one flash read: have the device sense the page and move
+/// The controller's one flash read: have the device sense the page at stripe
+/// position `stripe` and move
 /// it over the channel (it draws and counts the read's bit errors and lends
 /// the stored page next to them), decode it when an ECC engine is given, and
 /// lend out the bytes the decode leaves. A read without raw errors, or one
@@ -51,9 +52,9 @@ fn read_decoded<'d>(
     device: &'d mut FlashDevice,
     ecc: Option<&mut EccEngine>,
     staging: &'d mut Vec<u8>,
-    addr: PageAddr,
+    stripe: usize,
 ) -> Result<PageReadView<'d>> {
-    let page = device.read_page_view(addr)?;
+    let page = device.read_page_view(stripe)?;
     let mut latency = page.meta.latency;
     let mut corrected = true;
     let mut clean = page.flips.is_empty();
@@ -81,7 +82,7 @@ fn read_decoded<'d>(
 }
 
 /// The simulated SSD controller.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct SsdController {
     config: SsdConfig,
     device: FlashDevice,
@@ -201,9 +202,8 @@ impl SsdController {
         };
         let mut run_programmed = false;
         for stripe in region.start..region.start + region.len {
-            let addr = stripe_to_page(&self.config.geometry, stripe);
-            let programmed = self.device.is_programmed(addr).unwrap_or(false);
-            if programmed {
+            let programmed = self.device.is_programmed(stripe);
+            if let (true, Ok(addr)) = (programmed, self.config.geometry.stripe_addr(stripe)) {
                 self.maintenance.mark_invalid(addr);
             }
             if programmed != run_programmed {
@@ -230,11 +230,9 @@ impl SsdController {
     /// Propagates flash erase errors.
     pub fn reclaim_invalid_blocks(&mut self) -> Result<(usize, Nanos)> {
         let (erased, latency) = self.maintenance.reclaim_invalid_blocks(&mut self.device)?;
-        let geometry = &self.config.geometry;
-        for block in &erased {
-            for page in 0..geometry.pages_per_block {
-                let addr = PageAddr::new(block.channel, block.die, block.plane, block.block, page);
-                self.allocator.mark_erased(page_to_stripe(geometry, addr));
+        for &block in &erased {
+            for stripe in self.config.geometry.block_stripes(block) {
+                self.allocator.mark_erased(stripe);
             }
         }
         Ok((erased.len(), latency))
@@ -276,28 +274,26 @@ impl SsdController {
         offset: usize,
         kind: RegionKind,
     ) -> Result<PageReadView<'_>> {
-        let addr = region.page_at(&self.config.geometry, offset)?;
-        self.read_page_view(addr, kind)
+        self.read_page_view(region.stripe_at(offset)?, kind)
     }
 
-    /// [`SsdController::read_region_page_view`] of a page whose address was
-    /// already resolved (by [`SsdController::scan_region_page`]): counted,
-    /// timed and decoded the same way, without translating the region
-    /// offset a second time.
+    /// [`SsdController::read_region_page_view`] of the page at stripe
+    /// position `stripe` (as [`SsdController::scan_region_page`] hands it
+    /// back): counted, timed and decoded the same way.
     ///
     /// # Errors
     ///
     /// Propagates flash read errors.
-    pub fn read_page_view(&mut self, addr: PageAddr, kind: RegionKind) -> Result<PageReadView<'_>> {
+    pub fn read_page_view(&mut self, stripe: usize, kind: RegionKind) -> Result<PageReadView<'_>> {
         let ecc = self.config.hybrid.needs_ecc(kind).then_some(&mut self.ecc);
-        let mut view = read_decoded(&mut self.device, ecc, &mut self.staging.0, addr)?;
+        let mut view = read_decoded(&mut self.device, ecc, &mut self.staging.0, stripe)?;
         // Staging the page in controller DRAM before it moves to the host.
         view.latency += self.dram.write(view.data.len());
         Ok(view)
     }
 
     /// Borrow the stored bytes of a region page for a read-only scan shard:
-    /// the resolved physical address, the user data and the OOB bytes.
+    /// the page's stripe position, the user data and the OOB bytes.
     ///
     /// Unlike [`SsdController::read_region_page_view`] this stages nothing
     /// in DRAM and records no statistics — shard workers account their own
@@ -315,22 +311,10 @@ impl SsdController {
         &self,
         region: &StripedRegion,
         offset: usize,
-    ) -> Result<(PageAddr, &[u8], &[u8])> {
-        let addr = region.page_at(&self.config.geometry, offset)?;
-        let (data, oob, _scheme) = self.device.stored_page(addr)?;
-        Ok((addr, data, oob))
-    }
-
-    /// Translate a page address helper for a region offset (convenience for
-    /// the in-storage engine).
-    ///
-    /// # Errors
-    ///
-    /// Returns
-    /// [`SsdError::RegionOutOfBounds`](crate::SsdError::RegionOutOfBounds)
-    /// if the offset exceeds the region.
-    pub fn region_page(&self, region: &StripedRegion, offset: usize) -> Result<PageAddr> {
-        region.page_at(&self.config.geometry, offset)
+    ) -> Result<(usize, &[u8], &[u8])> {
+        let stripe = region.stripe_at(offset)?;
+        let (data, oob, _scheme) = self.device.stored_page(stripe)?;
+        Ok((stripe, data, oob))
     }
 }
 
@@ -406,6 +390,7 @@ mod tests {
         kind: RegionKind,
     ) -> (Vec<u8>, Vec<u8>, Nanos, bool, usize) {
         let addr = region.page_at(&ssd.config.geometry, offset).unwrap();
+        let stripe = region.stripe_at(offset).unwrap();
         let errors_before = ssd.device.stats().injected_bit_errors;
         let mut latency = ssd.device.sense_page(addr).unwrap();
         let bit_errors = (ssd.device.stats().injected_bit_errors - errors_before) as usize;
@@ -419,7 +404,7 @@ mod tests {
             latency += outcome.latency;
             corrected = outcome.corrected;
             if corrected && bit_errors > 0 {
-                data = ssd.device.stored_page(addr).unwrap().0.to_vec();
+                data = ssd.device.stored_page(stripe).unwrap().0.to_vec();
             }
         }
         latency += ssd.dram.write(data.len());
@@ -477,7 +462,8 @@ mod tests {
                 // it in exactly the injected bits. Nothing reached the
                 // plane's latch.
                 let addr = region.page_at(&config.geometry, page).unwrap();
-                let (stored, _, _) = new.device.stored_page(addr).unwrap();
+                let stripe = region.stripe_at(page).unwrap();
+                let (stored, _, _) = new.device.stored_page(stripe).unwrap();
                 let differing: u32 = data
                     .iter()
                     .zip(stored)
@@ -604,16 +590,19 @@ mod tests {
             },
             ..SsdConfig::tiny()
         };
-        let mut a = SsdController::new(config);
         let short_kind = RegionKind::BinaryEmbeddings;
         let tlc_kind = RegionKind::Documents;
-        let short = a.reserve_region("db0/short", 1).unwrap();
-        let tlc = a.reserve_region("db0/tlc", 1).unwrap();
-        a.program_region_page(&short, 0, short_kind, &[0x3C; 40], &[])
-            .unwrap();
-        a.program_region_page(&tlc, 0, tlc_kind, &[0x99; 4096], &[])
-            .unwrap();
-        let mut b = a.clone();
+        let build = || {
+            let mut ssd = SsdController::new(config);
+            let short = ssd.reserve_region("db0/short", 1).unwrap();
+            let tlc = ssd.reserve_region("db0/tlc", 1).unwrap();
+            ssd.program_region_page(&short, 0, short_kind, &[0x3C; 40], &[])
+                .unwrap();
+            ssd.program_region_page(&tlc, 0, tlc_kind, &[0x99; 4096], &[])
+                .unwrap();
+            (ssd, short, tlc)
+        };
+        let ((mut a, short, tlc), (mut b, _, _)) = (build(), build());
 
         let uncorrectable = owned(a.read_region_page_view(&tlc, 0, tlc_kind).unwrap());
         assert!(!uncorrectable.2);
@@ -646,8 +635,8 @@ mod tests {
         )
         .unwrap();
         let before = counters(&ssd);
-        let (addr, data, oob) = ssd.scan_region_page(&region, 1).unwrap();
-        assert_eq!(addr, region.page_at(&ssd.config().geometry, 1).unwrap());
+        let (stripe, data, oob) = ssd.scan_region_page(&region, 1).unwrap();
+        assert_eq!(stripe, region.start + 1);
         assert_eq!(data.len(), ssd.config().geometry.page_size_bytes);
         assert_eq!(data[0], 0x5A);
         assert_eq!(&oob[..3], &[9, 8, 7]);
@@ -664,7 +653,7 @@ mod tests {
         let kind = RegionKind::BinaryEmbeddings;
         ssd.program_region_page(&region, 1, kind, &[0x3C; 4096], &[4, 2])
             .unwrap();
-        let (addr, _, _) = ssd.scan_region_page(&region, 1).unwrap();
+        let (stripe, _, _) = ssd.scan_region_page(&region, 1).unwrap();
         let delta = |ssd: &SsdController, (flash, dram, ecc): (FlashStats, u64, u64)| {
             let (now_flash, now_dram, now_ecc) = counters(ssd);
             (
@@ -677,25 +666,27 @@ mod tests {
         let by_region = owned(ssd.read_region_page_view(&region, 1, kind).unwrap());
         let region_cost = delta(&ssd, before);
         let before = counters(&ssd);
-        let by_addr = owned(ssd.read_page_view(addr, kind).unwrap());
+        let by_addr = owned(ssd.read_page_view(stripe, kind).unwrap());
         assert_eq!(by_addr, by_region);
         assert_eq!(delta(&ssd, before), region_cost);
         assert_eq!(region_cost.0.page_reads, 1);
     }
 
-    /// The flash activity a twin recorded, folded into the controller it was
-    /// cloned from, leaves both devices with the same counters — the way a
-    /// sharded scan hands its tally back.
+    /// The flash activity a twin recorded, folded into a controller that
+    /// was built the same way, leaves both devices with the same counters —
+    /// the way a sharded scan hands its tally back.
     #[test]
     fn activity_snapshot_absorb_roundtrip() {
-        let mut primary = controller();
-        let region = primary.reserve_region("db0/documents", 2).unwrap();
-        for page in 0..2 {
-            primary
-                .program_region_page(&region, page, RegionKind::Documents, &[1u8; 512], &[])
-                .unwrap();
-        }
-        let mut replica = primary.clone();
+        let build = || {
+            let mut ssd = controller();
+            let region = ssd.reserve_region("db0/documents", 2).unwrap();
+            for page in 0..2 {
+                ssd.program_region_page(&region, page, RegionKind::Documents, &[1u8; 512], &[])
+                    .unwrap();
+            }
+            (ssd, region)
+        };
+        let ((mut primary, region), (mut replica, _)) = (build(), build());
         let before = *replica.device().stats();
         for page in 0..2 {
             replica
@@ -729,7 +720,7 @@ mod tests {
                     // Reserve, and program none, some or all of the pages.
                     0..=2 => {
                         let unprogrammed = |stripe: usize| {
-                            !ssd.device().is_programmed(stripe_to_page(&geometry, stripe)).unwrap()
+                            !ssd.device().is_programmed(stripe)
                         };
                         let window = released.iter().copied().find(|&start| {
                             (start..start + pages)
