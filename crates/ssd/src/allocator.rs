@@ -252,6 +252,38 @@ mod tests {
     }
 
     #[test]
+    fn stripe_mapping_round_trips_and_rotates_planes() {
+        let geom = Geometry::tiny();
+        let planes = geom.total_planes();
+        let whole = PageAllocator::new(&geom)
+            .reserve(geom.total_pages())
+            .unwrap();
+        let addrs = pages(&whole, &geom);
+        let mut seen = HashSet::new();
+        for (stripe, &addr) in addrs.iter().enumerate() {
+            geom.check_page(addr).unwrap();
+            assert_eq!(geom.stripe_index(addr), stripe);
+            assert!(seen.insert(addr), "stripe mapping must be injective");
+        }
+        // Consecutive stripes hit distinct planes until every plane was used.
+        let unique: HashSet<_> = addrs[..planes]
+            .iter()
+            .map(|addr| geom.plane_index(addr.plane_addr()))
+            .collect();
+        assert_eq!(
+            unique.len(),
+            planes,
+            "first {planes} stripes must cover all planes"
+        );
+        // A region reaching past the device reports an error, not a panic.
+        let beyond = StripedRegion {
+            start: geom.total_pages(),
+            len: 1,
+        };
+        assert!(matches!(beyond.page_at(&geom, 0), Err(SsdError::Nand(_))));
+    }
+
+    #[test]
     fn regions_are_disjoint_and_in_bounds() {
         let geom = Geometry::tiny();
         let mut alloc = PageAllocator::new(&geom);
