@@ -13,7 +13,7 @@ use reis_ann::topk::{quickselect_by_key, select_k_nearest, Neighbor};
 use reis_nand::array::FlashDevice;
 use reis_nand::cell::ProgramScheme;
 use reis_nand::geometry::{Geometry, PageAddr};
-use reis_nand::peripheral::{FailBitCounter, XorLogic};
+use reis_nand::peripheral::PassFailChecker;
 use reis_workloads::{DatasetProfile, SyntheticDataset};
 
 use reis_kernels::reference as bytewise;
@@ -25,8 +25,10 @@ fn bench_in_plane_distance(c: &mut Criterion) {
     let broadcast: Vec<u8> = query.iter().cycle().take(16 * 1024).copied().collect();
     c.bench_function("in_plane_xor_popcount_page", |b| {
         b.iter(|| {
-            let xored = XorLogic::xor(&page, &broadcast);
-            FailBitCounter::count_per_chunk(&xored, 128)
+            let (mut xored, mut counts) = (Vec::new(), Vec::new());
+            reis_kernels::xor_bytes_into(&page, &broadcast, &mut xored);
+            reis_kernels::count_per_chunk_into(&xored, 128, &mut counts);
+            counts
         })
     });
     // The same sweep with the byte-wise seed kernels: the ratio of these two
@@ -45,8 +47,8 @@ fn bench_in_plane_distance(c: &mut Criterion) {
     let mut counts = Vec::new();
     c.bench_function("in_plane_xor_popcount_page_reused_buffers", |b| {
         b.iter(|| {
-            XorLogic::xor_into(&page, &broadcast, &mut xor_buf);
-            FailBitCounter::count_per_chunk_into(&xor_buf, 128, &mut counts);
+            reis_kernels::xor_bytes_into(&page, &broadcast, &mut xor_buf);
+            reis_kernels::count_per_chunk_into(&xor_buf, 128, &mut counts);
             counts.len()
         })
     });
@@ -60,7 +62,7 @@ fn bench_in_plane_distance(c: &mut Criterion) {
     let mut fused_counts = Vec::new();
     c.bench_function("in_plane_fused_8query_page", |b| {
         b.iter(|| {
-            FailBitCounter::count_fused_into(&page, 128, &query_refs, &mut fused_counts);
+            reis_kernels::fused_hamming_per_chunk_into(&page, 128, &query_refs, &mut fused_counts);
             fused_counts.len()
         })
     });
@@ -172,12 +174,15 @@ fn bench_flash_device_scan(c: &mut Criterion) {
     device
         .program_page(addr, &page, &[], ProgramScheme::EnhancedSlc)
         .unwrap();
-    device.input_broadcast(0, 0, &[0x55u8; 64], true).unwrap();
-    c.bench_function("flash_device_sense_xor_count", |b| {
+    // What the scan's sensing reader does per page: sense by stripe
+    // position, build the sensed page in a reused buffer, then XOR, count
+    // and check every slot in the peripheral's one pass.
+    let (mut sensed, mut hits) = (Vec::new(), Vec::new());
+    c.bench_function("flash_device_sense_fused_filter", |b| {
         b.iter(|| {
-            device.sense_page(addr).unwrap();
-            device.xor_latches(addr.plane_addr()).unwrap();
-            device.count_fail_bits(addr.plane_addr(), 64).unwrap()
+            device.sense(0).unwrap().sensed_into(&mut sensed);
+            PassFailChecker::filter_fused(&sensed, 64, 64, &[&[0x55; 64]], &[256], &mut hits);
+            hits.len()
         })
     });
 }

@@ -69,8 +69,8 @@ impl Default for Optimizations {
 /// the flash-internal parallelism shortens the *latency* of one query, not
 /// just the throughput of many (Sec. 4.3.4). The simulator mirrors that
 /// with pool tasks, one per scan shard, each owning its own Temporal Top
-/// Lists; see `reis_nand::sharding` for the geometry-aware plan and
-/// [`crate::scan`] for the execution and merge.
+/// Lists and a contiguous run of the scan's pages; see [`crate::scan`] for
+/// the split, the execution and the merge.
 ///
 /// The default ([`ScanParallelism::auto`]) leaves the shard budget to the
 /// caller's context: the host's available parallelism for a single query,
@@ -182,7 +182,7 @@ pub struct ReisConfig {
     /// Bytes of one Temporal-Top-List entry on the flash channel, excluding
     /// the embedding itself (DIST + EADR + RADR + DADR + TAG).
     pub ttl_metadata_bytes: usize,
-    /// Scan sharding across the device's channel/die units.
+    /// Intra-query scan sharding, capped by the device's channel×die units.
     pub scan_parallelism: ScanParallelism,
     /// Which scans tighten the distance-filter threshold adaptively (see
     /// [`ReisConfig::with_adaptive_filtering`]). Defaults to
@@ -202,9 +202,9 @@ pub struct ReisConfig {
     /// uses. Smaller windows tighten sooner — fewer transferred entries,
     /// more barrier quickselects, and *less shardable work per window*:
     /// under the default 16-page [`ScanParallelism::min_pages_per_shard`]
-    /// only windows of ≥ 32 pages actually split across channel/die
-    /// workers, so the 4-page default (tuned for transfer cuts) runs its
-    /// windows sequentially. Deployments that want adaptive scans to
+    /// only windows of ≥ 32 pages actually split across scan shards, so
+    /// the 4-page default (tuned for transfer cuts) runs its windows
+    /// sequentially. Deployments that want adaptive scans to
     /// parallelize choose a larger window (`reis-perf` reports the barriers
     /// a query pays as `core.fine_windows_per_op`) or a lower per-shard
     /// minimum; the *results and entry counts* are identical either way —

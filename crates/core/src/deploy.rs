@@ -552,12 +552,12 @@ mod tests {
         let oob_layout = deployed.oob_layout(geom.oob_size_bytes).unwrap();
         // Read back the OOB of the first database-embedding page and verify
         // every entry's DADR equals the original id recorded at deployment.
-        let record = deployed.record;
-        let addr = record
+        let stripe = deployed
+            .record
             .embedding_region
-            .page_at(&geom, deployed.layout.centroid_pages)
+            .stripe_at(deployed.layout.centroid_pages)
             .unwrap();
-        let (oob, _) = ssd.device_mut().read_oob(addr).unwrap();
+        let oob = ssd.device_mut().sense(stripe).unwrap().oob.to_vec();
         for slot in 0..deployed.layout.embeddings_per_page.min(deployed.entries()) {
             let entry = oob_layout.unpack_entry(&oob, slot).unwrap();
             assert_eq!(entry.dadr, deployed.storage_to_original[slot]);

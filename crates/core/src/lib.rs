@@ -13,7 +13,7 @@
 //!   Lists).
 //! * [`scan`] — the scan core: the one executor behind every search entry
 //!   point (Input Broadcasting, in-plane XOR + fail-bit counting, distance
-//!   filtering, adaptive thresholds, channel/die sharding — see
+//!   filtering, adaptive thresholds, intra-query sharding — see
 //!   [`config::ScanParallelism`] — and the query lifecycle around them). A
 //!   batch senses each probed page once for all its queries; a single
 //!   search is a batch of one. The same lifecycle runs quickselect, INT8

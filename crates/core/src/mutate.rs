@@ -148,7 +148,7 @@ fn nearest_cluster(
         let (_, data, _) = ssd.scan_region_page(&db.record.embedding_region, page)?;
         pages_read += 1;
         // The borrowed read stands in for an in-plane sense; price it like
-        // `sense_page` would.
+        // `FlashDevice::sense` would.
         latency += timing.read_latency(scheme) + timing.t_command_overhead;
         for slot in 0..layout.embeddings_per_page {
             let cluster = page * layout.embeddings_per_page + slot;

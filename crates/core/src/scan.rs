@@ -75,11 +75,18 @@
 //! is one slot long — so the kernel reads what was written, while every
 //! counter goes on saying what the plane does: a full page of slots. On a
 //! device whose embedding scheme injects read errors the page must be
-//! sensed through the plane's latch so the errors land in the scored bytes;
-//! that reader needs the page's plane, so it resolves the physical address,
-//! and it mutates the device and therefore runs on one shard.
-//! [`reis_nand::FlashDevice::read_is_error_free`] decides — it is something
-//! the core observes, not an option.
+//! sensed ([`reis_nand::FlashDevice::sense`], at the same stripe position)
+//! so the errors land in the scored bytes: that reader builds the sensed
+//! page in a buffer of its own, standing in for the plane's sensing latch,
+//! and since every sense advances the device's error stream it runs on one
+//! shard. [`reis_nand::FlashDevice::read_is_error_free`] decides — it is
+//! something the core observes, not an option. Neither reader builds a
+//! physical page address.
+//!
+//! A sharded chunk is cut, in chunk order, into contiguous page runs of
+//! nearly equal length, one per shard (`cut_into_runs`). Shards are how the
+//! host spreads the simulation over its cores: the modelled device time
+//! prices the whole scan's activity, whichever shard read a page.
 //!
 //! Reranking and document retrieval sort their slots by flash page and read
 //! each page once through the controller's borrowed read
@@ -110,9 +117,8 @@ use std::time::Instant;
 
 use reis_ann::topk::Neighbor;
 use reis_ann::vector::Int8Vector;
-use reis_nand::latch::Latch;
 use reis_nand::peripheral::PassFailChecker;
-use reis_nand::{prefetch, FlashStats, FusedHit, Nanos, OobEntry, OobLayout, ScanShardPlan};
+use reis_nand::{prefetch, FlashStats, FusedHit, Nanos, OobEntry, OobLayout};
 use reis_sched::WorkerPool;
 use reis_ssd::{RegionKind, SsdController, StripedRegion};
 use reis_telemetry::{
@@ -634,10 +640,13 @@ enum PageReader<'a> {
         controller: &'a SsdController,
         senses: u64,
     },
-    /// Error-injecting regions: sense the page into its plane's latch — the
-    /// device injects the read errors and counts the sense itself — and
-    /// score the latched bytes.
-    Latch(&'a mut SsdController),
+    /// Error-injecting regions: sense the page — the device draws the read
+    /// errors and counts the sense itself — and score the sensed bytes,
+    /// built in the reader's own page buffer (the plane's sensing latch).
+    Latch {
+        controller: &'a mut SsdController,
+        latch: Vec<u8>,
+    },
 }
 
 impl PageReader<'_> {
@@ -649,14 +658,10 @@ impl PageReader<'_> {
                 *senses += 1;
                 Ok((data, oob))
             }
-            PageReader::Latch(controller) => {
-                let addr = region.page_at(&controller.config().geometry, offset)?;
-                controller.device_mut().sense_page(addr)?;
-                let buffer = controller.device().page_buffer(addr.plane_addr())?;
-                Ok((
-                    buffer.read_latch(Latch::Sensing)?,
-                    buffer.oob().unwrap_or(&[]),
-                ))
+            PageReader::Latch { controller, latch } => {
+                let page = controller.device_mut().sense(region.stripe_at(offset)?)?;
+                page.sensed_into(latch);
+                Ok((latch, page.oob))
             }
         }
     }
@@ -813,6 +818,35 @@ impl<'q> PageBody<'_, 'q> {
     }
 }
 
+/// Cut the pages of `chunk` into `shards` runs of consecutive pages, in
+/// chunk order, of nearly equal length (they differ by at most one page),
+/// splitting spans at the cut points. A run is empty only when the chunk
+/// has fewer pages than there are shards.
+fn cut_into_runs(chunk: &[Span], shards: usize) -> Vec<Vec<Span>> {
+    let pages: usize = chunk.iter().map(|span| span.end - span.start).sum();
+    let mut spans = chunk.iter().copied();
+    let mut current = spans.next();
+    (0..shards)
+        .map(|shard| {
+            let mut want = (shard + 1) * pages / shards - shard * pages / shards;
+            let mut run = Vec::new();
+            while want > 0 {
+                let span = current.as_mut().expect("the runs cover the chunk's pages");
+                let take = (span.end - span.start).min(want);
+                run.push(Span {
+                    end: span.start + take,
+                    ..*span
+                });
+                (span.start, want) = (span.start + take, want - take);
+                if span.start == span.end {
+                    current = spans.next();
+                }
+            }
+            run
+        })
+        .collect()
+}
+
 /// The state of one request's scan: the plan, the per-query accumulators
 /// and the reader.
 struct Scan<'a> {
@@ -856,8 +890,7 @@ impl<'a> Scan<'a> {
         } else {
             self.window
         };
-        let geometry = self.config.ssd.geometry;
-        let scan_units = ScanShardPlan::scan_units(&geometry);
+        let scan_units = self.config.ssd.geometry.total_dies();
         let mut next = 0usize;
         let mut offset = list.spans.first().map_or(0, |span| span.start);
         let mut chunk: Vec<Span> = Vec::new();
@@ -919,7 +952,7 @@ impl<'a> Scan<'a> {
                 explain_window: self.tallies[0].counts.windows as u32,
             };
             let shards = match &self.reader {
-                PageReader::Latch(_) => 1,
+                PageReader::Latch { .. } => 1,
                 PageReader::Stored { .. } => self.config.scan_parallelism.effective_shards(
                     self.shard_budget,
                     scan_units,
@@ -933,28 +966,7 @@ impl<'a> Scan<'a> {
                     unreachable!("latch reads run on one shard");
                 };
                 let controller: &SsdController = controller;
-                // A shard owns whole channel/die units: page → unit → shard.
-                let mut work: Vec<Vec<Span>> = vec![Vec::new(); shards];
-                for span in &chunk {
-                    let plan = ScanShardPlan::build(
-                        &geometry,
-                        shards,
-                        &[(span.start, span.end)],
-                        |page| {
-                            span.region
-                                .page_at(&geometry, page)
-                                .map(|addr| addr.plane_addr())
-                        },
-                    )?;
-                    for (pieces, shard) in work.iter_mut().zip(plan.shards()) {
-                        pieces.extend(shard.ranges().iter().map(|&(start, end)| Span {
-                            start,
-                            end,
-                            ..*span
-                        }));
-                    }
-                }
-                work.retain(|pieces| !pieces.is_empty());
+                let work = cut_into_runs(&chunk, shards);
                 let explain = self.tallies[0].explain.is_some();
                 let queries = self.tallies.len();
                 let body = &body;
@@ -1168,8 +1180,10 @@ fn logical_scan_stats(coarse: &ScanCounts, fine: &ScanCounts, entry_bytes: usize
 }
 
 /// The logical flash activity of broadcasting one query into every die's
-/// cache latches (Input Broadcasting, optionally multi-plane), matching
-/// `FlashDevice::input_broadcast` counter for counter.
+/// cache latches (Input Broadcasting, optionally multi-plane): one
+/// broadcast per die, and the payload's bytes from the controller once per
+/// die with MPIBC, once per plane without. The only definition of these
+/// counters; `TimingParams::input_broadcast` prices the same transfer.
 fn broadcast_stats(config: &ReisConfig, payload_bytes: usize) -> FlashStats {
     let geometry = &config.ssd.geometry;
     let dies = (geometry.channels * geometry.dies_per_channel) as u64;
@@ -1399,7 +1413,10 @@ pub(crate) fn execute(ctx: ScanCtx<'_>, request: &Request<'_>) -> Result<Vec<Exe
             senses: 0,
         }
     } else {
-        PageReader::Latch(&mut *controller)
+        PageReader::Latch {
+            controller: &mut *controller,
+            latch: Vec::new(),
+        }
     };
     let explain = record && queries.len() == 1 && telemetry.explain_armed();
     let mut scan = Scan {
@@ -1444,7 +1461,7 @@ pub(crate) fn execute(ctx: ScanCtx<'_>, request: &Request<'_>) -> Result<Vec<Exe
     let senses = match reader {
         PageReader::Stored { senses, .. } => senses,
         // The device counted every latch sense as it happened.
-        PageReader::Latch(_) => 0,
+        PageReader::Latch { .. } => 0,
     };
 
     // ---- Fold the physical scan activity into the device *before*
@@ -1815,6 +1832,54 @@ mod tests {
                 "expected EntryNotFound({}), got {err:?}",
                 ids[0]
             );
+        }
+    }
+
+    /// Spans of one region, all scored by the pass's first query set.
+    fn spans(ranges: &[(usize, usize)]) -> Vec<Span> {
+        ranges
+            .iter()
+            .map(|&(start, end)| Span {
+                region: StripedRegion::EMPTY,
+                start,
+                end,
+                members: (0, 1),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_page_lands_in_exactly_one_shard() {
+        let chunk = spans(&[(0, 13), (20, 27)]);
+        let expected: Vec<usize> = chunk.iter().flat_map(|span| span.start..span.end).collect();
+        for shards in 1..=8 {
+            let runs = cut_into_runs(&chunk, shards);
+            assert_eq!(runs.len(), shards);
+            // One run after the other walks the chunk's pages in order.
+            let seen: Vec<usize> = runs
+                .iter()
+                .flatten()
+                .flat_map(|span| span.start..span.end)
+                .collect();
+            assert_eq!(seen, expected, "{shards} shards");
+            assert!(runs
+                .iter()
+                .flatten()
+                .all(|span| span.start < span.end && span.members == (0, 1)));
+        }
+    }
+
+    #[test]
+    fn striped_scans_balance_to_within_one_unit() {
+        let chunk = spans(&[(0, 300), (512, 513), (700, 1423)]);
+        for shards in 1..=8 {
+            let pages: Vec<usize> = cut_into_runs(&chunk, shards)
+                .iter()
+                .map(|run| run.iter().map(|span| span.end - span.start).sum())
+                .collect();
+            let (min, max) = (pages.iter().min().unwrap(), pages.iter().max().unwrap());
+            assert!(max - min <= 1, "{shards} shards: {pages:?}");
+            assert_eq!(pages.iter().sum::<usize>(), 1024);
         }
     }
 

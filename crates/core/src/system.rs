@@ -753,8 +753,8 @@ impl ReisSystem {
     /// sensed once, and the fused multi-query kernel scores it against every
     /// query whose selection covers it — the same sense-amortization REIS
     /// applies to in-flight query batches. The scan additionally shards
-    /// across up to `workers` (capped at the host's parallelism)
-    /// channel/die workers — adaptive scans included, chunked at their
+    /// across up to `workers` (capped at the host's parallelism) scan
+    /// shards — adaptive scans included, chunked at their
     /// window barriers — unless the configured [`ScanParallelism`] names a
     /// shard count of its own. Per-query results, documents, activity and
     /// modelled latency/energy are bit-identical to running

@@ -2,17 +2,16 @@
 //!
 //! [`FlashDevice`] is the functional-plus-timing model of the NAND flash
 //! array of one SSD. Every operation both mutates the simulated state (page
-//! contents, latch contents, erase counters) and returns the simulated
-//! latency of the operation, so higher layers can compose latencies with or
-//! without pipelining while relying on functionally correct data.
+//! contents, erase counters, the read-error stream) and returns the
+//! simulated latency of the operation, so higher layers can compose
+//! latencies with or without pipelining while relying on functionally
+//! correct data.
 
 use serde::{Deserialize, Serialize};
 
 use crate::cell::ProgramScheme;
 use crate::error::{NandError, Result};
-use crate::geometry::{BlockAddr, Geometry, PageAddr, PlaneAddr};
-use crate::latch::{Latch, PageBuffer};
-use crate::peripheral::{FailBitCounter, XorLogic};
+use crate::geometry::{BlockAddr, Geometry, PageAddr};
 use crate::reliability::{apply_read_errors, ReliabilityModel, SplitMix64};
 use crate::stats::FlashStats;
 use crate::timing::{Nanos, TimingParams};
@@ -21,9 +20,10 @@ use crate::timing::{Nanos, TimingParams};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct Page {
     /// The user data as programmed: the bytes the program supplied, without
-    /// the zeros that fill the rest of the page. A sense pads them to a full
-    /// page in the latch; a page holding one embedding costs neither a page
-    /// of memory to keep nor a page of memory traffic to read.
+    /// the zeros that fill the rest of the page. A read pads them to a full
+    /// page ([`PageView::stored_into`]); a page holding one embedding costs
+    /// neither a page of memory to keep nor a page of memory traffic to
+    /// read.
     data: Vec<u8>,
     oob: Vec<u8>,
     scheme: ProgramScheme,
@@ -78,19 +78,6 @@ fn not_programmed(geometry: &Geometry, stripe: usize) -> NandError {
         .map_or_else(|e| e, NandError::PageNotProgrammed)
 }
 
-/// Count one array sense that took `bit_errors` raw errors — into the latch
-/// or on its way to the controller — and return its latency.
-fn count_sense(
-    stats: &mut FlashStats,
-    timing: &TimingParams,
-    scheme: ProgramScheme,
-    bit_errors: usize,
-) -> Nanos {
-    stats.page_reads += 1;
-    stats.injected_bit_errors += bit_errors as u64;
-    timing.read_latency(scheme) + timing.t_command_overhead
-}
-
 /// A reusable buffer that is no part of its owner's state: it compares equal
 /// to any other, so two devices (or controllers) that hold the same data and
 /// counters are equal whatever their last read left in scratch.
@@ -113,14 +100,14 @@ pub struct PageReadMeta {
     pub scheme: ProgramScheme,
     /// Number of raw bit errors injected into this read.
     pub bit_errors: usize,
-    /// Simulated latency of the read, including the channel transfer.
+    /// Simulated latency of the read: the sense, plus the channel transfer
+    /// when the page went to the controller.
     pub latency: Nanos,
 }
 
-/// A page read that reached the SSD controller, borrowed from the device
-/// instead of copied out of it (see [`FlashDevice::read_page_view`]): the
-/// sensed page is the stored page plus the bit positions this read got
-/// wrong.
+/// A page read, borrowed from the device instead of copied out of it (see
+/// [`FlashDevice::sense`] and [`FlashDevice::read_page_view`]): the sensed
+/// page is the stored page plus the bit positions this read got wrong.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageView<'a> {
     /// The user data as programmed, without the zeros that fill the rest of
@@ -134,7 +121,7 @@ pub struct PageView<'a> {
     /// The raw bit errors of this read, as bit positions within the page
     /// (`meta.bit_errors` of them; a position listed twice flips back).
     pub flips: &'a [u32],
-    /// Size of the full page in bytes: what the channel moved.
+    /// Size of the full page in bytes: what the plane sensed.
     pub page_size: usize,
     /// Scheme, injected bit errors and latency of the read.
     pub meta: PageReadMeta,
@@ -150,9 +137,8 @@ impl PageView<'_> {
     }
 
     /// Write the page as sensed into `out` (cleared first): the page as
-    /// programmed with this read's bit errors applied — byte for byte what
-    /// [`FlashDevice::sense_page`] at the same position of the error stream
-    /// leaves in the plane's sensing latch.
+    /// programmed with this read's bit errors applied — the bytes the
+    /// plane's in-plane computation and the channel see.
     pub fn sensed_into(&self, out: &mut Vec<u8>) {
         self.stored_into(out);
         apply_read_errors(out, self.flips);
@@ -204,9 +190,6 @@ pub struct FlashDevice {
     store: PageStore,
     /// Erase cycles per block, indexed by [`FlashDevice::block_index`].
     erase_counts: Vec<u64>,
-    /// One page buffer per plane, in [`Geometry::plane_index`] order: the
-    /// latches a sense fills and the in-plane operations compute on.
-    buffers: Vec<PageBuffer>,
     stats: FlashStats,
     /// The bit errors of the most recent read, as drawn.
     flips: Scratch<Vec<u32>>,
@@ -227,10 +210,6 @@ impl FlashDevice {
         reliability: ReliabilityModel,
         seed: u64,
     ) -> Self {
-        let buffers = geometry
-            .planes()
-            .map(|addr| PageBuffer::new(addr, geometry.page_size_bytes))
-            .collect();
         FlashDevice {
             geometry,
             timing,
@@ -238,7 +217,6 @@ impl FlashDevice {
             rng: SplitMix64::new(seed),
             store: PageStore::new(&geometry),
             erase_counts: vec![0; geometry.total_blocks()],
-            buffers,
             stats: FlashStats::new(),
             flips: Scratch::default(),
         }
@@ -262,11 +240,6 @@ impl FlashDevice {
         self.stats.accumulate(delta);
     }
 
-    fn plane_index(&self, addr: PlaneAddr) -> Result<usize> {
-        self.geometry.check_plane(addr)?;
-        Ok(self.geometry.plane_index(addr))
-    }
-
     /// The stripe position of a valid page address.
     fn stripe_of(&self, addr: PageAddr) -> Result<usize> {
         self.geometry.check_page(addr)?;
@@ -276,21 +249,12 @@ impl FlashDevice {
     /// The dense index of a valid block address: plane by plane, in
     /// [`Geometry::plane_index`] order.
     fn block_index(&self, addr: BlockAddr) -> Result<usize> {
-        let plane = self.plane_index(addr.plane_addr())?;
+        self.geometry.check_plane(addr.plane_addr())?;
+        let plane = self.geometry.plane_index(addr.plane_addr());
         if addr.block >= self.geometry.blocks_per_plane {
             return Err(NandError::BlockOutOfRange(addr));
         }
         Ok(plane * self.geometry.blocks_per_plane + addr.block)
-    }
-
-    /// Immutable access to the page buffer of a plane.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NandError::AddressOutOfRange`] for an invalid plane address.
-    pub fn page_buffer(&self, addr: PlaneAddr) -> Result<&PageBuffer> {
-        let idx = self.plane_index(addr)?;
-        Ok(&self.buffers[idx])
     }
 
     /// Whether the page at stripe position `stripe` has been programmed
@@ -376,59 +340,42 @@ impl FlashDevice {
         Ok(transfer + self.timing.program_latency(scheme) + self.timing.t_command_overhead)
     }
 
-    /// Sense a page into its plane's sensing latch without transferring it to
-    /// the controller, injecting the read's bit errors there. This is the
-    /// read half of REIS's in-plane distance computation.
+    /// Sense the page at stripe position `stripe` — the one array read of
+    /// the device: draw the read's bit errors from the device's error
+    /// stream, count the sense (`page_reads`, `injected_bit_errors`) and lend
+    /// out the stored page next to the list of bits this read got wrong.
+    /// `meta.latency` is the sense latency; nothing moves over the channel.
+    /// This is the read half of REIS's in-plane distance computation: whoever
+    /// computes on the sensed bytes materialises them
+    /// ([`PageView::sensed_into`]).
     ///
-    /// # Errors
-    ///
-    /// Returns [`NandError::PageNotProgrammed`] if the page holds no data, or
-    /// [`NandError::AddressOutOfRange`] for an invalid address.
-    pub fn sense_page(&mut self, addr: PageAddr) -> Result<Nanos> {
-        let stripe = self.stripe_of(addr)?;
-        // The stored page (borrowed from the store) is copied into the
-        // plane's buffer (a disjoint field) without cloning it first: a scan
-        // re-senses thousands of pages into the same latch buffers.
-        let page = self
-            .store
-            .get(stripe)
-            .ok_or(NandError::PageNotProgrammed(addr))?;
-        let idx = self.geometry.plane_index(addr.plane_addr());
-        let latch = self.buffers[idx].load_sensing_copy(&page.data, &page.oob);
-        let bit_errors = self.reliability.inject_read_errors(
-            latch,
-            page.scheme,
-            &mut self.rng,
-            &mut self.flips.0,
-        );
-        Ok(count_sense(
-            &mut self.stats,
-            &self.timing,
-            page.scheme,
-            bit_errors,
-        ))
-    }
-
-    /// Read the page at stripe position `stripe` all the way to the
-    /// controller without copying it: draw the read's bit errors, count and
-    /// time the sense and the channel transfer of user data and OOB bytes
-    /// exactly as a sense into the latch followed by a transfer would, and
-    /// lend out the stored page next to the list of bits this read got
-    /// wrong. Every other page read to the controller is a copy of this one.
-    ///
-    /// Nothing is copied and the plane's page buffer is left as it was: the
-    /// errors of a read must not land in the array, and a list of positions
-    /// keeps them out of it as well as a latch full of flipped bytes does.
-    /// Whoever needs the errored bytes materialises them
-    /// ([`PageView::sensed_into`]); the in-plane operations, which compute
-    /// on the latch, go through [`FlashDevice::sense_page`].
+    /// The errors of a read never land in the array: the stored page stays
+    /// as programmed, and the next read draws its own.
     ///
     /// # Errors
     ///
     /// Returns [`NandError::PageNotProgrammed`] if the page at stripe
     /// position `stripe` holds no data, or [`NandError::AddressOutOfRange`]
     /// for a position off the device.
+    pub fn sense(&mut self, stripe: usize) -> Result<PageView<'_>> {
+        self.read(stripe, false)
+    }
+
+    /// Read the page at stripe position `stripe` all the way to the
+    /// controller without copying it: [`FlashDevice::sense`] plus the channel
+    /// transfer of user data and OOB bytes, counted (`bytes_to_controller`)
+    /// and timed. Every other page read to the controller is a copy of this
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`FlashDevice::sense`].
     pub fn read_page_view(&mut self, stripe: usize) -> Result<PageView<'_>> {
+        self.read(stripe, true)
+    }
+
+    /// A sense, moved to the controller when `transfer` is set.
+    fn read(&mut self, stripe: usize, transfer: bool) -> Result<PageView<'_>> {
         let Page { data, oob, scheme } = self
             .store
             .get(stripe)
@@ -437,9 +384,14 @@ impl FlashDevice {
         self.reliability
             .draw_read_errors(page_size, scheme, &mut self.rng, &mut self.flips.0);
         let bit_errors = self.flips.0.len();
-        let sense_latency = count_sense(&mut self.stats, &self.timing, scheme, bit_errors);
-        let bytes = page_size + oob.len();
-        self.stats.bytes_to_controller += bytes as u64;
+        self.stats.page_reads += 1;
+        self.stats.injected_bit_errors += bit_errors as u64;
+        let mut latency = self.timing.read_latency(scheme) + self.timing.t_command_overhead;
+        if transfer {
+            let bytes = page_size + oob.len();
+            self.stats.bytes_to_controller += bytes as u64;
+            latency += self.timing.channel_transfer(bytes);
+        }
         Ok(PageView {
             stored: data,
             oob,
@@ -448,7 +400,7 @@ impl FlashDevice {
             meta: PageReadMeta {
                 scheme,
                 bit_errors,
-                latency: sense_latency + self.timing.channel_transfer(bytes),
+                latency,
             },
         })
     }
@@ -457,7 +409,7 @@ impl FlashDevice {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`FlashDevice::sense_page`].
+    /// Same conditions as [`FlashDevice::sense`].
     pub fn read_page(&mut self, addr: PageAddr) -> Result<PageReadout> {
         let (mut data, mut oob) = (Vec::new(), Vec::new());
         let meta = self.read_page_into(addr, &mut data, &mut oob)?;
@@ -477,7 +429,7 @@ impl FlashDevice {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`FlashDevice::sense_page`].
+    /// Same conditions as [`FlashDevice::sense`].
     pub fn read_page_into(
         &mut self,
         addr: PageAddr,
@@ -492,127 +444,19 @@ impl FlashDevice {
         Ok(view.meta)
     }
 
-    /// Read only the OOB bytes of a page to the controller.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FlashDevice::sense_page`].
-    pub fn read_oob(&mut self, addr: PageAddr) -> Result<(Vec<u8>, Nanos)> {
-        let sense_latency = self.sense_page(addr)?;
-        let idx = self.geometry.plane_index(addr.plane_addr());
-        let oob = self.buffers[idx].oob().unwrap_or(&[]).to_vec();
-        self.stats.bytes_to_controller += oob.len() as u64;
-        let latency = sense_latency + self.timing.channel_transfer(oob.len());
-        Ok((oob, latency))
-    }
-
-    /// Broadcast a query payload into the cache latches of every plane of one
-    /// die (Input Broadcasting). With `multi_plane` set, all planes latch the
-    /// payload simultaneously (MPIBC), paying the die-I/O transfer only once.
-    ///
-    /// # Errors
-    ///
-    /// * [`NandError::AddressOutOfRange`] for an invalid channel/die.
-    /// * [`NandError::InvalidBroadcastPayload`] if the payload does not
-    ///   evenly divide the page size.
-    pub fn input_broadcast(
-        &mut self,
-        channel: usize,
-        die: usize,
-        payload: &[u8],
-        multi_plane: bool,
-    ) -> Result<Nanos> {
-        self.geometry.check_plane(PlaneAddr::new(channel, die, 0))?;
-        for plane in 0..self.geometry.planes_per_die {
-            let idx = self
-                .geometry
-                .plane_index(PlaneAddr::new(channel, die, plane));
-            self.buffers[idx].broadcast_into_cache(payload)?;
-        }
-        self.stats.broadcast_ops += 1;
-        self.stats.bytes_from_controller += if multi_plane {
-            payload.len() as u64
-        } else {
-            (payload.len() * self.geometry.planes_per_die) as u64
-        };
-        Ok(self
-            .timing
-            .input_broadcast(payload.len(), self.geometry.planes_per_die, multi_plane))
-    }
-
-    /// XOR the cache latch (query copies) into the sensing latch (database
-    /// embeddings) of one plane, storing the result in the data latch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NandError::LatchEmpty`] if the plane has not both sensed a
-    /// page and received a broadcast.
-    pub fn xor_latches(&mut self, addr: PlaneAddr) -> Result<Nanos> {
-        let idx = self.plane_index(addr)?;
-        self.buffers[idx].xor_cache_into_data()?;
-        self.stats.xor_ops += 1;
-        Ok(self.timing.t_latch_xor)
-    }
-
-    /// Run the fail-bit counter over the data latch of one plane, producing
-    /// one set-bit count per `chunk_bytes` chunk (i.e. one Hamming distance
-    /// per stored embedding).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NandError::LatchEmpty`] if the data latch is empty.
-    pub fn count_fail_bits(
-        &mut self,
-        addr: PlaneAddr,
-        chunk_bytes: usize,
-    ) -> Result<(Vec<u32>, Nanos)> {
-        let mut counts = Vec::new();
-        let latency = self.count_fail_bits_into(addr, chunk_bytes, &mut counts)?;
-        Ok((counts, latency))
-    }
-
-    /// Allocation-free variant of [`FlashDevice::count_fail_bits`]: the
-    /// counts are written into `out` (cleared first), so a page-scan loop can
-    /// reuse one buffer for every page.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NandError::LatchEmpty`] if the data latch is empty.
-    pub fn count_fail_bits_into(
-        &mut self,
-        addr: PlaneAddr,
-        chunk_bytes: usize,
-        out: &mut Vec<u32>,
-    ) -> Result<Nanos> {
-        let idx = self.plane_index(addr)?;
-        let data = self.buffers[idx].read_latch(Latch::Data)?;
-        FailBitCounter::count_per_chunk_into(data, chunk_bytes, out);
-        self.stats.bit_count_ops += 1;
-        Ok(self.timing.t_fail_bit_count)
-    }
-
-    /// Transfer `bytes` from a die to the controller over its channel,
-    /// returning only the latency (the caller already holds the data, e.g.
-    /// TTL entries assembled from latch contents).
-    pub fn transfer_to_controller(&mut self, bytes: usize) -> Nanos {
-        self.stats.bytes_to_controller += bytes as u64;
-        self.timing.channel_transfer(bytes)
-    }
-
     /// Borrow the stored contents of the page at stripe position `stripe`
     /// (user data, OOB bytes and the programming scheme) without copying,
     /// error injection, timing, or statistics. The user data is lent as
     /// programmed: the bytes [`FlashDevice::program_page`] was given,
     /// without the zeros that fill the rest of the page.
     ///
-    /// This is the readout primitive of read-only scan shards
-    /// (see [`crate::sharding`]): shard workers share the device immutably,
-    /// compute distances in worker-owned latch scratch instead of the
-    /// plane's page buffer, and account their flash activity in shard-local
-    /// [`FlashStats`] that the controller absorbs
-    /// afterwards. Because no error injection happens here, callers must
-    /// only use it for schemes whose reads are error-free (ESP-SLC) if they
-    /// need bit-identical results to the latch-based read path.
+    /// This is the readout primitive of read-only scan shards: shard
+    /// workers share the device immutably, compute distances on the lent
+    /// bytes, and account their flash activity in shard-local
+    /// [`FlashStats`] that the controller absorbs afterwards. Because no
+    /// error injection happens here, callers must only use it for schemes
+    /// whose reads are error-free (ESP-SLC) if they need bit-identical
+    /// results to [`FlashDevice::sense`].
     ///
     /// # Errors
     ///
@@ -626,7 +470,7 @@ impl FlashDevice {
     /// Whether reads of pages programmed with `scheme` are error-free on
     /// this device (no raw bit errors to inject). Scan sharding relies on
     /// this to guarantee that its read-only page accesses produce exactly
-    /// the bytes a latch-based sense would.
+    /// the bytes a sense would.
     pub fn read_is_error_free(&self, scheme: ProgramScheme) -> bool {
         self.reliability.effective_ber(scheme) <= 0.0
     }
@@ -647,28 +491,13 @@ impl FlashDevice {
             .filter(|&stripe| self.is_programmed(stripe))
             .count())
     }
-
-    /// Read the raw XOR of two programmed pages, as the randomizer logic
-    /// would produce it, without going through the latches. Primarily a
-    /// verification aid for tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NandError::PageNotProgrammed`] if either page is empty.
-    pub fn xor_pages(&self, a: PageAddr, b: PageAddr) -> Result<Vec<u8>> {
-        let read = |addr: PageAddr| -> Result<Vec<u8>> {
-            let mut page = self.stored_page(self.stripe_of(addr)?)?.0.to_vec();
-            page.resize(self.geometry.page_size_bytes, 0);
-            Ok(page)
-        };
-        Ok(XorLogic::xor(&read(a)?, &read(b)?))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cell::CellMode;
+    use crate::peripheral::PassFailChecker;
 
     fn device() -> FlashDevice {
         FlashDevice::new(Geometry::tiny(), TimingParams::default())
@@ -750,54 +579,26 @@ mod tests {
         dev.program_page(page0(), &page, &[], ProgramScheme::EnhancedSlc)
             .unwrap();
 
+        // Sense the page, then XOR, count and check every slot against the
+        // broadcast query in the peripheral's one pass.
+        let mut sensed = Vec::new();
+        dev.sense(0).unwrap().sensed_into(&mut sensed);
+        let mut hits = Vec::new();
         let query = vec![0u8; emb_bytes];
-        dev.input_broadcast(0, 0, &query, true).unwrap();
-        dev.sense_page(page0()).unwrap();
-        dev.xor_latches(page0().plane_addr()).unwrap();
-        let (counts, _) = dev
-            .count_fail_bits(page0().plane_addr(), emb_bytes)
-            .unwrap();
-        assert_eq!(counts.len(), 4096 / emb_bytes);
+        PassFailChecker::filter_fused(
+            &sensed,
+            emb_bytes,
+            4096 / emb_bytes,
+            &[&query],
+            &[u32::MAX],
+            &mut hits,
+        );
+        assert_eq!(hits.len(), 4096 / emb_bytes);
         // Against an all-zero query the Hamming distance of embedding i is
         // popcount(i) * emb_bytes.
-        for (i, &count) in counts.iter().enumerate() {
+        for (i, hit) in hits.iter().enumerate() {
             let expected = (i as u8).count_ones() * emb_bytes as u32;
-            assert_eq!(count, expected, "embedding {i}");
-        }
-    }
-
-    #[test]
-    fn broadcast_reaches_all_planes_of_a_die() {
-        let mut dev = device();
-        dev.input_broadcast(1, 1, &[0xEE; 64], false).unwrap();
-        for plane in 0..Geometry::tiny().planes_per_die {
-            let buf = dev.page_buffer(PlaneAddr::new(1, 1, plane)).unwrap();
-            let cache = buf.read_latch(Latch::Cache).unwrap();
-            assert!(cache.iter().all(|&b| b == 0xEE));
-        }
-    }
-
-    #[test]
-    fn mpibc_is_cheaper_but_functionally_identical() {
-        let mut with = device();
-        let mut without = device();
-        let t_with = with.input_broadcast(0, 0, &[1u8; 128], true).unwrap();
-        let t_without = without.input_broadcast(0, 0, &[1u8; 128], false).unwrap();
-        assert!(t_with < t_without);
-        for plane in 0..Geometry::tiny().planes_per_die {
-            let a = with
-                .page_buffer(PlaneAddr::new(0, 0, plane))
-                .unwrap()
-                .read_latch(Latch::Cache)
-                .unwrap()
-                .to_vec();
-            let b = without
-                .page_buffer(PlaneAddr::new(0, 0, plane))
-                .unwrap()
-                .read_latch(Latch::Cache)
-                .unwrap()
-                .to_vec();
-            assert_eq!(a, b);
+            assert_eq!((hit.slot, hit.distance), (i as u32, expected));
         }
     }
 
@@ -833,11 +634,20 @@ mod tests {
         let esp_addr = page0();
         let tlc_addr = PageAddr::new(0, 0, 0, 0, 1);
         let short_addr = PageAddr::new(0, 0, 0, 0, 2);
-        let tlc_stripe = Geometry::tiny().stripe_index(tlc_addr);
+        let g = Geometry::tiny();
+        let (esp_stripe, tlc_stripe) = (g.stripe_index(esp_addr), g.stripe_index(tlc_addr));
+        // The in-plane flow on the operand: every 64-byte slot against a
+        // query of ones.
+        let counts = |dev: &mut FlashDevice| {
+            let (mut sensed, mut hits) = (Vec::new(), Vec::new());
+            dev.sense(esp_stripe).unwrap().sensed_into(&mut sensed);
+            PassFailChecker::filter_fused(&sensed, 64, 64, &[&[0xFF; 64]], &[u32::MAX], &mut hits);
+            hits.iter().map(|hit| hit.distance).collect::<Vec<_>>()
+        };
         // A device and its twin: the same programs and in-plane operations.
         let build = || {
             let mut dev = FlashDevice::with_reliability(
-                Geometry::tiny(),
+                g,
                 TimingParams::default(),
                 ReliabilityModel { ber_scale: 1e3 },
                 7,
@@ -853,13 +663,10 @@ mod tests {
             .unwrap();
             dev.program_page(short_addr, &[0x77; 100], &[3], ProgramScheme::EnhancedSlc)
                 .unwrap();
-            dev.input_broadcast(0, 0, &[0xFF; 64], true).unwrap();
-            dev.sense_page(esp_addr).unwrap();
-            dev.xor_latches(esp_addr.plane_addr()).unwrap();
+            assert_eq!(counts(&mut dev), vec![64 * 4; 64]);
             dev
         };
         let (mut dev, mut twin) = (build(), build());
-        let buffer = dev.page_buffer(esp_addr.plane_addr()).unwrap().clone();
 
         let view = dev.read_page_view(tlc_stripe).unwrap();
         assert!(view.meta.bit_errors > 0);
@@ -875,20 +682,65 @@ mod tests {
         );
         assert!(readout.data[100..].iter().all(|&b| b == 0));
 
-        assert_eq!(dev.page_buffer(esp_addr.plane_addr()).unwrap(), &buffer);
         assert_eq!(dev.stored_page(tlc_stripe).unwrap().0, &[0xA5; 4096][..]);
-        // The in-plane flow goes on from where it was.
-        let (counts, _) = dev.count_fail_bits(esp_addr.plane_addr(), 64).unwrap();
-        assert!(counts.iter().all(|&c| c == 64 * 4));
+        // The in-plane flow goes on as it was.
+        assert_eq!(counts(&mut dev), vec![64 * 4; 64]);
 
         // The list of flips is scratch, not state: a twin that served the
-        // same reads in the other order — its last read had none — is the
-        // same device.
+        // same reads in the other order — the last read of `dev` had none —
+        // is the same device.
+        counts(&mut twin);
         twin.read_page(short_addr).unwrap();
         assert_eq!(twin.read_page(tlc_addr).unwrap().data, sensed);
-        twin.count_fail_bits(esp_addr.plane_addr(), 64).unwrap();
         assert_ne!(twin.flips.0, dev.flips.0);
         assert!(twin == dev);
+    }
+
+    /// On a page that takes raw errors, a sense and a controller read of
+    /// twin devices yield the same sensed bytes and OOB: they differ in
+    /// exactly the channel transfer of the page and its OOB area, and leave
+    /// the error streams where the next draws agree.
+    #[test]
+    fn a_sense_is_a_controller_read_without_the_transfer() {
+        let g = Geometry::tiny();
+        let tlc = PageAddr::new(1, 0, 1, 2, 3);
+        let stripe = g.stripe_index(tlc);
+        let build = || {
+            let mut dev = FlashDevice::with_reliability(
+                g,
+                TimingParams::default(),
+                ReliabilityModel { ber_scale: 1e3 },
+                11,
+            );
+            let data: Vec<u8> = (0..3000).map(|i| (i * 7) as u8).collect();
+            dev.program_page(tlc, &data, &[0xAB], ProgramScheme::Ispp(CellMode::Tlc))
+                .unwrap();
+            dev.reset_stats();
+            dev
+        };
+        let (mut sensed_dev, mut read_dev) = (build(), build());
+        let bytes = g.page_size_bytes + g.oob_size_bytes;
+        let (mut sensed, mut read) = (Vec::new(), Vec::new());
+        for reads in 1..=3 {
+            let sense = sensed_dev.sense(stripe).unwrap();
+            sense.sensed_into(&mut sensed);
+            let (sense_oob, sense_meta) = (sense.oob.to_vec(), sense.meta);
+            let view = read_dev.read_page_view(stripe).unwrap();
+            view.sensed_into(&mut read);
+            assert!(view.meta.bit_errors > 0);
+            assert_eq!((&sensed, &sense_oob[..]), (&read, view.oob));
+            assert_eq!(
+                sense_meta.latency + TimingParams::default().channel_transfer(bytes),
+                view.meta.latency
+            );
+            assert_eq!(sense_meta.bit_errors, view.meta.bit_errors);
+            let mut moved = *sensed_dev.stats();
+            moved.bytes_to_controller += (reads * bytes) as u64;
+            assert_eq!(&moved, read_dev.stats());
+        }
+        // The next draws land on the same bits, whichever way they go.
+        let next = read_dev.sense(stripe).unwrap().flips.to_vec();
+        assert_eq!(sensed_dev.read_page_view(stripe).unwrap().flips, &next[..]);
     }
 
     #[test]
@@ -913,7 +765,7 @@ mod tests {
         dev.program_page(page0(), &[1u8; 128], &[2u8; 8], ProgramScheme::EnhancedSlc)
             .unwrap();
         dev.read_page(page0()).unwrap();
-        dev.read_oob(page0()).unwrap();
+        dev.sense(0).unwrap();
         dev.erase_block(page0().block_addr()).unwrap();
         let delta = dev.stats().delta_since(&before);
         assert_eq!(delta.page_programs, 1);
@@ -923,21 +775,6 @@ mod tests {
         assert!(delta.bytes_from_controller > 0);
         dev.reset_stats();
         assert_eq!(dev.stats().page_reads, 0);
-    }
-
-    #[test]
-    fn xor_pages_matches_manual_xor() {
-        let mut dev = device();
-        let a_addr = PageAddr::new(0, 0, 0, 0, 0);
-        let b_addr = PageAddr::new(0, 0, 0, 0, 1);
-        let a = vec![0b1111_0000u8; 4096];
-        let b = vec![0b1010_1010u8; 4096];
-        dev.program_page(a_addr, &a, &[], ProgramScheme::EnhancedSlc)
-            .unwrap();
-        dev.program_page(b_addr, &b, &[], ProgramScheme::EnhancedSlc)
-            .unwrap();
-        let x = dev.xor_pages(a_addr, b_addr).unwrap();
-        assert!(x.iter().all(|&v| v == 0b0101_1010));
     }
 
     /// Pages of every plane read back alike by address and by stripe,

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::geometry::{BlockAddr, PageAddr, PlaneAddr};
+use crate::geometry::{BlockAddr, PageAddr};
 
 /// Errors returned by operations on the simulated NAND flash device.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,22 +36,8 @@ pub enum NandError {
         /// OOB capacity in bytes.
         capacity: usize,
     },
-    /// The requested latch operation needs a latch that holds no data.
-    LatchEmpty {
-        /// Which latch was empty.
-        latch: &'static str,
-        /// The plane whose page buffer was involved.
-        plane: PlaneAddr,
-    },
     /// A block erase was requested for a block that is out of range.
     BlockOutOfRange(BlockAddr),
-    /// An Input Broadcast (IBC) payload does not evenly divide the page size.
-    InvalidBroadcastPayload {
-        /// Length of the broadcast payload in bytes.
-        payload_len: usize,
-        /// Page size in bytes.
-        page_size: usize,
-    },
     /// A mini-page offset exceeded the number of mini-pages in a page.
     MiniPageOutOfRange {
         /// Requested mini-page offset within the page.
@@ -60,7 +46,7 @@ pub enum NandError {
         limit: usize,
     },
     /// A command was issued that the die-level finite state machine cannot
-    /// accept in its current state (e.g. `XOR` before any page was sensed).
+    /// accept in its current state.
     InvalidCommandSequence(&'static str),
 }
 
@@ -77,19 +63,18 @@ impl fmt::Display for NandError {
                 write!(f, "page {addr} has not been programmed")
             }
             NandError::DataTooLarge { provided, capacity } => {
-                write!(f, "data of {provided} bytes exceeds page capacity of {capacity} bytes")
+                write!(
+                    f,
+                    "data of {provided} bytes exceeds page capacity of {capacity} bytes"
+                )
             }
             NandError::OobTooLarge { provided, capacity } => {
-                write!(f, "OOB data of {provided} bytes exceeds OOB capacity of {capacity} bytes")
-            }
-            NandError::LatchEmpty { latch, plane } => {
-                write!(f, "{latch} latch of plane {plane} holds no data")
+                write!(
+                    f,
+                    "OOB data of {provided} bytes exceeds OOB capacity of {capacity} bytes"
+                )
             }
             NandError::BlockOutOfRange(addr) => write!(f, "block {addr} out of range"),
-            NandError::InvalidBroadcastPayload { payload_len, page_size } => write!(
-                f,
-                "broadcast payload of {payload_len} bytes does not evenly divide page size {page_size}"
-            ),
             NandError::MiniPageOutOfRange { offset, limit } => {
                 write!(f, "mini-page offset {offset} out of range (limit {limit})")
             }
@@ -129,10 +114,6 @@ mod tests {
                 capacity: 2208,
             },
             NandError::BlockOutOfRange(BlockAddr::new(0, 0, 0, 77)),
-            NandError::InvalidBroadcastPayload {
-                payload_len: 100,
-                page_size: 16384,
-            },
             NandError::MiniPageOutOfRange {
                 offset: 200,
                 limit: 128,

@@ -7,18 +7,16 @@
 //!   address types that navigate them.
 //! * [`cell`] — SLC/MLC/TLC/QLC cell modes and programming schemes,
 //!   including Enhanced SLC Programming (ESP) with zero raw bit error rate.
-//! * [`latch`] — the per-plane page buffer (sensing / data / cache latches)
-//!   and the Input-Broadcast and XOR operations REIS performs on it.
 //! * [`peripheral`] — the fail-bit counter, pass/fail checker and XOR logic
-//!   already present in flash dies, repurposed as a Hamming-distance engine.
-//! * [`mod@array`] — the [`array::FlashDevice`] tying everything together, with
+//!   already present in flash dies, repurposed as a Hamming-distance engine
+//!   that scores a sensed page in one pass.
+//! * [`mod@array`] — the [`array::FlashDevice`] tying everything together: every
+//!   page in one table in stripe order, one array sense by stripe position,
 //!   per-operation latency and statistics.
 //! * [`timing`] — the latency/bandwidth parameters (Table 3) and the
 //!   [`timing::Nanos`] simulated-time type.
 //! * [`reliability`] — raw bit-error injection for non-ESP reads.
 //! * [`oob`] — the out-of-band layout that links embeddings to documents.
-//! * [`sharding`] — geometry-aware planning of intra-query scan shards over
-//!   the device's channel×die units.
 //!
 //! # Example: an in-plane Hamming distance computation
 //!
@@ -26,21 +24,25 @@
 //! use reis_nand::array::FlashDevice;
 //! use reis_nand::cell::ProgramScheme;
 //! use reis_nand::geometry::{Geometry, PageAddr};
+//! use reis_nand::peripheral::PassFailChecker;
 //!
 //! # fn main() -> Result<(), reis_nand::error::NandError> {
-//! let mut device = FlashDevice::new(Geometry::tiny(), Default::default());
+//! let geometry = Geometry::tiny();
+//! let mut device = FlashDevice::new(geometry, Default::default());
 //! let addr = PageAddr::new(0, 0, 0, 0, 0);
 //!
 //! // Store a page of 64-byte binary embeddings in the ESP-SLC partition.
 //! let page: Vec<u8> = (0..4096).map(|i| (i / 64) as u8).collect();
 //! device.program_page(addr, &page, &[], ProgramScheme::EnhancedSlc)?;
 //!
-//! // Broadcast a query, sense the page, XOR, and count differing bits.
-//! device.input_broadcast(0, 0, &vec![0u8; 64], true)?;
-//! device.sense_page(addr)?;
-//! device.xor_latches(addr.plane_addr())?;
-//! let (distances, _latency) = device.count_fail_bits(addr.plane_addr(), 64)?;
-//! assert_eq!(distances[0], 0);
+//! // Sense the page by its stripe position, then XOR every embedding
+//! // against the broadcast query, count the differing bits and keep those
+//! // within the threshold.
+//! let mut sensed = Vec::new();
+//! device.sense(geometry.stripe_index(addr))?.sensed_into(&mut sensed);
+//! let mut hits = Vec::new();
+//! PassFailChecker::filter_fused(&sensed, 64, 64, &[&[0u8; 64]], &[8], &mut hits);
+//! assert_eq!((hits[0].slot, hits[0].distance), (0, 0));
 //! # Ok(())
 //! # }
 //! ```
@@ -52,11 +54,9 @@ pub mod array;
 pub mod cell;
 pub mod error;
 pub mod geometry;
-pub mod latch;
 pub mod oob;
 pub mod peripheral;
 pub mod reliability;
-pub mod sharding;
 pub mod stats;
 pub mod timing;
 
@@ -69,6 +69,5 @@ pub use peripheral::FusedHit;
 // The cache hint a reader of stored pages warms a slot with before its
 // counted read (the rerank and document phases of `reis-core`).
 pub use reis_kernels::prefetch;
-pub use sharding::{ScanShard, ScanShardPlan};
 pub use stats::FlashStats;
 pub use timing::{Nanos, TimingParams};

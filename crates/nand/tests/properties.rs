@@ -5,7 +5,7 @@ use reis_nand::array::FlashDevice;
 use reis_nand::cell::{CellMode, ProgramScheme};
 use reis_nand::geometry::{Geometry, PageAddr};
 use reis_nand::oob::{OobEntry, OobLayout};
-use reis_nand::peripheral::{FailBitCounter, PassFailChecker, XorLogic};
+use reis_nand::peripheral::PassFailChecker;
 use reis_nand::reliability::ReliabilityModel;
 use reis_nand::timing::{Nanos, TimingParams};
 
@@ -24,14 +24,16 @@ proptest! {
         prop_assert!(readout.data[data.len()..].iter().all(|&b| b == 0));
     }
 
-    /// The in-plane XOR + fail-bit-counter flow must compute the same Hamming
-    /// distances as a software popcount over the XOR of query and embeddings.
+    /// The in-plane flow — sense, then XOR + fail-bit count in the
+    /// peripheral — must compute the same Hamming distances as a software
+    /// popcount over the XOR of query and embeddings.
     #[test]
     fn in_plane_distance_matches_software_hamming(
         seed_bytes in proptest::collection::vec(any::<u8>(), 32),
         query in proptest::collection::vec(any::<u8>(), 32),
     ) {
-        let mut dev = FlashDevice::new(Geometry::tiny(), TimingParams::default());
+        let geometry = Geometry::tiny();
+        let mut dev = FlashDevice::new(geometry, TimingParams::default());
         let addr = PageAddr::new(1, 0, 1, 0, 0);
         let emb_bytes = 32usize;
         let n_embeddings = 4096 / emb_bytes;
@@ -51,26 +53,28 @@ proptest! {
             page.extend_from_slice(&emb);
         }
         dev.program_page(addr, &page, &[], ProgramScheme::EnhancedSlc).unwrap();
-        dev.input_broadcast(addr.channel, addr.die, &query, true).unwrap();
-        dev.sense_page(addr).unwrap();
-        dev.xor_latches(addr.plane_addr()).unwrap();
-        let (counts, _) = dev.count_fail_bits(addr.plane_addr(), emb_bytes).unwrap();
+        let mut sensed = Vec::new();
+        dev.sense(geometry.stripe_index(addr)).unwrap().sensed_into(&mut sensed);
+        let mut hits = Vec::new();
+        PassFailChecker::filter_fused(
+            &sensed, emb_bytes, n_embeddings, &[&query], &[u32::MAX], &mut hits,
+        );
+        let counts: Vec<u32> = hits.iter().map(|hit| hit.distance).collect();
         prop_assert_eq!(counts, expected);
     }
 
     /// The device keeps a page as programmed, without its zero padding, and
-    /// a controller read lends it with the list of bits the read got wrong
-    /// instead of filling the plane's latch. A page programmed with `len`
-    /// bytes must nevertheless read exactly like (a) a twin programmed with
-    /// the same bytes padded to the page size and (b) a twin that senses the
-    /// page into its latch and moves the latch over the channel: the same
-    /// page-sized bytes with a zero tail, error injection drawn over the
-    /// whole page, the same bytes to the controller, the same latency, the
-    /// same counters — and the error stream at the same position after every
-    /// read. (The padded twin's own record of the page differs by
-    /// construction and its program moved more bytes from the controller,
-    /// so the counters are reset after programming and the devices are
-    /// compared through everything a read can observe or move.)
+    /// a read lends it with the list of bits the read got wrong. A page
+    /// programmed with `len` bytes must nevertheless read exactly like (a) a
+    /// twin programmed with the same bytes padded to the page size and (b)
+    /// a twin that senses the page and moves the sensed bytes over the
+    /// channel: the same page-sized bytes with a zero tail, error injection
+    /// drawn over the whole page, the same bytes to the controller, the same
+    /// latency, the same counters — and the error stream at the same
+    /// position after every read. (The padded twin's own record of the page
+    /// differs by construction and its program moved more bytes from the
+    /// controller, so the counters are reset after programming and the
+    /// devices are compared through everything a read can observe or move.)
     #[test]
     fn short_program_reads_like_its_padded_twin(
         data in proptest::collection::vec(any::<u8>(), 1..4097),
@@ -86,7 +90,7 @@ proptest! {
             ReliabilityModel { ber_scale: 1e3 },
             seed,
         );
-        let (mut short, mut padded, mut latched) = (device(), device(), device());
+        let (mut short, mut padded, mut sensed) = (device(), device(), device());
         let scheme = if tlc {
             ProgramScheme::Ispp(CellMode::Tlc)
         } else {
@@ -98,8 +102,8 @@ proptest! {
         full.resize(page_size, 0);
         short.program_page(addr, &data, &[0xAB, 0xCD], scheme).unwrap();
         padded.program_page(addr, &full, &[0xAB, 0xCD], scheme).unwrap();
-        latched.program_page(addr, &data, &[0xAB, 0xCD], scheme).unwrap();
-        for device in [&mut short, &mut padded, &mut latched] {
+        sensed.program_page(addr, &data, &[0xAB, 0xCD], scheme).unwrap();
+        for device in [&mut short, &mut padded, &mut sensed] {
             device.reset_stats();
         }
 
@@ -107,10 +111,10 @@ proptest! {
         prop_assert_eq!(short.stored_page(stripe).unwrap().0, &data[..]);
         prop_assert_eq!(padded.stored_page(stripe).unwrap().0, &full[..]);
 
-        let untouched = short.page_buffer(addr.plane_addr()).unwrap().clone();
+        let transfer = page_size + geometry.oob_size_bytes;
         let (mut sensed_a, mut sensed_b) = (Vec::new(), Vec::new());
         let mut errors = 0;
-        for _ in 0..4 {
+        for reads in 1..=4 {
             let a = short.read_page_view(stripe).unwrap();
             let b = padded.read_page_view(stripe).unwrap();
             prop_assert_eq!(a.stored, &data[..]);
@@ -125,38 +129,38 @@ proptest! {
             prop_assert!(flipped as usize <= a.meta.bit_errors);
             prop_assert_eq!(flipped as usize % 2, a.meta.bit_errors % 2);
 
-            // The twin that goes through its latch.
-            let latency = latched.sense_page(addr).unwrap()
-                + latched.transfer_to_controller(page_size + geometry.oob_size_bytes);
-            let latch = latched.page_buffer(addr.plane_addr()).unwrap();
-            prop_assert_eq!(latch.sensing().unwrap(), &sensed_a[..]);
-            prop_assert_eq!(latch.oob().unwrap(), a.oob);
+            // The twin that senses, then moves the sensed page itself.
+            let c = sensed.sense(stripe).unwrap();
+            let latency = c.meta.latency + TimingParams::default().channel_transfer(transfer);
+            c.sensed_into(&mut sensed_b);
+            prop_assert_eq!(&sensed_b, &sensed_a);
+            prop_assert_eq!(c.oob, a.oob);
             prop_assert_eq!(a.oob, b.oob);
             prop_assert_eq!(a.meta, b.meta);
             prop_assert_eq!(a.meta.latency, latency);
             errors += a.meta.bit_errors;
             prop_assert_eq!(short.stats(), padded.stats());
-            prop_assert_eq!(short.stats(), latched.stats());
-            // A controller read leaves the plane's page buffer alone.
-            prop_assert_eq!(short.page_buffer(addr.plane_addr()).unwrap(), &untouched);
+            let mut moved = *sensed.stats();
+            moved.bytes_to_controller += (reads * transfer) as u64;
+            prop_assert_eq!(short.stats(), &moved);
+            // The array keeps the page as programmed.
+            prop_assert_eq!(short.stored_page(stripe).unwrap().0, &data[..]);
         }
         prop_assert_eq!(errors > 0, tlc, "only the TLC reads inject errors");
-        prop_assert_eq!(
-            short.stats().bytes_to_controller,
-            4 * (page_size + geometry.oob_size_bytes) as u64
-        );
+        prop_assert_eq!(short.stats().bytes_to_controller, 4 * transfer as u64);
         // The error streams are at the same position: the next reads agree
-        // too, whichever way they go, and the in-plane path sees the same
-        // latch.
-        prop_assert_eq!(short.sense_page(addr).unwrap(), padded.sense_page(addr).unwrap());
-        latched.read_page_into(addr, &mut sensed_a, &mut sensed_b).unwrap();
-        for device in [&short, &padded] {
-            let latch = device.page_buffer(addr.plane_addr()).unwrap();
-            prop_assert_eq!(latch.sensing().unwrap(), &sensed_a[..]);
-            prop_assert_eq!(latch.oob().unwrap(), &sensed_b[..]);
+        // too, whichever way they go, and the in-plane path senses the same
+        // bytes.
+        let (mut oob_a, mut oob_b) = (Vec::new(), Vec::new());
+        sensed.read_page_into(addr, &mut sensed_a, &mut oob_a).unwrap();
+        for device in [&mut short, &mut padded] {
+            let c = device.sense(stripe).unwrap();
+            c.sensed_into(&mut sensed_b);
+            oob_b.clear();
+            oob_b.extend_from_slice(c.oob);
+            prop_assert_eq!((&sensed_b, &oob_b), (&sensed_a, &oob_a));
         }
         prop_assert_eq!(short.read_page(addr).unwrap(), padded.read_page(addr).unwrap());
-        prop_assert_eq!(short.xor_pages(addr, addr).unwrap(), vec![0u8; page_size]);
     }
 
     /// The fail-bit counter's chunked counts always sum to the total count.
@@ -165,67 +169,58 @@ proptest! {
         data in proptest::collection::vec(any::<u8>(), 1..2048),
         chunk in 1usize..256,
     ) {
-        let per_chunk = FailBitCounter::count_per_chunk(&data, chunk);
+        let mut per_chunk = Vec::new();
+        reis_kernels::count_per_chunk_into(&data, chunk, &mut per_chunk);
         let total: u64 = per_chunk.iter().map(|&c| c as u64).sum();
-        prop_assert_eq!(total, FailBitCounter::count_total(&data));
+        prop_assert_eq!(total, reis_kernels::popcount_bytes(&data));
     }
 
     /// Pass/fail filtering never passes an entry above the threshold and
     /// never drops one at or below it.
     #[test]
     fn pass_fail_is_exact_threshold_partition(
-        counts in proptest::collection::vec(any::<u32>(), 0..512),
-        threshold in any::<u32>(),
+        data in proptest::collection::vec(any::<u8>(), 1..1024),
+        query in proptest::collection::vec(any::<u8>(), 1..64),
+        threshold in 0u32..520,
     ) {
-        let passes = PassFailChecker::passes(&counts, threshold);
-        prop_assert_eq!(passes.len(), counts.len());
-        for (c, p) in counts.iter().zip(passes.iter()) {
-            prop_assert_eq!(*p, *c <= threshold);
-        }
-        prop_assert_eq!(
-            PassFailChecker::pass_count(&counts, threshold),
-            passes.iter().filter(|&&p| p).count()
-        );
+        let chunk = query.len();
+        let slots = data.len().div_ceil(chunk);
+        let mut hits = Vec::new();
+        PassFailChecker::filter_fused(&data, chunk, slots, &[&query], &[threshold], &mut hits);
+        let passing: Vec<(u32, u32)> = data
+            .chunks(chunk)
+            .map(|c| c.iter().zip(&query).map(|(a, b)| (a ^ b).count_ones()).sum::<u32>())
+            .enumerate()
+            .filter(|&(_, distance)| distance <= threshold)
+            .map(|(slot, distance)| (slot as u32, distance))
+            .collect();
+        let hits: Vec<(u32, u32)> = hits.iter().map(|hit| (hit.slot, hit.distance)).collect();
+        prop_assert_eq!(hits, passing);
     }
 
-    /// The word-level popcount/XOR kernels and their buffer-reusing `_into`
-    /// variants match the byte-wise reference for arbitrary lengths
+    /// The word-level popcount/XOR kernels of the in-plane logic, filling
+    /// reused buffers, match the byte-wise reference for arbitrary lengths
     /// (including odd tails) and chunk sizes.
     #[test]
     fn word_kernels_and_into_variants_match_reference(
         data in proptest::collection::vec(any::<u8>(), 1..1024),
         chunk in 1usize..200,
-        threshold in any::<u32>(),
     ) {
         // Popcount per chunk against a bit-by-bit reference.
         let reference: Vec<u32> = data
             .chunks(chunk)
             .map(|c| c.iter().map(|b| b.count_ones()).sum())
             .collect();
-        prop_assert_eq!(&FailBitCounter::count_per_chunk(&data, chunk), &reference);
         let mut reused = vec![0xFFFF_FFFFu32; 3];
-        FailBitCounter::count_per_chunk_into(&data, chunk, &mut reused);
+        reis_kernels::count_per_chunk_into(&data, chunk, &mut reused);
         prop_assert_eq!(&reused, &reference);
 
-        // Word-level XOR against the byte-wise reference, both variants.
+        // Word-level XOR against the byte-wise reference.
         let other: Vec<u8> = data.iter().map(|b| b.rotate_left(3)).collect();
         let xor_ref: Vec<u8> = data.iter().zip(&other).map(|(a, b)| a ^ b).collect();
-        prop_assert_eq!(&XorLogic::xor(&data, &other), &xor_ref);
         let mut xor_out = vec![0u8; 7];
-        XorLogic::xor_into(&data, &other, &mut xor_out);
+        reis_kernels::xor_bytes_into(&data, &other, &mut xor_out);
         prop_assert_eq!(&xor_out, &xor_ref);
-
-        // The fused filter agrees with the Vec<bool> checker.
-        let flags = PassFailChecker::passes(&reference, threshold);
-        let mut fused = Vec::new();
-        let passed = PassFailChecker::filter_passing(&reference, threshold, |slot, count| {
-            fused.push((slot, count));
-        });
-        prop_assert_eq!(passed, flags.iter().filter(|&&p| p).count());
-        for (slot, count) in fused {
-            prop_assert!(flags[slot]);
-            prop_assert_eq!(count, reference[slot]);
-        }
     }
 
     /// XOR is an involution: applying it twice restores the original buffer.
@@ -235,8 +230,9 @@ proptest! {
         b_seed in any::<u8>(),
     ) {
         let b: Vec<u8> = a.iter().map(|x| x.wrapping_add(b_seed)).collect();
-        let once = XorLogic::xor(&a, &b);
-        let twice = XorLogic::xor(&once, &b);
+        let (mut once, mut twice) = (Vec::new(), Vec::new());
+        reis_kernels::xor_bytes_into(&a, &b, &mut once);
+        reis_kernels::xor_bytes_into(&once, &b, &mut twice);
         prop_assert_eq!(twice, a);
     }
 

@@ -324,6 +324,7 @@ mod tests {
     use crate::ecc::EccParams;
     use crate::error::SsdError;
     use proptest::prelude::*;
+    use reis_nand::reliability::{ReliabilityModel, SplitMix64};
     use reis_nand::FlashStats;
     use std::collections::BTreeSet;
 
@@ -379,32 +380,42 @@ mod tests {
     }
 
     /// The copy-out read the controller shipped before the borrowed view,
-    /// rebuilt from the device's primitive operations: sense (stored →
-    /// latch), copy the latch to a staging buffer, move it over the channel,
-    /// decode, and on a successful correction copy the stored page over the
-    /// staging buffer. Returns `(data, oob, latency, corrected, bit_errors)`.
+    /// rebuilt beside the device's read path: the stored page copied and
+    /// errored by a mirror of the device's error stream (`rng`, seeded as
+    /// the device is, under the model it uses), the sense and the channel
+    /// transfer counted into `flash` and timed by hand, decode, and on a
+    /// successful correction the stored page copied over the staging
+    /// buffer. Drives `ssd`'s ECC and DRAM but not its flash. Returns
+    /// `(data, oob, latency, corrected, bit_errors)`.
     fn copy_out_read(
         ssd: &mut SsdController,
+        (rng, flash): (&mut SplitMix64, &mut FlashStats),
         region: &StripedRegion,
         offset: usize,
         kind: RegionKind,
     ) -> (Vec<u8>, Vec<u8>, Nanos, bool, usize) {
-        let addr = region.page_at(&ssd.config.geometry, offset).unwrap();
+        let (geometry, timing) = (ssd.config.geometry, ssd.config.timing);
         let stripe = region.stripe_at(offset).unwrap();
-        let errors_before = ssd.device.stats().injected_bit_errors;
-        let mut latency = ssd.device.sense_page(addr).unwrap();
-        let bit_errors = (ssd.device.stats().injected_bit_errors - errors_before) as usize;
-        let buffer = ssd.device.page_buffer(addr.plane_addr()).unwrap();
-        let mut data = buffer.sensing().unwrap().to_vec();
-        let oob = buffer.oob().unwrap_or(&[]).to_vec();
-        latency += ssd.device.transfer_to_controller(data.len() + oob.len());
+        let (stored, oob, scheme) = ssd.device.stored_page(stripe).unwrap();
+        let (stored, oob) = (stored.to_vec(), oob.to_vec());
+        let mut data = stored.clone();
+        data.resize(geometry.page_size_bytes, 0);
+        let bit_errors =
+            ReliabilityModel::nominal().inject_read_errors(&mut data, scheme, rng, &mut Vec::new());
+        let bytes = data.len() + oob.len();
+        flash.page_reads += 1;
+        flash.injected_bit_errors += bit_errors as u64;
+        flash.bytes_to_controller += bytes as u64;
+        let mut latency = timing.read_latency(scheme)
+            + timing.t_command_overhead
+            + timing.channel_transfer(bytes);
         let mut corrected = true;
         if ssd.config.hybrid.needs_ecc(kind) {
             let outcome = ssd.ecc.decode_page(bit_errors);
             latency += outcome.latency;
             corrected = outcome.corrected;
             if corrected && bit_errors > 0 {
-                data = ssd.device.stored_page(stripe).unwrap().0.to_vec();
+                data = stored;
             }
         }
         latency += ssd.dram.write(data.len());
@@ -423,7 +434,9 @@ mod tests {
             },
             ..SsdConfig::tiny()
         };
-        // Twins: same configuration, same fixed error-injection seed.
+        // Twins: same configuration, same fixed error-injection seed. The
+        // old one only lends its stored pages, ECC and DRAM to the copy-out
+        // read; its error stream and flash counters are mirrored here.
         let mut old = SsdController::new(config);
         let mut new = SsdController::new(config);
         const PAGES: usize = 32;
@@ -444,12 +457,13 @@ mod tests {
             regions.push((kind, region.unwrap()));
         }
         assert_eq!(old, new);
+        let (mut rng, mut flash) = (SplitMix64::new(0xC0FFEE), *old.device.stats());
 
         let (mut corrected_reads, mut uncorrectable_reads) = (0, 0);
         for page in 0..PAGES {
             for (kind, region) in &regions {
                 let (data, oob, latency, corrected, bit_errors) =
-                    copy_out_read(&mut old, region, page, *kind);
+                    copy_out_read(&mut old, (&mut rng, &mut flash), region, page, *kind);
                 let view = new.read_region_page_view(region, page, *kind).unwrap();
                 assert_eq!(view.data, &data[..], "{kind:?} page {page}");
                 assert_eq!(view.oob, &oob[..]);
@@ -459,9 +473,7 @@ mod tests {
 
                 // What the view lends: the stored page itself unless the
                 // read's errors survived, and then a page that differs from
-                // it in exactly the injected bits. Nothing reached the
-                // plane's latch.
-                let addr = region.page_at(&config.geometry, page).unwrap();
+                // it in exactly the injected bits.
                 let stripe = region.stripe_at(page).unwrap();
                 let (stored, _, _) = new.device.stored_page(stripe).unwrap();
                 let differing: u32 = data
@@ -469,8 +481,6 @@ mod tests {
                     .zip(stored)
                     .map(|(a, b)| (a ^ b).count_ones())
                     .sum();
-                let latch = new.device.page_buffer(addr.plane_addr()).unwrap();
-                assert_eq!(latch.sensing(), None);
                 match (*kind, corrected) {
                     (RegionKind::Documents, true) => {
                         assert!(bit_errors > 0 && bit_errors <= 3);
@@ -493,7 +503,9 @@ mod tests {
                 }
 
                 // Flash, ECC and DRAM counters.
-                assert_eq!(counters(&old), counters(&new));
+                let mut expected = counters(&old);
+                expected.0 = flash;
+                assert_eq!(expected, counters(&new));
             }
         }
         assert_eq!(corrected_reads + uncorrectable_reads, PAGES);
@@ -502,33 +514,36 @@ mod tests {
         // The error streams are at the same position: the next draws land on
         // the same bits.
         let (_, tlc) = &regions[0];
-        let addr = tlc.page_at(&config.geometry, 0).unwrap();
-        for ssd in [&mut old, &mut new] {
-            ssd.device.sense_page(addr).unwrap();
-        }
-        assert_eq!(
-            old.device.page_buffer(addr.plane_addr()).unwrap().sensing(),
-            new.device.page_buffer(addr.plane_addr()).unwrap().sensing(),
+        let scheme = config.hybrid.scheme_for(RegionKind::Documents);
+        let mut next = Vec::new();
+        ReliabilityModel::nominal().draw_read_errors(
+            config.geometry.page_size_bytes,
+            scheme,
+            &mut rng,
+            &mut next,
         );
+        assert!(!next.is_empty());
+        let view = new.device.sense(tlc.stripe_at(0).unwrap()).unwrap();
+        assert_eq!(view.flips, &next[..]);
 
         // A copy of the view is that view.
-        let copied = owned(
-            old.read_region_page_view(tlc, 1, RegionKind::Documents)
-                .unwrap(),
+        let copied = copy_out_read(
+            &mut old,
+            (&mut rng, &mut flash),
+            tlc,
+            1,
+            RegionKind::Documents,
         );
         let view = new
             .read_region_page_view(tlc, 1, RegionKind::Documents)
             .unwrap();
-        assert_eq!(
-            (&copied.0[..], copied.1, copied.2),
-            (view.data, view.latency, view.corrected)
-        );
+        assert_eq!(owned(view), (copied.0, copied.2, copied.3));
     }
 
     /// A page programmed short reads through the controller like a twin
     /// programmed with the same bytes padded to the page size — whether the
     /// decoder corrects the read (the view is the programmed page, padded)
-    /// or gives up (the view is the latch).
+    /// or gives up (the view is the page as sensed).
     #[test]
     fn short_programmed_pages_read_like_padded_ones() {
         let config = SsdConfig {

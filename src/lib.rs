@@ -3,7 +3,7 @@
 //! This is the facade crate of the REIS workspace. It re-exports every
 //! sub-crate so that downstream users can depend on a single `reis` crate:
 //!
-//! * [`nand`] — NAND flash device simulator (geometry, latches, OOB,
+//! * [`nand`] — NAND flash device simulator (geometry, page senses, OOB,
 //!   SLC/TLC/ESP programming, peripheral logic, timing).
 //! * [`ssd`] — SSD controller simulator (FTL, internal DRAM, embedded cores,
 //!   hybrid SLC/TLC partitioning).

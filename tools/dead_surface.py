@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Dead-surface sweep: list the `pub fn`s of one crate that nothing outside it drives.
+"""Dead-surface sweep: list the `pub fn`s of one crate that nothing outside it drives,
+or that only tests, benches and examples drive.
 
 Usage (from anywhere inside the repository):
 
@@ -22,7 +23,13 @@ repository. It copies the tree (without build output or `.git`) into
    - `cargo check -p <package> --lib`: items nothing outside the crate and
      nothing in the crate's own non-test code uses (at most its unit tests);
    - `cargo check -p <package> --lib --profile test`: items unused even by the
-     crate's own unit tests.
+     crate's own unit tests;
+5. starts over from a fresh, narrowed copy and reaches a second fixed point
+   with the same two checks *without* `--all-targets` — the libraries and
+   binaries of the workspace and of `benchmark/` — and reports a third list:
+   the functions the first fixed point restored and the second did not,
+   i.e. those that only tests (the crate's integration tests included),
+   benches or examples call.
 
 The copy's files are stamped with the current time after every reset:
 `shutil.copytree` and `tar` keep mtimes, and an unchanged mtime lets cargo
@@ -158,13 +165,15 @@ def span_path(tree, manifest, span):
     return os.path.realpath(os.path.join(base, name))
 
 
-def sweep_round(tree, target, sites):
-    """One check of both workspaces; returns (#restored, unresolved errors)."""
+def sweep_round(tree, target, sites, all_targets):
+    """One check of both workspaces — every target, or only libraries and
+    binaries; returns (#restored, unresolved errors)."""
     restored = 0
     unresolved = []
+    targets = ["--all-targets"] if all_targets else []
     checks = [
-        ["check", "--workspace", "--all-targets", "--keep-going"],
-        ["check", "--manifest-path", "benchmark/Cargo.toml", "--all-targets", "--keep-going"],
+        ["check", "--workspace", *targets, "--keep-going"],
+        ["check", "--manifest-path", "benchmark/Cargo.toml", *targets, "--keep-going"],
     ]
     for args in checks:
         code, messages, stderr = cargo_json(tree, target, args)
@@ -272,6 +281,30 @@ def sweep_lists(tree, target, package):
     return dead_items(tree, plain), dead_items(tree, in_tests)
 
 
+def fixed_point(tree, target, sites, all_targets):
+    """Restore `pub` round after round until both checks are clean; return
+    the sites that ended up `pub`."""
+    for round_no in range(1, MAX_ROUNDS + 1):
+        restored, unresolved = sweep_round(tree, target, sites, all_targets)
+        print(f"round {round_no}: restored {restored}", file=sys.stderr)
+        if unresolved and restored == 0:
+            print("errors the sweep cannot resolve:", file=sys.stderr)
+            for text in unresolved:
+                print(text, file=sys.stderr)
+            sys.exit(2)
+        if restored == 0:
+            break
+    else:
+        print(f"no fixed point after {MAX_ROUNDS} rounds", file=sys.stderr)
+        sys.exit(2)
+    public = set()
+    for path, line_no in sites:
+        with open(path) as f:
+            if not NARROWED.search(f.readlines()[line_no - 1]):
+                public.add((path, line_no))
+    return public
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("crate_dir", help="crate directory, e.g. crates/ann")
@@ -287,31 +320,30 @@ def main():
     tree = os.path.join(args.work, "tree")
     target = os.path.join(args.work, "target")
     os.makedirs(args.work, exist_ok=True)
+    crate_dir = args.crate_dir.rstrip("/")
     reset_copy(root, tree)
-    sites = narrow(tree, args.crate_dir.rstrip("/"))
+    sites = narrow(tree, crate_dir)
     print(f"narrowed {len(sites)} pub fns in {args.crate_dir}", file=sys.stderr)
-
-    for round_no in range(1, MAX_ROUNDS + 1):
-        restored, unresolved = sweep_round(tree, target, sites)
-        print(f"round {round_no}: restored {restored}", file=sys.stderr)
-        if unresolved and restored == 0:
-            print("errors the sweep cannot resolve:", file=sys.stderr)
-            for text in unresolved:
-                print(text, file=sys.stderr)
-            sys.exit(2)
-        if restored == 0:
-            break
-    else:
-        print(f"no fixed point after {MAX_ROUNDS} rounds", file=sys.stderr)
-        sys.exit(2)
-
+    driven = fixed_point(tree, target, sites, all_targets=True)
     outside, tests = sweep_lists(tree, target, args.package)
+
+    print("second fixed point, libraries and binaries only", file=sys.stderr)
+    reset_copy(root, tree)
+    narrow(tree, crate_dir)
+    only_tests = sorted(
+        (os.path.relpath(path, os.path.realpath(tree)), line, sites[(path, line)])
+        for path, line in driven - fixed_point(tree, target, sites, all_targets=False)
+    )
+
     print(f"== {args.package}: unused outside the crate ({len(outside)})")
     for path, line, name, message in outside:
         print(f"{path}:{line}\t{name}\t{message}")
     print(f"== {args.package}: unused even by the crate's own tests ({len(tests)})")
     for path, line, name, message in tests:
         print(f"{path}:{line}\t{name}\t{message}")
+    print(f"== {args.package}: called only by tests, benches or examples ({len(only_tests)})")
+    for path, line, name in only_tests:
+        print(f"{path}:{line}\t{name}")
 
 
 if __name__ == "__main__":
