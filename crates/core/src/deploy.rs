@@ -23,10 +23,10 @@ use crate::error::Result;
 use crate::layout::LayoutPlan;
 use crate::records::{RIvf, RIvfEntry};
 
-/// The DRAM bookkeeping names of a database: its three base regions and its
-/// update state. Regions are renamed per compaction generation, and
-/// releasing a region needs the name it was reserved under, so the names
-/// travel with the deployment.
+/// The DRAM bookkeeping names of a database: its three base regions, its
+/// append segments and its update state. Base regions are renamed per
+/// compaction generation, and releasing a region needs the name it was
+/// reserved under, so the names travel with the deployment.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RegionNames {
     /// Name of the ESP-SLC embedding (and centroid) region.
@@ -39,6 +39,12 @@ pub struct RegionNames {
     /// tombstones, relocation maps), re-sized by every mutation; the same
     /// in every generation.
     pub update_state: String,
+    /// Name of the one DRAM allocation that accounts the bookkeeping
+    /// records of every append-segment region (see
+    /// `SsdController::reserve_region_in`): segment regions have no names
+    /// of their own, so an append formats none. The same in every
+    /// generation; empty after a compaction.
+    pub segments: String,
 }
 
 impl RegionNames {
@@ -55,6 +61,7 @@ impl RegionNames {
             int8: format!("{prefix}/int8"),
             documents: format!("{prefix}/documents"),
             update_state: format!("db{db_id}/update-state"),
+            segments: format!("db{db_id}/segments"),
         }
     }
 }
@@ -233,6 +240,9 @@ fn deploy_inner(
     )?;
     let int8_region = ssd.reserve_region(&region_names.int8, layout.int8_pages)?;
     let document_region = ssd.reserve_region(&region_names.documents, layout.doc_pages)?;
+    // Created empty now, so that appending a segment grows an allocation
+    // and never inserts one.
+    ssd.dram_mut().allocate(&region_names.segments, 0)?;
 
     // Storage order: cluster-contiguous for IVF, entry order for flat.
     // `storage_to_entry` indexes the database arrays; `storage_to_original`
@@ -342,9 +352,38 @@ fn storage_order(database: &VectorDatabase, layout: &LayoutPlan) -> (Vec<u32>, V
 }
 
 pub(crate) fn pad_slot(bytes: &[u8], slot: usize) -> Vec<u8> {
-    let mut out = vec![0u8; slot];
-    out[..bytes.len()].copy_from_slice(bytes);
+    let mut out = Vec::with_capacity(slot);
+    push_slot(&mut out, bytes, slot);
     out
+}
+
+/// Append one slot to a page being built: `bytes`, zero-padded to
+/// `slot_bytes`. Pages are built at their programmed length
+/// (`Vec::with_capacity` of slots × slot size) and handed to the device,
+/// which keeps the buffer.
+pub(crate) fn push_slot(page: &mut Vec<u8>, bytes: &[u8], slot_bytes: usize) {
+    let end = page.len() + slot_bytes;
+    page.extend_from_slice(bytes);
+    page.resize(end, 0);
+}
+
+/// A document page of `page_bytes` bytes: each chunk of `docs` in its slot
+/// of `slot_bytes` as `[len u32 LE][chunk]`, zeros everywhere else. Every
+/// byte is written once.
+pub(crate) fn document_page<'a>(
+    docs: impl Iterator<Item = &'a [u8]>,
+    slot_bytes: usize,
+    page_bytes: usize,
+) -> Vec<u8> {
+    let mut page = Vec::with_capacity(page_bytes);
+    for doc in docs {
+        let end = page.len() + slot_bytes;
+        page.extend_from_slice(&(doc.len() as u32).to_le_bytes());
+        page.extend_from_slice(doc);
+        page.resize(end, 0);
+    }
+    page.resize(page_bytes, 0);
+    page
 }
 
 /// What each storage-order position of a deployment holds: the database
@@ -370,14 +409,11 @@ fn write_embedding_region(
     // Centroid pages first.
     if let Some(info) = database.clusters() {
         for page in 0..layout.centroid_pages {
-            let mut data = Vec::with_capacity(epp * slot);
-            let mut oob_entries = Vec::with_capacity(epp);
-            for s in 0..epp {
-                let cluster = page * epp + s;
-                if cluster >= info.nlist() {
-                    break;
-                }
-                data.extend(pad_slot(info.centroids[cluster].as_bytes(), slot));
+            let clusters = page * epp..((page + 1) * epp).min(info.nlist());
+            let mut data = Vec::with_capacity(clusters.len() * slot);
+            let mut oob_entries = Vec::with_capacity(clusters.len());
+            for cluster in clusters {
+                push_slot(&mut data, info.centroids[cluster].as_bytes(), slot);
                 oob_entries.push(OobEntry {
                     dadr: cluster as u32,
                     radr: cluster as u32,
@@ -385,21 +421,18 @@ fn write_embedding_region(
                 });
             }
             let oob = oob_layout.pack(&oob_entries)?;
-            latency += ssd.program_region_page(region, page, RegionKind::Centroids, &data, &oob)?;
+            latency += ssd.program_region_page(region, page, RegionKind::Centroids, data, &oob)?;
         }
     }
 
     // Database embedding pages, in storage order.
     for page in 0..layout.embedding_pages {
-        let mut data = Vec::with_capacity(epp * slot);
-        let mut oob_entries = Vec::with_capacity(epp);
-        for s in 0..epp {
-            let storage_index = page * epp + s;
-            if storage_index >= layout.entries {
-                break;
-            }
+        let positions = page * epp..((page + 1) * epp).min(layout.entries);
+        let mut data = Vec::with_capacity(positions.len() * slot);
+        let mut oob_entries = Vec::with_capacity(positions.len());
+        for storage_index in positions {
             let entry = order.to_entry[storage_index] as usize;
-            data.extend(pad_slot(database.binary()[entry].as_bytes(), slot));
+            push_slot(&mut data, database.binary()[entry].as_bytes(), slot);
             oob_entries.push(OobEntry {
                 dadr: order.to_original[storage_index],
                 radr: storage_index as u32,
@@ -411,7 +444,7 @@ fn write_embedding_region(
             region,
             layout.centroid_pages + page,
             RegionKind::BinaryEmbeddings,
-            &data,
+            data,
             &oob,
         )?;
     }
@@ -426,17 +459,19 @@ fn write_int8_region(
     storage_to_entry: &[u32],
 ) -> Result<Nanos> {
     let mut latency = Nanos::ZERO;
+    let per_page = layout.int8_per_page;
     for page in 0..layout.int8_pages {
-        let mut data = Vec::with_capacity(layout.int8_per_page * layout.int8_bytes);
-        for s in 0..layout.int8_per_page {
-            let storage_index = page * layout.int8_per_page + s;
-            if storage_index >= layout.entries {
-                break;
-            }
-            let entry = storage_to_entry[storage_index] as usize;
-            data.extend(database.int8()[entry].as_slice().iter().map(|&v| v as u8));
+        let positions = page * per_page..((page + 1) * per_page).min(layout.entries);
+        let mut data = Vec::with_capacity(positions.len() * layout.int8_bytes);
+        for &entry in &storage_to_entry[positions] {
+            data.extend(
+                database.int8()[entry as usize]
+                    .as_slice()
+                    .iter()
+                    .map(|&v| v as u8),
+            );
         }
-        latency += ssd.program_region_page(region, page, RegionKind::Int8Embeddings, &data, &[])?;
+        latency += ssd.program_region_page(region, page, RegionKind::Int8Embeddings, data, &[])?;
     }
     Ok(latency)
 }
@@ -448,19 +483,15 @@ fn write_document_region(
     region: &StripedRegion,
 ) -> Result<Nanos> {
     let mut latency = Nanos::ZERO;
+    let per_page = layout.docs_per_page;
     for page in 0..layout.doc_pages {
-        let mut data = vec![0u8; layout.docs_per_page * layout.doc_slot_bytes];
-        for s in 0..layout.docs_per_page {
-            let doc_index = page * layout.docs_per_page + s;
-            if doc_index >= layout.entries {
-                break;
-            }
-            let doc = &database.documents()[doc_index];
-            let start = s * layout.doc_slot_bytes;
-            data[start..start + 4].copy_from_slice(&(doc.len() as u32).to_le_bytes());
-            data[start + 4..start + 4 + doc.len()].copy_from_slice(doc);
-        }
-        latency += ssd.program_region_page(region, page, RegionKind::Documents, &data, &[])?;
+        let docs = page * per_page..((page + 1) * per_page).min(layout.entries);
+        let data = document_page(
+            database.documents()[docs].iter().map(Vec::as_slice),
+            layout.doc_slot_bytes,
+            per_page * layout.doc_slot_bytes,
+        );
+        latency += ssd.program_region_page(region, page, RegionKind::Documents, data, &[])?;
     }
     Ok(latency)
 }

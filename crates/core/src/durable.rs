@@ -72,12 +72,29 @@ pub(crate) struct Durability {
     /// Current epoch: `wal-{seq}` is the open WAL, `snapshot-{seq}` the
     /// newest complete snapshot.
     seq: u64,
+    /// The frame being appended, kept between appends so that encoding a
+    /// record reuses the capacity of the last one.
+    frame: Vec<u8>,
 }
 
 impl Durability {
-    /// Append one framed record to the open WAL epoch.
-    pub(crate) fn append(&mut self, frame: &[u8]) -> std::result::Result<(), PersistError> {
-        self.store.append_wal(self.seq, frame)
+    fn new(store: DurableStore, seq: u64) -> Self {
+        Durability {
+            store,
+            seq,
+            frame: Vec::new(),
+        }
+    }
+
+    /// Encode one framed record with `encode` (which replaces the buffer's
+    /// contents, see `reis_persist::wal::frame_upsert`) and append it to the
+    /// open WAL epoch.
+    pub(crate) fn append(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> std::result::Result<(), PersistError> {
+        encode(&mut self.frame);
+        self.store.append_wal(self.seq, &self.frame)
     }
 }
 
@@ -156,7 +173,7 @@ impl ReisSystem {
                 build_snapshot(&mut system.controller, &system.databases, system.next_db_id)?;
             store.write_snapshot(0, &bytes)?;
             store.create_wal(0)?;
-            system.durability = Some(Durability { store, seq: 0 });
+            system.durability = Some(Durability::new(store, 0));
             Ok((system, None))
         } else {
             let (system, report) = ReisSystem::recover(config, store)?;
@@ -326,7 +343,7 @@ impl ReisSystem {
         // tail (if any) stays behind on storage, off the recovery path.
         let mut store = store;
         store.set_telemetry(system.telemetry.clone());
-        system.durability = Some(Durability { store, seq: tip });
+        system.durability = Some(Durability::new(store, tip));
         let checkpoint_seq = system.save()?;
 
         if system.telemetry.is_enabled() {

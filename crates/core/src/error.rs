@@ -187,7 +187,11 @@ mod tests {
     fn conversions_preserve_sources() {
         let e: ReisError = SsdError::UnknownDatabase(1).into();
         assert!(std::error::Error::source(&e).is_some());
-        let e: ReisError = NandError::InvalidCommandSequence("x").into();
+        let e: ReisError = NandError::DataTooLarge {
+            provided: 2,
+            capacity: 1,
+        }
+        .into();
         assert!(std::error::Error::source(&e).is_some());
         let e: ReisError = AnnError::EmptyDataset.into();
         assert!(std::error::Error::source(&e).is_some());

@@ -32,16 +32,16 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use reis_ann::vector::{hamming_bytes, BinaryVector, Int8Vector};
+use reis_ann::vector::{BinaryVector, Int8Vector};
 use reis_ann::AnnError;
-use reis_nand::{FlashStats, Nanos, OobEntry, OobLayout};
+use reis_nand::{Nanos, OobEntry, OobLayout};
 use reis_ssd::{DatabaseRecord, RegionKind, SsdController, StripedRegion};
 use reis_update::{EntryLocation, SegmentEntry, SlotRef, OOB_INVALID_RADR};
 
-use crate::deploy::{pad_slot, DeployedDatabase, RegionNames};
+use crate::deploy::{document_page, pad_slot, push_slot, DeployedDatabase, RegionNames};
 use crate::error::{ReisError, Result};
 use crate::records::{RIvf, RIvfEntry};
-use crate::scan::parse_doc_slot;
+use crate::scan::{self, parse_doc_slot};
 
 /// Outcome of one insert/delete/upsert call.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,9 +125,9 @@ fn encode_batch(
 
 /// Assign a quantized embedding to its nearest IVF centroid by scanning the
 /// centroid pages (binary Hamming distance, ties to the lower cluster — the
-/// same total order the coarse search selects under). Returns the cluster
-/// (0 for flat deployments) plus the modelled latency of the scan's page
-/// senses.
+/// same total order the coarse search selects under; see
+/// [`scan::nearest_centroid`]). Returns the cluster (0 for flat
+/// deployments) plus the modelled latency of the scan's page senses.
 fn nearest_cluster(
     ssd: &mut SsdController,
     db: &DeployedDatabase,
@@ -136,48 +136,16 @@ fn nearest_cluster(
     if !db.is_ivf() {
         return Ok((0, Nanos::ZERO));
     }
-    let layout = db.layout;
-    let slot_bytes = layout.embedding_slot_bytes;
-    let padded = pad_slot(binary.as_bytes(), slot_bytes);
-    let scheme = ssd.hybrid_policy().scheme_for(RegionKind::Centroids);
-    let timing = ssd.config().timing;
-    let mut best: Option<(u32, usize)> = None;
-    let mut pages_read = 0u64;
-    let mut latency = Nanos::ZERO;
-    for page in 0..layout.centroid_pages {
-        let (_, data, _) = ssd.scan_region_page(&db.record.embedding_region, page)?;
-        pages_read += 1;
-        // The borrowed read stands in for an in-plane sense; price it like
-        // `FlashDevice::sense` would.
-        latency += timing.read_latency(scheme) + timing.t_command_overhead;
-        for slot in 0..layout.embeddings_per_page {
-            let cluster = page * layout.embeddings_per_page + slot;
-            if cluster >= layout.centroids {
-                break;
-            }
-            let start = slot * slot_bytes;
-            let distance = hamming_bytes(&padded, &data[start..start + slot_bytes]);
-            if best.is_none_or(|(d, c)| (distance, cluster) < (d, c)) {
-                best = Some((distance, cluster));
-            }
-        }
-    }
-    ssd.device_mut().absorb_stats(&FlashStats {
-        page_reads: pages_read,
-        ..FlashStats::new()
-    });
-    Ok((best.map(|(_, cluster)| cluster).unwrap_or(0), latency))
+    let padded = pad_slot(binary.as_bytes(), db.layout.embedding_slot_bytes);
+    scan::nearest_centroid(ssd, db, &padded)
 }
 
 /// One cluster group of an append batch with its reserved regions.
 struct GroupPlan {
     cluster: usize,
     members: Vec<usize>,
-    emb_name: String,
     emb_region: StripedRegion,
-    int8_name: String,
     int8_region: StripedRegion,
-    doc_name: String,
     doc_region: StripedRegion,
 }
 
@@ -190,6 +158,8 @@ struct GroupPlan {
 /// is programmed or any bookkeeping mutates, and a failed reservation
 /// releases the ones already made — so a batch that cannot fit leaves the
 /// database exactly as it was (no phantom entries, no leaked regions).
+/// Segment regions are reserved without names: their DRAM records are
+/// accounted under the database's one segment allocation.
 fn append_entries(
     ssd: &mut SsdController,
     db: &mut DeployedDatabase,
@@ -207,6 +177,9 @@ fn append_entries(
     let epp = layout.embeddings_per_page;
     let i8pp = layout.int8_per_page;
     let dpp = layout.docs_per_page;
+    let slot_bytes = layout.embedding_slot_bytes;
+    let doc_page_bytes = (dpp * layout.doc_slot_bytes).min(geometry.page_size_bytes);
+    let account = &db.region_names.segments;
 
     // Group the batch per cluster, preserving batch order within a group so
     // segment append order is deterministic.
@@ -217,42 +190,31 @@ fn append_entries(
 
     // Reservation pass: all-or-nothing.
     let mut plans: Vec<GroupPlan> = Vec::with_capacity(groups.len());
-    for (seq, (&cluster, members)) in groups.iter().enumerate() {
-        let prefix = format!(
-            "db{}/g{}/seg{}",
-            db.db_id,
-            db.updates.generation,
-            db.updates.store.regions().len() + seq * 3
-        );
-        let emb_name = format!("{prefix}/emb");
-        let int8_name = format!("{prefix}/int8");
-        let doc_name = format!("{prefix}/doc");
-        let reserve =
-            |ssd: &mut SsdController| -> Result<(StripedRegion, StripedRegion, StripedRegion)> {
-                let emb = ssd.reserve_region(&emb_name, members.len().div_ceil(epp))?;
-                let int8 = ssd.reserve_region(&int8_name, members.len().div_ceil(i8pp))?;
-                let doc = ssd.reserve_region(&doc_name, members.len().div_ceil(dpp))?;
-                Ok((emb, int8, doc))
-            };
-        match reserve(ssd) {
+    let mut reserved: Vec<StripedRegion> = Vec::with_capacity(3 * groups.len());
+    for (cluster, members) in groups {
+        let mut reserve = |pages: usize| -> Result<StripedRegion> {
+            let region = ssd.reserve_region_in(account, pages)?;
+            reserved.push(region);
+            Ok(region)
+        };
+        let regions = reserve(members.len().div_ceil(epp)).and_then(|emb| {
+            let int8 = reserve(members.len().div_ceil(i8pp))?;
+            Ok((emb, int8, reserve(members.len().div_ceil(dpp))?))
+        });
+        match regions {
             Ok((emb_region, int8_region, doc_region)) => plans.push(GroupPlan {
                 cluster,
-                members: members.clone(),
-                emb_name,
+                members,
                 emb_region,
-                int8_name,
                 int8_region,
-                doc_name,
                 doc_region,
             }),
             Err(error) => {
-                // Unwind: nothing was programmed yet, so releasing the
-                // reserved (still unprogrammed) regions restores the
+                // Unwind: nothing was programmed yet, so releasing every
+                // region reserved so far (this group's too) restores the
                 // allocator and DRAM exactly.
-                for plan in &plans {
-                    ssd.release_region(&plan.emb_name, &plan.emb_region);
-                    ssd.release_region(&plan.int8_name, &plan.int8_region);
-                    ssd.release_region(&plan.doc_name, &plan.doc_region);
+                for region in &reserved {
+                    ssd.release_region_in(account, region);
                 }
                 return Err(error);
             }
@@ -262,87 +224,67 @@ fn append_entries(
     for GroupPlan {
         cluster,
         members,
-        emb_name,
         emb_region,
-        int8_name,
         int8_region,
-        doc_name,
         doc_region,
     } in plans
     {
         let tag = (cluster % 256) as u8;
         let sid_base = db.updates.store.len() as u32;
+        let radr_base = db.updates.base_capacity + sid_base;
 
         // Embedding pages: slot-padded binaries plus OOB linkage. Unfilled
         // slots get the RADR sentinel so the scan rejects them from the OOB
-        // bytes alone (validity recorded at program time).
-        for page in 0..emb_region.len {
-            let mut data = Vec::with_capacity(epp * layout.embedding_slot_bytes);
+        // bytes alone (validity recorded at program time). Every page is
+        // built at its programmed length and moved into the device.
+        for (page, run) in members.chunks(epp).enumerate() {
+            let mut data = Vec::with_capacity(run.len() * slot_bytes);
             let mut oob_entries = Vec::with_capacity(epp);
-            for s in 0..epp {
-                let j = page * epp + s;
-                if j < members.len() {
-                    data.extend(pad_slot(
-                        binaries[members[j]].as_bytes(),
-                        layout.embedding_slot_bytes,
-                    ));
-                    oob_entries.push(OobEntry {
-                        dadr: ids[members[j]],
-                        radr: db.updates.base_capacity + sid_base + j as u32,
-                        tag,
-                    });
-                } else {
-                    oob_entries.push(OobEntry {
-                        dadr: u32::MAX,
-                        radr: OOB_INVALID_RADR,
-                        tag: 0,
-                    });
-                }
+            for (s, &m) in run.iter().enumerate() {
+                push_slot(&mut data, binaries[m].as_bytes(), slot_bytes);
+                oob_entries.push(OobEntry {
+                    dadr: ids[m],
+                    radr: radr_base + (page * epp + s) as u32,
+                    tag,
+                });
             }
+            oob_entries.resize(
+                epp,
+                OobEntry {
+                    dadr: u32::MAX,
+                    radr: OOB_INVALID_RADR,
+                    tag: 0,
+                },
+            );
             let oob = oob_layout.pack(&oob_entries)?;
             latency += ssd.program_region_page(
                 &emb_region,
                 page,
                 RegionKind::BinaryEmbeddings,
-                &data,
+                data,
                 &oob,
             )?;
             pages_programmed += 1;
         }
         // INT8 pages.
-        for page in 0..int8_region.len {
-            let mut data = Vec::with_capacity(i8pp * layout.int8_bytes);
-            for s in 0..i8pp {
-                let j = page * i8pp + s;
-                if j >= members.len() {
-                    break;
-                }
-                data.extend(int8s[members[j]].as_slice().iter().map(|&v| v as u8));
+        for (page, run) in members.chunks(i8pp).enumerate() {
+            let mut data = Vec::with_capacity(run.len() * layout.int8_bytes);
+            for &m in run {
+                data.extend(int8s[m].as_slice().iter().map(|&v| v as u8));
             }
-            latency += ssd.program_region_page(
-                &int8_region,
-                page,
-                RegionKind::Int8Embeddings,
-                &data,
-                &[],
-            )?;
+            latency +=
+                ssd.program_region_page(&int8_region, page, RegionKind::Int8Embeddings, data, &[])?;
             pages_programmed += 1;
         }
         // Document pages.
-        for page in 0..doc_region.len {
-            let mut data = vec![0u8; (dpp * layout.doc_slot_bytes).min(geometry.page_size_bytes)];
-            for s in 0..dpp {
-                let j = page * dpp + s;
-                if j >= members.len() {
-                    break;
-                }
-                let doc = documents[members[j]].as_ref();
-                let start = s * layout.doc_slot_bytes;
-                data[start..start + 4].copy_from_slice(&(doc.len() as u32).to_le_bytes());
-                data[start + 4..start + 4 + doc.len()].copy_from_slice(doc);
-            }
+        for (page, run) in members.chunks(dpp).enumerate() {
+            let data = document_page(
+                run.iter().map(|&m| documents[m].as_ref()),
+                layout.doc_slot_bytes,
+                doc_page_bytes,
+            );
             latency +=
-                ssd.program_region_page(&doc_region, page, RegionKind::Documents, &data, &[])?;
+                ssd.program_region_page(&doc_region, page, RegionKind::Documents, data, &[])?;
             pages_programmed += 1;
         }
 
@@ -350,9 +292,9 @@ fn append_entries(
         // regions are remembered for release at compaction, and each member
         // becomes a live, relocatable segment entry.
         db.updates.store.add_run(cluster, emb_region);
-        db.updates.store.register_region(emb_name, emb_region);
-        db.updates.store.register_region(int8_name, int8_region);
-        db.updates.store.register_region(doc_name, doc_region);
+        db.updates.store.register_region(emb_region);
+        db.updates.store.register_region(int8_region);
+        db.updates.store.register_region(doc_region);
         for (j, &m) in members.iter().enumerate() {
             let sid = db.updates.store.push(SegmentEntry {
                 id: ids[m],
@@ -754,72 +696,59 @@ pub(crate) fn compact(
     let doc_region = ssd.reserve_region(&names.documents, new_layout.doc_pages)?;
     let mut pages_rewritten = 0usize;
 
-    for (page, (data, oob)) in centroid_pages.iter().enumerate() {
-        latency += ssd.program_region_page(&emb_region, page, RegionKind::Centroids, data, oob)?;
+    for (page, (data, oob)) in centroid_pages.into_iter().enumerate() {
+        latency += ssd.program_region_page(&emb_region, page, RegionKind::Centroids, data, &oob)?;
         pages_rewritten += 1;
     }
     let epp = new_layout.embeddings_per_page;
-    for page in 0..new_layout.embedding_pages {
-        let mut data = Vec::with_capacity(epp * new_layout.embedding_slot_bytes);
+    let slot_bytes = new_layout.embedding_slot_bytes;
+    for (page, run) in survivors.chunks(epp).enumerate() {
+        let mut data = Vec::with_capacity(run.len() * slot_bytes);
         let mut oob_entries = Vec::with_capacity(epp);
-        for s in 0..epp {
-            let storage = page * epp + s;
-            if storage < total {
-                let survivor = &survivors[storage];
-                data.extend(pad_slot(&survivor.binary, new_layout.embedding_slot_bytes));
-                oob_entries.push(OobEntry {
-                    dadr: survivor.id,
-                    radr: storage as u32,
-                    tag: survivor.tag,
-                });
-            } else {
-                oob_entries.push(OobEntry {
-                    dadr: u32::MAX,
-                    radr: OOB_INVALID_RADR,
-                    tag: 0,
-                });
-            }
+        for (s, survivor) in run.iter().enumerate() {
+            push_slot(&mut data, &survivor.binary, slot_bytes);
+            oob_entries.push(OobEntry {
+                dadr: survivor.id,
+                radr: (page * epp + s) as u32,
+                tag: survivor.tag,
+            });
         }
+        oob_entries.resize(
+            epp,
+            OobEntry {
+                dadr: u32::MAX,
+                radr: OOB_INVALID_RADR,
+                tag: 0,
+            },
+        );
         let oob = oob_layout.pack(&oob_entries)?;
         latency += ssd.program_region_page(
             &emb_region,
             new_layout.centroid_pages + page,
             RegionKind::BinaryEmbeddings,
-            &data,
+            data,
             &oob,
         )?;
         pages_rewritten += 1;
     }
-    for page in 0..new_layout.int8_pages {
-        let mut data = Vec::with_capacity(new_layout.int8_per_page * new_layout.int8_bytes);
-        for s in 0..new_layout.int8_per_page {
-            let storage = page * new_layout.int8_per_page + s;
-            if storage >= total {
-                break;
-            }
-            data.extend_from_slice(&survivors[storage].int8);
+    for (page, run) in survivors.chunks(new_layout.int8_per_page).enumerate() {
+        let mut data = Vec::with_capacity(run.len() * new_layout.int8_bytes);
+        for survivor in run {
+            data.extend_from_slice(&survivor.int8);
         }
         latency +=
-            ssd.program_region_page(&int8_region, page, RegionKind::Int8Embeddings, &data, &[])?;
+            ssd.program_region_page(&int8_region, page, RegionKind::Int8Embeddings, data, &[])?;
         pages_rewritten += 1;
     }
-    for page in 0..new_layout.doc_pages {
-        let mut data = vec![
-            0u8;
-            (new_layout.docs_per_page * new_layout.doc_slot_bytes)
-                .min(geometry.page_size_bytes)
-        ];
-        for s in 0..new_layout.docs_per_page {
-            let storage = page * new_layout.docs_per_page + s;
-            if storage >= total {
-                break;
-            }
-            let doc = &survivors[storage].doc;
-            let start = s * new_layout.doc_slot_bytes;
-            data[start..start + 4].copy_from_slice(&(doc.len() as u32).to_le_bytes());
-            data[start + 4..start + 4 + doc.len()].copy_from_slice(doc);
-        }
-        latency += ssd.program_region_page(&doc_region, page, RegionKind::Documents, &data, &[])?;
+    let doc_page_bytes =
+        (new_layout.docs_per_page * new_layout.doc_slot_bytes).min(geometry.page_size_bytes);
+    for (page, run) in survivors.chunks(new_layout.docs_per_page).enumerate() {
+        let data = document_page(
+            run.iter().map(|survivor| survivor.doc.as_slice()),
+            new_layout.doc_slot_bytes,
+            doc_page_bytes,
+        );
+        latency += ssd.program_region_page(&doc_region, page, RegionKind::Documents, data, &[])?;
         pages_rewritten += 1;
     }
 
@@ -866,12 +795,12 @@ pub(crate) fn compact(
 
     // ---- Release everything the new generation supersedes, then erase the
     // blocks whose programmed pages all became invalid.
-    let old_names = db.region_names.clone();
+    let old_names = &db.region_names;
     ssd.release_region(&old_names.embeddings, &db.record.embedding_region);
     ssd.release_region(&old_names.int8, &db.record.int8_region);
     ssd.release_region(&old_names.documents, &db.record.document_region);
-    for (name, region) in db.updates.store.regions().to_vec() {
-        ssd.release_region(&name, &region);
+    for region in db.updates.store.regions() {
+        ssd.release_region_in(&old_names.segments, region);
     }
     let (blocks_reclaimed, erase_latency) = ssd.reclaim_invalid_blocks()?;
     latency += erase_latency;
@@ -903,4 +832,101 @@ pub(crate) fn compact(
         blocks_reclaimed,
         live_entries: total,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::database::{ClusterInfo, VectorDatabase};
+    use proptest::prelude::*;
+    use reis_ann::quantize::{BinaryQuantizer, Int8Quantizer};
+    use reis_ssd::SsdConfig;
+
+    /// An IVF deployment whose centroids are exactly `centroids` (one entry
+    /// per cluster) on a tiny device.
+    fn deployed(dim: usize, centroids: &[Vec<u8>]) -> (SsdController, DeployedDatabase) {
+        let binary: Vec<BinaryVector> = centroids
+            .iter()
+            .map(|bytes| BinaryVector::from_packed(dim, bytes.clone()))
+            .collect();
+        let n = centroids.len();
+        let database = VectorDatabase::from_quantized_parts(
+            dim,
+            binary.clone(),
+            vec![Int8Vector::new(vec![0; dim]); n],
+            (0..n).map(|i| format!("doc {i}").into_bytes()).collect(),
+            BinaryQuantizer::zero_threshold(dim),
+            Int8Quantizer::from_parts(vec![0.0; dim], vec![1.0; dim]),
+            Some(ClusterInfo {
+                centroids: binary,
+                lists: (0..n).map(|i| vec![i]).collect(),
+            }),
+        )
+        .unwrap();
+        let mut ssd = SsdController::new(SsdConfig::tiny());
+        let db = crate::deploy::deploy(&mut ssd, &database, 1).unwrap();
+        (ssd, db)
+    }
+
+    fn hamming(a: &[u8], b: &[u8]) -> u32 {
+        a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
+    }
+
+    proptest! {
+        /// The fused-kernel centroid walk picks the brute-force minimum of
+        /// `(distance, cluster)` — ties, forced by duplicated centroids and
+        /// by queries equal to one, go to the lower cluster — and prices
+        /// one sense per centroid page and nothing else.
+        #[test]
+        fn nearest_cluster_is_the_brute_force_minimum(
+            dim_choice in 0usize..3,
+            random_centroids in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 64), 1..150),
+            duplicates in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..20),
+            query_bytes in proptest::collection::vec(any::<u8>(), 64),
+            query_is_centroid in any::<bool>(),
+            query_index in any::<usize>(),
+        ) {
+            let dim_bytes = [8, 32, 64][dim_choice];
+            let mut centroids: Vec<Vec<u8>> = random_centroids
+                .into_iter()
+                .map(|mut bytes| {
+                    bytes.truncate(dim_bytes);
+                    bytes
+                })
+                .collect();
+            let n = centroids.len();
+            for (from, to) in duplicates {
+                centroids[to % n] = centroids[from % n].clone();
+            }
+            let query = if query_is_centroid {
+                centroids[query_index % n].clone()
+            } else {
+                query_bytes[..dim_bytes].to_vec()
+            };
+            let (mut ssd, db) = deployed(8 * dim_bytes, &centroids);
+            let expected = (0..n)
+                .map(|c| (hamming(&query, &centroids[c]), c))
+                .min()
+                .unwrap()
+                .1;
+            let before = *ssd.device().stats();
+            let dram_before = ssd.dram().bytes_written();
+            let (cluster, latency) =
+                nearest_cluster(&mut ssd, &db, &BinaryVector::from_packed(8 * dim_bytes, query))
+                    .unwrap();
+            prop_assert_eq!(cluster, expected);
+
+            let pages = db.layout.centroid_pages;
+            prop_assert!(pages >= 1);
+            let timing = ssd.config().timing;
+            let scheme = ssd.hybrid_policy().scheme_for(RegionKind::Centroids);
+            let sense = timing.read_latency(scheme) + timing.t_command_overhead;
+            prop_assert_eq!(latency, sense * pages as u64);
+            let mut expected_stats = before;
+            expected_stats.page_reads += pages as u64;
+            prop_assert_eq!(ssd.device().stats(), &expected_stats);
+            prop_assert_eq!(ssd.dram().bytes_written(), dram_before);
+        }
+    }
 }

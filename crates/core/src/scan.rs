@@ -445,6 +445,48 @@ fn segment_scan_entry(
     })
 }
 
+/// The IVF centroid nearest to `padded` (a binary embedding padded to the
+/// embedding slot size) and the modelled latency of finding it: the cluster
+/// an append joins. Each centroid page is borrowed as stored and scored by
+/// the fused page kernel in one call, under no threshold; the nearest
+/// `(distance, cluster)` wins, so ties go to the lower cluster — the total
+/// order the coarse search selects under. Priced as one sense per centroid
+/// page ([`SsdController::read_page_view`] minus the transfer): the pages
+/// are counted as reads, and nothing moves over the channel or into a TTL.
+pub(crate) fn nearest_centroid(
+    ssd: &mut SsdController,
+    db: &DeployedDatabase,
+    padded: &[u8],
+) -> Result<(usize, Nanos)> {
+    let layout = db.layout;
+    let epp = layout.embeddings_per_page;
+    let slot_bytes = layout.embedding_slot_bytes;
+    let scheme = ssd.hybrid_policy().scheme_for(RegionKind::Centroids);
+    let timing = ssd.config().timing;
+    let sense = timing.read_latency(scheme) + timing.t_command_overhead;
+    let mut best: Option<(u32, usize)> = None;
+    let mut hits = Vec::with_capacity(epp);
+    for page in 0..layout.centroid_pages {
+        let (_, data, _) = ssd.scan_region_page(&db.record.embedding_region, page)?;
+        let centroids = layout.centroids.saturating_sub(page * epp).min(epp);
+        let limit = data.len().div_ceil(slot_bytes).min(centroids);
+        PassFailChecker::filter_fused(data, slot_bytes, limit, &[padded], &[u32::MAX], &mut hits);
+        // One query: hits arrive in ascending slot order.
+        for hit in &hits {
+            let candidate = (hit.distance, page * epp + hit.slot as usize);
+            if best.is_none_or(|best| candidate < best) {
+                best = Some(candidate);
+            }
+        }
+    }
+    ssd.device_mut().absorb_stats(&FlashStats {
+        page_reads: layout.centroid_pages as u64,
+        ..FlashStats::new()
+    });
+    let latency = sense * layout.centroid_pages as u64;
+    Ok((best.map_or(0, |(_, cluster)| cluster), latency))
+}
+
 /// Convert one passing centroid slot into a TTL-C entry, or `None` for pad
 /// slots past the last centroid.
 fn coarse_scan_entry(

@@ -416,13 +416,16 @@ impl ReisSystem {
         let started = self.telemetry.is_enabled().then(Instant::now);
         let outcome = self.insert_batch_inner(db_id, ids, vectors, documents)?;
         if let Some(durability) = self.durability.as_mut() {
-            durability.append(&wal::frame_insert_batch(
-                ids.is_some(),
-                db_id,
-                vectors,
-                documents,
-                &outcome.ids,
-            ))?;
+            durability.append(|frame| {
+                wal::frame_insert_batch(
+                    frame,
+                    ids.is_some(),
+                    db_id,
+                    vectors,
+                    documents,
+                    &outcome.ids,
+                )
+            })?;
         }
         self.record_mutation(
             CounterId::Inserts,
@@ -529,7 +532,7 @@ impl ReisSystem {
         let started = self.telemetry.is_enabled().then(Instant::now);
         let outcome = self.upsert_inner(db_id, id, vector, document)?;
         if let Some(durability) = self.durability.as_mut() {
-            durability.append(&wal::frame_upsert(db_id, id, vector, document))?;
+            durability.append(|frame| wal::frame_upsert(frame, db_id, id, vector, document))?;
         }
         self.record_mutation(CounterId::Upserts, 1, started, &outcome, db_id);
         Ok(outcome)
@@ -608,7 +611,7 @@ impl ReisSystem {
     /// successful [`ReisSystem::save`] re-establishes durability.
     pub(crate) fn log_wal(&mut self, record: WalRecord) -> Result<()> {
         if let Some(durability) = self.durability.as_mut() {
-            durability.append(&record.encode_framed())?;
+            durability.append(|frame| record.encode_framed_into(frame))?;
         }
         Ok(())
     }

@@ -290,7 +290,8 @@ impl FlashDevice {
         Ok(self.erase_counts[self.block_index(addr)?])
     }
 
-    /// Program a page with user data and OOB metadata using `scheme`.
+    /// Program a page with user data and OOB metadata using `scheme`: a
+    /// copy of `data` programmed by [`FlashDevice::program_page_owned`].
     ///
     /// The returned latency includes the channel transfer of the data into
     /// the die and the program time of the chosen scheme.
@@ -306,6 +307,25 @@ impl FlashDevice {
         &mut self,
         addr: PageAddr,
         data: &[u8],
+        oob: &[u8],
+        scheme: ProgramScheme,
+    ) -> Result<Nanos> {
+        self.program_page_owned(addr, data.to_vec(), oob, scheme)
+    }
+
+    /// [`FlashDevice::program_page`] of a page the caller built and hands
+    /// over: the device keeps `data` itself as the stored page, shrunk to
+    /// its length if it has spare capacity, so a page built at its
+    /// programmed length is never copied. Bytes, OOB, counters, latency and
+    /// errors are those of [`FlashDevice::program_page`].
+    ///
+    /// # Errors
+    ///
+    /// As [`FlashDevice::program_page`].
+    pub fn program_page_owned(
+        &mut self,
+        addr: PageAddr,
+        mut data: Vec<u8>,
         oob: &[u8],
         scheme: ProgramScheme,
     ) -> Result<Nanos> {
@@ -328,15 +348,17 @@ impl FlashDevice {
         }
         let mut stored_oob = vec![0u8; self.geometry.oob_size_bytes];
         stored_oob[..oob.len()].copy_from_slice(oob);
+        let bytes = data.len() + oob.len();
+        data.shrink_to_fit();
         *slot = Some(Page {
-            data: data.to_vec(),
+            data,
             oob: stored_oob,
             scheme,
         });
 
         self.stats.page_programs += 1;
-        self.stats.bytes_from_controller += (data.len() + oob.len()) as u64;
-        let transfer = self.timing.channel_transfer(data.len() + oob.len());
+        self.stats.bytes_from_controller += bytes as u64;
+        let transfer = self.timing.channel_transfer(bytes);
         Ok(transfer + self.timing.program_latency(scheme) + self.timing.t_command_overhead)
     }
 
@@ -505,6 +527,67 @@ mod tests {
 
     fn page0() -> PageAddr {
         PageAddr::new(0, 0, 0, 0, 0)
+    }
+
+    /// The owning program stores the caller's buffer at its length — so a
+    /// short page costs its bytes, not a page, of resident memory — and
+    /// leaves the bytes, OOB, counters, latency and errors the copying
+    /// program leaves.
+    #[test]
+    fn an_owned_page_is_stored_at_its_length_and_programs_like_a_copied_one() {
+        let tlc = ProgramScheme::Ispp(CellMode::Tlc);
+        let (mut copied, mut owned) = (device(), device());
+        let short: Vec<u8> = (0..300).map(|i| (i * 7) as u8).collect();
+        let oob = [1, 2, 3];
+        let a = PageAddr::new(0, 1, 0, 0, 0);
+        let b = PageAddr::new(1, 0, 1, 2, 3);
+        let stripe_of = |addr| Geometry::tiny().stripe_index(addr);
+
+        let copy_latency = copied.program_page(a, &short, &oob, tlc).unwrap();
+        // A buffer with spare capacity is shrunk to its length.
+        let mut spare = Vec::with_capacity(4 * short.len());
+        spare.extend_from_slice(&short);
+        assert_eq!(
+            owned.program_page_owned(a, spare, &oob, tlc).unwrap(),
+            copy_latency
+        );
+        // A buffer built at its length is kept as it is, not copied.
+        let exact = short[..64].to_vec();
+        let exact_at = exact.as_ptr();
+        copied
+            .program_page(b, &short[..64], &[], ProgramScheme::EnhancedSlc)
+            .unwrap();
+        owned
+            .program_page_owned(b, exact, &[], ProgramScheme::EnhancedSlc)
+            .unwrap();
+        let kept = owned.store.get(stripe_of(b)).unwrap();
+        assert_eq!(kept.data.as_ptr(), exact_at);
+
+        for device in [&copied, &owned] {
+            for addr in [a, b] {
+                let page = device.store.get(stripe_of(addr)).unwrap();
+                assert_eq!(page.data.capacity(), page.data.len());
+            }
+        }
+        assert_eq!(copied.stats(), owned.stats());
+        assert_eq!(owned.stats().page_programs, 2);
+        assert_eq!(
+            copied, owned,
+            "same stored pages, OOB, counters and error stream"
+        );
+        assert_eq!(copied.read_page(a).unwrap(), owned.read_page(a).unwrap());
+
+        // The same errors, and a refused program stores nothing.
+        let too_large = vec![0; Geometry::tiny().page_size_bytes + 1];
+        assert_eq!(
+            owned.program_page_owned(page0(), too_large.clone(), &[], tlc),
+            copied.program_page(page0(), &too_large, &[], tlc)
+        );
+        assert_eq!(
+            owned.program_page_owned(a, short.clone(), &[], tlc),
+            Err(NandError::PageAlreadyProgrammed(a))
+        );
+        assert_eq!(copied, owned);
     }
 
     #[test]

@@ -45,9 +45,6 @@ pub enum NandError {
         /// Number of mini-pages per page for the given element size.
         limit: usize,
     },
-    /// A command was issued that the die-level finite state machine cannot
-    /// accept in its current state.
-    InvalidCommandSequence(&'static str),
 }
 
 impl fmt::Display for NandError {
@@ -77,9 +74,6 @@ impl fmt::Display for NandError {
             NandError::BlockOutOfRange(addr) => write!(f, "block {addr} out of range"),
             NandError::MiniPageOutOfRange { offset, limit } => {
                 write!(f, "mini-page offset {offset} out of range (limit {limit})")
-            }
-            NandError::InvalidCommandSequence(msg) => {
-                write!(f, "invalid command sequence: {msg}")
             }
         }
     }
@@ -118,7 +112,6 @@ mod tests {
                 offset: 200,
                 limit: 128,
             },
-            NandError::InvalidCommandSequence("xor before sense"),
         ];
         for e in errs {
             let s = e.to_string();

@@ -182,27 +182,6 @@ impl Geometry {
         (addr.channel * self.dies_per_channel + addr.die) * self.planes_per_die + addr.plane
     }
 
-    /// Inverse of [`Geometry::plane_index`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.total_planes()`.
-    pub fn plane_at(&self, index: usize) -> PlaneAddr {
-        assert!(
-            index < self.total_planes(),
-            "plane index {index} out of range"
-        );
-        let plane = index % self.planes_per_die;
-        let die_global = index / self.planes_per_die;
-        let die = die_global % self.dies_per_channel;
-        let channel = die_global / self.dies_per_channel;
-        PlaneAddr {
-            channel,
-            die,
-            plane,
-        }
-    }
-
     /// The position of a page in *stripe order*, in `0..total_pages()`.
     ///
     /// Stripe order is the order of Parallelism-First Page Allocation
@@ -257,11 +236,6 @@ impl Geometry {
             .step_by(self.total_planes())
             .take(self.pages_per_block)
     }
-
-    /// Iterate over all plane addresses in dense-index order.
-    pub fn planes(&self) -> impl Iterator<Item = PlaneAddr> + '_ {
-        (0..self.total_planes()).map(move |i| self.plane_at(i))
-    }
 }
 
 impl Default for Geometry {
@@ -279,17 +253,6 @@ pub struct PlaneAddr {
     pub die: usize,
     /// Plane index within the die.
     pub plane: usize,
-}
-
-impl PlaneAddr {
-    /// Create a plane address from its components.
-    pub fn new(channel: usize, die: usize, plane: usize) -> Self {
-        PlaneAddr {
-            channel,
-            die,
-            plane,
-        }
-    }
 }
 
 impl fmt::Display for PlaneAddr {
@@ -412,11 +375,14 @@ mod tests {
 
     #[test]
     fn plane_index_roundtrip() {
+        // The first `total_planes()` stripes visit every plane once, so
+        // their plane indices are exactly `0..total_planes()`.
         let g = Geometry::tiny();
-        for i in 0..g.total_planes() {
-            let addr = g.plane_at(i);
-            assert_eq!(g.plane_index(addr), i);
-        }
+        let mut indices: Vec<usize> = (0..g.total_planes())
+            .map(|stripe| g.plane_index(g.stripe_addr(stripe).unwrap().plane_addr()))
+            .collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..g.total_planes()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -479,17 +445,6 @@ mod tests {
             2 * 2 * 2 * 4 * 8,
             "tiny geometry should count every page of every plane"
         );
-    }
-
-    #[test]
-    fn planes_iterator_visits_each_plane_once() {
-        let g = Geometry::tiny();
-        let planes: Vec<_> = g.planes().collect();
-        assert_eq!(planes.len(), g.total_planes());
-        let mut sorted = planes.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), planes.len());
     }
 
     #[test]

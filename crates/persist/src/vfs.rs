@@ -9,10 +9,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
-use std::fs;
+use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::error::{PersistError, Result};
 
@@ -43,12 +43,30 @@ pub trait Vfs: Debug + Send {
 }
 
 /// A [`Vfs`] backed by one real directory (created on first use).
+///
+/// **Flush policy: one open file per WAL epoch.** The handle keeps open the
+/// file it last appended to, so a run of appends to one epoch's WAL opens
+/// it once and then costs one `write(2)` each. Every append still reaches
+/// the operating system before [`Vfs::append`] returns — nothing is
+/// buffered in the process, and nothing is synced to the device: a record
+/// survives the death of the process, not of the machine. The held file is
+/// closed when this handle's [`Vfs::write_file`] or [`Vfs::remove`] names
+/// it, when an append names another file (so an epoch's WAL closes at the
+/// first append to the next epoch's), and when the last clone of the
+/// handle is dropped.
+///
+/// Clones share the held file. Two separately constructed `DirVfs` over one
+/// directory see each other's appends at once, but neither sees the other
+/// remove a file: appends through a handle that holds a file another handle
+/// removed land in the unlinked file.
 #[derive(Debug, Clone)]
 pub struct DirVfs {
     root: PathBuf,
     /// Set once this handle has created `root`, so a write costs its own
     /// system calls and not a directory check besides.
     root_created: OnceLock<()>,
+    /// The file the last append went to, still open for appending.
+    held: Arc<Mutex<Option<(String, File)>>>,
 }
 
 impl DirVfs {
@@ -59,6 +77,7 @@ impl DirVfs {
         DirVfs {
             root: root.into(),
             root_created: OnceLock::new(),
+            held: Arc::default(),
         }
     }
 
@@ -80,22 +99,48 @@ impl DirVfs {
         }
         Ok(())
     }
+
+    fn held(&self) -> MutexGuard<'_, Option<(String, File)>> {
+        self.held.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Close the held file if it is `name`.
+    fn close_if_held(&self, name: &str) {
+        let mut held = self.held();
+        if held.as_ref().is_some_and(|(open, _)| open == name) {
+            *held = None;
+        }
+    }
 }
 
 impl Vfs for DirVfs {
     fn write_file(&self, name: &str, bytes: &[u8]) -> Result<()> {
+        self.close_if_held(name);
         self.ensure_root()?;
         fs::write(self.path(name), bytes).map_err(|e| Self::io_err(name, e))
     }
 
     fn append(&self, name: &str, bytes: &[u8]) -> Result<()> {
-        self.ensure_root()?;
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(name))
-            .map_err(|e| Self::io_err(name, e))?;
-        file.write_all(bytes).map_err(|e| Self::io_err(name, e))
+        let mut held = self.held();
+        let file = match &mut *held {
+            Some((open, file)) if open == name => file,
+            slot => {
+                *slot = None;
+                self.ensure_root()?;
+                let file = fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(self.path(name))
+                    .map_err(|e| Self::io_err(name, e))?;
+                &mut slot.insert((name.to_string(), file)).1
+            }
+        };
+        let written = file.write_all(bytes);
+        if written.is_err() {
+            // Reopen on the next append rather than trust this descriptor.
+            *held = None;
+        }
+        written.map_err(|e| Self::io_err(name, e))
     }
 
     fn read_file(&self, name: &str) -> Result<Vec<u8>> {
@@ -128,6 +173,7 @@ impl Vfs for DirVfs {
     }
 
     fn remove(&self, name: &str) -> Result<()> {
+        self.close_if_held(name);
         match fs::remove_file(self.path(name)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -227,12 +273,126 @@ mod tests {
         exercise(&MemVfs::new());
     }
 
+    /// A fresh directory of this test process, removed first if a previous
+    /// run left it behind.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let root =
+            std::env::temp_dir().join(format!("reis-persist-vfs-{}-{test}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        root
+    }
+
     #[test]
     fn dir_vfs_implements_the_contract() {
-        let root = std::env::temp_dir().join(format!("reis-persist-vfs-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
+        let root = scratch_dir("contract");
         exercise(&DirVfs::new(&root));
         let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn dir_vfs_appends_alternating_between_two_names_land_in_each() {
+        let root = scratch_dir("alternate");
+        let vfs = DirVfs::new(&root);
+        let mut expected = (Vec::new(), Vec::new());
+        for i in 0..6u8 {
+            vfs.append("a", &[i]).unwrap();
+            expected.0.push(i);
+            vfs.append("b", &[i, i]).unwrap();
+            expected.1.extend([i, i]);
+        }
+        vfs.append("a", b"end").unwrap();
+        expected.0.extend(b"end");
+        assert_eq!(vfs.read_file("a").unwrap(), expected.0);
+        assert_eq!(vfs.read_file("b").unwrap(), expected.1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn dir_vfs_append_after_remove_recreates_the_file() {
+        let root = scratch_dir("remove");
+        let vfs = DirVfs::new(&root);
+        vfs.append("wal", b"old").unwrap();
+        vfs.remove("wal").unwrap();
+        assert!(!vfs.exists("wal"));
+        vfs.append("wal", b"new").unwrap();
+        assert_eq!(vfs.read_file("wal").unwrap(), b"new");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn dir_vfs_append_after_write_file_continues_after_the_new_contents() {
+        let root = scratch_dir("rewrite");
+        let vfs = DirVfs::new(&root);
+        vfs.append("wal", b"a long first body").unwrap();
+        vfs.write_file("wal", b"short").unwrap();
+        vfs.append("wal", b"+tail").unwrap();
+        assert_eq!(vfs.read_file("wal").unwrap(), b"short+tail");
+        vfs.write_file("wal", &[]).unwrap();
+        vfs.append("wal", b"x").unwrap();
+        assert_eq!(vfs.read_file("wal").unwrap(), b"x");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn dir_vfs_clones_and_second_handles_read_each_others_appends_at_once() {
+        let root = scratch_dir("share");
+        let a = DirVfs::new(&root);
+        let clone = a.clone();
+        let other = DirVfs::new(&root);
+        a.append("wal", b"1").unwrap();
+        assert_eq!(clone.read_file("wal").unwrap(), b"1");
+        assert_eq!(other.read_file("wal").unwrap(), b"1");
+        clone.append("wal", b"2").unwrap();
+        assert_eq!(a.read_file("wal").unwrap(), b"12");
+        other.append("wal", b"3").unwrap();
+        assert_eq!(a.read_file("wal").unwrap(), b"123");
+        a.append("wal", b"4").unwrap();
+        assert_eq!(other.read_file("wal").unwrap(), b"1234");
+        // A remove through the clone closes the file the pair holds.
+        clone.remove("wal").unwrap();
+        a.append("wal", b"5").unwrap();
+        assert_eq!(other.read_file("wal").unwrap(), b"5");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn torn_tail_over_dir_vfs_quarantines_at_the_exact_byte() {
+        use crate::fault::FaultVfs;
+        use crate::wal::{read_records, WalRecord, WalTail};
+
+        let records: Vec<WalRecord> = (0..4u32)
+            .map(|i| WalRecord::Upsert {
+                db_id: 1,
+                id: i,
+                vector: vec![i as f32; 16],
+                document: vec![i as u8; 40],
+            })
+            .collect();
+        let frames: Vec<Vec<u8>> = records.iter().map(WalRecord::encode_framed).collect();
+        for kept in 0..records.len() {
+            for torn in [1, frames[kept].len() / 2, frames[kept].len() - 1] {
+                let root = scratch_dir("torn");
+                let (vfs, handle) = FaultVfs::new(DirVfs::new(&root));
+                vfs.write_file("wal", &[]).unwrap();
+                for frame in &frames[..kept] {
+                    vfs.append("wal", frame).unwrap();
+                }
+                handle.arm_kill_after(torn as u64);
+                for frame in &frames[kept..] {
+                    vfs.append("wal", frame).unwrap();
+                }
+                let bytes = DirVfs::new(&root).read_file("wal").unwrap();
+                let intact: usize = frames[..kept].iter().map(Vec::len).sum();
+                assert_eq!(bytes.len(), intact + torn);
+                let (decoded, tail) = read_records(&bytes);
+                assert_eq!(decoded, records[..kept]);
+                assert!(
+                    matches!(tail, WalTail::Quarantined { offset, .. } if offset == intact as u64),
+                    "{kept} frames kept, {torn} bytes torn: {tail:?}"
+                );
+                let _ = fs::remove_dir_all(&root);
+            }
+        }
     }
 
     #[test]

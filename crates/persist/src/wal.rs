@@ -200,8 +200,46 @@ impl WalRecord {
 
     /// Encode the record as one framed WAL append.
     pub fn encode_framed(&self) -> Vec<u8> {
-        framed(|w| self.put(w))
+        let mut out = Vec::new();
+        self.encode_framed_into(&mut out);
+        out
     }
+
+    /// [`WalRecord::encode_framed`] into `out`, replacing its contents and
+    /// reusing its capacity.
+    pub fn encode_framed_into(&self, out: &mut Vec<u8>) {
+        let payload = match self {
+            WalRecord::InsertBatch {
+                vectors, documents, ..
+            }
+            | WalRecord::InsertBatchAt {
+                vectors, documents, ..
+            } => insert_batch_payload_len(vectors, documents),
+            WalRecord::Upsert {
+                vector, document, ..
+            } => upsert_payload_len(vector, document),
+            WalRecord::Delete { .. } => 9,
+            WalRecord::Compact { .. } => 5,
+        };
+        framed(out, payload, |w| self.put(w));
+    }
+}
+
+/// Payload bytes of a batch insert: opcode, database id and count, then per
+/// entry its counted vector, its length-prefixed document and its id.
+fn insert_batch_payload_len(vectors: &[Vec<f32>], documents: &[Vec<u8>]) -> usize {
+    let entries: usize = vectors
+        .iter()
+        .zip(documents)
+        .map(|(vector, document)| 4 + 4 * vector.len() + 4 + document.len() + 4)
+        .sum();
+    9 + entries
+}
+
+/// Payload bytes of an upsert: opcode, database id, id, then the counted
+/// vector and the length-prefixed document.
+fn upsert_payload_len(vector: &[f32], document: &[u8]) -> usize {
+    9 + 4 + 4 * vector.len() + 4 + document.len()
 }
 
 fn put_insert_batch(
@@ -233,42 +271,50 @@ fn put_upsert(w: &mut ByteWriter, db_id: u32, id: u32, vector: &[f32], document:
 }
 
 /// The framed WAL append of a batch insert, encoded straight from the
-/// mutation's own arguments: byte for byte what
-/// [`WalRecord::InsertBatchAt`] (`chosen_ids`) or [`WalRecord::InsertBatch`]
-/// of the same values encodes to, without cloning the batch into a record
-/// first.
+/// mutation's own arguments into `out` (its contents replaced, its capacity
+/// reused): byte for byte what [`WalRecord::InsertBatchAt`] (`chosen_ids`)
+/// or [`WalRecord::InsertBatch`] of the same values encodes to, without
+/// cloning the batch into a record first.
 pub fn frame_insert_batch(
+    out: &mut Vec<u8>,
     chosen_ids: bool,
     db_id: u32,
     vectors: &[Vec<f32>],
     documents: &[Vec<u8>],
     ids: &[u32],
-) -> Vec<u8> {
+) {
     let op = if chosen_ids {
         OP_INSERT_BATCH_AT
     } else {
         OP_INSERT_BATCH
     };
-    framed(|w| put_insert_batch(w, op, db_id, vectors, documents, ids))
+    let payload = insert_batch_payload_len(vectors, documents);
+    framed(out, payload, |w| {
+        put_insert_batch(w, op, db_id, vectors, documents, ids)
+    });
 }
 
-/// The framed WAL append of an upsert, encoded from borrowed arguments (see
-/// [`frame_insert_batch`]): byte for byte a framed [`WalRecord::Upsert`].
-pub fn frame_upsert(db_id: u32, id: u32, vector: &[f32], document: &[u8]) -> Vec<u8> {
-    framed(|w| put_upsert(w, db_id, id, vector, document))
+/// The framed WAL append of an upsert, encoded from borrowed arguments into
+/// `out` (see [`frame_insert_batch`]): byte for byte a framed
+/// [`WalRecord::Upsert`].
+pub fn frame_upsert(out: &mut Vec<u8>, db_id: u32, id: u32, vector: &[f32], document: &[u8]) {
+    let payload = upsert_payload_len(vector, document);
+    framed(out, payload, |w| put_upsert(w, db_id, id, vector, document));
 }
 
-/// Encode a payload behind a frame header that is filled in afterwards, so
-/// the payload is written once, where it stays.
-fn framed(put: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+/// Encode a `payload_len`-byte payload into `out` behind a frame header
+/// that is filled in afterwards: `out` is cleared and sized for the frame
+/// once, and the payload is written once, where it stays.
+fn framed(out: &mut Vec<u8>, payload_len: usize, put: impl FnOnce(&mut ByteWriter)) {
+    let mut w = ByteWriter::reuse(std::mem::take(out));
+    w.reserve(FRAME_HEADER_BYTES + payload_len);
     w.put_raw(&[0; FRAME_HEADER_BYTES]);
     put(&mut w);
-    let mut bytes = w.into_bytes();
-    let (header, payload) = bytes.split_at_mut(FRAME_HEADER_BYTES);
+    *out = w.into_bytes();
+    let (header, payload) = out.split_at_mut(FRAME_HEADER_BYTES);
+    debug_assert_eq!(payload.len(), payload_len, "payload size estimate");
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&crc32c(payload).to_le_bytes());
-    bytes
 }
 
 /// What the end of a WAL file looked like.
@@ -401,32 +447,33 @@ mod tests {
     /// it to, and that frame is length, CRC32C, payload.
     #[test]
     fn borrowed_frames_are_the_records_frames() {
+        let mut borrowed = Vec::new();
         for record in sample_records() {
             let framed = record.encode_framed();
             let payload = &framed[FRAME_HEADER_BYTES..];
             assert_eq!(framed[..4], (payload.len() as u32).to_le_bytes());
             assert_eq!(framed[4..8], crc32c(payload).to_le_bytes());
-            let borrowed = match &record {
+            match &record {
                 WalRecord::InsertBatch {
                     db_id,
                     vectors,
                     documents,
                     ids,
-                } => frame_insert_batch(false, *db_id, vectors, documents, ids),
+                } => frame_insert_batch(&mut borrowed, false, *db_id, vectors, documents, ids),
                 WalRecord::InsertBatchAt {
                     db_id,
                     vectors,
                     documents,
                     ids,
-                } => frame_insert_batch(true, *db_id, vectors, documents, ids),
+                } => frame_insert_batch(&mut borrowed, true, *db_id, vectors, documents, ids),
                 WalRecord::Upsert {
                     db_id,
                     id,
                     vector,
                     document,
-                } => frame_upsert(*db_id, *id, vector, document),
+                } => frame_upsert(&mut borrowed, *db_id, *id, vector, document),
                 WalRecord::Delete { .. } | WalRecord::Compact { .. } => continue,
-            };
+            }
             assert_eq!(borrowed, framed);
         }
     }
@@ -509,9 +556,122 @@ mod tests {
 
     #[test]
     fn unknown_opcodes_are_quarantined_not_panicked() {
-        let bogus = framed(|w| w.put_raw(&[0xEE, 0, 0, 0, 0]));
+        let mut bogus = Vec::new();
+        framed(&mut bogus, 5, |w| w.put_raw(&[0xEE, 0, 0, 0, 0]));
         let (records, tail) = read_records(&bogus);
         assert!(records.is_empty());
         assert!(matches!(tail, WalTail::Quarantined { offset: 0, .. }));
+    }
+
+    /// The same frame through [`WalRecord::encode_framed`] and through one
+    /// reused buffer, for every record a mutation appends.
+    fn reused_frame(out: &mut Vec<u8>, record: &WalRecord) {
+        match record {
+            WalRecord::InsertBatch {
+                db_id,
+                vectors,
+                documents,
+                ids,
+            } => frame_insert_batch(out, false, *db_id, vectors, documents, ids),
+            WalRecord::InsertBatchAt {
+                db_id,
+                vectors,
+                documents,
+                ids,
+            } => frame_insert_batch(out, true, *db_id, vectors, documents, ids),
+            WalRecord::Upsert {
+                db_id,
+                id,
+                vector,
+                document,
+            } => frame_upsert(out, *db_id, *id, vector, document),
+            WalRecord::Delete { .. } | WalRecord::Compact { .. } => record.encode_framed_into(out),
+        }
+    }
+
+    #[test]
+    fn reused_buffer_frames_equal_the_records_frames_bit_for_bit() {
+        let payload_nan = f32::from_bits(0x7FC0_1234);
+        let signalling_nan = f32::from_bits(0xFF80_0001);
+        let subnormal = f32::from_bits(1);
+        let awkward = vec![
+            payload_nan,
+            signalling_nan,
+            -0.0,
+            0.0,
+            subnormal,
+            -f32::from_bits(0x007F_FFFF),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let records = [
+            WalRecord::InsertBatch {
+                db_id: 7,
+                vectors: vec![awkward.clone(), vec![1.0; 8], awkward.clone()],
+                documents: vec![Vec::new(), b"middle".to_vec(), Vec::new()],
+                ids: vec![1, 2, 3],
+            },
+            WalRecord::Upsert {
+                db_id: 1,
+                id: 9,
+                vector: awkward.clone(),
+                document: Vec::new(),
+            },
+            WalRecord::InsertBatchAt {
+                db_id: 3,
+                vectors: vec![awkward.clone(); 5],
+                documents: (0..5u8).map(|i| vec![i; usize::from(i) * 3]).collect(),
+                ids: vec![40, 41, 42, 43, 44],
+            },
+            WalRecord::InsertBatch {
+                db_id: 0,
+                vectors: Vec::new(),
+                documents: Vec::new(),
+                ids: Vec::new(),
+            },
+            WalRecord::Delete { db_id: 2, id: 5 },
+            WalRecord::Compact { db_id: 2 },
+        ];
+        let mut out = Vec::new();
+        for record in records.iter().chain(&sample_records()) {
+            reused_frame(&mut out, record);
+            assert_eq!(out, record.encode_framed(), "{record:?}");
+            let (decoded, tail) = read_records(&out);
+            assert!(tail.is_clean());
+            // NaN != NaN, so compare the decoded record's own frame.
+            assert_eq!(decoded.len(), 1);
+            assert_eq!(decoded[0].encode_framed(), out);
+        }
+    }
+
+    #[test]
+    fn a_short_frame_after_a_long_one_carries_none_of_its_bytes() {
+        let long = WalRecord::InsertBatch {
+            db_id: 1,
+            vectors: vec![vec![f32::from_bits(0xDEAD_BEEF); 256]; 4],
+            documents: vec![vec![0xAB; 900]; 4],
+            ids: vec![10, 11, 12, 13],
+        };
+        let short = WalRecord::Upsert {
+            db_id: 1,
+            id: 10,
+            vector: vec![0.5; 2],
+            document: b"x".to_vec(),
+        };
+        let mut out = Vec::new();
+        reused_frame(&mut out, &long);
+        let long_capacity = out.capacity();
+        reused_frame(&mut out, &short);
+        assert_eq!(out, short.encode_framed());
+        assert_eq!(
+            out.len(),
+            FRAME_HEADER_BYTES + upsert_payload_len(&[0.5; 2], b"x")
+        );
+        assert!(
+            out.capacity() >= long_capacity,
+            "the buffer keeps its capacity"
+        );
+        let (decoded, tail) = read_records(&out);
+        assert_eq!((decoded, tail), (vec![short], WalTail::Clean));
     }
 }

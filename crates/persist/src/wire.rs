@@ -22,6 +22,19 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// A writer that encodes into `buf`, cleared first: its capacity is
+    /// reused, so an encoder called once per record allocates only when a
+    /// record outgrows every earlier one.
+    pub fn reuse(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        ByteWriter { buf }
+    }
+
+    /// Reserve room for `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Consume the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -68,11 +81,14 @@ impl ByteWriter {
         }
     }
 
-    /// Append a `u32` count followed by each `f32` bit pattern.
+    /// Append a `u32` count followed by each `f32` bit pattern: the values
+    /// are written as one run into a region sized for all of them.
     pub fn put_f32_slice(&mut self, values: &[f32]) {
         self.put_u32(values.len() as u32);
-        for &v in values {
-            self.put_f32(v);
+        let start = self.buf.len();
+        self.buf.resize(start + 4 * values.len(), 0);
+        for (out, v) in self.buf[start..].chunks_exact_mut(4).zip(values) {
+            out.copy_from_slice(&v.to_le_bytes());
         }
     }
 }

@@ -177,12 +177,44 @@ impl SsdController {
     /// * [`SsdError::DramExhausted`](crate::SsdError::DramExhausted) if the
     ///   bookkeeping does not fit in DRAM.
     pub fn reserve_region(&mut self, name: &str, pages: usize) -> Result<StripedRegion> {
+        // Region bookkeeping lives in DRAM next to the R-DB record.
+        self.reserve_pages(pages, |dram| {
+            dram.allocate(name, crate::ftl::COARSE_RECORD_BYTES)
+        })
+    }
+
+    /// [`SsdController::reserve_region`] for a region without a name of its
+    /// own: its bookkeeping record is added to the shared DRAM allocation
+    /// `account` ([`InternalDram::grow`]). DRAM use, and when and with which
+    /// numbers a reservation fails, are those of a reservation under a
+    /// fresh name. A database's append segments are reserved this way, so
+    /// an append names nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`SsdController::reserve_region`].
+    pub fn reserve_region_in(&mut self, account: &str, pages: usize) -> Result<StripedRegion> {
+        self.reserve_pages(pages, |dram| {
+            dram.grow(account, crate::ftl::COARSE_RECORD_BYTES)
+        })
+    }
+
+    /// Reserve `pages` pages, recycled ones first, then account their
+    /// bookkeeping with `account`; a failed accounting hands the pages
+    /// back.
+    fn reserve_pages(
+        &mut self,
+        pages: usize,
+        account: impl FnOnce(&mut InternalDram) -> Result<()>,
+    ) -> Result<StripedRegion> {
         let region = match self.allocator.reserve_recycled(pages) {
             Some(region) => region,
             None => self.allocator.reserve(pages)?,
         };
-        // Region bookkeeping lives in DRAM next to the R-DB record.
-        self.dram.allocate(name, crate::ftl::COARSE_RECORD_BYTES)?;
+        if let Err(error) = account(&mut self.dram) {
+            self.allocator.release(&region, false);
+            return Err(error);
+        }
         Ok(region)
     }
 
@@ -195,6 +227,19 @@ impl SsdController {
     /// complete; only then can the stripes actually be recycled. Stripes
     /// that were never programmed are reusable at once.
     pub fn release_region(&mut self, name: &str, region: &StripedRegion) {
+        self.release_pages(region);
+        self.dram.release(name);
+    }
+
+    /// Release a region reserved with [`SsdController::reserve_region_in`]:
+    /// as [`SsdController::release_region`], with its bookkeeping record
+    /// taken back from the shared allocation `account`.
+    pub fn release_region_in(&mut self, account: &str, region: &StripedRegion) {
+        self.release_pages(region);
+        self.dram.shrink(account, crate::ftl::COARSE_RECORD_BYTES);
+    }
+
+    fn release_pages(&mut self, region: &StripedRegion) {
         // Hand the region back as maximal runs of equally programmed pages.
         let mut run = StripedRegion {
             start: region.start,
@@ -217,7 +262,6 @@ impl SsdController {
             run.len += 1;
         }
         self.allocator.release(&run, run_programmed);
-        self.dram.release(name);
     }
 
     /// Erase every block whose programmed pages have all been invalidated
@@ -239,7 +283,10 @@ impl SsdController {
     }
 
     /// Program one page of a database region with the scheme mandated by the
-    /// hybrid policy for its kind, returning the program latency.
+    /// hybrid policy for its kind, returning the program latency. The device
+    /// keeps `data` as the stored page
+    /// ([`FlashDevice::program_page_owned`]): build it at its programmed
+    /// length and it is not copied again.
     ///
     /// # Errors
     ///
@@ -250,12 +297,12 @@ impl SsdController {
         region: &StripedRegion,
         offset: usize,
         kind: RegionKind,
-        data: &[u8],
+        data: Vec<u8>,
         oob: &[u8],
     ) -> Result<Nanos> {
         let addr = region.page_at(&self.config.geometry, offset)?;
         let scheme = self.config.hybrid.scheme_for(kind);
-        Ok(self.device.program_page(addr, data, oob, scheme)?)
+        Ok(self.device.program_page_owned(addr, data, oob, scheme)?)
     }
 
     /// Read one page of a database region through the controller without
@@ -356,11 +403,11 @@ mod tests {
             &emb,
             0,
             RegionKind::BinaryEmbeddings,
-            &[0xAB; 4096],
+            vec![0xAB; 4096],
             &[1, 2, 3],
         )
         .unwrap();
-        ssd.program_region_page(&docs, 0, RegionKind::Documents, &[0xCD; 4096], &[])
+        ssd.program_region_page(&docs, 0, RegionKind::Documents, vec![0xCD; 4096], &[])
             .unwrap();
         let emb_read = ssd
             .read_region_page_view(&emb, 0, RegionKind::BinaryEmbeddings)
@@ -449,7 +496,7 @@ mod tests {
                 for page in 0..PAGES {
                     let data: Vec<u8> = (0..4096).map(|i| (i * 7 + page * 13 + k) as u8).collect();
                     let oob = [page as u8, k as u8, 0xEE];
-                    ssd.program_region_page(&reserved, page, kind, &data, &oob)
+                    ssd.program_region_page(&reserved, page, kind, data, &oob)
                         .unwrap();
                 }
                 region = Some(reserved);
@@ -566,7 +613,7 @@ mod tests {
                 if pad {
                     data.resize(page_size, 0);
                 }
-                ssd.program_region_page(&region, page, kind, &data, &[page as u8])
+                ssd.program_region_page(&region, page, kind, data, &[page as u8])
                     .unwrap();
             }
         }
@@ -611,9 +658,9 @@ mod tests {
             let mut ssd = SsdController::new(config);
             let short = ssd.reserve_region("db0/short", 1).unwrap();
             let tlc = ssd.reserve_region("db0/tlc", 1).unwrap();
-            ssd.program_region_page(&short, 0, short_kind, &[0x3C; 40], &[])
+            ssd.program_region_page(&short, 0, short_kind, vec![0x3C; 40], &[])
                 .unwrap();
-            ssd.program_region_page(&tlc, 0, tlc_kind, &[0x99; 4096], &[])
+            ssd.program_region_page(&tlc, 0, tlc_kind, vec![0x99; 4096], &[])
                 .unwrap();
             (ssd, short, tlc)
         };
@@ -645,7 +692,7 @@ mod tests {
             &region,
             1,
             RegionKind::BinaryEmbeddings,
-            &[0x5A; 4096],
+            vec![0x5A; 4096],
             &[9, 8, 7],
         )
         .unwrap();
@@ -666,7 +713,7 @@ mod tests {
         let mut ssd = controller();
         let region = ssd.reserve_region("db0/embeddings", 2).unwrap();
         let kind = RegionKind::BinaryEmbeddings;
-        ssd.program_region_page(&region, 1, kind, &[0x3C; 4096], &[4, 2])
+        ssd.program_region_page(&region, 1, kind, vec![0x3C; 4096], &[4, 2])
             .unwrap();
         let (stripe, _, _) = ssd.scan_region_page(&region, 1).unwrap();
         let delta = |ssd: &SsdController, (flash, dram, ecc): (FlashStats, u64, u64)| {
@@ -696,7 +743,7 @@ mod tests {
             let mut ssd = controller();
             let region = ssd.reserve_region("db0/documents", 2).unwrap();
             for page in 0..2 {
-                ssd.program_region_page(&region, page, RegionKind::Documents, &[1u8; 512], &[])
+                ssd.program_region_page(&region, page, RegionKind::Documents, vec![1u8; 512], &[])
                     .unwrap();
             }
             (ssd, region)
@@ -758,7 +805,7 @@ mod tests {
                         }
                         let programmed = [0, pages.min(pick), pages][op as usize];
                         for offset in 0..programmed {
-                            ssd.program_region_page(&region, offset, RegionKind::Documents, &[7; 16], &[])
+                            ssd.program_region_page(&region, offset, RegionKind::Documents, vec![7; 16], &[])
                                 .unwrap();
                         }
                         held.push((name, region));
@@ -774,6 +821,65 @@ mod tests {
                 }
                 prop_assert_eq!(ssd.allocator.free_pages(), geometry.total_pages() - watermark + released.len());
             }
+        }
+    }
+
+    proptest! {
+        /// Regions reserved under one shared allocation account DRAM as
+        /// regions reserved under a fresh name each did: the same usage
+        /// after every call, `DramExhausted` (and `OutOfSpace`) at the same
+        /// call with the same numbers, the same regions handed out, and a
+        /// release of everything gives back exactly what was reserved.
+        #[test]
+        fn shared_region_accounting_matches_a_name_per_region(
+            ops in proptest::collection::vec((0u8..3, 1usize..12, 0usize..64), 1..80),
+            capacity_records in 3usize..14,
+        ) {
+            const ACCOUNT: &str = "db1/segments";
+            let record = crate::ftl::COARSE_RECORD_BYTES;
+            // Room for a few records next to a base allocation, so both
+            // DRAM and (at 256 pages) flash run out along the way.
+            let config = SsdConfig {
+                dram: crate::dram::DramParams {
+                    capacity_bytes: 100 + capacity_records * record,
+                    ..crate::dram::DramParams::one_gigabyte()
+                },
+                ..SsdConfig::tiny()
+            };
+            let (mut named, mut shared) = (SsdController::new(config), SsdController::new(config));
+            for ssd in [&mut named, &mut shared] {
+                ssd.dram_mut().allocate("db1/update-state", 100).unwrap();
+            }
+            shared.dram_mut().allocate(ACCOUNT, 0).unwrap();
+            let base = named.dram().used_bytes();
+            let mut live: Vec<(String, StripedRegion)> = Vec::new();
+            for (fresh, (op, pages, pick)) in ops.into_iter().enumerate() {
+                if op == 0 && !live.is_empty() {
+                    let (name, region) = live.remove(pick % live.len());
+                    named.release_region(&name, &region);
+                    shared.release_region_in(ACCOUNT, &region);
+                } else {
+                    let name = format!("db1/seg{fresh}");
+                    let reserved = named.reserve_region(&name, pages);
+                    prop_assert_eq!(&shared.reserve_region_in(ACCOUNT, pages), &reserved);
+                    if let Ok(region) = reserved {
+                        live.push((name, region));
+                    }
+                }
+                prop_assert_eq!(named.dram().used_bytes(), shared.dram().used_bytes());
+                prop_assert_eq!(
+                    shared.dram().allocation(ACCOUNT),
+                    Some(live.len() * record)
+                );
+            }
+            for (name, region) in live.drain(..) {
+                named.release_region(&name, &region);
+                shared.release_region_in(ACCOUNT, &region);
+            }
+            prop_assert_eq!(named.dram().used_bytes(), base);
+            prop_assert_eq!(shared.dram().used_bytes(), base);
+            prop_assert_eq!(shared.dram().allocation(ACCOUNT), Some(0));
+            prop_assert_eq!(named.allocator.free_pages(), shared.allocator.free_pages());
         }
     }
 

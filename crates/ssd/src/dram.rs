@@ -113,6 +113,44 @@ impl InternalDram {
         Ok(())
     }
 
+    /// Add `bytes` to the allocation `name` (created if absent): how an
+    /// allocation shared by many records — one per region, say — accounts
+    /// one more. It fails exactly when a fresh allocation of `bytes` under
+    /// a name of its own would.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SsdError::DramExhausted`] (`bytes` requested against the
+    /// free bytes) if the growth does not fit.
+    pub fn grow(&mut self, name: &str, bytes: usize) -> Result<()> {
+        let free = self.free_bytes();
+        if bytes > free {
+            return Err(SsdError::DramExhausted {
+                requested_bytes: bytes,
+                available_bytes: free,
+            });
+        }
+        match self.allocations.get_mut(name) {
+            Some(slot) => *slot += bytes,
+            None => {
+                self.allocations.insert(name.to_string(), bytes);
+            }
+        }
+        self.used += bytes;
+        Ok(())
+    }
+
+    /// Take `bytes` back from the allocation `name`: the inverse of
+    /// [`InternalDram::grow`]. The allocation stays, possibly empty; at
+    /// most its size is taken, and an unknown name is a no-op.
+    pub fn shrink(&mut self, name: &str, bytes: usize) {
+        if let Some(slot) = self.allocations.get_mut(name) {
+            let taken = bytes.min(*slot);
+            *slot -= taken;
+            self.used -= taken;
+        }
+    }
+
     /// Release a named allocation. Releasing an unknown name is a no-op.
     pub fn release(&mut self, name: &str) {
         if let Some(bytes) = self.allocations.remove(name) {

@@ -32,7 +32,7 @@
 //! let mut ssd = SsdController::new(SsdConfig::tiny());
 //! let kind = RegionKind::Documents;
 //! let region = ssd.reserve_region("db0/documents", 2)?;
-//! ssd.program_region_page(&region, 0, kind, &[7u8; 4096], &[])?;
+//! ssd.program_region_page(&region, 0, kind, vec![7u8; 4096], &[])?;
 //! let read = ssd.read_region_page_view(&region, 0, kind)?;
 //! assert_eq!(read.data[0], 7);
 //! # Ok(())

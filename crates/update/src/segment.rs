@@ -61,9 +61,9 @@ pub struct SegmentStore {
     /// the entries it holds.
     cluster_runs: Vec<Vec<StripedRegion>>,
     /// Every region backing the segments — embedding runs plus INT8 and
-    /// document pages — with the DRAM bookkeeping name it was reserved
-    /// under, so compaction can release all of them.
-    regions: Vec<(String, StripedRegion)>,
+    /// document pages — so compaction can release all of them. Their DRAM
+    /// bookkeeping is one allocation per database, not one name per region.
+    regions: Vec<StripedRegion>,
     live: usize,
 }
 
@@ -157,13 +157,14 @@ impl SegmentStore {
     }
 
     /// Register a flash region backing the segments (embedding, INT8 or
-    /// document pages) under its DRAM bookkeeping name.
-    pub fn register_region(&mut self, name: String, region: StripedRegion) {
-        self.regions.push((name, region));
+    /// document pages).
+    pub fn register_region(&mut self, region: StripedRegion) {
+        self.regions.push(region);
     }
 
-    /// Every registered region with its name (compaction releases these).
-    pub fn regions(&self) -> &[(String, StripedRegion)] {
+    /// Every registered region, in registration order (compaction releases
+    /// these).
+    pub fn regions(&self) -> &[StripedRegion] {
         &self.regions
     }
 
@@ -235,12 +236,12 @@ mod tests {
         let r2 = StripedRegion { start: 2, len: 1 };
         store.add_run(1, r1);
         store.add_run(1, r2);
-        store.register_region("db1/seg0/emb".into(), r1);
-        store.register_region("db1/seg1/emb".into(), r2);
+        store.register_region(r1);
+        store.register_region(r2);
         assert_eq!(store.runs(1), &[r1, r2]);
         assert!(store.runs(0).is_empty());
         assert!(store.runs(9).is_empty(), "unknown cluster is empty");
-        assert_eq!(store.regions().len(), 2);
+        assert_eq!(store.regions(), &[r1, r2]);
         store.reset(1);
         assert!(store.is_empty());
         assert_eq!(store.clusters(), 1);
