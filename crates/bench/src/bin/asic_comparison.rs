@@ -1,68 +1,3 @@
-//! Section 6.3.1: comparison of REIS against REIS-ASIC, an idealised design
-//! that keeps conventional programming (so every scanned page must cross the
-//! channel and pass controller ECC) but computes for free in an ASIC.
-
-use reis_baseline::ReisAsicModel;
-use reis_bench::calibration::calibrate;
-use reis_bench::fullscale::{estimate_reis, full_scale_activity, SearchMode};
-use reis_bench::report;
-use reis_core::{PerfModel, ReisConfig, ReisSystem};
-use reis_workloads::{DatasetProfile, SyntheticDataset};
-
-const K: usize = 10;
-const RECALLS: [f64; 3] = [0.98, 0.94, 0.90];
-
 fn main() {
-    report::header(
-        "REIS-ASIC comparison (Sec. 6.3.1)",
-        "Slowdown of an ECC-in-the-controller ideal-ASIC design relative to REIS",
-    );
-    println!(
-        "{:<14} {:<16} {:>14} {:>14}",
-        "dataset", "configuration", "SSD1 slowdown", "SSD2 slowdown"
-    );
-    let mut slowdowns = Vec::new();
-    for profile in DatasetProfile::main_evaluation() {
-        let scaled = profile.clone().scaled(1_024).with_queries(8);
-        let dataset = SyntheticDataset::generate(scaled, 91);
-        let calibration = calibrate(&dataset, ReisConfig::ssd1().filter_threshold_fraction, K);
-        for recall in RECALLS {
-            let nprobe = ReisSystem::nprobe_for_recall(profile.full_nlist, recall);
-            let fraction = nprobe as f64 / profile.full_nlist as f64;
-            print!(
-                "{:<14} {:<16}",
-                profile.name,
-                format!("IVF R@10={recall:.2}")
-            );
-            for config in [ReisConfig::ssd1(), ReisConfig::ssd2()] {
-                let mode = SearchMode::Ivf {
-                    nprobe_fraction: fraction,
-                };
-                let activity =
-                    full_scale_activity(&profile, &config, mode, calibration.pass_fraction, K);
-                let reis = estimate_reis(&profile, &config, mode, calibration.pass_fraction, K);
-                let perf = PerfModel::new(config);
-                let reis_scan = perf.scan(
-                    activity.coarse_pages,
-                    activity.coarse_entries,
-                    activity.embedding_slot_bytes,
-                ) + perf.scan(
-                    activity.fine_pages,
-                    activity.fine_entries,
-                    activity.embedding_slot_bytes,
-                );
-                let shared_tail = reis.latency.saturating_sub(reis_scan);
-                let asic = ReisAsicModel::new(config);
-                let slowdown = asic.slowdown_vs_reis(&activity, reis_scan, shared_tail);
-                print!(" {slowdown:>13.1}x");
-                slowdowns.push(slowdown);
-            }
-            println!();
-        }
-    }
-    println!(
-        "\nGeometric-mean REIS-ASIC slowdown: {:.1}x (paper: 4.1x-5.0x for SSD-1 and 3.9x-6.5x \
-         for SSD-2 across datasets and recall targets)",
-        report::geomean(&slowdowns)
-    );
+    reis_bench::figures::asic_comparison().print();
 }

@@ -1,67 +1,3 @@
-//! Section 4.3.3: distance-filtering threshold study.
-//!
-//! For HotpotQA, NQ, FEVER and Quora profiles, measures (on scaled synthetic
-//! data) the fraction of database embeddings that survive the in-die distance
-//! filter at several threshold fractions, and the recall that remains when
-//! only surviving embeddings can be retrieved.
-
-use reis_ann::metrics::recall_at_k;
-use reis_ann::quantize::BinaryQuantizer;
-use reis_bench::report;
-use reis_workloads::{DatasetProfile, GroundTruth, SyntheticDataset};
-
-const K: usize = 10;
-const THRESHOLDS: [f64; 4] = [0.40, 0.44, 0.47, 0.50];
-
 fn main() {
-    report::header(
-        "Distance-filter study (Sec. 4.3.3)",
-        "Surviving fraction and retained Recall@10 per filter threshold",
-    );
-    println!(
-        "{:<12} {:>12} {:>18} {:>18}",
-        "dataset", "threshold", "pass fraction", "retained recall@10"
-    );
-    for profile in [
-        DatasetProfile::hotpotqa(),
-        DatasetProfile::nq(),
-        DatasetProfile::fever(),
-        DatasetProfile::quora(),
-    ] {
-        let scaled = profile.clone().scaled(1_024).with_queries(8);
-        let dataset = SyntheticDataset::generate(scaled, 7);
-        let truth = GroundTruth::compute(&dataset, K).expect("ground truth");
-        let quantizer = BinaryQuantizer::fit(dataset.vectors()).expect("quantizer");
-        let binary = quantizer.quantize_all(dataset.vectors()).expect("quantize");
-        for threshold_fraction in THRESHOLDS {
-            let threshold = (threshold_fraction * profile.dim as f64).round() as u32;
-            let mut passed = 0usize;
-            let mut total = 0usize;
-            let mut recall = 0.0;
-            for (qi, query) in dataset.queries().iter().enumerate() {
-                let q = quantizer.quantize(query).expect("quantize query");
-                let surviving: Vec<usize> = binary
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, b)| q.hamming_distance(b) <= threshold)
-                    .map(|(id, _)| id)
-                    .collect();
-                passed += surviving.len();
-                total += binary.len();
-                recall += recall_at_k(&surviving, truth.neighbors(qi), K);
-            }
-            println!(
-                "{:<12} {:>12.2} {:>17.1}% {:>18.3}",
-                profile.name,
-                threshold_fraction,
-                passed as f64 / total as f64 * 100.0,
-                recall / dataset.queries().len() as f64
-            );
-        }
-    }
-    println!(
-        "\nPaper reference: a single threshold filters out ~99% of HotpotQA documents while \
-         retaining the k=10 most relevant ones, and the best threshold varies by only ~1.6% \
-         across datasets of very different sizes."
-    );
+    reis_bench::figures::distance_filter_study().print();
 }

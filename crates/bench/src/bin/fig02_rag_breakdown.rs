@@ -1,49 +1,3 @@
-//! Figure 2: latency breakdown of a typical (CPU-based, full-precision) RAG
-//! pipeline on HotpotQA and wiki_en.
-//!
-//! Regenerates the stacked-bar series of Fig. 2: the fraction of end-to-end
-//! execution time spent in each pipeline stage, plus the total time, for a
-//! flat FAISS-style index over f32 embeddings served from storage.
-
-use reis_baseline::{CpuPrecision, CpuSystem};
-use reis_bench::report;
-use reis_rag::{RagPipeline, RagStage};
-use reis_workloads::DatasetProfile;
-
 fn main() {
-    report::header(
-        "Figure 2",
-        "RAG pipeline latency breakdown, CPU retrieval over f32 embeddings",
-    );
-    let pipeline = RagPipeline::default();
-    let cpu = CpuSystem::default();
-    for profile in [DatasetProfile::hotpotqa(), DatasetProfile::wiki_en()] {
-        let breakdown = pipeline.cpu_breakdown(&cpu, &profile, CpuPrecision::Float32);
-        println!(
-            "\n{name}  (full scale: {entries} entries, {gb:.1} GB loaded)  total = {total:.2} s",
-            name = profile.name,
-            entries = profile.full_entries,
-            gb = profile.full_load_bytes_f32() as f64 / 1e9,
-            total = breakdown.total(),
-        );
-        let rows: Vec<(String, f64)> = RagStage::all()
-            .iter()
-            .map(|&stage| {
-                (
-                    format!("{} (% of total)", stage.label()),
-                    breakdown.fraction(stage) * 100.0,
-                )
-            })
-            .collect();
-        report::series("  stage fractions:", &rows);
-        println!(
-            "  retrieval stage (dataset loading + search): {:.1}% of end-to-end time",
-            breakdown.retrieval_fraction() * 100.0
-        );
-    }
-    println!(
-        "\nPaper reference: dataset loading reaches 84% of the pipeline for wiki_en \
-         and 46% for HotpotQA; the shape to check is that wiki_en's retrieval share \
-         is far larger and grows with dataset size."
-    );
+    reis_bench::figures::fig02_rag_breakdown().print();
 }

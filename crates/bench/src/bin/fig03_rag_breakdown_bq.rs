@@ -1,46 +1,3 @@
-//! Figure 3: latency breakdown of the RAG pipeline when the embeddings are
-//! binary-quantized (documents and INT8 rescoring data still move).
-
-use reis_baseline::{CpuPrecision, CpuSystem};
-use reis_bench::report;
-use reis_rag::{RagPipeline, RagStage};
-use reis_workloads::DatasetProfile;
-
 fn main() {
-    report::header(
-        "Figure 3",
-        "RAG pipeline latency breakdown with Binary Quantization (CPU retrieval)",
-    );
-    let pipeline = RagPipeline::default();
-    let cpu = CpuSystem::default();
-    for profile in [DatasetProfile::hotpotqa(), DatasetProfile::wiki_en()] {
-        let f32_breakdown = pipeline.cpu_breakdown(&cpu, &profile, CpuPrecision::Float32);
-        let bq_breakdown = pipeline.cpu_breakdown(&cpu, &profile, CpuPrecision::BinaryWithRerank);
-        println!(
-            "\n{name}  (BQ load: {gb:.1} GB, of which documents {doc_gb:.1} GB)  total = {total:.2} s",
-            name = profile.name,
-            gb = profile.full_load_bytes_bq() as f64 / 1e9,
-            doc_gb = profile.full_document_bytes() as f64 / 1e9,
-            total = bq_breakdown.total(),
-        );
-        let rows: Vec<(String, f64)> = RagStage::all()
-            .iter()
-            .map(|&stage| {
-                (
-                    format!("{} (% of total)", stage.label()),
-                    bq_breakdown.fraction(stage) * 100.0,
-                )
-            })
-            .collect();
-        report::series("  stage fractions:", &rows);
-        println!(
-            "  dataset-loading share: {:.1}% (was {:.1}% without BQ) — reduced but not eliminated",
-            bq_breakdown.fraction(RagStage::DatasetLoading) * 100.0,
-            f32_breakdown.fraction(RagStage::DatasetLoading) * 100.0,
-        );
-    }
-    println!(
-        "\nPaper reference: BQ cuts the I/O share by 17-29% but dataset loading still \
-         accounts for ~67% of the wiki_en pipeline, because document chunks cannot be quantized."
-    );
+    reis_bench::figures::fig03_rag_breakdown_bq().print();
 }

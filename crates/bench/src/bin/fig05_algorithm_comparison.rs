@@ -21,9 +21,12 @@ use reis_workloads::{DatasetProfile, GroundTruth, SyntheticDataset};
 const K: usize = 10;
 
 fn main() {
-    report::header(
-        "Figure 5",
-        "CPU comparison of ANNS algorithms (QPS normalized to exhaustive search) vs Recall@10",
+    print!(
+        "{}",
+        report::header(
+            "Figure 5",
+            "CPU comparison of ANNS algorithms (QPS normalized to exhaustive search) vs Recall@10",
+        )
     );
     let profile = DatasetProfile::wiki_en().scaled(2_048).with_queries(16);
     println!(

@@ -1,130 +1,3 @@
-//! Figure 7: retrieval performance (QPS) of REIS-SSD1 / REIS-SSD2 / No-I/O
-//! normalized to CPU-Real, for brute force and IVF at Recall@10 targets of
-//! 0.98 / 0.94 / 0.90, on NQ, HotpotQA, wiki_en and wiki_full.
-
-use reis_baseline::{CpuPrecision, CpuSystem};
-use reis_bench::calibration::calibrate;
-use reis_bench::fullscale::{estimate_reis, SearchMode};
-use reis_bench::report;
-use reis_core::{ReisConfig, ReisSystem};
-use reis_workloads::{DatasetProfile, SyntheticDataset};
-
-const K: usize = 10;
-const QUERY_BATCH: usize = 1_000;
-const RECALLS: [f64; 3] = [0.98, 0.94, 0.90];
-
 fn main() {
-    report::header(
-        "Figure 7",
-        "Retrieval QPS normalized to CPU-Real (higher is better)",
-    );
-    let cpu = CpuSystem::default();
-    let mut reis1_speedups = Vec::new();
-    let mut reis2_over_reis1 = Vec::new();
-
-    for profile in DatasetProfile::main_evaluation() {
-        let scaled = profile.clone().scaled(1_024).with_queries(8);
-        let dataset = SyntheticDataset::generate(scaled, 33);
-        let calibration = calibrate(&dataset, ReisConfig::ssd1().filter_threshold_fraction, K);
-        println!(
-            "\n{name}: full scale {entries} entries; calibration on {scaled_n} entries \
-             (pass fraction {pf:.3})",
-            name = profile.name,
-            entries = profile.full_entries,
-            scaled_n = dataset.len(),
-            pf = calibration.pass_fraction,
-        );
-        println!(
-            "{:<26} {:>14} {:>14} {:>14}",
-            "configuration", "No-I/O", "REIS-SSD1", "REIS-SSD2"
-        );
-
-        // Brute force row.
-        let cpu_real = cpu.cpu_real(&profile, QUERY_BATCH, None, CpuPrecision::Float32);
-        let no_io = cpu.no_io(&profile, QUERY_BATCH, None, CpuPrecision::Float32);
-        let r1 = estimate_reis(
-            &profile,
-            &ReisConfig::ssd1(),
-            SearchMode::BruteForce,
-            calibration.pass_fraction,
-            K,
-        );
-        let r2 = estimate_reis(
-            &profile,
-            &ReisConfig::ssd2(),
-            SearchMode::BruteForce,
-            calibration.pass_fraction,
-            K,
-        );
-        print_row("BF", cpu_real.qps(), no_io.qps(), r1.qps, r2.qps);
-        reis1_speedups.push(r1.qps / cpu_real.qps());
-        reis2_over_reis1.push(r2.qps / r1.qps);
-
-        // IVF rows at each recall target.
-        for recall in RECALLS {
-            // The synthetic calibration curve saturates early (see
-            // EXPERIMENTS.md), so the nprobe mapping uses the paper's
-            // device-side recall heuristic at full scale.
-            let fraction = ReisSystem::nprobe_for_recall(profile.full_nlist, recall) as f64
-                / profile.full_nlist as f64;
-            let nprobe_full = ((profile.full_nlist as f64 * fraction) as usize).max(1);
-            let cpu_real = cpu.cpu_real(
-                &profile,
-                QUERY_BATCH,
-                Some(nprobe_full),
-                CpuPrecision::BinaryWithRerank,
-            );
-            let no_io = cpu.no_io(
-                &profile,
-                QUERY_BATCH,
-                Some(nprobe_full),
-                CpuPrecision::BinaryWithRerank,
-            );
-            let r1 = estimate_reis(
-                &profile,
-                &ReisConfig::ssd1(),
-                SearchMode::Ivf {
-                    nprobe_fraction: fraction,
-                },
-                calibration.pass_fraction,
-                K,
-            );
-            let r2 = estimate_reis(
-                &profile,
-                &ReisConfig::ssd2(),
-                SearchMode::Ivf {
-                    nprobe_fraction: fraction,
-                },
-                calibration.pass_fraction,
-                K,
-            );
-            print_row(
-                &format!("IVF R@10={recall:.2}"),
-                cpu_real.qps(),
-                no_io.qps(),
-                r1.qps,
-                r2.qps,
-            );
-            reis1_speedups.push(r1.qps / cpu_real.qps());
-            reis2_over_reis1.push(r2.qps / r1.qps);
-        }
-    }
-
-    println!(
-        "\nGeometric-mean speedup of REIS-SSD1 over CPU-Real: {:.1}x (paper: ~13x average, up to 112x)",
-        report::geomean(&reis1_speedups)
-    );
-    println!(
-        "Geometric-mean speedup of REIS-SSD2 over REIS-SSD1: {:.1}x (paper: ~2.6x average)",
-        report::geomean(&reis2_over_reis1)
-    );
-}
-
-fn print_row(label: &str, cpu_real: f64, no_io: f64, reis1: f64, reis2: f64) {
-    println!(
-        "{label:<26} {:>14.2} {:>14.2} {:>14.2}",
-        report::normalized(no_io, cpu_real),
-        report::normalized(reis1, cpu_real),
-        report::normalized(reis2, cpu_real),
-    );
+    reis_bench::figures::fig07_retrieval_qps().print();
 }

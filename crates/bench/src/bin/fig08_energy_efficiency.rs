@@ -1,79 +1,3 @@
-//! Figure 8: energy efficiency (QPS/W) of REIS-SSD1 and REIS-SSD2 normalized
-//! to CPU-Real, for the same dataset / recall sweep as Fig. 7.
-
-use reis_baseline::{CpuPrecision, CpuSystem};
-use reis_bench::calibration::calibrate;
-use reis_bench::fullscale::{estimate_reis, SearchMode};
-use reis_bench::report;
-use reis_core::{ReisConfig, ReisSystem};
-use reis_workloads::{DatasetProfile, SyntheticDataset};
-
-const K: usize = 10;
-const QUERY_BATCH: usize = 1_000;
-const RECALLS: [f64; 3] = [0.98, 0.94, 0.90];
-
 fn main() {
-    report::header(
-        "Figure 8",
-        "Energy efficiency (QPS/W) normalized to CPU-Real",
-    );
-    let cpu = CpuSystem::default();
-    let mut reis1_gains = Vec::new();
-
-    for profile in DatasetProfile::main_evaluation() {
-        let scaled = profile.clone().scaled(1_024).with_queries(8);
-        let dataset = SyntheticDataset::generate(scaled, 33);
-        let calibration = calibrate(&dataset, ReisConfig::ssd1().filter_threshold_fraction, K);
-        println!("\n{name}:", name = profile.name);
-        println!(
-            "{:<26} {:>14} {:>14}",
-            "configuration", "REIS-SSD1", "REIS-SSD2"
-        );
-
-        let mut rows: Vec<(String, Option<usize>, SearchMode, CpuPrecision)> = vec![(
-            "BF".to_string(),
-            None,
-            SearchMode::BruteForce,
-            CpuPrecision::Float32,
-        )];
-        for recall in RECALLS {
-            let fraction = ReisSystem::nprobe_for_recall(profile.full_nlist, recall) as f64
-                / profile.full_nlist as f64;
-            rows.push((
-                format!("IVF R@10={recall:.2}"),
-                Some(((profile.full_nlist as f64 * fraction) as usize).max(1)),
-                SearchMode::Ivf {
-                    nprobe_fraction: fraction,
-                },
-                CpuPrecision::BinaryWithRerank,
-            ));
-        }
-
-        for (label, nprobe, mode, precision) in rows {
-            let cpu_real = cpu.cpu_real(&profile, QUERY_BATCH, nprobe, precision);
-            let r1 = estimate_reis(
-                &profile,
-                &ReisConfig::ssd1(),
-                mode,
-                calibration.pass_fraction,
-                K,
-            );
-            let r2 = estimate_reis(
-                &profile,
-                &ReisConfig::ssd2(),
-                mode,
-                calibration.pass_fraction,
-                K,
-            );
-            let n1 = report::normalized(r1.qps_per_watt, cpu_real.qps_per_watt());
-            let n2 = report::normalized(r2.qps_per_watt, cpu_real.qps_per_watt());
-            println!("{label:<26} {n1:>14.1} {n2:>14.1}");
-            reis1_gains.push(n1);
-        }
-    }
-    println!(
-        "\nGeometric-mean energy-efficiency gain of REIS-SSD1 over CPU-Real: {:.0}x \
-         (paper: ~55x average, up to 157x, driven by the ~30x lower SSD power)",
-        report::geomean(&reis1_gains)
-    );
+    reis_bench::figures::fig08_energy_efficiency().print();
 }

@@ -1,89 +1,3 @@
-//! Figure 9: sensitivity of REIS throughput to its optimizations
-//! (No-OPT, +DF, +PL, +MPIBC) on wiki_full, for both SSD configurations,
-//! normalized to CPU-Real.
-
-use reis_baseline::{CpuPrecision, CpuSystem};
-use reis_bench::calibration::calibrate;
-use reis_bench::fullscale::{estimate_reis, SearchMode};
-use reis_bench::report;
-use reis_core::{Optimizations, ReisConfig, ReisSystem};
-use reis_workloads::{DatasetProfile, SyntheticDataset};
-
-const K: usize = 10;
-const QUERY_BATCH: usize = 1_000;
-const RECALLS: [f64; 5] = [0.98, 0.96, 0.94, 0.92, 0.90];
-
 fn main() {
-    report::header(
-        "Figure 9",
-        "Effect of DF / PL / MPIBC on throughput (wiki_full, normalized to CPU-Real)",
-    );
-    let profile = DatasetProfile::wiki_full();
-    let scaled = profile.clone().scaled(1_024).with_queries(8);
-    let dataset = SyntheticDataset::generate(scaled, 41);
-    let calibration = calibrate(&dataset, ReisConfig::ssd1().filter_threshold_fraction, K);
-    let cpu = CpuSystem::default();
-
-    let ladder = [
-        ("NO-OPT", Optimizations::none()),
-        ("+DF", Optimizations::df_only()),
-        ("+PL", Optimizations::df_pl()),
-        ("+MPIBC", Optimizations::all()),
-    ];
-
-    for (ssd_name, base_config) in [
-        ("REIS-SSD1", ReisConfig::ssd1()),
-        ("REIS-SSD2", ReisConfig::ssd2()),
-    ] {
-        println!("\n{ssd_name}:");
-        print!("{:<14}", "Recall@10");
-        for (name, _) in &ladder {
-            print!("{name:>12}");
-        }
-        println!();
-        let mut df_gain = Vec::new();
-        let mut mpibc_gain = Vec::new();
-        for recall in RECALLS {
-            let nprobe = ReisSystem::nprobe_for_recall(profile.full_nlist, recall);
-            let fraction = nprobe as f64 / profile.full_nlist as f64;
-            let cpu_real = cpu.cpu_real(
-                &profile,
-                QUERY_BATCH,
-                Some(nprobe),
-                CpuPrecision::BinaryWithRerank,
-            );
-            print!("{recall:<14.2}");
-            let mut qps_ladder = Vec::new();
-            for (_, opts) in &ladder {
-                let config = base_config.with_optimizations(*opts);
-                // Without distance filtering every scanned embedding crosses
-                // the channel, so the pass fraction degenerates to 1.0.
-                let pass = if opts.distance_filtering {
-                    calibration.pass_fraction
-                } else {
-                    1.0
-                };
-                let estimate = estimate_reis(
-                    &profile,
-                    &config,
-                    SearchMode::Ivf {
-                        nprobe_fraction: fraction,
-                    },
-                    pass,
-                    K,
-                );
-                qps_ladder.push(estimate.qps);
-                print!("{:>12.2}", report::normalized(estimate.qps, cpu_real.qps()));
-            }
-            println!();
-            df_gain.push(qps_ladder[1] / qps_ladder[0]);
-            mpibc_gain.push(qps_ladder[3] / qps_ladder[2]);
-        }
-        println!(
-            "  DF speedup over NO-OPT: {:.1}x geomean (paper: 4.7x / 5.7x for SSD1 / SSD2); \
-             MPIBC over DF+PL: {:.0}% (paper: 6% / 26%)",
-            report::geomean(&df_gain),
-            (report::geomean(&mpibc_gain) - 1.0) * 100.0
-        );
-    }
+    reis_bench::figures::fig09_sensitivity().print();
 }

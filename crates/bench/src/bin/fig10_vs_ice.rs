@@ -1,66 +1,3 @@
-//! Figure 10: speedup of REIS over the ICE in-flash similarity-search
-//! accelerator (and its idealised ICE-ESP variant), for brute force and IVF
-//! at Recall@10 targets of 0.98 / 0.94 / 0.90 on the four main datasets.
-
-use reis_baseline::{IceModel, IceVariant};
-use reis_bench::calibration::calibrate;
-use reis_bench::fullscale::{estimate_reis, SearchMode};
-use reis_bench::report;
-use reis_core::{ReisConfig, ReisSystem};
-use reis_workloads::{DatasetProfile, SyntheticDataset};
-
-const K: usize = 10;
-const RECALLS: [f64; 3] = [0.98, 0.94, 0.90];
-
 fn main() {
-    report::header(
-        "Figure 10",
-        "Speedup of REIS over ICE (and ICE-ESP) per dataset and recall",
-    );
-    let mut all_speedups = Vec::new();
-    for profile in DatasetProfile::main_evaluation() {
-        let scaled = profile.clone().scaled(1_024).with_queries(8);
-        let dataset = SyntheticDataset::generate(scaled, 55);
-        let calibration = calibrate(&dataset, ReisConfig::ssd1().filter_threshold_fraction, K);
-        println!("\n{}:", profile.name);
-        println!(
-            "{:<20} {:>16} {:>16} {:>16} {:>16}",
-            "configuration", "SSD1 vs ICE", "SSD2 vs ICE", "SSD1 vs ICE-ESP", "SSD2 vs ICE-ESP"
-        );
-        let mut settings: Vec<(String, SearchMode, u64)> =
-            vec![("BF".into(), SearchMode::BruteForce, profile.full_entries)];
-        for recall in RECALLS {
-            let nprobe = ReisSystem::nprobe_for_recall(profile.full_nlist, recall);
-            let fraction = nprobe as f64 / profile.full_nlist as f64;
-            settings.push((
-                format!("IVF R@10={recall:.2}"),
-                SearchMode::Ivf {
-                    nprobe_fraction: fraction,
-                },
-                IceModel::ivf_entries(&profile, nprobe),
-            ));
-        }
-        for (label, mode, ice_entries) in settings {
-            print!("{label:<20}");
-            for config in [ReisConfig::ssd1(), ReisConfig::ssd2()] {
-                let reis = estimate_reis(&profile, &config, mode, calibration.pass_fraction, K);
-                let ice = IceModel::new(config, IceVariant::Published);
-                let speedup = reis.qps / ice.qps(&profile, ice_entries, K);
-                print!(" {speedup:>15.1}x");
-                all_speedups.push(speedup);
-            }
-            for config in [ReisConfig::ssd1(), ReisConfig::ssd2()] {
-                let reis = estimate_reis(&profile, &config, mode, calibration.pass_fraction, K);
-                let ice_esp = IceModel::new(config, IceVariant::EspIdeal);
-                let speedup = reis.qps / ice_esp.qps(&profile, ice_entries, K);
-                print!(" {speedup:>15.1}x");
-            }
-            println!();
-        }
-    }
-    println!(
-        "\nGeometric-mean speedup of REIS over ICE: {:.1}x (paper: 7.1x at R@10=0.90 rising to \
-         22.9x at 0.98 for SSD-2, and >10x for brute force; vs ICE-ESP the paper reports 2-4x)",
-        report::geomean(&all_speedups)
-    );
+    reis_bench::figures::fig10_vs_ice().print();
 }

@@ -1,55 +1,3 @@
-//! Figure 11: performance of REIS (IVF) against NDSearch running HNSW and
-//! DiskANN on the billion-scale SIFT-1B and DEEP-1B collections.
-
-use reis_baseline::{NdSearchAlgorithm, NdSearchModel};
-use reis_bench::fullscale::{estimate_reis, SearchMode};
-use reis_bench::report;
-use reis_core::ReisConfig;
-use reis_workloads::DatasetProfile;
-
-const K: usize = 10;
-
 fn main() {
-    report::header(
-        "Figure 11",
-        "REIS throughput normalized to NDSearch (HNSW and DiskANN) on billion-scale datasets",
-    );
-    // The Fig. 11 operating points: SIFT-1B at R@10 = 0.94, DEEP-1B at 0.93.
-    let settings = [
-        (DatasetProfile::sift_1b(), 0.94, 0.010),
-        (DatasetProfile::deep_1b(), 0.93, 0.009),
-    ];
-    // Billion-scale corpora are far less clustered than text corpora; the
-    // distance filter still removes the bulk of candidates (Sec. 4.3.3).
-    let pass_fraction = 0.02;
-    let mut speedups = Vec::new();
-    println!(
-        "{:<28} {:>22} {:>22}",
-        "dataset (target recall)", "speedup vs ND-HNSW", "speedup vs ND-DiskANN"
-    );
-    for (profile, recall, nprobe_fraction) in settings {
-        let reis = estimate_reis(
-            &profile,
-            &ReisConfig::ssd2(),
-            SearchMode::Ivf { nprobe_fraction },
-            pass_fraction,
-            K,
-        );
-        let hnsw = NdSearchModel::new(ReisConfig::ssd2(), NdSearchAlgorithm::Hnsw);
-        let diskann = NdSearchModel::new(ReisConfig::ssd2(), NdSearchAlgorithm::DiskAnn);
-        let s_hnsw = reis.qps / hnsw.qps(&profile);
-        let s_diskann = reis.qps / diskann.qps(&profile);
-        println!(
-            "{:<28} {:>21.2}x {:>21.2}x",
-            format!("{} (R@10={recall})", profile.name),
-            s_hnsw,
-            s_diskann
-        );
-        speedups.push(s_hnsw);
-        speedups.push(s_diskann);
-    }
-    println!(
-        "\nGeometric-mean speedup over NDSearch: {:.2}x (paper: 1.7x average, up to 2.6x)",
-        report::geomean(&speedups)
-    );
+    reis_bench::figures::fig11_vs_ndsearch().print();
 }

@@ -1,79 +1,3 @@
-//! Table 4: end-to-end RAG latency breakdown for REIS (SSD1) versus the
-//! CPU-based pipeline with binary quantization, on HotpotQA and NQ.
-
-use reis_baseline::{CpuPrecision, CpuSystem};
-use reis_bench::calibration::calibrate;
-use reis_bench::fullscale::{estimate_reis, SearchMode};
-use reis_bench::report;
-use reis_core::{ReisConfig, ReisSystem};
-use reis_rag::{RagPipeline, RagStage};
-use reis_workloads::{DatasetProfile, SyntheticDataset};
-
-const K: usize = 10;
-const TARGET_RECALL: f64 = 0.94;
-
 fn main() {
-    report::header(
-        "Table 4",
-        "End-to-end RAG latency breakdown: REIS-SSD1 vs CPU with binary quantization",
-    );
-    let pipeline = RagPipeline::default();
-    let cpu = CpuSystem::default();
-
-    for profile in [DatasetProfile::hotpotqa(), DatasetProfile::nq()] {
-        let scaled = profile.clone().scaled(1_024).with_queries(8);
-        let dataset = SyntheticDataset::generate(scaled, 77);
-        let calibration = calibrate(&dataset, ReisConfig::ssd1().filter_threshold_fraction, K);
-        let nprobe = ReisSystem::nprobe_for_recall(profile.full_nlist, TARGET_RECALL);
-        let fraction = nprobe as f64 / profile.full_nlist as f64;
-
-        let reis = estimate_reis(
-            &profile,
-            &ReisConfig::ssd1(),
-            SearchMode::Ivf {
-                nprobe_fraction: fraction,
-            },
-            calibration.pass_fraction,
-            K,
-        );
-        let reis_breakdown = pipeline.reis_breakdown(reis.latency.as_secs_f64());
-        let cpu_breakdown = pipeline.cpu_breakdown(&cpu, &profile, CpuPrecision::BinaryWithRerank);
-
-        println!(
-            "\n{} (latency contribution, % of end-to-end time):",
-            profile.name
-        );
-        println!("{:<30} {:>12} {:>12}", "stage", "REIS", "CPU+BQ");
-        for stage in RagStage::all() {
-            let reis_pct = reis_breakdown.fraction(stage) * 100.0;
-            let cpu_pct = cpu_breakdown.fraction(stage) * 100.0;
-            if stage == RagStage::DatasetLoading {
-                println!("{:<30} {:>12} {:>11.1}%", stage.label(), "N/A", cpu_pct);
-            } else {
-                println!(
-                    "{:<30} {:>11.2}% {:>11.1}%",
-                    stage.label(),
-                    reis_pct,
-                    cpu_pct
-                );
-            }
-        }
-        println!(
-            "{:<30} {:>11.2}s {:>11.2}s",
-            "End-to-end latency",
-            reis_breakdown.total(),
-            cpu_breakdown.total()
-        );
-        println!(
-            "Speedup of REIS over CPU+BQ: {:.2}x; retrieval share shrinks from {:.1}% to {:.2}%",
-            cpu_breakdown.total() / reis_breakdown.total(),
-            cpu_breakdown.retrieval_fraction() * 100.0,
-            reis_breakdown.retrieval_fraction() * 100.0,
-        );
-    }
-    println!(
-        "\nPaper reference: REIS cuts the loading+search share from 20-69% to 0.02-0.15% and \
-         generation (~92%) becomes the new bottleneck; end-to-end speedups are 1.25x (HotpotQA) \
-         and 3.24x (NQ-class loading-bound pipelines)."
-    );
+    reis_bench::figures::table04_end_to_end().print();
 }

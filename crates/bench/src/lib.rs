@@ -1,16 +1,20 @@
 //! # reis-bench — the benchmark harness of the REIS reproduction
 //!
 //! One binary per table/figure of the paper's evaluation regenerates the
-//! corresponding rows or series (see `DESIGN.md` §4 and `EXPERIMENTS.md`).
+//! corresponding rows or series (see `docs/BENCHMARKS.md`, "Figures").
 //! This library holds the shared machinery:
 //!
+//! * [`figures`] — every modelled figure and table as a function returning
+//!   its printed text and its headline values beside the paper's; the
+//!   binaries print them, a golden fixture pins the text and ratchet tests
+//!   pin the headlines.
 //! * [`calibration`] — functional, scaled-dataset measurements (distance
 //!   filter pass fractions, recall-versus-`nprobe` curves) that parameterize
 //!   the full-scale models.
 //! * [`fullscale`] — the extrapolation of REIS's per-query activity to the
 //!   paper's full-scale dataset sizes, priced by `reis-core`'s latency and
 //!   energy models.
-//! * [`report`] — small helpers for printing figure series as aligned rows.
+//! * [`report`] — the figure header and the ratios the figures print.
 //! * [`artifacts`] — the JSON value and parser the fixed benchmark
 //!   (`benchmark/`) reads its result documents back with.
 //!
@@ -20,6 +24,8 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+
+pub mod figures;
 
 pub mod calibration {
     //! Functional calibration runs on scaled synthetic datasets.
@@ -38,8 +44,8 @@ pub mod calibration {
         /// Measured `(nprobe fraction, recall@10)` pairs of the BQ+rerank IVF
         /// search on the scaled dataset.
         pub recall_curve: Vec<(f64, f64)>,
-        /// The trained scaled IVF index (reused by figure generators that
-        /// need functional searches).
+        /// The trained scaled IVF index. No figure reads it; it stays for the
+        /// pinned shape of [`calibrate`], which the fixed benchmark calls.
         pub ivf: IvfBqIndex,
     }
 
@@ -105,11 +111,24 @@ pub mod calibration {
 }
 
 pub mod fullscale {
-    //! Extrapolation of REIS activity to full-scale datasets.
+    //! Extrapolation of REIS activity to full-scale datasets, and the one
+    //! fig07/fig08 sweep of it against the CPU-Real baseline.
 
-    use reis_core::{EnergyBreakdown, EnergyModel, PerfModel, QueryActivity, ReisConfig};
+    use reis_baseline::{CpuPrecision, CpuRetrievalEstimate, CpuSystem};
+    use reis_core::{
+        EnergyBreakdown, EnergyModel, PerfModel, QueryActivity, ReisConfig, ReisSystem,
+    };
     use reis_nand::{FlashStats, Nanos};
     use reis_workloads::DatasetProfile;
+
+    use crate::report::geomean;
+
+    /// Results per query of every full-scale estimate.
+    pub(crate) const K: usize = 10;
+    /// Queries the CPU baseline amortises its dataset load over.
+    pub(crate) const QUERY_BATCH: usize = 1_000;
+    /// The Recall@10 targets of the sweep's IVF rows.
+    pub(crate) const RECALLS: [f64; 3] = [0.98, 0.94, 0.90];
 
     /// The search mode being extrapolated.
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -238,24 +257,122 @@ pub mod fullscale {
             activity,
         }
     }
+
+    /// The `nprobe` and search mode of an IVF query on `profile` at a
+    /// Recall@10 target, by [`ReisSystem::nprobe_for_recall`] over the
+    /// full-scale lists (an unsourced mapping, see its doc).
+    pub(crate) fn ivf_at(profile: &DatasetProfile, recall: f64) -> (usize, SearchMode) {
+        let nprobe = ReisSystem::nprobe_for_recall(profile.full_nlist, recall);
+        let nprobe_fraction = nprobe as f64 / profile.full_nlist as f64;
+        (nprobe, SearchMode::Ivf { nprobe_fraction })
+    }
+
+    /// One row of the fig07/fig08 sweep: a dataset at brute force or at one
+    /// Recall@10 target, on the CPU baseline and on REIS with both SSDs.
+    #[derive(Debug, Clone)]
+    pub struct SweepRow<'a> {
+        /// The dataset.
+        pub profile: &'a DatasetProfile,
+        /// The Recall@10 target of an IVF row; `None` for brute force.
+        pub recall: Option<f64>,
+        /// CPU-Real: the CPU baseline, dataset loading included.
+        pub cpu_real: CpuRetrievalEstimate,
+        /// No-I/O: the same CPU search with the dataset already in memory.
+        pub no_io: CpuRetrievalEstimate,
+        /// REIS on SSD1.
+        pub ssd1: ReisEstimate,
+        /// REIS on SSD2.
+        pub ssd2: ReisEstimate,
+    }
+
+    impl SweepRow<'_> {
+        /// The row's label in the figures: `BF` or `IVF R@10=0.98`.
+        pub(crate) fn label(&self) -> String {
+            match self.recall {
+                None => "BF".to_string(),
+                Some(recall) => format!("IVF R@10={recall:.2}"),
+            }
+        }
+    }
+
+    /// Price every row of fig07/fig08: for each dataset with its calibrated
+    /// filter pass fraction, brute force and then IVF at Recall@10 0.98,
+    /// 0.94 and 0.90.
+    pub fn sweep(calibrated: &[(DatasetProfile, f64)]) -> Vec<SweepRow<'_>> {
+        let cpu = CpuSystem::default();
+        let (ssd1, ssd2) = (ReisConfig::ssd1(), ReisConfig::ssd2());
+        let mut rows = Vec::with_capacity(calibrated.len() * (1 + RECALLS.len()));
+        for (profile, pass_fraction) in calibrated {
+            for recall in std::iter::once(None).chain(RECALLS.map(Some)) {
+                let (nprobe, mode, precision) = match recall {
+                    None => (None, SearchMode::BruteForce, CpuPrecision::Float32),
+                    Some(recall) => {
+                        let (nprobe, mode) = ivf_at(profile, recall);
+                        (Some(nprobe), mode, CpuPrecision::BinaryWithRerank)
+                    }
+                };
+                rows.push(SweepRow {
+                    profile,
+                    recall,
+                    cpu_real: cpu.cpu_real(profile, QUERY_BATCH, nprobe, precision),
+                    no_io: cpu.no_io(profile, QUERY_BATCH, nprobe, precision),
+                    ssd1: estimate_reis(profile, &ssd1, mode, *pass_fraction, K),
+                    ssd2: estimate_reis(profile, &ssd2, mode, *pass_fraction, K),
+                });
+            }
+        }
+        rows
+    }
+
+    /// The headline ratios of a sweep and their distance from the paper's.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Headline {
+        /// Geometric-mean QPS of REIS-SSD1 over CPU-Real (paper: 13×).
+        pub speedup_vs_cpu_geomean: f64,
+        /// Largest such speed-up (paper: 112×).
+        pub speedup_vs_cpu_max: f64,
+        /// Geometric-mean QPS of REIS-SSD2 over REIS-SSD1 (paper: 2.6×).
+        pub ssd2_over_ssd1_geomean: f64,
+        /// Geometric-mean QPS/W of REIS-SSD1 over CPU-Real (paper: 55×).
+        pub energy_gain_vs_cpu_geomean: f64,
+        /// Largest such gain (paper: 157×).
+        pub energy_gain_vs_cpu_max: f64,
+        /// Mean absolute relative gap of the three geometric means to the
+        /// paper's 13× / 2.6× / 55×, %.
+        pub gap_pct: f64,
+    }
+
+    /// Reduce a sweep to its headline ratios.
+    pub fn headline(rows: &[SweepRow<'_>]) -> Headline {
+        let speedups: Vec<f64> = rows.iter().map(|r| r.ssd1.qps / r.cpu_real.qps()).collect();
+        let ssd2_over_ssd1: Vec<f64> = rows.iter().map(|r| r.ssd2.qps / r.ssd1.qps).collect();
+        let gains: Vec<f64> = rows
+            .iter()
+            .map(|r| r.ssd1.qps_per_watt / r.cpu_real.qps_per_watt())
+            .collect();
+        let max = |values: &[f64]| values.iter().copied().fold(0.0, f64::max);
+        let speedup = geomean(&speedups);
+        let ssd2 = geomean(&ssd2_over_ssd1);
+        let gain = geomean(&gains);
+        let gap = |value: f64, paper: f64| (value - paper).abs() / paper;
+        Headline {
+            speedup_vs_cpu_geomean: speedup,
+            speedup_vs_cpu_max: max(&speedups),
+            ssd2_over_ssd1_geomean: ssd2,
+            energy_gain_vs_cpu_geomean: gain,
+            energy_gain_vs_cpu_max: max(&gains),
+            gap_pct: (gap(speedup, 13.0) + gap(ssd2, 2.6) + gap(gain, 55.0)) / 3.0 * 100.0,
+        }
+    }
 }
 
 pub mod report {
-    //! Formatting helpers shared by the figure binaries.
+    //! Formatting helpers shared by the figures.
 
-    /// Print a figure/table header with the experiment id and a description.
-    pub fn header(experiment: &str, description: &str) {
-        println!("==================================================================");
-        println!("{experiment}: {description}");
-        println!("==================================================================");
-    }
-
-    /// Print one labelled series as `label: v1 v2 v3 …` with fixed precision.
-    pub fn series(label: &str, values: &[(String, f64)]) {
-        println!("{label}");
-        for (name, value) in values {
-            println!("    {name:<42} {value:>12.3}");
-        }
+    /// A figure/table header with the experiment id and a description.
+    pub fn header(experiment: &str, description: &str) -> String {
+        let rule = "==================================================================";
+        format!("{rule}\n{experiment}: {description}\n{rule}\n")
     }
 
     /// Format a normalized value as the paper's figures report them.

@@ -72,6 +72,8 @@ pub(crate) struct Durability {
     /// Current epoch: `wal-{seq}` is the open WAL, `snapshot-{seq}` the
     /// newest complete snapshot.
     seq: u64,
+    /// The open WAL's file name, formatted once per epoch.
+    wal: String,
     /// The frame being appended, kept between appends so that encoding a
     /// record reuses the capacity of the last one.
     frame: Vec<u8>,
@@ -82,6 +84,7 @@ impl Durability {
         Durability {
             store,
             seq,
+            wal: DurableStore::wal_name(seq),
             frame: Vec::new(),
         }
     }
@@ -94,7 +97,7 @@ impl Durability {
         encode: impl FnOnce(&mut Vec<u8>),
     ) -> std::result::Result<(), PersistError> {
         encode(&mut self.frame);
-        self.store.append_wal(self.seq, &self.frame)
+        self.store.append_to_wal(&self.wal, &self.frame)
     }
 }
 
@@ -209,6 +212,7 @@ impl ReisSystem {
         durability.store.write_snapshot(seq, &bytes)?;
         durability.store.create_wal(seq)?;
         durability.seq = seq;
+        durability.wal = DurableStore::wal_name(seq);
         durability.store.prune_before(seq.saturating_sub(1))?;
         if let Some(t0) = started {
             self.telemetry
@@ -808,7 +812,7 @@ fn install_db(system: &mut ReisSystem, snap: DbSnapshot) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reis_persist::MemVfs;
+    use reis_persist::{MemVfs, Vfs};
 
     fn vectors(n: usize, dim: usize) -> Vec<Vec<f32>> {
         (0..n)
@@ -865,6 +869,54 @@ mod tests {
         // Counters survived: a new insert continues the id sequence.
         let next = recovered.insert(db_id, &fresh, b"post".to_vec()).unwrap();
         assert_eq!(next.ids[0], inserted.ids[0] + 1);
+    }
+
+    #[test]
+    fn appends_after_a_save_go_to_the_new_epochs_wal() {
+        let vfs = MemVfs::new();
+        let (mut system, _) = ReisSystem::open(ReisConfig::tiny(), store_over(&vfs)).unwrap();
+        let vecs = vectors(48, 32);
+        let db = VectorDatabase::flat(&vecs, documents(48)).unwrap();
+        let db_id = system.deploy(&db).unwrap();
+        let fresh: Vec<f32> = (0..32).map(|d| (d % 5) as f32).collect();
+        let insert = |system: &mut ReisSystem, doc: &str| {
+            system.insert(db_id, &fresh, doc.into()).unwrap();
+        };
+        insert(&mut system, "first 0");
+        insert(&mut system, "first 1");
+        let old_wal = DurableStore::wal_name(system.durable_seq().unwrap());
+        let old_bytes = vfs.read_file(&old_wal).unwrap();
+        assert_eq!(reis_persist::wal::read_records(&old_bytes).0.len(), 2);
+
+        let seq = system.save().unwrap();
+        for doc in ["second 0", "second 1", "second 2"] {
+            insert(&mut system, doc);
+        }
+        // The second batch lands in the new epoch's WAL, not the old one.
+        assert_eq!(vfs.read_file(&old_wal).unwrap(), old_bytes);
+        let new_wal = vfs.read_file(&DurableStore::wal_name(seq)).unwrap();
+        let (records, tail) = reis_persist::wal::read_records(&new_wal);
+        assert_eq!(tail, WalTail::Clean);
+        assert_eq!(records.len(), 3);
+        drop(system);
+
+        // The first batch comes back from the snapshot, the second from the
+        // new WAL.
+        let (mut recovered, report) =
+            ReisSystem::recover(ReisConfig::tiny(), store_over(&vfs)).unwrap();
+        assert_eq!(report.snapshot_seq, seq);
+        assert_eq!(report.wal_records_applied, 3);
+        assert!(report.quarantined.is_none());
+        let mut docs = recovered.search(db_id, &fresh, 5).unwrap().documents;
+        docs.sort();
+        let want: Vec<&[u8]> = vec![
+            b"first 0",
+            b"first 1",
+            b"second 0",
+            b"second 1",
+            b"second 2",
+        ];
+        assert_eq!(docs, want);
     }
 
     #[test]

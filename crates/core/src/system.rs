@@ -211,7 +211,9 @@ impl ReisSystem {
     /// `nlist` clusters (the `R` parameter of `IVF_Search`). The mapping is
     /// the monotone heuristic the device uses when the host does not specify
     /// `nprobe` directly: ~2 % of the clusters at recall 0.90 rising to
-    /// ~10 % at recall 0.98.
+    /// ~10 % at recall 0.98. It is unsourced: no section of the paper is
+    /// cited for these numbers, so every figure row that picks its `nprobe`
+    /// here rests on this choice too.
     pub fn nprobe_for_recall(nlist: usize, target_recall: f64) -> usize {
         let recall = target_recall.clamp(0.0, 1.0);
         let fraction = 0.02 + (recall - 0.90).max(0.0) * 1.0;

@@ -144,7 +144,14 @@ impl DurableStore {
 
     /// Append one framed record to epoch `seq`'s WAL.
     pub fn append_wal(&self, seq: u64, frame: &[u8]) -> Result<()> {
-        self.vfs.append(&Self::wal_name(seq), frame)?;
+        self.append_to_wal(&Self::wal_name(seq), frame)
+    }
+
+    /// Append one framed record to the WAL file `wal` (a
+    /// [`wal_name`](Self::wal_name)), for a writer that names its open
+    /// epoch's WAL once instead of on every record.
+    pub fn append_to_wal(&self, wal: &str, frame: &[u8]) -> Result<()> {
+        self.vfs.append(wal, frame)?;
         self.telemetry.count(CounterId::WalAppends, 1);
         self.telemetry
             .count(CounterId::WalAppendBytes, frame.len() as u64);
