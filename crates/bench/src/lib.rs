@@ -699,6 +699,6 @@ mod tests {
         assert!(ivf1.qps > bf1.qps);
         assert!(bf1.energy.total_j() > 0.0);
         assert!(bf1.qps_per_watt > 0.0);
-        assert!(geomean(&[2.0, 8.0]) - 4.0 < 1e-9);
+        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-9);
     }
 }

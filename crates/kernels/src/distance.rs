@@ -9,11 +9,10 @@
 //! blocks by the number of queries: up to four queries, consecutive slots
 //! share a block (eight slots of one query, four of two, two of three or
 //! four, and the slots left over go one per block); more, and each slot is
-//! a row of its own with the queries in groups of eight. A [`Sink`] is what
-//! an entry point does with a block's totals: [`scan`] hands every distance
-//! to a closure in emission order, [`filter`] tests the totals against the
-//! queries' thresholds in one compare and writes out only the lanes that
-//! pass. [`pair`] is the primitive on its own.
+//! a row of its own with the queries in groups of eight. [`Filter`] takes
+//! each block's totals: it tests them against the queries' thresholds in one
+//! compare and writes out only the lanes that pass. [`filter`] is the page
+//! entry point, [`pair`] the primitive on its own.
 //!
 //! The rerank's INT8 squared Euclidean distance ([`squared_l2_i8`]) goes
 //! through the same dispatch with one portable body, and so does the f32
@@ -214,37 +213,20 @@ pub(crate) struct Job<'a> {
     pub(crate) queries: &'a [&'a [u8]],
 }
 
-/// What an entry point does with the totals of each block.
-trait Sink {
-    /// Take one block's totals: lane `row * G + g` is slot `slot + row`
-    /// against query `query + g`. Blocks arrive in ascending slot order,
-    /// query order within a slot.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support the instruction set of `B`.
-    unsafe fn take<B: Body, const S: usize, const G: usize>(
-        &mut self,
-        slot: usize,
-        query: usize,
-        totals: B::Totals,
-    );
-}
-
 /// The one page loop: slot-major, blocks shaped by the number of queries,
-/// so a [`Sink`] sees the (slot, query) pairs in ascending slot order and
-/// query order within a slot.
-struct Scan<'a, K> {
+/// so the [`Filter`] sees the (slot, query) pairs in ascending slot order
+/// and query order within a slot.
+struct Scan<'a> {
     job: &'a Job<'a>,
-    sink: K,
+    filter: Filter<'a>,
 }
 
-impl<K: Sink> Kernel for Scan<'_, K> {
+impl Kernel for Scan<'_> {
     type Output = ();
 
     #[inline(always)]
     unsafe fn run<B: Body>(self) {
-        let Scan { job, mut sink } = self;
+        let Scan { job, mut filter } = self;
         let full = job.latch.len() / job.chunk_bytes;
         let partial = job.latch.len() % job.chunk_bytes;
         let slots = (full + usize::from(partial > 0)).min(job.slot_limit);
@@ -253,21 +235,20 @@ impl<K: Sink> Kernel for Scan<'_, K> {
         // limit follows as a run of its own, so the slices of one block are
         // always equally long.
         for (run, len) in [(0..full, job.chunk_bytes), (full..slots, partial)] {
-            let sink = &mut sink;
             // SAFETY (every call below): this function's caller vouches for
             // the instruction set of `B`.
             match job.queries.len() {
                 0 => {}
-                1 => rows::<B, K, 8, 1>(job, len, run, 0, sink),
-                2 => rows::<B, K, 4, 2>(job, len, run, 0, sink),
-                3 => rows::<B, K, 2, 3>(job, len, run, 0, sink),
-                4 => rows::<B, K, 2, 4>(job, len, run, 0, sink),
-                width @ 5..=LANES => group::<B, K>(job, len, run, 0, width, sink),
+                1 => rows::<B, 8, 1>(job, len, run, 0, &mut filter),
+                2 => rows::<B, 4, 2>(job, len, run, 0, &mut filter),
+                3 => rows::<B, 2, 3>(job, len, run, 0, &mut filter),
+                4 => rows::<B, 2, 4>(job, len, run, 0, &mut filter),
+                width @ 5..=LANES => group::<B>(job, len, run, 0, width, &mut filter),
                 width => {
                     for slot in run {
                         for query in (0..width).step_by(LANES) {
                             let count = (width - query).min(LANES);
-                            group::<B, K>(job, len, slot..slot + 1, query, count, sink);
+                            group::<B>(job, len, slot..slot + 1, query, count, &mut filter);
                         }
                     }
                 }
@@ -283,41 +264,41 @@ impl<K: Sink> Kernel for Scan<'_, K> {
 ///
 /// The CPU must support the instruction set of `B`.
 #[inline(always)]
-unsafe fn group<B: Body, K: Sink>(
+unsafe fn group<B: Body>(
     job: &Job<'_>,
     len: usize,
     run: Range<usize>,
     query: usize,
     count: usize,
-    sink: &mut K,
+    filter: &mut Filter<'_>,
 ) {
     match count {
-        1 => rows::<B, K, 1, 1>(job, len, run, query, sink),
-        2 => rows::<B, K, 1, 2>(job, len, run, query, sink),
-        3 => rows::<B, K, 1, 3>(job, len, run, query, sink),
-        4 => rows::<B, K, 1, 4>(job, len, run, query, sink),
-        5 => rows::<B, K, 1, 5>(job, len, run, query, sink),
-        6 => rows::<B, K, 1, 6>(job, len, run, query, sink),
-        7 => rows::<B, K, 1, 7>(job, len, run, query, sink),
-        _ => rows::<B, K, 1, 8>(job, len, run, query, sink),
+        1 => rows::<B, 1, 1>(job, len, run, query, filter),
+        2 => rows::<B, 1, 2>(job, len, run, query, filter),
+        3 => rows::<B, 1, 3>(job, len, run, query, filter),
+        4 => rows::<B, 1, 4>(job, len, run, query, filter),
+        5 => rows::<B, 1, 5>(job, len, run, query, filter),
+        6 => rows::<B, 1, 6>(job, len, run, query, filter),
+        7 => rows::<B, 1, 7>(job, len, run, query, filter),
+        _ => rows::<B, 1, 8>(job, len, run, query, filter),
     }
 }
 
 /// Score the first `len` bytes of the slots of `run` against the `G`
 /// queries from `query`, `S` consecutive slots per block, and hand each
-/// block to `sink`. The slots past the last whole block go one per block,
+/// block to `filter`. The slots past the last whole block go one per block,
 /// so a page of a few slots costs a few pairs, not a block of eight.
 ///
 /// # Safety
 ///
 /// The CPU must support the instruction set of `B`.
 #[inline(always)]
-unsafe fn rows<B: Body, K: Sink, const S: usize, const G: usize>(
+unsafe fn rows<B: Body, const S: usize, const G: usize>(
     job: &Job<'_>,
     len: usize,
     run: Range<usize>,
     query: usize,
-    sink: &mut K,
+    filter: &mut Filter<'_>,
 ) {
     // Sliced once per run, not once per block.
     let queries: [&[u8]; G] = std::array::from_fn(|g| &job.queries[query + g][..len]);
@@ -326,28 +307,10 @@ unsafe fn rows<B: Body, K: Sink, const S: usize, const G: usize>(
     for slot in (run.start..whole).step_by(S) {
         let chunk = |row: usize| &latch[(slot + row) * chunk_bytes..][..len];
         let totals = B::block::<S, G>(std::array::from_fn(chunk), queries);
-        sink.take::<B, S, G>(slot, query, totals);
+        filter.take::<B, S, G>(slot, query, totals);
     }
     if S > 1 && whole < run.end {
-        rows::<B, K, 1, G>(job, len, whole..run.end, query, sink);
-    }
-}
-
-/// Every distance, in emission order, to a closure `(slot, query, distance)`.
-struct Emit<F>(F);
-
-impl<F: FnMut(usize, usize, u32)> Sink for Emit<F> {
-    #[inline(always)]
-    unsafe fn take<B: Body, const S: usize, const G: usize>(
-        &mut self,
-        slot: usize,
-        query: usize,
-        totals: B::Totals,
-    ) {
-        let lanes = B::lanes(totals);
-        for (lane, &distance) in lanes[..S * G].iter().enumerate() {
-            (self.0)(slot + lane / G, query + lane % G, distance as u32);
-        }
+        rows::<B, 1, G>(job, len, whole..run.end, query, filter);
     }
 }
 
@@ -358,7 +321,14 @@ struct Filter<'a> {
     hits: &'a mut Vec<FusedHit>,
 }
 
-impl Sink for Filter<'_> {
+impl Filter<'_> {
+    /// Take one block's totals: lane `row * G + g` is slot `slot + row`
+    /// against query `query + g`. Blocks arrive in ascending slot order,
+    /// query order within a slot.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the instruction set of `B`.
     #[inline(always)]
     unsafe fn take<B: Body, const S: usize, const G: usize>(
         &mut self,
@@ -386,19 +356,6 @@ impl Sink for Filter<'_> {
     }
 }
 
-/// Score `job` with the body of `isa`, reporting every (slot, query)
-/// distance to `emit` in ascending slot order, query order within a slot.
-#[inline]
-pub(crate) fn scan(isa: Isa, job: &Job<'_>, emit: impl FnMut(usize, usize, u32)) {
-    dispatch(
-        isa,
-        Scan {
-            job,
-            sink: Emit(emit),
-        },
-    );
-}
-
 /// Score `job` with the body of `isa` and append a [`FusedHit`] to `hits`
 /// for every (slot, query) distance at or below `thresholds[query]`, in
 /// ascending slot order, query order within a slot. `thresholds` holds one
@@ -409,7 +366,7 @@ pub(crate) fn filter(isa: Isa, job: &Job<'_>, thresholds: &[u32], hits: &mut Vec
         isa,
         Scan {
             job,
-            sink: Filter { thresholds, hits },
+            filter: Filter { thresholds, hits },
         },
     );
 }

@@ -1,13 +1,12 @@
 //! # reis-kernels — the distance kernels of the REIS workspace
 //!
 //! The single home of the kernels the rest of the workspace computes
-//! distances with: the word-level XOR/popcount and Hamming-distance kernels
-//! of the in-flash scan, the rerank's INT8 squared Euclidean distance, and
-//! the f32 squared Euclidean distance the host-side index build (k-means)
-//! runs on. `reis-nand`'s peripheral model (the fail-bit counter and
-//! inter-latch XOR logic), `reis-ann`'s vector types and distances and
-//! `reis-bench`'s baseline measurements all re-export from here, so exactly
-//! one implementation of each kernel exists.
+//! distances and checksums with: the fused Hamming pass/fail filter of the
+//! in-flash scan, the rerank's INT8 squared Euclidean distance, the f32
+//! squared Euclidean distance the host-side index build (k-means) runs on,
+//! and the CRC32C of every durable byte. `reis-nand`'s pass/fail checker,
+//! `reis-ann`'s vector types and distances and `reis-persist`'s checksums
+//! all call into here, so exactly one implementation of each kernel exists.
 //!
 //! # Kernel discipline
 //!
@@ -16,12 +15,12 @@
 //!   eight (chunk, query) pairs — a slot's words loaded once for a group of
 //!   up to eight queries, or, below five queries, several consecutive slots
 //!   sharing one block; each pair in its own register accumulator, the
-//!   eight reduced together by one transpose. One driver walks a latch
+//!   eight reduced together by one transpose. One driver walks a page
 //!   slot-major (chunks outside, queries inside) and hands each block's
-//!   totals to the entry point: the filter tests all eight against their
-//!   thresholds in one compare, the counters store them. No distance takes
-//!   a round trip through memory before it is complete. A set-bit count is
-//!   the distance to an all-zero query.
+//!   totals to the pass/fail filter, which tests all eight against their
+//!   thresholds in one compare. No distance takes a round trip through
+//!   memory before it is complete. A set-bit count is the distance to an
+//!   all-zero query.
 //! * **One dispatch.** Every entry point detects the CPU's instruction-set
 //!   level once per call and runs the matching body: baseline scalar code,
 //!   scalar with hardware POPCNT, AVX2 (`vpshufb` nibble table + `vpsadbw`)
@@ -30,8 +29,8 @@
 //!   against the byte-wise [`mod@reference`], not only the dispatched one.
 //! * Exact handling of any length: trailing partial chunks, and chunk sizes
 //!   that are no multiple of a word or a vector.
-//! * The `_into` variants write into caller-provided buffers, so steady-state
-//!   page scans perform no heap allocation here.
+//! * The fused filter writes its hits into a caller-provided buffer, so
+//!   steady-state page scans perform no heap allocation here.
 //! * **One f32 contract.** [`squared_l2_f32`] is a four-lane fold: lane
 //!   `l` sums `(x[i] - y[i])²` over the dimensions `i ≡ l (mod 4)` in
 //!   order, a tail sums the last `len % 4` squares in order, and the result
@@ -54,15 +53,16 @@
 //!
 //! # The fused multi-query kernel
 //!
-//! [`fused_hamming_per_chunk_into`] scores one sensed page against `B`
+//! [`fused_hamming_filter_into`] scores one sensed page against `B`
 //! broadcast queries in a single pass over the page: each chunk is scored
 //! against every query while it is cache-hot. This is the software mirror of
 //! REIS amortizing a flash sense across a batch of in-flight queries — the
 //! page moves through the peripheral once, the per-query XOR + fail-bit
-//! count runs `B` times. [`fused_hamming_filter_into`] additionally folds
-//! the pass/fail comparison into the same pass: each query carries its own
-//! threshold (fixed for the duration of one page window under the windowed
-//! adaptive schedule) and only passing [`FusedHit`]s are emitted.
+//! count runs `B` times. The pass/fail comparison runs in the same pass:
+//! each query carries its own threshold (fixed for the duration of one page
+//! window under the windowed adaptive schedule) and only passing
+//! [`FusedHit`]s are emitted. At a threshold of `u32::MAX` every distance
+//! passes, so the filter also reports every (slot, query) distance.
 //!
 //! # CRC32C
 //!
@@ -76,8 +76,7 @@
 //!
 //! The element-at-a-time [`mod@reference`] kernels match the seed
 //! implementation (and, for f32, the fold `reis-ann` had before it moved
-//! here) and are kept solely as the baseline the tests and benchmarks
-//! measure against.
+//! here) and are kept solely as the baseline the tests hold every body to.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -172,109 +171,6 @@ pub fn nearest_f32<R: AsRef<[f32]>>(query: &[f32], rows: &[R]) -> (usize, f32) {
     l2::nearest(Isa::detect(), &Slices(rows), query)
 }
 
-/// XOR `a` and `b` into `out` (cleared and resized first), processed as
-/// `u64` words with a byte-wise tail.
-///
-/// # Panics
-///
-/// Panics if the inputs have different lengths.
-#[inline]
-pub fn xor_bytes_into(a: &[u8], b: &[u8], out: &mut Vec<u8>) {
-    assert_eq!(a.len(), b.len(), "latch contents must have identical sizes");
-    out.clear();
-    out.resize(a.len(), 0);
-    let (words_a, rest_a) = a.as_chunks::<8>();
-    let (words_b, rest_b) = b.as_chunks::<8>();
-    let (words_out, rest_out) = out.as_chunks_mut::<8>();
-    for ((x, y), o) in words_a.iter().zip(words_b).zip(words_out) {
-        *o = (u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y)).to_le_bytes();
-    }
-    for ((x, y), o) in rest_a.iter().zip(rest_b).zip(rest_out) {
-        *o = x ^ y;
-    }
-}
-
-/// Count the set bits of every `chunk_bytes`-sized chunk of `latch`,
-/// appending one count per chunk into `out` (cleared first). A trailing
-/// partial chunk is counted as its own entry.
-///
-/// # Panics
-///
-/// Panics if `chunk_bytes` is zero.
-pub fn count_per_chunk_into(latch: &[u8], chunk_bytes: usize, out: &mut Vec<u32>) {
-    assert!(chunk_bytes > 0, "chunk size must be non-zero");
-    out.clear();
-    out.reserve(latch.len().div_ceil(chunk_bytes));
-    let Some(zeros) = ZEROS.get(..chunk_bytes) else {
-        // Chunks longer than the zero query: count each on its own.
-        out.extend(
-            latch
-                .chunks(chunk_bytes)
-                .map(|chunk| popcount_bytes(chunk) as u32),
-        );
-        return;
-    };
-    let job = Job {
-        latch,
-        chunk_bytes,
-        slot_limit: usize::MAX,
-        queries: &[zeros],
-    };
-    distance::scan(Isa::detect(), &job, |_, _, count| out.push(count));
-}
-
-/// The shared argument checks of the fused kernels.
-fn check_fused(chunk_bytes: usize, queries: &[&[u8]]) {
-    assert!(chunk_bytes > 0, "chunk size must be non-zero");
-    for query in queries {
-        assert_eq!(
-            query.len(),
-            chunk_bytes,
-            "fused queries must match the chunk size"
-        );
-    }
-}
-
-/// Fused multi-query Hamming kernel: score every `chunk_bytes`-sized chunk
-/// of `latch` (one sensed page) against each query in a single pass over the
-/// page.
-///
-/// `out` is cleared and filled query-major: the counts of query `q` occupy
-/// `out[q * n_chunks .. (q + 1) * n_chunks]`, where
-/// `n_chunks = latch.len().div_ceil(chunk_bytes)`, so each query's filter
-/// pass works on a contiguous slice. A trailing partial chunk is scored
-/// against the prefix of each query, exactly as XOR-ing the page against a
-/// query tiled across the whole latch would.
-///
-/// The result equals running [`count_per_chunk_into`] over the XOR of the
-/// page with each query's tiling, one query at a time — but the page is
-/// walked once for all queries.
-///
-/// # Panics
-///
-/// Panics if `chunk_bytes` is zero or any query is not exactly
-/// `chunk_bytes` long.
-pub fn fused_hamming_per_chunk_into(
-    latch: &[u8],
-    chunk_bytes: usize,
-    queries: &[&[u8]],
-    out: &mut Vec<u32>,
-) {
-    check_fused(chunk_bytes, queries);
-    let n_chunks = latch.len().div_ceil(chunk_bytes);
-    out.clear();
-    out.resize(n_chunks * queries.len(), 0);
-    let job = Job {
-        latch,
-        chunk_bytes,
-        slot_limit: usize::MAX,
-        queries,
-    };
-    distance::scan(Isa::detect(), &job, |slot, q, distance| {
-        out[q * n_chunks + slot] = distance;
-    });
-}
-
 /// One passing slot of a threshold-aware fused scan: which query it passed
 /// for, which page chunk (slot) it is, and the Hamming distance.
 ///
@@ -297,10 +193,11 @@ pub struct FusedHit {
 /// query in a single pass over the page, and emit only the [`FusedHit`]s
 /// whose distance is at or below that query's threshold.
 ///
-/// This fuses [`fused_hamming_per_chunk_into`] with the pass/fail
-/// comparison, which is what the windowed adaptive scan wants — each query's
-/// threshold is fixed for the duration of one page window, so the comparison
-/// can run inside the scoring pass. The kernel scores blocks of up to eight
+/// A trailing partial chunk is scored against the prefix of each query,
+/// exactly as XOR-ing the page against a query tiled across the whole page
+/// would. Each query's threshold is fixed for the duration of one page
+/// window of the windowed adaptive scan, so the pass/fail comparison runs
+/// inside the scoring pass. The kernel scores blocks of up to eight
 /// (slot, query) pairs and tests a block's totals against their queries'
 /// thresholds in one compare (one `vpcmpuq` on AVX-512), then walks the set
 /// bits of the resulting mask, one hit per bit. On AVX-512 a failing
@@ -335,7 +232,14 @@ pub fn fused_hamming_filter_into(
         thresholds.len(),
         "one threshold per fused query"
     );
-    check_fused(chunk_bytes, queries);
+    assert!(chunk_bytes > 0, "chunk size must be non-zero");
+    for query in queries {
+        assert_eq!(
+            query.len(),
+            chunk_bytes,
+            "fused queries must match the chunk size"
+        );
+    }
     out.clear();
     let job = Job {
         latch,
@@ -381,8 +285,8 @@ pub fn prefetch(bytes: &[u8]) {
 ///
 /// The state is the *finalized* checksum of everything folded so far:
 /// `crc32c_extend(crc32c(a), b) == crc32c(a ++ b)`, and the empty-input
-/// checksum `0` is the identity state. This is what the WAL reader uses to
-/// checksum a frame it consumes in pieces.
+/// checksum `0` is the identity state, so a checksum over bytes that
+/// arrive in pieces needs no buffer to gather them.
 #[inline]
 pub fn crc32c_extend(state: u32, bytes: &[u8]) -> u32 {
     crc::extend(Isa::detect(), state, bytes)
@@ -399,25 +303,9 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
 }
 
 pub mod reference {
-    //! Byte-at-a-time reference kernels matching the seed implementation.
-    //!
-    //! Kept as the single baseline the criterion `kernels` bench and the
-    //! figure binaries measure the u64-word kernels against, so reported
-    //! speedups always refer to the same code. Never used on a hot path.
-
-    /// Byte-wise XOR (the seed's `XorLogic::xor`).
-    pub fn xor(a: &[u8], b: &[u8]) -> Vec<u8> {
-        a.iter().zip(b.iter()).map(|(x, y)| x ^ y).collect()
-    }
-
-    /// Byte-wise per-chunk popcount (the seed's
-    /// `FailBitCounter::count_per_chunk`).
-    pub fn count_per_chunk(latch: &[u8], chunk_bytes: usize) -> Vec<u32> {
-        latch
-            .chunks(chunk_bytes)
-            .map(|c| c.iter().map(|b| b.count_ones()).sum())
-            .collect()
-    }
+    //! Element-at-a-time reference kernels matching the seed implementation:
+    //! the baselines the tests hold every body of the crate to, bit for bit.
+    //! Never used on a hot path.
 
     /// Byte-wise Hamming distance (the seed's
     /// `BinaryVector::hamming_distance`).
@@ -520,6 +408,23 @@ mod tests {
         assert_eq!(page, pattern(4096, 29, 5));
     }
 
+    /// Every (slot, query) distance of `page`, through the fused filter at
+    /// a threshold every distance passes: slot-major, queries in order.
+    fn all_distances(page: &[u8], chunk: usize, queries: &[&[u8]]) -> Vec<FusedHit> {
+        let pass_all = vec![u32::MAX; queries.len()];
+        let mut hits = Vec::new();
+        fused_hamming_filter_into(
+            page,
+            chunk,
+            usize::MAX,
+            queries,
+            &pass_all,
+            &mut Vec::new(),
+            &mut hits,
+        );
+        hits
+    }
+
     #[test]
     fn word_kernels_match_bytewise_reference_on_odd_tails() {
         for len in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255] {
@@ -532,18 +437,6 @@ mod tests {
                 reference::hamming(&a, &b),
                 "len {len}"
             );
-            let mut xored = Vec::new();
-            xor_bytes_into(&a, &b, &mut xored);
-            assert_eq!(xored, reference::xor(&a, &b), "len {len}");
-            for chunk in [1usize, 3, 8, 13, 32] {
-                let mut got = Vec::new();
-                count_per_chunk_into(&a, chunk, &mut got);
-                assert_eq!(
-                    got,
-                    reference::count_per_chunk(&a, chunk),
-                    "len {len} chunk {chunk}"
-                );
-            }
         }
     }
 
@@ -554,23 +447,25 @@ mod tests {
                 let page = pattern(page_len, 29, 7);
                 let queries: Vec<Vec<u8>> = (0..4).map(|q| pattern(chunk, 17 + q, q)).collect();
                 let query_refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
-                let mut fused = Vec::new();
-                fused_hamming_per_chunk_into(&page, chunk, &query_refs, &mut fused);
+                let fused = all_distances(&page, chunk, &query_refs);
                 let n_chunks = page_len.div_ceil(chunk);
                 assert_eq!(fused.len(), n_chunks * queries.len());
                 for (q, query) in queries.iter().enumerate() {
                     // Tile the query across the page (restarting at every
                     // chunk boundary, like a broadcast into the cache latch),
                     // XOR, count per chunk — the single-query flow.
-                    let tiled: Vec<u8> = (0..page_len).map(|i| query[i % chunk]).collect();
-                    let mut xored = Vec::new();
-                    xor_bytes_into(&page, &tiled, &mut xored);
-                    let expected = reference::count_per_chunk(&xored, chunk);
-                    assert_eq!(
-                        &fused[q * n_chunks..(q + 1) * n_chunks],
-                        &expected[..],
-                        "page {page_len} chunk {chunk} query {q}"
-                    );
+                    let xored: Vec<u8> =
+                        (0..page_len).map(|i| page[i] ^ query[i % chunk]).collect();
+                    let expected: Vec<u32> = xored
+                        .chunks(chunk)
+                        .map(|c| c.iter().map(|b| b.count_ones()).sum())
+                        .collect();
+                    let got: Vec<u32> = fused
+                        .iter()
+                        .filter(|hit| hit.query == q as u32)
+                        .map(|hit| hit.distance)
+                        .collect();
+                    assert_eq!(got, expected, "page {page_len} chunk {chunk} query {q}");
                 }
             }
         }
@@ -578,19 +473,28 @@ mod tests {
 
     #[test]
     fn fused_kernel_with_no_queries_clears_output() {
-        let mut out = vec![7u32; 5];
-        fused_hamming_per_chunk_into(&[1, 2, 3, 4], 2, &[], &mut out);
-        assert!(out.is_empty());
+        let mut stale = vec![FusedHit {
+            query: 9,
+            slot: 9,
+            distance: 9,
+        }];
+        fused_hamming_filter_into(&[1, 2, 3, 4], 2, 2, &[], &[], &mut Vec::new(), &mut stale);
+        assert!(stale.is_empty());
     }
 
     #[test]
     fn fused_kernel_handles_one_query_like_the_single_kernel() {
         let page = pattern(128, 41, 5);
         let query = pattern(16, 9, 2);
-        let mut fused = Vec::new();
-        fused_hamming_per_chunk_into(&page, 16, &[&query], &mut fused);
+        let fused = all_distances(&page, 16, &[&query]);
+        assert_eq!(fused.len(), 8);
         for (c, chunk) in page.chunks(16).enumerate() {
-            assert_eq!(fused[c], hamming_bytes(chunk, &query), "chunk {c}");
+            let want = FusedHit {
+                query: 0,
+                slot: c as u32,
+                distance: hamming_bytes(chunk, &query),
+            };
+            assert_eq!(fused[c], want, "chunk {c}");
         }
     }
 
@@ -617,14 +521,12 @@ mod tests {
                         &mut acc,
                         &mut hits,
                     );
-                    // Reference: the unfused count kernel followed by an
-                    // explicit threshold pass, reordered chunk-major.
-                    let mut counts = Vec::new();
-                    fused_hamming_per_chunk_into(&page, chunk, &query_refs, &mut counts);
+                    // Reference: every distance counted byte-wise, then an
+                    // explicit threshold pass, chunk-major.
                     let mut expected = Vec::new();
-                    for slot in 0..n_chunks.min(slot_limit) {
+                    for (slot, bytes) in page.chunks(chunk).take(slot_limit).enumerate() {
                         for (q, &threshold) in thresholds.iter().enumerate() {
-                            let distance = counts[q * n_chunks + slot];
+                            let distance = reference::hamming(bytes, &queries[q][..bytes.len()]);
                             if distance <= threshold {
                                 expected.push(FusedHit {
                                     query: q as u32,
@@ -669,14 +571,6 @@ mod tests {
                 },
             ]
         );
-        // No queries: the hit buffer is cleared.
-        let mut stale = vec![FusedHit {
-            query: 9,
-            slot: 9,
-            distance: 9,
-        }];
-        fused_hamming_filter_into(&page, 2, 2, &[], &[], &mut acc, &mut stale);
-        assert!(stale.is_empty());
     }
 
     #[test]
@@ -697,14 +591,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk size must be non-zero")]
     fn fused_kernel_rejects_zero_chunks() {
-        fused_hamming_per_chunk_into(&[1, 2], 0, &[], &mut Vec::new());
+        fused_hamming_filter_into(&[1, 2], 0, 1, &[], &[], &mut Vec::new(), &mut Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "must match the chunk size")]
     fn fused_kernel_rejects_mis_sized_queries() {
         let query = [1u8, 2, 3];
-        fused_hamming_per_chunk_into(&[1, 2, 3, 4], 2, &[&query], &mut Vec::new());
+        fused_hamming_filter_into(
+            &[1, 2, 3, 4],
+            2,
+            2,
+            &[&query],
+            &[0],
+            &mut Vec::new(),
+            &mut Vec::new(),
+        );
     }
 
     #[test]
@@ -777,62 +679,13 @@ mod tests {
     const WIDTHS: [usize; 11] = [0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 33];
 
     #[test]
-    fn every_body_emits_reference_distances_in_slot_then_query_order() {
+    fn entry_points_match_the_reference_for_every_chunk_size() {
         let bodies: Vec<Isa> = Isa::supported().collect();
         assert_eq!(bodies.last(), Some(&Isa::detect()));
         // Chunk sizes that are and are not multiples of a word (8), an AVX2
         // vector (32) and an AVX-512 vector (64); nine full chunks — one
         // whole block of eight slots for a single query, and slots left
         // over for every narrow width — and a trailing partial one.
-        for chunk in 1usize..=256 {
-            let page = noise(chunk * 9 + chunk / 2, chunk as u64);
-            let n_chunks = page.len().div_ceil(chunk);
-            let all_queries: Vec<Vec<u8>> = (0..33)
-                .map(|q| noise(chunk, 1_000 + (chunk * 64 + q) as u64))
-                .collect();
-            for &isa in &bodies {
-                assert_eq!(
-                    distance::pair(isa, &page[..chunk], &all_queries[0]),
-                    reference::hamming(&page[..chunk], &all_queries[0]),
-                    "{isa:?} chunk {chunk}"
-                );
-            }
-            for width in WIDTHS {
-                let queries: Vec<&[u8]> = all_queries[..width].iter().map(Vec::as_slice).collect();
-                for slot_limit in [0, 1, n_chunks / 2, n_chunks, n_chunks + 3] {
-                    // Ascending slot, then query order: the order
-                    // `PageBody::score_page`'s one-entry OOB cache relies on.
-                    let mut expected = Vec::new();
-                    for (slot, bytes) in page.chunks(chunk).take(slot_limit).enumerate() {
-                        for (q, query) in queries.iter().enumerate() {
-                            let distance = reference::hamming(bytes, &query[..bytes.len()]);
-                            expected.push((slot, q, distance));
-                        }
-                    }
-                    let job = Job {
-                        latch: &page,
-                        chunk_bytes: chunk,
-                        slot_limit,
-                        queries: &queries,
-                    };
-                    for &isa in &bodies {
-                        let mut got = Vec::with_capacity(expected.len());
-                        distance::scan(isa, &job, |slot, q, distance| {
-                            got.push((slot, q, distance));
-                        });
-                        assert_eq!(
-                            got, expected,
-                            "{isa:?} chunk {chunk} width {width} limit {slot_limit}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn entry_points_match_the_reference_for_every_chunk_size() {
-        let bodies: Vec<Isa> = Isa::supported().collect();
         for chunk in 1usize..=256 {
             let mut page = noise(chunk * 9 + chunk / 2, 7 + chunk as u64);
             let queries: Vec<Vec<u8>> = (0..33)
@@ -849,27 +702,17 @@ mod tests {
                 })
                 .collect();
 
-            let mut counts = Vec::new();
-            count_per_chunk_into(&page, chunk, &mut counts);
-            assert_eq!(counts, reference::count_per_chunk(&page, chunk), "{chunk}");
-            let ones: u64 = counts.iter().map(|&c| u64::from(c)).sum();
+            let ones: u64 = page.iter().map(|b| u64::from(b.count_ones())).sum();
             assert_eq!(popcount_bytes(&page), ones, "{chunk}");
-            assert_eq!(
-                hamming_bytes(&page[..chunk], &queries[0]),
-                reference::hamming(&page[..chunk], &queries[0]),
-                "{chunk}"
-            );
+            let first = reference[0][0];
+            assert_eq!(hamming_bytes(&page[..chunk], &queries[0]), first, "{chunk}");
+            for &isa in &bodies {
+                let pair = distance::pair(isa, &page[..chunk], &queries[0]);
+                assert_eq!(pair, first, "{isa:?} chunk {chunk}");
+            }
 
             for width in WIDTHS {
                 let refs: Vec<&[u8]> = queries[..width].iter().map(Vec::as_slice).collect();
-                let mut fused = vec![u32::MAX; 3];
-                fused_hamming_per_chunk_into(&page, chunk, &refs, &mut fused);
-                assert_eq!(fused.len(), n_chunks * width);
-                for q in 0..width {
-                    for slot in 0..n_chunks {
-                        assert_eq!(fused[q * n_chunks + slot], reference[slot][q]);
-                    }
-                }
                 // Each query's threshold is exactly its distance to one
                 // slot: the inclusive edge of the compare.
                 let edge: Vec<u32> = (0..width).map(|q| reference[q % n_chunks][q]).collect();
@@ -881,6 +724,9 @@ mod tests {
                         _ => chunk as u32 * 4,
                     })
                     .collect();
+                // `u32::MAX` passes every distance: the filter then emits
+                // all of them, ascending slot, then query order — the order
+                // `PageBody::score_page`'s one-entry OOB cache relies on.
                 for thresholds in [vec![0; width], vec![u32::MAX; width], edge, mixed] {
                     for slot_limit in [0, 1, n_chunks / 2, n_chunks, n_chunks + 3] {
                         let mut expected = Vec::new();
@@ -935,15 +781,14 @@ mod tests {
 
     #[test]
     fn counts_of_chunks_longer_than_the_zero_query() {
+        // `popcount_bytes` counts in blocks of the zero query's length: no
+        // block, one, a partial one, and several with and without a tail.
         let page = noise(ZEROS.len() * 3 + 41, 5);
-        for chunk in [ZEROS.len(), ZEROS.len() + 1, ZEROS.len() * 2 + 7] {
-            let mut counts = Vec::new();
-            count_per_chunk_into(&page, chunk, &mut counts);
-            assert_eq!(counts, reference::count_per_chunk(&page, chunk), "{chunk}");
+        let lens = [0, 1, ZEROS.len() - 1, ZEROS.len(), ZEROS.len() + 1];
+        for len in lens.into_iter().chain([ZEROS.len() * 2 + 7, page.len()]) {
+            let ones: u64 = page[..len].iter().map(|b| u64::from(b.count_ones())).sum();
+            assert_eq!(popcount_bytes(&page[..len]), ones, "{len}");
         }
-        let ones: u64 = page.iter().map(|b| u64::from(b.count_ones())).sum();
-        assert_eq!(popcount_bytes(&page), ones);
-        assert_eq!(popcount_bytes(&[]), 0);
         assert_eq!(hamming_bytes(&[], &[]), 0);
     }
 
@@ -1002,12 +847,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "identical sizes")]
-    fn xor_rejects_length_mismatch() {
-        xor_bytes_into(&[1, 2], &[1, 2, 3], &mut Vec::new());
     }
 
     #[test]

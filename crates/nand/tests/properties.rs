@@ -5,7 +5,7 @@ use reis_nand::array::FlashDevice;
 use reis_nand::cell::{CellMode, ProgramScheme};
 use reis_nand::geometry::{Geometry, PageAddr};
 use reis_nand::oob::{OobEntry, OobLayout};
-use reis_nand::peripheral::PassFailChecker;
+use reis_nand::peripheral::{FusedHit, PassFailChecker};
 use reis_nand::reliability::ReliabilityModel;
 use reis_nand::timing::{Nanos, TimingParams};
 
@@ -163,15 +163,19 @@ proptest! {
         prop_assert_eq!(short.read_page(addr).unwrap(), padded.read_page(addr).unwrap());
     }
 
-    /// The fail-bit counter's chunked counts always sum to the total count.
+    /// The fail-bit counts per chunk — the distances to an all-zero query,
+    /// every one passing a threshold of `u32::MAX` — sum to the total count.
     #[test]
     fn chunk_counts_sum_to_total(
         data in proptest::collection::vec(any::<u8>(), 1..2048),
         chunk in 1usize..256,
     ) {
-        let mut per_chunk = Vec::new();
-        reis_kernels::count_per_chunk_into(&data, chunk, &mut per_chunk);
-        let total: u64 = per_chunk.iter().map(|&c| c as u64).sum();
+        let zeros = vec![0u8; chunk];
+        let slots = data.len().div_ceil(chunk);
+        let mut hits = Vec::new();
+        PassFailChecker::filter_fused(&data, chunk, slots, &[&zeros], &[u32::MAX], &mut hits);
+        prop_assert_eq!(hits.len(), slots);
+        let total: u64 = hits.iter().map(|hit| u64::from(hit.distance)).sum();
         prop_assert_eq!(total, reis_kernels::popcount_bytes(&data));
     }
 
@@ -198,42 +202,27 @@ proptest! {
         prop_assert_eq!(hits, passing);
     }
 
-    /// The word-level popcount/XOR kernels of the in-plane logic, filling
-    /// reused buffers, match the byte-wise reference for arbitrary lengths
-    /// (including odd tails) and chunk sizes.
+    /// The in-plane kernel, filling a reused hit buffer, matches the
+    /// byte-wise reference for arbitrary lengths (including odd tails) and
+    /// chunk sizes: against an all-zero query at a threshold of `u32::MAX`,
+    /// every chunk passes with its set-bit count as its distance.
     #[test]
     fn word_kernels_and_into_variants_match_reference(
         data in proptest::collection::vec(any::<u8>(), 1..1024),
         chunk in 1usize..200,
     ) {
-        // Popcount per chunk against a bit-by-bit reference.
-        let reference: Vec<u32> = data
+        let reference: Vec<(u32, u32)> = data
             .chunks(chunk)
             .map(|c| c.iter().map(|b| b.count_ones()).sum())
+            .enumerate()
+            .map(|(slot, count)| (slot as u32, count))
             .collect();
-        let mut reused = vec![0xFFFF_FFFFu32; 3];
-        reis_kernels::count_per_chunk_into(&data, chunk, &mut reused);
-        prop_assert_eq!(&reused, &reference);
-
-        // Word-level XOR against the byte-wise reference.
-        let other: Vec<u8> = data.iter().map(|b| b.rotate_left(3)).collect();
-        let xor_ref: Vec<u8> = data.iter().zip(&other).map(|(a, b)| a ^ b).collect();
-        let mut xor_out = vec![0u8; 7];
-        reis_kernels::xor_bytes_into(&data, &other, &mut xor_out);
-        prop_assert_eq!(&xor_out, &xor_ref);
-    }
-
-    /// XOR is an involution: applying it twice restores the original buffer.
-    #[test]
-    fn xor_is_involution(
-        a in proptest::collection::vec(any::<u8>(), 1..1024),
-        b_seed in any::<u8>(),
-    ) {
-        let b: Vec<u8> = a.iter().map(|x| x.wrapping_add(b_seed)).collect();
-        let (mut once, mut twice) = (Vec::new(), Vec::new());
-        reis_kernels::xor_bytes_into(&a, &b, &mut once);
-        reis_kernels::xor_bytes_into(&once, &b, &mut twice);
-        prop_assert_eq!(twice, a);
+        let zeros = vec![0u8; chunk];
+        let stale = FusedHit { query: 9, slot: 9, distance: 9 };
+        let mut reused = vec![stale; 3];
+        PassFailChecker::filter_fused(&data, chunk, usize::MAX, &[&zeros], &[u32::MAX], &mut reused);
+        let got: Vec<(u32, u32)> = reused.iter().map(|hit| (hit.slot, hit.distance)).collect();
+        prop_assert_eq!(got, reference);
     }
 
     /// OOB entry packing and unpacking round-trips arbitrary linkage data.

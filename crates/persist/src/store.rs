@@ -142,14 +142,9 @@ impl DurableStore {
         self.vfs.write_file(&Self::wal_name(seq), &[])
     }
 
-    /// Append one framed record to epoch `seq`'s WAL.
-    pub fn append_wal(&self, seq: u64, frame: &[u8]) -> Result<()> {
-        self.append_to_wal(&Self::wal_name(seq), frame)
-    }
-
     /// Append one framed record to the WAL file `wal` (a
-    /// [`wal_name`](Self::wal_name)), for a writer that names its open
-    /// epoch's WAL once instead of on every record.
+    /// [`wal_name`](Self::wal_name)). A writer names its open epoch's WAL
+    /// once, not on every record.
     pub fn append_to_wal(&self, wal: &str, frame: &[u8]) -> Result<()> {
         self.vfs.append(wal, frame)?;
         self.telemetry.count(CounterId::WalAppends, 1);
@@ -289,7 +284,9 @@ mod tests {
         store.write_snapshot(0, &image).unwrap();
         store.create_wal(0).unwrap();
         let record = WalRecord::Delete { db_id: 1, id: 9 };
-        store.append_wal(0, &record.encode_framed()).unwrap();
+        store
+            .append_to_wal(&DurableStore::wal_name(0), &record.encode_framed())
+            .unwrap();
         store.write_snapshot(1, &image).unwrap();
         store.create_wal(1).unwrap();
 
@@ -304,7 +301,9 @@ mod tests {
         rotten[image.len() / 2] ^= 0x10;
         mem.write_file(&DurableStore::snapshot_name(1), &rotten)
             .unwrap();
-        store.append_wal(0, &[0xEE, 0xEE, 0xEE]).unwrap();
+        store
+            .append_to_wal(&DurableStore::wal_name(0), &[0xEE, 0xEE, 0xEE])
+            .unwrap();
 
         let dirty = store.scrub().unwrap();
         assert!(!dirty.is_clean());
@@ -321,8 +320,9 @@ mod tests {
         let store = DurableStore::new(Box::new(MemVfs::new()));
         assert_eq!(store.read_wal(5).unwrap(), Vec::<u8>::new());
         store.create_wal(5).unwrap();
-        store.append_wal(5, b"aa").unwrap();
-        store.append_wal(5, b"bb").unwrap();
+        let wal = DurableStore::wal_name(5);
+        store.append_to_wal(&wal, b"aa").unwrap();
+        store.append_to_wal(&wal, b"bb").unwrap();
         assert_eq!(store.read_wal(5).unwrap(), b"aabb");
     }
 }
