@@ -68,9 +68,10 @@ impl Default for Optimizations {
 /// REIS partitions a single scan over the SSD's channel×die units so that
 /// the flash-internal parallelism shortens the *latency* of one query, not
 /// just the throughput of many (Sec. 4.3.4). The simulator mirrors that
-/// with pool tasks, one per scan shard, each owning its own Temporal Top
-/// Lists and a contiguous run of the scan's pages; see [`crate::scan`] for
-/// the split, the execution and the merge.
+/// with pool tasks, one per scan shard, each scoring a contiguous run of a
+/// pass's pages ahead and logging its hits; the driving thread replays the
+/// merged log into the queries' Temporal Top Lists. See [`crate::scan`]
+/// for the split, the scan-ahead, the merge and the replay.
 ///
 /// The default ([`ScanParallelism::auto`]) leaves the shard budget to the
 /// caller's context: the host's available parallelism for a single query,
@@ -144,9 +145,9 @@ impl Default for ScanParallelism {
 /// probe order) is split into fixed page-count windows
 /// ([`ReisConfig::adaptive_window_pages`]), and the threshold only tightens
 /// at window barriers, computed from the Temporal-Top-List state
-/// accumulated over all *completed* windows. The threshold any page is
-/// scanned under is therefore a pure function of the page's position in
-/// that list — never of which worker scanned it when — so adaptive scans
+/// accumulated over all *completed* windows. The threshold a page's hits
+/// are admitted under is therefore a pure function of the page's position
+/// in that list — never of which worker scanned it when — so adaptive scans
 /// are **partition-invariant**: results, documents and transferred-entry
 /// counts are bit-identical across every [`ScanParallelism`] setting and
 /// batch size, on every machine.
@@ -196,19 +197,15 @@ pub struct ReisConfig {
     /// of 1 reproduces the historical tighten-after-every-page schedule,
     /// and a window larger than the scan is the static threshold.
     ///
-    /// The window is also the **unit of intra-scan parallelism**: between
-    /// two barriers the threshold is constant, so each window's pages feed
-    /// the same [`ScanParallelism::effective_shards`] rule a static scan
-    /// uses. Smaller windows tighten sooner — fewer transferred entries,
-    /// more barrier quickselects, and *less shardable work per window*:
-    /// under the default 16-page [`ScanParallelism::min_pages_per_shard`]
-    /// only windows of ≥ 32 pages actually split across scan shards, so
-    /// the 4-page default (tuned for transfer cuts) runs its windows
-    /// sequentially. Deployments that want adaptive scans to
-    /// parallelize choose a larger window (`reis-perf` reports the barriers
-    /// a query pays as `core.fine_windows_per_op`) or a lower per-shard
-    /// minimum; the *results and entry counts* are identical either way —
-    /// that is the windowed schedule's partition invariance.
+    /// The window does not limit intra-scan parallelism: a whole pass is
+    /// scored ahead on [`ScanParallelism::effective_shards`] shards under
+    /// the thresholds in force at its start, and the barriers are replayed
+    /// over the recorded hits on the driving thread, so a windowed pass
+    /// shards like a static one. Smaller windows tighten sooner — fewer
+    /// transferred entries, more barrier quickselects (`reis-perf` reports
+    /// the barriers a query pays as `core.fine_windows_per_op`); the
+    /// *results and entry counts* are identical under every parallelism
+    /// setting — that is the windowed schedule's partition invariance.
     pub adaptive_window_pages: usize,
     /// When the update path compacts automatically (append segments folded
     /// back into dense regions). [`CompactionPolicy::manual`] disables

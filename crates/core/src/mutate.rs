@@ -329,7 +329,7 @@ fn append_entries(
 pub(crate) fn insert_batch(
     ssd: &mut SsdController,
     db: &mut DeployedDatabase,
-    vectors: &[Vec<f32>],
+    vectors: &[impl AsRef<[f32]>],
     documents: &[Vec<u8>],
 ) -> Result<(Vec<u32>, Nanos, usize)> {
     let ids: Vec<u32> = (0..vectors.len() as u32)
@@ -349,7 +349,7 @@ pub(crate) fn insert_batch_at(
     ssd: &mut SsdController,
     db: &mut DeployedDatabase,
     ids: &[u32],
-    vectors: &[Vec<f32>],
+    vectors: &[impl AsRef<[f32]>],
     documents: &[Vec<u8>],
 ) -> Result<(Nanos, usize)> {
     if ids.len() != vectors.len() {

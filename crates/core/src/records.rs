@@ -143,16 +143,6 @@ impl TemporalTopList {
         self.entries.clear();
     }
 
-    /// Move every entry of `other` into this list, leaving `other` empty
-    /// (its allocation is kept for reuse). This is the shard-merge step of
-    /// an intra-query sharded scan: each scan shard accumulates candidates
-    /// in its own list, and the controller concatenates them before running
-    /// quickselect. Because [`TemporalTopList::quickselect`] selects under a
-    /// total order, the merge order does not affect the final top-k.
-    pub fn absorb(&mut self, other: &mut TemporalTopList) {
-        self.entries.append(&mut other.entries);
-    }
-
     /// Sort the retained entries ascending by `(distance, storage_index)` in
     /// place (the final quicksort step, without copying the list).
     pub fn sort_ascending(&mut self) {

@@ -18,15 +18,18 @@
 //!   OOB linkage of a passing slot unpacks once for all queries that passed
 //!   it, and the pass's admission rule (`coarse_scan_entry`,
 //!   `base_scan_entry`, `segment_scan_entry`) turns hits into
-//!   Temporal-Top-List entries.
-//! * **The pass driver** (`Scan::run_pass`): cuts the pass at the next
-//!   adaptive-window barrier of any in-flight query (a non-adapting pass is
-//!   one chunk), picks the chunk's shard count with
-//!   [`ScanParallelism::effective_shards`](crate::config::ScanParallelism),
-//!   runs the shards as pool tasks — inline when the count is one —, merges
-//!   them in shard order and tightens the thresholds of the queries that
-//!   completed a window (`tighten_threshold`). The same driver runs the
-//!   coarse, base and segment passes.
+//!   Temporal-Top-List entries, recorded in a hit log.
+//! * **The pass driver** (`Scan::run_pass`), the same for the coarse, base
+//!   and segment passes, in three steps. *Scan ahead*: the whole pass is
+//!   scored once under the thresholds in force at the pass start, on
+//!   [`ScanParallelism::effective_shards`](crate::config::ScanParallelism)
+//!   shards run as pool tasks — inline when the count is one —, each
+//!   recording its admitted hits. *Merge*: the shard logs are concatenated
+//!   in shard order, which is pass order. *Replay* (`Scan::replay`), page
+//!   by page on the driving thread: count the page for its covering
+//!   queries, admit each recorded hit within its query's current
+//!   threshold, and tighten the thresholds of the queries whose page count
+//!   just completed a window (`tighten_threshold`).
 //! * **The lifecycle** (`execute`): validate → quantise → scan → select →
 //!   rerank → fetch → [`QueryActivity`] → price → telemetry, per query.
 //!   The rerank scores every selected candidate once, into a
@@ -44,15 +47,19 @@
 //!   every page its own selection covers, even though the device sensed the
 //!   page once for the whole batch, so per-query outcomes do not depend on
 //!   what else was in flight.
-//! * *One shard is a sharded scan with one shard.* Within a chunk every
-//!   threshold is constant, admission is per slot, and candidate selection
-//!   keys on the `(distance, storage_index)` total order, so the merged
-//!   state is independent of how the chunk's pages were partitioned.
+//! * *One shard is a sharded scan with one shard.* The scan-ahead scores
+//!   under thresholds that are constant for the pass and admission is per
+//!   slot, so the merged log is independent of how the pass's pages were
+//!   partitioned; the replay alone decides what each query keeps.
 //! * *A static scan is an adaptive scan with one window.* A query's
 //!   threshold tightens only at barriers every
 //!   [`adaptive_window_pages`](crate::config::ReisConfig::adaptive_window_pages)
 //!   pages of its own page list, from the TTL state of its completed
-//!   windows; a scan that does not adapt never cuts its passes.
+//!   windows; a scan that does not adapt replays no barrier. A threshold
+//!   only ever tightens, so the hits a page passes under its window's
+//!   threshold are a subset of those recorded under the pass-start one,
+//!   and the replay visits pages, barriers and TTL pushes in the order a
+//!   page-at-a-time walk would.
 //!
 //! Adapting queries of one batch may probe different clusters in different
 //! orders. Their base pages are a subsequence of the ascending union walk,
@@ -83,10 +90,12 @@
 //! something the core observes, not an option. Neither reader builds a
 //! physical page address.
 //!
-//! A sharded chunk is cut, in chunk order, into contiguous page runs of
+//! A sharded pass is cut, in pass order, into contiguous page runs of
 //! nearly equal length, one per shard (`cut_into_runs`). Shards are how the
 //! host spreads the simulation over its cores: the modelled device time
-//! prices the whole scan's activity, whichever shard read a page.
+//! prices the whole scan's activity, whichever shard read a page. A page
+//! whose read fails stops its shard; the replay counts every page before
+//! it and surfaces its error, whatever the later shards read.
 //!
 //! Reranking and document retrieval sort their slots by flash page and read
 //! each page once through the controller's borrowed read
@@ -151,22 +160,13 @@ struct ScanCounts {
     windows: usize,
 }
 
-impl ScanCounts {
-    /// Fold the page/slot/entry counters of one shard into this one (window
-    /// barriers are counted by the pass driver, not by its shards, so they
-    /// do not accumulate here).
-    fn absorb(&mut self, other: ScanCounts) {
-        self.pages += other.pages;
-        self.slots_scanned += other.slots_scanned;
-        self.entries_passed += other.entries_passed;
-    }
-}
-
-/// Reusable buffers of the phases downstream of the scan, created once per
-/// system so steady-state reranking and document fetching perform no
-/// per-page heap allocation.
+/// Reusable buffers of a request, created once per system so steady-state
+/// scanning, reranking and document fetching perform no per-page heap
+/// allocation.
 #[derive(Debug, Default)]
 pub(crate) struct ScanScratch {
+    /// One hit log per scan shard.
+    logs: Vec<Vec<Hit>>,
     /// Where each rerank candidate's INT8 copy (or each result's document)
     /// lives, and the page-sorted order the phase visits them in.
     slots: SlotPlan,
@@ -284,11 +284,12 @@ pub(crate) fn parse_doc_slot(
 /// still admit.
 ///
 /// Under the windowed schedule this runs only at window *barriers* — fixed
-/// page-count positions of the scan's deterministic page list — over the
-/// TTL state accumulated across all completed windows. Because the TTL
-/// quickselect keys on a total order, the merged state at a barrier (and
-/// therefore the tightened threshold) is independent of how the window's
-/// pages were partitioned across shard workers.
+/// page-count positions of the query's deterministic page list — over the
+/// TTL state accumulated across all completed windows, as the pass replay
+/// reaches them on the driving thread. The replay admits a page's hits in
+/// page order whichever shard recorded them, so the state at a barrier
+/// (and the tightened threshold) is independent of how the pass was
+/// partitioned.
 fn tighten_threshold(ttl: &mut TemporalTopList, candidate_count: usize, threshold: &mut u32) {
     if ttl.len() >= candidate_count.saturating_mul(2) {
         ttl.quickselect(candidate_count);
@@ -596,9 +597,8 @@ pub(crate) fn validate(
     Ok(())
 }
 
-/// The candidates and counters one query accumulates during a phase: in the
-/// scan's own slot for that query, or in a shard's private copy that the
-/// pass driver merges back in shard order.
+/// The candidates and counters one query accumulates during a phase, as
+/// the pass replay admits them.
 #[derive(Default)]
 struct Tally {
     ttl: TemporalTopList,
@@ -676,12 +676,9 @@ enum Pass {
 /// How the core obtains the bytes of a page (see the module docs).
 enum PageReader<'a> {
     /// Error-free regions: borrow the stored page. Nothing on the device
-    /// moves, so shards share the controller; the senses are counted here
-    /// and folded into the device after the scan.
-    Stored {
-        controller: &'a SsdController,
-        senses: u64,
-    },
+    /// moves, so shards share the controller; the replay counts the senses
+    /// and they are folded into the device after the scan.
+    Stored(&'a SsdController),
     /// Error-injecting regions: sense the page — the device draws the read
     /// errors and counts the sense itself — and score the sensed bytes,
     /// built in the reader's own page buffer (the plane's sensing latch).
@@ -695,9 +692,8 @@ impl PageReader<'_> {
     /// The user data and OOB bytes of page `offset` of `region`.
     fn page(&mut self, region: &StripedRegion, offset: usize) -> Result<(&[u8], &[u8])> {
         match self {
-            PageReader::Stored { controller, senses } => {
+            PageReader::Stored(controller) => {
                 let (_, data, oob) = controller.scan_region_page(region, offset)?;
-                *senses += 1;
                 Ok((data, oob))
             }
             PageReader::Latch { controller, latch } => {
@@ -709,9 +705,23 @@ impl PageReader<'_> {
     }
 }
 
+/// One admitted hit of the scan-ahead: the pass page it was read on (its
+/// index in pass order), the query it passed for and the candidate it
+/// makes.
+#[derive(Debug, Clone, Copy)]
+struct Hit {
+    page: u32,
+    query: u32,
+    entry: TtlEntry,
+}
+
+/// Where a shard's scan-ahead stopped: the pass index of the page whose
+/// read failed, and the error.
+type Stop = (usize, ReisError);
+
 /// Reusable buffers of one page-scoring loop: the covering queries' padded
-/// images and current thresholds, and the emitted hits. One set serves one
-/// thread.
+/// images and pass-start thresholds, and the emitted hits. One set serves
+/// one thread.
 #[derive(Default)]
 struct ScoreBufs<'a> {
     queries: Vec<&'a [u8]>,
@@ -719,9 +729,8 @@ struct ScoreBufs<'a> {
     hits: Vec<FusedHit>,
 }
 
-/// What every shard of one chunk shares, immutably: the queries, their
-/// current thresholds (constant between two barriers) and the admission
-/// rule of the pass.
+/// What every shard of one pass shares, immutably: the queries, their
+/// thresholds at the pass start and the admission rule of the pass.
 struct PageBody<'a, 'q> {
     db: &'a DeployedDatabase,
     padded: &'q [Vec<u8>],
@@ -730,8 +739,6 @@ struct PageBody<'a, 'q> {
     oob_layout: &'a OobLayout,
     pass: Pass,
     list: &'a PassList,
-    /// The adaptive window a captured explain event belongs to.
-    explain_window: u32,
 }
 
 impl<'q> PageBody<'_, 'q> {
@@ -771,28 +778,26 @@ impl<'q> PageBody<'_, 'q> {
         }
     }
 
-    /// Score one page against the queries of `members`, each under its
-    /// current threshold, and push the admitted entries into their tallies.
+    /// Score page `offset` — pass page `index` — against the queries of
+    /// `members`, under the thresholds `bufs` holds for them, and record
+    /// the admitted hits in `log`.
     fn score_page(
         &self,
         (data, oob): (&[u8], &[u8]),
-        page: usize,
+        index: usize,
+        offset: usize,
         members: &[usize],
-        tallies: &mut [Tally],
         bufs: &mut ScoreBufs<'q>,
+        log: &mut Vec<Hit>,
     ) -> Result<()> {
         let slot_bytes = self.db.layout.embedding_slot_bytes;
-        bufs.queries.clear();
-        bufs.queries
-            .extend(members.iter().map(|&q| self.padded[q].as_slice()));
-        bufs.thresholds.clear();
-        bufs.thresholds
-            .extend(members.iter().map(|&q| self.thresholds[q]));
         // The stored-page reader lends the programmed prefix of the page,
         // so the kernel reads the slots that were written; the plane still
         // computes — and the counters still say — a full page of slots.
-        let slots_per_page = self.db.layout.embeddings_per_page;
-        let limit = data.len().div_ceil(slot_bytes).min(slots_per_page);
+        let limit = data
+            .len()
+            .div_ceil(slot_bytes)
+            .min(self.db.layout.embeddings_per_page);
         PassFailChecker::filter_fused(
             data,
             slot_bytes,
@@ -801,19 +806,6 @@ impl<'q> PageBody<'_, 'q> {
             &bufs.thresholds,
             &mut bufs.hits,
         );
-        for &q in members {
-            let tally = &mut tallies[q];
-            tally.counts.pages += 1;
-            tally.counts.slots_scanned += slots_per_page;
-            if let Some(events) = tally.explain.as_mut() {
-                events.push(ExplainEvent {
-                    page: page as u32,
-                    window: self.explain_window,
-                    slots: slots_per_page as u32,
-                    passed: 0,
-                });
-            }
-        }
         // Hits arrive chunk-major (ascending slot), so a slot's OOB entry is
         // unpacked once and reused across the queries that passed it.
         let mut cached: Option<(u32, OobEntry)> = None;
@@ -827,53 +819,67 @@ impl<'q> PageBody<'_, 'q> {
                 }
             };
             let q = members[hit.query as usize];
-            if let Some(entry) = self.admit(q, page, hit.slot as usize, hit.distance, oob_entry) {
-                let tally = &mut tallies[q];
-                tally.counts.entries_passed += 1;
-                tally.ttl.push(entry);
-                if let Some(event) = tally.explain.as_mut().and_then(|events| events.last_mut()) {
-                    event.passed += 1;
-                }
+            if let Some(entry) = self.admit(q, offset, hit.slot as usize, hit.distance, oob_entry) {
+                log.push(Hit {
+                    page: index as u32,
+                    query: q as u32,
+                    entry,
+                });
             }
         }
         Ok(())
     }
 
-    /// Walk `spans` in order: read each page once and score it. The one
-    /// page loop of the scan path — a whole chunk when it runs inline, one
-    /// shard's pieces of it on a pool task.
-    fn walk(
+    /// Scan ahead over `spans`, whose first page is pass page `first`: read
+    /// each page once, score it and record its hits in `log` (cleared
+    /// first). The one page loop of the scan path — a whole pass when it
+    /// runs inline, one shard's run of it on a pool task. Stops at the
+    /// first page that cannot be read or unpacked.
+    fn scan_ahead(
         &self,
         reader: &mut PageReader<'_>,
         spans: &[Span],
-        tallies: &mut [Tally],
-        bufs: &mut ScoreBufs<'q>,
-    ) -> Result<()> {
+        first: usize,
+        log: &mut Vec<Hit>,
+    ) -> std::result::Result<(), Stop> {
+        log.clear();
+        let mut bufs = ScoreBufs::default();
+        let mut index = first;
         for span in spans {
             let members = self.list.members_of(span);
+            bufs.queries.clear();
+            bufs.queries
+                .extend(members.iter().map(|&q| self.padded[q].as_slice()));
+            bufs.thresholds.clear();
+            bufs.thresholds
+                .extend(members.iter().map(|&q| self.thresholds[q]));
             for offset in span.start..span.end {
-                let page = reader.page(&span.region, offset)?;
-                self.score_page(page, offset, members, tallies, bufs)?;
+                reader
+                    .page(&span.region, offset)
+                    .and_then(|page| self.score_page(page, index, offset, members, &mut bufs, log))
+                    .map_err(|error| (index, error))?;
+                index += 1;
             }
         }
         Ok(())
     }
 }
 
-/// Cut the pages of `chunk` into `shards` runs of consecutive pages, in
-/// chunk order, of nearly equal length (they differ by at most one page),
-/// splitting spans at the cut points. A run is empty only when the chunk
-/// has fewer pages than there are shards.
-fn cut_into_runs(chunk: &[Span], shards: usize) -> Vec<Vec<Span>> {
-    let pages: usize = chunk.iter().map(|span| span.end - span.start).sum();
-    let mut spans = chunk.iter().copied();
+/// Cut the pages of `spans` into `shards` runs of consecutive pages, in
+/// pass order, of nearly equal length (they differ by at most one page),
+/// splitting spans at the cut points: run `s` starts at pass page
+/// `s × pages / shards`. A run is empty only when the pass has fewer pages
+/// than there are shards.
+fn cut_into_runs(spans: &[Span], shards: usize) -> Vec<Vec<Span>> {
+    let pages: usize = spans.iter().map(|span| span.end - span.start).sum();
+    let mut spans = spans.iter().copied();
     let mut current = spans.next();
     (0..shards)
         .map(|shard| {
             let mut want = (shard + 1) * pages / shards - shard * pages / shards;
             let mut run = Vec::new();
             while want > 0 {
-                let span = current.as_mut().expect("the runs cover the chunk's pages");
+                let span = current.as_mut().expect("the runs cover the pass's pages");
                 let take = (span.end - span.start).min(want);
                 run.push(Span {
                     end: span.start + take,
@@ -916,158 +922,139 @@ struct Scan<'a> {
     /// thread, so the log sums to the query's `entries_passed`).
     window_logs: Vec<(Vec<u64>, usize)>,
     record: bool,
-    bufs: ScoreBufs<'a>,
+    /// The shards' hit logs (the system's, lent for the request).
+    logs: Vec<Vec<Hit>>,
+    /// Distinct pages replayed: what the stored-page reader sensed.
+    senses: u64,
 }
 
-/// What one shard task hands back: its private tallies, the pages it sensed
-/// and the error that stopped it, if any.
-type ShardOutput = (Vec<Tally>, u64, Option<ReisError>);
-
 impl<'a> Scan<'a> {
-    /// Walk one pass: chunk by chunk, each chunk sharded when worth it,
-    /// thresholds tightened at the window barriers between chunks.
+    /// Walk one pass: scan it ahead on its shards, merge their logs in
+    /// shard order and replay them (see the module docs).
     fn run_pass(&mut self, pass: Pass, list: &PassList) -> Result<()> {
+        let pages: usize = list.spans.iter().map(|span| span.end - span.start).sum();
+        let body = PageBody {
+            db: self.db,
+            padded: self.padded,
+            selections: &self.selections,
+            thresholds: &self.thresholds,
+            oob_layout: &self.oob_layout,
+            pass,
+            list,
+        };
+        let shards = match &self.reader {
+            // Every sense advances the device's error stream: one shard, in
+            // pass order.
+            PageReader::Latch { .. } => 1,
+            PageReader::Stored(_) => self.config.scan_parallelism.effective_shards(
+                self.shard_budget,
+                self.config.ssd.geometry.total_dies(),
+                pages,
+            ),
+        };
+        let mut logs = std::mem::take(&mut self.logs);
+        if logs.len() < shards {
+            logs.resize_with(shards, Vec::new);
+        }
+
+        // ---- Scan ahead.
+        let mut stops: Vec<Option<Stop>> = (0..shards).map(|_| None).collect();
+        if shards == 1 {
+            stops[0] = body
+                .scan_ahead(&mut self.reader, &list.spans, 0, &mut logs[0])
+                .err();
+        } else {
+            let PageReader::Stored(controller) = self.reader else {
+                unreachable!("latch reads run on one shard");
+            };
+            let runs = cut_into_runs(&list.spans, shards);
+            let body = &body;
+            self.pool
+                .scope(|scope| {
+                    let work = runs.iter().zip(logs.iter_mut()).zip(stops.iter_mut());
+                    for (shard, ((run, log), stop)) in work.enumerate() {
+                        scope.spawn(move |_ctx| {
+                            let mut reader = PageReader::Stored(controller);
+                            let first = shard * pages / shards;
+                            *stop = body.scan_ahead(&mut reader, run, first, log).err();
+                        });
+                    }
+                })
+                .map_err(|panic| ReisError::WorkerPanic(panic.message))?;
+        }
+
+        // ---- Merge in shard order, which is pass order: the first stop is
+        // at the earliest failing page.
+        let (merged, rest) = logs.split_at_mut(1);
+        for log in &mut rest[..shards - 1] {
+            merged[0].append(log);
+        }
+        let stop = stops.into_iter().flatten().next();
         let window = if pass == Pass::Coarse {
             None
         } else {
             self.window
         };
-        let scan_units = self.config.ssd.geometry.total_dies();
-        let mut next = 0usize;
-        let mut offset = list.spans.first().map_or(0, |span| span.start);
-        let mut chunk: Vec<Span> = Vec::new();
-        let mut position: Vec<usize> = vec![0; self.tallies.len()];
-        let mut crossed: Vec<usize> = Vec::new();
-        loop {
-            // ---- Cut the next chunk: up to the first page at which some
-            // covering query completes a window of its own page list. Page
-            // positions advance deterministically with the walk, so the cut
-            // is computed up front, independent of how the chunk is scanned.
-            chunk.clear();
-            for (at, tally) in position.iter_mut().zip(&self.tallies) {
-                *at = tally.counts.pages;
-            }
-            let mut barrier = false;
-            while !barrier && next < list.spans.len() {
-                let span = list.spans[next];
-                let members = list.members_of(&span);
-                let room = window
-                    .and_then(|w| members.iter().map(|&q| w - position[q] % w).min())
-                    .unwrap_or(usize::MAX);
-                let take = (span.end - offset).min(room);
-                chunk.push(Span {
-                    start: offset,
-                    end: offset + take,
-                    ..span
-                });
-                for &q in members {
-                    position[q] += take;
-                }
-                barrier = take == room;
-                offset += take;
-                if offset == span.end {
-                    next += 1;
-                    offset = list.spans.get(next).map_or(0, |span| span.start);
-                }
-            }
-            if chunk.is_empty() {
-                return Ok(());
-            }
-            crossed.clear();
-            if let Some(w) = window {
-                crossed.extend((0..position.len()).filter(|&q| {
-                    position[q] > self.tallies[q].counts.pages && position[q].is_multiple_of(w)
-                }));
-            }
+        let replayed = self.replay(list, window, &logs[0], stop);
+        self.logs = logs;
+        replayed
+    }
 
-            // ---- Scan the chunk. Every threshold is constant for its
-            // duration, so it shards like a static scan.
-            let pages: usize = chunk.iter().map(|span| span.end - span.start).sum();
-            let body = PageBody {
-                db: self.db,
-                padded: self.padded,
-                selections: &self.selections,
-                thresholds: &self.thresholds,
-                oob_layout: &self.oob_layout,
-                pass,
-                list,
-                explain_window: self.tallies[0].counts.windows as u32,
-            };
-            let shards = match &self.reader {
-                PageReader::Latch { .. } => 1,
-                PageReader::Stored { .. } => self.config.scan_parallelism.effective_shards(
-                    self.shard_budget,
-                    scan_units,
-                    pages,
-                ),
-            };
-            if shards == 1 {
-                body.walk(&mut self.reader, &chunk, &mut self.tallies, &mut self.bufs)?;
-            } else {
-                let PageReader::Stored { controller, senses } = &mut self.reader else {
-                    unreachable!("latch reads run on one shard");
-                };
-                let controller: &SsdController = controller;
-                let work = cut_into_runs(&chunk, shards);
-                let explain = self.tallies[0].explain.is_some();
-                let queries = self.tallies.len();
-                let body = &body;
-                let mut outputs: Vec<Option<ShardOutput>> = work.iter().map(|_| None).collect();
-                self.pool
-                    .scope(|scope| {
-                        for (pieces, output) in work.iter().zip(outputs.iter_mut()) {
-                            scope.spawn(move |_ctx| {
-                                let mut reader = PageReader::Stored {
-                                    controller,
-                                    senses: 0,
-                                };
-                                let mut local: Vec<Tally> =
-                                    (0..queries).map(|_| Tally::default()).collect();
-                                local[0].explain = explain.then(Vec::new);
-                                let error = body
-                                    .walk(
-                                        &mut reader,
-                                        pieces,
-                                        &mut local,
-                                        &mut ScoreBufs::default(),
-                                    )
-                                    .err();
-                                let PageReader::Stored { senses, .. } = reader else {
-                                    unreachable!("shards read stored pages");
-                                };
-                                *output = Some((local, senses, error));
-                            });
-                        }
-                    })
-                    .map_err(|panic| ReisError::WorkerPanic(panic.message))?;
-                // Merge in shard order; the work a failing shard performed
-                // is merged before its error surfaces.
-                let mut first_error = None;
-                for output in outputs {
-                    let (local, shard_senses, error) =
-                        output.expect("the scope waits for every shard task");
-                    *senses += shard_senses;
-                    for (tally, mut shard) in self.tallies.iter_mut().zip(local) {
-                        tally.counts.absorb(shard.counts);
-                        tally.ttl.absorb(&mut shard.ttl);
-                        if let (Some(events), Some(captured)) =
-                            (tally.explain.as_mut(), shard.explain)
-                        {
-                            events.extend(captured);
-                        }
-                    }
-                    first_error = first_error.or(error);
-                }
-                if let Some(error) = first_error {
-                    return Err(error);
-                }
-            }
-
-            // ---- Window barriers (by construction only at the chunk's
-            // end): every query that just completed a window tightens
-            // against the TTL state of all its completed windows.
-            for &q in &crossed {
+    /// Replay a pass's merged hit log page by page, in pass order: count
+    /// each page for its covering queries, admit each recorded hit whose
+    /// distance is within its query's current threshold, then close the
+    /// window of every covering query whose page count the page completes.
+    /// A pass without barriers admits its hits after the walk, in one move.
+    /// Stops before the page at which the scan-ahead stopped and returns
+    /// its error.
+    fn replay(
+        &mut self,
+        list: &PassList,
+        window: Option<usize>,
+        log: &[Hit],
+        stop: Option<Stop>,
+    ) -> Result<()> {
+        let slots_per_page = self.db.layout.embeddings_per_page;
+        let end = stop.as_ref().map_or(usize::MAX, |(at, _)| *at);
+        // Explain events are captured for single queries only: the event of
+        // pass page `index` is `first_event + index`.
+        let first_event = self.tallies[0].explain.as_ref().map_or(0, Vec::len);
+        let mut hits = log.iter().peekable();
+        let pages = list.spans.iter().flat_map(|span| {
+            let members = list.members_of(span);
+            (span.start..span.end).map(move |offset| (offset, members))
+        });
+        for (index, (offset, members)) in pages.enumerate().take(end) {
+            self.senses += 1;
+            for &q in members {
                 let tally = &mut self.tallies[q];
+                tally.counts.pages += 1;
+                tally.counts.slots_scanned += slots_per_page;
+                if let Some(events) = tally.explain.as_mut() {
+                    events.push(ExplainEvent {
+                        page: offset as u32,
+                        window: tally.counts.windows as u32,
+                        slots: slots_per_page as u32,
+                        passed: 0,
+                    });
+                }
+            }
+            let Some(window) = window else {
+                continue;
+            };
+            while let Some(hit) = hits.next_if(|hit| hit.page as usize == index) {
+                if hit.entry.distance <= self.thresholds[hit.query as usize] {
+                    self.admit(hit, first_event);
+                }
+            }
+            // ---- Window barriers: every covering query that just completed
+            // a window tightens against the TTL state of all its completed
+            // windows.
+            for &q in members {
+                let tally = &mut self.tallies[q];
+                if !tally.counts.pages.is_multiple_of(window) {
+                    continue;
+                }
                 tally.counts.windows += 1;
                 tighten_threshold(
                     &mut tally.ttl,
@@ -1078,6 +1065,24 @@ impl<'a> Scan<'a> {
                     self.log_window(q);
                 }
             }
+        }
+        if window.is_none() {
+            // No threshold moved since the scan-ahead: every hit recorded
+            // before the stop is admitted as recorded.
+            for hit in log.iter().take_while(|hit| (hit.page as usize) < end) {
+                self.admit(hit, first_event);
+            }
+        }
+        stop.map_or(Ok(()), |(_, error)| Err(error))
+    }
+
+    /// Admit one recorded hit into its query's tally.
+    fn admit(&mut self, hit: &Hit, first_event: usize) {
+        let tally = &mut self.tallies[hit.query as usize];
+        tally.counts.entries_passed += 1;
+        tally.ttl.push(hit.entry);
+        if let Some(events) = tally.explain.as_mut() {
+            events[first_event + hit.page as usize].passed += 1;
         }
     }
 
@@ -1263,7 +1268,7 @@ fn score_candidates(
 ) -> Result<usize> {
     let layout = db.layout;
     let base_capacity = db.updates.base_capacity;
-    let ScanScratch { slots, scored } = scratch;
+    let ScanScratch { slots, scored, .. } = scratch;
     slots.locations.clear();
     scored.clear();
     for candidate in selected {
@@ -1450,10 +1455,7 @@ pub(crate) fn execute(ctx: ScanCtx<'_>, request: &Request<'_>) -> Result<Vec<Exe
         .hybrid_policy()
         .scheme_for(RegionKind::BinaryEmbeddings);
     let reader = if controller.device().read_is_error_free(embedding_scheme) {
-        PageReader::Stored {
-            controller: &*controller,
-            senses: 0,
-        }
+        PageReader::Stored(&*controller)
     } else {
         PageReader::Latch {
             controller: &mut *controller,
@@ -1479,7 +1481,8 @@ pub(crate) fn execute(ctx: ScanCtx<'_>, request: &Request<'_>) -> Result<Vec<Exe
         candidate_count,
         window_logs: vec![(Vec::new(), 0); queries.len()],
         record,
-        bufs: ScoreBufs::default(),
+        logs: std::mem::take(&mut scratch.logs),
+        senses: 0,
     };
     let scanned = (|| -> Result<()> {
         let clusters = match nprobe {
@@ -1498,10 +1501,13 @@ pub(crate) fn execute(ctx: ScanCtx<'_>, request: &Request<'_>) -> Result<Vec<Exe
         mut tallies,
         coarse,
         window_logs,
+        logs,
+        senses,
         ..
     } = scan;
+    scratch.logs = logs;
     let senses = match reader {
-        PageReader::Stored { senses, .. } => senses,
+        PageReader::Stored(_) => senses,
         // The device counted every latch sense as it happened.
         PageReader::Latch { .. } => 0,
     };
@@ -1877,6 +1883,63 @@ mod tests {
         }
     }
 
+    /// A page whose read fails mid-pass stops the scan at that page however
+    /// the pass is sharded and whatever pool runs the shards: the same
+    /// error, and device counts covering exactly the pages before it, under
+    /// a static and a windowed scan.
+    #[test]
+    fn a_failing_page_read_stops_every_partition_at_the_same_page() {
+        let vectors: Vec<Vec<f32>> = (0..180)
+            .map(|i| {
+                (0..64)
+                    .map(|d| (((i * 19 + d * 7) % 31) as f32 - 15.0) / 6.0)
+                    .collect()
+            })
+            .collect();
+        let documents = (0..180).map(|i| format!("doc {i}").into_bytes()).collect();
+        let db = VectorDatabase::flat(&vectors, documents).unwrap();
+        for adaptive in [false, true] {
+            let mut runs = Vec::new();
+            for workers in [1, 4] {
+                for shards in [1, 2, 4] {
+                    let config = crate::ReisConfig::tiny()
+                        .with_adaptive_filtering(adaptive)
+                        .with_adaptive_window(2)
+                        .with_scan_parallelism(
+                            crate::ScanParallelism::sharded(shards).with_min_pages_per_shard(1),
+                        );
+                    let mut system = crate::ReisSystem::new(config);
+                    system.sched = WorkerPool::new(workers);
+                    let id = system.deploy(&db).unwrap();
+                    let deployed = &system.databases[&id];
+                    let (region, pages) = (
+                        deployed.record.embedding_region,
+                        deployed.layout.embedding_pages,
+                    );
+                    // The pass's pages lie on distinct planes, so erasing
+                    // the block of one of them unprograms that page alone.
+                    let geometry = system.controller.config().geometry;
+                    let failing = pages / 2;
+                    let block = region.page_at(&geometry, failing).unwrap().block_addr();
+                    system.controller.device_mut().erase_block(block).unwrap();
+                    let before = *system.controller.device().stats();
+                    let err = system.search(id, &vectors[5], 1).unwrap_err();
+                    let delta = system.controller.device().stats().delta_since(&before);
+                    // One query: every page before the failing one is
+                    // sensed and scored once.
+                    assert!(pages >= 6 && failing > 0);
+                    assert_eq!(delta.page_reads, failing as u64);
+                    assert_eq!(delta.xor_ops, failing as u64);
+                    runs.push((err, delta));
+                }
+            }
+            assert!(
+                runs.iter().all(|run| *run == runs[0]),
+                "adaptive {adaptive}: {runs:?}"
+            );
+        }
+    }
+
     /// Spans of one region, all scored by the pass's first query set.
     fn spans(ranges: &[(usize, usize)]) -> Vec<Span> {
         ranges
@@ -1892,12 +1955,12 @@ mod tests {
 
     #[test]
     fn every_page_lands_in_exactly_one_shard() {
-        let chunk = spans(&[(0, 13), (20, 27)]);
-        let expected: Vec<usize> = chunk.iter().flat_map(|span| span.start..span.end).collect();
+        let pass = spans(&[(0, 13), (20, 27)]);
+        let expected: Vec<usize> = pass.iter().flat_map(|span| span.start..span.end).collect();
         for shards in 1..=8 {
-            let runs = cut_into_runs(&chunk, shards);
+            let runs = cut_into_runs(&pass, shards);
             assert_eq!(runs.len(), shards);
-            // One run after the other walks the chunk's pages in order.
+            // One run after the other walks the pass's pages in order.
             let seen: Vec<usize> = runs
                 .iter()
                 .flatten()
@@ -1913,9 +1976,9 @@ mod tests {
 
     #[test]
     fn striped_scans_balance_to_within_one_unit() {
-        let chunk = spans(&[(0, 300), (512, 513), (700, 1423)]);
+        let pass = spans(&[(0, 300), (512, 513), (700, 1423)]);
         for shards in 1..=8 {
-            let pages: Vec<usize> = cut_into_runs(&chunk, shards)
+            let pages: Vec<usize> = cut_into_runs(&pass, shards)
                 .iter()
                 .map(|run| run.iter().map(|span| span.end - span.start).sum())
                 .collect();

@@ -382,11 +382,7 @@ impl ReisSystem {
         vector: &[f32],
         document: Vec<u8>,
     ) -> Result<MutationOutcome> {
-        self.insert_batch(
-            db_id,
-            std::slice::from_ref(&vector.to_vec()),
-            vec![document],
-        )
+        self.insert_logged(db_id, None, &[vector], &[document])
     }
 
     /// Insert a batch of entries (see [`ReisSystem::insert`]); ids are
@@ -412,7 +408,7 @@ impl ReisSystem {
         &mut self,
         db_id: u32,
         ids: Option<&[u32]>,
-        vectors: &[Vec<f32>],
+        vectors: &[impl AsRef<[f32]>],
         documents: &[Vec<u8>],
     ) -> Result<MutationOutcome> {
         let started = self.telemetry.is_enabled().then(Instant::now);
@@ -446,7 +442,7 @@ impl ReisSystem {
         &mut self,
         db_id: u32,
         ids: Option<&[u32]>,
-        vectors: &[Vec<f32>],
+        vectors: &[impl AsRef<[f32]>],
         documents: &[Vec<u8>],
     ) -> Result<MutationOutcome> {
         let db = self

@@ -20,15 +20,17 @@
 //! count and diffs the two directories: any machine-variant accounting
 //! fails the gate. The identity property makes the diff *sensitive* by
 //! running one leg whose shard count is the forced budget itself (with a
-//! 1-page shard minimum, so the budget genuinely changes how every window
+//! 1-page shard minimum, so the budget genuinely changes how every pass
 //! is partitioned): the two gate runs execute different partitionings, and
 //! only true partition invariance makes their summaries byte-identical.
+
+use std::sync::Mutex;
 
 use proptest::prelude::*;
 
 use reis_core::{
-    AdaptiveFiltering, CompactionPolicy, ReisConfig, ReisSystem, ScanParallelism, SearchOutcome,
-    VectorDatabase,
+    AdaptiveFiltering, CompactionPolicy, CounterId, ExplainEvent, HistogramId, HistogramSnapshot,
+    ReisConfig, ReisSystem, ScanParallelism, SearchOutcome, VectorDatabase,
 };
 
 mod support;
@@ -66,7 +68,7 @@ fn assert_outcome_eq(a: &SearchOutcome, b: &SearchOutcome, ctx: &str) {
 }
 
 /// The parallelism modes an adaptive scan must agree across. The per-shard
-/// page minimum is 1 so sharding genuinely engages on every window of the
+/// page minimum is 1 so sharding genuinely engages on every pass of the
 /// small test scans (the default 16-page minimum would keep them
 /// sequential — a deliberate spawn-amortization guard, not a correctness
 /// one).
@@ -301,6 +303,197 @@ fn fused_adaptive_batch_matches_sequential_and_amortizes_senses() {
     );
 }
 
+/// The shard counts and pool sizes a windowed scan's replay must not see.
+const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+const POOL_SIZES: [usize; 2] = [1, 4];
+
+/// A system of `config` on a worker pool of `workers` threads. The pool is
+/// sized from `REIS_SCHED_WORKERS` once, at construction, so the variable
+/// is set around `ReisSystem::new` alone; the lock keeps two such
+/// constructions from interleaving. A system the suite's other tests build
+/// meanwhile may pick the size up too, which changes when its threads run
+/// and nothing else.
+fn system_on_pool(config: ReisConfig, workers: usize) -> ReisSystem {
+    const POOL_SIZE: &str = "REIS_SCHED_WORKERS";
+    static ENV: Mutex<()> = Mutex::new(());
+    let _held = ENV.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let prior = std::env::var(POOL_SIZE).ok();
+    std::env::set_var(POOL_SIZE, workers.to_string());
+    let system = ReisSystem::new(config);
+    match prior {
+        Some(value) => std::env::set_var(POOL_SIZE, value),
+        None => std::env::remove_var(POOL_SIZE),
+    }
+    assert!(
+        format!("{:?}", system.scheduler()).contains(&format!("workers: {workers}")),
+        "pool of {workers}"
+    );
+    system
+}
+
+/// What one run of a windowed search trace leaves behind: the outcomes,
+/// the explain events of every single query, and after every call the
+/// window telemetry (the entries counter and the per-window histogram).
+#[derive(Default)]
+struct Observed {
+    outcomes: Vec<SearchOutcome>,
+    explains: Vec<Vec<ExplainEvent>>,
+    windows: Vec<(u64, HistogramSnapshot)>,
+}
+
+impl Observed {
+    /// One query — brute force, or IVF at `nprobe` — with an explain trace
+    /// armed.
+    fn search(&mut self, system: &mut ReisSystem, id: u32, query: &[f32], nprobe: Option<usize>) {
+        system.telemetry().arm_explain();
+        let outcome = match nprobe {
+            Some(nprobe) => system.ivf_search_with_nprobe(id, query, 1, nprobe),
+            None => system.search(id, query, 1),
+        }
+        .expect("search");
+        let explain = system.telemetry().last_explain().expect("armed explain");
+        self.explains.push(explain.events);
+        self.outcomes.push(outcome);
+        self.record_windows(system);
+    }
+
+    /// Every query's outcome of one batch.
+    fn batch(&mut self, system: &mut ReisSystem, outcomes: Vec<SearchOutcome>) {
+        self.outcomes.extend(outcomes);
+        self.record_windows(system);
+    }
+
+    fn record_windows(&mut self, system: &ReisSystem) {
+        let telemetry = system.telemetry();
+        self.windows.push((
+            telemetry.counter(CounterId::WindowEntries),
+            telemetry.histogram(HistogramId::WindowEntriesPerWindow),
+        ));
+    }
+}
+
+/// Run `trace` on a fresh telemetry-enabled system for every shard count
+/// (1-page shard minimum, so every pass splits) at every pool size, and
+/// assert that every run observes exactly what the first did. Returns the
+/// first run's observation.
+fn assert_partition_invariant(
+    config: ReisConfig,
+    mut trace: impl FnMut(&mut ReisSystem, &mut Observed),
+) -> Observed {
+    let mut runs: Vec<(String, Observed)> = Vec::new();
+    for workers in POOL_SIZES {
+        for shards in SHARD_COUNTS {
+            let parallelism = ScanParallelism::sharded(shards).with_min_pages_per_shard(1);
+            let mut system = system_on_pool(config.with_scan_parallelism(parallelism), workers);
+            system.enable_telemetry();
+            let mut observed = Observed::default();
+            trace(&mut system, &mut observed);
+            runs.push((format!("{shards} shards, pool {workers}"), observed));
+        }
+    }
+    let (reference, expected) = runs.remove(0);
+    for (name, got) in &runs {
+        let ctx = format!("{reference} vs {name}");
+        assert_eq!(expected.outcomes.len(), got.outcomes.len(), "{ctx}");
+        for (i, (a, b)) in expected.outcomes.iter().zip(&got.outcomes).enumerate() {
+            assert_outcome_eq(a, b, &format!("{ctx}, query {i}"));
+        }
+        assert_eq!(expected.explains, got.explains, "explain events: {ctx}");
+        assert_eq!(expected.windows, got.windows, "window telemetry: {ctx}");
+    }
+    expected
+}
+
+#[test]
+fn replayed_single_query_is_partition_invariant() {
+    let all = vectors(180, 64, 5);
+    let db = VectorDatabase::flat(&all, documents(180)).unwrap();
+    let config = ReisConfig::tiny().with_adaptive_window(2);
+    let observed = assert_partition_invariant(config, |system, observed| {
+        let id = system.deploy(&db).unwrap();
+        for q in [7, 90, 179] {
+            observed.search(system, id, &all[q], None);
+        }
+    });
+    let activity = &observed.outcomes[0].activity;
+    assert!(activity.fine_pages >= 6, "{} pages", activity.fine_pages);
+    assert_eq!(activity.fine_windows, activity.fine_pages / 2);
+    assert!(observed.windows.last().unwrap().1.count > 0);
+}
+
+#[test]
+fn replayed_batch_with_differing_selections_is_partition_invariant() {
+    // Adapting IVF queries probe different clusters, so one base walk
+    // serves queries whose page lists differ; the tombstones drop
+    // recorded hits at admission.
+    let config = ReisConfig::tiny()
+        .with_adaptive_scope(AdaptiveFiltering::All)
+        .with_adaptive_window(2)
+        .with_compaction(CompactionPolicy::manual());
+    let all = vectors(180, 64, 6);
+    let db = VectorDatabase::ivf(&all, documents(180), 4).unwrap();
+    let queries: Vec<Vec<f32>> = [3, 101, 162].iter().map(|&q| all[q].clone()).collect();
+    let observed = assert_partition_invariant(config, |system, observed| {
+        let id = system.deploy(&db).unwrap();
+        for dead in [3, 40, 101, 130, 170] {
+            system.delete(id, dead).unwrap();
+        }
+        let outcomes = system
+            .ivf_search_batch_with_nprobe(id, &queries, 1, 2, 4)
+            .unwrap();
+        observed.batch(system, outcomes);
+        for query in &queries {
+            observed.search(system, id, query, Some(2));
+        }
+    });
+    assert!(observed
+        .outcomes
+        .iter()
+        .all(|o| o.activity.fine_windows > 0));
+    // The single runs of the batch's queries name the pages each scanned.
+    let pages: Vec<Vec<u32>> = observed
+        .explains
+        .iter()
+        .map(|events| events.iter().map(|e| e.page).collect())
+        .collect();
+    assert!(
+        pages.iter().any(|p| *p != pages[0]),
+        "the selections differ: {pages:?}"
+    );
+}
+
+#[test]
+fn replayed_windows_carry_from_the_base_pass_into_the_segments() {
+    let config = ReisConfig::tiny()
+        .with_adaptive_window(3)
+        .with_compaction(CompactionPolicy::manual());
+    let all = vectors(180, 64, 8);
+    let db = VectorDatabase::flat(&all, documents(180)).unwrap();
+    let fresh = vectors(8, 64, 11);
+    let mut base_pages = 0;
+    let observed = assert_partition_invariant(config, |system, observed| {
+        let id = system.deploy(&db).unwrap();
+        base_pages = system.database(id).unwrap().layout.embedding_pages;
+        for (i, v) in fresh.iter().enumerate() {
+            system
+                .insert(id, v, format!("fresh {i}").into_bytes())
+                .unwrap();
+        }
+        system.delete(id, 12).unwrap();
+        system.upsert(id, 77, &fresh[1], b"rewritten").unwrap();
+        for q in [12, 77, 150] {
+            observed.search(system, id, &all[q], None);
+        }
+        observed.search(system, id, &fresh[5], None);
+    });
+    assert_ne!(base_pages % 3, 0, "a window straddles the two passes");
+    for outcome in &observed.outcomes {
+        let activity = &outcome.activity;
+        assert!(activity.fine_pages > base_pages, "segment pages scanned");
+        assert_eq!(activity.fine_windows, activity.fine_pages / 3);
+    }
+}
+
 proptest! {
     /// Adaptive scans are bit-identical across {sequential, sharded,
     /// batched} over random database shapes, window sizes and mutation
@@ -355,7 +548,7 @@ proptest! {
 
         // The gate-sensitive leg: shard count pinned to the forced budget.
         // `sharded(1)` is `sequential`, so a budget-1 gate run and a
-        // budget-4 run partition every window differently — their summary
+        // budget-4 run partition every pass differently — their summary
         // equality is exactly the machine-invariance claim.
         let budget_mode = (
             "budget-sharded",

@@ -227,11 +227,11 @@ impl WalRecord {
 
 /// Payload bytes of a batch insert: opcode, database id and count, then per
 /// entry its counted vector, its length-prefixed document and its id.
-fn insert_batch_payload_len(vectors: &[Vec<f32>], documents: &[Vec<u8>]) -> usize {
+fn insert_batch_payload_len(vectors: &[impl AsRef<[f32]>], documents: &[Vec<u8>]) -> usize {
     let entries: usize = vectors
         .iter()
         .zip(documents)
-        .map(|(vector, document)| 4 + 4 * vector.len() + 4 + document.len() + 4)
+        .map(|(vector, document)| 4 + 4 * vector.as_ref().len() + 4 + document.len() + 4)
         .sum();
     9 + entries
 }
@@ -246,7 +246,7 @@ fn put_insert_batch(
     w: &mut ByteWriter,
     op: u8,
     db_id: u32,
-    vectors: &[Vec<f32>],
+    vectors: &[impl AsRef<[f32]>],
     documents: &[Vec<u8>],
     ids: &[u32],
 ) {
@@ -256,7 +256,7 @@ fn put_insert_batch(
     w.put_u32(db_id);
     w.put_u32(vectors.len() as u32);
     for ((vector, document), id) in vectors.iter().zip(documents).zip(ids) {
-        w.put_f32_slice(vector);
+        w.put_f32_slice(vector.as_ref());
         w.put_bytes(document);
         w.put_u32(*id);
     }
@@ -279,7 +279,7 @@ pub fn frame_insert_batch(
     out: &mut Vec<u8>,
     chosen_ids: bool,
     db_id: u32,
-    vectors: &[Vec<f32>],
+    vectors: &[impl AsRef<[f32]>],
     documents: &[Vec<u8>],
     ids: &[u32],
 ) {
