@@ -478,6 +478,50 @@ mod tests {
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The framed bytes of one record of each kind, pinned: what a WAL
+    /// holds on storage does not move when the encoder does.
+    #[test]
+    fn frames_are_pinned_byte_for_byte() {
+        let pinned = [
+            (
+                WalRecord::InsertBatch {
+                    db_id: 1,
+                    vectors: vec![vec![0.5, -1.25], vec![-0.0]],
+                    documents: vec![b"ab".to_vec(), Vec::new()],
+                    ids: vec![7, 8],
+                },
+                "2f000000d1fd9dc6010100000002000000020000000000003f0000a0bf0200000061620700000001000000000000800000000008000000",
+            ),
+            (
+                WalRecord::InsertBatchAt {
+                    db_id: 2,
+                    vectors: vec![vec![3.0, f32::MIN_POSITIVE]],
+                    documents: vec![b"chosen".to_vec()],
+                    ids: vec![42],
+                },
+                "23000000379dd0450502000000010000000200000000004040000080000600000063686f73656e2a000000",
+            ),
+            (WalRecord::Delete { db_id: 1, id: 9 }, "09000000bb064934020100000009000000"),
+            (
+                WalRecord::Upsert {
+                    db_id: 1,
+                    id: 7,
+                    vector: vec![1.0],
+                    document: b"up".to_vec(),
+                },
+                "17000000c967d673030100000007000000010000000000803f020000007570",
+            ),
+            (WalRecord::Compact { db_id: 3 }, "05000000bc4115c70403000000"),
+        ];
+        for (record, bytes) in pinned {
+            assert_eq!(hex(&record.encode_framed()), bytes, "{record:?}");
+        }
+    }
+
     #[test]
     fn records_round_trip_through_frames() {
         let records = sample_records();
