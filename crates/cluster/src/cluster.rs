@@ -37,11 +37,12 @@
 //!   ([`ClusterSystem::reload_leaf`]) and catching up missed mutations
 //!   from the aggregator's in-memory log.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use reis_ann::topk::Neighbor;
 use reis_nand::Nanos;
-use reis_persist::{ClusterManifest, PersistError, Vfs};
+use reis_persist::{ClusterManifest, InsertIds, Mutation, PersistError, Vfs};
 use reis_telemetry::{CounterId, HistogramId, QueryTrace, Span, Telemetry};
 
 use reis_core::system::ReisSystem;
@@ -143,29 +144,6 @@ impl ClusterRecovery {
     }
 }
 
-/// A mutation retained by the aggregator for leaves that missed it. The
-/// log only grows while at least one leaf is down and is dropped once
-/// every leaf has caught up, so the healthy path never pays for it.
-#[derive(Debug, Clone)]
-enum AggWalRecord {
-    /// A routed insert batch with its minted global ids.
-    InsertBatch {
-        ids: Vec<u32>,
-        vectors: Vec<Vec<f32>>,
-        documents: Vec<Vec<u8>>,
-    },
-    /// A delete of one stable id.
-    Delete { id: u32 },
-    /// An in-place upsert of one stable id.
-    Upsert {
-        id: u32,
-        vector: Vec<f32>,
-        document: Vec<u8>,
-    },
-    /// A cluster-wide compaction.
-    Compact,
-}
-
 /// The aggregator: N leaf systems behind one logical corpus.
 #[derive(Debug)]
 pub struct ClusterSystem {
@@ -191,8 +169,11 @@ pub struct ClusterSystem {
     retry: RetryPolicy,
     /// Per-leaf health, indexed by physical leaf.
     health: Vec<LeafHealth>,
-    /// Mutations retained for down leaves to replay on rejoin.
-    agg_wal: Vec<AggWalRecord>,
+    /// Mutations retained for down leaves to replay on rejoin, owned
+    /// copies of what the live route applied. The log only grows while at
+    /// least one leaf is down and is dropped once every leaf has caught
+    /// up, so the healthy path never pays for it.
+    agg_wal: Vec<Mutation<'static>>,
     /// Run [`ClusterSystem::scrub`] after every save and fail the save on
     /// corruption.
     scrub_on_save: bool,
@@ -917,7 +898,11 @@ impl ClusterSystem {
     ///
     /// Same conditions as [`ReisSystem::insert`].
     pub fn insert(&mut self, vector: &[f32], document: Vec<u8>) -> Result<MutationOutcome> {
-        self.insert_batch(std::slice::from_ref(&vector.to_vec()), vec![document])
+        self.mutate(Mutation::insert(
+            InsertIds::Minted(None),
+            [vector],
+            [document],
+        ))
     }
 
     /// Insert a batch; global ids are minted consecutively and each entry
@@ -941,62 +926,11 @@ impl ClusterSystem {
         vectors: &[Vec<f32>],
         documents: Vec<Vec<u8>>,
     ) -> Result<MutationOutcome> {
-        if self.leaf_dbs.is_empty() {
-            return Err(ReisError::MalformedDatabase(
-                "cluster has no deployed corpus".into(),
-            ));
-        }
-        if vectors.len() != documents.len() {
-            return Err(ReisError::MalformedDatabase(format!(
-                "{} vectors but {} documents in cluster insert",
-                vectors.len(),
-                documents.len()
-            )));
-        }
-        // Pre-check availability against the ids about to be minted so a
-        // refused insert leaves the id watermark untouched.
-        let start = self.router.next_global();
-        for offset in 0..vectors.len() {
-            let shard = self.router.owner(start + offset as u32);
-            if self.live_replica(shard).is_none() {
-                return Err(self.unavailable(shard));
-            }
-        }
-        let ids = self.router.assign(vectors.len());
-        let log_record = self.log_needed().then(|| AggWalRecord::InsertBatch {
-            ids: ids.clone(),
-            vectors: vectors.to_vec(),
-            documents: documents.clone(),
-        });
-        type RoutedBatch = (Vec<u32>, Vec<Vec<f32>>, Vec<Vec<u8>>);
-        let mut routed: Vec<RoutedBatch> = vec![Default::default(); self.router.num_shards()];
-        for ((id, vector), document) in ids.iter().zip(vectors).zip(documents) {
-            let shard = self.router.owner(*id);
-            routed[shard].0.push(*id);
-            routed[shard].1.push(vector.clone());
-            routed[shard].2.push(document);
-        }
-        let mut combined = MutationOutcome {
-            ids,
-            latency: Nanos::ZERO,
-            pages_programmed: 0,
-            compaction: None,
-        };
-        for (shard, (shard_ids, shard_vectors, shard_documents)) in routed.into_iter().enumerate() {
-            if shard_ids.is_empty() {
-                continue;
-            }
-            let outcome = self.on_live_replicas(shard, |leaf, db| {
-                leaf.insert_batch_at(db, &shard_ids, &shard_vectors, &shard_documents)
-            })?;
-            combined.latency = combined.latency.max(outcome.latency);
-            combined.pages_programmed += outcome.pages_programmed;
-            combined.compaction = combined.compaction.or(outcome.compaction);
-        }
-        if let Some(record) = log_record {
-            self.agg_wal.push(record);
-        }
-        Ok(combined)
+        self.mutate(Mutation::insert(
+            InsertIds::Minted(None),
+            vectors,
+            documents,
+        ))
     }
 
     /// Delete stable id `id` from every live replica of its owning shard.
@@ -1006,10 +940,7 @@ impl ClusterSystem {
     /// Same conditions as [`ReisSystem::delete`], plus
     /// [`ReisError::Unavailable`] when the shard has no live replica.
     pub fn delete(&mut self, id: u32) -> Result<MutationOutcome> {
-        let shard = self.owning_shard(id)?;
-        let outcome = self.on_live_replicas(shard, |leaf, db| leaf.delete(db, id))?;
-        self.log_mutation(AggWalRecord::Delete { id });
-        Ok(outcome)
+        self.mutate(Mutation::Delete { id })
     }
 
     /// Upsert stable id `id` in place on every live replica of its owning
@@ -1020,15 +951,72 @@ impl ClusterSystem {
     /// Same conditions as [`ReisSystem::upsert`], plus
     /// [`ReisError::Unavailable`] when the shard has no live replica.
     pub fn upsert(&mut self, id: u32, vector: &[f32], document: &[u8]) -> Result<MutationOutcome> {
-        let shard = self.owning_shard(id)?;
-        let outcome =
-            self.on_live_replicas(shard, |leaf, db| leaf.upsert(db, id, vector, document))?;
-        self.log_mutation(AggWalRecord::Upsert {
+        self.mutate(Mutation::Upsert {
             id,
-            vector: vector.to_vec(),
-            document: document.to_vec(),
-        });
-        Ok(outcome)
+            vector: vector.into(),
+            document: document.into(),
+        })
+    }
+
+    /// The one route of a mutation (every mutation entry point but
+    /// [`ClusterSystem::compact`], and the pipeline's backend): a minted
+    /// insert gets consecutive global ids, then each shard's part of the
+    /// mutation ([`shard_part`]) is applied to every live replica of that
+    /// shard, and a copy is retained while a leaf is down. The outcome
+    /// combines the shards' as [`ClusterSystem::insert_batch`] documents.
+    fn mutate(&mut self, mut mutation: Mutation<'_>) -> Result<MutationOutcome> {
+        if self.leaf_dbs.is_empty() {
+            return Err(ReisError::MalformedDatabase(
+                "cluster has no deployed corpus".into(),
+            ));
+        }
+        let ids = match &mut mutation {
+            Mutation::Insert {
+                ids,
+                vectors,
+                documents,
+            } => {
+                if vectors.len() != documents.len() {
+                    return Err(ReisError::MalformedDatabase(format!(
+                        "{} vectors but {} documents in cluster insert",
+                        vectors.len(),
+                        documents.len()
+                    )));
+                }
+                // Pre-check availability against the ids about to be
+                // minted so a refused insert leaves the id watermark
+                // untouched.
+                let start = self.router.next_global();
+                for offset in 0..vectors.len() {
+                    let shard = self.router.owner(start + offset as u32);
+                    if self.live_replica(shard).is_none() {
+                        return Err(self.unavailable(shard));
+                    }
+                }
+                let minted = self.router.assign(vectors.len());
+                *ids = InsertIds::Chosen(minted.clone().into());
+                minted
+            }
+            Mutation::Delete { id } | Mutation::Upsert { id, .. } => vec![*id],
+            Mutation::Compact => Vec::new(),
+        };
+        let mut combined = MutationOutcome {
+            ids,
+            latency: Nanos::ZERO,
+            pages_programmed: 0,
+            compaction: None,
+        };
+        for shard in 0..self.router.num_shards() {
+            let Some(part) = shard_part(&self.router, &mutation, shard) else {
+                continue;
+            };
+            let outcome = self.on_live_replicas(shard, |leaf, db| leaf.mutate(db, part.clone()))?;
+            combined.latency = combined.latency.max(outcome.latency);
+            combined.pages_programmed += outcome.pages_programmed;
+            combined.compaction = combined.compaction.or(outcome.compaction);
+        }
+        self.log_mutation(mutation);
+        Ok(combined)
     }
 
     /// Apply one mutation to every live replica of `shard`, in failover
@@ -1077,7 +1065,7 @@ impl ClusterSystem {
             }
             outcomes.push(self.leaves[leaf].compact(self.leaf_dbs[leaf])?);
         }
-        self.log_mutation(AggWalRecord::Compact);
+        self.log_mutation(Mutation::Compact);
         Ok(outcomes)
     }
 
@@ -1203,54 +1191,14 @@ impl ClusterSystem {
         Ok(restored)
     }
 
-    /// Replay the aggregator log from `from`, filtered to `leaf`'s shard.
+    /// Replay the aggregator log from `from` on `leaf`: each retained
+    /// mutation's part for the leaf's shard, as the live route applied it.
     fn catch_up(&mut self, leaf: usize, from: usize) -> Result<()> {
         let shard = self.router.shard_of_leaf(leaf);
         let from = from.min(self.agg_wal.len());
-        let records: Vec<AggWalRecord> = self.agg_wal[from..].to_vec();
-        for record in records {
-            match record {
-                AggWalRecord::InsertBatch {
-                    ids,
-                    vectors,
-                    documents,
-                } => {
-                    let mut shard_ids = Vec::new();
-                    let mut shard_vectors = Vec::new();
-                    let mut shard_documents = Vec::new();
-                    for ((id, vector), document) in ids.iter().zip(vectors).zip(documents) {
-                        if self.router.owner(*id) == shard {
-                            shard_ids.push(*id);
-                            shard_vectors.push(vector);
-                            shard_documents.push(document);
-                        }
-                    }
-                    if !shard_ids.is_empty() {
-                        self.leaves[leaf].insert_batch_at(
-                            self.leaf_dbs[leaf],
-                            &shard_ids,
-                            &shard_vectors,
-                            &shard_documents,
-                        )?;
-                    }
-                }
-                AggWalRecord::Delete { id } => {
-                    if self.router.owner(id) == shard {
-                        self.leaves[leaf].delete(self.leaf_dbs[leaf], id)?;
-                    }
-                }
-                AggWalRecord::Upsert {
-                    id,
-                    vector,
-                    document,
-                } => {
-                    if self.router.owner(id) == shard {
-                        self.leaves[leaf].upsert(self.leaf_dbs[leaf], id, &vector, &document)?;
-                    }
-                }
-                AggWalRecord::Compact => {
-                    self.leaves[leaf].compact(self.leaf_dbs[leaf])?;
-                }
+        for mutation in &self.agg_wal[from..] {
+            if let Some(part) = shard_part(&self.router, mutation, shard) {
+                self.leaves[leaf].mutate(self.leaf_dbs[leaf], part)?;
             }
         }
         Ok(())
@@ -1261,9 +1209,10 @@ impl ClusterSystem {
         self.health.iter().any(LeafHealth::is_down)
     }
 
-    fn log_mutation(&mut self, record: AggWalRecord) {
+    /// Retain an owned copy of `mutation` while a leaf is down.
+    fn log_mutation(&mut self, mutation: Mutation<'_>) {
         if self.log_needed() {
-            self.agg_wal.push(record);
+            self.agg_wal.push(mutation.into_owned());
         }
     }
 
@@ -1287,15 +1236,6 @@ impl ClusterSystem {
         };
         vfs.write_file(MANIFEST_FILE, &manifest.encode())?;
         Ok(())
-    }
-
-    fn owning_shard(&self, id: u32) -> Result<usize> {
-        if self.leaf_dbs.is_empty() {
-            return Err(ReisError::MalformedDatabase(
-                "cluster has no deployed corpus".into(),
-            ));
-        }
-        Ok(self.router.owner(id))
     }
 
     /// The first live replica of `shard`, in failover order.
@@ -1398,6 +1338,56 @@ impl Modelled for ClusterSearchOutcome {
     }
 }
 
+/// The part of `mutation` shard `shard` applies, its rows borrowed: the
+/// entries of an insert batch the shard owns, a delete or an upsert when
+/// the shard owns its id (`None` otherwise, and for an insert with no entry
+/// on the shard), and a compaction on every shard. The live route and a
+/// rejoining leaf's catch-up both split a mutation here.
+fn shard_part<'m>(
+    router: &ShardRouter,
+    mutation: &'m Mutation<'_>,
+    shard: usize,
+) -> Option<Mutation<'m>> {
+    match mutation {
+        Mutation::Insert {
+            ids,
+            vectors,
+            documents,
+        } => {
+            let InsertIds::Chosen(ids) = ids else {
+                unreachable!("the aggregator chooses every routed id")
+            };
+            let rows: Vec<usize> = (0..ids.len())
+                .filter(|&row| router.owner(ids[row]) == shard)
+                .collect();
+            (!rows.is_empty()).then(|| Mutation::Insert {
+                ids: InsertIds::Chosen(rows.iter().map(|&row| ids[row]).collect()),
+                vectors: rows
+                    .iter()
+                    .map(|&row| Cow::Borrowed(&*vectors[row]))
+                    .collect(),
+                documents: rows
+                    .iter()
+                    .map(|&row| Cow::Borrowed(&*documents[row]))
+                    .collect(),
+            })
+        }
+        Mutation::Delete { id } => {
+            (router.owner(*id) == shard).then_some(Mutation::Delete { id: *id })
+        }
+        Mutation::Upsert {
+            id,
+            vector,
+            document,
+        } => (router.owner(*id) == shard).then(|| Mutation::Upsert {
+            id: *id,
+            vector: Cow::Borrowed(vector),
+            document: Cow::Borrowed(document),
+        }),
+        Mutation::Compact => Some(Mutation::Compact),
+    }
+}
+
 /// The cluster behind the request pipeline. A formed batch fans out once
 /// per query and is priced by the aggregator's modelled end-to-end latency;
 /// a mutation is priced by its owning shards' first live replicas. The
@@ -1421,16 +1411,8 @@ impl Backend for &mut ClusterSystem {
         (**self).search_batch(queries, k, nprobe)
     }
 
-    fn insert(&mut self, vector: &[f32], document: Vec<u8>) -> Result<MutationOutcome> {
-        (**self).insert(vector, document)
-    }
-
-    fn delete(&mut self, id: u32) -> Result<MutationOutcome> {
-        (**self).delete(id)
-    }
-
-    fn upsert(&mut self, id: u32, vector: &[f32], document: &[u8]) -> Result<MutationOutcome> {
-        (**self).upsert(id, vector, document)
+    fn mutate(&mut self, mutation: Mutation<'_>) -> Result<MutationOutcome> {
+        (**self).mutate(mutation)
     }
 
     fn telemetry(&self) -> &Telemetry {

@@ -11,12 +11,14 @@
 //!   outlive a crash (`next_id`, the compaction generation). Deployments
 //!   checkpoint immediately, so every database lives in some snapshot.
 //! * **The WAL** logs every mutation (insert batches, deletes, upserts,
-//!   explicit compactions) applied since the newest snapshot.
+//!   explicit compactions) applied since the newest snapshot, each as the
+//!   [`Mutation`](reis_persist::Mutation) value the live call applied.
 //!
 //! Recovery ([`ReisSystem::recover`]) finds the newest snapshot that
 //! passes validation (falling back to older epochs past corrupt ones),
 //! redeploys each database with its original stable ids, then replays the
-//! WAL chain through the ordinary mutation paths, stopping at the first
+//! WAL chain through the one mutation body the live path runs (without
+//! its WAL append and telemetry), stopping at the first
 //! torn or corrupt frame — a crash mid-write loses at most the torn
 //! suffix, never the prefix, and never panics. The recovered system then
 //! checkpoints a fresh epoch, so the quarantined tail is left behind for
@@ -25,7 +27,7 @@
 //! What makes replay exact: a snapshot stores the corpus in scan order, so
 //! the recovered deployment's storage order — and with it every
 //! deterministic distance tie-break — matches what a fresh deployment of
-//! the same survivors would produce, and `InsertBatch` records carry the
+//! the same survivors would produce, and minted insert records carry the
 //! ids the original run assigned, which replay re-derives and
 //! cross-checks. Policy-driven auto-compaction is deliberately *not*
 //! logged: it is derived state, re-derived during replay, and compaction
@@ -37,8 +39,8 @@ use std::time::Instant;
 use reis_ann::quantize::{BinaryQuantizer, Int8Quantizer};
 use reis_ann::vector::{BinaryVector, Int8Vector};
 use reis_persist::{
-    ByteReader, ByteWriter, DurableStore, PersistError, ScrubReport, SnapshotBuilder,
-    SnapshotReader, WalRecord, WalTail,
+    ByteReader, ByteWriter, DurableStore, Mutation, PersistError, ScrubReport, SnapshotBuilder,
+    SnapshotReader, WalTail,
 };
 use reis_ssd::{RegionKind, SsdController};
 use reis_telemetry::{CounterId, HistogramId};
@@ -89,14 +91,14 @@ impl Durability {
         }
     }
 
-    /// Encode one framed record with `encode` (which replaces the buffer's
-    /// contents, see `reis_persist::wal::frame_upsert`) and append it to the
-    /// open WAL epoch.
+    /// Append the frame of `mutation`, applied to database `db_id`, to the
+    /// open WAL epoch, encoded into the buffer kept from the last append.
     pub(crate) fn append(
         &mut self,
-        encode: impl FnOnce(&mut Vec<u8>),
+        db_id: u32,
+        mutation: &Mutation<'_>,
     ) -> std::result::Result<(), PersistError> {
-        encode(&mut self.frame);
+        mutation.encode_framed_into(db_id, &mut self.frame);
         self.store.append_to_wal(&self.wal, &self.frame)
     }
 }
@@ -326,8 +328,12 @@ impl ReisSystem {
             tip = epoch;
             let bytes = store.read_wal(epoch)?;
             let (records, tail) = reis_persist::wal::read_records(&bytes);
-            for record in records {
-                if apply_record(&mut system, record)? {
+            // Each record re-applies through the one mutation body, which
+            // neither logs nor records mutation telemetry. A record for a
+            // database the snapshot does not know is skipped and counted.
+            for (db_id, mut mutation) in records {
+                if system.databases.contains_key(&db_id) {
+                    system.apply(db_id, &mut mutation)?;
                     wal_records_applied += 1;
                 } else {
                     records_skipped_unknown_db += 1;
@@ -376,59 +382,6 @@ impl ReisSystem {
             },
         ))
     }
-}
-
-/// Re-apply one WAL record through the ordinary (non-logging) mutation
-/// paths. Returns `false` if the record targets a database the snapshot
-/// does not know (skipped, counted by the caller).
-fn apply_record(system: &mut ReisSystem, record: WalRecord) -> Result<bool> {
-    if !system.databases.contains_key(&record.db_id()) {
-        return Ok(false);
-    }
-    match record {
-        WalRecord::InsertBatch {
-            db_id,
-            vectors,
-            documents,
-            ids,
-        } => {
-            let outcome = system.insert_batch_inner(db_id, None, &vectors, &documents)?;
-            if outcome.ids != ids {
-                return Err(PersistError::Malformed(format!(
-                    "replay id divergence on database {db_id}: the WAL recorded ids {ids:?}, \
-                     replay assigned {:?}",
-                    outcome.ids
-                ))
-                .into());
-            }
-        }
-        WalRecord::Delete { db_id, id } => {
-            system.delete_inner(db_id, id)?;
-        }
-        WalRecord::Upsert {
-            db_id,
-            id,
-            vector,
-            document,
-        } => {
-            system.upsert_inner(db_id, id, &vector, &document)?;
-        }
-        WalRecord::Compact { db_id } => {
-            system.compact_inner(db_id)?;
-        }
-        WalRecord::InsertBatchAt {
-            db_id,
-            vectors,
-            documents,
-            ids,
-        } => {
-            // The recorded ids are authoritative (the aggregator chose
-            // them); replay re-applies the assignment verbatim, and the
-            // routed-insert path re-validates freshness and uniqueness.
-            system.insert_batch_inner(db_id, Some(&ids), &vectors, &documents)?;
-        }
-    }
-    Ok(true)
 }
 
 /// Serialize the full system state as one snapshot container.

@@ -39,13 +39,15 @@
 //! Mutation routing stores *global* stable ids natively on the owning leaf:
 //! [`ReisSystem::deploy_with_ids`] deploys a shard under its global ids and
 //! [`ReisSystem::insert_batch_at`] appends new entries under
-//! aggregator-assigned ids (WAL-logged as
-//! [`WalRecord::InsertBatchAt`](reis_persist::WalRecord) so replay
-//! reproduces the assignment). Deletes, upserts and compactions reuse the
-//! ordinary per-leaf paths unchanged.
+//! aggregator-assigned ids (WAL-logged under [`InsertIds::Chosen`] so
+//! replay reproduces the assignment). The aggregator hands every mutation
+//! to a leaf as the one [`Mutation`] value ([`ReisSystem::mutate`]), so
+//! deletes, upserts and compactions reuse the ordinary per-leaf path
+//! unchanged.
 
 use reis_ann::topk::Neighbor;
 use reis_nand::{FlashStats, Nanos};
+use reis_persist::{InsertIds, Mutation};
 
 use crate::database::VectorDatabase;
 use crate::deploy;
@@ -137,10 +139,10 @@ impl ReisSystem {
     /// Insert a batch under *caller-chosen* stable ids (see
     /// [`crate::mutate`]'s routed-insert primitive): every id must be fresh
     /// (at or past the shard's next-id watermark) and unique within the
-    /// batch. On a durably-opened system the batch is WAL-logged as
-    /// [`WalRecord::InsertBatchAt`](reis_persist::WalRecord) so replay
-    /// re-applies the recorded assignment verbatim. [`ReisSystem::insert_batch`]
-    /// is this call with the next unassigned ids.
+    /// batch. On a durably-opened system the batch is WAL-logged under
+    /// [`InsertIds::Chosen`] so replay re-applies the recorded assignment
+    /// verbatim. [`ReisSystem::insert_batch`] is this call with the next
+    /// unassigned ids.
     ///
     /// # Errors
     ///
@@ -153,7 +155,10 @@ impl ReisSystem {
         vectors: &[Vec<f32>],
         documents: &[Vec<u8>],
     ) -> Result<MutationOutcome> {
-        self.insert_logged(db_id, Some(ids), vectors, documents)
+        self.mutate(
+            db_id,
+            Mutation::insert(InsertIds::Chosen(ids.into()), vectors, documents),
+        )
     }
 
     /// The shard's next unassigned stable id — after recovery, the cluster

@@ -91,7 +91,8 @@ pub use records::{RIvf, RIvfEntry, TemporalTopList, TtlEntry};
 pub use reis_sched::{host_parallelism, WorkerContext, WorkerPool};
 
 pub use reis_persist::{
-    DirVfs, DurableStore, FaultHandle, FaultVfs, MemVfs, PersistError, ScrubReport, Vfs, WalRecord,
+    DirVfs, DurableStore, FaultHandle, FaultVfs, InsertIds, MemVfs, Mutation, PersistError,
+    ScrubReport, Vfs,
 };
 pub use reis_telemetry::{
     CounterId, ExplainEvent, ExplainTrace, GaugeId, HistogramId, HistogramSnapshot, QueryTrace,

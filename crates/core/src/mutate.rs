@@ -324,33 +324,19 @@ fn append_entries(
     Ok((latency, pages_programmed))
 }
 
-/// Insert a batch of entries, assigning fresh stable ids. Returns the ids
-/// (in batch order), the flash latency and the pages programmed.
-pub(crate) fn insert_batch(
-    ssd: &mut SsdController,
-    db: &mut DeployedDatabase,
-    vectors: &[impl AsRef<[f32]>],
-    documents: &[Vec<u8>],
-) -> Result<(Vec<u32>, Nanos, usize)> {
-    let ids: Vec<u32> = (0..vectors.len() as u32)
-        .map(|i| db.updates.next_id + i)
-        .collect();
-    let (latency, pages) = insert_batch_at(ssd, db, &ids, vectors, documents)?;
-    Ok((ids, latency, pages))
-}
-
-/// Insert a batch of entries under *caller-chosen* stable ids (the cluster
-/// router uses this so each leaf stores the globally assigned id natively).
-/// Every id must be fresh — at or past the database's next unassigned id —
-/// and the batch must not repeat an id; `next_id` advances past the largest
-/// inserted id so later upserts and plain inserts stay collision-free.
+/// Insert a batch of entries under the given stable ids: the next
+/// unassigned ones for a minted insert, or the ones the cluster router
+/// chose, so each leaf stores the globally assigned id natively. Every id
+/// must be fresh — at or past the database's next unassigned id — and the
+/// batch must not repeat an id; `next_id` advances past the largest
+/// inserted id so later upserts and minted inserts stay collision-free.
 /// Returns the flash latency and the pages programmed.
 pub(crate) fn insert_batch_at(
     ssd: &mut SsdController,
     db: &mut DeployedDatabase,
     ids: &[u32],
     vectors: &[impl AsRef<[f32]>],
-    documents: &[Vec<u8>],
+    documents: &[impl AsRef<[u8]>],
 ) -> Result<(Nanos, usize)> {
     if ids.len() != vectors.len() {
         return Err(ReisError::MalformedDatabase(format!(

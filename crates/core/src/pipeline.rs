@@ -42,6 +42,7 @@
 use std::collections::VecDeque;
 
 use reis_nand::Nanos;
+use reis_persist::{InsertIds, Mutation};
 use reis_telemetry::{CounterId, HistogramId, Telemetry};
 
 use crate::error::{ReisError, Result};
@@ -184,28 +185,11 @@ impl SearchRequest {
     }
 }
 
-/// A mutation as the mutation lane holds it.
-#[derive(Debug)]
-enum Mutation {
-    Insert {
-        vector: Vec<f32>,
-        document: Vec<u8>,
-    },
-    Delete {
-        id: u32,
-    },
-    Upsert {
-        id: u32,
-        vector: Vec<f32>,
-        document: Vec<u8>,
-    },
-}
-
 /// A request sorted into its lane's own type, so neither lane can hold a
 /// request of the other kind.
 enum Lane {
     Search(SearchRequest),
-    Mutation(Mutation),
+    Mutation(Mutation<'static>),
 }
 
 impl PipelineRequest {
@@ -221,9 +205,11 @@ impl PipelineRequest {
                 k,
                 nprobe: Some(nprobe),
             }),
-            PipelineRequest::Insert { vector, document } => {
-                Lane::Mutation(Mutation::Insert { vector, document })
-            }
+            PipelineRequest::Insert { vector, document } => Lane::Mutation(Mutation::insert(
+                InsertIds::Minted(None),
+                [vector],
+                [document],
+            )),
             PipelineRequest::Delete { id } => Lane::Mutation(Mutation::Delete { id }),
             PipelineRequest::Upsert {
                 id,
@@ -231,8 +217,8 @@ impl PipelineRequest {
                 document,
             } => Lane::Mutation(Mutation::Upsert {
                 id,
-                vector,
-                document,
+                vector: vector.into(),
+                document: document.into(),
             }),
         }
     }
@@ -272,14 +258,9 @@ pub trait Backend {
         workers: usize,
     ) -> Result<Vec<Self::Search>>;
 
-    /// Append one entry under a freshly minted stable id.
-    fn insert(&mut self, vector: &[f32], document: Vec<u8>) -> Result<MutationOutcome>;
-
-    /// Tombstone one entry by stable id.
-    fn delete(&mut self, id: u32) -> Result<MutationOutcome>;
-
-    /// Replace one entry by stable id.
-    fn upsert(&mut self, id: u32, vector: &[f32], document: &[u8]) -> Result<MutationOutcome>;
+    /// Apply one mutation, as the mutation lane queued it (an insert's
+    /// ids are minted as it applies).
+    fn mutate(&mut self, mutation: Mutation<'_>) -> Result<MutationOutcome>;
 
     /// Where the pipeline records its `reis_pipeline_*` series.
     fn telemetry(&self) -> &Telemetry;
@@ -311,16 +292,8 @@ impl Backend for DeviceBackend<'_> {
             .run_batch(self.db_id, queries, k, nprobe, workers)
     }
 
-    fn insert(&mut self, vector: &[f32], document: Vec<u8>) -> Result<MutationOutcome> {
-        self.system.insert(self.db_id, vector, document)
-    }
-
-    fn delete(&mut self, id: u32) -> Result<MutationOutcome> {
-        self.system.delete(self.db_id, id)
-    }
-
-    fn upsert(&mut self, id: u32, vector: &[f32], document: &[u8]) -> Result<MutationOutcome> {
-        self.system.upsert(self.db_id, id, vector, document)
+    fn mutate(&mut self, mutation: Mutation<'_>) -> Result<MutationOutcome> {
+        self.system.mutate(self.db_id, mutation)
     }
 
     fn telemetry(&self) -> &Telemetry {
@@ -379,7 +352,7 @@ pub struct Pipeline<B: Backend> {
     /// When the modelled device frees up; dispatches serialize behind it.
     device_free_ns: u64,
     searches: VecDeque<Pending<SearchRequest>>,
-    mutations: VecDeque<Pending<Mutation>>,
+    mutations: VecDeque<Pending<Mutation<'static>>>,
     completions: Vec<PipelineCompletion<B::Search>>,
     next_id: u64,
     shed: u64,
@@ -644,16 +617,7 @@ impl<B: Backend> Pipeline<B> {
                 dispatched_ns.saturating_sub(pending.submitted_ns),
             );
             let start_ns = dispatched_ns.max(self.device_free_ns);
-            let executed = match pending.request {
-                Mutation::Insert { vector, document } => self.backend.insert(&vector, document),
-                Mutation::Delete { id } => self.backend.delete(id),
-                Mutation::Upsert {
-                    id,
-                    vector,
-                    document,
-                } => self.backend.upsert(id, &vector, &document),
-            };
-            let (completed_ns, reply) = match executed {
+            let (completed_ns, reply) = match self.backend.mutate(pending.request) {
                 Ok(outcome) => {
                     let done = start_ns + outcome.latency.as_nanos();
                     self.device_free_ns = done;

@@ -1819,11 +1819,13 @@ mod tests {
         let (vectors, db) = corpus();
         let mut ssd = SsdController::new(SsdConfig::tiny());
         let mut deployed = crate::deploy::deploy(&mut ssd, &db, 1).unwrap();
-        let (ids, _, _) = crate::mutate::insert_batch(
+        let ids = [deployed.updates.next_id];
+        crate::mutate::insert_batch_at(
             &mut ssd,
             &mut deployed,
-            &[vectors[3].clone()],
-            &[b"appended".to_vec()],
+            &ids,
+            &[&vectors[3]],
+            &[b"appended"],
         )
         .unwrap();
         let sid = deployed.updates.relocated[&ids[0]];

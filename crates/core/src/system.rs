@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use reis_ann::topk::Neighbor;
 use reis_nand::{FlashStats, Nanos};
-use reis_persist::{wal, WalRecord};
+use reis_persist::{InsertIds, Mutation, PersistError};
 use reis_sched::WorkerPool;
 use reis_ssd::SsdController;
 use reis_telemetry::{CounterId, GaugeId, HistogramId, Telemetry};
@@ -382,7 +382,10 @@ impl ReisSystem {
         vector: &[f32],
         document: Vec<u8>,
     ) -> Result<MutationOutcome> {
-        self.insert_logged(db_id, None, &[vector], &[document])
+        self.mutate(
+            db_id,
+            Mutation::insert(InsertIds::Minted(None), [vector], [document]),
+        )
     }
 
     /// Insert a batch of entries (see [`ReisSystem::insert`]); ids are
@@ -397,84 +400,10 @@ impl ReisSystem {
         vectors: &[Vec<f32>],
         documents: Vec<Vec<u8>>,
     ) -> Result<MutationOutcome> {
-        self.insert_logged(db_id, None, vectors, &documents)
-    }
-
-    /// Both public insert entry points: apply the batch, WAL-log it under
-    /// the record kind of the entry point (`InsertBatchAt` when the caller
-    /// chose the ids, `InsertBatch` when the device minted them) and record
-    /// its telemetry.
-    pub(crate) fn insert_logged(
-        &mut self,
-        db_id: u32,
-        ids: Option<&[u32]>,
-        vectors: &[impl AsRef<[f32]>],
-        documents: &[Vec<u8>],
-    ) -> Result<MutationOutcome> {
-        let started = self.telemetry.is_enabled().then(Instant::now);
-        let outcome = self.insert_batch_inner(db_id, ids, vectors, documents)?;
-        if let Some(durability) = self.durability.as_mut() {
-            durability.append(|frame| {
-                wal::frame_insert_batch(
-                    frame,
-                    ids.is_some(),
-                    db_id,
-                    vectors,
-                    documents,
-                    &outcome.ids,
-                )
-            })?;
-        }
-        self.record_mutation(
-            CounterId::Inserts,
-            outcome.ids.len() as u64,
-            started,
-            &outcome,
+        self.mutate(
             db_id,
-        );
-        Ok(outcome)
-    }
-
-    /// The body of every insert, minus WAL logging (WAL replay re-applies
-    /// records through this path): under the caller-chosen `ids`, or under
-    /// freshly minted ones for `None`.
-    pub(crate) fn insert_batch_inner(
-        &mut self,
-        db_id: u32,
-        ids: Option<&[u32]>,
-        vectors: &[impl AsRef<[f32]>],
-        documents: &[Vec<u8>],
-    ) -> Result<MutationOutcome> {
-        let db = self
-            .databases
-            .get_mut(&db_id)
-            .ok_or(ReisError::DatabaseNotDeployed(db_id))?;
-        let (centroid_pages, centroids) = if db.is_ivf() {
-            (db.layout.centroid_pages, db.layout.centroids)
-        } else {
-            (0, 0)
-        };
-        let (ids, latency, pages_programmed) = match ids {
-            Some(ids) => {
-                let (latency, pages) =
-                    mutate::insert_batch_at(&mut self.controller, db, ids, vectors, documents)?;
-                (ids.to_vec(), latency, pages)
-            }
-            None => mutate::insert_batch(&mut self.controller, db, vectors, documents)?,
-        };
-        // The mutation path prices the flash work (page programs, centroid
-        // senses); the controller-core and DRAM costs of the append are
-        // modelled here.
-        let overhead = self
-            .perf
-            .append_overhead(ids.len(), centroid_pages, centroids);
-        let compaction = self.maybe_auto_compact(db_id)?;
-        Ok(MutationOutcome {
-            ids,
-            latency: latency + overhead,
-            pages_programmed,
-            compaction,
-        })
+            Mutation::insert(InsertIds::Minted(None), vectors, documents),
+        )
     }
 
     /// Delete the entry with stable id `id` (a tombstone: the flash pages
@@ -486,29 +415,7 @@ impl ReisSystem {
     /// * [`ReisError::EntryNotFound`] if the id never existed or was
     ///   already deleted.
     pub fn delete(&mut self, db_id: u32, id: u32) -> Result<MutationOutcome> {
-        let started = self.telemetry.is_enabled().then(Instant::now);
-        let outcome = self.delete_inner(db_id, id)?;
-        self.log_wal(WalRecord::Delete { db_id, id })?;
-        self.record_mutation(CounterId::Deletes, 1, started, &outcome, db_id);
-        Ok(outcome)
-    }
-
-    /// The body of [`ReisSystem::delete`], minus WAL logging.
-    pub(crate) fn delete_inner(&mut self, db_id: u32, id: u32) -> Result<MutationOutcome> {
-        let db = self
-            .databases
-            .get_mut(&db_id)
-            .ok_or(ReisError::DatabaseNotDeployed(db_id))?;
-        mutate::delete_entry(&mut self.controller, db, id)?;
-        let compaction = self.maybe_auto_compact(db_id)?;
-        Ok(MutationOutcome {
-            ids: vec![id],
-            // A tombstone touches no flash; its modelled cost is the id-map
-            // lookup plus the DRAM validity-bit write.
-            latency: self.perf.tombstone_overhead(),
-            pages_programmed: 0,
-            compaction,
-        })
+        self.mutate(db_id, Mutation::Delete { id })
     }
 
     /// Replace the entry with stable id `id` by a new embedding/document
@@ -527,46 +434,14 @@ impl ReisSystem {
         vector: &[f32],
         document: &[u8],
     ) -> Result<MutationOutcome> {
-        let started = self.telemetry.is_enabled().then(Instant::now);
-        let outcome = self.upsert_inner(db_id, id, vector, document)?;
-        if let Some(durability) = self.durability.as_mut() {
-            durability.append(|frame| wal::frame_upsert(frame, db_id, id, vector, document))?;
-        }
-        self.record_mutation(CounterId::Upserts, 1, started, &outcome, db_id);
-        Ok(outcome)
-    }
-
-    /// The body of [`ReisSystem::upsert`], minus WAL logging.
-    pub(crate) fn upsert_inner(
-        &mut self,
-        db_id: u32,
-        id: u32,
-        vector: &[f32],
-        document: &[u8],
-    ) -> Result<MutationOutcome> {
-        let db = self
-            .databases
-            .get_mut(&db_id)
-            .ok_or(ReisError::DatabaseNotDeployed(db_id))?;
-        let (centroid_pages, centroids) = if db.is_ivf() {
-            (db.layout.centroid_pages, db.layout.centroids)
-        } else {
-            (0, 0)
-        };
-        let (latency, pages_programmed, tombstoned) =
-            mutate::upsert_entry(&mut self.controller, db, id, vector, document)?;
-        // A revival of a deleted id writes no tombstone, so it costs none.
-        let mut overhead = self.perf.append_overhead(1, centroid_pages, centroids);
-        if tombstoned {
-            overhead += self.perf.tombstone_overhead();
-        }
-        let compaction = self.maybe_auto_compact(db_id)?;
-        Ok(MutationOutcome {
-            ids: vec![id],
-            latency: latency + overhead,
-            pages_programmed,
-            compaction,
-        })
+        self.mutate(
+            db_id,
+            Mutation::Upsert {
+                id,
+                vector: vector.into(),
+                document: document.into(),
+            },
+        )
     }
 
     /// Compact a database now: fold its append segments and tombstones into
@@ -580,38 +455,132 @@ impl ReisSystem {
     /// * Flash/allocator errors if the device cannot hold the old and new
     ///   generation simultaneously during the rewrite.
     pub fn compact(&mut self, db_id: u32) -> Result<CompactionOutcome> {
+        let outcome = self.mutate(db_id, Mutation::Compact)?;
+        Ok(outcome.compaction.expect("a compaction reports its pass"))
+    }
+
+    /// Apply one mutation to database `db_id`: every public mutation entry
+    /// point is this call. The mutation runs through the one body WAL
+    /// replay also runs; a durably opened system then appends it to the
+    /// open WAL epoch (a minted insert with the ids it was given), and the
+    /// mutation's telemetry is recorded.
+    ///
+    /// An I/O failure of the WAL append surfaces as an error *after* the
+    /// in-memory mutation applied; the next successful
+    /// [`ReisSystem::save`] re-establishes durability.
+    ///
+    /// The outcome of a [`Mutation::Compact`] carries the pass in
+    /// `compaction`, its latency and its rewritten pages.
+    ///
+    /// # Errors
+    ///
+    /// Those of the entry point of the mutation's kind
+    /// ([`ReisSystem::insert`], [`ReisSystem::insert_batch_at`],
+    /// [`ReisSystem::delete`], [`ReisSystem::upsert`],
+    /// [`ReisSystem::compact`]), plus [`ReisError::Persist`] when the WAL
+    /// append fails.
+    pub fn mutate(&mut self, db_id: u32, mut mutation: Mutation<'_>) -> Result<MutationOutcome> {
         let started = self.telemetry.is_enabled().then(Instant::now);
-        let outcome = self.compact_inner(db_id)?;
-        self.log_wal(WalRecord::Compact { db_id })?;
-        if self.telemetry.is_enabled() {
-            self.record_compaction(&outcome, started.map(|t0| t0.elapsed().as_nanos() as u64));
-            self.publish_gauges(db_id);
+        let outcome = self.apply(db_id, &mut mutation)?;
+        if let Some(durability) = self.durability.as_mut() {
+            durability.append(db_id, &mutation)?;
         }
+        self.record_mutation(&mutation, started, &outcome, db_id);
         Ok(outcome)
     }
 
-    /// The body of [`ReisSystem::compact`], minus WAL logging. Also the
-    /// compaction the auto-compaction policy triggers: a policy-driven
-    /// compaction is *derived* state, re-derived identically during WAL
-    /// replay, so only explicitly requested compactions are logged.
-    pub(crate) fn compact_inner(&mut self, db_id: u32) -> Result<CompactionOutcome> {
+    /// The one body of every mutation, without the WAL append or any
+    /// telemetry — WAL replay calls it directly. A minted insert is given
+    /// the next unassigned ids; one that already carries ids (a replayed
+    /// record) must mint exactly those. Every mutation but a compaction may
+    /// trigger an automatic compaction afterwards: a policy-driven
+    /// compaction is *derived* state, re-derived identically during replay,
+    /// so only explicit ones are logged.
+    pub(crate) fn apply(
+        &mut self,
+        db_id: u32,
+        mutation: &mut Mutation<'_>,
+    ) -> Result<MutationOutcome> {
         let db = self
             .databases
             .get_mut(&db_id)
             .ok_or(ReisError::DatabaseNotDeployed(db_id))?;
-        mutate::compact(&mut self.controller, db)
-    }
-
-    /// Append one mutation record to the open WAL epoch, if a durable store
-    /// is attached (no-op otherwise — including during WAL replay, which
-    /// runs before the store is re-attached). An I/O failure here surfaces
-    /// as an error *after* the in-memory mutation applied; the next
-    /// successful [`ReisSystem::save`] re-establishes durability.
-    pub(crate) fn log_wal(&mut self, record: WalRecord) -> Result<()> {
-        if let Some(durability) = self.durability.as_mut() {
-            durability.append(|frame| record.encode_framed_into(frame))?;
-        }
-        Ok(())
+        let (centroid_pages, centroids) = if db.is_ivf() {
+            (db.layout.centroid_pages, db.layout.centroids)
+        } else {
+            (0, 0)
+        };
+        // The mutation paths price the flash work (page programs, centroid
+        // senses); the controller-core and DRAM costs of an append or a
+        // tombstone are modelled here.
+        let (ids, latency, pages_programmed) = match mutation {
+            Mutation::Insert {
+                ids,
+                vectors,
+                documents,
+            } => {
+                let ids: &[u32] = match ids {
+                    InsertIds::Chosen(ids) => ids,
+                    InsertIds::Minted(recorded) => {
+                        let minted: Vec<u32> = (0..vectors.len() as u32)
+                            .map(|i| db.updates.next_id + i)
+                            .collect();
+                        if let Some(recorded) = recorded.as_deref() {
+                            if recorded != minted {
+                                return Err(PersistError::Malformed(format!(
+                                    "replay id divergence on database {db_id}: the WAL \
+                                     recorded ids {recorded:?}, replay assigned {minted:?}"
+                                ))
+                                .into());
+                            }
+                        }
+                        recorded.insert(minted.into())
+                    }
+                };
+                let (latency, pages) =
+                    mutate::insert_batch_at(&mut self.controller, db, ids, vectors, documents)?;
+                let overhead = self
+                    .perf
+                    .append_overhead(ids.len(), centroid_pages, centroids);
+                (ids.to_vec(), latency + overhead, pages)
+            }
+            Mutation::Delete { id } => {
+                mutate::delete_entry(&mut self.controller, db, *id)?;
+                // A tombstone touches no flash; its modelled cost is the
+                // id-map lookup plus the DRAM validity-bit write.
+                (vec![*id], self.perf.tombstone_overhead(), 0)
+            }
+            Mutation::Upsert {
+                id,
+                vector,
+                document,
+            } => {
+                let (latency, pages, tombstoned) =
+                    mutate::upsert_entry(&mut self.controller, db, *id, vector, document)?;
+                // A revival of a deleted id writes no tombstone, so it
+                // costs none.
+                let mut overhead = self.perf.append_overhead(1, centroid_pages, centroids);
+                if tombstoned {
+                    overhead += self.perf.tombstone_overhead();
+                }
+                (vec![*id], latency + overhead, pages)
+            }
+            Mutation::Compact => {
+                let pass = mutate::compact(&mut self.controller, db)?;
+                return Ok(MutationOutcome {
+                    ids: Vec::new(),
+                    latency: pass.latency,
+                    pages_programmed: pass.pages_rewritten,
+                    compaction: Some(pass),
+                });
+            }
+        };
+        Ok(MutationOutcome {
+            ids,
+            latency,
+            pages_programmed,
+            compaction: self.maybe_auto_compact(db_id)?,
+        })
     }
 
     /// Run the configured [`CompactionPolicy`](reis_update::CompactionPolicy)
@@ -619,7 +588,7 @@ impl ReisSystem {
     pub(crate) fn maybe_auto_compact(&mut self, db_id: u32) -> Result<Option<CompactionOutcome>> {
         let db = self
             .databases
-            .get(&db_id)
+            .get_mut(&db_id)
             .ok_or(ReisError::DatabaseNotDeployed(db_id))?;
         let store = &db.updates.store;
         let dead = db.updates.tombstones.dead_count() + (store.len() - store.live_count());
@@ -631,19 +600,19 @@ impl ReisSystem {
             db.updates.stats.mutations(),
         );
         if should {
-            Ok(Some(self.compact_inner(db_id)?))
+            Ok(Some(mutate::compact(&mut self.controller, db)?))
         } else {
             Ok(None)
         }
     }
 
     /// Record one completed mutation: its counter, wall-clock and modelled
-    /// latencies, any compaction it triggered, and the refreshed update
+    /// latencies and any compaction it triggered — or, for an explicit
+    /// compaction, the pass with its wall clock — then the refreshed update
     /// gauges. No-op when telemetry is disabled.
     fn record_mutation(
         &self,
-        counter: CounterId,
-        entries: u64,
+        mutation: &Mutation<'_>,
         started: Option<Instant>,
         outcome: &MutationOutcome,
         db_id: u32,
@@ -651,10 +620,21 @@ impl ReisSystem {
         if !self.telemetry.is_enabled() {
             return;
         }
+        let wall_ns = started.map(|t0| t0.elapsed().as_nanos() as u64);
+        let (counter, entries) = match mutation {
+            Mutation::Insert { vectors, .. } => (CounterId::Inserts, vectors.len() as u64),
+            Mutation::Delete { .. } => (CounterId::Deletes, 1),
+            Mutation::Upsert { .. } => (CounterId::Upserts, 1),
+            Mutation::Compact => {
+                let pass = outcome.compaction.as_ref().expect("a compaction's pass");
+                self.record_compaction(pass, wall_ns);
+                self.publish_gauges(db_id);
+                return;
+            }
+        };
         self.telemetry.count(counter, entries);
-        if let Some(t0) = started {
-            self.telemetry
-                .observe(HistogramId::MutationWallNs, t0.elapsed().as_nanos() as u64);
+        if let Some(ns) = wall_ns {
+            self.telemetry.observe(HistogramId::MutationWallNs, ns);
         }
         self.telemetry
             .observe(HistogramId::MutationModelledNs, outcome.latency.as_nanos());

@@ -669,6 +669,25 @@ fn failover_mutation_and_rejoin_restore_replica_lockstep() {
         .unwrap();
     let b = twin.insert(&vector_for(900, 1), doc_for(900, 1)).unwrap();
     assert_eq!(a, b);
+    // A batch whose minted ids land on every shard, one shard's entries
+    // not adjacent in the batch: the live route and the rejoin's catch-up
+    // must split it into the same per-shard parts.
+    let batch: Vec<Vec<f32>> = (0..4).map(|i| vector_for(910 + i, 3)).collect();
+    let batch_docs: Vec<Vec<u8>> = (0..4).map(|i| doc_for(910 + i, 3)).collect();
+    let a = faulted.insert_batch(&batch, batch_docs.clone()).unwrap();
+    let b = twin.insert_batch(&batch, batch_docs).unwrap();
+    assert_eq!(a, b);
+    let owners: Vec<usize> = a.ids.iter().map(|&id| faulted.router().owner(id)).collect();
+    for shard in 0..num_shards {
+        assert!(
+            owners.contains(&shard),
+            "shard {shard} owns none of {owners:?}"
+        );
+    }
+    assert!(
+        owners.windows(2).all(|pair| pair[0] != pair[1]) && owners[0] == owners[3],
+        "one shard's entries are split across the batch: {owners:?}"
+    );
     faulted.delete(7).unwrap();
     twin.delete(7).unwrap();
     faulted
@@ -680,8 +699,8 @@ fn failover_mutation_and_rejoin_restore_replica_lockstep() {
     twin.compact().unwrap();
     assert_eq!(
         faulted.aggregator_log_len(),
-        4,
-        "insert+delete+upsert+compact retained"
+        5,
+        "insert+batch+delete+upsert+compact retained"
     );
 
     // The down replica is visibly stale; its healthy peer is not.

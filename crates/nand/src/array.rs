@@ -25,6 +25,9 @@ struct Page {
     /// neither a page of memory to keep nor a page of memory traffic to
     /// read.
     data: Vec<u8>,
+    /// The OOB area as programmed: empty for a page programmed without OOB
+    /// bytes (every INT8 and document page), which reads lend the device's
+    /// one zeroed OOB area for instead of keeping a zeroed copy per page.
     oob: Vec<u8>,
     scheme: ProgramScheme,
 }
@@ -67,6 +70,16 @@ impl PageStore {
         let chunk = self.chunks[stripe / CHUNK_PAGES]
             .get_or_insert_with(|| vec![None; CHUNK_PAGES].into_boxed_slice());
         &mut chunk[stripe % CHUNK_PAGES]
+    }
+}
+
+/// The OOB area a read lends for a page whose stored OOB is `oob`: the
+/// device's zeroed area when the page was programmed without OOB bytes.
+fn lent_oob<'a>(oob: &'a [u8], zero_oob: &'a [u8]) -> &'a [u8] {
+    if oob.is_empty() {
+        zero_oob
+    } else {
+        oob
     }
 }
 
@@ -193,6 +206,9 @@ pub struct FlashDevice {
     stats: FlashStats,
     /// The bit errors of the most recent read, as drawn.
     flips: Scratch<Vec<u32>>,
+    /// A zeroed OOB area, lent as the OOB of every page programmed without
+    /// OOB bytes.
+    zero_oob: Vec<u8>,
 }
 
 impl FlashDevice {
@@ -219,6 +235,7 @@ impl FlashDevice {
             erase_counts: vec![0; geometry.total_blocks()],
             stats: FlashStats::new(),
             flips: Scratch::default(),
+            zero_oob: vec![0; geometry.oob_size_bytes],
         }
     }
 
@@ -346,8 +363,11 @@ impl FlashDevice {
         if slot.is_some() {
             return Err(NandError::PageAlreadyProgrammed(addr));
         }
-        let mut stored_oob = vec![0u8; self.geometry.oob_size_bytes];
-        stored_oob[..oob.len()].copy_from_slice(oob);
+        let mut stored_oob = Vec::new();
+        if !oob.is_empty() {
+            stored_oob.resize(self.geometry.oob_size_bytes, 0);
+            stored_oob[..oob.len()].copy_from_slice(oob);
+        }
         let bytes = data.len() + oob.len();
         data.shrink_to_fit();
         *slot = Some(Page {
@@ -402,6 +422,7 @@ impl FlashDevice {
             .store
             .get(stripe)
             .ok_or_else(|| not_programmed(&self.geometry, stripe))?;
+        let oob = lent_oob(oob, &self.zero_oob);
         let (scheme, page_size) = (*scheme, self.geometry.page_size_bytes);
         self.reliability
             .draw_read_errors(page_size, scheme, &mut self.rng, &mut self.flips.0);
@@ -410,7 +431,7 @@ impl FlashDevice {
         self.stats.injected_bit_errors += bit_errors as u64;
         let mut latency = self.timing.read_latency(scheme) + self.timing.t_command_overhead;
         if transfer {
-            let bytes = page_size + oob.len();
+            let bytes = page_size + self.geometry.oob_size_bytes;
             self.stats.bytes_to_controller += bytes as u64;
             latency += self.timing.channel_transfer(bytes);
         }
@@ -485,8 +506,14 @@ impl FlashDevice {
     /// Same conditions as [`FlashDevice::read_page_view`].
     pub fn stored_page(&self, stripe: usize) -> Result<(&[u8], &[u8], ProgramScheme)> {
         let page = self.store.get(stripe);
-        page.map(|page| (&page.data[..], &page.oob[..], page.scheme))
-            .ok_or_else(|| not_programmed(&self.geometry, stripe))
+        page.map(|page| {
+            (
+                &page.data[..],
+                lent_oob(&page.oob, &self.zero_oob),
+                page.scheme,
+            )
+        })
+        .ok_or_else(|| not_programmed(&self.geometry, stripe))
     }
 
     /// Whether reads of pages programmed with `scheme` are error-free on
@@ -602,6 +629,42 @@ mod tests {
         assert_eq!(&readout.oob[..64], &oob[..]);
         assert_eq!(readout.bit_errors, 0);
         assert!(readout.latency > Nanos::ZERO);
+    }
+
+    /// A page programmed without OOB bytes keeps none: it reads the zeroed
+    /// OOB area every other page reads, and is charged the full area on its
+    /// way to the controller, like a page whose OOB was programmed.
+    #[test]
+    fn a_page_without_oob_lends_the_zeroed_area() {
+        let mut dev = device();
+        let geometry = Geometry::tiny();
+        let (bare, tagged) = (page0(), PageAddr { page: 1, ..page0() });
+        let scheme = ProgramScheme::EnhancedSlc;
+        dev.program_page(bare, &[0x5A; 100], &[], scheme).unwrap();
+        dev.program_page(tagged, &[0x5A; 100], &[7], scheme)
+            .unwrap();
+        let bare_stripe = geometry.stripe_index(bare);
+        assert!(dev.store.get(bare_stripe).unwrap().oob.is_empty());
+        let zeroed = vec![0; geometry.oob_size_bytes];
+        assert_eq!(dev.stored_page(bare_stripe).unwrap().1, &zeroed[..]);
+
+        let before = dev.stats().bytes_to_controller;
+        let bare_read = dev.read_page(bare).unwrap();
+        let charged = dev.stats().bytes_to_controller - before;
+        let tagged_read = dev.read_page(tagged).unwrap();
+        assert_eq!(bare_read.oob, zeroed);
+        assert_eq!(tagged_read.oob[0], 7);
+        assert_eq!(tagged_read.oob.len(), geometry.oob_size_bytes);
+        assert_eq!(
+            charged,
+            (geometry.page_size_bytes + geometry.oob_size_bytes) as u64
+        );
+        assert_eq!(
+            dev.stats().bytes_to_controller - before,
+            2 * charged,
+            "both pages move the same bytes"
+        );
+        assert_eq!(bare_read.latency, tagged_read.latency);
     }
 
     #[test]

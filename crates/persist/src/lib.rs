@@ -14,8 +14,10 @@
 //!   deliberately *not* on this path, so what is written is exactly what is
 //!   specified, byte for byte.
 //! * **A mutation WAL** ([`wal`]) — an append-only log of length+CRC-framed
-//!   mutation records (insert batches, deletes, upserts, compactions)
-//!   written between snapshots. Recovery replays the longest valid prefix
+//!   [`Mutation`]s (insert batches, deletes, upserts, compactions) written
+//!   between snapshots. The same value is what `reis-core` applies, what
+//!   the cluster aggregator retains for a down leaf and what the request
+//!   pipeline queues. Recovery replays the longest valid prefix
 //!   and quarantines a torn or corrupt tail instead of failing.
 //! * **Storage backends** ([`vfs`]) — a tiny flat-namespace file
 //!   abstraction with a real-directory backend, an in-memory backend for
@@ -50,5 +52,5 @@ pub use reis_kernels::crc32c;
 pub use snapshot::{SnapshotBuilder, SnapshotReader, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use store::{DurableStore, ScrubReport};
 pub use vfs::{DirVfs, MemVfs, Vfs};
-pub use wal::{WalRecord, WalTail};
+pub use wal::{InsertIds, Mutation, WalTail};
 pub use wire::{ByteReader, ByteWriter};

@@ -274,7 +274,7 @@ mod tests {
     #[test]
     fn scrub_checks_every_epoch_and_reports_corruption() {
         use crate::snapshot::SnapshotBuilder;
-        use crate::wal::WalRecord;
+        use crate::wal::Mutation;
 
         let mem = MemVfs::new();
         let store = DurableStore::new(Box::new(mem.clone()));
@@ -283,9 +283,10 @@ mod tests {
         let image = builder.finish();
         store.write_snapshot(0, &image).unwrap();
         store.create_wal(0).unwrap();
-        let record = WalRecord::Delete { db_id: 1, id: 9 };
+        let mut frame = Vec::new();
+        Mutation::Delete { id: 9 }.encode_framed_into(1, &mut frame);
         store
-            .append_to_wal(&DurableStore::wal_name(0), &record.encode_framed())
+            .append_to_wal(&DurableStore::wal_name(0), &frame)
             .unwrap();
         store.write_snapshot(1, &image).unwrap();
         store.create_wal(1).unwrap();

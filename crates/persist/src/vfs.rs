@@ -358,17 +358,26 @@ mod tests {
     #[test]
     fn torn_tail_over_dir_vfs_quarantines_at_the_exact_byte() {
         use crate::fault::FaultVfs;
-        use crate::wal::{read_records, WalRecord, WalTail};
+        use crate::wal::{read_records, Mutation, WalTail};
 
-        let records: Vec<WalRecord> = (0..4u32)
-            .map(|i| WalRecord::Upsert {
-                db_id: 1,
-                id: i,
-                vector: vec![i as f32; 16],
-                document: vec![i as u8; 40],
+        let records: Vec<(u32, Mutation)> = (0..4u32)
+            .map(|i| {
+                let upsert = Mutation::Upsert {
+                    id: i,
+                    vector: vec![i as f32; 16].into(),
+                    document: vec![i as u8; 40].into(),
+                };
+                (1, upsert)
             })
             .collect();
-        let frames: Vec<Vec<u8>> = records.iter().map(WalRecord::encode_framed).collect();
+        let frames: Vec<Vec<u8>> = records
+            .iter()
+            .map(|(db_id, mutation)| {
+                let mut frame = Vec::new();
+                mutation.encode_framed_into(*db_id, &mut frame);
+                frame
+            })
+            .collect();
         for kept in 0..records.len() {
             for torn in [1, frames[kept].len() / 2, frames[kept].len() - 1] {
                 let root = scratch_dir("torn");

@@ -7,11 +7,15 @@
 //! [payload len u32][payload crc32c u32][payload]
 //! ```
 //!
-//! The payload is a [`WalRecord`] in the [`crate::wire`] format: an opcode
-//! byte, the target database id, and the operation's arguments. Replay
-//! applies records through the ordinary mutation paths, so the WAL never
-//! needs to encode any *derived* state (segments, tombstones, relocation
-//! tables) — it re-derives on replay, byte-identically.
+//! The payload is one [`Mutation`] in the [`crate::wire`] format: an opcode
+//! byte, the target database id, and the operation's arguments. The
+//! mutation is the one value every mutation path of the workspace speaks:
+//! the live system applies it and then encodes it here
+//! ([`Mutation::encode_framed_into`], straight from the caller's borrowed
+//! rows), and replay decodes it ([`Mutation::decode`]) and applies it
+//! through the same body, so the WAL never needs to encode any *derived*
+//! state (segments, tombstones, relocation tables) — it re-derives on
+//! replay, byte-identically.
 //!
 //! Reading is prefix-consistent by construction: [`read_records`] decodes
 //! frames until the first one that is truncated, checksum-broken or
@@ -19,6 +23,8 @@
 //! quarantined tail ([`WalTail`]). A torn append (power loss mid-frame)
 //! therefore costs exactly the operations that were never acknowledged as
 //! durable — never a panic, never a misparse of half-written bytes.
+
+use std::borrow::Cow;
 
 use reis_kernels::crc32c;
 
@@ -34,160 +40,198 @@ const OP_UPSERT: u8 = 3;
 const OP_COMPACT: u8 = 4;
 const OP_INSERT_BATCH_AT: u8 = 5;
 
-/// One durable mutation record.
-///
-/// Targets are *stable entry ids* (the OOB `dadr` namespace), and an
-/// insert batch carries the ids the live system assigned, so replay can
-/// verify it re-derives the same assignment.
+/// Where the stable ids of an insert batch come from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
-    /// A batch insert with the vectors, documents and assigned stable ids.
-    InsertBatch {
-        /// Target deployed database.
-        db_id: u32,
+pub enum InsertIds<'a> {
+    /// The device mints the next unassigned ids as the batch applies. A
+    /// request carries `None`; applying it fills in the ids it minted,
+    /// which is what the WAL records, and replay checks that it mints the
+    /// same ones.
+    Minted(Option<Cow<'a, [u32]>>),
+    /// The caller chose the ids (the cluster router does, so every leaf
+    /// stores the globally assigned id natively); replay takes them as
+    /// authoritative.
+    Chosen(Cow<'a, [u32]>),
+}
+
+/// One mutation of a deployed database: what the WAL logs, what the
+/// cluster aggregator keeps for a leaf that is down and what the request
+/// pipeline's mutation lane queues.
+///
+/// Targets are *stable entry ids* (the OOB `dadr` namespace). The rows of
+/// an insert or an upsert are borrowed from the caller on the live path
+/// and owned once decoded or retained ([`Mutation::into_owned`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Mutation<'a> {
+    /// A batch insert: one embedding and one document chunk per entry.
+    Insert {
+        /// The entries' stable ids, in batch order.
+        ids: InsertIds<'a>,
         /// One embedding per inserted entry.
-        vectors: Vec<Vec<f32>>,
+        vectors: Vec<Cow<'a, [f32]>>,
         /// One document chunk per inserted entry.
-        documents: Vec<Vec<u8>>,
-        /// The stable ids the system assigned, in batch order.
-        ids: Vec<u32>,
+        documents: Vec<Cow<'a, [u8]>>,
     },
     /// Deletion of one stable id.
     Delete {
-        /// Target deployed database.
-        db_id: u32,
         /// Stable id of the deleted entry.
         id: u32,
     },
     /// Replacement of one stable id's embedding and document.
     Upsert {
-        /// Target deployed database.
-        db_id: u32,
         /// Stable id of the replaced entry.
         id: u32,
         /// The replacement embedding.
-        vector: Vec<f32>,
+        vector: Cow<'a, [f32]>,
         /// The replacement document chunk.
-        document: Vec<u8>,
+        document: Cow<'a, [u8]>,
     },
     /// An explicit compaction pass (folds segments/tombstones into a fresh
     /// base region; search-invisible but changes physical layout).
-    Compact {
-        /// Target deployed database.
-        db_id: u32,
-    },
-    /// A batch insert at *caller-chosen* stable ids (cluster routing uses
-    /// this so every leaf stores the globally assigned id natively).
-    /// Unlike [`WalRecord::InsertBatch`], replay takes the recorded ids as
-    /// authoritative instead of cross-checking a re-derivation.
-    InsertBatchAt {
-        /// Target deployed database.
-        db_id: u32,
-        /// One embedding per inserted entry.
-        vectors: Vec<Vec<f32>>,
-        /// One document chunk per inserted entry.
-        documents: Vec<Vec<u8>>,
-        /// The caller-chosen stable ids, in batch order.
-        ids: Vec<u32>,
-    },
+    Compact,
 }
 
-impl WalRecord {
-    /// The deployed database the record targets.
-    pub fn db_id(&self) -> u32 {
-        match self {
-            WalRecord::InsertBatch { db_id, .. }
-            | WalRecord::Delete { db_id, .. }
-            | WalRecord::Upsert { db_id, .. }
-            | WalRecord::Compact { db_id }
-            | WalRecord::InsertBatchAt { db_id, .. } => *db_id,
+impl<'a> Mutation<'a> {
+    /// An insert batch under `ids`, its rows borrowed or owned as the
+    /// caller holds them.
+    pub fn insert<V, D>(
+        ids: InsertIds<'a>,
+        vectors: impl IntoIterator<Item = V>,
+        documents: impl IntoIterator<Item = D>,
+    ) -> Self
+    where
+        V: Into<Cow<'a, [f32]>>,
+        D: Into<Cow<'a, [u8]>>,
+    {
+        Mutation::Insert {
+            ids,
+            vectors: vectors.into_iter().map(Into::into).collect(),
+            documents: documents.into_iter().map(Into::into).collect(),
         }
     }
 
-    fn put(&self, w: &mut ByteWriter) {
+    /// The same mutation owning all its data (a copy of whatever it
+    /// borrowed).
+    pub fn into_owned(self) -> Mutation<'static> {
+        fn owned<T: ?Sized + ToOwned>(cow: Cow<'_, T>) -> Cow<'static, T> {
+            Cow::Owned(cow.into_owned())
+        }
         match self {
-            WalRecord::InsertBatch {
-                db_id,
+            Mutation::Insert {
+                ids,
                 vectors,
                 documents,
-                ids,
-            } => put_insert_batch(w, OP_INSERT_BATCH, *db_id, vectors, documents, ids),
-            WalRecord::Delete { db_id, id } => {
-                w.put_u8(OP_DELETE);
-                w.put_u32(*db_id);
-                w.put_u32(*id);
-            }
-            WalRecord::Upsert {
-                db_id,
+            } => Mutation::Insert {
+                ids: match ids {
+                    InsertIds::Minted(ids) => InsertIds::Minted(ids.map(owned)),
+                    InsertIds::Chosen(ids) => InsertIds::Chosen(owned(ids)),
+                },
+                vectors: vectors.into_iter().map(owned).collect(),
+                documents: documents.into_iter().map(owned).collect(),
+            },
+            Mutation::Delete { id } => Mutation::Delete { id },
+            Mutation::Upsert {
                 id,
                 vector,
                 document,
-            } => put_upsert(w, *db_id, *id, vector, document),
-            WalRecord::Compact { db_id } => {
-                w.put_u8(OP_COMPACT);
-                w.put_u32(*db_id);
-            }
-            WalRecord::InsertBatchAt {
-                db_id,
-                vectors,
-                documents,
-                ids,
-            } => put_insert_batch(w, OP_INSERT_BATCH_AT, *db_id, vectors, documents, ids),
+            } => Mutation::Upsert {
+                id,
+                vector: owned(vector),
+                document: owned(document),
+            },
+            Mutation::Compact => Mutation::Compact,
         }
     }
 
-    /// Decode a record payload. The payload must decode exactly — trailing
-    /// bytes are as malformed as missing ones.
-    pub fn decode(payload: &[u8]) -> Result<Self> {
+    /// Encode the mutation of database `db_id` as one framed WAL append
+    /// into `out`, replacing its contents and reusing its capacity.
+    ///
+    /// # Panics
+    ///
+    /// On a minted insert that has not applied yet: the WAL records the
+    /// ids it minted.
+    pub fn encode_framed_into(&self, db_id: u32, out: &mut Vec<u8>) {
+        framed(out, |w| match self {
+            Mutation::Insert {
+                ids,
+                vectors,
+                documents,
+            } => {
+                let (op, ids) = match ids {
+                    InsertIds::Minted(Some(ids)) => (OP_INSERT_BATCH, ids),
+                    InsertIds::Chosen(ids) => (OP_INSERT_BATCH_AT, ids),
+                    InsertIds::Minted(None) => panic!("a minted insert is logged once applied"),
+                };
+                assert_eq!(vectors.len(), documents.len(), "one document per vector");
+                assert_eq!(vectors.len(), ids.len(), "one stable id per vector");
+                w.put_u8(op);
+                w.put_u32(db_id);
+                w.put_u32(vectors.len() as u32);
+                for ((vector, document), id) in vectors.iter().zip(documents).zip(ids.iter()) {
+                    w.put_f32_slice(vector);
+                    w.put_bytes(document);
+                    w.put_u32(*id);
+                }
+            }
+            Mutation::Delete { id } => {
+                w.put_u8(OP_DELETE);
+                w.put_u32(db_id);
+                w.put_u32(*id);
+            }
+            Mutation::Upsert {
+                id,
+                vector,
+                document,
+            } => {
+                w.put_u8(OP_UPSERT);
+                w.put_u32(db_id);
+                w.put_u32(*id);
+                w.put_f32_slice(vector);
+                w.put_bytes(document);
+            }
+            Mutation::Compact => {
+                w.put_u8(OP_COMPACT);
+                w.put_u32(db_id);
+            }
+        });
+    }
+
+    /// Decode a record payload into its database id and mutation. The
+    /// payload must decode exactly — trailing bytes are as malformed as
+    /// missing ones.
+    pub fn decode(payload: &[u8]) -> Result<(u32, Mutation<'static>)> {
         let mut r = ByteReader::new(payload);
         let op = r.get_u8()?;
         let db_id = r.get_u32()?;
-        let record = match op {
-            OP_INSERT_BATCH => {
+        let mutation = match op {
+            OP_INSERT_BATCH | OP_INSERT_BATCH_AT => {
                 let count = r.get_u32()? as usize;
                 let mut vectors = Vec::with_capacity(count.min(payload.len()));
                 let mut documents = Vec::with_capacity(count.min(payload.len()));
                 let mut ids = Vec::with_capacity(count.min(payload.len()));
                 for _ in 0..count {
-                    vectors.push(r.get_f32_vec()?);
-                    documents.push(r.get_bytes()?.to_vec());
+                    vectors.push(Cow::Owned(r.get_f32_vec()?));
+                    documents.push(Cow::Owned(r.get_bytes()?.to_vec()));
                     ids.push(r.get_u32()?);
                 }
-                WalRecord::InsertBatch {
-                    db_id,
+                let ids = Cow::Owned(ids);
+                Mutation::Insert {
+                    ids: if op == OP_INSERT_BATCH {
+                        InsertIds::Minted(Some(ids))
+                    } else {
+                        InsertIds::Chosen(ids)
+                    },
                     vectors,
                     documents,
-                    ids,
                 }
             }
-            OP_DELETE => WalRecord::Delete {
-                db_id,
+            OP_DELETE => Mutation::Delete { id: r.get_u32()? },
+            OP_UPSERT => Mutation::Upsert {
                 id: r.get_u32()?,
+                vector: Cow::Owned(r.get_f32_vec()?),
+                document: Cow::Owned(r.get_bytes()?.to_vec()),
             },
-            OP_UPSERT => WalRecord::Upsert {
-                db_id,
-                id: r.get_u32()?,
-                vector: r.get_f32_vec()?,
-                document: r.get_bytes()?.to_vec(),
-            },
-            OP_COMPACT => WalRecord::Compact { db_id },
-            OP_INSERT_BATCH_AT => {
-                let count = r.get_u32()? as usize;
-                let mut vectors = Vec::with_capacity(count.min(payload.len()));
-                let mut documents = Vec::with_capacity(count.min(payload.len()));
-                let mut ids = Vec::with_capacity(count.min(payload.len()));
-                for _ in 0..count {
-                    vectors.push(r.get_f32_vec()?);
-                    documents.push(r.get_bytes()?.to_vec());
-                    ids.push(r.get_u32()?);
-                }
-                WalRecord::InsertBatchAt {
-                    db_id,
-                    vectors,
-                    documents,
-                    ids,
-                }
-            }
+            OP_COMPACT => Mutation::Compact,
             other => {
                 return Err(PersistError::Malformed(format!(
                     "unknown WAL opcode {other}"
@@ -195,124 +239,19 @@ impl WalRecord {
             }
         };
         r.expect_end()?;
-        Ok(record)
-    }
-
-    /// Encode the record as one framed WAL append.
-    pub fn encode_framed(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_framed_into(&mut out);
-        out
-    }
-
-    /// [`WalRecord::encode_framed`] into `out`, replacing its contents and
-    /// reusing its capacity.
-    pub fn encode_framed_into(&self, out: &mut Vec<u8>) {
-        let payload = match self {
-            WalRecord::InsertBatch {
-                vectors, documents, ..
-            }
-            | WalRecord::InsertBatchAt {
-                vectors, documents, ..
-            } => insert_batch_payload_len(vectors, documents),
-            WalRecord::Upsert {
-                vector, document, ..
-            } => upsert_payload_len(vector, document),
-            WalRecord::Delete { .. } => 9,
-            WalRecord::Compact { .. } => 5,
-        };
-        framed(out, payload, |w| self.put(w));
+        Ok((db_id, mutation))
     }
 }
 
-/// Payload bytes of a batch insert: opcode, database id and count, then per
-/// entry its counted vector, its length-prefixed document and its id.
-fn insert_batch_payload_len(vectors: &[impl AsRef<[f32]>], documents: &[Vec<u8>]) -> usize {
-    let entries: usize = vectors
-        .iter()
-        .zip(documents)
-        .map(|(vector, document)| 4 + 4 * vector.as_ref().len() + 4 + document.len() + 4)
-        .sum();
-    9 + entries
-}
-
-/// Payload bytes of an upsert: opcode, database id, id, then the counted
-/// vector and the length-prefixed document.
-fn upsert_payload_len(vector: &[f32], document: &[u8]) -> usize {
-    9 + 4 + 4 * vector.len() + 4 + document.len()
-}
-
-fn put_insert_batch(
-    w: &mut ByteWriter,
-    op: u8,
-    db_id: u32,
-    vectors: &[impl AsRef<[f32]>],
-    documents: &[Vec<u8>],
-    ids: &[u32],
-) {
-    assert_eq!(vectors.len(), documents.len(), "one document per vector");
-    assert_eq!(vectors.len(), ids.len(), "one stable id per vector");
-    w.put_u8(op);
-    w.put_u32(db_id);
-    w.put_u32(vectors.len() as u32);
-    for ((vector, document), id) in vectors.iter().zip(documents).zip(ids) {
-        w.put_f32_slice(vector.as_ref());
-        w.put_bytes(document);
-        w.put_u32(*id);
-    }
-}
-
-fn put_upsert(w: &mut ByteWriter, db_id: u32, id: u32, vector: &[f32], document: &[u8]) {
-    w.put_u8(OP_UPSERT);
-    w.put_u32(db_id);
-    w.put_u32(id);
-    w.put_f32_slice(vector);
-    w.put_bytes(document);
-}
-
-/// The framed WAL append of a batch insert, encoded straight from the
-/// mutation's own arguments into `out` (its contents replaced, its capacity
-/// reused): byte for byte what [`WalRecord::InsertBatchAt`] (`chosen_ids`)
-/// or [`WalRecord::InsertBatch`] of the same values encodes to, without
-/// cloning the batch into a record first.
-pub fn frame_insert_batch(
-    out: &mut Vec<u8>,
-    chosen_ids: bool,
-    db_id: u32,
-    vectors: &[impl AsRef<[f32]>],
-    documents: &[Vec<u8>],
-    ids: &[u32],
-) {
-    let op = if chosen_ids {
-        OP_INSERT_BATCH_AT
-    } else {
-        OP_INSERT_BATCH
-    };
-    let payload = insert_batch_payload_len(vectors, documents);
-    framed(out, payload, |w| {
-        put_insert_batch(w, op, db_id, vectors, documents, ids)
-    });
-}
-
-/// The framed WAL append of an upsert, encoded from borrowed arguments into
-/// `out` (see [`frame_insert_batch`]): byte for byte a framed
-/// [`WalRecord::Upsert`].
-pub fn frame_upsert(out: &mut Vec<u8>, db_id: u32, id: u32, vector: &[f32], document: &[u8]) {
-    let payload = upsert_payload_len(vector, document);
-    framed(out, payload, |w| put_upsert(w, db_id, id, vector, document));
-}
-
-/// Encode a `payload_len`-byte payload into `out` behind a frame header
-/// that is filled in afterwards: `out` is cleared and sized for the frame
-/// once, and the payload is written once, where it stays.
-fn framed(out: &mut Vec<u8>, payload_len: usize, put: impl FnOnce(&mut ByteWriter)) {
+/// Encode a payload with `put` into `out` behind a frame header that is
+/// filled in afterwards: `out` is cleared (its capacity kept) and the
+/// payload is written once, where it stays.
+fn framed(out: &mut Vec<u8>, put: impl FnOnce(&mut ByteWriter)) {
     let mut w = ByteWriter::reuse(std::mem::take(out));
-    w.reserve(FRAME_HEADER_BYTES + payload_len);
     w.put_raw(&[0; FRAME_HEADER_BYTES]);
     put(&mut w);
     *out = w.into_bytes();
     let (header, payload) = out.split_at_mut(FRAME_HEADER_BYTES);
-    debug_assert_eq!(payload.len(), payload_len, "payload size estimate");
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&crc32c(payload).to_le_bytes());
 }
@@ -340,13 +279,14 @@ impl WalTail {
     }
 }
 
-/// Decode the longest valid prefix of a WAL file into records.
+/// Decode the longest valid prefix of a WAL file into records: each a
+/// database id and the mutation applied to it.
 ///
 /// Returns the records and the tail status. A record for an unknown opcode
 /// or with a mismatched checksum terminates decoding at that frame — the
 /// caller decides whether a non-clean tail is tolerable (crash recovery
 /// quarantines it) or an error.
-pub fn read_records(bytes: &[u8]) -> (Vec<WalRecord>, WalTail) {
+pub fn read_records(bytes: &[u8]) -> (Vec<(u32, Mutation<'static>)>, WalTail) {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
@@ -388,7 +328,7 @@ pub fn read_records(bytes: &[u8]) -> (Vec<WalRecord>, WalTail) {
                 },
             );
         }
-        match WalRecord::decode(payload) {
+        match Mutation::decode(payload) {
             Ok(record) => records.push(record),
             Err(err) => {
                 return (
@@ -409,73 +349,52 @@ pub fn read_records(bytes: &[u8]) -> (Vec<WalRecord>, WalTail) {
 mod tests {
     use super::*;
 
-    fn sample_records() -> Vec<WalRecord> {
+    type Record = (u32, Mutation<'static>);
+
+    fn minted(ids: &[u32]) -> InsertIds<'static> {
+        InsertIds::Minted(Some(ids.to_vec().into()))
+    }
+
+    fn chosen(ids: &[u32]) -> InsertIds<'static> {
+        InsertIds::Chosen(ids.to_vec().into())
+    }
+
+    fn upsert(id: u32, vector: Vec<f32>, document: &[u8]) -> Mutation<'static> {
+        Mutation::Upsert {
+            id,
+            vector: vector.into(),
+            document: document.to_vec().into(),
+        }
+    }
+
+    fn frame((db_id, mutation): &(u32, Mutation<'_>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        mutation.encode_framed_into(*db_id, &mut out);
+        out
+    }
+
+    fn sample_records() -> Vec<Record> {
         vec![
-            WalRecord::InsertBatch {
-                db_id: 0,
-                vectors: vec![vec![0.5, -1.25], vec![3.0, f32::MIN_POSITIVE]],
-                documents: vec![b"doc a".to_vec(), b"doc b".to_vec()],
-                ids: vec![10, 11],
-            },
-            WalRecord::Delete { db_id: 0, id: 3 },
-            WalRecord::Upsert {
-                db_id: 2,
-                id: 10,
-                vector: vec![-0.0, 7.5],
-                document: b"replacement".to_vec(),
-            },
-            WalRecord::Compact { db_id: 2 },
-            WalRecord::InsertBatchAt {
-                db_id: 1,
-                vectors: vec![vec![1.5, -2.0]],
-                documents: vec![b"routed doc".to_vec()],
-                ids: vec![42],
-            },
+            (
+                0,
+                Mutation::insert(
+                    minted(&[10, 11]),
+                    [vec![0.5, -1.25], vec![3.0, f32::MIN_POSITIVE]],
+                    [b"doc a".to_vec(), b"doc b".to_vec()],
+                ),
+            ),
+            (0, Mutation::Delete { id: 3 }),
+            (2, upsert(10, vec![-0.0, 7.5], b"replacement")),
+            (2, Mutation::Compact),
+            (
+                1,
+                Mutation::insert(chosen(&[42]), [vec![1.5, -2.0]], [b"routed doc".to_vec()]),
+            ),
         ]
     }
 
-    fn log_of(records: &[WalRecord]) -> Vec<u8> {
-        let mut log = Vec::new();
-        for record in records {
-            log.extend_from_slice(&record.encode_framed());
-        }
-        log
-    }
-
-    /// What the system appends for an insert or an upsert — encoded from
-    /// its borrowed arguments — is the frame of the record a reader decodes
-    /// it to, and that frame is length, CRC32C, payload.
-    #[test]
-    fn borrowed_frames_are_the_records_frames() {
-        let mut borrowed = Vec::new();
-        for record in sample_records() {
-            let framed = record.encode_framed();
-            let payload = &framed[FRAME_HEADER_BYTES..];
-            assert_eq!(framed[..4], (payload.len() as u32).to_le_bytes());
-            assert_eq!(framed[4..8], crc32c(payload).to_le_bytes());
-            match &record {
-                WalRecord::InsertBatch {
-                    db_id,
-                    vectors,
-                    documents,
-                    ids,
-                } => frame_insert_batch(&mut borrowed, false, *db_id, vectors, documents, ids),
-                WalRecord::InsertBatchAt {
-                    db_id,
-                    vectors,
-                    documents,
-                    ids,
-                } => frame_insert_batch(&mut borrowed, true, *db_id, vectors, documents, ids),
-                WalRecord::Upsert {
-                    db_id,
-                    id,
-                    vector,
-                    document,
-                } => frame_upsert(&mut borrowed, *db_id, *id, vector, document),
-                WalRecord::Delete { .. } | WalRecord::Compact { .. } => continue,
-            }
-            assert_eq!(borrowed, framed);
-        }
+    fn log_of(records: &[Record]) -> Vec<u8> {
+        records.iter().flat_map(frame).collect()
     }
 
     fn hex(bytes: &[u8]) -> String {
@@ -483,43 +402,70 @@ mod tests {
     }
 
     /// The framed bytes of one record of each kind, pinned: what a WAL
-    /// holds on storage does not move when the encoder does.
+    /// holds on storage does not move when the encoder does. Each frame is
+    /// length, CRC32C, payload.
     #[test]
     fn frames_are_pinned_byte_for_byte() {
         let pinned = [
             (
-                WalRecord::InsertBatch {
-                    db_id: 1,
-                    vectors: vec![vec![0.5, -1.25], vec![-0.0]],
-                    documents: vec![b"ab".to_vec(), Vec::new()],
-                    ids: vec![7, 8],
-                },
+                (
+                    1,
+                    Mutation::insert(
+                        minted(&[7, 8]),
+                        [vec![0.5, -1.25], vec![-0.0]],
+                        [b"ab".to_vec(), Vec::new()],
+                    ),
+                ),
                 "2f000000d1fd9dc6010100000002000000020000000000003f0000a0bf0200000061620700000001000000000000800000000008000000",
             ),
             (
-                WalRecord::InsertBatchAt {
-                    db_id: 2,
-                    vectors: vec![vec![3.0, f32::MIN_POSITIVE]],
-                    documents: vec![b"chosen".to_vec()],
-                    ids: vec![42],
-                },
+                (
+                    2,
+                    Mutation::insert(
+                        chosen(&[42]),
+                        [vec![3.0, f32::MIN_POSITIVE]],
+                        [b"chosen".to_vec()],
+                    ),
+                ),
                 "23000000379dd0450502000000010000000200000000004040000080000600000063686f73656e2a000000",
             ),
-            (WalRecord::Delete { db_id: 1, id: 9 }, "09000000bb064934020100000009000000"),
+            ((1, Mutation::Delete { id: 9 }), "09000000bb064934020100000009000000"),
             (
-                WalRecord::Upsert {
-                    db_id: 1,
-                    id: 7,
-                    vector: vec![1.0],
-                    document: b"up".to_vec(),
-                },
+                (1, upsert(7, vec![1.0], b"up")),
                 "17000000c967d673030100000007000000010000000000803f020000007570",
             ),
-            (WalRecord::Compact { db_id: 3 }, "05000000bc4115c70403000000"),
+            ((3, Mutation::Compact), "05000000bc4115c70403000000"),
         ];
         for (record, bytes) in pinned {
-            assert_eq!(hex(&record.encode_framed()), bytes, "{record:?}");
+            let framed = frame(&record);
+            assert_eq!(hex(&framed), bytes, "{record:?}");
+            let payload = &framed[FRAME_HEADER_BYTES..];
+            assert_eq!(framed[..4], (payload.len() as u32).to_le_bytes());
+            assert_eq!(framed[4..8], crc32c(payload).to_le_bytes());
         }
+    }
+
+    /// Rows borrowed from the caller encode to the frame of the owned
+    /// record a reader decodes them to.
+    #[test]
+    fn borrowed_rows_frame_as_their_decoded_record() {
+        let vectors = [vec![0.25, -4.0], vec![9.5, 0.0]];
+        let documents = [b"first".to_vec(), b"second".to_vec()];
+        let ids = [5, 6];
+        let borrowed = Mutation::insert(InsertIds::Chosen((&ids[..]).into()), &vectors, &documents);
+        let record = (4, borrowed.clone());
+        let (decoded, tail) = read_records(&frame(&record));
+        assert!(tail.is_clean());
+        assert_eq!(decoded, vec![(4, borrowed.into_owned())]);
+    }
+
+    #[test]
+    #[should_panic(expected = "logged once applied")]
+    fn a_minted_insert_that_never_applied_has_no_frame() {
+        frame(&(
+            1,
+            Mutation::insert(InsertIds::Minted(None), [vec![1.0]], [vec![2]]),
+        ));
     }
 
     #[test]
@@ -538,15 +484,20 @@ mod tests {
         assert!(tail.is_clean());
     }
 
+    /// Offsets at which each frame of `records` ends in their log, from 0.
+    fn boundaries(records: &[Record]) -> Vec<usize> {
+        let mut boundaries = vec![0usize];
+        for record in records {
+            boundaries.push(boundaries.last().unwrap() + frame(record).len());
+        }
+        boundaries
+    }
+
     #[test]
     fn every_truncation_keeps_the_valid_prefix() {
         let records = sample_records();
         let log = log_of(&records);
-        // Frame boundaries, for computing how many full frames survive.
-        let mut boundaries = vec![0usize];
-        for record in &records {
-            boundaries.push(boundaries.last().unwrap() + record.encode_framed().len());
-        }
+        let boundaries = boundaries(&records);
         for len in 0..log.len() {
             let (decoded, tail) = read_records(&log[..len]);
             let full_frames = boundaries.iter().filter(|&&b| b <= len).count() - 1;
@@ -565,10 +516,7 @@ mod tests {
     fn every_byte_flip_quarantines_from_the_broken_frame() {
         let records = sample_records();
         let log = log_of(&records);
-        let mut boundaries = vec![0usize];
-        for record in &records {
-            boundaries.push(boundaries.last().unwrap() + record.encode_framed().len());
-        }
+        let boundaries = boundaries(&records);
         for offset in 0..log.len() {
             let mut corrupted = log.clone();
             corrupted[offset] ^= 0x10;
@@ -601,36 +549,10 @@ mod tests {
     #[test]
     fn unknown_opcodes_are_quarantined_not_panicked() {
         let mut bogus = Vec::new();
-        framed(&mut bogus, 5, |w| w.put_raw(&[0xEE, 0, 0, 0, 0]));
+        framed(&mut bogus, |w| w.put_raw(&[0xEE, 0, 0, 0, 0]));
         let (records, tail) = read_records(&bogus);
         assert!(records.is_empty());
         assert!(matches!(tail, WalTail::Quarantined { offset: 0, .. }));
-    }
-
-    /// The same frame through [`WalRecord::encode_framed`] and through one
-    /// reused buffer, for every record a mutation appends.
-    fn reused_frame(out: &mut Vec<u8>, record: &WalRecord) {
-        match record {
-            WalRecord::InsertBatch {
-                db_id,
-                vectors,
-                documents,
-                ids,
-            } => frame_insert_batch(out, false, *db_id, vectors, documents, ids),
-            WalRecord::InsertBatchAt {
-                db_id,
-                vectors,
-                documents,
-                ids,
-            } => frame_insert_batch(out, true, *db_id, vectors, documents, ids),
-            WalRecord::Upsert {
-                db_id,
-                id,
-                vector,
-                document,
-            } => frame_upsert(out, *db_id, *id, vector, document),
-            WalRecord::Delete { .. } | WalRecord::Compact { .. } => record.encode_framed_into(out),
-        }
     }
 
     #[test]
@@ -649,73 +571,62 @@ mod tests {
             f32::NEG_INFINITY,
         ];
         let records = [
-            WalRecord::InsertBatch {
-                db_id: 7,
-                vectors: vec![awkward.clone(), vec![1.0; 8], awkward.clone()],
-                documents: vec![Vec::new(), b"middle".to_vec(), Vec::new()],
-                ids: vec![1, 2, 3],
-            },
-            WalRecord::Upsert {
-                db_id: 1,
-                id: 9,
-                vector: awkward.clone(),
-                document: Vec::new(),
-            },
-            WalRecord::InsertBatchAt {
-                db_id: 3,
-                vectors: vec![awkward.clone(); 5],
-                documents: (0..5u8).map(|i| vec![i; usize::from(i) * 3]).collect(),
-                ids: vec![40, 41, 42, 43, 44],
-            },
-            WalRecord::InsertBatch {
-                db_id: 0,
-                vectors: Vec::new(),
-                documents: Vec::new(),
-                ids: Vec::new(),
-            },
-            WalRecord::Delete { db_id: 2, id: 5 },
-            WalRecord::Compact { db_id: 2 },
+            (
+                7,
+                Mutation::insert(
+                    minted(&[1, 2, 3]),
+                    [awkward.clone(), vec![1.0; 8], awkward.clone()],
+                    [Vec::new(), b"middle".to_vec(), Vec::new()],
+                ),
+            ),
+            (1, upsert(9, awkward.clone(), b"")),
+            (
+                3,
+                Mutation::insert(
+                    chosen(&[40, 41, 42, 43, 44]),
+                    vec![awkward.clone(); 5],
+                    (0..5u8).map(|i| vec![i; usize::from(i) * 3]),
+                ),
+            ),
+            (
+                0,
+                Mutation::insert(minted(&[]), Vec::<Vec<f32>>::new(), Vec::<Vec<u8>>::new()),
+            ),
+            (2, Mutation::Delete { id: 5 }),
+            (2, Mutation::Compact),
         ];
         let mut out = Vec::new();
         for record in records.iter().chain(&sample_records()) {
-            reused_frame(&mut out, record);
-            assert_eq!(out, record.encode_framed(), "{record:?}");
+            record.1.encode_framed_into(record.0, &mut out);
+            assert_eq!(out, frame(record), "{record:?}");
             let (decoded, tail) = read_records(&out);
             assert!(tail.is_clean());
             // NaN != NaN, so compare the decoded record's own frame.
             assert_eq!(decoded.len(), 1);
-            assert_eq!(decoded[0].encode_framed(), out);
+            assert_eq!(frame(&decoded[0]), out);
         }
     }
 
     #[test]
     fn a_short_frame_after_a_long_one_carries_none_of_its_bytes() {
-        let long = WalRecord::InsertBatch {
-            db_id: 1,
-            vectors: vec![vec![f32::from_bits(0xDEAD_BEEF); 256]; 4],
-            documents: vec![vec![0xAB; 900]; 4],
-            ids: vec![10, 11, 12, 13],
-        };
-        let short = WalRecord::Upsert {
-            db_id: 1,
-            id: 10,
-            vector: vec![0.5; 2],
-            document: b"x".to_vec(),
-        };
-        let mut out = Vec::new();
-        reused_frame(&mut out, &long);
-        let long_capacity = out.capacity();
-        reused_frame(&mut out, &short);
-        assert_eq!(out, short.encode_framed());
-        assert_eq!(
-            out.len(),
-            FRAME_HEADER_BYTES + upsert_payload_len(&[0.5; 2], b"x")
+        let long = Mutation::insert(
+            minted(&[10, 11, 12, 13]),
+            vec![vec![f32::from_bits(0xDEAD_BEEF); 256]; 4],
+            vec![vec![0xAB; 900]; 4],
         );
+        let short = upsert(10, vec![0.5; 2], b"x");
+        let mut out = Vec::new();
+        long.encode_framed_into(1, &mut out);
+        let long_capacity = out.capacity();
+        short.encode_framed_into(1, &mut out);
+        assert_eq!(out, frame(&(1, short.clone())));
+        // Opcode, database id, id, the counted vector, the counted document.
+        assert_eq!(out.len(), FRAME_HEADER_BYTES + 9 + 4 + 2 * 4 + 4 + 1);
         assert!(
             out.capacity() >= long_capacity,
             "the buffer keeps its capacity"
         );
         let (decoded, tail) = read_records(&out);
-        assert_eq!((decoded, tail), (vec![short], WalTail::Clean));
+        assert_eq!((decoded, tail), (vec![(1, short)], WalTail::Clean));
     }
 }

@@ -30,11 +30,6 @@ impl ByteWriter {
         ByteWriter { buf }
     }
 
-    /// Reserve room for `additional` more bytes.
-    pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
-    }
-
     /// Consume the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -53,12 +48,6 @@ impl ByteWriter {
     /// Append a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append an `f32` as the little-endian bytes of its IEEE-754 bit
-    /// pattern (bit-exact round-trip, NaNs included).
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
     }
 
     /// Append raw bytes with no framing (the caller's layout fixes the
@@ -198,8 +187,8 @@ mod tests {
         w.put_u8(0xAB);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(0x0123_4567_89AB_CDEF);
-        w.put_f32(-0.0);
-        w.put_f32(f32::NAN);
+        w.put_u32((-0.0f32).to_bits());
+        w.put_u32(f32::NAN.to_bits());
         w.put_bytes(b"chunk");
         w.put_u32_slice(&[1, u32::MAX]);
         w.put_f32_slice(&[1.5, -2.25e-8]);
