@@ -12,7 +12,7 @@
 //!   checkpoint immediately, so every database lives in some snapshot.
 //! * **The WAL** logs every mutation (insert batches, deletes, upserts,
 //!   explicit compactions) applied since the newest snapshot, each as the
-//!   [`Mutation`](reis_persist::Mutation) value the live call applied.
+//!   [`Mutation`] value the live call applied.
 //!
 //! Recovery ([`ReisSystem::recover`]) finds the newest snapshot that
 //! passes validation (falling back to older epochs past corrupt ones),
